@@ -24,10 +24,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
+
+#include "par/env.hpp"
 
 namespace fs = std::filesystem;
 
@@ -133,13 +136,11 @@ DiskCache disk_config() {
   return dc;
 }
 
+/// 0 disables eviction.  A negative or malformed value ("-1", "64MB")
+/// keeps the default with a warning instead of wrapping or truncating.
 std::uintmax_t disk_cap_bytes() {
-  const char* v = std::getenv("OSSS_JIT_CACHE_MAX_BYTES");
-  if (v == nullptr || *v == '\0') return std::uintmax_t{256} << 20;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v) return std::uintmax_t{256} << 20;
-  return n;  // 0 disables eviction
+  return par::env_u64("OSSS_JIT_CACHE_MAX_BYTES", std::uint64_t{256} << 20, 0,
+                      std::numeric_limits<std::uint64_t>::max());
 }
 
 std::string key_hex(std::uint64_t key) {

@@ -1,6 +1,8 @@
 #include "opt/satsweep.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -108,7 +110,10 @@ class Sweeper {
         seed_(seed),
         levels_(nl.topo_levels()),
         order_(level_order(nl)),
-        uf_(nl, levels_) {}
+        uf_(nl, levels_),
+        cone_val_(nl.cells().size(), 0) {
+    cone_val_[1] = ~0ull;
+  }
 
   std::size_t sweep() {
     std::size_t merges = 0;
@@ -128,11 +133,11 @@ class Sweeper {
 
   /// SDC phase: re-prove the externally supplied per-bit register constants
   /// by netlist induction, then unite the survivors into the constant-net
-  /// classes.  Mirrors const_regs' structure; the value added by the facts
-  /// is the random-resolution fallback for cones whose free support exceeds
-  /// the exhaustive prover — the RTL-level abstract interpreter already
-  /// proved the invariant, so a sampled netlist-level confirmation (plus
-  /// the pass-level differential check) carries the name-mapping trust
+  /// classes.  Shares const_regs' core; the value added by the facts is the
+  /// random-resolution fallback for cones whose free support exceeds the
+  /// exhaustive prover — the RTL-level abstract interpreter already proved
+  /// the invariant, so a sampled netlist-level confirmation (plus the
+  /// pass-level differential check) carries the name-mapping trust
   /// boundary.  Returns the number of registers merged.
   std::size_t sweep_facts() {
     if (!opt_.facts || opt_.facts->empty()) return 0;
@@ -150,77 +155,7 @@ class Sweeper {
       regs.push_back(id);
     }
     if (regs.empty()) return 0;
-
-    // Simulation filter with every claimed register pinned at init.
-    std::vector<std::uint64_t> val;
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (unsigned r = 0; r < 4; ++r) {
-        simulate_round(val,
-                       verify::StimGen::derive(
-                           seed_, "factreg/" + std::to_string(r)),
-                       &cand);
-        for (const NetId q : regs) {
-          if (cand[q] == 0) continue;
-          const std::uint64_t want = nl_.cells()[q].init ? ~0ull : 0ull;
-          if (val[nl_.cells()[q].ins[0]] != want) {
-            cand[q] = 0;
-            changed = true;
-          }
-        }
-      }
-    }
-    // Induction step per survivor: exhaustive when the free support fits,
-    // random resolution otherwise.
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (const NetId q : regs) {
-        if (cand[q] == 0) continue;
-        const NetId d = nl_.cells()[q].ins[0];
-        const std::uint64_t want = nl_.cells()[q].init ? ~0ull : 0ull;
-        const Cone cone = cone_of(d);
-        bool ok = cone.ok;
-        std::vector<NetId> free_vars;
-        if (ok) {
-          for (const NetId s : cone.support)
-            if (cand[s] == 0) free_vars.push_back(s);
-        }
-        std::unordered_map<NetId, std::uint64_t> leaf;
-        if (ok && free_vars.size() <= opt_.exhaustive_bits) {
-          const std::size_t k = free_vars.size();
-          const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
-          for (std::size_t blk = 0; blk < blocks && ok; ++blk) {
-            leaf.clear();
-            for (const NetId s : cone.support)
-              if (cand[s] != 0) leaf[s] = nl_.cells()[s].init ? ~0ull : 0ull;
-            for (std::size_t v = 0; v < k; ++v)
-              leaf[free_vars[v]] = v < 6 ? kTile[v]
-                                    : ((blk >> (v - 6)) & 1u ? ~0ull : 0ull);
-            if (eval_cone(cone, d, leaf) != want) ok = false;
-          }
-        } else if (ok) {
-          for (unsigned r = 0; r < opt_.resolution_rounds && ok; ++r) {
-            std::uint64_t s = verify::StimGen::derive(
-                seed_, "factres/" + std::to_string(q) + "/" +
-                           std::to_string(r));
-            leaf.clear();
-            for (const NetId sup : cone.support)
-              leaf[sup] = cand[sup] != 0
-                              ? (nl_.cells()[sup].init ? ~0ull : 0ull)
-                              : splitmix64(s);
-            if (eval_cone(cone, d, leaf) != want) ok = false;
-          }
-        }
-        if (!ok) {
-          cand[q] = 0;
-          changed = true;
-        }
-      }
-    }
-    std::size_t merges = 0;
-    for (const NetId q : regs)
-      if (cand[q] != 0 && uf_.unite(q, nl_.cells()[q].init ? 1 : 0)) ++merges;
-    return merges;
+    return merge_const_regs(regs, cand, "factreg/", true);
   }
 
   /// Sequential phase: a 64-lane trajectory from reset samples the
@@ -242,41 +177,53 @@ class Sweeper {
   ///     observation cone, comparing each cone with and without the
   ///     replacement.
   ///
-  /// The netlist is fully resimulated after each comb merge.  Returns the
-  /// number of merges applied.
+  /// The netlist is fully resimulated, and its support bitsets recomputed,
+  /// after each comb merge.  Returns the number of merges applied.
   std::size_t sweep_odc() {
     if (opt_.odc_max_merges == 0 || opt_.odc_cycles == 0) return 0;
     const std::size_t n = nl_.cells().size();
     if (n > opt_.odc_max_cells) return 0;
     simulate_trajectory();
     std::size_t merges = sweep_seq_regs();
+    // A replacement b must be a better representative than a; the ranking
+    // is static, so a's candidates are the live reps in a prefix of it.
+    std::vector<NetId> rank(n);
+    for (NetId id = 0; id < n; ++id) rank[id] = id;
+    std::sort(rank.begin(), rank.end(),
+              [&](NetId x, NetId y) { return uf_.better(x, y); });
+    std::vector<std::size_t> pos(n);
+    for (std::size_t i = 0; i < n; ++i) pos[rank[i]] = i;
+    const std::size_t cycles = opt_.odc_cycles;
+    std::vector<NetId> live, cands;
     while (merges < opt_.odc_max_merges) {
       simulate_trajectory();
+      compute_support();
+      live.clear();
+      for (const NetId b : rank)
+        if (uf_.find(b) == b && nl_.cells()[b].kind != CellKind::kMemQ)
+          live.push_back(b);
       NetId ma = kInvalidNet;
       NetId mb = kInvalidNet;
       for (NetId a = 0; a < n && ma == kInvalidNet; ++a) {
         if (uf_.find(a) != a) continue;
         const CellKind ka = nl_.cells()[a].kind;
         if (is_free_leaf(ka) || is_source_kind(ka)) continue;
-        if (levels_[a] == gate::kNoLevel) continue;
         // Every affected observation cone's support is a superset of a's
         // own (the cone runs through a), so a wide-support a can never be
         // proven — skip before the quadratic candidate scan.
-        {
-          const Cone ca = cone_of(a);
-          if (!ca.ok || ca.support.size() > opt_.odc_exhaustive_bits)
-            continue;
-        }
-        std::vector<NetId> cands;
-        for (NetId b = 0; b < n; ++b) {
-          if (uf_.find(b) != b || b == a || !uf_.better(b, a)) continue;
-          if (nl_.cells()[b].kind == CellKind::kMemQ) continue;
-          bool masked = true;
-          for (unsigned t = 0; t < opt_.odc_cycles && masked; ++t)
-            masked = ((odc_val_[t][a] ^ odc_val_[t][b]) & odc_obs_[t][a]) == 0;
-          if (masked) cands.push_back(b);
+        if (width(support_row(a)) > opt_.odc_exhaustive_bits) continue;
+        const std::uint64_t* va = odc_val_.data() + a * cycles;
+        const std::uint64_t* oa = odc_obs_.data() + a * cycles;
+        cands.clear();
+        for (const NetId b : live) {
+          if (pos[b] >= pos[a]) break;
+          const std::uint64_t* vb = odc_val_.data() + b * cycles;
+          std::size_t t = 0;
+          while (t < cycles && ((va[t] ^ vb[t]) & oa[t]) == 0) ++t;
+          if (t == cycles) cands.push_back(b);
         }
         if (cands.empty()) continue;
+        std::sort(cands.begin(), cands.end());
         OdcCtx ctx;
         if (!odc_ctx(a, ctx)) continue;
         for (const NetId b : cands)
@@ -302,6 +249,9 @@ class Sweeper {
   UnionFind uf_;
   std::vector<std::uint32_t> seen_;  ///< cone_of visit stamps
   std::uint32_t stamp_ = 0;
+  /// eval_cone's net-indexed lane words: callers write the free leaves,
+  /// eval_cone the cone cells; nets 0/1 hold the constants for good.
+  std::vector<std::uint64_t> cone_val_;
   /// Trial substitution overlay for sweep_seq_regs: maps a class rep onto
   /// the register it is assumed equal to.  Empty = inactive.  Applied by
   /// res() after find(), so cone extraction and evaluation see the merged
@@ -313,12 +263,59 @@ class Sweeper {
     return trial_.empty() ? id : trial_[id];
   }
 
-  // --- ODC phase state: one entry per trajectory cycle --------------------
-  std::vector<std::vector<std::uint64_t>> odc_val_;  ///< net values
-  std::vector<std::vector<std::uint64_t>> odc_obs_;  ///< chain-rule obs masks
-  /// Memory contents entering each cycle: [mem][word * width + bit], one
-  /// 64-lane word each (the gate::Simulator kBitParallel layout).
-  std::vector<std::vector<std::vector<std::uint64_t>>> odc_mem_;
+  std::uint64_t init_word(NetId q) const {
+    return nl_.cells()[q].init ? ~0ull : 0ull;
+  }
+
+  // --- ODC phase state ----------------------------------------------------
+  /// Net-major trajectory: entry [id * odc_cycles + t] is net id's value
+  /// (odc_val_) or chain-rule observability mask (odc_obs_) in cycle t.
+  std::vector<std::uint64_t> odc_val_;
+  std::vector<std::uint64_t> odc_obs_;
+  /// Free support of every class rep in the merged graph: one row of
+  /// support_words_ words per net, bit i standing for leaves_[i].
+  std::vector<NetId> leaves_;  ///< live free-leaf reps, ascending id
+  std::size_t support_words_ = 0;
+  std::vector<std::uint64_t> support_;
+
+  const std::uint64_t* support_row(NetId id) const {
+    return support_.data() + id * support_words_;
+  }
+
+  void or_support(std::uint64_t* dst, NetId id) const {
+    const std::uint64_t* src = support_row(id);
+    for (std::size_t w = 0; w < support_words_; ++w) dst[w] |= src[w];
+  }
+
+  std::size_t width(const std::uint64_t* row) const {
+    std::size_t bits = 0;
+    for (std::size_t w = 0; w < support_words_; ++w)
+      bits += static_cast<std::size_t>(std::popcount(row[w]));
+    return bits;
+  }
+
+  /// One forward pass over the merged graph: a free-leaf rep supports
+  /// itself, a kMemQ read cuts its address cone (as cone_of does), and a
+  /// combinational rep ORs the rows of its resolved inputs.  order_ stays
+  /// topological for the merged graph, since a rep never ranks after the
+  /// class members it stands for.
+  void compute_support() {
+    const std::size_t n = nl_.cells().size();
+    leaves_.clear();
+    for (NetId id = 0; id < n; ++id)
+      if (is_free_leaf(nl_.cells()[id].kind) && uf_.find(id) == id)
+        leaves_.push_back(id);
+    support_words_ = (leaves_.size() + 63) / 64;
+    support_.assign(n * support_words_, 0);
+    for (std::size_t i = 0; i < leaves_.size(); ++i)
+      support_[leaves_[i] * support_words_ + i / 64] |= 1ull << (i % 64);
+    for (const NetId id : order_) {
+      const Cell& c = nl_.cells()[id];
+      if (uf_.find(id) != id || c.kind == CellKind::kMemQ) continue;
+      std::uint64_t* row = support_.data() + id * support_words_;
+      for (const NetId in : c.ins) or_support(row, uf_.find(in));
+    }
+  }
 
   /// Read one memory bit against explicit contents, with the same per-lane
   /// semantics as gate::Simulator::eval_memq: lanes whose address is out of
@@ -378,14 +375,13 @@ class Sweeper {
       }
   }
 
-  /// Chain-rule observability masks for cycle `t`: observation points are
-  /// fully observable, and a cell input inherits (flip-sensitivity AND the
-  /// cell's own mask) in reverse topological order.  Reconvergent fanout
-  /// makes this approximate in both directions, which is fine: it is only
-  /// the candidate filter, never the proof.
-  void compute_obs(unsigned t) {
-    std::vector<std::uint64_t>& obs = odc_obs_[t];
-    const std::vector<std::uint64_t>& val = odc_val_[t];
+  /// Chain-rule observability masks of one cycle's values `val`:
+  /// observation points are fully observable, and a cell input inherits
+  /// (flip-sensitivity AND the cell's own mask) in reverse topological
+  /// order.  Reconvergent fanout makes this approximate in both directions,
+  /// which is fine: it is only the candidate filter, never the proof.
+  void compute_obs(const std::vector<std::uint64_t>& val,
+                   std::vector<std::uint64_t>& obs) const {
     obs.assign(nl_.cells().size(), 0);
     for_each_obs_point([&](NetId id) { obs[id] = ~0ull; });
     // Memory read addresses select words: a flip redirects the read, which
@@ -414,14 +410,13 @@ class Sweeper {
   }
 
   /// Simulate `odc_cycles` cycles of the merged netlist from power-on reset
-  /// under deterministic random inputs, recording per-cycle values,
-  /// observability masks and memory contents.
+  /// under deterministic random inputs, recording per-cycle values and
+  /// observability masks.
   void simulate_trajectory() {
     const std::size_t n = nl_.cells().size();
     const unsigned cycles = opt_.odc_cycles;
-    odc_val_.assign(cycles, {});
-    odc_obs_.assign(cycles, {});
-    odc_mem_.assign(cycles, {});
+    odc_val_.assign(n * cycles, 0);
+    odc_obs_.assign(n * cycles, 0);
     const std::uint64_t base = verify::StimGen::derive(seed_, "odc/traj");
 
     std::vector<std::vector<std::uint64_t>> mem(nl_.memories().size());
@@ -433,11 +428,12 @@ class Sweeper {
     for (NetId id = 0; id < n; ++id) {
       const Cell& c = nl_.cells()[id];
       if (c.kind == CellKind::kDff && uf_.find(id) == id)
-        state[id] = c.init ? ~0ull : 0ull;
+        state[id] = init_word(id);
     }
 
+    std::vector<std::uint64_t> val;
+    std::vector<std::uint64_t> obs;
     for (unsigned t = 0; t < cycles; ++t) {
-      std::vector<std::uint64_t>& val = odc_val_[t];
       val.assign(n, 0);
       val[1] = ~0ull;
       for (NetId id = 0; id < n; ++id) {
@@ -452,9 +448,12 @@ class Sweeper {
           val[id] = state[id];
         }
       }
-      odc_mem_[t] = mem;
-      eval_resolved(val, odc_mem_[t]);
-      compute_obs(t);
+      eval_resolved(val, mem);
+      compute_obs(val, obs);
+      for (std::size_t id = 0; id < n; ++id) {
+        odc_val_[id * cycles + t] = val[id];
+        odc_obs_[id * cycles + t] = obs[id];
+      }
 
       // Commit: write ports in declaration order (later ports win a
       // same-word collision, matching gate::Simulator), then DFF state.
@@ -497,17 +496,19 @@ class Sweeper {
   /// survivors re-prove under the smaller assumption set, to a fixpoint.
   /// Base case (equal init) plus inductive step (equal D under the
   /// assumption, for *all* states and inputs) make the surviving merges
-  /// sound from reset, with no reliance on sampling.
+  /// sound from reset, with no reliance on sampling.  The support bitsets
+  /// do not model the overlay, so the proofs take support from the cones.
   std::size_t sweep_seq_regs() {
     const std::size_t n = nl_.cells().size();
+    const std::size_t cycles = opt_.odc_cycles;
     std::unordered_map<std::uint64_t, std::vector<NetId>> groups;
     for (NetId q = 0; q < n; ++q) {
       const Cell& c = nl_.cells()[q];
       if (c.kind != CellKind::kDff || uf_.find(q) != q || c.ins.empty())
         continue;
       std::uint64_t h = c.init ? 0x9e3779b97f4a7c15ull : 0xcbf29ce484222325ull;
-      for (unsigned t = 0; t < opt_.odc_cycles; ++t)
-        h = (h ^ odc_val_[t][q]) * 0x100000001b3ull;
+      for (std::size_t t = 0; t < cycles; ++t)
+        h = (h ^ odc_val_[q * cycles + t]) * 0x100000001b3ull;
       groups[h].push_back(q);
     }
     std::vector<std::pair<NetId, NetId>> pairs;  // (leader, follower)
@@ -522,7 +523,6 @@ class Sweeper {
     if (pairs.empty()) return 0;
 
     std::vector<char> alive(pairs.size(), 1);
-    std::unordered_map<NetId, std::uint64_t> leaf;
     for (bool changed = true; changed;) {
       changed = false;
       trial_.resize(n);
@@ -536,25 +536,12 @@ class Sweeper {
         const Cone c1 = cone_of(d1);
         const Cone c2 = cone_of(d2);
         bool ok = c1.ok && c2.ok;
-        std::vector<NetId> support;
         if (ok) {
-          support = c1.support;
-          for (const NetId s : c2.support)
-            if (std::find(support.begin(), support.end(), s) == support.end())
-              support.push_back(s);
-          ok = support.size() <= opt_.exhaustive_bits;
-        }
-        if (ok) {
-          std::sort(support.begin(), support.end());
-          const std::size_t k = support.size();
-          const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
-          for (std::size_t blk = 0; blk < blocks && ok; ++blk) {
-            leaf.clear();
-            for (std::size_t v = 0; v < k; ++v)
-              leaf[support[v]] = v < 6 ? kTile[v]
-                                       : ((blk >> (v - 6)) & 1u ? ~0ull : 0ull);
-            if (eval_cone(c1, d1, leaf) != eval_cone(c2, d2, leaf)) ok = false;
-          }
+          const std::vector<NetId> support = union_support(c1, c2);
+          ok = support.size() <= opt_.exhaustive_bits &&
+               for_all_assignments(support, [&] {
+                 return eval_cone(c1, d1) == eval_cone(c2, d2);
+               });
         }
         if (!ok) {
           alive[i] = 0;
@@ -578,12 +565,12 @@ class Sweeper {
 
   /// Per-candidate proof context for observability merges: the observation
   /// points in a's transitive fanout, their cones and the union free
-  /// support — all independent of the replacement net b, so built once per
-  /// a and reused across the candidate scan.
+  /// support bitset — all independent of the replacement net b, so built
+  /// once per a and reused across the candidate scan.
   struct OdcCtx {
     std::vector<NetId> points;
     std::vector<Cone> cones;
-    std::vector<NetId> support;
+    std::vector<std::uint64_t> support;
   };
 
   bool odc_ctx(NetId a, OdcCtx& ctx) {
@@ -616,17 +603,16 @@ class Sweeper {
       for (const NetId in : c.ins) add_point(uf_.find(in));
     }
     if (ctx.points.size() > 64) return false;
+    // Reject a too-wide union before extracting any cone.
+    ctx.support.assign(support_words_, 0);
+    for (const NetId p : ctx.points) or_support(ctx.support.data(), p);
+    if (width(ctx.support.data()) > opt_.odc_exhaustive_bits) return false;
     ctx.cones.reserve(ctx.points.size());
     for (const NetId p : ctx.points) {
-      Cone cp = cone_of(p);
-      if (!cp.ok) return false;
-      for (const NetId s : cp.support)
-        if (std::find(ctx.support.begin(), ctx.support.end(), s) ==
-            ctx.support.end())
-          ctx.support.push_back(s);
-      ctx.cones.push_back(std::move(cp));
+      ctx.cones.push_back(cone_of(p));
+      if (!ctx.cones.back().ok) return false;
     }
-    return ctx.support.size() <= opt_.odc_exhaustive_bits;
+    return true;
   }
 
   /// Observability merge proof: a and b genuinely differ, so the
@@ -640,30 +626,24 @@ class Sweeper {
   /// sequentially sound.
   bool prove_odc(const OdcCtx& ctx, NetId a, NetId b) {
     if (ctx.points.empty()) return true;  // provably unobservable
+    std::vector<std::uint64_t> sup = ctx.support;
+    or_support(sup.data(), b);
+    if (width(sup.data()) > opt_.odc_exhaustive_bits) return false;
     const Cone cb = cone_of(b);
     if (!cb.ok) return false;
-    std::vector<NetId> support = ctx.support;
-    for (const NetId s : cb.support)
-      if (std::find(support.begin(), support.end(), s) == support.end())
-        support.push_back(s);
-    if (support.size() > opt_.odc_exhaustive_bits) return false;
-    std::sort(support.begin(), support.end());
-
-    const std::size_t k = support.size();
-    const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
-    std::unordered_map<NetId, std::uint64_t> leaf;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      leaf.clear();
-      for (std::size_t v = 0; v < k; ++v)
-        leaf[support[v]] = v < 6 ? kTile[v]
-                                 : ((blk >> (v - 6)) & 1u ? ~0ull : 0ull);
-      const std::uint64_t bv = eval_cone(cb, b, leaf);
+    std::vector<NetId> support;  // ascending id, as leaves_ is
+    for (std::size_t w = 0; w < support_words_; ++w)
+      for (std::uint64_t bits = sup[w]; bits != 0; bits &= bits - 1)
+        support.push_back(leaves_[w * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(bits))]);
+    return for_all_assignments(support, [&] {
+      const std::uint64_t bv = eval_cone(cb, b);
       for (std::size_t i = 0; i < ctx.points.size(); ++i)
-        if (eval_cone(ctx.cones[i], ctx.points[i], leaf) !=
-            eval_cone(ctx.cones[i], ctx.points[i], leaf, a, bv))
+        if (eval_cone(ctx.cones[i], ctx.points[i]) !=
+            eval_cone(ctx.cones[i], ctx.points[i], a, bv))
           return false;
-    }
-    return true;
+      return true;
+    });
   }
 
   /// Structural dedup of memory read bits: same memory, same data bit and
@@ -703,10 +683,8 @@ class Sweeper {
   /// Sequential constant propagation: a register equals its initial value
   /// forever when its next-state function yields that value whenever every
   /// candidate register holds its initial value — induction from reset.
-  /// Candidates shrink to a simulation fixpoint; each survivor is then
-  /// proven exactly by exhaustive enumeration over its cone's free support
-  /// (survivors whose free support is too wide are dropped, never guessed),
-  /// and merges into the constant-net class.
+  /// Every rep register is a candidate; survivors whose free support is
+  /// too wide for the exhaustive proof are dropped, never guessed.
   std::size_t const_regs(unsigned iter) {
     std::vector<char> cand(nl_.cells().size(), 0);
     std::vector<NetId> regs;
@@ -717,68 +695,78 @@ class Sweeper {
       cand[id] = 1;
       regs.push_back(id);
     }
-    // Cheap filter: 64-lane rounds with the candidates pinned at init; a
-    // candidate whose D deviates is out.  Every pass either removes a
-    // candidate or reaches the fixpoint, so the loop terminates.
+    return merge_const_regs(regs, cand,
+                            "constreg/" + std::to_string(iter) + "/", false);
+  }
+
+  /// Core of const_regs and sweep_facts.  Candidates (`cand` flags over
+  /// `regs`) shrink to a simulation fixpoint — 64-lane rounds seeded from
+  /// `round_tag`, candidates pinned at init, a candidate whose D deviates
+  /// is out — and then to an induction fixpoint: each survivor's D cone
+  /// must yield its init value whenever every survivor holds its own, and
+  /// each proof assumes the others, so re-prove until none drops.  The
+  /// step is exhaustive over the remaining free support; a wider support
+  /// is sampled for `resolution_rounds` when `sample_wide`, else dropped.
+  /// Survivors unite into the constant-net classes; returns how many.
+  std::size_t merge_const_regs(const std::vector<NetId>& regs,
+                               std::vector<char>& cand,
+                               const std::string& round_tag,
+                               bool sample_wide) {
+    // Every pass either removes a candidate or reaches the fixpoint, so
+    // the loop terminates.
     std::vector<std::uint64_t> val;
     for (bool changed = true; changed;) {
       changed = false;
       for (unsigned r = 0; r < 4; ++r) {
-        simulate_round(val,
-                       verify::StimGen::derive(
-                           seed_, "constreg/" + std::to_string(iter) + "/" +
-                                      std::to_string(r)),
-                       &cand);
-        for (const NetId q : regs) {
-          if (cand[q] == 0) continue;
-          const std::uint64_t want = nl_.cells()[q].init ? ~0ull : 0ull;
-          if (val[nl_.cells()[q].ins[0]] != want) {
+        simulate_round(
+            val, verify::StimGen::derive(seed_, round_tag + std::to_string(r)),
+            &cand);
+        for (const NetId q : regs)
+          if (cand[q] != 0 && val[nl_.cells()[q].ins[0]] != init_word(q)) {
             cand[q] = 0;
             changed = true;
           }
-        }
       }
     }
-    // Exact step proofs.  Each proof assumes the other survivors are
-    // constant, so re-prove until no survivor drops.
     for (bool changed = true; changed;) {
       changed = false;
-      for (const NetId q : regs) {
-        if (cand[q] == 0) continue;
-        const NetId d = nl_.cells()[q].ins[0];
-        const std::uint64_t want = nl_.cells()[q].init ? ~0ull : 0ull;
-        const Cone cone = cone_of(d);
-        bool ok = cone.ok;
-        std::vector<NetId> free_vars;
-        if (ok) {
-          for (const NetId s : cone.support)
-            if (cand[s] == 0) free_vars.push_back(s);
-          ok = free_vars.size() <= opt_.exhaustive_bits;
-        }
-        if (ok) {
-          const std::size_t k = free_vars.size();
-          const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
-          std::unordered_map<NetId, std::uint64_t> leaf;
-          for (std::size_t blk = 0; blk < blocks && ok; ++blk) {
-            leaf.clear();
-            for (const NetId s : cone.support)
-              if (cand[s] != 0) leaf[s] = nl_.cells()[s].init ? ~0ull : 0ull;
-            for (std::size_t v = 0; v < k; ++v)
-              leaf[free_vars[v]] = v < 6 ? kTile[v]
-                                    : ((blk >> (v - 6)) & 1u ? ~0ull : 0ull);
-            if (eval_cone(cone, d, leaf) != want) ok = false;
-          }
-        }
-        if (!ok) {
+      for (const NetId q : regs)
+        if (cand[q] != 0 && !holds_at_init(q, cand, sample_wide)) {
           cand[q] = 0;
           changed = true;
         }
-      }
     }
     std::size_t merges = 0;
     for (const NetId q : regs)
       if (cand[q] != 0 && uf_.unite(q, nl_.cells()[q].init ? 1 : 0)) ++merges;
     return merges;
+  }
+
+  /// Induction step of merge_const_regs for register q.
+  bool holds_at_init(NetId q, const std::vector<char>& cand,
+                     bool sample_wide) {
+    const NetId d = nl_.cells()[q].ins[0];
+    const std::uint64_t want = init_word(q);
+    const Cone cone = cone_of(d);
+    if (!cone.ok) return false;
+    std::vector<NetId> free_vars;
+    for (const NetId s : cone.support) {
+      if (cand[s] != 0)
+        cone_val_[s] = init_word(s);
+      else
+        free_vars.push_back(s);
+    }
+    const auto holds = [&] { return eval_cone(cone, d) == want; };
+    if (free_vars.size() <= opt_.exhaustive_bits)
+      return for_all_assignments(free_vars, holds);
+    if (!sample_wide) return false;
+    for (unsigned r = 0; r < opt_.resolution_rounds; ++r) {
+      std::uint64_t s = verify::StimGen::derive(
+          seed_, "factres/" + std::to_string(q) + "/" + std::to_string(r));
+      for (const NetId v : free_vars) cone_val_[v] = splitmix64(s);
+      if (!holds()) return false;
+    }
+    return true;
   }
 
   /// Random value of a free leaf's class this round (one stream per class,
@@ -792,7 +780,7 @@ class Sweeper {
       const NetId rep = uf_.find(id);
       if (rep == id) {
         if (pinned != nullptr && (*pinned)[id] != 0) {
-          val[id] = c.init ? ~0ull : 0ull;
+          val[id] = init_word(id);
           continue;
         }
         std::uint64_t s = round_seed + 0x6a09e667f3bcc909ull *
@@ -857,29 +845,50 @@ class Sweeper {
     return cone;
   }
 
-  /// Evaluate one cone under per-support-class lane words.  `leaf` maps a
-  /// support rep to its word; constants are implicit.  `forced` (when
+  static std::vector<NetId> union_support(const Cone& x, const Cone& y) {
+    std::vector<NetId> out;
+    std::set_union(x.support.begin(), x.support.end(), y.support.begin(),
+                   y.support.end(), std::back_inserter(out));
+    return out;
+  }
+
+  /// Evaluate one cone over cone_val_, whose free-leaf entries the caller
+  /// has set.  Cells run in (level, id) order, so each is written before
+  /// any read and no clearing is needed between calls.  `forced` (when
   /// != kInvalidNet) is held at `forced_val` instead of being recomputed —
   /// the replacement under test in prove_odc.
   std::uint64_t eval_cone(const Cone& cone, NetId root,
-                          const std::unordered_map<NetId, std::uint64_t>& leaf,
                           NetId forced = kInvalidNet,
-                          std::uint64_t forced_val = 0) const {
-    std::unordered_map<NetId, std::uint64_t> val(leaf);
-    val[0] = 0;
-    val[1] = ~0ull;
-    const auto get = [&](NetId id) { return val.at(res(id)); };
+                          std::uint64_t forced_val = 0) {
     for (const NetId id : cone.cells) {
       if (id == forced) {
-        val[id] = forced_val;
+        cone_val_[id] = forced_val;
         continue;
       }
       const Cell& c = nl_.cells()[id];
-      val[id] = eval_word(c.kind, get(c.ins[0]),
-                          c.ins.size() > 1 ? get(c.ins[1]) : 0,
-                          c.ins.size() > 2 ? get(c.ins[2]) : 0);
+      cone_val_[id] =
+          eval_word(c.kind, cone_val_[res(c.ins[0])],
+                    c.ins.size() > 1 ? cone_val_[res(c.ins[1])] : 0,
+                    c.ins.size() > 2 ? cone_val_[res(c.ins[2])] : 0);
     }
-    return val.at(res(root));
+    return cone_val_[res(root)];
+  }
+
+  /// Exhaustive proof driver: enumerate all 2^k assignments of `vars` in
+  /// 64-lane blocks — vars 0..5 take the canonical tiles, vars >= 6 sweep
+  /// over the block-index bits — writing each block into cone_val_, and
+  /// return false at the first block `holds()` rejects.
+  template <typename F>
+  bool for_all_assignments(const std::vector<NetId>& vars, F&& holds) {
+    const std::size_t k = vars.size();
+    for (std::size_t v = 0; v < k && v < 6; ++v) cone_val_[vars[v]] = kTile[v];
+    const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
+      for (std::size_t v = 6; v < k; ++v)
+        cone_val_[vars[v]] = ((blk >> (v - 6)) & 1u) ? ~0ull : 0ull;
+      if (!holds()) return false;
+    }
+    return true;
   }
 
   /// Resolve a signature-collision pair: exhaustive proof when the union
@@ -888,35 +897,17 @@ class Sweeper {
     const Cone ca = cone_of(a);
     const Cone cb = cone_of(b);
     if (!ca.ok || !cb.ok) return false;
-    std::vector<NetId> support = ca.support;
-    for (const NetId s : cb.support)
-      if (std::find(support.begin(), support.end(), s) == support.end())
-        support.push_back(s);
-    std::sort(support.begin(), support.end());
-
-    const std::size_t k = support.size();
-    std::unordered_map<NetId, std::uint64_t> leaf;
-    if (k <= opt_.exhaustive_bits) {
-      // Enumerate all 2^k assignments: support vars 0..5 take the canonical
-      // 64-lane tiles, vars >= 6 sweep over block-index bits.
-      const std::size_t blocks = k > 6 ? (std::size_t{1} << (k - 6)) : 1;
-      for (std::size_t blk = 0; blk < blocks; ++blk) {
-        leaf.clear();
-        for (std::size_t v = 0; v < k; ++v)
-          leaf[support[v]] = v < 6 ? kTile[v]
-                                   : ((blk >> (v - 6)) & 1u ? ~0ull : 0ull);
-        if (eval_cone(ca, a, leaf) != eval_cone(cb, b, leaf)) return false;
-      }
-      return true;  // proven
-    }
+    const std::vector<NetId> support = union_support(ca, cb);
+    const auto same = [&] { return eval_cone(ca, a) == eval_cone(cb, b); };
+    if (support.size() <= opt_.exhaustive_bits)
+      return for_all_assignments(support, same);  // proven
     // Random resolution over the union support only.
     for (unsigned r = 0; r < opt_.resolution_rounds; ++r) {
       std::uint64_t s = verify::StimGen::derive(
           seed_, "resolve/" + std::to_string(iter) + "/" + std::to_string(r) +
                      "/" + std::to_string(a) + "/" + std::to_string(b));
-      leaf.clear();
-      for (const NetId v : support) leaf[v] = splitmix64(s);
-      if (eval_cone(ca, a, leaf) != eval_cone(cb, b, leaf)) return false;
+      for (const NetId v : support) cone_val_[v] = splitmix64(s);
+      if (!same()) return false;
     }
     return true;  // accepted (backstopped by the pipeline self-check)
   }

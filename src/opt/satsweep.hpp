@@ -70,7 +70,8 @@ struct SatSweepOptions {
   /// ODC merges per sweep; 0 disables the ODC phase entirely.
   unsigned odc_max_merges = 32;
   /// Netlists with more cells than this skip the ODC phase (the pair scan
-  /// is quadratic in the live-cell count).
+  /// stays quadratic in the live-cell count: every narrow-support net is
+  /// compared against each live representative ranked before it).
   unsigned odc_max_cells = 4096;
   /// Exhaustive-proof budget for combinational ODC merges: the union free
   /// support of every affected observation cone must fit in this many

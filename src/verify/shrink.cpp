@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "par/env.hpp"
 
 namespace osss::verify {
 
@@ -17,6 +20,19 @@ bool adopt_if_fails(CoSim& cs, const Trace& cand, Trace& cur,
   if (r.ok) return false;
   cur = r.failing_trace;
   return true;
+}
+
+/// One numeric field of a record line, parsed strictly: garbage, a sign,
+/// overflow and values outside [lo, hi] throw instead of wrapping, reading
+/// as zero or being clamped.
+std::uint64_t parse_field(const std::string& tok, std::uint64_t lo,
+                          std::uint64_t hi, const char* what,
+                          const std::string& line) {
+  const par::EnvValue v = par::parse_u64(tok, lo, hi);
+  if (v.status != par::EnvParseStatus::kOk || v.clamped)
+    throw std::invalid_argument(std::string("ReplayRecord: bad ") + what +
+                                ": " + line);
+  return v.value;
 }
 
 }  // namespace
@@ -123,16 +139,22 @@ ReplayRecord ReplayRecord::from_text(const std::string& text) {
       if (!rec.design.empty() && rec.design.front() == ' ')
         rec.design.erase(rec.design.begin());
     } else if (key == "seed") {
-      ls >> rec.seed;
+      std::string tok;
+      ls >> tok;
+      rec.seed = parse_field(tok, 0, std::numeric_limits<std::uint64_t>::max(),
+                             "seed", line);
     } else if (key == "note") {
       std::getline(ls, rec.note);
       if (!rec.note.empty() && rec.note.front() == ' ')
         rec.note.erase(rec.note.begin());
     } else if (key == "input") {
       IoDecl d;
-      ls >> d.name >> d.width;
-      if (d.name.empty() || d.width == 0)
+      std::string width;
+      ls >> d.name >> width;
+      if (d.name.empty())
         throw std::invalid_argument("ReplayRecord: bad input decl: " + line);
+      d.width = static_cast<unsigned>(
+          parse_field(width, 1, kMaxReplayWidth, "input decl", line));
       rec.trace.inputs.push_back(d);
     } else if (key == "cycle") {
       std::vector<Bits> values;

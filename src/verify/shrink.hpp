@@ -33,6 +33,11 @@ struct ShrinkResult {
 ShrinkResult shrink(CoSim& cs, const Trace& failing,
                     std::uint64_t max_runs = 4000);
 
+/// Widest input a ReplayRecord may declare.  Every cycle line allocates
+/// each value at its declared width, so from_text rejects wider (and zero)
+/// widths rather than let one line of text allocate without bound.
+inline constexpr unsigned kMaxReplayWidth = 4096;
+
 /// Seed + minimized vectors: everything needed to re-execute a failure.
 struct ReplayRecord {
   std::string design;
@@ -42,7 +47,8 @@ struct ReplayRecord {
 
   std::string to_text() const;
   /// Parse the to_text() form; throws std::invalid_argument on malformed
-  /// input.
+  /// input, including a seed that is not an unsigned 64-bit number and an
+  /// input width outside [1, kMaxReplayWidth].
   static ReplayRecord from_text(const std::string& text);
 };
 

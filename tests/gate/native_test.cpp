@@ -81,7 +81,7 @@ void expect_lane_match(const Netlist& nl, std::uint64_t seed,
                     << seed;
 }
 
-Netlist random_netlist(const char* variant,
+Netlist random_netlist(const char* /*variant*/,
                        const verify::RandomModuleOptions& opt,
                        std::uint64_t seed) {
   std::mt19937_64 rng(seed);

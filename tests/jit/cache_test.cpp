@@ -314,6 +314,37 @@ TEST(JitDiskCache, LruEvictsOldestArtifactFirst) {
   EXPECT_TRUE(fs::exists(so_c)) << "never evict the freshly published key";
 }
 
+TEST(JitDiskCache, MalformedCapKeepsDefaultAndWarns) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
+  const std::string src_a = tiny_source("ffffffff");
+  std::string log;
+  {
+    EnvVar cap("OSSS_JIT_CACHE_MAX_BYTES", "0");
+    compile(src_a, CompileOptions{}, "osss-jt", log).reset();
+  }
+  const fs::path so_a = artifact_path(dir.path, src_a, {}, "osss-jt");
+  ASSERT_TRUE(fs::exists(so_a));
+  // "64MB" once read as a 64-byte cap (evicting everything else) and "-1"
+  // as 2^64-1 (eviction silently off); each publish re-reads the cap.
+  const char* const bad_caps[] = {"64MB", "-1"};
+  const char* const ids[] = {"gggggggg", "hhhhhhhh"};
+  for (std::size_t i = 0; i < std::size(bad_caps); ++i) {
+    EnvVar cap("OSSS_JIT_CACHE_MAX_BYTES", bad_caps[i]);
+    const CacheStats before = cache_stats();
+    testing::internal::CaptureStderr();
+    compile(tiny_source(ids[i]), CompileOptions{}, "osss-jt", log).reset();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("OSSS_JIT_CACHE_MAX_BYTES"), std::string::npos)
+        << bad_caps[i] << " must be reported";
+    EXPECT_EQ(cache_stats().disk_evictions, before.disk_evictions)
+        << bad_caps[i] << " must keep the 256 MiB default";
+    EXPECT_TRUE(fs::exists(so_a)) << bad_caps[i];
+  }
+}
+
 // --- end-to-end: a stale artifact with the wrong ABI never reaches an
 // engine ---------------------------------------------------------------
 

@@ -4,21 +4,27 @@
 // area/depth trajectory and fails here, while small legitimate drifts stay
 // inside the tolerance bands (±2% area, ±1 logic level).
 //
-// The final block pins the headline result the R1/R2 experiments report:
+// The next block pins the headline result the R1/R2 experiments report:
 // at least three of the six components shrink by ≥10% gate area, and no
-// component's critical path gets longer.
+// component's critical path gets longer.  The last one pins the exact
+// optimizer output of all twelve units, OSSS and VHDL flow.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "expocu/flows.hpp"
 #include "gate/lower.hpp"
 #include "gate/timing.hpp"
+#include "gate/verilog.hpp"
+#include "lint/dataflow.hpp"
 #include "opt/opt.hpp"
 
 namespace osss::opt {
@@ -131,6 +137,88 @@ TEST(OptGolden, HeadlineResultHolds) {
   }
   EXPECT_GE(big_wins, 3u)
       << "fewer than 3 of 6 ExpoCU components reach a 10% area reduction";
+}
+
+// Exact output of the pipeline on the benchmark's inputs: both flows, the
+// dataflow facts, the pipeline defaults.  The tolerance bands above let a
+// refactor that changes a merge slip through; this pins every satsweep
+// round's merge counts and a 64-bit FNV-1a hash of the emitted Verilog.
+struct SweepCounts {
+  std::size_t changes, fact_merges, odc_merges;
+};
+
+struct ExactGolden {
+  const char* flow;
+  const char* component;
+  std::uint64_t verilog_fnv1a;
+  std::vector<SweepCounts> satsweep;  ///< one entry per pipeline round
+};
+
+const ExactGolden kExact[] = {
+    {"osss", "camera_sync", 0x62186c5767781e03ull, {{0, 0, 0}, {0, 0, 0}}},
+    {"osss", "histogram", 0xcef27b2da75c0810ull, {{4, 0, 1}, {0, 0, 0}}},
+    {"osss", "threshold_calc", 0x9ca34083e4e31a8dull, {{0, 0, 0}, {0, 0, 0}}},
+    {"osss", "param_calc", 0x029cf8d70d202319ull,
+     {{117, 3, 26}, {6, 0, 4}, {0, 0, 0}}},
+    {"osss", "i2c_master", 0xd50f36a5817a467cull,
+     {{256, 0, 28}, {1, 0, 0}, {0, 0, 0}}},
+    {"osss", "reset_ctrl", 0x20ef6a65c3d94ae6ull, {{1, 0, 1}, {0, 0, 0}}},
+    {"vhdl", "camera_sync", 0x5b87516166200c3dull, {{0, 0, 0}, {0, 0, 0}}},
+    {"vhdl", "histogram", 0xcef27b2da75c0810ull, {{4, 0, 1}, {0, 0, 0}}},
+    {"vhdl", "threshold_calc", 0x5bb70f754e473086ull, {{0, 0, 0}, {0, 0, 0}}},
+    {"vhdl", "param_calc", 0xb4983f7caaa5f994ull,
+     {{13, 2, 4}, {8, 0, 5}, {0, 0, 0}}},
+    {"vhdl", "i2c_master", 0x530aaa5fc0f1e9ccull,
+     {{63, 0, 0}, {0, 0, 0}, {0, 0, 0}}},
+    {"vhdl", "reset_ctrl", 0x96f3d93f266a3becull, {{1, 0, 1}, {0, 0, 0}}},
+};
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s)
+    h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+  return h;
+}
+
+TEST(OptGolden, ExactOutputOnBothFlows) {
+  const gate::Library lib = gate::Library::generic();
+  std::map<std::string, const ExactGolden*> golden;
+  for (const ExactGolden& g : kExact)
+    golden.emplace(std::string(g.flow) + "/" + g.component, &g);
+  std::size_t checked = 0;
+  for (const bool osss_flow : {true, false}) {
+    const std::string flow = osss_flow ? "osss" : "vhdl";
+    for (const auto& c : osss_flow ? expocu::build_osss_flow()
+                                   : expocu::build_vhdl_flow()) {
+      const std::string what = flow + "/" + c.name;
+      PipelineOptions po;
+      po.lib = &lib;
+      po.facts = std::make_shared<const std::unordered_map<std::string, bool>>(
+          lint::analyze_dataflow(c.module).const_reg_bits());
+      std::vector<PassStats> stats;
+      const gate::Netlist out =
+          optimize(gate::lower_to_gates(c.module), po, &stats);
+      std::vector<SweepCounts> sweeps;
+      for (const PassStats& ps : stats)
+        if (ps.pass == "satsweep")
+          sweeps.push_back({ps.changes, ps.fact_merges, ps.odc_merges});
+      const std::uint64_t hash = fnv1a(gate::write_verilog(out));
+      const auto it = golden.find(what);
+      ASSERT_NE(it, golden.end()) << "no golden for " << what;
+      const ExactGolden& g = *it->second;
+      EXPECT_EQ(hash, g.verilog_fnv1a)
+          << what << ": Verilog hash 0x" << std::hex << hash;
+      ASSERT_EQ(sweeps.size(), g.satsweep.size()) << what << ": rounds";
+      for (std::size_t r = 0; r < sweeps.size(); ++r) {
+        const std::string round = what + " round " + std::to_string(r + 1);
+        EXPECT_EQ(sweeps[r].changes, g.satsweep[r].changes) << round;
+        EXPECT_EQ(sweeps[r].fact_merges, g.satsweep[r].fact_merges) << round;
+        EXPECT_EQ(sweeps[r].odc_merges, g.satsweep[r].odc_merges) << round;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kExact));
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "expocu/hw.hpp"
 #include "gate/lower.hpp"
@@ -171,6 +173,20 @@ TEST(Shrink, FromTextRejectsGarbage) {
   EXPECT_THROW(ReplayRecord::from_text("not a replay"),
                std::invalid_argument);
   EXPECT_THROW(ReplayRecord::from_text(""), std::invalid_argument);
+  // Numbers never wrap, read as zero or declare an unbounded width.
+  const std::string head = "osss-replay v1\ndesign d\n";
+  const std::vector<std::string> bad = {
+      "seed -1\n",     "seed abc\n",
+      "input a -1\n",  "input a 3000000000\n",
+      "input a 0\n",   "input a " + std::to_string(kMaxReplayWidth + 1) + "\n"};
+  for (const std::string& body : bad)
+    EXPECT_THROW(ReplayRecord::from_text(head + body + "end\n"),
+                 std::invalid_argument)
+        << body;
+  const ReplayRecord widest = ReplayRecord::from_text(
+      head + "input a " + std::to_string(kMaxReplayWidth) + "\nend\n");
+  ASSERT_EQ(widest.trace.inputs.size(), 1u);
+  EXPECT_EQ(widest.trace.inputs[0].width, kMaxReplayWidth);
 }
 
 }  // namespace
