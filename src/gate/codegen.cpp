@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "par/batch.hpp"
+
 namespace osss::gate {
 
 NativeEngine::NativeEngine(const Netlist& nl, unsigned lanes,
@@ -347,21 +349,25 @@ const Bus& NativeEngine::find_bus(const std::vector<Bus>& buses,
   throw std::logic_error("gate::NativeEngine: no bus " + name);
 }
 
+void NativeEngine::store_input(NetId id, const std::uint64_t* nv) {
+  std::uint64_t* d = &values_[std::size_t{id} * lw_];
+  std::uint64_t diff = 0;
+  for (unsigned w = 0; w < lw_; ++w) diff |= d[w] ^ nv[w];
+  if (diff == 0) return;
+  std::copy_n(nv, lw_, d);
+  mark_net(id);
+}
+
 void NativeEngine::set_input(const std::string& bus, const Bits& value) {
   const Bus& b = find_bus(nl_->inputs(), bus);
   if (value.width() != b.nets.size())
     throw std::logic_error("gate::NativeEngine: input width mismatch on " +
                            bus);
+  std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    const std::uint64_t nv =
-        value.bit(static_cast<unsigned>(i)) ? tail_mask_ : 0;  // broadcast
-    std::uint64_t* d = &values_[std::size_t{b.nets[i]} * lw_];
-    std::uint64_t diff = 0;
-    for (unsigned w = 0; w < lw_; ++w) diff |= d[w] ^ nv;
-    if (diff) {
-      for (unsigned w = 0; w < lw_; ++w) d[w] = nv;
-      mark_net(b.nets[i]);
-    }
+    std::fill_n(nv, lw_,
+                value.bit(static_cast<unsigned>(i)) ? tail_mask_ : 0);
+    store_input(b.nets[i], nv);
   }
   eval();
 }
@@ -372,7 +378,12 @@ void NativeEngine::set_input(const std::string& bus, std::uint64_t value) {
   if (n < 64 && (value >> n) != 0)
     throw std::logic_error("gate::NativeEngine: value does not fit " +
                            std::to_string(n) + "-bit input bus " + bus);
-  set_input(bus, Bits(static_cast<unsigned>(n), value));
+  std::uint64_t nv[kMaxLanes / 64];
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill_n(nv, lw_, i < 64 && ((value >> i) & 1u) != 0 ? tail_mask_ : 0);
+    store_input(b.nets[i], nv);
+  }
+  eval();
 }
 
 void NativeEngine::set_input_lanes(const std::string& bus,
@@ -381,15 +392,11 @@ void NativeEngine::set_input_lanes(const std::string& bus,
   if (bit_lanes.size() != b.nets.size() * std::size_t{lw_})
     throw std::logic_error("gate::NativeEngine: input width mismatch on " +
                            bus);
+  std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    std::uint64_t* d = &values_[std::size_t{b.nets[i]} * lw_];
     const std::uint64_t* s = bit_lanes.data() + i * lw_;
-    std::uint64_t diff = 0;
-    for (unsigned w = 0; w < lw_; ++w) diff |= d[w] ^ (s[w] & tail_mask_);
-    if (diff) {
-      for (unsigned w = 0; w < lw_; ++w) d[w] = s[w] & tail_mask_;
-      mark_net(b.nets[i]);
-    }
+    for (unsigned w = 0; w < lw_; ++w) nv[w] = s[w] & tail_mask_;
+    store_input(b.nets[i], nv);
   }
   eval();
 }
@@ -403,19 +410,11 @@ void NativeEngine::set_input_values(const std::string& bus,
   if (values.size() != lanes_)
     throw std::logic_error(
         "gate::NativeEngine: set_input_values needs one value per lane");
-  std::uint64_t nv[kMaxLanes / 64];
-  for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    for (unsigned w = 0; w < lw_; ++w) nv[w] = 0;
-    for (unsigned l = 0; l < lanes_; ++l)
-      nv[l / 64] |= ((values[l] >> i) & 1u) << (l % 64);
-    std::uint64_t* d = &values_[std::size_t{b.nets[i]} * lw_];
-    std::uint64_t diff = 0;
-    for (unsigned w = 0; w < lw_; ++w) diff |= d[w] ^ nv[w];
-    if (diff) {
-      for (unsigned w = 0; w < lw_; ++w) d[w] = nv[w];
-      mark_net(b.nets[i]);
-    }
-  }
+  std::uint64_t nv[64 * (kMaxLanes / 64)];
+  par::values_to_lane_words(values.data(), 1, lanes_,
+                            static_cast<unsigned>(b.nets.size()), nv);
+  for (std::size_t i = 0; i < b.nets.size(); ++i)
+    store_input(b.nets[i], nv + i * lw_);
   eval();
 }
 
@@ -452,12 +451,13 @@ std::vector<std::uint64_t> NativeEngine::output_values(
   if (b.nets.size() > 64)
     throw std::logic_error(
         "gate::NativeEngine: output_values requires a <= 64-bit bus");
-  std::vector<std::uint64_t> out(lanes_, 0);
-  for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    const std::uint64_t* v = &values_[std::size_t{b.nets[i]} * lw_];
-    for (unsigned l = 0; l < lanes_; ++l)
-      out[l] |= ((v[l / 64] >> (l % 64)) & 1u) << i;
-  }
+  std::uint64_t words[64 * (kMaxLanes / 64)];
+  for (std::size_t i = 0; i < b.nets.size(); ++i)
+    std::copy_n(&values_[std::size_t{b.nets[i]} * lw_], lw_, words + i * lw_);
+  std::vector<std::uint64_t> out(lanes_);
+  par::lane_words_to_values(words, lanes_,
+                            static_cast<unsigned>(b.nets.size()), out.data(),
+                            1);
   return out;
 }
 

@@ -187,6 +187,8 @@ class NativeEngine {
   std::uint64_t addr_sample_lane(std::uint32_t base, std::uint32_t n,
                                  unsigned lane) const;
   void mark_net(NetId id);  ///< dirty-mark the fanout levels of a net
+  /// Store lw_ lane words into input net `id`; dirty-mark it if they differ.
+  void store_input(NetId id, const std::uint64_t* nv);
   const Bus& find_bus(const std::vector<Bus>& buses,
                       const std::string& name) const;
 };

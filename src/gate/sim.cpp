@@ -388,7 +388,7 @@ Bits Simulator::output(const std::string& bus) const {
 
 Bits Simulator::output_lane(const std::string& bus, unsigned lane) const {
   if (native_) return native_->output_lane(bus, lane);
-  if (lane >= kLanes)
+  if (lane >= lanes())
     throw std::logic_error("gate::Simulator: lane out of range");
   const Bus& b = find_bus(nl_.outputs(), bus);
   Bits out(static_cast<unsigned>(b.nets.size()));

@@ -105,14 +105,16 @@ public:
   void set_input_lanes(const std::string& bus,
                        std::span<const std::uint64_t> bit_lanes);
   /// Drive an input bus with one value per lane — values[l] = lane l,
-  /// truncated to the bus width (kNative mode, <= 64-bit buses).  Skips the
-  /// bit transpose of set_input_lanes; the fast path for per-lane stimulus.
+  /// truncated to the bus width (kNative mode, <= 64-bit buses).  The gate
+  /// arena is bit-sliced, so this transposes the values into lane words
+  /// (par::values_to_lane_words) instead of the caller doing it bit by bit.
   void set_input_values(const std::string& bus,
                         std::span<const std::uint64_t> values);
 
   /// Output bus value (lane 0 in the multi-lane modes).
   Bits output(const std::string& bus) const;
-  /// Output bus value of one stimulus lane.
+  /// Output bus value of one stimulus lane (throws std::logic_error when
+  /// lane >= lanes()).
   Bits output_lane(const std::string& bus, unsigned lane) const;
   /// All lanes of an output bus: bit i occupies lane_words() consecutive
   /// elements (for <= 64 lanes, element i holds the lanes of bit i).

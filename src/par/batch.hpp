@@ -15,9 +15,15 @@
 // 64-lane word: bit i of the ports concatenated LSB-first occupies
 // lanes/64 consecutive slots (its lane words, low lanes first), so
 // in_slots is the sum of port widths times lanes/64.
+//
+// The gate and RTL engines take and give the same bit-sliced layout at
+// their lane I/O (`set_input_lanes` / `output_words`).  The two lane
+// transposes below convert between it and one value per lane; every lane
+// I/O path of those engines that changes layout goes through them.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,5 +57,22 @@ struct StimulusBlock {
     return out[static_cast<std::size_t>(cycle) * out_slots + slot];
   }
 };
+
+/// One value per lane -> bit-sliced lane words.  Lane l's value is
+/// values[l * stride]; bit i of it (i < width, 1 <= width <= 64) becomes
+/// bit l % 64 of words[i * ceil(lanes / 64) + l / 64].  Value bits at or
+/// above `width` are ignored, and the bits of lanes past `lanes` in the last
+/// lane word are zero.  Writes width * ceil(lanes / 64) words.
+void values_to_lane_words(const std::uint64_t* values, std::size_t stride,
+                          unsigned lanes, unsigned width,
+                          std::uint64_t* words);
+
+/// Bit-sliced lane words -> one value per lane, the inverse of
+/// values_to_lane_words: writes values[l * stride] for every l < lanes, with
+/// bits at or above `width` zero.  Lane-word bits of lanes past `lanes` are
+/// ignored.
+void lane_words_to_values(const std::uint64_t* words, unsigned lanes,
+                          unsigned width, std::uint64_t* values,
+                          std::size_t stride);
 
 }  // namespace osss::par

@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "jit/jit.hpp"
+#include "par/batch.hpp"
 #include "rtl/tape_detail.hpp"
 
 namespace osss::rtl::tape {
@@ -641,24 +642,21 @@ void NativeEngine::set_input_lanes(unsigned index,
   const Program::Port& port = prog_.inputs.at(index);
   if (bit_lanes.size() != std::size_t{port.width} * lw_)
     throw std::logic_error("tape codegen: set_input_lanes width mismatch");
-  bool changed = false;
-  for (unsigned l = 0; l < prog_.lanes; ++l) {
-    std::uint64_t* d = arena_.data() + port.off + std::size_t{l} * port.words;
-    for (unsigned w = 0; w < port.words; ++w) {
-      const unsigned base = w * 64;
-      const unsigned count = std::min(64u, port.width - base);
-      std::uint64_t nv = 0;
-      for (unsigned i = 0; i < count; ++i)
-        nv |= ((bit_lanes[std::size_t{base + i} * lw_ + l / 64] >> (l % 64)) &
-               1u)
-              << i;
-      if (d[w] != nv) {
-        d[w] = nv;
-        changed = true;
-      }
+  // One 64-bit column of the port at a time: word w of every lane.
+  std::uint64_t nv[tape::kMaxLanes];
+  std::uint64_t diff = 0;
+  for (unsigned w = 0; w < port.words; ++w) {
+    par::lane_words_to_values(bit_lanes.data() + std::size_t{w} * 64 * lw_,
+                              prog_.lanes, std::min(64u, port.width - w * 64),
+                              nv, 1);
+    std::uint64_t* d = arena_.data() + port.off + w;
+    for (unsigned l = 0; l < prog_.lanes; ++l) {
+      std::uint64_t& slot = d[std::size_t{l} * port.words];
+      diff |= slot ^ nv[l];
+      slot = nv[l];
     }
   }
-  if (changed) {
+  if (diff != 0) {
     mark_levels(prog_.input_fl_off, prog_.input_fl, index);
     pending_ = true;
   }
@@ -701,14 +699,11 @@ std::uint64_t NativeEngine::output_u64(unsigned index) {
 std::vector<std::uint64_t> NativeEngine::output_words(unsigned index) {
   eval();
   const Program::Port& port = prog_.outputs.at(index);
-  std::vector<std::uint64_t> out(std::size_t{port.width} * lw_, 0);
-  for (unsigned l = 0; l < prog_.lanes; ++l) {
-    const std::uint64_t* s =
-        arena_.data() + port.off + std::size_t{l} * port.words;
-    for (unsigned i = 0; i < port.width; ++i)
-      out[std::size_t{i} * lw_ + l / 64] |= ((s[i / 64] >> (i % 64)) & 1u)
-                                            << (l % 64);
-  }
+  std::vector<std::uint64_t> out(std::size_t{port.width} * lw_);
+  for (unsigned w = 0; w < port.words; ++w)
+    par::values_to_lane_words(arena_.data() + port.off + w, port.words,
+                              prog_.lanes, std::min(64u, port.width - w * 64),
+                              out.data() + std::size_t{w} * 64 * lw_);
   return out;
 }
 

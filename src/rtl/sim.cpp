@@ -189,7 +189,15 @@ void Simulator::eval() {
   dirty_ = false;
 }
 
+void Simulator::check_lane(unsigned lane) const {
+  if (lane >= lanes_)
+    throw std::logic_error("Simulator: lane " + std::to_string(lane) +
+                           " out of range (" + std::to_string(lanes_) +
+                           " lanes)");
+}
+
 Bits Simulator::get(NodeId id, unsigned lane) {
+  check_lane(lane);
   if (mode_ != SimMode::kInterp)
     return with_engine([&](auto& e) { return e.node_value(id, lane); });
   eval();
@@ -205,6 +213,7 @@ Bits Simulator::output(OutputHandle h) { return output_lane(h, 0); }
 Bits Simulator::output_lane(OutputHandle h, unsigned lane) {
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
+  check_lane(lane);
   if (mode_ != SimMode::kInterp)
     return with_engine([&](auto& e) { return e.output(h.index, lane); });
   eval();

@@ -104,11 +104,12 @@ public:
 
   /// Current value of any node (evaluates combinational logic on demand).
   /// In tape mode, throws std::logic_error for nodes the compiler pruned or
-  /// folded away.
+  /// folded away.  Throws std::logic_error when lane >= lanes().
   Bits get(NodeId id, unsigned lane = 0);
   /// Current value of an output port (lane 0).
   Bits output(const std::string& name);
   Bits output(OutputHandle h);
+  /// Throws std::logic_error when lane >= lanes().
   Bits output_lane(OutputHandle h, unsigned lane);
   /// Low 64 bits of an output, lane 0 — the allocation-free hot path for
   /// testbench loops (pairs with the u64 set_input overload).
@@ -204,6 +205,7 @@ private:
 
   void eval();
   Bits compute(const Node& n) const;
+  void check_lane(unsigned lane) const;
   unsigned input_width(std::uint32_t index) const {
     return m_.node(m_.inputs()[index].node).width;
   }

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "par/batch.hpp"
 #include "rtl/tape_detail.hpp"
 
 namespace osss::rtl::tape {
@@ -722,22 +723,21 @@ void Engine::set_input_lanes(unsigned index,
   const Program::Port& port = prog_.inputs.at(index);
   if (bit_lanes.size() != port.width)
     throw std::logic_error("tape: set_input_lanes width mismatch");
-  bool changed = false;
-  for (unsigned l = 0; l < prog_.lanes; ++l) {
-    std::uint64_t* d = arena_.data() + port.off + std::size_t{l} * port.words;
-    for (unsigned w = 0; w < port.words; ++w) {
-      const unsigned base = w * 64;
-      const unsigned count = std::min(64u, port.width - base);
-      std::uint64_t nv = 0;
-      for (unsigned i = 0; i < count; ++i)
-        nv |= ((bit_lanes[base + i] >> l) & 1u) << i;
-      if (d[w] != nv) {
-        d[w] = nv;
-        changed = true;
-      }
+  // One 64-bit column of the port at a time: word w of every lane.
+  std::uint64_t nv[64];
+  std::uint64_t diff = 0;
+  for (unsigned w = 0; w < port.words; ++w) {
+    par::lane_words_to_values(bit_lanes.data() + std::size_t{w} * 64,
+                              prog_.lanes, std::min(64u, port.width - w * 64),
+                              nv, 1);
+    std::uint64_t* d = arena_.data() + port.off + w;
+    for (unsigned l = 0; l < prog_.lanes; ++l) {
+      std::uint64_t& slot = d[std::size_t{l} * port.words];
+      diff |= slot ^ nv[l];
+      slot = nv[l];
     }
   }
-  if (changed) {
+  if (diff != 0) {
     mark_levels(prog_.input_fl_off, prog_.input_fl, index);
     pending_ = true;
   }
@@ -779,13 +779,11 @@ std::uint64_t Engine::output_u64(unsigned index) {
 std::vector<std::uint64_t> Engine::output_words(unsigned index) {
   eval();
   const Program::Port& port = prog_.outputs.at(index);
-  std::vector<std::uint64_t> out(port.width, 0);
-  for (unsigned l = 0; l < prog_.lanes; ++l) {
-    const std::uint64_t* s =
-        arena_.data() + port.off + std::size_t{l} * port.words;
-    for (unsigned i = 0; i < port.width; ++i)
-      out[i] |= ((s[i / 64] >> (i % 64)) & 1u) << l;
-  }
+  std::vector<std::uint64_t> out(port.width);
+  for (unsigned w = 0; w < port.words; ++w)
+    par::values_to_lane_words(arena_.data() + port.off + w, port.words,
+                              prog_.lanes, std::min(64u, port.width - w * 64),
+                              out.data() + std::size_t{w} * 64);
   return out;
 }
 

@@ -75,6 +75,15 @@ TEST(GateSim, UnknownBusThrows) {
   EXPECT_THROW(sim.set_input("zz", 1), std::logic_error);
   EXPECT_THROW(sim.output("zz"), std::logic_error);
   EXPECT_THROW(sim.set_input("a", Bits(3, 0)), std::logic_error);
+  // The scalar modes have one lane: lane 7 is out of range, not all-zero.
+  for (const SimMode mode : {SimMode::kEvent, SimMode::kLevelized}) {
+    Simulator scalar(nl, mode);
+    EXPECT_NO_THROW(scalar.output_lane("o", 0));
+    EXPECT_THROW(scalar.output_lane("o", 7), std::logic_error);
+  }
+  Simulator bp(nl, SimMode::kBitParallel);
+  EXPECT_NO_THROW(bp.output_lane("o", 63));
+  EXPECT_THROW(bp.output_lane("o", 64), std::logic_error);
 }
 
 TEST(GateSim, SetInputU64RejectsOversizedValue) {

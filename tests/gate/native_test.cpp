@@ -551,50 +551,61 @@ TEST(GateNativeBatch, LaneValidation) {
 
 // --- value-per-lane I/O ----------------------------------------------------
 
-/// set_input_values/output_values (one value per lane, no bit transpose)
-/// must agree with the bit-sliced set_input_lanes/output_words path, at 64
-/// and 256 lanes.
+/// set_input_values/output_values (one value per lane, transposed by
+/// par::values_to_lane_words / lane_words_to_values) must agree with the
+/// bit-sliced set_input_lanes/output_words path driven through a per-bit
+/// reference transpose, for bus widths 1..64 at 1, 64, 256 and 512 lanes.
+/// Input values carry random bits above the bus width, which must be
+/// ignored.
 TEST(GateNativeValues, ValueApiMatchesBitSlicedApi) {
-  Builder b("vals");
-  Wire a = b.input("a", 12);
-  Wire q = b.reg("q", 12);
-  b.connect(q, b.add(q, a));
-  b.output("o", b.xor_(q, a));
-  const Netlist nl = lower_to_gates(b.take());
-
   CodegenOptions fb;
   fb.force_fallback = true;
-  for (const unsigned lanes : {64u, 256u}) {
-    SCOPED_TRACE(lanes);
-    const unsigned lw = lanes / 64;
-    Simulator byvalue(nl, SimMode::kNative, lanes, fb);
-    Simulator bitsliced(nl, SimMode::kNative, lanes, fb);
+  for (const unsigned width : {1u, 8u, 12u, 33u, 64u}) {
+    Builder b("vals");
+    Wire a = b.input("a", width);
+    Wire q = b.reg("q", width);
+    b.connect(q, b.add(q, a));
+    b.output("o", b.xor_(q, a));
+    const Netlist nl = lower_to_gates(b.take());
+    const std::uint64_t mask =
+        width == 64 ? ~0ull : (std::uint64_t{1} << width) - 1;
 
-    std::mt19937_64 rng(1234 + lanes);
-    std::vector<std::uint64_t> values(lanes);
-    std::vector<std::uint64_t> bit_lanes(12 * lw);
-    for (unsigned c = 0; c < 50; ++c) {
-      for (unsigned l = 0; l < lanes; ++l) values[l] = rng() & 0xfff;
-      std::fill(bit_lanes.begin(), bit_lanes.end(), 0);
-      for (unsigned l = 0; l < lanes; ++l)
-        for (unsigned bit = 0; bit < 12; ++bit)
-          bit_lanes[std::size_t{bit} * lw + l / 64] |=
-              ((values[l] >> bit) & 1u) << (l % 64);
-      bitsliced.set_input_lanes("a", bit_lanes);
-      bitsliced.step();
-      byvalue.set_input_values("a", values);
-      byvalue.step();
-      const std::vector<std::uint64_t> ref_words = bitsliced.output_words("o");
-      ASSERT_EQ(byvalue.output_words("o"), ref_words) << "cycle " << c;
-      const std::vector<std::uint64_t> vals = byvalue.output_values("o");
-      ASSERT_EQ(vals.size(), lanes);
-      for (unsigned l = 0; l < lanes; ++l) {
-        std::uint64_t expected = 0;
-        for (unsigned bit = 0; bit < 12; ++bit)
-          expected |=
-              ((ref_words[std::size_t{bit} * lw + l / 64] >> (l % 64)) & 1u)
-              << bit;
-        ASSERT_EQ(vals[l], expected) << "cycle " << c << " lane " << l;
+    for (const unsigned lanes : {1u, 64u, 256u, 512u}) {
+      SCOPED_TRACE(::testing::Message() << "width " << width << " lanes "
+                                        << lanes);
+      const unsigned lw = (lanes + 63) / 64;
+      Simulator byvalue(nl, SimMode::kNative, lanes, fb);
+      Simulator bitsliced(nl, SimMode::kNative, lanes, fb);
+
+      std::mt19937_64 rng(1234 + lanes + width);
+      std::vector<std::uint64_t> values(lanes);
+      std::vector<std::uint64_t> bit_lanes(std::size_t{width} * lw);
+      for (unsigned c = 0; c < 50; ++c) {
+        for (unsigned l = 0; l < lanes; ++l) values[l] = rng();
+        std::fill(bit_lanes.begin(), bit_lanes.end(), 0);
+        for (unsigned l = 0; l < lanes; ++l)
+          for (unsigned bit = 0; bit < width; ++bit)
+            bit_lanes[std::size_t{bit} * lw + l / 64] |=
+                ((values[l] >> bit) & 1u) << (l % 64);
+        bitsliced.set_input_lanes("a", bit_lanes);
+        bitsliced.step();
+        byvalue.set_input_values("a", values);
+        byvalue.step();
+        const std::vector<std::uint64_t> ref_words =
+            bitsliced.output_words("o");
+        ASSERT_EQ(byvalue.output_words("o"), ref_words) << "cycle " << c;
+        const std::vector<std::uint64_t> vals = byvalue.output_values("o");
+        ASSERT_EQ(vals.size(), lanes);
+        for (unsigned l = 0; l < lanes; ++l) {
+          std::uint64_t expected = 0;
+          for (unsigned bit = 0; bit < width; ++bit)
+            expected |=
+                ((ref_words[std::size_t{bit} * lw + l / 64] >> (l % 64)) &
+                 1u)
+                << bit;
+          ASSERT_EQ(vals[l], expected) << "cycle " << c << " lane " << l;
+          ASSERT_EQ(vals[l] & ~mask, 0u) << "cycle " << c << " lane " << l;
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 // Batch simulation across the pool: block results must match a hand-rolled
 // serial simulator exactly, be bit-identical for every pool size, agree
-// between lane and scalar modes, and reject malformed blocks.
+// between lane and scalar modes, and reject malformed blocks.  The lane
+// transposes must match a per-bit reference for every width and lane count.
 
 #include "par/batch.hpp"
 
@@ -148,6 +149,91 @@ TEST(Batch, RtlTapeMatchesInterpAndSerialReference) {
       ref.step();
       ASSERT_EQ(tape[i].out_at(c, 0), ref.output_u64(acc))
           << "block " << i << " cycle " << c;
+    }
+  }
+}
+
+// --- lane transposes ------------------------------------------------------
+
+/// Per-bit reference for values_to_lane_words.
+std::vector<std::uint64_t> naive_lane_words(const std::vector<std::uint64_t>& v,
+                                            std::size_t stride, unsigned lanes,
+                                            unsigned width) {
+  const unsigned lw = (lanes + 63) / 64;
+  std::vector<std::uint64_t> words(std::size_t{width} * lw, 0);
+  for (unsigned i = 0; i < width; ++i)
+    for (unsigned l = 0; l < lanes; ++l)
+      words[std::size_t{i} * lw + l / 64] |= ((v[l * stride] >> i) & 1u)
+                                             << (l % 64);
+  return words;
+}
+
+/// Per-bit reference for lane_words_to_values; lanes past `lanes` and the
+/// slots between strided values keep their old contents.
+void naive_values(const std::vector<std::uint64_t>& words, unsigned lanes,
+                  unsigned width, std::vector<std::uint64_t>& v,
+                  std::size_t stride) {
+  const unsigned lw = (lanes + 63) / 64;
+  for (unsigned l = 0; l < lanes; ++l) {
+    std::uint64_t x = 0;
+    for (unsigned i = 0; i < width; ++i)
+      x |= ((words[std::size_t{i} * lw + l / 64] >> (l % 64)) & 1u) << i;
+    v[l * stride] = x;
+  }
+}
+
+TEST(BatchLaneTranspose, BothDirectionsMatchPerBitReference) {
+  std::mt19937_64 rng(97);
+  for (const unsigned lanes : {1u, 2u, 63u, 64u, 65u, 200u, 256u, 512u}) {
+    const unsigned lw = (lanes + 63) / 64;
+    for (unsigned width = 1; width <= 64; ++width) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "lanes " << lanes << " width "
+                                          << width << " stride " << stride);
+        // Values with random bits at and above the width.
+        std::vector<std::uint64_t> values(lanes * stride);
+        for (std::uint64_t& v : values) v = rng();
+        // Every output word is overwritten; the two guard words past the
+        // end are not.
+        const std::uint64_t guard = rng();
+        std::vector<std::uint64_t> words(std::size_t{width} * lw + 2, guard);
+        values_to_lane_words(values.data(), stride, lanes, width,
+                             words.data());
+        std::vector<std::uint64_t> want_words =
+            naive_lane_words(values, stride, lanes, width);
+        want_words.insert(want_words.end(), 2, guard);
+        ASSERT_EQ(words, want_words);
+
+        // Lane words with random bits in the lanes past the count.
+        std::vector<std::uint64_t> in(std::size_t{width} * lw);
+        for (std::uint64_t& w : in) w = rng();
+        std::vector<std::uint64_t> got(lanes * stride + 3);
+        for (std::uint64_t& v : got) v = rng();
+        std::vector<std::uint64_t> want = got;
+        lane_words_to_values(in.data(), lanes, width, got.data(), stride);
+        naive_values(in, lanes, width, want, stride);
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+}
+
+TEST(BatchLaneTranspose, RoundTripKeepsTheLowWidthBits) {
+  std::mt19937_64 rng(98);
+  for (const unsigned lanes : {1u, 65u, 512u}) {
+    for (const unsigned width : {1u, 7u, 8u, 9u, 33u, 64u}) {
+      SCOPED_TRACE(::testing::Message() << "lanes " << lanes << " width "
+                                        << width);
+      const std::uint64_t mask =
+          width == 64 ? ~0ull : (std::uint64_t{1} << width) - 1;
+      std::vector<std::uint64_t> values(lanes);
+      for (std::uint64_t& v : values) v = rng();
+      std::vector<std::uint64_t> words(std::size_t{width} * ((lanes + 63) / 64));
+      values_to_lane_words(values.data(), 1, lanes, width, words.data());
+      std::vector<std::uint64_t> back(lanes);
+      lane_words_to_values(words.data(), lanes, width, back.data(), 1);
+      for (unsigned l = 0; l < lanes; ++l)
+        ASSERT_EQ(back[l], values[l] & mask) << "lane " << l;
     }
   }
 }

@@ -318,63 +318,75 @@ TEST(NativeBatch, WideLaneBlocksMatchScalarBlocks) {
 // --- value-per-lane I/O ----------------------------------------------------
 
 /// set_input_values/output_values (one value per lane, no bit transpose)
-/// must agree with the bit-sliced set_input_lanes/output_words path on
-/// both engines, at 64 lanes (tape + native) and 256 lanes (native only).
+/// must agree with the bit-sliced set_input_lanes/output_words path (which
+/// transposes through par::lane_words_to_values / values_to_lane_words)
+/// on both engines, for port widths 1..64 at 2 and 64 lanes (tape + native)
+/// and 200 and 512 lanes (native only).  Input values carry random bits
+/// above the port width, which set_input_values truncates.
 TEST(NativeLaneValues, ValueApiMatchesBitSlicedApi) {
-  Builder b("vals");
-  Wire a = b.input("a", 16);
-  Wire q = b.reg("q", 16);
-  b.connect(q, b.add(q, a));
-  b.output("o", b.xor_(q, a));
-  const Module m = b.take();
-
   tp::CodegenOptions fb;
   fb.force_fallback = true;
-  for (const unsigned lanes : {64u, 256u}) {
-    SCOPED_TRACE(lanes);
-    const unsigned lw = lanes / 64;
-    std::vector<std::unique_ptr<Simulator>> sims;
-    sims.push_back(std::make_unique<Simulator>(m, SimMode::kNative, lanes, fb));
-    if (lanes <= 64)
-      sims.push_back(std::make_unique<Simulator>(m, SimMode::kTape, lanes));
-    Simulator bitsliced(m, SimMode::kNative, lanes, fb);
+  for (const unsigned width : {1u, 8u, 16u, 33u, 64u}) {
+    Builder b("vals");
+    Wire a = b.input("a", width);
+    Wire q = b.reg("q", width);
+    b.connect(q, b.add(q, a));
+    b.output("o", b.xor_(q, a));
+    const Module m = b.take();
+    const std::uint64_t mask =
+        width == 64 ? ~0ull : (std::uint64_t{1} << width) - 1;
 
-    std::mt19937_64 rng(1234 + lanes);
-    std::vector<std::uint64_t> values(lanes);
-    std::vector<std::uint64_t> bit_lanes(16 * lw);
-    for (unsigned c = 0; c < 50; ++c) {
-      for (unsigned l = 0; l < lanes; ++l) values[l] = rng() & 0xffff;
-      std::fill(bit_lanes.begin(), bit_lanes.end(), 0);
-      for (unsigned l = 0; l < lanes; ++l)
-        for (unsigned bit = 0; bit < 16; ++bit)
-          bit_lanes[std::size_t{bit} * lw + l / 64] |=
-              ((values[l] >> bit) & 1u) << (l % 64);
-      bitsliced.set_input_lanes(bitsliced.input_handle("a"), bit_lanes);
-      bitsliced.step();
-      const std::vector<std::uint64_t> ref_words =
-          bitsliced.output_words(bitsliced.output_handle("o"));
-      for (auto& sim : sims) {
-        sim->set_input_values(sim->input_handle("a"), values);
-        sim->step();
-        ASSERT_EQ(sim->output_words(sim->output_handle("o")), ref_words)
-            << "cycle " << c;
-        const std::vector<std::uint64_t> vals =
-            sim->output_values(sim->output_handle("o"));
-        ASSERT_EQ(vals.size(), lanes);
-        for (unsigned l = 0; l < lanes; ++l) {
-          std::uint64_t expected = 0;
-          for (unsigned bit = 0; bit < 16; ++bit)
-            expected |=
-                ((ref_words[std::size_t{bit} * lw + l / 64] >> (l % 64)) & 1u)
-                << bit;
-          ASSERT_EQ(vals[l], expected) << "cycle " << c << " lane " << l;
+    for (const unsigned lanes : {2u, 64u, 200u, 512u}) {
+      SCOPED_TRACE(::testing::Message() << "width " << width << " lanes "
+                                        << lanes);
+      const unsigned lw = (lanes + 63) / 64;
+      std::vector<std::unique_ptr<Simulator>> sims;
+      sims.push_back(
+          std::make_unique<Simulator>(m, SimMode::kNative, lanes, fb));
+      if (lanes <= 64)
+        sims.push_back(std::make_unique<Simulator>(m, SimMode::kTape, lanes));
+      Simulator bitsliced(m, SimMode::kNative, lanes, fb);
+
+      std::mt19937_64 rng(1234 + lanes + width);
+      std::vector<std::uint64_t> values(lanes);
+      std::vector<std::uint64_t> bit_lanes(std::size_t{width} * lw);
+      for (unsigned c = 0; c < 50; ++c) {
+        for (unsigned l = 0; l < lanes; ++l) values[l] = rng();
+        std::fill(bit_lanes.begin(), bit_lanes.end(), 0);
+        for (unsigned l = 0; l < lanes; ++l)
+          for (unsigned bit = 0; bit < width; ++bit)
+            bit_lanes[std::size_t{bit} * lw + l / 64] |=
+                ((values[l] >> bit) & 1u) << (l % 64);
+        bitsliced.set_input_lanes(bitsliced.input_handle("a"), bit_lanes);
+        bitsliced.step();
+        const std::vector<std::uint64_t> ref_words =
+            bitsliced.output_words(bitsliced.output_handle("o"));
+        for (auto& sim : sims) {
+          sim->set_input_values(sim->input_handle("a"), values);
+          sim->step();
+          ASSERT_EQ(sim->output_words(sim->output_handle("o")), ref_words)
+              << "cycle " << c;
+          const std::vector<std::uint64_t> vals =
+              sim->output_values(sim->output_handle("o"));
+          ASSERT_EQ(vals.size(), lanes);
+          for (unsigned l = 0; l < lanes; ++l) {
+            std::uint64_t expected = 0;
+            for (unsigned bit = 0; bit < width; ++bit)
+              expected |=
+                  ((ref_words[std::size_t{bit} * lw + l / 64] >> (l % 64)) &
+                   1u)
+                  << bit;
+            ASSERT_EQ(vals[l], expected) << "cycle " << c << " lane " << l;
+            ASSERT_EQ(vals[l] & ~mask, 0u) << "cycle " << c << " lane " << l;
+          }
         }
       }
     }
   }
 }
 
-/// Ports wider than one word reject the value API.
+/// Ports wider than one word reject the value API, and lane reads past
+/// lanes() throw instead of reading another slot.
 TEST(NativeLaneValues, WidePortsThrow) {
   Builder b("wide");
   b.output("o", b.not_(b.input("a", 80)));
@@ -386,6 +398,17 @@ TEST(NativeLaneValues, WidePortsThrow) {
   EXPECT_THROW(sim.set_input_values(sim.input_handle("a"), values),
                std::logic_error);
   EXPECT_THROW(sim.output_values(sim.output_handle("o")), std::logic_error);
+  // Lanes past lanes() are rejected on every mode, not read from the arena.
+  EXPECT_THROW(sim.output_lane(sim.output_handle("o"), sim.lanes()),
+               std::logic_error);
+  EXPECT_THROW(sim.get(m.outputs()[0].node, sim.lanes()), std::logic_error);
+  for (const SimMode mode : {SimMode::kInterp, SimMode::kTape}) {
+    Simulator other(m, mode, mode == SimMode::kInterp ? 1 : 2);
+    EXPECT_THROW(other.output_lane(other.output_handle("o"), other.lanes()),
+                 std::logic_error);
+    EXPECT_THROW(other.get(m.outputs()[0].node, other.lanes()),
+                 std::logic_error);
+  }
   // Lane-count mismatches are rejected too.
   Builder b2("ok16");
   b2.output("o", b2.not_(b2.input("a", 16)));
