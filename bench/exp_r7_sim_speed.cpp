@@ -18,22 +18,29 @@
 // Reported as items_per_second = simulated clock cycles per wall second
 // (stimulus-vector cycles: the bit-parallel engine counts all 64 lanes).
 // Engine internals (gate evaluations, event-queue high water, levels
-// skipped) are exported as counters.
+// skipped) are exported as counters.  The BM_JitColdCompile rows time what
+// the native rows pay once per design: emitting and compiling it, in wall
+// seconds per compile.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "expocu/expocu_sim.hpp"
 #include "expocu/flows.hpp"
+#include "gate/codegen.hpp"
 #include "gate/lower.hpp"
 #include "gate/sim.hpp"
 #include "hls/synth.hpp"
 #include "jit/jit.hpp"
 #include "par/batch.hpp"
 #include "par/pool.hpp"
+#include "rtl/codegen.hpp"
 #include "rtl/sim.hpp"
 
 using namespace osss;
@@ -369,6 +376,52 @@ void BM_GateNativeLanesSim(benchmark::State& state) {
   gate_native_bench(state, 256);
 }
 
+// --- Cold JIT compile --------------------------------------------------------
+//
+// One frames design (RTL or gate level, histogram or threshold) at 256
+// lanes: each iteration emits the generated source and compiles it.  A
+// per-iteration -DOSSS_COLD_NONCE=<n> changes the cache key, so every
+// iteration misses the in-memory cache and runs the compiler, and the
+// disk cache is switched off for the row.  The time
+// column is wall seconds per compile (the compiler is a child process, so
+// CPU time of this one would miss it).  No jit_compiles_steady counter:
+// compiling is what these rows measure.
+
+constexpr unsigned kColdLanes = 256;
+
+void BM_JitColdCompile(benchmark::State& state, bool gate_level,
+                       bool threshold) {
+  const rtl::Module m = threshold ? hls::synthesize(build_threshold_osss())
+                                  : build_histogram_rtl();
+  const gate::Netlist nl = gate::lower_to_gates(m);
+  const rtl::tape::Program prog = rtl::tape::Program::compile(m, kColdLanes);
+  const char* cache_env = std::getenv("OSSS_JIT_CACHE_DIR");
+  const std::string cache_dir = cache_env != nullptr ? cache_env : "";
+  ::unsetenv("OSSS_JIT_CACHE_DIR");
+  static unsigned nonce = 0;
+  const jit::CacheStats before = jit::cache_stats();
+  for (auto _ : state) {
+    jit::CompileOptions opt;
+    opt.extra_flags = "-DOSSS_COLD_NONCE=" + std::to_string(++nonce);
+    const std::string src = gate_level
+                                ? gate::emit_netlist_cpp(nl, kColdLanes)
+                                : rtl::tape::emit_cpp(prog);
+    std::string log;
+    const std::shared_ptr<jit::Object> obj =
+        jit::compile(src, opt, "osss-cold", log);
+    if (obj == nullptr) {
+      state.SkipWithError(("JIT compile failed: " + log).c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(obj.get());
+  }
+  if (cache_env != nullptr)
+    ::setenv("OSSS_JIT_CACHE_DIR", cache_dir.c_str(), 1);
+  state.counters["level"] = gate_level ? 2 : 1;
+  state.counters["jit_compiles"] =
+      static_cast<double>(jit::cache_stats().compiles - before.compiles);
+}
+
 // --- Thread scaling (src/par batch API) ------------------------------------
 //
 // The same histogram netlist / module, but the stimulus is pre-generated
@@ -468,6 +521,14 @@ BENCHMARK(BM_GateLevelizedSim)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GateBitParallelSim)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GateNativeSim)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GateNativeLanesSim)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_JitColdCompile, rtl_histogram, false, false)
+    ->Unit(benchmark::kSecond)->UseRealTime()->Iterations(3);
+BENCHMARK_CAPTURE(BM_JitColdCompile, rtl_threshold, false, true)
+    ->Unit(benchmark::kSecond)->UseRealTime()->Iterations(3);
+BENCHMARK_CAPTURE(BM_JitColdCompile, gate_histogram, true, false)
+    ->Unit(benchmark::kSecond)->UseRealTime()->Iterations(3);
+BENCHMARK_CAPTURE(BM_JitColdCompile, gate_threshold, true, true)
+    ->Unit(benchmark::kSecond)->UseRealTime()->Iterations(3);
 // UseRealTime: vector-cycles per WALL second — the honest scaling metric
 // (the default CPU-time rate only counts the calling thread).
 BENCHMARK(BM_GateBitParallelShards)

@@ -29,8 +29,8 @@
 // Lanes: 1 (scalar) or any multiple of 64 up to kMaxLanes (512).  A "lane
 // word" packs 64 stimulus lanes of one single-bit net; 256 lanes = 4 words
 // per net.  Each level's logic cells are emitted as one fused loop of
-// explicit SIMD chunk stores (lane_ops_prelude: AVX-512 / AVX2 / scalar
-// selected by lane-word count and target ISA).
+// explicit SIMD chunk stores (lane_ops_prelude: a vector-extension chunk
+// whose width follows the lane-word count and the target ISA).
 //
 // gate::Simulator selects this backend with SimMode::kNative; the event
 // engine remains the oracle (tests/gate/native_test.cpp runs native vs

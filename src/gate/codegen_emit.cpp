@@ -1,7 +1,7 @@
 // codegen_emit.cpp — lower a levelized gate Netlist into specialized C++.
 //
 // The generated translation unit reuses the shared jit preludes: the
-// store-only lane_ops_prelude chunk layer (vw = one AVX-512/AVX2/scalar
+// store-only lane_ops_prelude chunk layer (vw = one vector-extension
 // chunk of lane words) for combinational logic and step_prelude for the
 // sequential commit.  Unlike the interpreter, the generated eval keeps no
 // per-cell change tracking.  Levels form a topological schedule, so
@@ -25,7 +25,7 @@
 // is one native call.
 //
 // When a row span (width * LW words) tiles into the flat `fv` tier
-// (flat_ops_prelude: always the widest ISA the target enables, FW words
+// (flat_ops_prelude: always the widest vector the target enables, FW words
 // per chunk regardless of LW), row-mask gathers and write commits sweep
 // whole rows in explicit fv chunks against a cyclically replicated row
 // mask — one chunk covers several data bits across lane words.  This
@@ -581,7 +581,7 @@ struct Emitter {
     // Store-only chunk drivers: the suffix sweep recomputes every
     // downstream cell anyway, so the change-accumulating v_* drivers
     // would pay an xor/or reduction per word for nothing.
-    os << jit::lane_ops_prelude(lw);
+    os << jit::lane_ops_prelude();
     // Flat widest-ISA drivers for whole-row memory sweeps (gather and
     // write commit) — independent of the vw lane-chunk tier.
     os << jit::flat_ops_prelude();

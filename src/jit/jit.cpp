@@ -15,13 +15,17 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <spawn.h>
 #include <sys/file.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -31,6 +35,8 @@
 #include <vector>
 
 #include "par/env.hpp"
+
+extern char** environ;
 
 namespace fs = std::filesystem;
 
@@ -94,6 +100,57 @@ std::string default_flags() {
   return flags;
 }
 
+/// Starts `argv` (argv[0] looked up on $PATH unless it holds a slash)
+/// with no shell, stdout on `out_fd` and stderr on `err_fd`.  Returns the
+/// child's pid, or -1 with the reason in `why`.
+pid_t spawn(const std::vector<std::string>& argv, int out_fd, int err_fd,
+            std::string& why) {
+  std::vector<char*> args;
+  args.reserve(argv.size() + 1);
+  for (const std::string& a : argv)
+    args.push_back(const_cast<char*>(a.c_str()));
+  args.push_back(nullptr);
+  posix_spawn_file_actions_t fa;
+  posix_spawn_file_actions_init(&fa);
+  posix_spawn_file_actions_adddup2(&fa, out_fd, STDOUT_FILENO);
+  posix_spawn_file_actions_adddup2(&fa, err_fd, STDERR_FILENO);
+  pid_t pid = -1;
+  const int rc =
+      ::posix_spawnp(&pid, args[0], &fa, nullptr, args.data(), environ);
+  posix_spawn_file_actions_destroy(&fa);
+  if (rc != 0) {
+    why = "cannot run '" + argv[0] + "': " + std::strerror(rc);
+    return -1;
+  }
+  return pid;
+}
+
+/// Waits for `pid`; returns its exit status, or -1 with the reason in
+/// `why` when it did not exit normally.
+int wait_exit(pid_t pid, const std::string& name, std::string& why) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) {
+      why = std::string("waitpid failed: ") + std::strerror(errno);
+      return -1;
+    }
+  }
+  if (!WIFEXITED(status)) {
+    why = "'" + name + "' was killed by signal " +
+          std::to_string(WTERMSIG(status));
+    return -1;
+  }
+  return WEXITSTATUS(status);
+}
+
+/// Whitespace-separated words of a flag string, one argv entry each.
+std::vector<std::string> split_words(const std::string& s) {
+  std::vector<std::string> out;
+  std::istringstream in(s);
+  for (std::string w; in >> w;) out.push_back(std::move(w));
+  return out;
+}
+
 /// First line of `cc --version`, probed once per compiler per process and
 /// mixed into the cache key: a toolchain upgrade must invalidate artifacts
 /// published by the old compiler, and the probe result is stable within a
@@ -106,14 +163,22 @@ std::string compiler_version(const std::string& cc) {
   std::lock_guard<std::mutex> hold(mu);
   if (const auto it = seen.find(cc); it != seen.end()) return it->second;
   std::string ver;
-  if (cc.find('\'') == std::string::npos) {
-    FILE* p = ::popen(("'" + cc + "' --version 2>/dev/null").c_str(), "r");
-    if (p != nullptr) {
-      char buf[256];
-      if (std::fgets(buf, sizeof buf, p) != nullptr) ver = buf;
-      ::pclose(p);
-    }
+  int fds[2];
+  const int null_fd = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+  if (null_fd >= 0 && ::pipe2(fds, O_CLOEXEC) == 0) {
+    std::string why;
+    const pid_t pid = spawn({cc, "--version"}, fds[1], null_fd, why);
+    ::close(fds[1]);
+    std::string out;
+    char buf[256];
+    if (pid > 0)
+      for (ssize_t n; (n = ::read(fds[0], buf, sizeof buf)) > 0;)
+        out.append(buf, static_cast<std::size_t>(n));
+    ::close(fds[0]);
+    if (pid > 0 && wait_exit(pid, cc, why) >= 0)
+      ver = out.substr(0, out.find('\n'));
   }
+  if (null_fd >= 0) ::close(null_fd);
   seen.emplace(cc, ver);
   return ver;
 }
@@ -291,16 +356,26 @@ SlowResult compile_slow(const std::string& source, const CompileOptions& opt,
       return done(std::move(r));  // obj dtor removes the dir
     }
   }
-  std::string flags = default_flags();
-  if (!opt.extra_flags.empty()) flags += " " + opt.extra_flags;
-  const std::string cmd = "'" + cc + "' " + flags + " '" + cpp + "' -o '" +
-                          so + "' >'" + cc_log + "' 2>&1";
-  const int rc = std::system(cmd.c_str());
+  std::vector<std::string> argv =
+      split_words(default_flags() + " " + opt.extra_flags);
+  argv.insert(argv.begin(), cc);
+  argv.insert(argv.end(), {cpp, "-o", so});
+  std::string why;
+  int rc = -1;
+  const int log_fd =
+      ::open(cc_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (log_fd < 0) {
+    why = "cannot create " + cc_log;
+  } else {
+    const pid_t pid = spawn(argv, log_fd, log_fd, why);
+    ::close(log_fd);
+    if (pid > 0) rc = wait_exit(pid, cc, why);
+  }
   {
     std::ifstream f(cc_log);
     std::stringstream ss;
     ss << f.rdbuf();
-    ObjectAccess::log(*obj) = ss.str();
+    ObjectAccess::log(*obj) = ss.str() + why;
   }
   if (rc != 0) {
     log = ObjectAccess::log(*obj) +
@@ -368,10 +443,6 @@ std::shared_ptr<Object> compile(const std::string& source,
     return nullptr;
   }
   const std::string cc = resolve_compiler(opt);
-  if (cc.find('\'') != std::string::npos) {
-    log = "refusing compiler path containing a quote";
-    return nullptr;
-  }
   const std::uint64_t key = source_hash(source, opt);
 
   Cache& c = cache();

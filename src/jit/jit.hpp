@@ -43,10 +43,13 @@ class Object;
 /// Knobs for the runtime compile.  Engines expose this as their
 /// `CodegenOptions`; defaults give the production behavior.
 struct CompileOptions {
-  /// Compiler binary; empty uses $OSSS_CC, falling back to "c++".
+  /// Compiler binary; empty uses $OSSS_CC, falling back to "c++".  It is
+  /// started directly, without a shell: the whole string is one program
+  /// path, looked up on $PATH unless it contains a slash.
   std::string compiler;
   /// Extra flags appended after the defaults ("-std=c++17 -O2 -fPIC
-  /// -shared" plus cpu-probed -mavx2 / -mavx512f).
+  /// -shared" plus cpu-probed -mavx2 / -mavx512f), split on whitespace into
+  /// separate arguments (quotes are not interpreted).
   std::string extra_flags;
   /// Skip the compile and force the engine's interpreted fallback
   /// (also set by the OSSS_NO_JIT environment variable).
@@ -139,32 +142,32 @@ bool jit_disabled_by_env() noexcept;
 
 // --- shared emit preludes ---------------------------------------------------
 // Fragments of generated source shared by the backends' emitters.  The
-// emitters write prelude_header(), then `constexpr int L = <lanes>;`, then
-// vector_prelude() (the lane-vector helper library: P/K/Ps operands, the
-// v_*/n_* drivers with AVX-512/AVX2/scalar bodies) and step_prelude() (the
+// emitters write prelude_header() (the <cstdint> include and the lane
+// vectors: GCC/Clang vector-extension types `Vec<W>`, the widest width VL
+// picked once per file from __AVX512F__ / __AVX2__), then `constexpr int L
+// = <lanes>;`, then vector_prelude() (the lane-vector helper library: P/K/Ps
+// operands, the v_*/n_* drivers, one body each) and step_prelude() (the
 // sequential-commit helpers used by the generated step() entry points).
 
 const char* prelude_header();
 const char* vector_prelude();
 const char* step_prelude();
 
-/// Width-selected *store-only* lane-word vector layer for the gate
-/// emitter's fused level loops: defines `vw` (one SIMD-or-scalar chunk of
-/// lane words), `VW` (lane words per chunk), vld/vst and the
-/// v_and/v_or/v_xor/v_inv/v_nand/v_nor/v_xnor/v_mux/vbc drivers, with an
-/// AVX-512 body when lane_words % 8 == 0, AVX2 when % 4 == 0, and scalar
-/// otherwise (ISA selected by the generated code's preprocessor).  Unlike
-/// vector_prelude()'s v_* templates these accumulate no change masks — the
-/// gate suffix sweep recomputes every downstream cell anyway.  The emitter
-/// must have written `constexpr int L` and `constexpr u64 TM` (the
-/// tail-lane mask) before this fragment.
-std::string lane_ops_prelude(unsigned lane_words);
+/// Store-only lane-word vector layer for the gate emitter's fused level
+/// loops: defines `vw` (one chunk of lane words), `VW` (lane words per
+/// chunk: VL, else 4, else 1, the first that divides L), vld/vst and
+/// the v_and/v_or/v_xor/v_inv/v_nand/v_nor/v_xnor/v_mux/vbc drivers.
+/// Unlike vector_prelude()'s v_* templates these accumulate no change
+/// masks — the gate suffix sweep recomputes every downstream cell anyway.
+/// The emitter must have written `constexpr int L` and `constexpr u64 TM`
+/// (the tail-lane mask) before this fragment.
+const char* lane_ops_prelude();
 
 /// Flat vector layer `fv`/`FW` for contiguous memory-row sweeps: always
-/// the widest ISA the target compiler enables (FW = 8 / 4 / 1), so one
+/// the widest vector the target enables (FW = VL: 8 / 4 / 1), so one
 /// chunk may span several data bits of a row at once.  Users must keep
 /// swept spans divisible by 8 words and replicate per-lane-word masks
-/// out to max(FW, L) words.  Independent of lane_ops_prelude()'s tier.
+/// out to max(FW, L) words.  Independent of lane_ops_prelude()'s width.
 const char* flat_ops_prelude();
 
 }  // namespace osss::jit

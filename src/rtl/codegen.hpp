@@ -26,10 +26,10 @@
 // Lanes: the backend keeps the tape's lane-major arena layout (lane l of a
 // node lives at offset + l*words, lanes contiguous per node) and extends it
 // past the interpreted engine's 64-lane cap, up to tape::kMaxLanes.  The
-// generated code walks lane groups with explicit AVX2 vectors (4 lanes per
-// __m256i op) and AVX-512 where the host compiler and CPU support it
-// (8 lanes per __m512i op); the lane-major layout is exactly what makes
-// those loads contiguous.  Sequential state (register/memory commit) is
+// generated code walks lane groups as GCC/Clang vector-extension values:
+// 8 lanes per op where the CPU has AVX-512, 4 with AVX2 (the width follows
+// the cpu-probed compile flags); the lane-major layout is exactly what
+// makes those loads contiguous.  Sequential state (register/memory commit) is
 // emitted into the generated `osss_tape_step` entry point — offsets, word
 // counts and dirty marks baked in — with the C++ commit loops kept as the
 // fallback path.

@@ -1,13 +1,13 @@
 // codegen_emit.cpp — lower a compiled tape::Program into specialized C++.
 //
 // The generated translation unit is self-contained: a prelude of lane-vector
-// helpers (explicit AVX2/AVX-512 paths with scalar tails, selected by the
-// flags the host compile passes) followed by one straight-line statement per
-// tape instruction, grouped into `if (D[level])` guarded basic blocks that
+// helpers (vector-extension types whose width follows the flags the host
+// compile passes) followed by one straight-line statement per tape
+// instruction, grouped into `if (D[level])` guarded basic blocks that
 // mirror the interpreter's level-granular activity gating.  Arena offsets,
 // widths, masks, shift amounts and fanout-level marks are baked in as
 // literals; single-word constants from the pool are inlined as immediates
-// (`K{...}` operands broadcast via set1 in the vector paths).
+// (`K{...}` operands, broadcast across a lane vector).
 //
 // Layout contract (must match tape::Engine / NativeEngine exactly): lane l
 // of a node with `words` words lives at arena[off + l*words]; memory word w

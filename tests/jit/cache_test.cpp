@@ -8,7 +8,9 @@
 // cross-process flock contract with fork'd children, pins the LRU
 // eviction order, and closes with an end-to-end gate-engine case where a
 // published artifact carries the wrong lane count and must be rejected by
-// the engine's validate probe.
+// the engine's validate probe.  The JitSpawn cases pin how the compiler is
+// started: an argv with no shell, so an odd compiler path works and shell
+// syntax in it is never run.
 //
 // The WarmCache environment at the bottom backs the CI warm-start job:
 // when OSSS_JIT_EXPECT_WARM is set, every test process asserts it invoked
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -384,6 +387,70 @@ TEST(JitDiskCache, GateEngineRejectsWrongLanesArtifact) {
   sim.set_input("a", std::uint64_t{2});
   sim.step(3);
   EXPECT_EQ(sim.output("o").to_u64(), 6u);
+}
+
+// --- compiler invocation (no shell) ----------------------------------------
+
+/// A compiler wrapper at a path with a space and a quote compiles: the
+/// path reaches exec as one argv entry instead of being quoted for a shell.
+TEST(JitSpawn, WrapperAtQuotedPathCompilesNatively) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  const fs::path sub = fs::path(dir.path) / "dir with space";
+  fs::create_directories(sub);
+  const fs::path cc = sub / "it's cc";
+  {
+    std::ofstream f(cc);
+    f << "#!/bin/sh\nexec c++ \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(cc.c_str(), 0755), 0);
+
+  CompileOptions opt;
+  opt.compiler = cc.string();
+  std::string log;
+  const std::shared_ptr<Object> obj =
+      compile(tiny_source("spawnquote"), opt, "osss-jt", log);
+  ASSERT_NE(obj, nullptr) << log;
+  EXPECT_TRUE(log.empty()) << log;
+  const auto fn = reinterpret_cast<unsigned (*)()>(
+      obj->sym("osss_cache_probe_spawnquote"));
+  ASSERT_NE(fn, nullptr);
+  EXPECT_EQ(fn(), 10u);
+}
+
+/// Shell syntax in the compiler name is a file name, not a command line:
+/// the compile falls back and the injected command never runs.
+TEST(JitSpawn, ShellSyntaxInCompilerIsNotRun) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  const fs::path pwned = fs::path(dir.path) / "pwned";
+  CompileOptions opt;
+  opt.compiler = "c++; touch " + pwned.string();
+  std::string log;
+  EXPECT_EQ(compile(tiny_source("spawninject"), opt, "osss-jt", log),
+            nullptr);
+  EXPECT_FALSE(log.empty());
+  EXPECT_FALSE(fs::exists(pwned)) << "the compiler string ran in a shell";
+}
+
+/// The compiler's stdout and stderr land in the log, on failure and on a
+/// successful compile that warns.
+TEST(JitSpawn, CompilerOutputReachesTheLog) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  std::string log;
+  EXPECT_EQ(compile("this is not C++;\n", {}, "osss-jt", log), nullptr);
+  EXPECT_NE(log.find("error"), std::string::npos) << log;
+  EXPECT_NE(log.find("[compile failed"), std::string::npos) << log;
+
+  const std::shared_ptr<Object> obj = compile(
+      "#warning osss-spawn-probe\n" + tiny_source("spawnwarn"), {}, "osss-jt",
+      log);
+  ASSERT_NE(obj, nullptr) << log;
+  EXPECT_NE(log.find("osss-spawn-probe"), std::string::npos) << log;
 }
 
 /// CI warm-start contract: with OSSS_JIT_EXPECT_WARM set, this process

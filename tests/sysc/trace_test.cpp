@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace osss::sysc {
 namespace {
@@ -19,9 +22,14 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// Each case writes its own VCD, named from the test name and the pid, so
+/// cases running in parallel processes (ctest -j) never share a file.
 class TraceTest : public ::testing::Test {
 protected:
-  std::string path_ = ::testing::TempDir() + "osss_trace_test.vcd";
+  std::string path_ =
+      ::testing::TempDir() + "osss_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".vcd";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
