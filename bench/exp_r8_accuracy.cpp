@@ -59,7 +59,7 @@ std::unique_ptr<verify::CoSim> make_cosim(const hls::Behavior& beh) {
   interp.enable_fsm_coverage(report.transitions);
   cs->add(std::make_unique<verify::RtlModel>(std::move(m)));
   auto& gate_model = cs->add(std::make_unique<verify::GateModel>(
-      gate::lower_to_gates(hls::synthesize(beh)), gate::SimMode::kLevelized,
+      gate::lower_to_gates(hls::synthesize(beh)), gate::SimMode::kEvent,
       "gate"));
   gate_model.enable_toggle_coverage();
   cs->declare_io(beh);

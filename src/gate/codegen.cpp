@@ -1,16 +1,18 @@
 // codegen.cpp — gate-level NativeEngine: topology build, native dispatch,
-// and the interpreted LW-word fallback sweep.
+// and the interpreted LW-word level sweep.
 //
-// Semantics contract: every observable value must be bit-identical to
-// gate::Simulator (kEvent / kBitParallel) lane for lane.  The topology
-// construction below intentionally mirrors the Simulator constructor —
-// same level schedule, same fanout-level marking, same write-port
-// flattening — generalized from one 64-lane word per net to lw_ words.
+// The sweep is the repo's one gate-level lane interpreter: it runs
+// whenever the generated code does not (CodegenOptions::force_fallback,
+// OSSS_NO_JIT, no compiler), at any lane count the engine accepts, and
+// every observable value is bit-identical to the generated code and,
+// lane for lane, to the kEvent oracle of gate::Simulator.
 
 #include "gate/codegen.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "par/batch.hpp"
 
@@ -139,7 +141,11 @@ bool probe_gate_abi(const jit::Object& obj, unsigned lanes,
 }  // namespace
 
 void NativeEngine::try_native(const CodegenOptions& opt) {
-  const std::string src = emit_netlist_cpp(*nl_, lanes_);
+  // A forced fallback that keeps no source never reads it: jit::compile
+  // returns before the source is used, so skip the emission.
+  const std::string src = opt.force_fallback && opt.keep_source.empty()
+                              ? std::string()
+                              : emit_netlist_cpp(*nl_, lanes_);
   CodegenOptions vopt = opt;
   vopt.validate = [this](const jit::Object& o) {
     return probe_gate_abi(o, lanes_, nl_->cells().size());
@@ -171,138 +177,193 @@ void NativeEngine::eval() {
   fallback_eval();
 }
 
-std::uint64_t NativeEngine::addr_at_lane(const NetId* addr_nets,
-                                         std::uint32_t n,
-                                         unsigned lane) const {
-  std::uint64_t a = 0;
-  for (std::uint32_t i = n; i-- > 0;)
-    a = (a << 1) |
-        ((values_[std::size_t{addr_nets[i]} * lw_ + lane / 64] >>
-          (lane % 64)) &
-         1u);
-  return a;
+void NativeEngine::decode_addresses(const std::uint64_t* words, std::size_t n,
+                                    std::uint64_t* addr) const {
+  // Only the low 64 address bits reach a row, as in the generated code's
+  // `a = (a << 1) | bit` decode.
+  n = std::min<std::size_t>(n, 64);
+  if (lanes_ == 1) {
+    std::uint64_t a = 0;
+    for (std::size_t i = n; i-- > 0;) a = (a << 1) | words[i];
+    addr[0] = a;
+    return;
+  }
+  par::lane_words_to_values(words, lanes_, static_cast<unsigned>(n), addr, 1);
 }
 
-std::uint64_t NativeEngine::addr_sample_lane(std::uint32_t base,
-                                             std::uint32_t n,
-                                             unsigned lane) const {
-  std::uint64_t a = 0;
-  for (std::uint32_t i = n; i-- > 0;)
-    a = (a << 1) |
-        ((wp_samp_[std::size_t{base + i} * lw_ + lane / 64] >> (lane % 64)) &
-         1u);
-  return a;
+void NativeEngine::decode_read_port(const Cell& c,
+                                    std::uint64_t* addr) const {
+  std::uint64_t words[64 * (kMaxLanes / 64)];
+  const std::size_t n = std::min<std::size_t>(c.ins.size(), 64);
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy_n(&values_[std::size_t{c.ins[i]} * lw_], lw_, words + i * lw_);
+  decode_addresses(words, n, addr);
 }
 
-void NativeEngine::eval_memq(NetId id, std::uint64_t* out) const {
-  const Cell& c = nl_->cells()[id];
+void NativeEngine::read_memq(const Cell& c, const std::uint64_t* addr,
+                             std::uint64_t* out) const {
   const MemMacro& m = nl_->memories()[c.param];
-  const std::vector<std::uint64_t>& mem = mem_[c.param];
-  for (unsigned w = 0; w < lw_; ++w) out[w] = 0;
-  for (unsigned lane = 0; lane < lanes_; ++lane) {
-    const std::uint64_t a = addr_at_lane(
-        c.ins.data(), static_cast<std::uint32_t>(c.ins.size()), lane);
-    if (a >= m.depth) continue;
-    const std::uint64_t bit =
-        (mem[(a * m.width + c.param2) * lw_ + lane / 64] >> (lane % 64)) & 1u;
-    out[lane / 64] |= bit << (lane % 64);
+  // Word w of data bit c.param2 in row a: bit[a * stride + w].
+  const std::uint64_t* bit =
+      mem_[c.param].data() + std::size_t{c.param2} * lw_;
+  const std::size_t stride = std::size_t{m.width} * lw_;
+  const unsigned group = std::min(lanes_, 64u);
+  for (unsigned w = 0; w < lw_; ++w) {
+    const std::uint64_t* a = addr + std::size_t{w} * 64;
+    std::uint64_t o = 0;
+    for (unsigned l = 0; l < group; ++l)
+      if (a[l] < m.depth) o |= ((bit[a[l] * stride + w] >> l) & 1u) << l;
+    out[w] = o;
   }
 }
 
-std::uint64_t NativeEngine::eval_cell_word(const Cell& c, NetId id,
-                                           unsigned w) const {
+namespace {
+/// Lane word w of combinational cell `c` (net `id`) over the arena V at
+/// `lw` words per net; `mask` is the tail mask.  kMemQ is read elsewhere.
+template <class LW>
+std::uint64_t cell_word(const Cell& c, NetId id, const std::uint64_t* V,
+                        LW lw, unsigned w, std::uint64_t mask) {
   const auto v = [&](std::size_t i) {
-    return values_[std::size_t{c.ins[i]} * lw_ + w];
+    return V[std::size_t{c.ins[i]} * lw + w];
   };
   switch (c.kind) {
     case CellKind::kConst0: return 0;
-    case CellKind::kConst1: return tail_mask_;
+    case CellKind::kConst1: return mask;
     case CellKind::kInput:
-    case CellKind::kDff: return values_[std::size_t{id} * lw_ + w];
+    case CellKind::kDff: return V[std::size_t{id} * lw + w];
     case CellKind::kBuf: return v(0);
-    case CellKind::kInv: return ~v(0) & tail_mask_;
+    case CellKind::kInv: return ~v(0) & mask;
     case CellKind::kAnd2: return v(0) & v(1);
     case CellKind::kOr2: return v(0) | v(1);
-    case CellKind::kNand2: return ~(v(0) & v(1)) & tail_mask_;
-    case CellKind::kNor2: return ~(v(0) | v(1)) & tail_mask_;
+    case CellKind::kNand2: return ~(v(0) & v(1)) & mask;
+    case CellKind::kNor2: return ~(v(0) | v(1)) & mask;
     case CellKind::kXor2: return v(0) ^ v(1);
-    case CellKind::kXnor2: return ~(v(0) ^ v(1)) & tail_mask_;
+    case CellKind::kXnor2: return ~(v(0) ^ v(1)) & mask;
     case CellKind::kMux2: return (v(0) & v(1)) | (~v(0) & v(2));
-    case CellKind::kMemQ: return 0;  // handled by eval_memq()
+    case CellKind::kMemQ: return 0;
   }
   return 0;
 }
+}  // namespace
 
-void NativeEngine::fallback_eval() {
+template <class LW>
+void NativeEngine::sweep(LW lw) {
+  // Members read through locals: the dirty marks are char stores, which
+  // may alias any member, so the compiler would reload them after each.
+  std::uint64_t* const V = values_.data();
+  unsigned char* const dirty = level_dirty_.data();
+  const std::uint32_t num_levels =
+      static_cast<std::uint32_t>(level_dirty_.size());
+  const Cell* const cells = nl_->cells().data();
+  const std::uint32_t* const lvl_off = level_offset_.data();
+  const NetId* const lvl_cells = level_cells_.data();
+  const std::uint32_t* const fl_off = flevel_offset_.data();
+  const std::uint32_t* const fl = flevels_.data();
+  const std::uint64_t mask = tail_mask_;
   std::uint64_t nv[kMaxLanes / 64];
-  for (std::uint32_t lvl = 0; lvl < level_dirty_.size(); ++lvl) {
-    if (!level_dirty_[lvl]) {
-      ++stats_.levels_skipped;
-      continue;
-    }
-    level_dirty_[lvl] = 0;
-    ++stats_.levels_evaluated;
-    for (std::uint32_t i = level_offset_[lvl]; i < level_offset_[lvl + 1];
-         ++i) {
-      const NetId id = level_cells_[i];
-      ++stats_.gate_evals;
-      const Cell& c = nl_->cells()[id];
-      if (c.kind == CellKind::kMemQ)
-        eval_memq(id, nv);
-      else
-        for (unsigned w = 0; w < lw_; ++w) nv[w] = eval_cell_word(c, id, w);
-      std::uint64_t* d = &values_[std::size_t{id} * lw_];
+  std::uint64_t addr[kMaxLanes];
+  std::uint64_t evaluated = 0, evals = 0;
+  for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
+    // Most sweeps (an input write that changed nothing, a quiet cycle)
+    // find few dirty levels: skip to the next one in one memchr.
+    const void* next = std::memchr(dirty + lvl, 1, num_levels - lvl);
+    if (next == nullptr) break;
+    lvl = static_cast<std::uint32_t>(static_cast<const unsigned char*>(next) -
+                                     dirty);
+    dirty[lvl] = 0;
+    ++evaluated;
+    evals += lvl_off[lvl + 1] - lvl_off[lvl];
+    // The read cells of one memory port (one per data bit) share its
+    // address nets, which sit at lower levels and so hold still while this
+    // level runs: decode them once per port and level.
+    const std::vector<NetId>* decoded = nullptr;
+    for (std::uint32_t i = lvl_off[lvl]; i < lvl_off[lvl + 1]; ++i) {
+      const NetId id = lvl_cells[i];
+      const Cell& c = cells[id];
+      if (c.kind == CellKind::kMemQ) {
+        if (decoded == nullptr || *decoded != c.ins) {
+          decode_read_port(c, addr);
+          decoded = &c.ins;
+        }
+        read_memq(c, addr, nv);
+      } else {
+        for (unsigned w = 0; w < lw; ++w)
+          nv[w] = cell_word(c, id, V, lw, w, mask);
+      }
+      std::uint64_t* d = V + std::size_t{id} * lw;
       std::uint64_t diff = 0;
-      for (unsigned w = 0; w < lw_; ++w) diff |= nv[w] ^ d[w];
+      for (unsigned w = 0; w < lw; ++w) diff |= nv[w] ^ d[w];
       if (diff) {
-        for (unsigned w = 0; w < lw_; ++w) d[w] = nv[w];
-        mark_net(id);
+        for (unsigned w = 0; w < lw; ++w) d[w] = nv[w];
+        for (std::uint32_t k = fl_off[id]; k < fl_off[id + 1]; ++k)
+          dirty[fl[k]] = 1;
       }
     }
   }
+  stats_.levels_evaluated += evaluated;
+  stats_.levels_skipped += num_levels - evaluated;
+  stats_.gate_evals += evals;
 }
 
-void NativeEngine::fallback_step() {
+void NativeEngine::fallback_eval() {
+  if (lw_ == 1)
+    sweep(std::integral_constant<unsigned, 1>{});
+  else
+    sweep(lw_);
+}
+
+template <class LW>
+void NativeEngine::commit(LW lw) {
+  std::uint64_t* const V = values_.data();
+  unsigned char* const dirty = level_dirty_.data();
+  const std::uint32_t* const fl_off = flevel_offset_.data();
+  const std::uint32_t* const fl = flevels_.data();
   // Pre-edge sample of every DFF D pin and write-port net, then commit —
   // same order as Simulator::step() so mixed-port memories match exactly.
+  std::uint64_t* const next = dff_next_.data();
   for (std::size_t i = 0; i < dffs_.size(); ++i) {
-    const std::uint64_t* d = &values_[std::size_t{dffs_[i].d} * lw_];
-    for (unsigned w = 0; w < lw_; ++w) dff_next_[i * lw_ + w] = d[w];
+    const std::uint64_t* d = V + std::size_t{dffs_[i].d} * lw;
+    for (unsigned w = 0; w < lw; ++w) next[i * lw + w] = d[w];
   }
+  std::uint64_t* const samp = wp_samp_.data();
   for (std::size_t s = 0; s < wp_nets_.size(); ++s) {
-    const std::uint64_t* v = &values_[std::size_t{wp_nets_[s]} * lw_];
-    for (unsigned w = 0; w < lw_; ++w) wp_samp_[s * lw_ + w] = v[w];
+    const std::uint64_t* v = V + std::size_t{wp_nets_[s]} * lw;
+    for (unsigned w = 0; w < lw; ++w) samp[s * lw + w] = v[w];
   }
   for (std::size_t i = 0; i < dffs_.size(); ++i) {
     const NetId q = dffs_[i].q;
-    std::uint64_t* qv = &values_[std::size_t{q} * lw_];
-    const std::uint64_t* nd = &dff_next_[i * lw_];
+    std::uint64_t* qv = V + std::size_t{q} * lw;
+    const std::uint64_t* nd = next + i * lw;
     std::uint64_t diff = 0;
-    for (unsigned w = 0; w < lw_; ++w) {
+    for (unsigned w = 0; w < lw; ++w) {
       diff |= qv[w] ^ nd[w];
       qv[w] = nd[w];
     }
-    if (diff) mark_net(q);
+    if (diff)
+      for (std::uint32_t k = fl_off[q]; k < fl_off[q + 1]; ++k)
+        dirty[fl[k]] = 1;
   }
+  std::uint64_t addr[kMaxLanes];
   for (const WritePortRef& wp : wports_) {
-    const MemMacro& m = nl_->memories()[wp.mem];
-    std::vector<std::uint64_t>& mem = mem_[wp.mem];
+    const std::uint64_t* en = samp + std::size_t{wp.base} * lw;
+    std::uint64_t any = 0;
+    for (unsigned w = 0; w < lw; ++w) any |= en[w];
+    if (any == 0) continue;
+    const std::uint64_t* addr_words = en + lw;
+    const std::uint64_t* data = addr_words + std::size_t{wp.addr_n} * lw;
+    const std::uint64_t depth = nl_->memories()[wp.mem].depth;
+    std::uint64_t* mem = mem_[wp.mem].data();
+    decode_addresses(addr_words, wp.addr_n, addr);
     bool changed = false;
     for (unsigned lane = 0; lane < lanes_; ++lane) {
-      if (((wp_samp_[std::size_t{wp.base} * lw_ + lane / 64] >> (lane % 64)) &
-           1u) == 0)
-        continue;
-      const std::uint64_t a = addr_sample_lane(wp.base + 1, wp.addr_n, lane);
-      if (a >= m.depth) continue;
-      const std::uint64_t bm = std::uint64_t{1} << (lane % 64);
+      const unsigned w = lane / 64, sh = lane % 64;
+      if (((en[w] >> sh) & 1u) == 0 || addr[lane] >= depth) continue;
+      std::uint64_t* row = mem + addr[lane] * wp.width * lw + w;
       for (std::uint32_t b = 0; b < wp.width; ++b) {
-        std::uint64_t& word = mem[(a * wp.width + b) * lw_ + lane / 64];
-        const std::uint64_t db =
-            (wp_samp_[std::size_t{wp.base + 1 + wp.addr_n + b} * lw_ +
-                      lane / 64] >>
-             (lane % 64)) &
-            1u;
-        const std::uint64_t nw = (word & ~bm) | (db << (lane % 64));
+        std::uint64_t& word = row[std::size_t{b} * lw];
+        const std::uint64_t nw = (word & ~(std::uint64_t{1} << sh)) |
+                                 (((data[std::size_t{b} * lw + w] >> sh) & 1u)
+                                  << sh);
         if (nw != word) {
           word = nw;
           changed = true;
@@ -310,9 +371,15 @@ void NativeEngine::fallback_step() {
       }
     }
     if (changed)
-      for (const NetId q : memq_cells_[wp.mem])
-        level_dirty_[level_of_[q]] = 1;
+      for (const NetId q : memq_cells_[wp.mem]) dirty[level_of_[q]] = 1;
   }
+}
+
+void NativeEngine::fallback_step() {
+  if (lw_ == 1)
+    commit(std::integral_constant<unsigned, 1>{});
+  else
+    commit(lw_);
   fallback_eval();
 }
 
@@ -462,6 +529,10 @@ std::vector<std::uint64_t> NativeEngine::output_values(
 }
 
 std::uint64_t NativeEngine::net_word(NetId id, unsigned word) const {
+  if (id >= nl_->cells().size() || word >= lw_)
+    throw std::out_of_range("gate::NativeEngine: net " + std::to_string(id) +
+                            " word " + std::to_string(word) +
+                            " out of range");
   return values_[std::size_t{id} * lw_ + word];
 }
 

@@ -1,9 +1,9 @@
 // codegen.hpp — native-code backend for the gate-level netlist.
 //
-// The interpreted gate engines (gate/sim.hpp) pay per-cell dispatch: a
-// switch over CellKind plus input-net loads for every evaluated cell.  This
-// backend removes that tax the same way the rtl tape backend does — by
-// *generating code* for one specific levelized Netlist:
+// An interpreted gate engine pays per-cell dispatch: a switch over CellKind
+// plus input-net loads for every evaluated cell.  This backend removes that
+// tax the same way the rtl tape backend does — by *generating code* for one
+// specific levelized Netlist:
 //
 //   * emit_netlist_cpp() lowers the netlist into specialized C++ — one
 //     straight-line store per combinational cell with net offsets baked in
@@ -22,9 +22,11 @@
 //     loaded object, and generated code is stateless — all mutable state
 //     (value arena, memories, dirty flags, step scratch) is engine-owned
 //     and passed in as parameters;
-//   * when the compile is unavailable (OSSS_NO_JIT, bogus $OSSS_CC, a
-//     sandboxed runner) the engine falls back *silently* to an interpreted
-//     level sweep generalized to LW lane words — bit-identical results.
+//   * when the compile is off or unavailable (force_fallback, OSSS_NO_JIT,
+//     bogus $OSSS_CC, a sandboxed runner) the engine falls back *silently*
+//     to an interpreted level sweep over the same LW-word arena —
+//     bit-identical results.  That sweep is the repo's only gate-level
+//     lane interpreter; with force_fallback the source is never emitted.
 //
 // Lanes: 1 (scalar) or any multiple of 64 up to kMaxLanes (512).  A "lane
 // word" packs 64 stimulus lanes of one single-bit net; 256 lanes = 4 words
@@ -33,8 +35,8 @@
 // whose width follows the lane-word count and the target ISA).
 //
 // gate::Simulator selects this backend with SimMode::kNative; the event
-// engine remains the oracle (tests/gate/native_test.cpp runs native vs
-// bit-parallel vs event differentially).
+// engine remains the oracle (tests/gate/native_test.cpp checks the
+// generated code and the fallback sweep against it, lane by lane).
 
 #pragma once
 
@@ -179,13 +181,25 @@ class NativeEngine {
   void drop_native();
   void eval();  ///< settle dirty levels (native or fallback sweep)
   void fallback_eval();
+  /// The interpreted level sweep at `lw` lane words per net: a
+  /// std::integral_constant 1 when lw_ is 1 (1 or 64 lanes), else lw_.
+  template <class LW>
+  void sweep(LW lw);
   void fallback_step();
-  std::uint64_t eval_cell_word(const Cell& c, NetId id, unsigned w) const;
-  void eval_memq(NetId id, std::uint64_t* out) const;
-  std::uint64_t addr_at_lane(const NetId* addr_nets, std::uint32_t n,
-                             unsigned lane) const;
-  std::uint64_t addr_sample_lane(std::uint32_t base, std::uint32_t n,
-                                 unsigned lane) const;
+  /// The clock-edge commit of DFFs and memory write ports at `lw` lane
+  /// words per net (as for sweep).
+  template <class LW>
+  void commit(LW lw);
+  /// One address per lane into addr[0 .. lanes_) from `n` address bits
+  /// whose lane words sit at words[i * lw_ .. i * lw_ + lw_).
+  void decode_addresses(const std::uint64_t* words, std::size_t n,
+                        std::uint64_t* addr) const;
+  /// decode_addresses over the settled address nets of read cell `c`.
+  void decode_read_port(const Cell& c, std::uint64_t* addr) const;
+  /// The lane words of read cell `c` at the decoded addresses `addr`
+  /// (out-of-range lanes read 0).
+  void read_memq(const Cell& c, const std::uint64_t* addr,
+                 std::uint64_t* out) const;
   void mark_net(NetId id);  ///< dirty-mark the fanout levels of a net
   /// Store lw_ lane words into input net `id`; dirty-mark it if they differ.
   void store_input(NetId id, const std::uint64_t* nv);

@@ -12,12 +12,13 @@
 // verify library (src/verify/equiv.cpp) and linking against
 // check_equivalence requires osss_verify.
 //
-// The checker runs on any of the gate simulator's engines (EquivOptions).
-// With both sides on the 64-lane bit-parallel engine, every simulated
-// cycle checks 64 independent stimulus vectors.  Mixing engines (e.g.
-// event-driven vs. bit-parallel) cross-validates the engines themselves on
-// one netlist: check_equivalence(nl, nl, {.mode_a = kEvent, .mode_b =
-// kBitParallel}) must hold for every correct engine pair.
+// The checker runs on either of the gate simulator's engines
+// (EquivOptions).  With both sides on the kNative engine at 64 lanes (its
+// default; generated code or, with codegen.force_fallback, the interpreted
+// sweep), every simulated cycle checks 64 independent stimulus vectors.
+// Mixing engines cross-validates them on one netlist:
+// check_equivalence(nl, nl, {.mode_a = kEvent, .mode_b = kNative}) must
+// hold, one scalar vector per cycle.
 //
 // Determinism contract:
 //   * seed == 0 (the default) derives the effective seed from the two
@@ -78,8 +79,8 @@ std::uint64_t derive_equiv_seed(const Netlist& a, const Netlist& b);
 
 /// Randomized sequential equivalence check.  Both netlists must expose
 /// identical input and output bus interfaces (name and width).  64-lane
-/// stimulus is used when both engines are kBitParallel; otherwise the same
-/// scalar vector drives both sides each cycle.
+/// stimulus is used when both engines are kNative at 64 lanes; otherwise
+/// the same scalar vector drives both sides each cycle.
 EquivResult check_equivalence(const Netlist& a, const Netlist& b,
                               const EquivOptions& opt);
 

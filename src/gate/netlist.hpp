@@ -185,7 +185,8 @@ public:
 
   /// Logic depth of every combinational cell: 0 for cells fed only by
   /// sources (constants, inputs, DFF outputs), else 1 + max input level.
-  /// Sources themselves get kNoLevel.  Used by the levelized simulator.
+  /// Sources themselves get kNoLevel.  Used by the native engine's level
+  /// schedule.
   std::vector<std::uint32_t> topo_levels() const;
 
   /// Remove logic not reachable from any output, DFF input or memory write

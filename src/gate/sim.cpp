@@ -12,8 +12,6 @@ namespace osss::gate {
 const char* sim_mode_name(SimMode m) {
   switch (m) {
     case SimMode::kEvent: return "event";
-    case SimMode::kLevelized: return "levelized";
-    case SimMode::kBitParallel: return "bit-parallel";
     case SimMode::kNative: return "native";
   }
   return "?";
@@ -21,26 +19,21 @@ const char* sim_mode_name(SimMode m) {
 
 Simulator::Simulator(Netlist nl, SimMode mode, unsigned lanes,
                      CodegenOptions codegen)
-    : nl_(std::move(nl)),
-      mode_(mode),
-      lane_mask_(mode == SimMode::kBitParallel ? ~std::uint64_t{0}
-                                               : std::uint64_t{1}) {
+    : nl_(std::move(nl)), mode_(mode) {
   if (mode == SimMode::kNative) {
     // The engine owns all simulation state (it validates the netlist and
-    // resets itself); the interpreter members stay empty.
+    // resets itself); the event-engine members stay empty.
     native_ = std::make_unique<NativeEngine>(
         nl_, lanes == 0 ? kLanes : lanes, std::move(codegen));
     return;
   }
-  const unsigned implied = mode == SimMode::kBitParallel ? kLanes : 1;
-  if (lanes != 0 && lanes != implied)
-    throw std::invalid_argument(std::string("gate::Simulator: ") +
-                                sim_mode_name(mode) +
-                                " mode carries a fixed lane count");
+  if (lanes > 1)
+    throw std::invalid_argument(
+        "gate::Simulator: the event engine carries one lane");
   nl_.validate();
   const std::size_t n = nl_.cells().size();
   values_.assign(n, 0);
-  values_[nl_.const1()] = lane_mask_;
+  values_[nl_.const1()] = 1;
   queued_.assign(n, 0);
   queue_.reserve(64);
 
@@ -73,42 +66,7 @@ Simulator::Simulator(Netlist nl, SimMode mode, unsigned lanes,
       for (const NetId in : c.ins) fanout_[cursor[in]++] = id;
     }
   }
-
-  // Level schedule: cells grouped by logic depth, plus the distinct fanout
-  // levels of every net so changes mark exactly the levels that must re-run.
-  level_of_ = nl_.topo_levels();
-  std::uint32_t num_levels = 0;
-  for (const std::uint32_t l : level_of_)
-    if (l != kNoLevel) num_levels = std::max(num_levels, l + 1);
-  level_offset_.assign(num_levels + 1, 0);
-  for (const std::uint32_t l : level_of_)
-    if (l != kNoLevel) ++level_offset_[l + 1];
-  for (std::size_t i = 1; i <= num_levels; ++i)
-    level_offset_[i] += level_offset_[i - 1];
-  level_cells_.resize(level_offset_[num_levels]);
-  {
-    std::vector<std::uint32_t> cursor(level_offset_.begin(),
-                                      level_offset_.end() - 1);
-    for (NetId id = 0; id < n; ++id)
-      if (level_of_[id] != kNoLevel) level_cells_[cursor[level_of_[id]]++] = id;
-  }
-  level_dirty_.assign(num_levels, 0);
-  flevel_offset_.assign(n + 1, 0);
-  {
-    std::vector<std::uint32_t> scratch;
-    for (NetId id = 0; id < n; ++id) {
-      scratch.clear();
-      for (std::uint32_t i = fanout_offset_[id]; i < fanout_offset_[id + 1];
-           ++i)
-        scratch.push_back(level_of_[fanout_[i]]);
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      for (const std::uint32_t l : scratch) flevels_.push_back(l);
-      flevel_offset_[id + 1] =
-          static_cast<std::uint32_t>(flevels_.size());
-    }
-  }
+  order_ = nl_.topo_order();
 
   // Memory state and flattened write-port sampling plan.
   for (const MemMacro& m : nl_.memories())
@@ -132,30 +90,18 @@ Simulator::Simulator(Netlist nl, SimMode mode, unsigned lanes,
   reset();
 }
 
-std::uint64_t Simulator::addr_of(const std::vector<NetId>& addr_nets,
-                                 unsigned lane) const {
-  std::uint64_t a = 0;
-  for (std::size_t i = addr_nets.size(); i-- > 0;)
-    a = (a << 1) | ((values_[addr_nets[i]] >> lane) & 1u);
-  return a;
+void Simulator::throw_bad_net(NetId id, unsigned word) {
+  throw std::out_of_range("gate::Simulator: net " + std::to_string(id) +
+                          " word " + std::to_string(word) + " out of range");
 }
 
 std::uint64_t Simulator::eval_memq(const Cell& c) const {
   const MemMacro& m = nl_.memories()[c.param];
-  const std::vector<std::uint64_t>& mem = mem_[c.param];
-  if (mode_ != SimMode::kBitParallel) {
-    const std::uint64_t a = addr_of(c.ins, 0);
-    if (a >= m.depth) return 0;
-    return mem[a * m.width + c.param2] & 1u;
-  }
-  // Lanes address independent words: gather bit c.param2 per lane.
-  std::uint64_t out = 0;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    const std::uint64_t a = addr_of(c.ins, lane);
-    if (a >= m.depth) continue;
-    out |= ((mem[a * m.width + c.param2] >> lane) & 1u) << lane;
-  }
-  return out;
+  std::uint64_t a = 0;
+  for (std::size_t i = c.ins.size(); i-- > 0;)
+    a = (a << 1) | values_[c.ins[i]];
+  if (a >= m.depth) return 0;
+  return mem_[c.param][a * m.width + c.param2];
 }
 
 std::uint64_t Simulator::eval_cell(NetId id) const {
@@ -163,16 +109,16 @@ std::uint64_t Simulator::eval_cell(NetId id) const {
   const auto w = [&](std::size_t i) { return values_[c.ins[i]]; };
   switch (c.kind) {
     case CellKind::kConst0: return 0;
-    case CellKind::kConst1: return lane_mask_;
+    case CellKind::kConst1: return 1;
     case CellKind::kInput: return values_[id];
     case CellKind::kBuf: return w(0);
-    case CellKind::kInv: return ~w(0) & lane_mask_;
+    case CellKind::kInv: return w(0) ^ 1u;
     case CellKind::kAnd2: return w(0) & w(1);
     case CellKind::kOr2: return w(0) | w(1);
-    case CellKind::kNand2: return ~(w(0) & w(1)) & lane_mask_;
-    case CellKind::kNor2: return ~(w(0) | w(1)) & lane_mask_;
+    case CellKind::kNand2: return (w(0) & w(1)) ^ 1u;
+    case CellKind::kNor2: return (w(0) | w(1)) ^ 1u;
     case CellKind::kXor2: return w(0) ^ w(1);
-    case CellKind::kXnor2: return ~(w(0) ^ w(1)) & lane_mask_;
+    case CellKind::kXnor2: return w(0) ^ w(1) ^ 1u;
     case CellKind::kMux2: return (w(0) & w(1)) | (~w(0) & w(2));
     case CellKind::kDff: return values_[id];  // held state
     case CellKind::kMemQ: return eval_memq(c);
@@ -181,34 +127,18 @@ std::uint64_t Simulator::eval_cell(NetId id) const {
 }
 
 void Simulator::on_net_changed(NetId id) {
-  if (mode_ == SimMode::kEvent) {
-    for (std::uint32_t i = fanout_offset_[id]; i < fanout_offset_[id + 1];
-         ++i) {
-      const NetId u = fanout_[i];
-      if (!queued_[u]) {
-        queued_[u] = 1;
-        queue_.push_back(u);
-      }
-    }
-  } else {
-    for (std::uint32_t i = flevel_offset_[id]; i < flevel_offset_[id + 1];
-         ++i)
-      level_dirty_[flevels_[i]] = 1;
-  }
+  for (std::uint32_t i = fanout_offset_[id]; i < fanout_offset_[id + 1]; ++i)
+    wake_cell(fanout_[i]);
 }
 
 void Simulator::wake_cell(NetId cell) {
-  if (mode_ == SimMode::kEvent) {
-    if (!queued_[cell]) {
-      queued_[cell] = 1;
-      queue_.push_back(cell);
-    }
-  } else {
-    level_dirty_[level_of_[cell]] = 1;
+  if (!queued_[cell]) {
+    queued_[cell] = 1;
+    queue_.push_back(cell);
   }
 }
 
-void Simulator::propagate_events() {
+void Simulator::propagate() {
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     stats_.queue_high_water =
         std::max<std::uint64_t>(stats_.queue_high_water, queue_.size() - head);
@@ -224,43 +154,11 @@ void Simulator::propagate_events() {
   queue_.clear();
 }
 
-void Simulator::sweep_levels() {
-  // Dirty marks only ever propagate to strictly higher levels, so one
-  // ascending pass settles the netlist; quiescent levels cost one branch.
-  for (std::uint32_t lvl = 0; lvl < level_dirty_.size(); ++lvl) {
-    if (!level_dirty_[lvl]) {
-      ++stats_.levels_skipped;
-      continue;
-    }
-    level_dirty_[lvl] = 0;
-    ++stats_.levels_evaluated;
-    for (std::uint32_t i = level_offset_[lvl]; i < level_offset_[lvl + 1];
-         ++i) {
-      const NetId id = level_cells_[i];
-      ++stats_.events;
-      const std::uint64_t nv = eval_cell(id);
-      if (nv != values_[id]) {
-        values_[id] = nv;
-        on_net_changed(id);
-      }
-    }
-  }
-}
-
-void Simulator::propagate() {
-  if (mode_ == SimMode::kEvent)
-    propagate_events();
-  else
-    sweep_levels();
-}
-
 void Simulator::full_eval() {
-  // level_cells_ is a valid topological order (levels ascend).
-  for (const NetId id : level_cells_) {
+  for (const NetId id : order_) {
     ++stats_.events;
     values_[id] = eval_cell(id);
   }
-  std::fill(level_dirty_.begin(), level_dirty_.end(), 0);
 }
 
 void Simulator::reset() {
@@ -268,7 +166,7 @@ void Simulator::reset() {
     native_->reset();
     return;
   }
-  for (const DffBind& d : dffs_) values_[d.q] = d.init ? lane_mask_ : 0;
+  for (const DffBind& d : dffs_) values_[d.q] = d.init ? 1 : 0;
   for (auto& mem : mem_) std::fill(mem.begin(), mem.end(), 0);
   queue_.clear();
   std::fill(queued_.begin(), queued_.end(), 0);
@@ -299,7 +197,7 @@ void Simulator::set_input(const std::string& bus, const Bits& value) {
   if (value.width() != b.nets.size())
     throw std::logic_error("gate::Simulator: input width mismatch on " + bus);
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    const std::uint64_t nv = value.bit(static_cast<unsigned>(i)) ? lane_mask_ : 0;  // broadcast
+    const std::uint64_t nv = value.bit(static_cast<unsigned>(i)) ? 1 : 0;
     if (values_[b.nets[i]] != nv) {
       values_[b.nets[i]] = nv;
       on_net_changed(b.nets[i]);
@@ -323,24 +221,10 @@ void Simulator::set_input(const std::string& bus, std::uint64_t value) {
 
 void Simulator::set_input_lanes(const std::string& bus,
                                 std::span<const std::uint64_t> bit_lanes) {
-  if (native_) {
-    native_->set_input_lanes(bus, bit_lanes);
-    return;
-  }
-  if (mode_ != SimMode::kBitParallel)
+  if (!native_)
     throw std::logic_error(
-        "gate::Simulator: set_input_lanes requires kBitParallel or kNative "
-        "mode");
-  const Bus& b = find_bus(nl_.inputs(), bus);
-  if (bit_lanes.size() != b.nets.size())
-    throw std::logic_error("gate::Simulator: input width mismatch on " + bus);
-  for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    if (values_[b.nets[i]] != bit_lanes[i]) {
-      values_[b.nets[i]] = bit_lanes[i];
-      on_net_changed(b.nets[i]);
-    }
-  }
-  propagate();
+        "gate::Simulator: set_input_lanes requires kNative mode");
+  native_->set_input_lanes(bus, bit_lanes);
 }
 
 void Simulator::set_input_values(const std::string& bus,
@@ -388,12 +272,11 @@ Bits Simulator::output(const std::string& bus) const {
 
 Bits Simulator::output_lane(const std::string& bus, unsigned lane) const {
   if (native_) return native_->output_lane(bus, lane);
-  if (lane >= lanes())
-    throw std::logic_error("gate::Simulator: lane out of range");
+  if (lane != 0) throw std::logic_error("gate::Simulator: lane out of range");
   const Bus& b = find_bus(nl_.outputs(), bus);
   Bits out(static_cast<unsigned>(b.nets.size()));
   for (std::size_t i = 0; i < b.nets.size(); ++i)
-    out.set_bit(static_cast<unsigned>(i), ((values_[b.nets[i]] >> lane) & 1u) != 0);
+    out.set_bit(static_cast<unsigned>(i), values_[b.nets[i]] != 0);
   return out;
 }
 
@@ -402,54 +285,24 @@ std::vector<std::uint64_t> Simulator::output_words(
   if (native_) return native_->output_words(bus);
   const Bus& b = find_bus(nl_.outputs(), bus);
   std::vector<std::uint64_t> out(b.nets.size());
-  for (std::size_t i = 0; i < b.nets.size(); ++i)
-    out[i] = values_[b.nets[i]] & lane_mask_;
+  for (std::size_t i = 0; i < b.nets.size(); ++i) out[i] = values_[b.nets[i]];
   return out;
-}
-
-void Simulator::sample_writes() {
-  for (std::size_t i = 0; i < wp_nets_.size(); ++i)
-    wp_samp_[i] = values_[wp_nets_[i]];
 }
 
 void Simulator::commit_writes() {
   for (const WritePortRef& wp : wports_) {
-    const std::uint64_t en = wp_samp_[wp.base] & lane_mask_;
-    if (!en) continue;
+    if (!wp_samp_[wp.base]) continue;
     const std::uint64_t* addr = &wp_samp_[wp.base + 1];
     const std::uint64_t* data = addr + wp.addr_n;
-    const MemMacro& m = nl_.memories()[wp.mem];
-    std::vector<std::uint64_t>& mem = mem_[wp.mem];
+    std::uint64_t a = 0;
+    for (std::size_t i = wp.addr_n; i-- > 0;) a = (a << 1) | addr[i];
+    if (a >= nl_.memories()[wp.mem].depth) continue;
+    std::uint64_t* word = &mem_[wp.mem][a * wp.width];
     bool changed = false;
-    if (mode_ != SimMode::kBitParallel) {
-      std::uint64_t a = 0;
-      for (std::size_t i = wp.addr_n; i-- > 0;)
-        a = (a << 1) | (addr[i] & 1u);
-      if (a >= m.depth) continue;
-      for (std::uint32_t b = 0; b < wp.width; ++b) {
-        const std::uint64_t nv = data[b] & 1u;
-        std::uint64_t& word = mem[a * wp.width + b];
-        if (word != nv) {
-          word = nv;
-          changed = true;
-        }
-      }
-    } else {
-      for (unsigned lane = 0; lane < kLanes; ++lane) {
-        if (!((en >> lane) & 1u)) continue;
-        std::uint64_t a = 0;
-        for (std::size_t i = wp.addr_n; i-- > 0;)
-          a = (a << 1) | ((addr[i] >> lane) & 1u);
-        if (a >= m.depth) continue;
-        for (std::uint32_t b = 0; b < wp.width; ++b) {
-          std::uint64_t& word = mem[a * wp.width + b];
-          const std::uint64_t nw = (word & ~(std::uint64_t{1} << lane)) |
-                                   (((data[b] >> lane) & 1u) << lane);
-          if (nw != word) {
-            word = nw;
-            changed = true;
-          }
-        }
+    for (std::uint32_t b = 0; b < wp.width; ++b) {
+      if (word[b] != data[b]) {
+        word[b] = data[b];
+        changed = true;
       }
     }
     if (changed)
@@ -466,7 +319,8 @@ void Simulator::step() {
   // then commit — member scratch buffers, no per-cycle allocation.
   for (std::size_t i = 0; i < dffs_.size(); ++i)
     dff_next_[i] = values_[dffs_[i].d];
-  sample_writes();
+  for (std::size_t i = 0; i < wp_nets_.size(); ++i)
+    wp_samp_[i] = values_[wp_nets_[i]];
   for (std::size_t i = 0; i < dffs_.size(); ++i) {
     const NetId q = dffs_[i].q;
     if (values_[q] != dff_next_[i]) {
@@ -486,8 +340,8 @@ Bits Simulator::mem_word(unsigned mem, unsigned word) const {
     throw std::out_of_range("gate::Simulator: memory word out of range");
   Bits out(m.width);
   for (unsigned b = 0; b < m.width; ++b)
-    out.set_bit(b, (mem_[mem][static_cast<std::size_t>(word) * m.width + b] &
-                    1u) != 0);
+    out.set_bit(b,
+                mem_[mem][static_cast<std::size_t>(word) * m.width + b] != 0);
   return out;
 }
 
@@ -503,7 +357,7 @@ void Simulator::poke_mem(unsigned mem, unsigned word, const Bits& value) {
     throw std::logic_error("gate::Simulator: poke_mem width mismatch");
   for (unsigned b = 0; b < m.width; ++b)
     mem_[mem][static_cast<std::size_t>(word) * m.width + b] =
-        value.bit(b) ? lane_mask_ : 0;
+        value.bit(b) ? 1 : 0;
   for (const NetId q : memq_cells_.at(mem)) wake_cell(q);
   propagate();
 }
@@ -572,13 +426,9 @@ void run_batch(const Netlist& nl, SimMode mode,
     throw std::invalid_argument(
         "gate::run_batch: lanes must be 1 or a multiple of 64 up to " +
         std::to_string(Simulator::kMaxLanes));
-  if (lanes == Simulator::kLanes && mode != SimMode::kBitParallel &&
-      mode != SimMode::kNative)
+  if (lanes != 1 && mode != SimMode::kNative)
     throw std::invalid_argument(
-        "gate::run_batch: 64-lane blocks require kBitParallel or kNative");
-  if (lanes > Simulator::kLanes && mode != SimMode::kNative)
-    throw std::invalid_argument(
-        "gate::run_batch: blocks wider than 64 lanes require kNative");
+        "gate::run_batch: lane blocks require kNative");
   const unsigned lwords = lanes == 1 ? 1 : lanes / 64;
 
   unsigned in_slots = 0, out_slots = 0;
@@ -625,9 +475,7 @@ void run_batch(const Netlist& nl, SimMode mode,
         idle.pop_back();
       }
     }
-    if (!sim)
-      sim = std::make_unique<Simulator>(
-          nl, mode, mode == SimMode::kNative ? lanes : 0);
+    if (!sim) sim = std::make_unique<Simulator>(nl, mode, lanes);
     for (std::size_t i = lo; i < hi; ++i) {
       if (lanes == 1)
         run_scalar_block(*sim, nl, blocks[i]);

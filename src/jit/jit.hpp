@@ -52,7 +52,8 @@ struct CompileOptions {
   /// separate arguments (quotes are not interpreted).
   std::string extra_flags;
   /// Skip the compile and force the engine's interpreted fallback
-  /// (also set by the OSSS_NO_JIT environment variable).
+  /// (also set by the OSSS_NO_JIT environment variable).  Unless
+  /// keep_source is set, the engines then skip emitting the source too.
   bool force_fallback = false;
   /// When non-empty, also write the emitted source to this path.
   std::string keep_source;

@@ -119,9 +119,11 @@ gate::Netlist Pipeline::run(const gate::Netlist& in) {
         eopt.cycles = opt_.check_cycles;
         eopt.seed = verify::StimGen::derive(
             base_seed, stats.pass + "/" + std::to_string(round));
-        eopt.mode_a = opt_.check_mode;
-        eopt.mode_b = opt_.check_mode;
-        eopt.codegen = opt_.check_codegen;
+        // Both sides on the native engine's interpreted 64-lane sweep:
+        // debug builds need no compiler and no pass pays a compile.
+        eopt.mode_a = gate::SimMode::kNative;
+        eopt.mode_b = gate::SimMode::kNative;
+        eopt.codegen.force_fallback = true;
         const gate::EquivResult r =
             gate::check_equivalence(current, next, eopt);
         if (!r) {

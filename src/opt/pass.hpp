@@ -80,13 +80,6 @@ struct PipelineOptions {
   int self_check = -1;
   unsigned check_sequences = 2;  ///< equivalence sequences per self-check
   unsigned check_cycles = 64;    ///< cycles per sequence (64-lane each)
-  /// Engine running both sides of the self-check.  kBitParallel (the
-  /// default) keeps debug builds compiler-free; kNative runs the checks
-  /// through the generated-code backend (with its interpreted fallback).
-  gate::SimMode check_mode = gate::SimMode::kBitParallel;
-  /// Backend knobs for kNative self-checks (e.g. force_fallback avoids one
-  /// compile per pass per round when only the wiring is under test).
-  gate::CodegenOptions check_codegen = {};
   /// Base seed of the self-checks; 0 derives from the netlist name.
   std::uint64_t seed = 0;
   /// Pipeline::run repeats its pass list until a full round reports zero

@@ -318,8 +318,9 @@ class Sweeper {
   }
 
   /// Read one memory bit against explicit contents, with the same per-lane
-  /// semantics as gate::Simulator::eval_memq: lanes whose address is out of
-  /// range read 0.  Bit-sliced: lane-select masks per word.
+  /// semantics as gate::NativeEngine::read_memq (the lane interpreter):
+  /// lanes whose address is out of range read 0.  Bit-sliced: lane-select
+  /// masks per word.
   std::uint64_t memq_eval(const std::vector<std::uint64_t>& mem,
                           const Cell& c,
                           const std::vector<std::uint64_t>& val) const {

@@ -10,8 +10,8 @@
 // Layout: flat row-major arrays.  For lanes == 1, in[c * in_slots + s] is
 // the scalar value driven on input slot s at cycle c (masked to the port
 // width by the batch runner).  For lane blocks (lanes a multiple of 64:
-// 64 for gate bit-parallel / RTL tape lane mode, wider multiples for the
-// RTL native backend) the same indexing holds but each element is one
+// exactly 64 for the RTL tape lane mode, wider multiples for the gate and
+// RTL native backends) the same indexing holds but each element is one
 // 64-lane word: bit i of the ports concatenated LSB-first occupies
 // lanes/64 consecutive slots (its lane words, low lanes first), so
 // in_slots is the sum of port widths times lanes/64.
@@ -31,7 +31,7 @@ namespace osss::par {
 
 struct StimulusBlock {
   unsigned cycles = 0;
-  unsigned lanes = 1;  ///< 1 (scalar) or 64 (lane-word per port bit)
+  unsigned lanes = 1;  ///< 1 (scalar) or a multiple of 64 (lane words)
   unsigned in_slots = 0;
   unsigned out_slots = 0;
   std::vector<std::uint64_t> in;   ///< [cycle * in_slots + slot]

@@ -553,7 +553,11 @@ bool probe_tape_abi(const jit::Object& obj, unsigned lanes,
 }  // namespace
 
 void NativeEngine::try_native(const CodegenOptions& opt) {
-  const std::string src = emit_cpp(prog_);
+  // A forced fallback that keeps no source never reads it: jit::compile
+  // returns before the source is used, so skip the emission.
+  const std::string src = opt.force_fallback && opt.keep_source.empty()
+                              ? std::string()
+                              : emit_cpp(prog_);
   CodegenOptions vopt = opt;
   vopt.validate = [this](const jit::Object& o) {
     return probe_tape_abi(o, prog_.lanes, prog_.arena_size);

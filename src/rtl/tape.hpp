@@ -17,7 +17,7 @@
 // zext/slice/concat alias fusion (no-op casts share their operand's slot —
 // sound because the arena keeps bits above a node's width zero), slice-chain
 // composition, and dead-node pruning before emission.  The executor mirrors
-// gate::Simulator's levelized engine: instructions are grouped by
+// the gate native engine's level sweep: instructions are grouped by
 // combinational level and a level is skipped entirely when none of its
 // inputs changed since the last sweep (per-producer fanout-level lists mark
 // levels dirty on change).  An optional L-lane mode stripes the arena per

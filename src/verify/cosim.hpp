@@ -10,10 +10,10 @@
 // gate/equiv.cpp are thin layers over it.
 //
 // When every attached model supports 64 stimulus lanes (gate simulators in
-// kBitParallel mode), each simulated cycle scores 64 independent vectors;
-// otherwise the run is scalar.  Runs record their stimulus, so a mismatch
-// yields a per-lane scalar trace that the shrinker (shrink.hpp) can
-// minimize and replay.
+// kNative mode at 64 lanes, RTL tapes at 64 lanes), each simulated cycle
+// scores 64 independent vectors; otherwise the run is scalar.  Runs record
+// their stimulus, so a mismatch yields a per-lane scalar trace that the
+// shrinker (shrink.hpp) can minimize and replay.
 
 #pragma once
 
@@ -153,9 +153,9 @@ private:
   rtl::OutputHandle out_handle(const std::string& name);
 };
 
-/// gate::Simulator as a co-sim model; kBitParallel engines contribute 64
-/// stimulus lanes per cycle, kNative engines up to 64 (wider native sims
-/// join as scalar broadcast models, like wide RtlModel tapes).
+/// gate::Simulator as a co-sim model; kNative engines contribute their
+/// lanes per cycle up to 64 (wider native sims join as scalar broadcast
+/// models, like wide RtlModel tapes), kEvent engines one.
 class GateModel final : public Model {
 public:
   explicit GateModel(gate::Netlist nl,

@@ -66,16 +66,18 @@ ToggleCoverage::ToggleCoverage(const gate::Netlist& nl) {
 }
 
 void ToggleCoverage::sample(const gate::Simulator& sim) {
-  // All lanes participate: in bit-parallel mode one sample covers 64
-  // stimulus vectors.  In scalar modes only lane 0 carries defined data.
-  const std::uint64_t mask =
-      sim.mode() == gate::SimMode::kBitParallel ? ~0ull : 1ull;
+  // All lanes participate: a 64-lane engine covers 64 stimulus vectors per
+  // lane word and sample.  A one-lane engine defines bit 0 only.
+  const std::uint64_t mask = sim.lanes() == 1 ? 1ull : ~0ull;
+  const unsigned words = sim.lane_words();
   for (std::size_t i = 0; i < track_.size(); ++i) {
     if (!track_[i]) continue;
-    const std::uint64_t v =
-        sim.net_lanes(static_cast<gate::NetId>(i)) & mask;
-    if (v != 0) seen1_[i] = 1;
-    if (v != mask) seen0_[i] = 1;
+    for (unsigned w = 0; w < words; ++w) {
+      const std::uint64_t v =
+          sim.net_lanes(static_cast<gate::NetId>(i), w) & mask;
+      if (v != 0) seen1_[i] = 1;
+      if (v != mask) seen0_[i] = 1;
+    }
   }
 }
 

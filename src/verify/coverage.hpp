@@ -79,7 +79,6 @@ private:
   std::vector<char> seen0_;
   std::vector<char> seen1_;
   std::uint64_t tracked_ = 0;
-  std::uint64_t lane_mask_ = 0;
 };
 
 /// Tracks FSM state / transition coverage of a behaviour controller.

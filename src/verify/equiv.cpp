@@ -110,15 +110,11 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
     return result;
   }
 
-  // A side contributes lanes when bit-parallel or native at <= 64 lanes
-  // (wider native sims join as scalar broadcast models).
-  const auto side_wide = [&](SimMode m) {
-    if (m == SimMode::kBitParallel) return true;
-    if (m != SimMode::kNative) return false;
-    const unsigned l = opt.lanes == 0 ? Simulator::kLanes : opt.lanes;
-    return l > 1 && l <= 64;
-  };
-  const bool lanes = side_wide(opt.mode_a) && side_wide(opt.mode_b);
+  // The run was lane-wide when both sides are native at 64 lanes (the
+  // default; wider native sims join as scalar broadcast models).
+  const unsigned native_lanes = opt.lanes == 0 ? Simulator::kLanes : opt.lanes;
+  const bool lanes = opt.mode_a == SimMode::kNative &&
+                     opt.mode_b == SimMode::kNative && native_lanes == 64;
   verify::Mismatch mismatch = outs[fail].run.mismatch;
   mismatch.sequence = fail;
   std::vector<verify::IoDecl> decls;

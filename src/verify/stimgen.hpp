@@ -70,8 +70,8 @@ public:
 
   /// Next 64-lane stimulus: element i holds bit i's 64 lane values.  Lane 0
   /// follows the declared constraint (identical to the scalar stream);
-  /// lanes 1..63 are uniform, matching the bit-parallel engines' use as a
-  /// wide random-vector batch.
+  /// lanes 1..63 are uniform, matching the 64-lane engines' use as a wide
+  /// random-vector batch.
   std::vector<std::uint64_t> next_lanes(const std::string& name);
 
   /// Allocation-free variant: writes width_of(name) lane words into `out`.

@@ -1,5 +1,7 @@
-// Tests for the event-driven gate simulator itself (event accounting,
-// reset, memory poke) — equivalence against RTL is covered in lower_test.
+// Tests for the gate simulator itself (event accounting, reset, memory
+// poke, lane independence) on the event engine and on the native engine's
+// interpreted fallback at 1 and 64 lanes — equivalence against RTL is
+// covered in lower_test.
 
 #include "gate/sim.hpp"
 
@@ -13,6 +15,13 @@ namespace {
 
 using rtl::Builder;
 using rtl::Wire;
+
+/// The native engine's interpreted fallback: the lane interpreter.
+Simulator fallback_sim(Netlist nl, unsigned lanes) {
+  CodegenOptions opt;
+  opt.force_fallback = true;
+  return Simulator(std::move(nl), SimMode::kNative, lanes, std::move(opt));
+}
 
 TEST(GateSim, EventDrivenOnlyEvaluatesOnChange) {
   // A counter whose LSB toggles every cycle but MSB rarely: event counts
@@ -75,15 +84,38 @@ TEST(GateSim, UnknownBusThrows) {
   EXPECT_THROW(sim.set_input("zz", 1), std::logic_error);
   EXPECT_THROW(sim.output("zz"), std::logic_error);
   EXPECT_THROW(sim.set_input("a", Bits(3, 0)), std::logic_error);
-  // The scalar modes have one lane: lane 7 is out of range, not all-zero.
-  for (const SimMode mode : {SimMode::kEvent, SimMode::kLevelized}) {
-    Simulator scalar(nl, mode);
-    EXPECT_NO_THROW(scalar.output_lane("o", 0));
-    EXPECT_THROW(scalar.output_lane("o", 7), std::logic_error);
+  // Scalar engines have one lane: lane 7 is out of range, not all-zero.
+  Simulator event(nl, SimMode::kEvent);
+  Simulator scalar = fallback_sim(nl, 1);
+  for (Simulator* one : {&event, &scalar}) {
+    EXPECT_NO_THROW(one->output_lane("o", 0));
+    EXPECT_THROW(one->output_lane("o", 7), std::logic_error);
   }
-  Simulator bp(nl, SimMode::kBitParallel);
-  EXPECT_NO_THROW(bp.output_lane("o", 63));
-  EXPECT_THROW(bp.output_lane("o", 64), std::logic_error);
+  Simulator wide = fallback_sim(nl, 64);
+  EXPECT_NO_THROW(wide.output_lane("o", 63));
+  EXPECT_THROW(wide.output_lane("o", 64), std::logic_error);
+}
+
+TEST(GateSim, NetIndexIsRangeChecked) {
+  Builder b("m");
+  Wire a = b.input("a", 2);
+  b.output("o", b.not_(a));
+  const Netlist nl = lower_to_gates(b.take());
+  const NetId past = static_cast<NetId>(nl.cells().size());
+  Simulator event(nl, SimMode::kEvent);
+  Simulator scalar = fallback_sim(nl, 1);
+  Simulator wide = fallback_sim(nl, 256);
+  for (Simulator* sim : {&event, &scalar, &wide}) {
+    SCOPED_TRACE(sim->lanes());
+    EXPECT_NO_THROW(sim->net(past - 1));
+    EXPECT_NO_THROW(sim->net_lanes(past - 1, sim->lane_words() - 1));
+    EXPECT_THROW(sim->net(past), std::out_of_range);
+    EXPECT_THROW(sim->net_lanes(past), std::out_of_range);
+    EXPECT_THROW(sim->net_lanes(0, sim->lane_words()), std::out_of_range);
+    EXPECT_THROW(sim->net_lanes(kInvalidNet), std::out_of_range);
+  }
+  EXPECT_THROW(wide.native().net_word(past), std::out_of_range);
+  EXPECT_THROW(wide.native().net_word(0, 4), std::out_of_range);
 }
 
 TEST(GateSim, SetInputU64RejectsOversizedValue) {
@@ -125,32 +157,33 @@ rtl::Module mem_pipe() {
 }  // namespace modes
 
 TEST(GateSim, EnginesAgreeCycleByCycle) {
-  // The same stimulus through all three engines must produce identical
-  // outputs every cycle (bit-parallel compared on lane 0 via broadcast).
+  // The same stimulus through the event engine and the lane interpreter at
+  // 1 and 64 lanes must produce identical outputs every cycle (64 lanes
+  // compared on lanes 0 and 63 under broadcast inputs).
   const Netlist nl = lower_to_gates(modes::accumulator());
   Simulator ev(nl, SimMode::kEvent);
-  Simulator lv(nl, SimMode::kLevelized);
-  Simulator bp(nl, SimMode::kBitParallel);
+  Simulator scalar = fallback_sim(nl, 1);
+  Simulator wide = fallback_sim(nl, 64);
   std::uint64_t x = 0x1234;
   for (unsigned c = 0; c < 200; ++c) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     const std::uint64_t en = (x >> 17) & 1;
     const std::uint64_t d = (x >> 24) & 0xff;
-    for (Simulator* s : {&ev, &lv, &bp}) {
+    for (Simulator* s : {&ev, &scalar, &wide}) {
       s->set_input("en", en);
       s->set_input("d", d);
     }
-    ASSERT_EQ(ev.output("acc"), lv.output("acc")) << "cycle " << c;
-    ASSERT_EQ(ev.output("acc"), bp.output("acc")) << "cycle " << c;
-    for (Simulator* s : {&ev, &lv, &bp}) s->step();
+    ASSERT_EQ(ev.output("acc"), scalar.output("acc")) << "cycle " << c;
+    ASSERT_EQ(ev.output("acc"), wide.output("acc")) << "cycle " << c;
+    ASSERT_EQ(ev.output("acc"), wide.output_lane("acc", 63)) << "cycle " << c;
+    for (Simulator* s : {&ev, &scalar, &wide}) s->step();
   }
 }
 
 TEST(GateSim, BitParallelLanesAreIndependent) {
-  // Lane l accumulates its own operand stream; each lane must match a
-  // scalar reference model.
-  Simulator sim(lower_to_gates(modes::accumulator()),
-                SimMode::kBitParallel);
+  // Lane l accumulates its own operand stream through the 64-lane
+  // interpreter; each lane must match a scalar reference model.
+  Simulator sim = fallback_sim(lower_to_gates(modes::accumulator()), 64);
   std::uint8_t model[Simulator::kLanes] = {};
   for (unsigned c = 0; c < 40; ++c) {
     std::vector<std::uint64_t> d(8, 0);
@@ -168,7 +201,7 @@ TEST(GateSim, BitParallelLanesAreIndependent) {
     sim.set_input_lanes("d", d);
     sim.set_input_lanes("en", std::span<const std::uint64_t>(&en, 1));
     sim.step();
-    for (unsigned lane : {0u, 1u, 17u, 63u})
+    for (unsigned lane = 0; lane < Simulator::kLanes; ++lane)
       ASSERT_EQ(sim.output_lane("acc", lane).to_u64(), model[lane])
           << "cycle " << c << " lane " << lane;
   }
@@ -182,26 +215,30 @@ TEST(GateSim, SetInputLanesRequiresBitParallelMode) {
 }
 
 TEST(GateSim, SameCycleMemWriteReachesReadPort) {
-  for (const SimMode mode :
-       {SimMode::kEvent, SimMode::kLevelized, SimMode::kBitParallel}) {
-    Simulator sim(lower_to_gates(modes::mem_pipe()), mode);
-    sim.set_input("waddr", 1);
-    sim.set_input("raddr", 1);
-    sim.set_input("d", 0x5a);
-    sim.set_input("wen", 1);
-    EXPECT_EQ(sim.output("q").to_u64(), 0u) << sim_mode_name(mode);
-    sim.step();  // write commits AND the read port re-evaluates
-    EXPECT_EQ(sim.output("q").to_u64(), 0x5au) << sim_mode_name(mode);
+  const Netlist nl = lower_to_gates(modes::mem_pipe());
+  Simulator event(nl, SimMode::kEvent);
+  Simulator scalar = fallback_sim(nl, 1);
+  Simulator wide = fallback_sim(nl, 64);
+  for (Simulator* sim : {&event, &scalar, &wide}) {
+    SCOPED_TRACE(::testing::Message() << sim_mode_name(sim->mode()) << " x"
+                                      << sim->lanes());
+    sim->set_input("waddr", 1);
+    sim->set_input("raddr", 1);
+    sim->set_input("d", 0x5a);
+    sim->set_input("wen", 1);
+    EXPECT_EQ(sim->output("q").to_u64(), 0u);
+    sim->step();  // write commits AND the read port re-evaluates
+    EXPECT_EQ(sim->output("q").to_u64(), 0x5au);
     // Disabled write leaves the word (and the read port) untouched.
-    sim.set_input("d", 0x33);
-    sim.set_input("wen", 0);
-    sim.step();
-    EXPECT_EQ(sim.output("q").to_u64(), 0x5au) << sim_mode_name(mode);
+    sim->set_input("d", 0x33);
+    sim->set_input("wen", 0);
+    sim->step();
+    EXPECT_EQ(sim->output("q").to_u64(), 0x5au);
   }
 }
 
 TEST(GateSim, BitParallelLanesWriteDistinctMemoryWords) {
-  Simulator sim(lower_to_gates(modes::mem_pipe()), SimMode::kBitParallel);
+  Simulator sim = fallback_sim(lower_to_gates(modes::mem_pipe()), 64);
   // Lane l writes value 0x10+l to address l%4, all lanes enabled.
   std::vector<std::uint64_t> waddr(2, 0), d(8, 0);
   for (unsigned lane = 0; lane < Simulator::kLanes; ++lane) {
@@ -236,7 +273,7 @@ TEST(GateSim, StatsExposeEngineInternals) {
   EXPECT_GE(ev.stats().queue_high_water, 1u);
   EXPECT_EQ(ev.stats().levels_evaluated, 0u);  // event engine has no levels
 
-  Simulator lv(nl, SimMode::kLevelized);
+  Simulator lv = fallback_sim(nl, 1);  // the level sweep at one lane
   lv.step(64);
   EXPECT_EQ(lv.stats().cycles, 64u);
   EXPECT_GT(lv.stats().levels_evaluated, 0u);

@@ -1,8 +1,10 @@
 // native_test.cpp — differential tests for the gate native-code backend.
 //
-// Three-way checks (event-driven oracle vs bit-parallel interpreter vs
-// NativeEngine) over lowered random_module designs, optimized netlists and
-// hand-built memory shapes.  The fuzz sweep runs the interpreted fallback
+// Three-way checks (event-driven oracle vs the 64-lane interpreted
+// fallback vs NativeEngine at the case's lane count) over lowered
+// random_module designs, optimized netlists and hand-built memory shapes,
+// plus lane checks that run every lane of a native engine against its own
+// scalar event-engine run.  The fuzz sweep runs the interpreted fallback
 // (no compile cost per case); dedicated suites exercise the real compile +
 // dlopen path, the silent bogus-compiler fallback, the shared jit object
 // cache, wide-lane batch running, and mutation observability (a gate-kind
@@ -43,16 +45,23 @@ bool jit_disabled() {
   return nj != nullptr && *nj != '\0' && *nj != '0';
 }
 
-/// Event engine (reference) vs bit-parallel interpreter vs native backend.
-/// The event model caps the co-sim at scalar stimulus, so this checks lane
-/// 0 of the wide arena against both interpreters under broadcast inputs.
+CodegenOptions fallback() {
+  CodegenOptions opt;
+  opt.force_fallback = true;
+  return opt;
+}
+
+/// Event engine (reference) vs the 64-lane interpreted fallback vs the
+/// native backend at `lanes`.  The event model caps the co-sim at scalar
+/// stimulus, so this checks lane 0 of the wide arenas against the oracle
+/// under broadcast inputs.
 void expect_three_way_match(const Netlist& nl, std::uint64_t seed,
                             unsigned cycles, unsigned lanes,
                             CodegenOptions opt) {
   verify::CoSim cs;
   cs.add(std::make_unique<verify::GateModel>(nl, SimMode::kEvent, "event"));
-  cs.add(std::make_unique<verify::GateModel>(nl, SimMode::kBitParallel,
-                                             "bitparallel"));
+  cs.add(std::make_unique<verify::GateModel>(nl, SimMode::kNative, 64,
+                                             fallback(), "fallback64"));
   cs.add(std::make_unique<verify::GateModel>(nl, SimMode::kNative, lanes,
                                              std::move(opt), "native"));
   cs.declare_io(nl);
@@ -63,22 +72,53 @@ void expect_three_way_match(const Netlist& nl, std::uint64_t seed,
                     << seed;
 }
 
-/// Bit-parallel reference vs native at 64 lanes: both models are wide, so
-/// every cycle scores 64 independent stimulus vectors through the native
-/// set_input_lanes / output_words path.
-void expect_lane_match(const Netlist& nl, std::uint64_t seed,
-                       unsigned cycles, CodegenOptions opt) {
-  verify::CoSim cs;
-  cs.add(std::make_unique<verify::GateModel>(nl, SimMode::kBitParallel,
-                                             "bitparallel"));
-  cs.add(std::make_unique<verify::GateModel>(
-      nl, SimMode::kNative, Simulator::kLanes, std::move(opt), "native"));
-  cs.declare_io(nl);
-  verify::StimGen gen(seed);
-  cs.declare_stimulus(gen);
-  const verify::RunResult r = cs.run(gen, cycles, 2);
-  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), true) << " seed "
-                    << seed;
+/// stim[c][i][l]: the value of input bus i on lane l in cycle c.
+using LaneStimulus = std::vector<std::vector<std::vector<std::uint64_t>>>;
+
+/// Independent random stimulus per lane, masked to each bus width.
+LaneStimulus random_lane_stimulus(const Netlist& nl, unsigned cycles,
+                                  unsigned lanes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  LaneStimulus st(cycles);
+  for (auto& cycle : st)
+    for (const Bus& bus : nl.inputs()) {
+      const std::size_t w = bus.nets.size();
+      const std::uint64_t mask = w >= 64 ? ~0ull : (1ull << w) - 1;
+      auto& values = cycle.emplace_back(lanes);
+      for (std::uint64_t& v : values) v = rng() & mask;
+    }
+  return st;
+}
+
+/// Every lane of a native engine against its own scalar event-engine run
+/// (the NativeTiers pairing): lane l sees stim[c][i][l], through
+/// set_input_values, and each output of each lane must match the oracle
+/// every cycle.
+void expect_lanes_match_event(const Netlist& nl, const LaneStimulus& st,
+                              unsigned lanes, CodegenOptions opt) {
+  std::vector<std::vector<std::vector<Bits>>> expected(lanes);
+  for (unsigned l = 0; l < lanes; ++l) {
+    Simulator ref(nl, SimMode::kEvent);
+    for (const auto& cycle : st) {
+      for (std::size_t i = 0; i < cycle.size(); ++i)
+        ref.set_input(nl.inputs()[i].name, cycle[i][l]);
+      ref.step();
+      auto& row = expected[l].emplace_back();
+      for (const Bus& bus : nl.outputs()) row.push_back(ref.output(bus.name));
+    }
+  }
+  Simulator sim(nl, SimMode::kNative, lanes, std::move(opt));
+  for (std::size_t c = 0; c < st.size(); ++c) {
+    for (std::size_t i = 0; i < st[c].size(); ++i)
+      sim.set_input_values(nl.inputs()[i].name, st[c][i]);
+    sim.step();
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o)
+      for (unsigned l = 0; l < lanes; ++l)
+        ASSERT_EQ(sim.output_lane(nl.outputs()[o].name, l), expected[l][c][o])
+            << "cycle " << c << " output " << nl.outputs()[o].name
+            << " lane " << l << " of " << lanes
+            << (sim.native().native() ? " (native)" : " (fallback)");
+  }
 }
 
 Netlist random_netlist(const char* /*variant*/,
@@ -138,14 +178,13 @@ TEST_P(GateNativeFuzz, OptimizedNetlists) {
   expect_three_way_match(optimized, seed, 100, 192, std::move(copt));
 }
 
-/// 64-lane scoring: every lane of the native arena checked against the
-/// bit-parallel interpreter each cycle.
+/// 64-lane scoring: every lane of the interpreted fallback checked against
+/// its own event-engine run each cycle.
 TEST_P(GateNativeFuzz, LaneScored) {
   const std::uint64_t seed = case_seed("lanes", GetParam());
   const Netlist nl = random_netlist("lanes", {32, true, false, false}, seed);
-  CodegenOptions copt;
-  copt.force_fallback = true;
-  expect_lane_match(nl, seed, 80, std::move(copt));
+  expect_lanes_match_event(nl, random_lane_stimulus(nl, 80, 64, seed), 64,
+                           fallback());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GateNativeFuzz,
@@ -154,8 +193,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GateNativeFuzz,
 // --- real compile + dlopen -------------------------------------------------
 
 /// One random design through the actual JIT: emit, compile, dlopen, and
-/// compare against both interpreters.  Asserts the native path really
-/// loaded (this is what the -mavx2 CI leg runs).
+/// compare against the event engine, lane 0 and then every lane.  Asserts
+/// the native path really loaded (this is what the -mavx2 CI leg runs).
 TEST(GateNativeJit, CompilesAndMatchesEventEngine) {
   const std::uint64_t seed = case_seed("jit", 0);
   const Netlist nl = random_netlist("jit", {48, true, true, true}, seed);
@@ -164,7 +203,8 @@ TEST(GateNativeJit, CompilesAndMatchesEventEngine) {
     ASSERT_TRUE(probe.native().native()) << probe.native().compile_log();
   }
   expect_three_way_match(nl, seed, 120, 64, {});
-  expect_lane_match(nl, seed, 80, {});
+  expect_lanes_match_event(nl, random_lane_stimulus(nl, 80, 64, seed), 64,
+                           {});
 }
 
 /// Wide SIMD lanes through the real JIT — 256 lanes = 4 words per net
@@ -222,7 +262,10 @@ TEST(GateNativeJit, MemoryCommitMatchesEventEngine) {
 /// Deep memory, both gather strategies on one netlist: 320 rows exceed
 /// 4x64 lanes (sparse per-lane gather) but not 4x128 (one-hot row masks),
 /// and the 9-bit address port can point past the depth — such reads return
-/// 0 and such writes are dropped, on every path.
+/// 0 and such writes are dropped, on every path.  The interpreted fallback
+/// (direct decode at 1 lane, transposed address words at 64 and 256) runs
+/// the same memory with its own addresses per lane, every lane checked
+/// against a scalar event-engine run.
 TEST(GateNativeJit, DeepMemoryMatchesEventEngine) {
   Builder b("deep");
   Wire waddr = b.input("waddr", 9);
@@ -252,21 +295,42 @@ TEST(GateNativeJit, DeepMemoryMatchesEventEngine) {
     ASSERT_EQ(ev.output("q").to_u64(), masked.output_lane("q", 127).to_u64())
         << "cycle " << c;
   }
+
+  // Per-lane addresses: half the time lane l reads back the row it wrote
+  // last cycle, and about 3 addresses in 8 lie past the 320-row depth.
+  constexpr unsigned kLaneCycles = 120, kMaxLaneCount = 256;
+  LaneStimulus st(kLaneCycles);
+  std::vector<std::uint64_t> last_waddr(kMaxLaneCount, 0);
+  for (auto& cycle : st) {
+    cycle.assign(4, std::vector<std::uint64_t>(kMaxLaneCount));
+    for (unsigned l = 0; l < kMaxLaneCount; ++l) {
+      const std::uint64_t r = rng();
+      cycle[0][l] = r & 511;                                       // waddr
+      cycle[1][l] = (r >> 9) & 1 ? last_waddr[l] : (r >> 10) & 511;  // raddr
+      cycle[2][l] = (r >> 19) & 63;                                // d
+      cycle[3][l] = ((r >> 25) & 3) != 0;                          // wen
+      last_waddr[l] = cycle[0][l];
+    }
+  }
+  for (const unsigned lanes : {1u, 64u, 256u}) {
+    LaneStimulus narrow = st;
+    for (auto& cycle : narrow)
+      for (auto& values : cycle) values.resize(lanes);
+    expect_lanes_match_event(nl, narrow, lanes, fallback());
+  }
 }
 
 // --- optimizer integration -------------------------------------------------
 
 /// The optimization pipeline's differential self-check runs on the native
-/// engine when asked, and the final result is equivalent to the input under
-/// a mixed event-vs-native check.
+/// engine (its interpreted fallback by default), and the final result is
+/// equivalent to the input under a mixed event-vs-native check.
 TEST(GateNativeOpt, PipelineSelfChecksOnNativeEngine) {
   const std::uint64_t seed = case_seed("opt-pipeline", 0);
   const Netlist nl = random_netlist("opt-pipeline", {36, true, false, false},
                                     seed);
   opt::PipelineOptions popt;
   popt.self_check = 1;
-  popt.check_mode = SimMode::kNative;
-  popt.check_codegen.force_fallback = true;  // one compile per pass is slow
   std::vector<opt::PassStats> stats;
   const Netlist optimized = opt::optimize(nl, popt, &stats);
   ASSERT_FALSE(stats.empty());
@@ -425,12 +489,12 @@ TEST(GateNativeEmit, LaneValidation) {
   EXPECT_THROW(emit_netlist_cpp(nl, Simulator::kMaxLanes + 64),
                std::invalid_argument);
   EXPECT_THROW(Simulator(nl, SimMode::kNative, 65), std::invalid_argument);
-  // Interpreted modes carry fixed lane counts; explicit others rejected.
+  // The event engine carries one lane; explicit others are rejected.
   EXPECT_THROW(Simulator(nl, SimMode::kEvent, 64), std::invalid_argument);
-  EXPECT_THROW(Simulator(nl, SimMode::kBitParallel, 128),
-               std::invalid_argument);
-  Simulator ok(nl, SimMode::kBitParallel, 64);  // the implied value is fine
-  EXPECT_EQ(ok.lanes(), 64u);
+  Simulator one(nl, SimMode::kEvent, 1);  // the implied value is fine
+  EXPECT_EQ(one.lanes(), 1u);
+  Simulator dflt(nl, SimMode::kNative, 0, fallback());  // 0 = 64 lanes
+  EXPECT_EQ(dflt.lanes(), 64u);
 }
 
 // --- run_batch over wide native lanes --------------------------------------
@@ -502,9 +566,9 @@ TEST(GateNativeBatch, WideLaneBlocksMatchScalarBlocks) {
 
 /// A batch split into many chunks across pool workers still costs at most
 /// one compile: every pooled engine shares the cached object, and chunks
-/// recycle engines via restore_poweron instead of rebuilding them.  The
-/// outputs are checked against the bit-parallel interpreter to prove the
-/// recycled engines are bit-identical to fresh ones.
+/// recycle engines via restore_poweron instead of rebuilding them.  Every
+/// lane of every block is checked against a scalar event-engine block to
+/// prove the recycled engines are bit-identical to fresh ones.
 TEST(GateNativeBatch, ManyChunksShareOneCompile) {
   if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
   Builder b("batchonce");
@@ -521,7 +585,6 @@ TEST(GateNativeBatch, ManyChunksShareOneCompile) {
     blk = par::StimulusBlock::make(kCycles, 12, 64);
     for (auto& w : blk.in) w = rng();
   }
-  std::vector<par::StimulusBlock> reference = blocks;  // same stimulus
 
   par::Pool pool(4);
   const jit::CacheStats before = jit::cache_stats();
@@ -530,9 +593,26 @@ TEST(GateNativeBatch, ManyChunksShareOneCompile) {
   EXPECT_LE(after.compiles - before.compiles, 1u)
       << "run_batch must reuse one compiled object across all chunks";
 
-  run_batch(nl, SimMode::kBitParallel, reference, &pool);
+  // Scalar reference: one event-engine block per (block, lane).
+  std::vector<par::StimulusBlock> scalar;
+  for (const par::StimulusBlock& blk : blocks)
+    for (unsigned l = 0; l < 64; ++l) {
+      par::StimulusBlock& s = scalar.emplace_back(
+          par::StimulusBlock::make(kCycles, 1));
+      for (unsigned c = 0; c < kCycles; ++c)
+        for (unsigned bit = 0; bit < 12; ++bit)
+          s.in_at(c, 0) |= ((blk.in_at(c, bit) >> l) & 1u) << bit;
+    }
+  run_batch(nl, SimMode::kEvent, scalar, &pool);
   for (unsigned i = 0; i < kBlocks; ++i)
-    ASSERT_EQ(blocks[i].out, reference[i].out) << "block " << i;
+    for (unsigned l = 0; l < 64; ++l)
+      for (unsigned c = 0; c < kCycles; ++c) {
+        std::uint64_t lane_out = 0;
+        for (unsigned bit = 0; bit < 12; ++bit)
+          lane_out |= ((blocks[i].out_at(c, bit) >> l) & 1u) << bit;
+        ASSERT_EQ(lane_out, scalar[i * 64 + l].out_at(c, 0))
+            << "block " << i << " lane " << l << " cycle " << c;
+      }
 }
 
 TEST(GateNativeBatch, LaneValidation) {
@@ -541,8 +621,8 @@ TEST(GateNativeBatch, LaneValidation) {
   const Netlist nl = lower_to_gates(b.take());
   std::vector<par::StimulusBlock> blocks;
   blocks.push_back(par::StimulusBlock::make(1, 4 * 2, 128));
-  // Wide blocks need the native backend.
-  EXPECT_THROW(run_batch(nl, SimMode::kBitParallel, blocks),
+  // Lane blocks need the native backend.
+  EXPECT_THROW(run_batch(nl, SimMode::kEvent, blocks),
                std::invalid_argument);
   blocks.front().lanes = 65;
   EXPECT_THROW(run_batch(nl, SimMode::kNative, blocks),
@@ -615,13 +695,11 @@ TEST(GateNativeValues, RequiresNativeModeAndMatchingLaneCount) {
   Builder b("v");
   b.output("o", b.not_(b.input("a", 4)));
   const Netlist nl = lower_to_gates(b.take());
-  Simulator bp(nl, SimMode::kBitParallel);
+  Simulator event(nl, SimMode::kEvent);
   std::vector<std::uint64_t> vals(64, 0);
-  EXPECT_THROW(bp.set_input_values("a", vals), std::logic_error);
-  EXPECT_THROW(bp.output_values("o"), std::logic_error);
-  CodegenOptions fb;
-  fb.force_fallback = true;
-  Simulator nat(nl, SimMode::kNative, 128, fb);
+  EXPECT_THROW(event.set_input_values("a", vals), std::logic_error);
+  EXPECT_THROW(event.output_values("o"), std::logic_error);
+  Simulator nat(nl, SimMode::kNative, 128, fallback());
   EXPECT_THROW(nat.set_input_values("a", vals), std::logic_error);
 }
 

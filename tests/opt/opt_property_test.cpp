@@ -90,7 +90,8 @@ TEST(OptProperty, AnyPassOrderPreservesEquivalence) {
       eo.cycles = 48;
       eo.seed = verify::StimGen::derive(verify::env_seed(6163),
                                         "opt_prop/order/" + in.name());
-      eo.mode_b = gate::SimMode::kBitParallel;
+      eo.mode_b = gate::SimMode::kNative;  // the 64-lane interpreter
+      eo.codegen.force_fallback = true;
       eo.threads = 1;
       const gate::EquivResult r = gate::check_equivalence(in, out, eo);
       std::string order;

@@ -6,9 +6,10 @@
 // to gates; each case runs one pass standalone (no pipeline self-check — the
 // check HERE is the test) and asserts gate::check_equivalence between the
 // pass input and output with the event-driven engine on one side and the
-// 64-lane bit-parallel engine on the other.  Failures print the derived
-// seed the way lower_test does, so a CI log line alone reproduces the case
-// (set OSSS_FUZZ_SEED); OSSS_FUZZ_ITERS scales the corpus for nightly runs.
+// native engine's 64-lane interpreted fallback on the other.  Failures
+// print the derived seed the way lower_test does, so a CI log line alone
+// reproduces the case (set OSSS_FUZZ_SEED); OSSS_FUZZ_ITERS scales the
+// corpus for nightly runs.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +53,8 @@ gate::EquivResult check(const gate::Netlist& before, const gate::Netlist& after,
   eo.cycles = 48;
   eo.seed = seed;
   eo.mode_a = gate::SimMode::kEvent;
-  eo.mode_b = gate::SimMode::kBitParallel;
+  eo.mode_b = gate::SimMode::kNative;  // the 64-lane interpreter
+  eo.codegen.force_fallback = true;
   eo.threads = 1;  // the gtest/ctest case grid is the parallel axis
   return gate::check_equivalence(before, after, eo);
 }

@@ -51,7 +51,7 @@ TEST(Batch, GateScalarMatchesSerialReference) {
   const std::vector<StimulusBlock> stim = blocks;  // pristine inputs
 
   Pool pool(4);
-  gate::run_batch(nl, gate::SimMode::kLevelized, blocks, &pool);
+  gate::run_batch(nl, gate::SimMode::kNative, blocks, &pool);
 
   gate::Simulator ref(nl);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -87,7 +87,7 @@ TEST(Batch, GateScalarMasksOversizedValues) {
     blocks[0].in_at(c, 1) = 0xa5a5a5a5a5a5a5a5ull;  // d: masked to 0xa5
   }
   Pool pool(1);
-  ASSERT_NO_THROW(gate::run_batch(nl, gate::SimMode::kLevelized, blocks,
+  ASSERT_NO_THROW(gate::run_batch(nl, gate::SimMode::kEvent, blocks,
                                   &pool));
   EXPECT_EQ(blocks[0].out_at(3, 0), (4 * 0xa5) & 0xff);
 }
@@ -103,10 +103,10 @@ TEST(Batch, GateLaneModeAgreesWithScalar) {
   for (unsigned c = 0; c < kCycles; ++c)
     for (unsigned s = 0; s < 9; ++s) lane_blocks[0].in_at(c, s) = rng();
   Pool pool(2);
-  gate::run_batch(nl, gate::SimMode::kBitParallel, lane_blocks, &pool);
+  gate::run_batch(nl, gate::SimMode::kNative, lane_blocks, &pool);
   ASSERT_EQ(lane_blocks[0].out_slots, 8u);
 
-  for (const unsigned lane : {0u, 17u, 63u}) {
+  for (unsigned lane = 0; lane < gate::Simulator::kLanes; ++lane) {
     std::vector<StimulusBlock> scalar(1, StimulusBlock::make(kCycles, 2));
     for (unsigned c = 0; c < kCycles; ++c) {
       scalar[0].in_at(c, 0) = (lane_blocks[0].in_at(c, 0) >> lane) & 1;
@@ -115,7 +115,7 @@ TEST(Batch, GateLaneModeAgreesWithScalar) {
         d |= ((lane_blocks[0].in_at(c, 1 + bit) >> lane) & 1) << bit;
       scalar[0].in_at(c, 1) = d;
     }
-    gate::run_batch(nl, gate::SimMode::kLevelized, scalar, &pool);
+    gate::run_batch(nl, gate::SimMode::kEvent, scalar, &pool);
     for (unsigned c = 0; c < kCycles; ++c) {
       std::uint64_t acc = 0;
       for (unsigned bit = 0; bit < 8; ++bit)
@@ -244,28 +244,28 @@ TEST(Batch, RejectsMalformedBlocks) {
   Pool pool(1);
 
   std::vector<StimulusBlock> bad_lanes(1, StimulusBlock::make(4, 2, 7));
-  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kLevelized, bad_lanes,
+  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kNative, bad_lanes,
                                &pool),
                std::invalid_argument);
 
-  // 64-lane blocks need the wide engines.
+  // 64-lane blocks need the native engine.
   std::vector<StimulusBlock> lanes(
       1, StimulusBlock::make(4, 9, gate::Simulator::kLanes));
-  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kLevelized, lanes, &pool),
+  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kEvent, lanes, &pool),
                std::invalid_argument);
   std::vector<StimulusBlock> rlanes(1, StimulusBlock::make(4, 10, 64));
   EXPECT_THROW(rtl::run_batch(m, rtl::SimMode::kInterp, rlanes, &pool),
                std::invalid_argument);
 
   std::vector<StimulusBlock> bad_shape(1, StimulusBlock::make(4, 3));
-  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kLevelized, bad_shape,
+  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kEvent, bad_shape,
                                &pool),
                std::invalid_argument);
 
   std::vector<StimulusBlock> mixed;
   mixed.push_back(StimulusBlock::make(4, 2));
   mixed.push_back(StimulusBlock::make(4, 9, gate::Simulator::kLanes));
-  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kBitParallel, mixed, &pool),
+  EXPECT_THROW(gate::run_batch(nl, gate::SimMode::kNative, mixed, &pool),
                std::invalid_argument);
 }
 

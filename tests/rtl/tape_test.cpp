@@ -96,8 +96,9 @@ TEST_P(TapeFuzz, MultiLaneLaneZeroMatchesInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TapeFuzz,
                          ::testing::Range(0u, verify::env_iters(8)));
 
-/// 64-lane tape vs the 64-lane bit-parallel gate engine: every cycle scores
-/// 64 independent stimulus vectors through both levels.
+/// 64-lane tape vs the 64-lane gate interpreter (the native engine's
+/// fallback): every cycle scores 64 independent stimulus vectors through
+/// both levels.
 TEST(Tape, SixtyFourLanesAgainstBitParallelGates) {
   const std::uint64_t seed =
       verify::StimGen::derive(verify::env_seed(6271), "tape/wide");
@@ -105,8 +106,11 @@ TEST(Tape, SixtyFourLanesAgainstBitParallelGates) {
   const Module m = verify::random_module(rng, 36);
   verify::CoSim cs;
   cs.add(std::make_unique<verify::RtlModel>(m, SimMode::kTape, 64));
+  gate::CodegenOptions fallback;
+  fallback.force_fallback = true;
   cs.add(std::make_unique<verify::GateModel>(gate::lower_to_gates(m),
-                                             gate::SimMode::kBitParallel));
+                                             gate::SimMode::kNative, 64,
+                                             fallback));
   cs.declare_io(m);
   verify::StimGen gen(seed);
   cs.declare_stimulus(gen);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "gate/lower.hpp"
 #include "hls/behavior.hpp"
@@ -18,6 +19,14 @@ namespace osss::verify {
 namespace {
 
 using meta::constant;
+
+/// A 64-lane gate model: the native engine's interpreted fallback.
+std::unique_ptr<GateModel> lane_model(gate::Netlist nl, std::string name) {
+  gate::CodegenOptions fallback;
+  fallback.force_fallback = true;
+  return std::make_unique<GateModel>(std::move(nl), gate::SimMode::kNative,
+                                     64, fallback, std::move(name));
+}
 
 /// start -> 3 busy cycles accumulating the input, then idle.
 hls::Behavior pulse_behavior() {
@@ -75,10 +84,8 @@ TEST(CoSim, ThreeLevelsAgreeOnBehaviour) {
 TEST(CoSim, BitParallelPairScores64LanesPerCycle) {
   const rtl::Module m = xor_pipe();
   CoSim cs;
-  cs.add(std::make_unique<GateModel>(gate::lower_to_gates(m),
-                                     gate::SimMode::kBitParallel, "a"));
-  cs.add(std::make_unique<GateModel>(gate::lower_to_gates(m),
-                                     gate::SimMode::kBitParallel, "b"));
+  cs.add(lane_model(gate::lower_to_gates(m), "a"));
+  cs.add(lane_model(gate::lower_to_gates(m), "b"));
   cs.declare_io(m);
   StimGen gen(3);
   cs.declare_stimulus(gen);
@@ -92,8 +99,7 @@ TEST(CoSim, MixedLaneModelsFallBackToScalar) {
   const rtl::Module m = xor_pipe();
   CoSim cs;
   cs.add(std::make_unique<RtlModel>(m));
-  cs.add(std::make_unique<GateModel>(gate::lower_to_gates(m),
-                                     gate::SimMode::kBitParallel, "gate"));
+  cs.add(lane_model(gate::lower_to_gates(m), "gate"));
   cs.declare_io(m);
   StimGen gen(4);
   cs.declare_stimulus(gen);
@@ -151,10 +157,8 @@ TEST(CoSim, FailingLaneExtractedFromWideRun) {
   }
   ASSERT_TRUE(mutated);
   CoSim cs;
-  cs.add(std::make_unique<GateModel>(gate::lower_to_gates(m),
-                                     gate::SimMode::kBitParallel, "good"));
-  cs.add(std::make_unique<GateModel>(std::move(bad),
-                                     gate::SimMode::kBitParallel, "bad"));
+  cs.add(lane_model(gate::lower_to_gates(m), "good"));
+  cs.add(lane_model(std::move(bad), "bad"));
   cs.declare_io(m);
   StimGen gen(6);
   cs.declare_stimulus(gen);

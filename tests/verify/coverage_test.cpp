@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "gate/lower.hpp"
 #include "hls/behavior.hpp"
@@ -55,6 +56,36 @@ TEST(ToggleCoverage, DirectSamplingCountsBothEdges) {
   EXPECT_EQ(it.kind, "net-toggle");
   EXPECT_GT(it.percent(), 0.0);
   EXPECT_LE(it.percent(), 100.0);
+}
+
+TEST(ToggleCoverage, WideEngineCountsTogglesInEveryLane) {
+  // Two complementary vectors through the event engine, sampled once each,
+  // against the same two vectors side by side in one sample of a lane
+  // engine: lane 0 holds the all-zero vector, so every toggle happens in
+  // a lane >= 1 (in the last lane word at 256 lanes).
+  const gate::Netlist nl = gate::lower_to_gates(xor_pipe());
+  ToggleCoverage scalar(nl);
+  gate::Simulator ev(nl, gate::SimMode::kEvent);
+  for (const std::uint64_t a : {0x00u, 0xffu}) {
+    ev.set_input("a", Bits(8, a));
+    ev.step();
+    scalar.sample(ev);
+  }
+  ASSERT_GT(scalar.covered(), 0u);
+
+  gate::CodegenOptions fallback;
+  fallback.force_fallback = true;
+  for (const unsigned lanes : {64u, 256u}) {
+    gate::Simulator sim(nl, gate::SimMode::kNative, lanes, fallback);
+    std::vector<std::uint64_t> a(lanes, 0);
+    a[lanes - 1] = 0xff;
+    sim.set_input_values("a", a);
+    sim.step();
+    ToggleCoverage cov(nl);
+    cov.sample(sim);
+    EXPECT_EQ(cov.item("gate").points, scalar.item("gate").points)
+        << lanes << " lanes";
+  }
 }
 
 TEST(ToggleCoverage, ConstantInputsToggleNothing) {
@@ -141,8 +172,10 @@ TEST(Coverage, CoSimRunCollectsBothModels) {
   CoSim cs;
   auto& interp = cs.add(std::make_unique<InterpModel>(beh));
   interp.enable_fsm_coverage(report.transitions);
+  gate::CodegenOptions fallback;
+  fallback.force_fallback = true;
   auto& gm = cs.add(std::make_unique<GateModel>(
-      gate::lower_to_gates(m), gate::SimMode::kLevelized, "gate"));
+      gate::lower_to_gates(m), gate::SimMode::kNative, 1, fallback, "gate"));
   gm.enable_toggle_coverage();
   cs.declare_io(beh);
   cs.enable_coverage();

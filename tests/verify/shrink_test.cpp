@@ -45,9 +45,17 @@ bool inject_fault(gate::Netlist& nl, unsigned idx) {
   return false;
 }
 
-/// Reference netlist vs a single-gate mutant of the same design.  Walks
-/// the eligible gates until the scoreboard catches one (a mutation can hit
-/// logic that is don't-care under the reachable state space).
+/// The native engine's interpreted fallback at one lane.
+gate::CodegenOptions fallback() {
+  gate::CodegenOptions opt;
+  opt.force_fallback = true;
+  return opt;
+}
+
+/// Reference netlist (event engine) vs a single-gate mutant of the same
+/// design (the one-lane interpreter).  Walks the eligible gates until the
+/// scoreboard catches one (a mutation can hit logic that is don't-care
+/// under the reachable state space).
 struct MutantHunt {
   CoSim cs;
   std::uint64_t seed = 0;
@@ -62,11 +70,10 @@ struct MutantHunt {
       if (!inject_fault(mutant, idx)) break;
       CoSim trial;
       trial.add(std::make_unique<GateModel>(gate::lower_to_gates(m),
-                                            gate::SimMode::kLevelized,
-                                            "ref"));
+                                            gate::SimMode::kEvent, "ref"));
       trial.add(std::make_unique<GateModel>(std::move(mutant),
-                                            gate::SimMode::kLevelized,
-                                            "mutant"));
+                                            gate::SimMode::kNative, 1,
+                                            fallback(), "mutant"));
       trial.declare_io(beh);
       StimGen gen(StimGen::derive(seed, std::to_string(idx)));
       StimConstraint c;
