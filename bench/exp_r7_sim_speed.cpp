@@ -6,10 +6,12 @@
 //
 //   * OO model:   the compiled C++ ExpoCU on the simulation kernel
 //                 (the paper's "binary executable for simulation");
-//   * RTL level:  the synthesized modules on the RTL simulator, once per
-//                 engine — the Bits interpreter (the oracle), the
-//                 compiled word-level tape (scalar and 64-lane), and the
-//                 native-code backend (scalar and 256-lane SIMD);
+//   * RTL level:  the synthesized modules on the RTL simulator — the
+//                 Bits interpreter (the oracle), then the compiled
+//                 word-level tape on its one engine through both
+//                 evaluators: kTape's per-lane opcode switch (scalar and
+//                 64-lane) and kNative's generated code (scalar and
+//                 256-lane SIMD);
 //   * gate level: the mapped netlists on the gate simulator — the
 //                 event-driven engine (the "conventional RTL/netlist
 //                 simulator" stand-in), the native engine's interpreted

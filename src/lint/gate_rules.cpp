@@ -75,7 +75,7 @@ class NetlistLinter {
 
   std::string label(NetId id) const {
     const Cell& c = nl_.cells()[id];
-    std::string s = "n" + std::to_string(id);
+    std::string s = std::string("n").append(std::to_string(id));
     if (!c.name.empty()) s += " '" + c.name + "'";
     return s;
   }

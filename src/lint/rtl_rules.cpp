@@ -653,8 +653,9 @@ class ModuleLinter {
   }
 
   /// Set-valued abstract evaluation of `id` with register `q` pinned to
-  /// `state`.  Mirrors the interpreter's per-op semantics on each member of
-  /// the (bounded) operand sets; anything unknown or too large becomes top.
+  /// `state`.  Applies the interpreter's per-op semantics (rtl::eval_op) to
+  /// each member of the (bounded) operand sets; anything unknown or too
+  /// large becomes top.
   ValSet eval(const rtl::tape::NodeAnalysis& na, NodeId id, NodeId q,
               const Bits& state, std::map<NodeId, ValSet>& memo,
               unsigned depth) {
@@ -717,7 +718,8 @@ class ModuleLinter {
       operand.reserve(ops.size());
       for (std::size_t i = 0; i < ops.size(); ++i)
         operand.push_back(ops[i].vals[pick[i]]);
-      out.insert(apply_op(n, operand));
+      out.insert(rtl::eval_op(
+          n, [&](std::size_t i) -> const Bits& { return operand[i]; }));
       if (out.vals.size() > kMaxSet) return ValSet::make_top();
       std::size_t i = 0;
       for (; i < pick.size(); ++i) {
@@ -727,51 +729,6 @@ class ModuleLinter {
       if (i == pick.size()) break;
     }
     return out;
-  }
-
-  /// One concrete evaluation, mirroring rtl::Simulator::compute.
-  static Bits apply_op(const Node& n, const std::vector<Bits>& in) {
-    switch (n.op) {
-      case Op::kAdd: return in[0] + in[1];
-      case Op::kSub: return in[0] - in[1];
-      case Op::kMul: return in[0] * in[1];
-      case Op::kAnd: return in[0] & in[1];
-      case Op::kOr: return in[0] | in[1];
-      case Op::kXor: return in[0] ^ in[1];
-      case Op::kNot: return ~in[0];
-      case Op::kShlI: return in[0].shl(n.param);
-      case Op::kLshrI: return in[0].lshr(n.param);
-      case Op::kAshrI: return in[0].ashr(n.param);
-      case Op::kShlV:
-        return in[0].shl(
-            static_cast<unsigned>(in[1].to_u64() & 0xffffffffu));
-      case Op::kLshrV:
-        return in[0].lshr(
-            static_cast<unsigned>(in[1].to_u64() & 0xffffffffu));
-      case Op::kEq: return Bits(1, in[0] == in[1] ? 1u : 0u);
-      case Op::kNe: return Bits(1, in[0] != in[1] ? 1u : 0u);
-      case Op::kUlt: return Bits(1, Bits::ult(in[0], in[1]) ? 1u : 0u);
-      case Op::kUle: return Bits(1, Bits::ule(in[0], in[1]) ? 1u : 0u);
-      case Op::kSlt: return Bits(1, Bits::slt(in[0], in[1]) ? 1u : 0u);
-      case Op::kSle: return Bits(1, Bits::sle(in[0], in[1]) ? 1u : 0u);
-      case Op::kSlice: return in[0].slice(n.param + n.width - 1, n.param);
-      case Op::kConcat: {
-        Bits acc(n.width);
-        unsigned pos = n.width;
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          pos -= in[i].width();
-          acc.set_range(pos, in[i]);
-        }
-        return acc;
-      }
-      case Op::kZExt: return in[0].zext(n.width);
-      case Op::kSExt: return in[0].sext(n.width);
-      case Op::kRedOr: return Bits(1, in[0].is_zero() ? 0u : 1u);
-      case Op::kRedAnd: return Bits(1, in[0].is_ones() ? 1u : 0u);
-      case Op::kRedXor: return Bits(1, in[0].popcount() & 1u);
-      default:
-        throw std::logic_error("lint: cannot evaluate op");
-    }
   }
 };
 

@@ -17,6 +17,11 @@ namespace osss::opt {
 
 namespace {
 
+/// Differential self-check budget per pass invocation: sequences of
+/// 64-lane cycles.
+constexpr unsigned kCheckSequences = 2;
+constexpr unsigned kCheckCycles = 64;
+
 const gate::Library& lib_or_generic(const gate::Library* lib) {
   static const gate::Library generic = gate::Library::generic();
   return lib ? *lib : generic;
@@ -87,8 +92,8 @@ Pipeline Pipeline::standard(PipelineOptions opt) {
   sweep.facts = opt.facts;
   p.add(std::make_unique<RewritePass>());
   p.add(std::make_unique<SatSweepPass>(sweep));
-  p.add(std::make_unique<RetimePass>(opt.lib, RetimeOptions{}));
-  p.add(std::make_unique<TechMapPass>(opt.lib, TechMapOptions{}));
+  p.add(std::make_unique<RetimePass>(opt.lib));
+  p.add(std::make_unique<TechMapPass>(opt.lib));
   return p;
 }
 
@@ -115,8 +120,8 @@ gate::Netlist Pipeline::run(const gate::Netlist& in) {
       fill_after(stats, next, lib);
       if (check) {
         gate::EquivOptions eopt;
-        eopt.sequences = opt_.check_sequences;
-        eopt.cycles = opt_.check_cycles;
+        eopt.sequences = kCheckSequences;
+        eopt.cycles = kCheckCycles;
         eopt.seed = verify::StimGen::derive(
             base_seed, stats.pass + "/" + std::to_string(round));
         // Both sides on the native engine's interpreted 64-lane sweep:

@@ -78,8 +78,6 @@ struct PipelineOptions {
   /// Differential self-check per pass: -1 = automatic (OSSS_OPT_CHECK env
   /// override, else on outside NDEBUG builds), 0 = off, 1 = on.
   int self_check = -1;
-  unsigned check_sequences = 2;  ///< equivalence sequences per self-check
-  unsigned check_cycles = 64;    ///< cycles per sequence (64-lane each)
   /// Base seed of the self-checks; 0 derives from the netlist name.
   std::uint64_t seed = 0;
   /// Pipeline::run repeats its pass list until a full round reports zero

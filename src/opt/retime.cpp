@@ -11,6 +11,9 @@ namespace osss::opt {
 
 namespace {
 
+/// Greedy iteration bound: moves applied per pass run.
+constexpr unsigned kMaxMoves = 64;
+
 bool retimable_kind(CellKind k) {
   switch (k) {
     case CellKind::kBuf:
@@ -76,7 +79,7 @@ gate::Netlist RetimePass::run(const gate::Netlist& in,
   const gate::Library& lib = lib_ ? *lib_ : generic;
 
   gate::Netlist nl = in;
-  for (unsigned move = 0; move < opt_.max_moves; ++move) {
+  for (unsigned move = 0; move < kMaxMoves; ++move) {
     const gate::TimingReport report = gate::analyze_timing(nl, lib);
     const NetId c = find_candidate(nl, report.critical_path);
     if (c == gate::kInvalidNet) break;
@@ -95,19 +98,17 @@ gate::Netlist RetimePass::run(const gate::Netlist& in,
 
     // Area guard: the move adds one register, so at least one fanin
     // register must die with it (its Q feeding only this cell).
-    if (!opt_.allow_area_increase) {
-      const std::vector<std::uint32_t> fanout = fanout_counts(nl);
-      std::size_t dying = 0;
-      std::vector<NetId> counted;
-      for (const NetId fi : cell.ins) {
-        if (nl.cells()[fi].kind != CellKind::kDff) continue;
-        if (std::find(counted.begin(), counted.end(), fi) != counted.end())
-          continue;
-        counted.push_back(fi);
-        if (fanout[fi] == 1) ++dying;
-      }
-      if (dying == 0) break;
+    const std::vector<std::uint32_t> fanout = fanout_counts(nl);
+    std::size_t dying = 0;
+    std::vector<NetId> counted;
+    for (const NetId fi : cell.ins) {
+      if (nl.cells()[fi].kind != CellKind::kDff) continue;
+      if (std::find(counted.begin(), counted.end(), fi) != counted.end())
+        continue;
+      counted.push_back(fi);
+      if (fanout[fi] == 1) ++dying;
     }
+    if (dying == 0) break;
 
     // Forward move: recompute the cell on the registers' D nets, capture in
     // one new register whose init is the cell evaluated on the old inits.

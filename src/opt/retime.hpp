@@ -23,23 +23,15 @@
 
 namespace osss::opt {
 
-struct RetimeOptions {
-  unsigned max_moves = 64;          ///< greedy iteration bound
-  bool allow_area_increase = false; ///< drop the area guard (experiments)
-};
-
 class RetimePass final : public Pass {
  public:
-  explicit RetimePass(RetimeOptions opt = {}) : opt_(opt) {}
   /// Library for arrival-time computation (nullptr = generic()).
-  RetimePass(const gate::Library* lib, RetimeOptions opt)
-      : opt_(opt), lib_(lib) {}
+  explicit RetimePass(const gate::Library* lib = nullptr) : lib_(lib) {}
 
   const char* name() const override { return "retime"; }
   gate::Netlist run(const gate::Netlist& in, PassStats& stats) const override;
 
  private:
-  RetimeOptions opt_;
   const gate::Library* lib_ = nullptr;
 };
 

@@ -6,6 +6,9 @@ namespace osss::opt {
 
 namespace {
 
+/// Fixpoint guard: maximum rebuild iterations per pass run.
+constexpr unsigned kMaxIterations = 8;
+
 /// One rewrite iteration: pattern matching is done on the SOURCE netlist
 /// (kinds, fanout), emission on the destination via the mapped leaves —
 /// every rule expresses the same boolean function of its cut leaves, so the
@@ -240,7 +243,7 @@ class Rewriter {
 gate::Netlist RewritePass::run(const gate::Netlist& in,
                                PassStats& stats) const {
   gate::Netlist current = in;
-  for (unsigned iter = 0; iter < max_iterations_; ++iter) {
+  for (unsigned iter = 0; iter < kMaxIterations; ++iter) {
     Rewriter rw(current);
     RebuildHooks hooks;
     hooks.emit = [&](Netlist& dst, NetId id, const std::vector<NetId>& ins,

@@ -31,15 +31,8 @@ namespace osss::opt {
 
 class RewritePass final : public Pass {
  public:
-  /// Fixpoint guard: maximum rebuild iterations.
-  explicit RewritePass(unsigned max_iterations = 8)
-      : max_iterations_(max_iterations) {}
-
   const char* name() const override { return "rewrite"; }
   gate::Netlist run(const gate::Netlist& in, PassStats& stats) const override;
-
- private:
-  unsigned max_iterations_;
 };
 
 }  // namespace osss::opt

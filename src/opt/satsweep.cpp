@@ -18,6 +18,27 @@ using gate::MemMacro;
 
 namespace {
 
+/// 64-lane signature rounds per merge sweep (512 patterns).
+constexpr unsigned kRounds = 8;
+/// Resolution proves a merge exhaustively up to 2^k support assignments.
+constexpr unsigned kExhaustiveBits = 14;
+/// Random 64-lane resolution rounds for cones wider than that.
+constexpr unsigned kResolutionRounds = 96;
+/// Sequential trajectory length (cycles, 64 lanes each) sampled for ODC
+/// merging.
+constexpr unsigned kOdcCycles = 48;
+/// ODC merges per sweep.
+constexpr unsigned kOdcMaxMerges = 32;
+/// Netlists with more cells than this skip the ODC phase (the pair scan
+/// stays quadratic in the live-cell count: every narrow-support net is
+/// compared against each live representative ranked before it).
+constexpr unsigned kOdcMaxCells = 4096;
+/// Exhaustive-proof budget for combinational ODC merges: the union free
+/// support of every affected observation cone must fit in this many
+/// variables for the merge to be *proven* (masked agreement on the
+/// trajectory is only the candidate filter, never the proof).
+constexpr unsigned kOdcExhaustiveBits = 10;
+
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -180,9 +201,8 @@ class Sweeper {
   /// The netlist is fully resimulated, and its support bitsets recomputed,
   /// after each comb merge.  Returns the number of merges applied.
   std::size_t sweep_odc() {
-    if (opt_.odc_max_merges == 0 || opt_.odc_cycles == 0) return 0;
     const std::size_t n = nl_.cells().size();
-    if (n > opt_.odc_max_cells) return 0;
+    if (n > kOdcMaxCells) return 0;
     simulate_trajectory();
     std::size_t merges = sweep_seq_regs();
     // A replacement b must be a better representative than a; the ranking
@@ -193,9 +213,9 @@ class Sweeper {
               [&](NetId x, NetId y) { return uf_.better(x, y); });
     std::vector<std::size_t> pos(n);
     for (std::size_t i = 0; i < n; ++i) pos[rank[i]] = i;
-    const std::size_t cycles = opt_.odc_cycles;
+    const std::size_t cycles = kOdcCycles;
     std::vector<NetId> live, cands;
-    while (merges < opt_.odc_max_merges) {
+    while (merges < kOdcMaxMerges) {
       simulate_trajectory();
       compute_support();
       live.clear();
@@ -211,7 +231,7 @@ class Sweeper {
         // Every affected observation cone's support is a superset of a's
         // own (the cone runs through a), so a wide-support a can never be
         // proven — skip before the quadratic candidate scan.
-        if (width(support_row(a)) > opt_.odc_exhaustive_bits) continue;
+        if (width(support_row(a)) > kOdcExhaustiveBits) continue;
         const std::uint64_t* va = odc_val_.data() + a * cycles;
         const std::uint64_t* oa = odc_obs_.data() + a * cycles;
         cands.clear();
@@ -268,7 +288,7 @@ class Sweeper {
   }
 
   // --- ODC phase state ----------------------------------------------------
-  /// Net-major trajectory: entry [id * odc_cycles + t] is net id's value
+  /// Net-major trajectory: entry [id * kOdcCycles + t] is net id's value
   /// (odc_val_) or chain-rule observability mask (odc_obs_) in cycle t.
   std::vector<std::uint64_t> odc_val_;
   std::vector<std::uint64_t> odc_obs_;
@@ -410,12 +430,12 @@ class Sweeper {
     }
   }
 
-  /// Simulate `odc_cycles` cycles of the merged netlist from power-on reset
+  /// Simulate kOdcCycles cycles of the merged netlist from power-on reset
   /// under deterministic random inputs, recording per-cycle values and
   /// observability masks.
   void simulate_trajectory() {
     const std::size_t n = nl_.cells().size();
-    const unsigned cycles = opt_.odc_cycles;
+    const unsigned cycles = kOdcCycles;
     odc_val_.assign(n * cycles, 0);
     odc_obs_.assign(n * cycles, 0);
     const std::uint64_t base = verify::StimGen::derive(seed_, "odc/traj");
@@ -501,7 +521,7 @@ class Sweeper {
   /// do not model the overlay, so the proofs take support from the cones.
   std::size_t sweep_seq_regs() {
     const std::size_t n = nl_.cells().size();
-    const std::size_t cycles = opt_.odc_cycles;
+    const std::size_t cycles = kOdcCycles;
     std::unordered_map<std::uint64_t, std::vector<NetId>> groups;
     for (NetId q = 0; q < n; ++q) {
       const Cell& c = nl_.cells()[q];
@@ -539,7 +559,7 @@ class Sweeper {
         bool ok = c1.ok && c2.ok;
         if (ok) {
           const std::vector<NetId> support = union_support(c1, c2);
-          ok = support.size() <= opt_.exhaustive_bits &&
+          ok = support.size() <= kExhaustiveBits &&
                for_all_assignments(support, [&] {
                  return eval_cone(c1, d1) == eval_cone(c2, d2);
                });
@@ -607,7 +627,7 @@ class Sweeper {
     // Reject a too-wide union before extracting any cone.
     ctx.support.assign(support_words_, 0);
     for (const NetId p : ctx.points) or_support(ctx.support.data(), p);
-    if (width(ctx.support.data()) > opt_.odc_exhaustive_bits) return false;
+    if (width(ctx.support.data()) > kOdcExhaustiveBits) return false;
     ctx.cones.reserve(ctx.points.size());
     for (const NetId p : ctx.points) {
       ctx.cones.push_back(cone_of(p));
@@ -629,7 +649,7 @@ class Sweeper {
     if (ctx.points.empty()) return true;  // provably unobservable
     std::vector<std::uint64_t> sup = ctx.support;
     or_support(sup.data(), b);
-    if (width(sup.data()) > opt_.odc_exhaustive_bits) return false;
+    if (width(sup.data()) > kOdcExhaustiveBits) return false;
     const Cone cb = cone_of(b);
     if (!cb.ok) return false;
     std::vector<NetId> support;  // ascending id, as leaves_ is
@@ -657,7 +677,10 @@ class Sweeper {
       if (c.kind != CellKind::kMemQ) continue;
       std::string key =
           std::to_string(c.param) + ":" + std::to_string(c.param2);
-      for (const NetId in : c.ins) key += "," + std::to_string(uf_.find(in));
+      for (const NetId in : c.ins) {
+        key += ',';
+        key += std::to_string(uf_.find(in));
+      }
       const auto [it, inserted] = seen.emplace(std::move(key), id);
       if (!inserted && uf_.unite(it->second, id)) ++merges;
     }
@@ -707,7 +730,7 @@ class Sweeper {
   /// must yield its init value whenever every survivor holds its own, and
   /// each proof assumes the others, so re-prove until none drops.  The
   /// step is exhaustive over the remaining free support; a wider support
-  /// is sampled for `resolution_rounds` when `sample_wide`, else dropped.
+  /// is sampled for kResolutionRounds when `sample_wide`, else dropped.
   /// Survivors unite into the constant-net classes; returns how many.
   std::size_t merge_const_regs(const std::vector<NetId>& regs,
                                std::vector<char>& cand,
@@ -758,10 +781,10 @@ class Sweeper {
         free_vars.push_back(s);
     }
     const auto holds = [&] { return eval_cone(cone, d) == want; };
-    if (free_vars.size() <= opt_.exhaustive_bits)
+    if (free_vars.size() <= kExhaustiveBits)
       return for_all_assignments(free_vars, holds);
     if (!sample_wide) return false;
-    for (unsigned r = 0; r < opt_.resolution_rounds; ++r) {
+    for (unsigned r = 0; r < kResolutionRounds; ++r) {
       std::uint64_t s = verify::StimGen::derive(
           seed_, "factres/" + std::to_string(q) + "/" + std::to_string(r));
       for (const NetId v : free_vars) cone_val_[v] = splitmix64(s);
@@ -900,10 +923,10 @@ class Sweeper {
     if (!ca.ok || !cb.ok) return false;
     const std::vector<NetId> support = union_support(ca, cb);
     const auto same = [&] { return eval_cone(ca, a) == eval_cone(cb, b); };
-    if (support.size() <= opt_.exhaustive_bits)
+    if (support.size() <= kExhaustiveBits)
       return for_all_assignments(support, same);  // proven
     // Random resolution over the union support only.
-    for (unsigned r = 0; r < opt_.resolution_rounds; ++r) {
+    for (unsigned r = 0; r < kResolutionRounds; ++r) {
       std::uint64_t s = verify::StimGen::derive(
           seed_, "resolve/" + std::to_string(iter) + "/" + std::to_string(r) +
                      "/" + std::to_string(a) + "/" + std::to_string(b));
@@ -915,11 +938,10 @@ class Sweeper {
 
   /// One signature/merge sweep over combinational nets.
   std::size_t merge_comb(unsigned iter) {
-    const unsigned rounds = std::max(1u, opt_.rounds);
     std::vector<std::vector<std::uint64_t>> sig(
         nl_.cells().size(), std::vector<std::uint64_t>());
     std::vector<std::uint64_t> val;
-    for (unsigned r = 0; r < rounds; ++r) {
+    for (unsigned r = 0; r < kRounds; ++r) {
       simulate_round(val, verify::StimGen::derive(
                               seed_, "round/" + std::to_string(iter) + "/" +
                                          std::to_string(r)));
@@ -938,7 +960,7 @@ class Sweeper {
       if (!comb && !constant && !is_free_leaf(kind)) continue;
       std::uint64_t h = 0xcbf29ce484222325ull;
       if (constant) {
-        for (unsigned r = 0; r < rounds; ++r)
+        for (unsigned r = 0; r < kRounds; ++r)
           h = (h ^ (kind == CellKind::kConst1 ? ~0ull : 0ull)) *
               0x100000001b3ull;
       } else {
@@ -974,8 +996,7 @@ class Sweeper {
 gate::Netlist SatSweepPass::run(const gate::Netlist& in,
                                 PassStats& stats) const {
   const std::uint64_t seed =
-      opt_.seed != 0 ? opt_.seed
-                     : verify::StimGen::derive(0x5a77, "satsweep/" + in.name());
+      verify::StimGen::derive(0x5a77, "satsweep/" + in.name());
   Sweeper sweeper(in, opt_, seed);
   const std::size_t fact_merges = sweeper.sweep_facts();
   std::size_t classic_merges = sweeper.sweep();

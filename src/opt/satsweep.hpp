@@ -7,10 +7,10 @@
 // become merge candidates.  Every candidate pair is then *resolved*:
 //
 //   * when the union structural support of the two cones is at most
-//     `exhaustive_bits` free variables, all 2^k assignments are enumerated
-//     in 64-lane blocks — the merge is proven, not sampled;
-//   * larger cones get `resolution_rounds` additional independent 64-lane
-//     random rounds; survivors are accepted (random resolution — the
+//     kExhaustiveBits (14) free variables, all 2^k assignments are
+//     enumerated in 64-lane blocks — the merge is proven, not sampled;
+//   * larger cones get kResolutionRounds (96) additional independent
+//     64-lane random rounds; survivors are accepted (random resolution — the
 //     pipeline's differential self-check backstops this, like the
 //     equivalence checker backstops Hardcaml-style rewriting).
 //
@@ -55,29 +55,11 @@
 namespace osss::opt {
 
 struct SatSweepOptions {
-  unsigned rounds = 8;             ///< 64-lane signature rounds (512 patterns)
-  unsigned exhaustive_bits = 14;   ///< exhaustive proof up to 2^k assignments
-  unsigned resolution_rounds = 96; ///< random resolution rounds beyond that
-  std::uint64_t seed = 0;          ///< 0 = derive from the netlist name
   /// Externally proven per-bit register constants, keyed by the gate
   /// lowering's DFF cell name ("reg[bit]") — the conduit from
   /// lint::analyze_dataflow.  Claims are re-verified before use; nullptr
   /// or empty disables the phase.
   std::shared_ptr<const std::unordered_map<std::string, bool>> facts;
-  /// Sequential trajectory length (cycles, 64 lanes each) sampled for ODC
-  /// merging.
-  unsigned odc_cycles = 48;
-  /// ODC merges per sweep; 0 disables the ODC phase entirely.
-  unsigned odc_max_merges = 32;
-  /// Netlists with more cells than this skip the ODC phase (the pair scan
-  /// stays quadratic in the live-cell count: every narrow-support net is
-  /// compared against each live representative ranked before it).
-  unsigned odc_max_cells = 4096;
-  /// Exhaustive-proof budget for combinational ODC merges: the union free
-  /// support of every affected observation cone must fit in this many
-  /// variables for the merge to be *proven* (masked agreement on the
-  /// trajectory is only the candidate filter, never the proof).
-  unsigned odc_exhaustive_bits = 10;
 };
 
 class SatSweepPass final : public Pass {

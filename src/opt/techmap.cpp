@@ -12,6 +12,9 @@ namespace osss::opt {
 
 namespace {
 
+/// Cells explored per cut cone.
+constexpr unsigned kMaxCone = 8;
+
 bool comb_logic(CellKind k) {
   switch (k) {
     case CellKind::kBuf:
@@ -90,10 +93,9 @@ std::vector<double> required_times(const Netlist& nl, const gate::Library& lib,
 
 class Mapper {
  public:
-  Mapper(const Netlist& src, const gate::Library& lib, unsigned max_cone)
+  Mapper(const Netlist& src, const gate::Library& lib)
       : src_(src),
         lib_(lib),
-        max_cone_(max_cone),
         levels_(src.topo_levels()),
         fanout_(fanout_counts(src)) {
     const gate::TimingReport report = gate::analyze_timing(src, lib);
@@ -120,7 +122,6 @@ class Mapper {
  private:
   const Netlist& src_;
   const gate::Library& lib_;
-  unsigned max_cone_;
   std::vector<std::uint32_t> levels_;
   std::vector<std::uint32_t> fanout_;
   std::vector<double> required_;
@@ -158,7 +159,7 @@ class Mapper {
     return worst;
   }
 
-  /// Enumerate cuts of `root` with at most two leaves, bounded by max_cone_
+  /// Enumerate cuts of `root` with at most two leaves, bounded by kMaxCone
   /// cone cells, by iteratively expanding combinational leaves.
   std::vector<Cut> enumerate_cuts(NetId root) const {
     std::vector<Cut> cuts;
@@ -181,7 +182,7 @@ class Mapper {
         Cut next;
         next.cone = cut.cone;
         next.cone.push_back(leaf);
-        if (next.cone.size() > max_cone_) continue;
+        if (next.cone.size() > kMaxCone) continue;
         bool ok = true;
         for (const NetId l : cut.leaves)
           if (l != leaf) next.leaves.push_back(l);
@@ -449,7 +450,7 @@ gate::Netlist TechMapPass::run(const gate::Netlist& in,
                                PassStats& stats) const {
   static const gate::Library generic = gate::Library::generic();
   const gate::Library& lib = lib_ ? *lib_ : generic;
-  Mapper mapper(in, lib, std::max(2u, opt_.max_cone));
+  Mapper mapper(in, lib);
   RebuildHooks hooks;
   hooks.emit = [&](Netlist& dst, NetId id, const std::vector<NetId>& ins,
                    const std::function<NetId(NetId)>& mapped) {

@@ -25,21 +25,15 @@
 
 namespace osss::opt {
 
-struct TechMapOptions {
-  unsigned max_cone = 8;  ///< cells explored per cut cone
-};
-
 class TechMapPass final : public Pass {
  public:
-  explicit TechMapPass(TechMapOptions opt = {}) : opt_(opt) {}
-  TechMapPass(const gate::Library* lib, TechMapOptions opt)
-      : opt_(opt), lib_(lib) {}
+  /// Library mapped onto (nullptr = generic()).
+  explicit TechMapPass(const gate::Library* lib = nullptr) : lib_(lib) {}
 
   const char* name() const override { return "techmap"; }
   gate::Netlist run(const gate::Netlist& in, PassStats& stats) const override;
 
  private:
-  TechMapOptions opt_;
   const gate::Library* lib_ = nullptr;
 };
 

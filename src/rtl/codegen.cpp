@@ -1,11 +1,15 @@
-// codegen.cpp — NativeEngine: runtime compile + dlopen of the generated
-// tape code, with a threaded-code dispatch fallback.
+// codegen.cpp — NativeEngine, the one tape runtime: runtime compile +
+// dlopen of the generated tape code, the threaded handlers, the per-lane
+// opcode switch, port I/O and the register/memory commit.
 //
-// The fallback executor binds one handler function per instruction at
-// construction (Exec::pick), so eval() dispatches through a function-pointer
-// table instead of the interpreter's opcode switch; each handler runs its
-// lane loop internally.  Handler semantics mirror tape.cpp's exec_one word
-// for word — both are differentially tested against the interpreter.
+// The threaded handlers (Exec::run, bound per instruction by Exec::pick)
+// each run their lane loop internally.  The lane switch (exec_one, kTape)
+// evaluates one lane per call and reads the opcode from the tape each time:
+// it spells out the single-word opcodes and runs the multi-word and
+// width-generic ones through the handlers' per-lane code (Exec::run_wide).
+// R7 measures the generated code against this switch, so it keeps the
+// interpreted tape's per-lane dispatch.  Both are differentially tested
+// against the interpreter.
 
 #include "rtl/codegen.hpp"
 
@@ -455,14 +459,170 @@ struct NativeEngine::Exec {
       case TOp::kConcat: return &run<TOp::kConcat>;
       case TOp::kMemRead: return &run<TOp::kMemRead>;
     }
-    throw std::logic_error("tape codegen: unknown opcode");
+    throw std::logic_error("tape engine: unknown opcode");
   }
 };
 
+// --- the lane switch (kLaneSwitch) -----------------------------------------
+
+bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
+  std::uint64_t* const ar = arena_.data();
+  std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
+  std::uint64_t* s = scratch_.data();
+  switch (ins.op) {
+    case TOp::kAdd1:
+      return store1(d, (ar[ins.a + lane] + ar[ins.b + lane]) & ins.mask);
+    case TOp::kSub1:
+      return store1(d, (ar[ins.a + lane] - ar[ins.b + lane]) & ins.mask);
+    case TOp::kMul1:
+      return store1(d, (ar[ins.a + lane] * ar[ins.b + lane]) & ins.mask);
+    case TOp::kAnd1:
+      return store1(d, ar[ins.a + lane] & ar[ins.b + lane]);
+    case TOp::kOr1:
+      return store1(d, ar[ins.a + lane] | ar[ins.b + lane]);
+    case TOp::kXor1:
+      return store1(d, ar[ins.a + lane] ^ ar[ins.b + lane]);
+    case TOp::kNot1:
+      return store1(d, ~ar[ins.a + lane] & ins.mask);
+    case TOp::kShlI1:
+      return store1(d, (ar[ins.a + lane] << ins.param) & ins.mask);
+    case TOp::kLshrI1:
+      return store1(d, ar[ins.a + lane] >> ins.param);
+    case TOp::kAshrI1: {
+      const std::uint64_t a = ar[ins.a + lane];
+      const unsigned w = ins.width;
+      const bool sign = ((a >> (w - 1)) & 1u) != 0;
+      std::uint64_t v;
+      if (ins.param >= w) {
+        v = sign ? ins.mask : 0;
+      } else {
+        v = a >> ins.param;
+        if (sign) v |= ins.mask ^ (ins.mask >> ins.param);
+      }
+      return store1(d, v);
+    }
+    case TOp::kShlV1: {
+      const std::uint64_t amt =
+          ar[ins.b + std::size_t{lane} * ins.aw] & 0xffffffffu;
+      return store1(d, amt >= ins.width
+                           ? 0
+                           : (ar[ins.a + lane] << amt) & ins.mask);
+    }
+    case TOp::kLshrV1: {
+      const std::uint64_t amt =
+          ar[ins.b + std::size_t{lane} * ins.aw] & 0xffffffffu;
+      return store1(d, amt >= ins.width ? 0 : ar[ins.a + lane] >> amt);
+    }
+    case TOp::kEq1:
+      return store1(d, ar[ins.a + lane] == ar[ins.b + lane] ? 1u : 0u);
+    case TOp::kNe1:
+      return store1(d, ar[ins.a + lane] != ar[ins.b + lane] ? 1u : 0u);
+    case TOp::kUlt1:
+      return store1(d, ar[ins.a + lane] < ar[ins.b + lane] ? 1u : 0u);
+    case TOp::kUle1:
+      return store1(d, ar[ins.a + lane] <= ar[ins.b + lane] ? 1u : 0u);
+    case TOp::kSlt1:
+    case TOp::kSle1: {
+      const unsigned sh = 64 - ins.a_width;
+      const auto a = static_cast<std::int64_t>(ar[ins.a + lane] << sh);
+      const auto b = static_cast<std::int64_t>(ar[ins.b + lane] << sh);
+      const bool r = ins.op == TOp::kSlt1 ? a < b : a <= b;
+      return store1(d, r ? 1u : 0u);
+    }
+    case TOp::kMux1:
+      return store1(d, (ar[ins.a + lane] & 1u) != 0 ? ar[ins.b + lane]
+                                                    : ar[ins.c + lane]);
+    case TOp::kSlice1:
+      return store1(d, (ar[ins.a + lane] >> ins.param) & ins.mask);
+    case TOp::kSExt1: {
+      const std::uint64_t a = ar[ins.a + lane];
+      const bool sign = ((a >> (ins.a_width - 1)) & 1u) != 0;
+      return store1(d, sign ? (a | (ins.mask ^ mask64(ins.a_width))) : a);
+    }
+    case TOp::kRedOr1:
+      return store1(d, ar[ins.a + lane] != 0 ? 1u : 0u);
+    case TOp::kRedAnd1:
+      return store1(d, ar[ins.a + lane] == mask64(ins.a_width) ? 1u : 0u);
+    case TOp::kRedXor1:
+      return store1(d, std::popcount(ar[ins.a + lane]) & 1u);
+    // Multi-word and width-generic: the threaded handlers' per-lane code.
+    case TOp::kCopyN:
+      return Exec::run_wide<TOp::kCopyN>(*this, ins, lane, s);
+    case TOp::kAddN:
+      return Exec::run_wide<TOp::kAddN>(*this, ins, lane, s);
+    case TOp::kSubN:
+      return Exec::run_wide<TOp::kSubN>(*this, ins, lane, s);
+    case TOp::kMulN:
+      return Exec::run_wide<TOp::kMulN>(*this, ins, lane, s);
+    case TOp::kAndN:
+      return Exec::run_wide<TOp::kAndN>(*this, ins, lane, s);
+    case TOp::kOrN:
+      return Exec::run_wide<TOp::kOrN>(*this, ins, lane, s);
+    case TOp::kXorN:
+      return Exec::run_wide<TOp::kXorN>(*this, ins, lane, s);
+    case TOp::kNotN:
+      return Exec::run_wide<TOp::kNotN>(*this, ins, lane, s);
+    case TOp::kShlIN:
+      return Exec::run_wide<TOp::kShlIN>(*this, ins, lane, s);
+    case TOp::kLshrIN:
+      return Exec::run_wide<TOp::kLshrIN>(*this, ins, lane, s);
+    case TOp::kAshrIN:
+      return Exec::run_wide<TOp::kAshrIN>(*this, ins, lane, s);
+    case TOp::kShlVN:
+      return Exec::run_wide<TOp::kShlVN>(*this, ins, lane, s);
+    case TOp::kLshrVN:
+      return Exec::run_wide<TOp::kLshrVN>(*this, ins, lane, s);
+    case TOp::kEqN:
+      return Exec::run_wide<TOp::kEqN>(*this, ins, lane, s);
+    case TOp::kNeN:
+      return Exec::run_wide<TOp::kNeN>(*this, ins, lane, s);
+    case TOp::kUltN:
+      return Exec::run_wide<TOp::kUltN>(*this, ins, lane, s);
+    case TOp::kUleN:
+      return Exec::run_wide<TOp::kUleN>(*this, ins, lane, s);
+    case TOp::kSltN:
+      return Exec::run_wide<TOp::kSltN>(*this, ins, lane, s);
+    case TOp::kSleN:
+      return Exec::run_wide<TOp::kSleN>(*this, ins, lane, s);
+    case TOp::kMuxN:
+      return Exec::run_wide<TOp::kMuxN>(*this, ins, lane, s);
+    case TOp::kSliceN:
+      return Exec::run_wide<TOp::kSliceN>(*this, ins, lane, s);
+    case TOp::kSExtN:
+      return Exec::run_wide<TOp::kSExtN>(*this, ins, lane, s);
+    case TOp::kRedOrN:
+      return Exec::run_wide<TOp::kRedOrN>(*this, ins, lane, s);
+    case TOp::kRedAndN:
+      return Exec::run_wide<TOp::kRedAndN>(*this, ins, lane, s);
+    case TOp::kRedXorN:
+      return Exec::run_wide<TOp::kRedXorN>(*this, ins, lane, s);
+    case TOp::kConcat:
+      return Exec::run_wide<TOp::kConcat>(*this, ins, lane, s);
+    case TOp::kMemRead:
+      return Exec::run_wide<TOp::kMemRead>(*this, ins, lane, s);
+  }
+  throw std::logic_error("tape engine: unknown opcode");
+}
+
 // --- NativeEngine ----------------------------------------------------------
 
-NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt)
-    : prog_(Program::compile(m, lanes)) {
+namespace {
+
+/// kLaneSwitch keeps SimMode::kTape's 1..64 lane contract; Program::compile
+/// checks the 1..kMaxLanes range of kCompiled.
+unsigned checked_lanes(unsigned lanes, Evaluator ev) {
+  if (ev == Evaluator::kLaneSwitch && (lanes == 0 || lanes > 64))
+    throw std::logic_error(
+        "rtl::tape: SimMode::kTape supports 1..64 lanes "
+        "(use SimMode::kNative for wider stimulus)");
+  return lanes;
+}
+
+}  // namespace
+
+NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
+                           Evaluator ev)
+    : prog_(Program::compile(m, checked_lanes(lanes, ev))), ev_(ev) {
   lw_ = (prog_.lanes + 63) / 64;
   arena_.assign(prog_.arena_size, 0);
   for (const auto& [off, v] : prog_.const_init)
@@ -515,11 +675,13 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt)
   level_dirty_.assign(prog_.stats.levels, 1);
   pending_ = true;
 
-  handlers_.reserve(prog_.instrs.size());
-  for (const Instr& ins : prog_.instrs) handlers_.push_back(Exec::pick(ins.op));
-
-  if (jit::jit_disabled_by_env()) opt.force_fallback = true;
-  try_native(opt);
+  if (ev_ == Evaluator::kCompiled) {
+    handlers_.reserve(prog_.instrs.size());
+    for (const Instr& ins : prog_.instrs)
+      handlers_.push_back(Exec::pick(ins.op));
+    if (jit::jit_disabled_by_env()) opt.force_fallback = true;
+    try_native(opt);
+  }
   // Power-on snapshot: consts + reg inits written, inputs and mems all 0.
   poweron_arena_ = arena_;
 }
@@ -645,7 +807,7 @@ void NativeEngine::set_input_lanes(unsigned index,
                                    const std::vector<std::uint64_t>& bit_lanes) {
   const Program::Port& port = prog_.inputs.at(index);
   if (bit_lanes.size() != std::size_t{port.width} * lw_)
-    throw std::logic_error("tape codegen: set_input_lanes width mismatch");
+    throw std::logic_error("tape engine: set_input_lanes width mismatch");
   // One 64-bit column of the port at a time: word w of every lane.
   std::uint64_t nv[tape::kMaxLanes];
   std::uint64_t diff = 0;
@@ -671,9 +833,9 @@ void NativeEngine::set_input_values(unsigned index,
   const Program::Port& port = prog_.inputs.at(index);
   if (port.words != 1)
     throw std::logic_error(
-        "tape codegen: set_input_values needs a <= 64-bit port");
+        "tape engine: set_input_values needs a <= 64-bit port");
   if (values.size() != prog_.lanes)
-    throw std::logic_error("tape codegen: set_input_values lane count mismatch");
+    throw std::logic_error("tape engine: set_input_values lane count mismatch");
   const std::uint64_t mask =
       port.width < 64 ? (std::uint64_t{1} << port.width) - 1 : ~std::uint64_t{0};
   std::uint64_t* d = arena_.data() + port.off;
@@ -689,7 +851,15 @@ void NativeEngine::set_input_values(unsigned index,
   }
 }
 
+void NativeEngine::check_lane(unsigned lane) const {
+  if (lane >= prog_.lanes)
+    throw std::logic_error("tape engine: lane " + std::to_string(lane) +
+                           " out of range (" + std::to_string(prog_.lanes) +
+                           " lanes)");
+}
+
 Bits NativeEngine::output(unsigned index, unsigned lane) {
+  check_lane(lane);
   eval();
   const Program::Port& port = prog_.outputs.at(index);
   return read_lane_bits(port.off, port.words, port.width, lane);
@@ -715,16 +885,17 @@ std::vector<std::uint64_t> NativeEngine::output_values(unsigned index) {
   eval();
   const Program::Port& port = prog_.outputs.at(index);
   if (port.words != 1)
-    throw std::logic_error("tape codegen: output_values needs a <= 64-bit port");
+    throw std::logic_error("tape engine: output_values needs a <= 64-bit port");
   const std::uint64_t* s = arena_.data() + port.off;
   return std::vector<std::uint64_t>(s, s + prog_.lanes);
 }
 
 Bits NativeEngine::node_value(NodeId id, unsigned lane) {
+  check_lane(lane);
   eval();
   if (id >= prog_.node_slot.size() || prog_.node_slot[id] == kNoSlot)
     throw std::logic_error(
-        "tape codegen: node was pruned or folded away (no arena slot)");
+        "tape engine: node was pruned or folded away (no arena slot)");
   const unsigned width = prog_.node_width[id];
   return read_lane_bits(prog_.node_slot[id],
                         static_cast<std::uint16_t>(words_of(width)), width,
@@ -739,12 +910,15 @@ void NativeEngine::eval() {
   if (!pending_) return;
   if (eval_fn_ != nullptr)
     eval_fn_(arena_.data(), mem_ptrs_.data(), level_dirty_.data());
+  else if (ev_ == Evaluator::kLaneSwitch)
+    sweep<true>();
   else
-    fallback_eval();
+    sweep<false>();
   pending_ = false;
 }
 
-void NativeEngine::fallback_eval() {
+template <bool kLaneSwitch>
+void NativeEngine::sweep() {
   const std::size_t levels = prog_.level_offset.size() - 1;
   for (std::size_t lev = 0; lev < levels; ++lev) {
     if (level_dirty_[lev] == 0) {
@@ -757,8 +931,14 @@ void NativeEngine::fallback_eval() {
     const std::uint32_t e = prog_.level_offset[lev + 1];
     for (std::uint32_t i = b; i < e; ++i) {
       ++stats_.nodes_evaluated;
-      if (handlers_[i](*this, prog_.instrs[i]))
-        mark_levels(prog_.instr_fl_off, prog_.instr_fl, i);
+      const Instr& ins = prog_.instrs[i];
+      bool changed = false;
+      if constexpr (kLaneSwitch) {
+        for (unsigned l = 0; l < prog_.lanes; ++l) changed |= exec_one(ins, l);
+      } else {
+        changed = handlers_[i](*this, ins);
+      }
+      if (changed) mark_levels(prog_.instr_fl_off, prog_.instr_fl, i);
     }
   }
 }
@@ -880,21 +1060,20 @@ void NativeEngine::restore_poweron() {
   mark_all_dirty();
 }
 
-Bits NativeEngine::mem_word(unsigned mem_index, unsigned word, unsigned lane) {
+Bits NativeEngine::mem_word(unsigned mem_index, unsigned word) {
   const Program::Mem& pm = prog_.mems.at(mem_index);
   if (word >= pm.depth)
-    throw std::out_of_range("tape codegen: mem word out of range");
-  const std::uint64_t* s =
-      mem_[mem_index].data() +
-      (std::size_t{word} * prog_.lanes + lane) * pm.words;
-  return bits_from_words(s, pm.width);
+    throw std::out_of_range("tape engine: mem word out of range");
+  return bits_from_words(
+      mem_[mem_index].data() + std::size_t{word} * prog_.lanes * pm.words,
+      pm.width);
 }
 
 void NativeEngine::poke_mem(unsigned mem_index, unsigned word,
                             const Bits& value) {
   const Program::Mem& pm = prog_.mems.at(mem_index);
   if (word >= pm.depth)
-    throw std::out_of_range("tape codegen: mem word out of range");
+    throw std::out_of_range("tape engine: mem word out of range");
   for (unsigned l = 0; l < prog_.lanes; ++l) {
     std::uint64_t* e = mem_[mem_index].data() +
                        (std::size_t{word} * prog_.lanes + l) * pm.words;

@@ -1,48 +1,44 @@
-// codegen.hpp — native-code backend for the compiled tape.
+// codegen.hpp — the tape engine: one runtime, two evaluators.
 //
-// The interpreted tape engine (rtl/tape.hpp) pays per-instruction dispatch:
-// a switch over the opcode stream plus Instr field loads on every executed
-// instruction.  This backend removes that tax by *generating code* for one
-// specific tape::Program:
+// NativeEngine executes a compiled tape::Program (rtl/tape.hpp).  It owns
+// the lane-major arena (lane l of a node lives at offset + l*words), the
+// memories, the power-on snapshot, port I/O, the register/memory commit,
+// reset, pokes, node inspection and the run counters, for both of
+// rtl::Simulator's tape modes.  Only eval() differs between them:
 //
-//   * emit_cpp() lowers the Program into specialized C++ — one straight-line
-//     block per instruction with arena offsets, widths, masks and shift
-//     amounts baked in as literals, single-word constants from the pool
-//     inlined as immediates, and the level-granular activity gating lowered
-//     to guarded basic blocks over a shared `dirty` byte array (the same
-//     CSR fanout data the interpreted engine uses, here unrolled into
-//     constant stores);
-//   * NativeEngine writes that source to a private temp directory, compiles
-//     it with the host toolchain (`$OSSS_CC`, else `c++`) into a shared
-//     object, dlopen()s it and drives the exported
-//     `osss_tape_eval(arena, mems, dirty)` entry point;
-//   * when no compiler is available at runtime — or compilation, dlopen or
-//     the ABI check fails, or OSSS_CC points at garbage — the engine falls
-//     back *silently* to threaded-code dispatch: one specialized handler
-//     function per opcode, bound per instruction at construction, so the
-//     hot loop is an indirect call per instruction instead of a switch.
-//     Results are bit-identical to the native path and the interpreter.
+//   * Evaluator::kCompiled (SimMode::kNative) — emit_cpp() lowers the
+//     Program into specialized C++: one straight-line block per instruction
+//     with arena offsets, widths, masks and shift amounts baked in as
+//     literals, single-word constants inlined as immediates, and the
+//     level-granular activity gating lowered to guarded basic blocks over a
+//     shared `dirty` byte array.  The engine compiles it with the host
+//     toolchain (`$OSSS_CC`, else `c++`) into a shared object, dlopen()s it
+//     and drives the exported `osss_tape_eval` / `osss_tape_step` entry
+//     points.  When no compiler is available — or compilation, dlopen or
+//     the ABI check fails, or OSSS_CC points at garbage — it falls back
+//     *silently* to threaded-code dispatch: one specialized handler per
+//     opcode, bound per instruction at construction, each running its own
+//     lane loop.  1..tape::kMaxLanes lanes; the generated code walks lane
+//     groups as GCC/Clang vector-extension values (8 lanes per op with
+//     AVX-512, 4 with AVX2, following the cpu-probed compile flags).
+//   * Evaluator::kLaneSwitch (SimMode::kTape) — never emits or compiles.
+//     Each instruction runs through a per-lane switch that reads its
+//     opcode at evaluation time; the multi-word and width-generic cases
+//     call the threaded handlers' per-lane code.  1..64 lanes.  R7
+//     measures the generated code against this evaluator.
 //
-// Lanes: the backend keeps the tape's lane-major arena layout (lane l of a
-// node lives at offset + l*words, lanes contiguous per node) and extends it
-// past the interpreted engine's 64-lane cap, up to tape::kMaxLanes.  The
-// generated code walks lane groups as GCC/Clang vector-extension values:
-// 8 lanes per op where the CPU has AVX-512, 4 with AVX2 (the width follows
-// the cpu-probed compile flags); the lane-major layout is exactly what
-// makes those loads contiguous.  Sequential state (register/memory commit) is
-// emitted into the generated `osss_tape_step` entry point — offsets, word
-// counts and dirty marks baked in — with the C++ commit loops kept as the
-// fallback path.
+// Both evaluators share the level sweep's activity gating and, without
+// generated code, the C++ register/memory commit.  Results are
+// bit-identical across evaluators and against the interpreter.
 //
 // The compile/dlopen machinery and the content-hash object cache live in
 // src/jit (shared with the gate-level backend): engines whose emitted
 // source is byte-identical share one loaded object, and the temp dir is
 // removed when the last engine using it dies.
 //
-// rtl::Simulator selects this backend with SimMode::kNative; the
-// interpreter remains the oracle (tests/rtl/native_test.cpp runs native vs
-// tape vs interpreter differentially over the fuzz corpus and both flows'
-// ExpoCU components).
+// The interpreter (SimMode::kInterp) remains the oracle:
+// tests/rtl/native_test.cpp runs it against both evaluators differentially
+// over the fuzz corpus and both flows' ExpoCU components.
 
 #pragma once
 
@@ -66,13 +62,20 @@ using CodegenOptions = jit::CompileOptions;
 /// tests and for inspecting what the backend actually compiles.
 std::string emit_cpp(const Program& p);
 
-/// Executes a compiled Program through generated native code (dlopen) or
-/// threaded-code dispatch.  Mirrors tape::Engine's interface; the wide-lane
-/// entry points generalize it: a "lane word" holds 64 lanes, and an engine
-/// with L lanes uses lane_words() == ceil(L/64) words per port bit.
+/// How an engine evaluates its tape (see the file comment).
+enum class Evaluator : std::uint8_t {
+  kCompiled,    ///< generated code, else threaded handlers (SimMode::kNative)
+  kLaneSwitch,  ///< per-lane opcode switch, never compiles (SimMode::kTape)
+};
+
+/// Executes a compiled Program.  A "lane word" holds 64 lanes, and an
+/// engine with L lanes uses lane_words() == ceil(L/64) words per port bit.
 class NativeEngine {
  public:
-  NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt = {});
+  /// `opt` tunes the compile step and is ignored by kLaneSwitch.  Throws
+  /// std::logic_error on a lane count outside the evaluator's range.
+  NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt = {},
+               Evaluator ev = Evaluator::kCompiled);
   ~NativeEngine();
 
   NativeEngine(const NativeEngine&) = delete;
@@ -84,7 +87,7 @@ class NativeEngine {
   unsigned lane_words() const noexcept { return lw_; }
 
   /// True when the dlopen'd generated code is driving eval(); false means
-  /// the threaded-code fallback is active (results are identical).
+  /// an interpreted evaluator is active (results are identical).
   bool native() const noexcept { return eval_fn_ != nullptr; }
   /// Compiler/dlopen diagnostics of the last compile attempt (empty when
   /// the native path loaded cleanly or was never attempted).
@@ -92,18 +95,20 @@ class NativeEngine {
 
   struct RunStats {
     std::uint64_t cycles = 0;
-    std::uint64_t nodes_evaluated = 0;   ///< fallback dispatch only
-    std::uint64_t levels_evaluated = 0;  ///< fallback dispatch only
-    std::uint64_t levels_skipped = 0;    ///< fallback dispatch only
+    std::uint64_t nodes_evaluated = 0;   ///< interpreted evaluators only
+    std::uint64_t levels_evaluated = 0;  ///< interpreted evaluators only
+    std::uint64_t levels_skipped = 0;    ///< interpreted evaluators only
   };
   const RunStats& stats() const noexcept { return stats_; }
 
   void set_input(unsigned index, const Bits& value);
+  /// Allocation-free fast path: drive all lanes with `value` truncated to
+  /// the port width (any width; words above the first are cleared).
   void set_input_u64(unsigned index, std::uint64_t value);
   /// Drive all lanes of one input.  bit_lanes holds width * lane_words()
   /// elements; the lane words of input bit i live at
   /// bit_lanes[i*lane_words() .. (i+1)*lane_words()).  For lanes <= 64 this
-  /// is exactly the tape::Engine / gate::Simulator layout.
+  /// is exactly the gate::Simulator layout.
   void set_input_lanes(unsigned index,
                        const std::vector<std::uint64_t>& bit_lanes);
   /// Drive all lanes of one input with one value per lane (values[l] =
@@ -113,7 +118,9 @@ class NativeEngine {
   void set_input_values(unsigned index,
                         const std::vector<std::uint64_t>& values);
 
+  /// Throws std::logic_error when lane >= lanes().
   Bits output(unsigned index, unsigned lane = 0);
+  /// Allocation-free fast path: low 64 bits of an output, lane 0.
   std::uint64_t output_u64(unsigned index);
   /// Lane words of an output: width * lane_words() elements, same layout as
   /// set_input_lanes.
@@ -121,6 +128,8 @@ class NativeEngine {
   /// One value per lane of an output (<= 64-bit ports; throws otherwise).
   std::vector<std::uint64_t> output_values(unsigned index);
 
+  /// Value of any live node.  Throws std::logic_error if the node was
+  /// pruned or folded away, or when lane >= lanes().
   Bits node_value(NodeId id, unsigned lane = 0);
   bool node_live(NodeId id) const;
 
@@ -132,12 +141,13 @@ class NativeEngine {
   /// recycle one engine across stimulus blocks.
   void restore_poweron();
 
-  Bits mem_word(unsigned mem_index, unsigned word, unsigned lane = 0);
+  /// Memory word `word` of lane 0 (pokes write every lane alike).
+  Bits mem_word(unsigned mem_index, unsigned word);
   void poke_mem(unsigned mem_index, unsigned word, const Bits& value);
   void poke_reg(unsigned reg_index, const Bits& value);
 
  private:
-  struct Exec;  // threaded-code handlers (codegen.cpp)
+  struct Exec;  // the threaded handlers and the lane switch (codegen.cpp)
   using Handler = bool (*)(NativeEngine&, const Instr&);
   using EvalFn = void (*)(std::uint64_t*, std::uint64_t* const*,
                           unsigned char*);
@@ -145,14 +155,17 @@ class NativeEngine {
                               unsigned char*, std::uint64_t*);
 
   Program prog_;
+  Evaluator ev_;
   unsigned lw_ = 1;  ///< lane words: ceil(lanes/64)
   std::vector<std::uint64_t> arena_;
   std::vector<std::uint64_t> poweron_arena_;  ///< ctor-time snapshot
-  std::vector<std::uint64_t> scratch_;
+  std::vector<std::uint64_t> scratch_;  ///< multi-word result staging
   std::vector<unsigned char> level_dirty_;
   bool pending_ = true;
   RunStats stats_;
 
+  /// Memory content, per memory: word w of entry a in lane l lives at
+  /// (a * lanes + l) * words + w.
   std::vector<std::vector<std::uint64_t>> mem_;
   std::vector<std::uint64_t*> mem_ptrs_;  ///< stable, passed to native eval
 
@@ -164,7 +177,8 @@ class NativeEngine {
   std::vector<std::uint64_t> step_scratch_;  ///< sized by osss_tape_scratch()
   std::string compile_log_;
 
-  // Threaded-code fallback: one bound handler per instruction.
+  // Threaded-code dispatch (kCompiled without generated code): one bound
+  // handler per instruction.
   std::vector<Handler> handlers_;
 
   // Pre-edge sampling buffers.  Enables are snapshotted one full arena
@@ -189,7 +203,12 @@ class NativeEngine {
 
   void try_native(const CodegenOptions& opt);
   void drop_native();
-  void fallback_eval();
+  template <bool kLaneSwitch>
+  void sweep();
+  /// kLaneSwitch: one lane of one instruction, switching on the opcode the
+  /// tape holds at evaluation time.
+  bool exec_one(const Instr& ins, unsigned lane);
+  void check_lane(unsigned lane) const;
   void mark_levels(const std::vector<std::uint32_t>& off,
                    const std::vector<std::uint32_t>& fl, std::uint32_t site);
   void mark_all_dirty();

@@ -9,7 +9,7 @@
 // literals; single-word constants from the pool are inlined as immediates
 // (`K{...}` operands, broadcast across a lane vector).
 //
-// Layout contract (must match tape::Engine / NativeEngine exactly): lane l
+// Layout contract (must match NativeEngine's runtime exactly): lane l
 // of a node with `words` words lives at arena[off + l*words]; memory word w
 // of entry a in lane l lives at mem[mi][(a*L + l)*words + w].
 

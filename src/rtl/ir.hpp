@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,62 @@ struct Node {
   unsigned param = 0;  ///< slice offset / shift amount / reg / mem index
   std::string name;    ///< debug name for inputs, registers, named nets
 };
+
+/// The value of combinational node `n`, given the value of each operand
+/// n.ins[i] as `in(i)` (a `const Bits&`).  The one Bits-level definition of
+/// every op: the interpreter (SimMode::kInterp), the tape compiler's
+/// constant folder and lint's abstract evaluator all call it, while the
+/// tape engine's handlers and generated code implement each op
+/// independently and are differentially tested against it.  Sources
+/// (kInput, kReg, kMemRead) have no value derivable from operands: throws.
+template <typename In>
+Bits eval_op(const Node& n, In&& in) {
+  switch (n.op) {
+    case Op::kConst: return n.value;
+    case Op::kAdd: return in(0) + in(1);
+    case Op::kSub: return in(0) - in(1);
+    case Op::kMul: return in(0) * in(1);
+    case Op::kAnd: return in(0) & in(1);
+    case Op::kOr: return in(0) | in(1);
+    case Op::kXor: return in(0) ^ in(1);
+    case Op::kNot: return ~in(0);
+    case Op::kShlI: return in(0).shl(n.param);
+    case Op::kLshrI: return in(0).lshr(n.param);
+    case Op::kAshrI: return in(0).ashr(n.param);
+    case Op::kShlV:
+      return in(0).shl(static_cast<unsigned>(in(1).to_u64() & 0xffffffffu));
+    case Op::kLshrV:
+      return in(0).lshr(static_cast<unsigned>(in(1).to_u64() & 0xffffffffu));
+    case Op::kEq: return Bits(1, in(0) == in(1) ? 1u : 0u);
+    case Op::kNe: return Bits(1, in(0) != in(1) ? 1u : 0u);
+    case Op::kUlt: return Bits(1, Bits::ult(in(0), in(1)) ? 1u : 0u);
+    case Op::kUle: return Bits(1, Bits::ule(in(0), in(1)) ? 1u : 0u);
+    case Op::kSlt: return Bits(1, Bits::slt(in(0), in(1)) ? 1u : 0u);
+    case Op::kSle: return Bits(1, Bits::sle(in(0), in(1)) ? 1u : 0u);
+    case Op::kMux: return in(0).bit(0) ? in(1) : in(2);
+    case Op::kSlice: return in(0).slice(n.param + n.width - 1, n.param);
+    case Op::kConcat: {
+      // ins[0] is the MOST significant chunk; deposit each operand once
+      // instead of re-copying an accumulator per operand.
+      Bits acc(n.width);
+      unsigned pos = n.width;
+      for (std::size_t i = 0; i < n.ins.size(); ++i) {
+        pos -= in(i).width();
+        acc.set_range(pos, in(i));
+      }
+      return acc;
+    }
+    case Op::kZExt: return in(0).zext(n.width);
+    case Op::kSExt: return in(0).sext(n.width);
+    case Op::kRedOr: return Bits(1, in(0).is_zero() ? 0u : 1u);
+    case Op::kRedAnd: return Bits(1, in(0).is_ones() ? 1u : 0u);
+    case Op::kRedXor: return Bits(1, in(0).popcount() & 1u);
+    case Op::kInput:
+    case Op::kReg:
+    case Op::kMemRead: break;
+  }
+  throw std::logic_error("rtl: op has no value derivable from its operands");
+}
 
 /// A synchronous register.  `enable == kInvalidNode` means always-enabled.
 /// Reset is modelled by re-loading `init` (the simulator's reset() and the

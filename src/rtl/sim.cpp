@@ -28,13 +28,11 @@ Simulator::Simulator(Module module, SimMode mode, unsigned lanes,
     input_index_.emplace(m_.inputs()[i].name, i);
   for (std::uint32_t i = 0; i < m_.outputs().size(); ++i)
     output_index_.emplace(m_.outputs()[i].name, i);
-  if (mode_ == SimMode::kTape) {
-    engine_ = std::make_unique<tape::Engine>(m_, lanes_);
-    return;
-  }
-  if (mode_ == SimMode::kNative) {
-    native_ =
-        std::make_unique<tape::NativeEngine>(m_, lanes_, std::move(codegen));
+  if (mode_ != SimMode::kInterp) {
+    engine_ = std::make_unique<tape::NativeEngine>(
+        m_, lanes_, std::move(codegen),
+        mode_ == SimMode::kTape ? tape::Evaluator::kLaneSwitch
+                                : tape::Evaluator::kCompiled);
     return;
   }
   m_.validate();
@@ -81,7 +79,7 @@ void Simulator::set_input(InputHandle h, const Bits& value) {
     throw std::logic_error("Simulator: input width mismatch on " +
                            m_.inputs()[h.index].name);
   if (mode_ != SimMode::kInterp) {
-    with_engine([&](auto& e) { e.set_input(h.index, value); });
+    engine_->set_input(h.index, value);
     return;
   }
   input_values_[h.index] = value;
@@ -92,8 +90,7 @@ void Simulator::set_input(InputHandle h, std::uint64_t value) {
   if (h.index >= m_.inputs().size())
     throw std::logic_error("Simulator: bad input handle");
   if (mode_ != SimMode::kInterp) {
-    with_engine(
-        [&](auto& e) { e.set_input_u64(h.index, value); });  // no Bits
+    engine_->set_input_u64(h.index, value);  // no Bits
     return;
   }
   set_input(h, Bits(input_width(h.index), value));
@@ -106,7 +103,7 @@ void Simulator::set_input_lanes(InputHandle h,
         "Simulator: set_input_lanes requires kTape or kNative");
   if (h.index >= m_.inputs().size())
     throw std::logic_error("Simulator: bad input handle");
-  with_engine([&](auto& e) { e.set_input_lanes(h.index, bit_lanes); });
+  engine_->set_input_lanes(h.index, bit_lanes);
 }
 
 void Simulator::set_input_values(InputHandle h,
@@ -116,63 +113,23 @@ void Simulator::set_input_values(InputHandle h,
         "Simulator: set_input_values requires kTape or kNative");
   if (h.index >= m_.inputs().size())
     throw std::logic_error("Simulator: bad input handle");
-  with_engine([&](auto& e) { e.set_input_values(h.index, values); });
+  engine_->set_input_values(h.index, values);
 }
 
 Bits Simulator::compute(const Node& n) const {
-  auto in = [&](std::size_t i) -> const Bits& { return values_[n.ins[i]]; };
   switch (n.op) {
-    case Op::kConst: return n.value;
     case Op::kInput: return Bits(n.width);  // overwritten in eval()
-    case Op::kAdd: return in(0) + in(1);
-    case Op::kSub: return in(0) - in(1);
-    case Op::kMul: return in(0) * in(1);
-    case Op::kAnd: return in(0) & in(1);
-    case Op::kOr: return in(0) | in(1);
-    case Op::kXor: return in(0) ^ in(1);
-    case Op::kNot: return ~in(0);
-    case Op::kShlI: return in(0).shl(n.param);
-    case Op::kLshrI: return in(0).lshr(n.param);
-    case Op::kAshrI: return in(0).ashr(n.param);
-    case Op::kShlV:
-      return in(0).shl(static_cast<unsigned>(in(1).to_u64() &
-                                             0xffffffffu));
-    case Op::kLshrV:
-      return in(0).lshr(static_cast<unsigned>(in(1).to_u64() &
-                                              0xffffffffu));
-    case Op::kEq: return Bits(1, in(0) == in(1) ? 1u : 0u);
-    case Op::kNe: return Bits(1, in(0) != in(1) ? 1u : 0u);
-    case Op::kUlt: return Bits(1, Bits::ult(in(0), in(1)) ? 1u : 0u);
-    case Op::kUle: return Bits(1, Bits::ule(in(0), in(1)) ? 1u : 0u);
-    case Op::kSlt: return Bits(1, Bits::slt(in(0), in(1)) ? 1u : 0u);
-    case Op::kSle: return Bits(1, Bits::sle(in(0), in(1)) ? 1u : 0u);
-    case Op::kMux: return in(0).bit(0) ? in(1) : in(2);
-    case Op::kSlice: return in(0).slice(n.param + n.width - 1, n.param);
-    case Op::kConcat: {
-      // ins[0] is the MOST significant chunk; deposit each operand once
-      // instead of re-copying an accumulator per operand.
-      Bits acc(n.width);
-      unsigned pos = n.width;
-      for (std::size_t i = 0; i < n.ins.size(); ++i) {
-        pos -= in(i).width();
-        acc.set_range(pos, in(i));
-      }
-      return acc;
-    }
-    case Op::kZExt: return in(0).zext(n.width);
-    case Op::kSExt: return in(0).sext(n.width);
-    case Op::kRedOr: return Bits(1, in(0).is_zero() ? 0u : 1u);
-    case Op::kRedAnd: return Bits(1, in(0).is_ones() ? 1u : 0u);
-    case Op::kRedXor: return Bits(1, in(0).popcount() & 1u);
     case Op::kReg: return reg_state_[n.param];
     case Op::kMemRead: {
       const Memory& mem = m_.memories()[n.param];
-      const std::uint64_t addr = in(0).to_u64();
+      const std::uint64_t addr = values_[n.ins[0]].to_u64();
       if (addr >= mem.depth) return Bits(mem.data_width);  // out of depth: 0
       return mem_state_[n.param][addr];
     }
+    default:
+      return eval_op(
+          n, [&](std::size_t i) -> const Bits& { return values_[n.ins[i]]; });
   }
-  throw std::logic_error("Simulator: unknown op");
 }
 
 void Simulator::eval() {
@@ -199,7 +156,7 @@ void Simulator::check_lane(unsigned lane) const {
 Bits Simulator::get(NodeId id, unsigned lane) {
   check_lane(lane);
   if (mode_ != SimMode::kInterp)
-    return with_engine([&](auto& e) { return e.node_value(id, lane); });
+    return engine_->node_value(id, lane);
   eval();
   return values_.at(id);
 }
@@ -215,7 +172,7 @@ Bits Simulator::output_lane(OutputHandle h, unsigned lane) {
     throw std::logic_error("Simulator: bad output handle");
   check_lane(lane);
   if (mode_ != SimMode::kInterp)
-    return with_engine([&](auto& e) { return e.output(h.index, lane); });
+    return engine_->output(h.index, lane);
   eval();
   return values_.at(m_.outputs()[h.index].node);
 }
@@ -224,7 +181,7 @@ std::uint64_t Simulator::output_u64(OutputHandle h) {
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
   if (mode_ != SimMode::kInterp)
-    return with_engine([&](auto& e) { return e.output_u64(h.index); });
+    return engine_->output_u64(h.index);
   eval();
   return values_[m_.outputs()[h.index].node].to_u64();
 }
@@ -235,7 +192,7 @@ std::vector<std::uint64_t> Simulator::output_words(OutputHandle h) {
         "Simulator: output_words requires kTape or kNative");
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
-  return with_engine([&](auto& e) { return e.output_words(h.index); });
+  return engine_->output_words(h.index);
 }
 
 std::vector<std::uint64_t> Simulator::output_values(OutputHandle h) {
@@ -244,12 +201,12 @@ std::vector<std::uint64_t> Simulator::output_values(OutputHandle h) {
         "Simulator: output_values requires kTape or kNative");
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
-  return with_engine([&](auto& e) { return e.output_values(h.index); });
+  return engine_->output_values(h.index);
 }
 
 void Simulator::step() {
   if (mode_ != SimMode::kInterp) {
-    with_engine([](auto& e) { e.step(); });
+    engine_->step();
     return;
   }
   eval();
@@ -285,7 +242,7 @@ void Simulator::step() {
 
 void Simulator::reset() {
   if (mode_ != SimMode::kInterp) {
-    with_engine([](auto& e) { e.reset(); });
+    engine_->reset();
     return;
   }
   for (std::size_t i = 0; i < m_.registers().size(); ++i)
@@ -298,7 +255,7 @@ void Simulator::reset() {
 
 void Simulator::restore_poweron() {
   if (mode_ != SimMode::kInterp) {
-    with_engine([](auto& e) { e.restore_poweron(); });
+    engine_->restore_poweron();
     return;
   }
   reset();
@@ -306,27 +263,25 @@ void Simulator::restore_poweron() {
 
 std::uint64_t Simulator::cycle_count() const noexcept {
   if (mode_ == SimMode::kInterp) return cycles_;
-  return with_engine([](auto& e) { return e.stats().cycles; });
+  return engine_->stats().cycles;
 }
 
 Simulator::Stats Simulator::stats() const {
   if (mode_ != SimMode::kInterp) {
-    return with_engine([](auto& e) {
-      Stats s;
-      const auto& rs = e.stats();
-      const tape::CompileStats& cs = e.program().stats;
-      s.cycles = rs.cycles;
-      s.nodes_evaluated = rs.nodes_evaluated;
-      s.levels_evaluated = rs.levels_evaluated;
-      s.levels_skipped = rs.levels_skipped;
-      s.tape_len = cs.tape_len;
-      s.arena_words = cs.arena_words;
-      s.levels = cs.levels;
-      s.const_folded = cs.const_folded;
-      s.pruned = cs.pruned;
-      s.fused = cs.fused;
-      return s;
-    });
+    Stats s;
+    const tape::NativeEngine::RunStats& rs = engine_->stats();
+    const tape::CompileStats& cs = engine_->program().stats;
+    s.cycles = rs.cycles;
+    s.nodes_evaluated = rs.nodes_evaluated;
+    s.levels_evaluated = rs.levels_evaluated;
+    s.levels_skipped = rs.levels_skipped;
+    s.tape_len = cs.tape_len;
+    s.arena_words = cs.arena_words;
+    s.levels = cs.levels;
+    s.const_folded = cs.const_folded;
+    s.pruned = cs.pruned;
+    s.fused = cs.fused;
+    return s;
   }
   Stats s;
   s.cycles = cycles_;
@@ -336,19 +291,18 @@ Simulator::Stats Simulator::stats() const {
 tape::Program& Simulator::tape() {
   if (mode_ == SimMode::kInterp)
     throw std::logic_error("Simulator: tape() requires kTape or kNative");
-  return with_engine([](auto& e) -> tape::Program& { return e.program(); });
+  return engine_->program();
 }
 
 tape::NativeEngine& Simulator::native() {
   if (mode_ != SimMode::kNative)
     throw std::logic_error("Simulator: native() requires SimMode::kNative");
-  return *native_;
+  return *engine_;
 }
 
 Bits Simulator::mem_word(unsigned mem_index, unsigned word) {
   if (mode_ != SimMode::kInterp)
-    return with_engine(
-        [&](auto& e) { return e.mem_word(mem_index, word); });
+    return engine_->mem_word(mem_index, word);
   return mem_state_.at(mem_index).at(word);
 }
 
@@ -360,7 +314,7 @@ void Simulator::poke_mem(unsigned mem_index, unsigned word,
       throw std::out_of_range("Simulator: poke_mem out of range");
     if (value.width() != m_.memories()[mem_index].data_width)
       throw std::logic_error("Simulator: poke_mem width mismatch");
-    with_engine([&](auto& e) { e.poke_mem(mem_index, word, value); });
+    engine_->poke_mem(mem_index, word, value);
     return;
   }
   Bits& slot = mem_state_.at(mem_index).at(word);
@@ -376,8 +330,7 @@ void Simulator::poke_reg(const std::string& name, const Bits& value) {
       if (m_.node(m_.registers()[i].q).width != value.width())
         throw std::logic_error("Simulator: poke_reg width mismatch");
       if (mode_ != SimMode::kInterp) {
-        with_engine(
-            [&](auto& e) { e.poke_reg(static_cast<unsigned>(i), value); });
+        engine_->poke_reg(static_cast<unsigned>(i), value);
       } else {
         reg_state_[i] = value;
         dirty_ = true;

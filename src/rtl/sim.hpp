@@ -1,21 +1,21 @@
 // sim.hpp — cycle-accurate RTL simulator.
 //
-// Executes an rtl::Module with one of three engines, selected at
-// construction (mirroring gate::Simulator):
+// Executes an rtl::Module in one of three modes, selected at construction
+// (mirroring gate::Simulator):
 //
 //   * SimMode::kInterp — the reference interpreter: combinational nodes are
-//     evaluated as Bits values in a precomputed topological order.  Slow but
-//     transparently close to the IR semantics; this is the oracle every
-//     other engine is differentially tested against.
-//   * SimMode::kTape — the compiled word-level tape (rtl/tape.hpp): the
-//     module is lowered once into a flat instruction stream over a
-//     preallocated uint64_t arena with zero per-cycle allocation,
-//     level-granular activity gating and optional multi-lane stimulus
-//     (up to 64 lanes).
-//   * SimMode::kNative — the tape lowered further to generated C++
-//     (rtl/codegen.hpp), compiled at runtime and dlopen'd, with a
-//     threaded-code fallback when no compiler is available.  Supports up to
-//     tape::kMaxLanes stimulus lanes with SIMD lane groups.
+//     evaluated as Bits values (rtl::eval_op) in a precomputed topological
+//     order.  Slow but transparently close to the IR semantics; this is the
+//     oracle the tape engine is differentially tested against.
+//   * SimMode::kTape and SimMode::kNative — the module compiled once to a
+//     word-level tape (rtl/tape.hpp) over a preallocated uint64_t arena,
+//     with zero per-cycle allocation, level-granular activity gating and
+//     multi-lane stimulus, executed by one engine (tape::NativeEngine,
+//     rtl/codegen.hpp) that owns the arena, port I/O and commit for both.
+//     kNative evaluates through generated C++ compiled at runtime and
+//     dlopen'd (threaded handlers when no compiler is available; up to
+//     tape::kMaxLanes lanes with SIMD lane groups); kTape never compiles
+//     and switches on each instruction's opcode per lane (up to 64 lanes).
 //
 // Ports can be addressed by name (convenience) or through cached
 // InputHandle/OutputHandle values that skip the name lookup on the hot path.
@@ -160,7 +160,7 @@ public:
   /// broken tape.
   tape::Program& tape();
 
-  /// The native backend (kNative only; throws otherwise) — exposes
+  /// The tape engine (kNative only; throws otherwise) — exposes
   /// native()/compile_log() for tests and diagnostics.
   tape::NativeEngine& native();
 
@@ -177,22 +177,8 @@ private:
   std::unordered_map<std::string, std::uint32_t> input_index_;
   std::unordered_map<std::string, std::uint32_t> output_index_;
 
-  // --- tape engine (mode_ == kTape) / native backend (kNative) -----------
-  std::unique_ptr<tape::Engine> engine_;
-  std::unique_ptr<tape::NativeEngine> native_;
-
-  /// Apply `f` to whichever tape-family engine is active (kTape/kNative);
-  /// both expose the same interface, so call sites stay mode-agnostic.
-  template <typename F>
-  decltype(auto) with_engine(F&& f) {
-    if (engine_) return f(*engine_);
-    return f(*native_);
-  }
-  template <typename F>
-  decltype(auto) with_engine(F&& f) const {
-    if (engine_) return f(*engine_);
-    return f(*native_);
-  }
+  // --- tape engine (mode_ == kTape or kNative) ---------------------------
+  std::unique_ptr<tape::NativeEngine> engine_;
 
   // --- interpreter state (mode_ == kInterp) ------------------------------
   std::vector<NodeId> order_;

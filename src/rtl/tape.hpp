@@ -1,32 +1,31 @@
 // tape.hpp — RTL-IR compiled to a flat word-level instruction tape.
 //
 // Program::compile lowers an rtl::Module into a linear instruction stream
-// executed over one preallocated contiguous uint64_t word arena — the
-// Hardcaml-style "compiled cycle function" that makes a word-level reference
-// simulator competitive with compiled-code simulation:
+// over one preallocated contiguous uint64_t word arena — the Hardcaml-style
+// "compiled cycle function" that makes a word-level reference simulator
+// competitive with compiled-code simulation:
 //
 //   * every live node owns a fixed arena slot: 1 word for width <= 64,
 //     ceil(width/64) words above;
 //   * operands are pre-resolved arena offsets — no NodeId indirection, no
 //     Bits construction, zero per-cycle allocation;
-//   * dispatch is a tight switch over a packed opcode stream, with
-//     single-word fast-path opcodes (the overwhelmingly common case) and
-//     generic multi-word forms.
+//   * single-word fast-path opcodes (the overwhelmingly common case) sit
+//     beside generic multi-word forms.
 //
 // The compiler runs constant folding (with a deduplicated constant pool),
 // zext/slice/concat alias fusion (no-op casts share their operand's slot —
 // sound because the arena keeps bits above a node's width zero), slice-chain
-// composition, and dead-node pruning before emission.  The executor mirrors
-// the gate native engine's level sweep: instructions are grouped by
-// combinational level and a level is skipped entirely when none of its
-// inputs changed since the last sweep (per-producer fanout-level lists mark
-// levels dirty on change).  An optional L-lane mode stripes the arena per
-// lane (lane l of a node lives at offset + l*words) so verify::CoSim can
-// drive up to 64 stimulus lanes through the RTL level in one sweep.
+// composition, and dead-node pruning before emission.  Instructions are
+// grouped by combinational level, and per-producer fanout-level lists let
+// an executor skip a level none of whose inputs changed since the last
+// sweep.  L-lane programs stripe the arena per lane (lane l of a node lives
+// at offset + l*words), so one sweep drives L stimulus lanes.
 //
-// rtl::Simulator selects this engine with SimMode::kTape; the interpreter
-// remains the oracle the tape is differentially tested against
-// (tests/rtl/tape_test.cpp).
+// This header is the compiler only.  One engine executes a Program
+// (tape::NativeEngine, rtl/codegen.hpp) with two evaluators: generated code
+// or threaded handlers for SimMode::kNative, a per-lane opcode switch for
+// SimMode::kTape.  The interpreter remains the oracle both are
+// differentially tested against (tests/rtl/{tape,native}_test.cpp).
 
 #pragma once
 
@@ -40,11 +39,9 @@ namespace osss::rtl::tape {
 /// "No arena slot": pruned/folded-away nodes and absent register enables.
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-/// Widest lane count Program::compile accepts.  The interpreted Engine is
-/// additionally capped at 64 (one uint64_t of lane enables); lane counts
-/// above that are executed by the native backend (rtl/codegen.hpp), which
-/// keeps the same lane-major arena layout but runs lane groups through
-/// explicit AVX2/AVX-512 vectors.
+/// Widest lane count Program::compile accepts.  SimMode::kTape stays
+/// capped at 64 lanes; SimMode::kNative runs up to this many, with the
+/// generated code walking lane groups as vectors.
 constexpr unsigned kMaxLanes = 512;
 
 /// Tape opcodes.  `*1` forms are the single-word fast path; `*N` forms
@@ -211,105 +208,8 @@ struct Program {
 
   CompileStats stats;
 
-  /// Lower `m` (validated first) for `lanes` stimulus lanes
-  /// (1..kMaxLanes; the interpreted Engine accepts at most 64).
+  /// Lower `m` (validated first) for `lanes` stimulus lanes (1..kMaxLanes).
   static Program compile(const Module& m, unsigned lanes = 1);
-};
-
-/// Executes a compiled Program over its word arena.  One Engine = one
-/// simulation instance; rtl::Simulator owns it behind SimMode::kTape.
-class Engine {
-public:
-  Engine(const Module& m, unsigned lanes);
-
-  Program& program() noexcept { return prog_; }
-  const Program& program() const noexcept { return prog_; }
-  unsigned lanes() const noexcept { return prog_.lanes; }
-
-  struct RunStats {
-    std::uint64_t cycles = 0;
-    std::uint64_t nodes_evaluated = 0;   ///< instruction executions
-    std::uint64_t levels_evaluated = 0;
-    std::uint64_t levels_skipped = 0;
-  };
-  const RunStats& stats() const noexcept { return stats_; }
-
-  void set_input(unsigned index, const Bits& value);
-  /// Allocation-free fast path: drive all lanes with `value` truncated to
-  /// the port width (any width; words above the first are cleared).
-  void set_input_u64(unsigned index, std::uint64_t value);
-  /// Drive all lanes of one input: bit_lanes[i] = lane word of input bit i
-  /// (same layout as gate::Simulator::set_input_lanes).
-  void set_input_lanes(unsigned index,
-                       const std::vector<std::uint64_t>& bit_lanes);
-  /// Drive all lanes of one input with one value per lane (values[l] =
-  /// lane l, truncated to the port width).  The arena is lane-major, so
-  /// this is a straight masked copy — no bit transpose — and the fast
-  /// path for per-lane stimulus.  Ports wider than 64 bits throw.
-  void set_input_values(unsigned index,
-                        const std::vector<std::uint64_t>& values);
-
-  Bits output(unsigned index, unsigned lane = 0);
-  /// Allocation-free fast path: low 64 bits of an output, lane 0.
-  std::uint64_t output_u64(unsigned index);
-  /// Lane words of an output: element i = lanes of output bit i.
-  std::vector<std::uint64_t> output_words(unsigned index);
-  /// One value per lane of an output (<= 64-bit ports; throws otherwise).
-  std::vector<std::uint64_t> output_values(unsigned index);
-
-  /// Value of any live node (throws std::logic_error if pruned away).
-  Bits node_value(NodeId id, unsigned lane = 0);
-  bool node_live(NodeId id) const;
-
-  void eval();
-  void step();
-  void reset();
-  /// Restore the exact post-construction state (power-on values, inputs at
-  /// 0) from a snapshot taken at construction; run_batch uses this to
-  /// recycle one engine across stimulus blocks.
-  void restore_poweron();
-
-  Bits mem_word(unsigned mem_index, unsigned word, unsigned lane = 0);
-  void poke_mem(unsigned mem_index, unsigned word, const Bits& value);
-  void poke_reg(unsigned reg_index, const Bits& value);
-
-private:
-  Program prog_;
-  std::vector<std::uint64_t> arena_;
-  std::vector<std::uint64_t> poweron_arena_;  ///< ctor-time snapshot
-  std::vector<std::uint64_t> scratch_;  ///< multi-word result staging
-  std::vector<char> level_dirty_;
-  bool pending_ = true;
-  RunStats stats_;
-
-  /// Memory content, per memory: word w of entry a in lane l lives at
-  /// (a * lanes + l) * words + w.
-  std::vector<std::vector<std::uint64_t>> mem_;
-
-  // Pre-edge sampling buffers (sized once at construction).
-  std::vector<std::uint64_t> reg_next_;      ///< sum(reg words) * lanes
-  std::vector<std::uint32_t> reg_next_off_;  ///< per register
-  std::vector<std::uint64_t> reg_en_;        ///< per register: lane bitmask
-  struct Wp {  ///< flattened write port
-    std::uint32_t mem = 0;
-    Program::WritePort port;
-    std::uint32_t addr_at = 0;  ///< offset into wp_addr_
-    std::uint32_t data_at = 0;  ///< offset into wp_data_
-    std::uint16_t words = 1;
-  };
-  std::vector<Wp> wps_;
-  std::vector<std::uint64_t> wp_en_;    ///< per port: lane bitmask
-  std::vector<std::uint64_t> wp_addr_;  ///< per port * lane
-  std::vector<std::uint64_t> wp_data_;  ///< per port: words * lanes
-
-  bool exec_one(const Instr& ins, unsigned lane);
-  void mark_levels(const std::vector<std::uint32_t>& off,
-                   const std::vector<std::uint32_t>& fl, std::uint32_t site);
-  void mark_all_dirty();
-  void write_lane_bits(std::uint32_t off, std::uint16_t words, unsigned lane,
-                       const Bits& value, bool* changed);
-  Bits read_lane_bits(std::uint32_t off, std::uint16_t words, unsigned width,
-                      unsigned lane) const;
 };
 
 }  // namespace osss::rtl::tape

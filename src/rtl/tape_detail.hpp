@@ -1,8 +1,8 @@
-// tape_detail.hpp — word-span primitives shared by the interpreted tape
-// executor (tape.cpp) and the native backend's threaded-code fallback
-// (codegen.cpp).  All functions mirror Bits semantics exactly; the tape and
-// native engines are differentially tested against the interpreter, so any
-// drift here is caught by tests/rtl/{tape,native}_test.cpp.
+// tape_detail.hpp — word-span primitives shared by the tape compiler
+// (tape.cpp), the code emitter (codegen_emit.cpp) and the tape engine's
+// interpreted evaluators (codegen.cpp).  All functions mirror Bits semantics
+// exactly; the engine is differentially tested against the interpreter, so
+// any drift here is caught by tests/rtl/{tape,native}_test.cpp.
 
 #pragma once
 

@@ -141,8 +141,8 @@ std::string emit_resolved_method(const ClassDesc& cls,
   if (m == nullptr)
     throw std::logic_error("emit_resolved_method: no method " + method);
   std::ostringstream os;
-  const std::string fn =
-      "_" + sanitize(cls.name()) + "_" + sanitize(method) + "_1_";
+  const std::string fn = std::string("_").append(sanitize(cls.name())) + "_" +
+                         sanitize(method) + "_1_";
   os << (m->return_width == 0
              ? "void"
              : (m->return_width == 1
@@ -209,8 +209,9 @@ std::string emit_resolved_module(const hls::Behavior& beh) {
       case hls::Instr::Kind::kCall: {
         const hls::VarDecl* obj = beh.find_var(i.object);
         const std::string fn =
-            "_" + sanitize(obj && obj->cls ? obj->cls->name() : "obj") + "_" +
-            sanitize(i.method) + "_1_";
+            std::string("_").append(
+                sanitize(obj && obj->cls ? obj->cls->name() : "obj")) +
+            "_" + sanitize(i.method) + "_1_";
         os << "    ";
         if (!i.result.empty()) os << i.result << " = ";
         os << fn << "( " << i.object;

@@ -160,7 +160,8 @@ rtl::Module random_module(std::mt19937_64& rng,
   const unsigned n_regs = 1 + static_cast<unsigned>(rng() % 3);
   for (unsigned i = 0; i < n_regs; ++i) {
     const unsigned w = 1 + static_cast<unsigned>(rng() % 12);
-    const Wire q = b.reg("r" + std::to_string(i), w, rtl::Bits(w, rng()));
+    const Wire q = b.reg(std::string("r").append(std::to_string(i)), w,
+                         rtl::Bits(w, rng()));
     regs.push_back(q);
     g.pool.push_back(q);
   }

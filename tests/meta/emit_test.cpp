@@ -93,7 +93,7 @@ TEST(EmitProperty, MatchesInterpreterOnRandomInputs) {
   em.bind_param("b", bld.input("b", W));
   em.bind_param("c", bld.input("c", 1));
   for (std::size_t i = 0; i < exprs.size(); ++i)
-    bld.output("o" + std::to_string(i), em.emit(exprs[i]));
+    bld.output(std::string("o").append(std::to_string(i)), em.emit(exprs[i]));
   rtl::Simulator sim(bld.take());
 
   std::mt19937_64 rng(99);
@@ -110,7 +110,8 @@ TEST(EmitProperty, MatchesInterpreterOnRandomInputs) {
     env.params["c"] = constant(vc);
     for (std::size_t i = 0; i < exprs.size(); ++i) {
       const Bits expect = eval_const(substitute(exprs[i], env));
-      EXPECT_TRUE(sim.output("o" + std::to_string(i)) == expect)
+      EXPECT_TRUE(sim.output(std::string("o").append(std::to_string(i))) ==
+                  expect)
           << "expr " << i << ": " << to_string(exprs[i]);
     }
   }

@@ -1,6 +1,6 @@
 // native_test.cpp — differential tests for the tape native-code backend.
 //
-// Three-way checks (interpreter oracle vs interpreted tape vs NativeEngine)
+// Three-way checks (interpreter oracle vs kTape's lane switch vs kNative)
 // over the random_module fuzz corpus and both design flows' ExpoCU
 // components.  The fuzz sweep runs the threaded-code fallback (no compile
 // cost per case); a subset plus the ExpoCU components exercise the real
@@ -38,7 +38,7 @@ bool jit_disabled() {
   return nj != nullptr && *nj != '\0' && *nj != '0';
 }
 
-/// Interpreter (reference) vs interpreted tape vs native backend.
+/// Interpreter (reference) vs kTape's lane switch vs kNative.
 void expect_three_way_match(const Module& m, std::uint64_t seed,
                             unsigned cycles, unsigned lanes,
                             tp::CodegenOptions opt) {
@@ -99,9 +99,9 @@ TEST_P(NativeFuzz, SixtyFourLanes) {
   run_fuzz_case("lanes64", {32, true, false, false}, GetParam(), 64);
 }
 
-/// Wider than the interpreted engine's cap: 256 lanes join the co-sim as a
-/// broadcast scalar model, so lane 0 of the wide arena is checked and the
-/// multi-word enable masks in step() get exercised.
+/// Wider than kTape's cap: 256 lanes join the co-sim as a broadcast scalar
+/// model, so lane 0 of the wide arena is checked and the multi-word enable
+/// masks in step() get exercised.
 TEST_P(NativeFuzz, WideLanes) {
   run_fuzz_case("lanes256", {32, true, false, false}, GetParam(), 256);
 }
@@ -398,10 +398,14 @@ TEST(NativeLaneValues, WidePortsThrow) {
   EXPECT_THROW(sim.set_input_values(sim.input_handle("a"), values),
                std::logic_error);
   EXPECT_THROW(sim.output_values(sim.output_handle("o")), std::logic_error);
-  // Lanes past lanes() are rejected on every mode, not read from the arena.
+  // Lanes past lanes() are rejected on every mode, not read from the arena,
+  // and by the engine itself, reached through sim.native().
   EXPECT_THROW(sim.output_lane(sim.output_handle("o"), sim.lanes()),
                std::logic_error);
   EXPECT_THROW(sim.get(m.outputs()[0].node, sim.lanes()), std::logic_error);
+  EXPECT_THROW(sim.native().output(0, sim.lanes()), std::logic_error);
+  EXPECT_THROW(sim.native().node_value(m.outputs()[0].node, sim.lanes()),
+               std::logic_error);
   for (const SimMode mode : {SimMode::kInterp, SimMode::kTape}) {
     Simulator other(m, mode, mode == SimMode::kInterp ? 1 : 2);
     EXPECT_THROW(other.output_lane(other.output_handle("o"), other.lanes()),
@@ -419,7 +423,7 @@ TEST(NativeLaneValues, WidePortsThrow) {
 }
 
 /// Lane-count validation: 65 is not a lane-word multiple, wide blocks need
-/// the native backend, and the interpreted engine stays capped at 64.
+/// the native backend, and kTape stays capped at 64.
 TEST(NativeBatch, LaneValidation) {
   Builder b("v");
   b.output("o", b.not_(b.input("a", 4)));

@@ -257,14 +257,14 @@ TEST(RtlSim, WideConcatEvaluatesLinearly) {
   Builder b("cat");
   std::vector<Wire> parts;
   for (int i = 0; i < 16; ++i)
-    parts.push_back(b.input("i" + std::to_string(i), 5));
+    parts.push_back(b.input(std::string("i").append(std::to_string(i)), 5));
   b.output("o", b.concat(parts));
   Simulator sim(b.take());
   std::mt19937_64 rng(9);
   std::vector<std::uint64_t> vals;
   for (int i = 0; i < 16; ++i) {
     vals.push_back(rng() & 0x1f);
-    sim.set_input("i" + std::to_string(i), vals.back());
+    sim.set_input(std::string("i").append(std::to_string(i)), vals.back());
   }
   const Bits o = sim.output("o");
   ASSERT_EQ(o.width(), 80u);

@@ -1,8 +1,9 @@
-// Tests for the compiled word-level tape engine (rtl/tape.hpp): differential
-// property tests against the interpreter (the oracle) over random modules
-// and the ExpoCU components, unit tests for the compiler's optimization
-// passes and the executor's level-granular activity gating, and a mutation
-// check proving that a corrupted tape is caught by the differential harness.
+// Tests for the compiled word-level tape (rtl/tape.hpp) under SimMode::kTape:
+// differential property tests against the interpreter (the oracle) over
+// random modules and the ExpoCU components, unit tests for the compiler's
+// optimization passes, the engine's level-granular activity gating and
+// pokes on both of its evaluators, and a mutation check proving that a
+// corrupted tape is caught by the differential harness.
 
 #include "rtl/tape.hpp"
 
@@ -213,6 +214,22 @@ TEST(TapeCompile, RejectsBadLaneCounts) {
 
 // --- activity gating -------------------------------------------------------
 
+/// The TapeRun cases run both evaluators of the one tape engine: kTape's
+/// lane switch and kNative's threaded handlers (force_fallback, so the
+/// interpreted sweep's RunStats count).
+struct TapeEvaluator {
+  const char* name;
+  SimMode mode;
+  tape::CodegenOptions codegen;
+};
+
+std::vector<TapeEvaluator> tape_evaluators() {
+  tape::CodegenOptions fallback;
+  fallback.force_fallback = true;
+  return {{"tape", SimMode::kTape, {}},
+          {"native-fallback", SimMode::kNative, fallback}};
+}
+
 TEST(TapeRun, SkipsSettledLevelsWhileShallowLogicToggles) {
   // A deep combinational chain hangs off a register that holds its value,
   // while a shallow level-0 chain hangs off an input that changes every
@@ -226,28 +243,36 @@ TEST(TapeRun, SkipsSettledLevelsWhileShallowLogicToggles) {
   for (int i = 0; i < 6; ++i) v = b.add(b.mul(v, v), q);
   b.output("deep", v);
   b.output("shallow", b.xor_(a, b.not_(a)));
-  Simulator sim(b.take(), SimMode::kTape);
+  const Module m = b.take();
 
-  for (std::uint64_t c = 0; c < 8; ++c) {
-    sim.set_input("a", c);
-    sim.step();
+  for (const TapeEvaluator& ev : tape_evaluators()) {
+    SCOPED_TRACE(ev.name);
+    Simulator sim(m, ev.mode, 1, ev.codegen);
+    for (std::uint64_t c = 0; c < 8; ++c) {
+      sim.set_input("a", c);
+      sim.step();
+    }
+    (void)sim.output("deep");
+    const Simulator::Stats s = sim.stats();
+    EXPECT_GT(s.levels_skipped, 0u);
+    // The deep chain ran far fewer times than a gate-less engine would run
+    // it.
+    EXPECT_LT(s.nodes_evaluated, s.tape_len * std::uint64_t{8});
   }
-  (void)sim.output("deep");
-  const Simulator::Stats s = sim.stats();
-  EXPECT_GT(s.levels_skipped, 0u);
-  // The deep chain ran far fewer times than a gate-less engine would run it.
-  EXPECT_LT(s.nodes_evaluated, s.tape_len * std::uint64_t{8});
 }
 
 TEST(TapeRun, InputChangeWakesDependentLevels) {
-  Simulator sim(xor_pipe(), SimMode::kTape);
-  sim.set_input("a", std::uint64_t{0x11});
-  sim.set_input("b", std::uint64_t{0x22});
-  sim.step();
-  EXPECT_EQ(sim.output("o").to_u64(), 0x33u);
-  sim.set_input("a", std::uint64_t{0xf0});
-  sim.step();
-  EXPECT_EQ(sim.output("o").to_u64(), 0xd2u);
+  for (const TapeEvaluator& ev : tape_evaluators()) {
+    SCOPED_TRACE(ev.name);
+    Simulator sim(xor_pipe(), ev.mode, 1, ev.codegen);
+    sim.set_input("a", std::uint64_t{0x11});
+    sim.set_input("b", std::uint64_t{0x22});
+    sim.step();
+    EXPECT_EQ(sim.output("o").to_u64(), 0x33u);
+    sim.set_input("a", std::uint64_t{0xf0});
+    sim.step();
+    EXPECT_EQ(sim.output("o").to_u64(), 0xd2u);
+  }
 }
 
 // --- facade parity ---------------------------------------------------------
@@ -262,37 +287,43 @@ TEST(TapeRun, PokeAndInspectMatchInterpreter) {
   b.output("o", b.mem_read(mh, addr));
   const Module m = b.take();
 
-  Simulator interp(m);
-  Simulator tape(m, SimMode::kTape);
-  for (Simulator* s : {&interp, &tape}) {
-    s->poke_mem(0, 3, Bits(8, 0xab));
-    s->set_input("addr", std::uint64_t{3});
-    s->set_input("we", std::uint64_t{0});
-    s->set_input("data", std::uint64_t{0});
-  }
-  EXPECT_EQ(interp.output("o").to_u64(), 0xabu);
-  EXPECT_EQ(tape.output("o").to_u64(), 0xabu);
-  EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0xabu);
+  for (const TapeEvaluator& ev : tape_evaluators()) {
+    SCOPED_TRACE(ev.name);
+    Simulator interp(m);
+    Simulator tape(m, ev.mode, 1, ev.codegen);
+    for (Simulator* s : {&interp, &tape}) {
+      s->poke_mem(0, 3, Bits(8, 0xab));
+      s->set_input("addr", std::uint64_t{3});
+      s->set_input("we", std::uint64_t{0});
+      s->set_input("data", std::uint64_t{0});
+    }
+    EXPECT_EQ(interp.output("o").to_u64(), 0xabu);
+    EXPECT_EQ(tape.output("o").to_u64(), 0xabu);
+    EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0xabu);
 
-  for (Simulator* s : {&interp, &tape}) {
-    s->set_input("we", std::uint64_t{1});
-    s->set_input("data", std::uint64_t{0x5c});
-    s->step();
-  }
-  EXPECT_EQ(interp.mem_word(0, 3).to_u64(), 0x5cu);
-  EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0x5cu);
+    for (Simulator* s : {&interp, &tape}) {
+      s->set_input("we", std::uint64_t{1});
+      s->set_input("data", std::uint64_t{0x5c});
+      s->step();
+    }
+    EXPECT_EQ(interp.mem_word(0, 3).to_u64(), 0x5cu);
+    EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0x5cu);
 
-  for (Simulator* s : {&interp, &tape}) s->reset();
-  EXPECT_EQ(interp.mem_word(0, 3).to_u64(), 0u);
-  EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0u);
+    for (Simulator* s : {&interp, &tape}) s->reset();
+    EXPECT_EQ(interp.mem_word(0, 3).to_u64(), 0u);
+    EXPECT_EQ(tape.mem_word(0, 3).to_u64(), 0u);
+  }
 }
 
 TEST(TapeRun, PokeRegOverridesState) {
-  Simulator sim(xor_pipe(), SimMode::kTape);
-  sim.set_input("a", std::uint64_t{0});
-  sim.set_input("b", std::uint64_t{0});
-  sim.poke_reg("q", Bits(8, 0x7e));
-  EXPECT_EQ(sim.output("o").to_u64(), 0x7eu);
+  for (const TapeEvaluator& ev : tape_evaluators()) {
+    SCOPED_TRACE(ev.name);
+    Simulator sim(xor_pipe(), ev.mode, 1, ev.codegen);
+    sim.set_input("a", std::uint64_t{0});
+    sim.set_input("b", std::uint64_t{0});
+    sim.poke_reg("q", Bits(8, 0x7e));
+    EXPECT_EQ(sim.output("o").to_u64(), 0x7eu);
+  }
 }
 
 // --- mutation: a corrupted tape must be caught -----------------------------

@@ -40,11 +40,11 @@ RunLog run_scenario(std::uint64_t seed) {
 
   std::deque<Signal<int>> counters;  // deque: stable addresses
   for (unsigned i = 0; i < kThreads; ++i)
-    counters.emplace_back(ctx, "c" + std::to_string(i), 0);
+    counters.emplace_back(ctx, std::string("c").append(std::to_string(i)), 0);
 
   for (unsigned i = 0; i < kThreads; ++i) {
     Signal<bool>& clk = (i % 2 == 0) ? clk_a.signal() : clk_b.signal();
-    const std::string name = "t" + std::to_string(i);
+    const std::string name = std::string("t").append(std::to_string(i));
     auto& proc = ctx.create_cthread(
         name, clk, [&ctx, &counters, i, name, seed]() -> Behavior {
           // Re-seeded per restart, so a reset replays the same schedule.
@@ -62,7 +62,7 @@ RunLog run_scenario(std::uint64_t seed) {
 
   for (unsigned i = 0; i < kThreads; ++i) {
     ctx.create_method(
-        "w" + std::to_string(i),
+        std::string("w").append(std::to_string(i)),
         [&ctx, &counters, &log, i] {
           log.events.push_back(std::to_string(ctx.now()) + ":c" +
                                std::to_string(i) + "=" +
