@@ -1,5 +1,5 @@
-// codegen.cpp — gate-level NativeEngine: topology build, native dispatch,
-// and the interpreted LW-word level sweep.
+// codegen.cpp — gate-level NativeEngine: the Schedule, the engine over the
+// shared jit::Runtime, and the interpreted LW-word level sweep.
 //
 // The sweep is the repo's one gate-level lane interpreter: it runs
 // whenever the generated code does not (CodegenOptions::force_fallback,
@@ -18,163 +18,94 @@
 
 namespace osss::gate {
 
-NativeEngine::NativeEngine(const Netlist& nl, unsigned lanes,
-                           CodegenOptions opt)
-    : nl_(&nl) {
-  if (lanes == 0) lanes = 64;
-  if (lanes != 1 && (lanes % 64 != 0 || lanes > kMaxLanes))
+namespace {
+
+/// Rows of a CSR from per-row lists, each sorted and deduplicated.
+void to_csr(std::vector<std::vector<std::uint32_t>>& rows,
+            std::vector<std::uint32_t>& off, std::vector<std::uint32_t>& flat) {
+  off.assign(1, 0);
+  for (std::vector<std::uint32_t>& r : rows) {
+    std::sort(r.begin(), r.end());
+    r.erase(std::unique(r.begin(), r.end()), r.end());
+    flat.insert(flat.end(), r.begin(), r.end());
+    off.push_back(static_cast<std::uint32_t>(flat.size()));
+  }
+}
+
+}  // namespace
+
+Schedule::Schedule(const Netlist& nl, unsigned lanes_arg)
+    : lanes(lanes_arg == 0 ? 64 : lanes_arg) {
+  if (lanes != 1 && (lanes % 64 != 0 || lanes > NativeEngine::kMaxLanes))
     throw std::invalid_argument(
-        "gate::NativeEngine: lanes must be 1 or a multiple of 64 up to " +
-        std::to_string(kMaxLanes));
-  lanes_ = lanes;
-  lw_ = lanes == 1 ? 1 : lanes / 64;
-  tail_mask_ = lanes == 1 ? std::uint64_t{1} : ~std::uint64_t{0};
-
+        "gate: lanes must be 1 or a multiple of 64 up to " +
+        std::to_string(NativeEngine::kMaxLanes));
+  lw = lanes == 1 ? 1 : lanes / 64;
+  tail_mask = lanes == 1 ? std::uint64_t{1} : ~std::uint64_t{0};
   nl.validate();
-  const std::size_t n = nl.cells().size();
-  values_.assign(n * lw_, 0);
-  for (unsigned w = 0; w < lw_; ++w)
-    values_[std::size_t{nl.const1()} * lw_ + w] = tail_mask_;
 
-  // Sequential elements and memory read cells (same scan as the Simulator).
-  memq_cells_.resize(nl.memories().size());
+  const std::size_t n = nl.cells().size();
+  const std::vector<std::uint32_t> level_of = nl.topo_levels();
+  std::uint32_t num_levels = 0;
+  for (const std::uint32_t l : level_of)
+    if (l != kNoLevel) num_levels = std::max(num_levels, l + 1);
+  std::vector<std::vector<std::uint32_t>> by_level(num_levels), net_users(n),
+      mem_users(nl.memories().size());
   for (NetId id = 0; id < n; ++id) {
     const Cell& c = nl.cells()[id];
-    if (c.kind == CellKind::kDff) dffs_.push_back({id, c.ins[0], c.init});
-    if (c.kind == CellKind::kMemQ) memq_cells_[c.param].push_back(id);
-  }
-  dff_next_.assign(dffs_.size() * lw_, 0);
-
-  // Level schedule plus the distinct fanout levels of every net.  The
-  // fanout CSR is only needed to derive flevels_, so it stays local.
-  level_of_ = nl.topo_levels();
-  std::uint32_t num_levels = 0;
-  for (const std::uint32_t l : level_of_)
-    if (l != kNoLevel) num_levels = std::max(num_levels, l + 1);
-  level_offset_.assign(num_levels + 1, 0);
-  for (const std::uint32_t l : level_of_)
-    if (l != kNoLevel) ++level_offset_[l + 1];
-  for (std::size_t i = 1; i <= num_levels; ++i)
-    level_offset_[i] += level_offset_[i - 1];
-  level_cells_.resize(level_offset_[num_levels]);
-  {
-    std::vector<std::uint32_t> cursor(level_offset_.begin(),
-                                      level_offset_.end() - 1);
-    for (NetId id = 0; id < n; ++id)
-      if (level_of_[id] != kNoLevel) level_cells_[cursor[level_of_[id]]++] = id;
-  }
-  level_dirty_.assign(num_levels, 0);
-  {
-    std::vector<std::vector<std::uint32_t>> users(n);
-    for (NetId id = 0; id < n; ++id) {
-      const Cell& c = nl.cells()[id];
-      if (c.kind == CellKind::kDff) continue;
-      for (const NetId in : c.ins) users[in].push_back(level_of_[id]);
+    if (level_of[id] != kNoLevel) by_level[level_of[id]].push_back(id);
+    if (c.kind == CellKind::kDff) {
+      dffs.push_back(id);
+      continue;
     }
-    flevel_offset_.assign(n + 1, 0);
-    for (NetId id = 0; id < n; ++id) {
-      std::vector<std::uint32_t>& u = users[id];
-      std::sort(u.begin(), u.end());
-      u.erase(std::unique(u.begin(), u.end()), u.end());
-      for (const std::uint32_t l : u) flevels_.push_back(l);
-      flevel_offset_[id + 1] = static_cast<std::uint32_t>(flevels_.size());
-    }
+    if (c.kind == CellKind::kMemQ) mem_users[c.param].push_back(level_of[id]);
+    for (const NetId in : c.ins) net_users[in].push_back(level_of[id]);
   }
+  to_csr(by_level, level_offset, level_cells);
+  to_csr(net_users, net_fl_off, net_fl);
+  to_csr(mem_users, mem_fl_off, mem_fl);
 
-  // Memory state (one lane word per data bit per lane group) and the
-  // flattened write-port sampling plan.
-  for (const MemMacro& m : nl.memories())
-    mem_.emplace_back(
-        static_cast<std::size_t>(m.depth) * m.width * lw_, 0);
-  for (auto& m : mem_) mem_ptrs_.push_back(m.data());
   for (std::uint32_t mi = 0; mi < nl.memories().size(); ++mi) {
     const MemMacro& m = nl.memories()[mi];
     for (const auto& w : m.writes) {
-      WritePortRef ref;
-      ref.mem = mi;
-      ref.base = static_cast<std::uint32_t>(wp_nets_.size());
-      ref.addr_n = static_cast<std::uint32_t>(w.addr.size());
-      ref.width = m.width;
-      wp_nets_.push_back(w.enable);
-      wp_nets_.insert(wp_nets_.end(), w.addr.begin(), w.addr.end());
-      wp_nets_.insert(wp_nets_.end(), w.data.begin(), w.data.end());
-      wports_.push_back(ref);
+      wports.push_back({mi, static_cast<std::uint32_t>(wp_nets.size()),
+                        static_cast<std::uint32_t>(w.addr.size()), m.width});
+      wp_nets.push_back(w.enable);
+      wp_nets.insert(wp_nets.end(), w.addr.begin(), w.addr.end());
+      wp_nets.insert(wp_nets.end(), w.data.begin(), w.data.end());
     }
   }
-  wp_samp_.assign(wp_nets_.size() * lw_, 0);
+}
 
-  if (jit::jit_disabled_by_env()) opt.force_fallback = true;
-  try_native(opt);
+NativeEngine::NativeEngine(const Netlist& nl, unsigned lanes,
+                           CodegenOptions opt)
+    : nl_(&nl),
+      plan_(nl, lanes),
+      rt_(nl.cells().size() * plan_.lw, plan_.levels()),
+      samples_(plan_.scratch_words(), 0) {
+  for (const MemMacro& m : nl.memories())
+    rt_.add_memory(std::size_t{m.depth} * m.width * plan_.lw);
+  std::fill_n(rt_.arena() + std::size_t{nl.const1()} * plan_.lw, plan_.lw,
+              plan_.tail_mask);
+  rt_.bind([&] { return emit_netlist_cpp(nl, plan_); }, std::move(opt),
+           {"osss_gate", 1, plan_.lanes, "nets", nl.cells().size(),
+            /*step_settles=*/true});
   reset();
-  // Power-on snapshot: inputs are still 0 here and reset() settled the
-  // arena, so restore_poweron() can recycle this engine with one copy.
-  poweron_values_ = values_;
+  // Power-on snapshot: inputs are still 0, so restore_poweron() can
+  // recycle this engine with one copy.
+  settle();
+  rt_.take_poweron();
 }
 
 NativeEngine::~NativeEngine() = default;
 
-void NativeEngine::drop_native() {
-  eval_fn_ = nullptr;
-  step_fn_ = nullptr;
-  obj_.reset();
-}
-
-namespace {
-/// ABI probe shared between the post-compile check and the persistent
-/// disk cache's load-time validation: a stale or truncated published
-/// artifact must fail here and fall back to a fresh compile, never reach
-/// the engine.
-bool probe_gate_abi(const jit::Object& obj, unsigned lanes,
-                    std::size_t nets_expected) {
-  const auto abi = reinterpret_cast<unsigned (*)()>(obj.sym("osss_gate_abi"));
-  const auto lns =
-      reinterpret_cast<unsigned (*)()>(obj.sym("osss_gate_lanes"));
-  const auto nets = reinterpret_cast<unsigned long long (*)()>(
-      obj.sym("osss_gate_nets"));
-  const auto ssz = reinterpret_cast<unsigned long long (*)()>(
-      obj.sym("osss_gate_scratch"));
-  return abi != nullptr && abi() == 1u && lns != nullptr && lns() == lanes &&
-         nets != nullptr && nets() == nets_expected && ssz != nullptr &&
-         obj.sym("osss_gate_eval") != nullptr &&
-         obj.sym("osss_gate_step") != nullptr;
-}
-}  // namespace
-
-void NativeEngine::try_native(const CodegenOptions& opt) {
-  // A forced fallback that keeps no source never reads it: jit::compile
-  // returns before the source is used, so skip the emission.
-  const std::string src = opt.force_fallback && opt.keep_source.empty()
-                              ? std::string()
-                              : emit_netlist_cpp(*nl_, lanes_);
-  CodegenOptions vopt = opt;
-  vopt.validate = [this](const jit::Object& o) {
-    return probe_gate_abi(o, lanes_, nl_->cells().size());
-  };
-  obj_ = jit::compile(src, vopt, "osss-gate", compile_log_);
-  if (obj_ == nullptr) return;
-  if (!probe_gate_abi(*obj_, lanes_, nl_->cells().size())) {
-    compile_log_ += "\n[ABI check failed; using interpreted dispatch]";
-    drop_native();
-    return;
-  }
-  const auto ssz = reinterpret_cast<unsigned long long (*)()>(
-      obj_->sym("osss_gate_scratch"));
-  eval_fn_ = reinterpret_cast<EvalFn>(obj_->sym("osss_gate_eval"));
-  step_fn_ = reinterpret_cast<StepFn>(obj_->sym("osss_gate_step"));
-  step_scratch_.assign(ssz(), 0);
-}
-
-void NativeEngine::mark_net(NetId id) {
-  for (std::uint32_t k = flevel_offset_[id]; k < flevel_offset_[id + 1]; ++k)
-    level_dirty_[flevels_[k]] = 1;
-}
-
-void NativeEngine::eval() {
-  if (eval_fn_ != nullptr) {
-    eval_fn_(values_.data(), mem_ptrs_.data(), level_dirty_.data());
-    return;
-  }
-  fallback_eval();
+void NativeEngine::settle() const {
+  rt_.settle([this] {
+    if (plan_.lw == 1)
+      sweep(std::integral_constant<unsigned, 1>{});
+    else
+      sweep(plan_.lw);
+  });
 }
 
 void NativeEngine::decode_addresses(const std::uint64_t* words, std::size_t n,
@@ -182,33 +113,35 @@ void NativeEngine::decode_addresses(const std::uint64_t* words, std::size_t n,
   // Only the low 64 address bits reach a row, as in the generated code's
   // `a = (a << 1) | bit` decode.
   n = std::min<std::size_t>(n, 64);
-  if (lanes_ == 1) {
+  if (plan_.lanes == 1) {
     std::uint64_t a = 0;
     for (std::size_t i = n; i-- > 0;) a = (a << 1) | words[i];
     addr[0] = a;
     return;
   }
-  par::lane_words_to_values(words, lanes_, static_cast<unsigned>(n), addr, 1);
+  par::lane_words_to_values(words, plan_.lanes, static_cast<unsigned>(n),
+                            addr, 1);
 }
 
 void NativeEngine::decode_read_port(const Cell& c,
                                     std::uint64_t* addr) const {
+  const unsigned lw = plan_.lw;
   std::uint64_t words[64 * (kMaxLanes / 64)];
   const std::size_t n = std::min<std::size_t>(c.ins.size(), 64);
   for (std::size_t i = 0; i < n; ++i)
-    std::copy_n(&values_[std::size_t{c.ins[i]} * lw_], lw_, words + i * lw_);
+    std::copy_n(rt_.arena() + std::size_t{c.ins[i]} * lw, lw, words + i * lw);
   decode_addresses(words, n, addr);
 }
 
 void NativeEngine::read_memq(const Cell& c, const std::uint64_t* addr,
                              std::uint64_t* out) const {
   const MemMacro& m = nl_->memories()[c.param];
+  const unsigned lw = plan_.lw;
   // Word w of data bit c.param2 in row a: bit[a * stride + w].
-  const std::uint64_t* bit =
-      mem_[c.param].data() + std::size_t{c.param2} * lw_;
-  const std::size_t stride = std::size_t{m.width} * lw_;
-  const unsigned group = std::min(lanes_, 64u);
-  for (unsigned w = 0; w < lw_; ++w) {
+  const std::uint64_t* bit = rt_.mem(c.param) + std::size_t{c.param2} * lw;
+  const std::size_t stride = std::size_t{m.width} * lw;
+  const unsigned group = std::min(plan_.lanes, 64u);
+  for (unsigned w = 0; w < lw; ++w) {
     const std::uint64_t* a = addr + std::size_t{w} * 64;
     std::uint64_t o = 0;
     for (unsigned l = 0; l < group; ++l)
@@ -217,49 +150,19 @@ void NativeEngine::read_memq(const Cell& c, const std::uint64_t* addr,
   }
 }
 
-namespace {
-/// Lane word w of combinational cell `c` (net `id`) over the arena V at
-/// `lw` words per net; `mask` is the tail mask.  kMemQ is read elsewhere.
 template <class LW>
-std::uint64_t cell_word(const Cell& c, NetId id, const std::uint64_t* V,
-                        LW lw, unsigned w, std::uint64_t mask) {
-  const auto v = [&](std::size_t i) {
-    return V[std::size_t{c.ins[i]} * lw + w];
-  };
-  switch (c.kind) {
-    case CellKind::kConst0: return 0;
-    case CellKind::kConst1: return mask;
-    case CellKind::kInput:
-    case CellKind::kDff: return V[std::size_t{id} * lw + w];
-    case CellKind::kBuf: return v(0);
-    case CellKind::kInv: return ~v(0) & mask;
-    case CellKind::kAnd2: return v(0) & v(1);
-    case CellKind::kOr2: return v(0) | v(1);
-    case CellKind::kNand2: return ~(v(0) & v(1)) & mask;
-    case CellKind::kNor2: return ~(v(0) | v(1)) & mask;
-    case CellKind::kXor2: return v(0) ^ v(1);
-    case CellKind::kXnor2: return ~(v(0) ^ v(1)) & mask;
-    case CellKind::kMux2: return (v(0) & v(1)) | (~v(0) & v(2));
-    case CellKind::kMemQ: return 0;
-  }
-  return 0;
-}
-}  // namespace
-
-template <class LW>
-void NativeEngine::sweep(LW lw) {
+void NativeEngine::sweep(LW lw) const {
   // Members read through locals: the dirty marks are char stores, which
   // may alias any member, so the compiler would reload them after each.
-  std::uint64_t* const V = values_.data();
-  unsigned char* const dirty = level_dirty_.data();
-  const std::uint32_t num_levels =
-      static_cast<std::uint32_t>(level_dirty_.size());
+  std::uint64_t* const V = rt_.arena();
+  unsigned char* const dirty = rt_.dirty();
+  const std::uint32_t num_levels = plan_.levels();
   const Cell* const cells = nl_->cells().data();
-  const std::uint32_t* const lvl_off = level_offset_.data();
-  const NetId* const lvl_cells = level_cells_.data();
-  const std::uint32_t* const fl_off = flevel_offset_.data();
-  const std::uint32_t* const fl = flevels_.data();
-  const std::uint64_t mask = tail_mask_;
+  const std::uint32_t* const lvl_off = plan_.level_offset.data();
+  const NetId* const lvl_cells = plan_.level_cells.data();
+  const std::uint32_t* const fl_off = plan_.net_fl_off.data();
+  const std::uint32_t* const fl = plan_.net_fl.data();
+  const std::uint64_t mask = plan_.tail_mask;
   std::uint64_t nv[kMaxLanes / 64];
   std::uint64_t addr[kMaxLanes];
   std::uint64_t evaluated = 0, evals = 0;
@@ -288,7 +191,10 @@ void NativeEngine::sweep(LW lw) {
         read_memq(c, addr, nv);
       } else {
         for (unsigned w = 0; w < lw; ++w)
-          nv[w] = cell_word(c, id, V, lw, w, mask);
+          nv[w] = eval_cell(
+              c.kind,
+              [&](std::size_t k) { return V[std::size_t{c.ins[k]} * lw + w]; },
+              mask);
       }
       std::uint64_t* d = V + std::size_t{id} * lw;
       std::uint64_t diff = 0;
@@ -300,51 +206,43 @@ void NativeEngine::sweep(LW lw) {
       }
     }
   }
-  stats_.levels_evaluated += evaluated;
-  stats_.levels_skipped += num_levels - evaluated;
-  stats_.gate_evals += evals;
-}
-
-void NativeEngine::fallback_eval() {
-  if (lw_ == 1)
-    sweep(std::integral_constant<unsigned, 1>{});
-  else
-    sweep(lw_);
+  jit::RunStats& st = rt_.stats();
+  st.levels_evaluated += evaluated;
+  st.levels_skipped += num_levels - evaluated;
+  st.evals += evals;
 }
 
 template <class LW>
 void NativeEngine::commit(LW lw) {
-  std::uint64_t* const V = values_.data();
-  unsigned char* const dirty = level_dirty_.data();
-  const std::uint32_t* const fl_off = flevel_offset_.data();
-  const std::uint32_t* const fl = flevels_.data();
+  std::uint64_t* const V = rt_.arena();
   // Pre-edge sample of every DFF D pin and write-port net, then commit —
   // same order as Simulator::step() so mixed-port memories match exactly.
-  std::uint64_t* const next = dff_next_.data();
-  for (std::size_t i = 0; i < dffs_.size(); ++i) {
-    const std::uint64_t* d = V + std::size_t{dffs_[i].d} * lw;
+  // The samples sit where the generated step keeps them (Schedule).
+  const Cell* const cells = nl_->cells().data();
+  const std::vector<NetId>& dffs = plan_.dffs;
+  std::uint64_t* const next = samples_.data();
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    const std::uint64_t* d = V + std::size_t{cells[dffs[i]].ins[0]} * lw;
     for (unsigned w = 0; w < lw; ++w) next[i * lw + w] = d[w];
   }
-  std::uint64_t* const samp = wp_samp_.data();
-  for (std::size_t s = 0; s < wp_nets_.size(); ++s) {
-    const std::uint64_t* v = V + std::size_t{wp_nets_[s]} * lw;
+  std::uint64_t* const samp = next + dffs.size() * lw;
+  for (std::size_t s = 0; s < plan_.wp_nets.size(); ++s) {
+    const std::uint64_t* v = V + std::size_t{plan_.wp_nets[s]} * lw;
     for (unsigned w = 0; w < lw; ++w) samp[s * lw + w] = v[w];
   }
-  for (std::size_t i = 0; i < dffs_.size(); ++i) {
-    const NetId q = dffs_[i].q;
-    std::uint64_t* qv = V + std::size_t{q} * lw;
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    std::uint64_t* qv = V + std::size_t{dffs[i]} * lw;
     const std::uint64_t* nd = next + i * lw;
     std::uint64_t diff = 0;
     for (unsigned w = 0; w < lw; ++w) {
       diff |= qv[w] ^ nd[w];
       qv[w] = nd[w];
     }
-    if (diff)
-      for (std::uint32_t k = fl_off[q]; k < fl_off[q + 1]; ++k)
-        dirty[fl[k]] = 1;
+    if (diff) rt_.mark(plan_.net_fl_off, plan_.net_fl, dffs[i]);
   }
+  const unsigned lanes = plan_.lanes;
   std::uint64_t addr[kMaxLanes];
-  for (const WritePortRef& wp : wports_) {
+  for (const Schedule::WritePort& wp : plan_.wports) {
     const std::uint64_t* en = samp + std::size_t{wp.base} * lw;
     std::uint64_t any = 0;
     for (unsigned w = 0; w < lw; ++w) any |= en[w];
@@ -352,10 +250,10 @@ void NativeEngine::commit(LW lw) {
     const std::uint64_t* addr_words = en + lw;
     const std::uint64_t* data = addr_words + std::size_t{wp.addr_n} * lw;
     const std::uint64_t depth = nl_->memories()[wp.mem].depth;
-    std::uint64_t* mem = mem_[wp.mem].data();
+    std::uint64_t* mem = rt_.mem(wp.mem);
     decode_addresses(addr_words, wp.addr_n, addr);
     bool changed = false;
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
+    for (unsigned lane = 0; lane < lanes; ++lane) {
       const unsigned w = lane / 64, sh = lane % 64;
       if (((en[w] >> sh) & 1u) == 0 || addr[lane] >= depth) continue;
       std::uint64_t* row = mem + addr[lane] * wp.width * lw + w;
@@ -370,44 +268,29 @@ void NativeEngine::commit(LW lw) {
         }
       }
     }
-    if (changed)
-      for (const NetId q : memq_cells_[wp.mem]) dirty[level_of_[q]] = 1;
+    if (changed) rt_.mark(plan_.mem_fl_off, plan_.mem_fl, wp.mem);
   }
-}
-
-void NativeEngine::fallback_step() {
-  if (lw_ == 1)
-    commit(std::integral_constant<unsigned, 1>{});
-  else
-    commit(lw_);
-  fallback_eval();
 }
 
 void NativeEngine::step() {
-  if (step_fn_ != nullptr)
-    (void)step_fn_(values_.data(), mem_ptrs_.data(), level_dirty_.data(),
-                   step_scratch_.data());
-  else
-    fallback_step();
-  ++stats_.cycles;
+  settle();
+  rt_.step([this] {
+    if (plan_.lw == 1)
+      commit(std::integral_constant<unsigned, 1>{});
+    else
+      commit(plan_.lw);
+  });
 }
 
 void NativeEngine::reset() {
-  for (const DffBind& d : dffs_) {
-    std::uint64_t* q = &values_[std::size_t{d.q} * lw_];
-    for (unsigned w = 0; w < lw_; ++w) q[w] = d.init ? tail_mask_ : 0;
-  }
-  for (auto& mem : mem_) std::fill(mem.begin(), mem.end(), 0);
-  std::fill(level_dirty_.begin(), level_dirty_.end(), 1);
-  eval();
+  const unsigned lw = plan_.lw;
+  for (const NetId q : plan_.dffs)
+    std::fill_n(rt_.arena() + std::size_t{q} * lw, lw,
+                nl_->cells()[q].init ? plan_.tail_mask : 0);
+  rt_.reset();
 }
 
-void NativeEngine::restore_poweron() {
-  values_ = poweron_values_;
-  for (auto& mem : mem_) std::fill(mem.begin(), mem.end(), 0);
-  // The snapshot was taken settled, so the schedule is clean.
-  std::fill(level_dirty_.begin(), level_dirty_.end(), 0);
-}
+void NativeEngine::restore_poweron() { rt_.restore_poweron(); }
 
 const Bus& NativeEngine::find_bus(const std::vector<Bus>& buses,
                                   const std::string& name) const {
@@ -417,12 +300,13 @@ const Bus& NativeEngine::find_bus(const std::vector<Bus>& buses,
 }
 
 void NativeEngine::store_input(NetId id, const std::uint64_t* nv) {
-  std::uint64_t* d = &values_[std::size_t{id} * lw_];
+  const unsigned lw = plan_.lw;
+  std::uint64_t* d = rt_.arena() + std::size_t{id} * lw;
   std::uint64_t diff = 0;
-  for (unsigned w = 0; w < lw_; ++w) diff |= d[w] ^ nv[w];
+  for (unsigned w = 0; w < lw; ++w) diff |= d[w] ^ nv[w];
   if (diff == 0) return;
-  std::copy_n(nv, lw_, d);
-  mark_net(id);
+  std::copy_n(nv, lw, d);
+  rt_.mark(plan_.net_fl_off, plan_.net_fl, id);
 }
 
 void NativeEngine::set_input(const std::string& bus, const Bits& value) {
@@ -432,11 +316,10 @@ void NativeEngine::set_input(const std::string& bus, const Bits& value) {
                            bus);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    std::fill_n(nv, lw_,
-                value.bit(static_cast<unsigned>(i)) ? tail_mask_ : 0);
+    std::fill_n(nv, plan_.lw,
+                value.bit(static_cast<unsigned>(i)) ? plan_.tail_mask : 0);
     store_input(b.nets[i], nv);
   }
-  eval();
 }
 
 void NativeEngine::set_input(const std::string& bus, std::uint64_t value) {
@@ -447,25 +330,25 @@ void NativeEngine::set_input(const std::string& bus, std::uint64_t value) {
                            std::to_string(n) + "-bit input bus " + bus);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < n; ++i) {
-    std::fill_n(nv, lw_, i < 64 && ((value >> i) & 1u) != 0 ? tail_mask_ : 0);
+    std::fill_n(nv, plan_.lw,
+                i < 64 && ((value >> i) & 1u) != 0 ? plan_.tail_mask : 0);
     store_input(b.nets[i], nv);
   }
-  eval();
 }
 
 void NativeEngine::set_input_lanes(const std::string& bus,
                                    std::span<const std::uint64_t> bit_lanes) {
   const Bus& b = find_bus(nl_->inputs(), bus);
-  if (bit_lanes.size() != b.nets.size() * std::size_t{lw_})
+  const unsigned lw = plan_.lw;
+  if (bit_lanes.size() != b.nets.size() * std::size_t{lw})
     throw std::logic_error("gate::NativeEngine: input width mismatch on " +
                            bus);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    const std::uint64_t* s = bit_lanes.data() + i * lw_;
-    for (unsigned w = 0; w < lw_; ++w) nv[w] = s[w] & tail_mask_;
+    const std::uint64_t* s = bit_lanes.data() + i * lw;
+    for (unsigned w = 0; w < lw; ++w) nv[w] = s[w] & plan_.tail_mask;
     store_input(b.nets[i], nv);
   }
-  eval();
 }
 
 void NativeEngine::set_input_values(const std::string& bus,
@@ -474,15 +357,14 @@ void NativeEngine::set_input_values(const std::string& bus,
   if (b.nets.size() > 64)
     throw std::logic_error(
         "gate::NativeEngine: set_input_values requires a <= 64-bit bus");
-  if (values.size() != lanes_)
+  if (values.size() != plan_.lanes)
     throw std::logic_error(
         "gate::NativeEngine: set_input_values needs one value per lane");
   std::uint64_t nv[64 * (kMaxLanes / 64)];
-  par::values_to_lane_words(values.data(), 1, lanes_,
+  par::values_to_lane_words(values.data(), 1, plan_.lanes,
                             static_cast<unsigned>(b.nets.size()), nv);
   for (std::size_t i = 0; i < b.nets.size(); ++i)
-    store_input(b.nets[i], nv + i * lw_);
-  eval();
+    store_input(b.nets[i], nv + i * plan_.lw);
 }
 
 Bits NativeEngine::output(const std::string& bus) const {
@@ -490,13 +372,14 @@ Bits NativeEngine::output(const std::string& bus) const {
 }
 
 Bits NativeEngine::output_lane(const std::string& bus, unsigned lane) const {
-  if (lane >= lanes_)
+  if (lane >= plan_.lanes)
     throw std::logic_error("gate::NativeEngine: lane out of range");
   const Bus& b = find_bus(nl_->outputs(), bus);
+  settle();
   Bits out(static_cast<unsigned>(b.nets.size()));
   for (std::size_t i = 0; i < b.nets.size(); ++i)
     out.set_bit(static_cast<unsigned>(i),
-                ((values_[std::size_t{b.nets[i]} * lw_ + lane / 64] >>
+                ((rt_.arena()[std::size_t{b.nets[i]} * plan_.lw + lane / 64] >>
                   (lane % 64)) &
                  1u) != 0);
   return out;
@@ -505,10 +388,12 @@ Bits NativeEngine::output_lane(const std::string& bus, unsigned lane) const {
 std::vector<std::uint64_t> NativeEngine::output_words(
     const std::string& bus) const {
   const Bus& b = find_bus(nl_->outputs(), bus);
-  std::vector<std::uint64_t> out(b.nets.size() * lw_);
+  const unsigned lw = plan_.lw;
+  settle();
+  std::vector<std::uint64_t> out(b.nets.size() * lw);
   for (std::size_t i = 0; i < b.nets.size(); ++i)
-    for (unsigned w = 0; w < lw_; ++w)
-      out[i * lw_ + w] = values_[std::size_t{b.nets[i]} * lw_ + w];
+    std::copy_n(rt_.arena() + std::size_t{b.nets[i]} * lw, lw,
+                out.data() + i * lw);
   return out;
 }
 
@@ -518,22 +403,25 @@ std::vector<std::uint64_t> NativeEngine::output_values(
   if (b.nets.size() > 64)
     throw std::logic_error(
         "gate::NativeEngine: output_values requires a <= 64-bit bus");
+  const unsigned lw = plan_.lw;
+  settle();
   std::uint64_t words[64 * (kMaxLanes / 64)];
   for (std::size_t i = 0; i < b.nets.size(); ++i)
-    std::copy_n(&values_[std::size_t{b.nets[i]} * lw_], lw_, words + i * lw_);
-  std::vector<std::uint64_t> out(lanes_);
-  par::lane_words_to_values(words, lanes_,
+    std::copy_n(rt_.arena() + std::size_t{b.nets[i]} * lw, lw, words + i * lw);
+  std::vector<std::uint64_t> out(plan_.lanes);
+  par::lane_words_to_values(words, plan_.lanes,
                             static_cast<unsigned>(b.nets.size()), out.data(),
                             1);
   return out;
 }
 
 std::uint64_t NativeEngine::net_word(NetId id, unsigned word) const {
-  if (id >= nl_->cells().size() || word >= lw_)
+  if (id >= nl_->cells().size() || word >= plan_.lw)
     throw std::out_of_range("gate::NativeEngine: net " + std::to_string(id) +
                             " word " + std::to_string(word) +
                             " out of range");
-  return values_[std::size_t{id} * lw_ + word];
+  settle();
+  return rt_.arena()[std::size_t{id} * plan_.lw + word];
 }
 
 Bits NativeEngine::mem_word(unsigned mem, unsigned word,
@@ -541,14 +429,13 @@ Bits NativeEngine::mem_word(unsigned mem, unsigned word,
   const MemMacro& m = nl_->memories().at(mem);
   if (word >= m.depth)
     throw std::out_of_range("gate::NativeEngine: memory word out of range");
-  if (lane >= lanes_)
+  if (lane >= plan_.lanes)
     throw std::logic_error("gate::NativeEngine: lane out of range");
+  const std::uint64_t* row =
+      rt_.mem(mem) + std::size_t{word} * m.width * plan_.lw + lane / 64;
   Bits out(m.width);
   for (unsigned b = 0; b < m.width; ++b)
-    out.set_bit(
-        b, ((mem_[mem][(std::size_t{word} * m.width + b) * lw_ + lane / 64] >>
-             (lane % 64)) &
-            1u) != 0);
+    out.set_bit(b, ((row[std::size_t{b} * plan_.lw] >> (lane % 64)) & 1u) != 0);
   return out;
 }
 
@@ -558,13 +445,11 @@ void NativeEngine::poke_mem(unsigned mem, unsigned word, const Bits& value) {
     throw std::out_of_range("gate::NativeEngine: memory word out of range");
   if (m.width != value.width())
     throw std::logic_error("gate::NativeEngine: poke_mem width mismatch");
-  for (unsigned b = 0; b < m.width; ++b) {
-    const std::uint64_t nv = value.bit(b) ? tail_mask_ : 0;
-    for (unsigned w = 0; w < lw_; ++w)
-      mem_[mem][(std::size_t{word} * m.width + b) * lw_ + w] = nv;
-  }
-  for (const NetId q : memq_cells_.at(mem)) level_dirty_[level_of_[q]] = 1;
-  eval();
+  std::uint64_t* row = rt_.mem(mem) + std::size_t{word} * m.width * plan_.lw;
+  for (unsigned b = 0; b < m.width; ++b)
+    std::fill_n(row + std::size_t{b} * plan_.lw, plan_.lw,
+                value.bit(b) ? plan_.tail_mask : 0);
+  rt_.mark(plan_.mem_fl_off, plan_.mem_fl, mem);
 }
 
 }  // namespace osss::gate

@@ -17,11 +17,10 @@
 //   * the DFF and memory-write-port commit is emitted *inside* the
 //     generated `osss_gate_step` entry point — sample offsets, depths,
 //     widths and dirty marks baked in, no C++ commit loop on the hot path;
-//   * the compile/dlopen machinery and the content-hash object cache are
-//     shared with the rtl backend (src/jit): identical netlists reuse one
-//     loaded object, and generated code is stateless — all mutable state
-//     (value arena, memories, dirty flags, step scratch) is engine-owned
-//     and passed in as parameters;
+//   * the engine holds a jit::Runtime, shared with the rtl backend: it
+//     owns the arena, memories, dirty levels, power-on snapshot and run
+//     counters, binds the generated code through the content-hash object
+//     cache and applies the one settle rule of both engines;
 //   * when the compile is off or unavailable (force_fallback, OSSS_NO_JIT,
 //     bogus $OSSS_CC, a sandboxed runner) the engine falls back *silently*
 //     to an interpreted level sweep over the same LW-word arena —
@@ -41,13 +40,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "gate/netlist.hpp"
 #include "jit/jit.hpp"
+#include "jit/runtime.hpp"
 
 namespace osss::gate {
 
@@ -56,14 +55,63 @@ namespace osss::gate {
 /// hooks.
 using CodegenOptions = jit::CompileOptions;
 
+/// The level schedule and clock-edge plan of one netlist at one lane count.
+/// NativeEngine derives it once and hands it to the emitter, so the
+/// interpreted sweep and the generated code run the same schedule.
+struct Schedule {
+  /// Validates `nl`; `lanes` is 1 or a multiple of 64 up to 512 (0 = 64),
+  /// else std::invalid_argument.
+  Schedule(const Netlist& nl, unsigned lanes);
+
+  unsigned lanes = 64;
+  unsigned lw = 1;                  ///< lane words per net: lanes/64 (min 1)
+  std::uint64_t tail_mask = ~0ull;  ///< mask of the last lane word (1 scalar)
+
+  /// Level l evaluates level_cells[level_offset[l] .. level_offset[l+1]),
+  /// ascending net ids.
+  std::vector<std::uint32_t> level_offset;
+  std::vector<NetId> level_cells;
+  /// Dirty marks (CSR, distinct levels ascending): the levels reading each
+  /// net (DFF D pins excluded) and the levels of each memory's read cells.
+  std::vector<std::uint32_t> net_fl_off, net_fl;
+  std::vector<std::uint32_t> mem_fl_off, mem_fl;
+
+  std::vector<NetId> dffs;  ///< ascending net ids
+  /// Clock-edge samples in the step scratch: DFF i's D pin at word i * lw,
+  /// then the write ports' nets (enable, address bits, data bits, port by
+  /// port) flattened in wp_nets, sample s at word (dffs.size() + s) * lw.
+  struct WritePort {
+    std::uint32_t mem = 0;
+    std::uint32_t base = 0;  ///< first of the port's nets in wp_nets
+    std::uint32_t addr_n = 0;
+    std::uint32_t width = 0;
+  };
+  std::vector<WritePort> wports;
+  std::vector<NetId> wp_nets;
+
+  std::uint32_t levels() const noexcept {
+    return static_cast<std::uint32_t>(level_offset.size() - 1);
+  }
+  std::size_t scratch_words() const noexcept {
+    return (dffs.size() + wp_nets.size()) * lw;
+  }
+};
+
 /// Generate the specialized C++ translation unit for `nl` at `lanes`
 /// stimulus lanes — exposed for tests and for inspecting what the backend
 /// actually compiles.
 std::string emit_netlist_cpp(const Netlist& nl, unsigned lanes);
+/// The same over a schedule already derived from `nl`.
+std::string emit_netlist_cpp(const Netlist& nl, const Schedule& s);
 
 /// Executes a levelized netlist through generated native code (dlopen) or
 /// the interpreted LW-word level sweep.  Owned by gate::Simulator behind
 /// SimMode::kNative; `nl` must outlive the engine (the Simulator owns it).
+///
+/// Writes (set_input*, poke_mem, the clock edge's commit) only store and
+/// dirty-mark; reads (output*, net_word) and step() settle first.  The
+/// reads stay const: the pending settle is a cache of the written inputs,
+/// so one engine must not be read from two threads at once.
 class NativeEngine {
  public:
   static constexpr unsigned kMaxLanes = 512;
@@ -74,21 +122,16 @@ class NativeEngine {
   NativeEngine(const NativeEngine&) = delete;
   NativeEngine& operator=(const NativeEngine&) = delete;
 
-  unsigned lanes() const noexcept { return lanes_; }
-  unsigned lane_words() const noexcept { return lw_; }
+  unsigned lanes() const noexcept { return plan_.lanes; }
+  unsigned lane_words() const noexcept { return plan_.lw; }
 
   /// True when the dlopen'd generated code is driving eval/step; false
   /// means the interpreted fallback is active (results are identical).
-  bool native() const noexcept { return eval_fn_ != nullptr; }
-  const std::string& compile_log() const noexcept { return compile_log_; }
+  bool native() const noexcept { return rt_.native(); }
+  const std::string& compile_log() const noexcept { return rt_.compile_log(); }
 
-  struct RunStats {
-    std::uint64_t cycles = 0;
-    std::uint64_t gate_evals = 0;        ///< fallback sweep only
-    std::uint64_t levels_evaluated = 0;  ///< fallback sweep only
-    std::uint64_t levels_skipped = 0;    ///< fallback sweep only
-  };
-  const RunStats& stats() const noexcept { return stats_; }
+  using RunStats = jit::RunStats;
+  const RunStats& stats() const noexcept { return rt_.stats(); }
 
   /// Drive an input bus, broadcast to all lanes.
   void set_input(const std::string& bus, const Bits& value);
@@ -125,73 +168,26 @@ class NativeEngine {
   void poke_mem(unsigned mem, unsigned word, const Bits& value);
 
  private:
-  using EvalFn = void (*)(std::uint64_t*, std::uint64_t* const*,
-                          unsigned char*);
-  using StepFn = unsigned (*)(std::uint64_t*, std::uint64_t* const*,
-                              unsigned char*, std::uint64_t*);
-
-  struct WritePortRef {
-    std::uint32_t mem = 0;
-    std::uint32_t base = 0;  ///< first slot in wp_nets_ / wp_samp_
-    std::uint32_t addr_n = 0;
-    std::uint32_t width = 0;
-  };
-
   const Netlist* nl_;
-  unsigned lanes_ = 64;
-  unsigned lw_ = 1;           ///< lane words per net: lanes/64 (min 1)
-  std::uint64_t tail_mask_;   ///< mask of the last lane word (1 for scalar)
+  const Schedule plan_;
+  /// Memories hold lane word w of data bit b of row a at [(a*width+b)*lw+w].
+  /// Mutable: const reads settle first.
+  mutable jit::Runtime rt_;
+  std::vector<std::uint64_t> samples_;  ///< fallback step scratch
 
-  std::vector<std::uint64_t> values_;  ///< V[net*lw_ + w]
-  std::vector<std::uint64_t> poweron_values_;  ///< settled power-on arena
-  std::vector<unsigned char> level_dirty_;
-  RunStats stats_;
-
-  // Level schedule + dirty-marking topology (shared by the fallback sweep
-  // and the engine-side input marking; the generated code bakes its own).
-  std::vector<std::uint32_t> level_of_;
-  std::vector<std::uint32_t> level_offset_;
-  std::vector<NetId> level_cells_;
-  std::vector<std::uint32_t> flevel_offset_;
-  std::vector<std::uint32_t> flevels_;
-
-  struct DffBind {
-    NetId q;
-    NetId d;
-    bool init;
-  };
-  std::vector<DffBind> dffs_;
-  std::vector<std::uint64_t> dff_next_;  ///< fallback scratch, lw_ per DFF
-
-  std::vector<std::vector<NetId>> memq_cells_;
-  std::vector<std::vector<std::uint64_t>> mem_;  ///< [(a*width+b)*lw_ + w]
-  std::vector<std::uint64_t*> mem_ptrs_;         ///< stable, passed to native
-  std::vector<WritePortRef> wports_;
-  std::vector<NetId> wp_nets_;          ///< flattened en/addr/data nets
-  std::vector<std::uint64_t> wp_samp_;  ///< fallback scratch, lw_ per net
-
-  // Native path state (shared object handle from the jit cache).
-  std::shared_ptr<jit::Object> obj_;
-  EvalFn eval_fn_ = nullptr;
-  StepFn step_fn_ = nullptr;
-  std::vector<std::uint64_t> step_scratch_;
-  std::string compile_log_;
-
-  void try_native(const CodegenOptions& opt);
-  void drop_native();
-  void eval();  ///< settle dirty levels (native or fallback sweep)
-  void fallback_eval();
+  /// Settle through the generated eval, else the interpreted sweep.
+  void settle() const;
   /// The interpreted level sweep at `lw` lane words per net: a
-  /// std::integral_constant 1 when lw_ is 1 (1 or 64 lanes), else lw_.
+  /// std::integral_constant 1 when the plan has one lane word (1 or 64
+  /// lanes), else the plan's count.
   template <class LW>
-  void sweep(LW lw);
-  void fallback_step();
+  void sweep(LW lw) const;
   /// The clock-edge commit of DFFs and memory write ports at `lw` lane
   /// words per net (as for sweep).
   template <class LW>
   void commit(LW lw);
-  /// One address per lane into addr[0 .. lanes_) from `n` address bits
-  /// whose lane words sit at words[i * lw_ .. i * lw_ + lw_).
+  /// One address per lane into addr[0 .. lanes) from `n` address bits
+  /// whose lane words sit at words[i * lw .. i * lw + lw).
   void decode_addresses(const std::uint64_t* words, std::size_t n,
                         std::uint64_t* addr) const;
   /// decode_addresses over the settled address nets of read cell `c`.
@@ -200,8 +196,7 @@ class NativeEngine {
   /// (out-of-range lanes read 0).
   void read_memq(const Cell& c, const std::uint64_t* addr,
                  std::uint64_t* out) const;
-  void mark_net(NetId id);  ///< dirty-mark the fanout levels of a net
-  /// Store lw_ lane words into input net `id`; dirty-mark it if they differ.
+  /// Store lw lane words into input net `id`; dirty-mark it if they differ.
   void store_input(NetId id, const std::uint64_t* nv);
   const Bus& find_bus(const std::vector<Bus>& buses,
                       const std::string& name) const;

@@ -48,6 +48,7 @@
 #include <cstdio>
 #include <algorithm>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -61,48 +62,18 @@ namespace {
 
 struct Emitter {
   const Netlist& nl;
+  const Schedule& s;
   const unsigned lanes;
   const unsigned lw;
   const std::uint64_t tm;
   std::ostringstream os;
 
-  std::vector<std::uint32_t> level_of;
-  std::uint32_t num_levels = 0;
-  std::vector<std::vector<NetId>> by_level;
-  /// Distinct fanout levels per net (dirty marks), Simulator semantics.
-  std::vector<std::vector<std::uint32_t>> net_marks;
-  /// Distinct levels of each memory's kMemQ cells (write wake-up marks).
-  std::vector<std::vector<std::uint32_t>> memq_marks;
-
-  Emitter(const Netlist& n, unsigned lanes_arg)
+  Emitter(const Netlist& n, const Schedule& sched)
       : nl(n),
-        lanes(lanes_arg),
-        lw(lanes_arg == 1 ? 1 : lanes_arg / 64),
-        tm(lanes_arg == 1 ? std::uint64_t{1} : ~std::uint64_t{0}) {
-    const std::size_t ncells = nl.cells().size();
-    level_of = nl.topo_levels();
-    for (const std::uint32_t l : level_of)
-      if (l != kNoLevel) num_levels = std::max(num_levels, l + 1);
-    by_level.resize(num_levels);
-    for (NetId id = 0; id < ncells; ++id)
-      if (level_of[id] != kNoLevel) by_level[level_of[id]].push_back(id);
-    net_marks.resize(ncells);
-    memq_marks.resize(nl.memories().size());
-    for (NetId id = 0; id < ncells; ++id) {
-      const Cell& c = nl.cells()[id];
-      if (c.kind == CellKind::kMemQ) memq_marks[c.param].push_back(level_of[id]);
-      if (c.kind == CellKind::kDff) continue;
-      for (const NetId in : c.ins) net_marks[in].push_back(level_of[id]);
-    }
-    for (auto& m : net_marks) {
-      std::sort(m.begin(), m.end());
-      m.erase(std::unique(m.begin(), m.end()), m.end());
-    }
-    for (auto& m : memq_marks) {
-      std::sort(m.begin(), m.end());
-      m.erase(std::unique(m.begin(), m.end()), m.end());
-    }
-  }
+        s(sched),
+        lanes(sched.lanes),
+        lw(sched.lw),
+        tm(sched.tail_mask) {}
 
   static std::string hex(std::uint64_t v) {
     char buf[32];
@@ -175,10 +146,13 @@ struct Emitter {
     return "vld(V + " + num(std::uint64_t{in} * lw) + " + w)";
   }
 
-  /// Dirty marks for a net's fanout levels; empty when none.
-  std::string marks(NetId id) const {
+  /// Dirty marks for one CSR row of fanout levels; empty when none.
+  static std::string marks(const std::vector<std::uint32_t>& off,
+                           const std::vector<std::uint32_t>& levels,
+                           std::size_t row) {
     std::string m;
-    for (const std::uint32_t l : net_marks[id]) m += " D[" + num(l) + "] = 1;";
+    for (std::uint32_t k = off[row]; k < off[row + 1]; ++k)
+      m += " D[" + num(levels[k]) + "] = 1;";
     return m;
   }
 
@@ -326,6 +300,7 @@ struct Emitter {
     os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
           "unsigned char* D) {\n";
     os << "  (void)V; (void)M; (void)D;\n";
+    const std::uint32_t num_levels = s.levels();
     if (num_levels == 0) {
       os << "}\n\n";
       return;
@@ -348,14 +323,17 @@ struct Emitter {
                std::vector<NetId>>
           ports;
       std::vector<NetId> logic;
-      for (const NetId id : by_level[lev]) {
+      const std::span<const NetId> level(
+          s.level_cells.data() + s.level_offset[lev],
+          s.level_offset[lev + 1] - s.level_offset[lev]);
+      for (const NetId id : level) {
         const Cell& c = nl.cells()[id];
         if (c.kind == CellKind::kMemQ)
           ports[{c.param, c.ins}].push_back(id);
         else
           logic.push_back(id);
       }
-      for (const NetId id : by_level[lev]) {
+      for (const NetId id : level) {
         const Cell& c = nl.cells()[id];
         if (c.kind != CellKind::kMemQ) continue;
         const auto it = ports.find({c.param, c.ins});
@@ -380,84 +358,51 @@ struct Emitter {
 
   /// Generated `osss_gate_step`: DFF/write-port sample + commit with
   /// offsets and dirty marks baked in, ending with an inline settle so one
-  /// clock cycle is a single native call.  Commit order mirrors the
-  /// engine's interpreted fallback exactly (that remains the no-JIT path).
-  std::uint64_t compute_scratch(std::vector<std::uint64_t>& dff_at,
-                                std::vector<std::uint64_t>& wp_at) const {
-    std::uint64_t sat = 0;
-    for (std::size_t i = 0; i < nl.cells().size(); ++i)
-      if (nl.cells()[i].kind == CellKind::kDff) {
-        dff_at.push_back(sat);
-        sat += lw;
-      }
-    for (const MemMacro& m : nl.memories())
-      for (const auto& w : m.writes) {
-        wp_at.push_back(sat);
-        sat += std::uint64_t{lw} * (1 + w.addr.size() + w.data.size());
-      }
-    return sat;
-  }
-
-  void emit_step(const std::vector<std::uint64_t>& dff_at,
-                 const std::vector<std::uint64_t>& wp_at) {
+  /// clock cycle is a single native call.  Sample offsets and commit order
+  /// are the Schedule's, as in the engine's interpreted fallback.
+  void emit_step() {
     os << "extern \"C\" unsigned osss_gate_step(u64* V, u64* const* M, "
           "unsigned char* D, u64* S) {\n";
     os << "  (void)V; (void)M; (void)D; (void)S;\n";
     os << "  unsigned chg = 0; (void)chg;\n";
     // Pre-edge sample: every DFF and write port observes the settled
     // pre-clock values before any commit rewrites the arena.
-    std::vector<NetId> dffs;
-    for (NetId id = 0; id < nl.cells().size(); ++id)
-      if (nl.cells()[id].kind == CellKind::kDff) dffs.push_back(id);
+    const std::vector<NetId>& dffs = s.dffs;
     for (std::size_t i = 0; i < dffs.size(); ++i)
-      os << "  j_cpy(S + " << num(dff_at[i]) << ", V + "
+      os << "  j_cpy(S + " << num(i * lw) << ", V + "
          << num(std::uint64_t{nl.cells()[dffs[i]].ins[0]} * lw) << ", " << lw
          << ");\n";
-    struct WpPlan {
-      std::uint32_t mem;
-      const MemMacro::WritePort* port;
-      std::uint64_t en_at, addr_at, data_at;
+    // Write-port net k (Schedule::wp_nets) samples into scratch word at(k).
+    const auto at = [&](std::size_t k) { return (dffs.size() + k) * lw; };
+    const auto src = [&](std::size_t k) {
+      return num(std::uint64_t{s.wp_nets[k]} * lw);
     };
-    std::vector<WpPlan> wps;
-    {
-      std::size_t wi = 0;
-      for (std::uint32_t mi = 0; mi < nl.memories().size(); ++mi)
-        for (const auto& w : nl.memories()[mi].writes) {
-          const std::uint64_t at = wp_at[wi++];
-          wps.push_back({mi, &w, at, at + lw,
-                         at + lw * (1 + std::uint64_t{w.addr.size()})});
-        }
-    }
-    for (const WpPlan& wp : wps) {
-      os << "  if (j_snap(S + " << num(wp.en_at) << ", V + "
-         << num(std::uint64_t{wp.port->enable} * lw) << ", " << lw
-         << ")) {\n";
-      for (std::size_t i = 0; i < wp.port->addr.size(); ++i)
-        os << "    j_cpy(S + " << num(wp.addr_at + i * lw) << ", V + "
-           << num(std::uint64_t{wp.port->addr[i]} * lw) << ", " << lw
-           << ");\n";
-      for (std::size_t i = 0; i < wp.port->data.size(); ++i)
-        os << "    j_cpy(S + " << num(wp.data_at + i * lw) << ", V + "
-           << num(std::uint64_t{wp.port->data[i]} * lw) << ", " << lw
-           << ");\n";
+    for (const Schedule::WritePort& wp : s.wports) {
+      os << "  if (j_snap(S + " << num(at(wp.base)) << ", V + " << src(wp.base)
+         << ", " << lw << ")) {\n";
+      for (std::size_t k = wp.base + 1; k <= wp.base + wp.addr_n + wp.width;
+           ++k)
+        os << "    j_cpy(S + " << num(at(k)) << ", V + " << src(k) << ", "
+           << lw << ");\n";
       os << "  }\n";
     }
     // Commit DFFs.
     for (std::size_t i = 0; i < dffs.size(); ++i) {
-      const std::string mk = marks(dffs[i]);
+      const std::string mk = marks(s.net_fl_off, s.net_fl, dffs[i]);
       os << "  { const u64 diff = j_stn(V + "
-         << num(std::uint64_t{dffs[i]} * lw) << ", S + " << num(dff_at[i])
+         << num(std::uint64_t{dffs[i]} * lw) << ", S + " << num(i * lw)
          << ", " << lw << "); if (diff) {" << mk << " chg = 1u; } }\n";
     }
     // Commit memory writes (port order = declaration order; later win).
-    for (const WpPlan& wp : wps) {
-      const MemMacro& m = nl.memories()[wp.mem];
-      const std::size_t n = wp.port->addr.size();
+    for (const Schedule::WritePort& wp : s.wports) {
+      const std::uint32_t mem = wp.mem;
+      const MemMacro& m = nl.memories()[mem];
+      const std::size_t n = wp.addr_n;
+      const std::uint64_t en_at = at(wp.base), addr_at = at(wp.base + 1),
+                          data_at = at(wp.base + 1 + n);
       const std::uint64_t bound = row_bound(m.depth, n);
-      std::string mk;
-      for (const std::uint32_t l : memq_marks[wp.mem])
-        mk += " D[" + num(l) + "] = 1;";
-      os << "  { // mem " << wp.mem << " write port: depth " << m.depth
+      const std::string mk = marks(s.mem_fl_off, s.mem_fl, mem);
+      os << "  { // mem " << mem << " write port: depth " << m.depth
          << ", width " << m.width << "\n";
       os << "    u64 ch = 0;\n";
       if (use_row_masks(bound) && flat_rows_ok(m.width)) {
@@ -472,20 +417,20 @@ struct Emitter {
         std::string eany;
         for (unsigned w = 0; w < lw; ++w) {
           eany += w ? " | S[" : "S[";
-          eany += num(wp.en_at + w);
+          eany += num(en_at + w);
           eany += "]";
         }
         os << "    if (" << eany << ") {\n";
         os << "      constexpr int MR = FW > L ? FW : L;\n";
         os << "      alignas(64) u64 enr[MR];\n";
         os << "      for (int k = 0; k < MR; ++k) enr[k] = S["
-           << num(wp.en_at) << " + (k & " << (lw - 1) << ")];\n";
+           << num(en_at) << " + (k & " << (lw - 1) << ")];\n";
         emit_addr_reps("      ", n, "S",
-                       [&](std::size_t i) { return wp.addr_at + i * lw; });
+                       [&](std::size_t i) { return addr_at + i * lw; });
         os << "      alignas(64) u64 srep[MR];\n";
         os << "      fv chv = fbc(0x0ull);\n";
-        os << "      u64* const mb = M[" << wp.mem << "];\n";
-        os << "      const u64* const sd = S + " << num(wp.data_at) << ";\n";
+        os << "      u64* const mb = M[" << mem << "];\n";
+        os << "      const u64* const sd = S + " << num(data_at) << ";\n";
         for (std::uint64_t a = 0; a < bound; ++a) {
           os << "      {\n";
           os << "        fv anyv = fbc(0x0ull);\n";
@@ -516,18 +461,18 @@ struct Emitter {
         // bit merges with two word ops.  sel is confined by the sampled
         // enable word, so complemented address garbage never escapes.
         os << "    for (int w = 0; w < " << lw << "; ++w) {\n";
-        os << "      const u64 en = S[" << num(wp.en_at) << " + w];\n";
+        os << "      const u64 en = S[" << num(en_at) << " + w];\n";
         os << "      if (!en) continue;\n";
         for (std::size_t i = 0; i < n; ++i)
           os << "      const u64 a" << i << " = S["
-             << num(wp.addr_at + i * lw) << " + w];\n";
+             << num(addr_at + i * lw) << " + w];\n";
         for (std::uint64_t a = 0; a < bound; ++a) {
           os << "      {\n";
           emit_row_mask("        ", "sel", "en", a, n);
           os << "        if (sel) {\n";
-          os << "          u64* e = M[" << wp.mem << "] + "
+          os << "          u64* e = M[" << mem << "] + "
              << num(a * m.width * lw) << "u + w;\n";
-          os << "          const u64* s = S + " << num(wp.data_at)
+          os << "          const u64* s = S + " << num(data_at)
              << " + w;\n";
           for (std::uint32_t b = 0; b < m.width; ++b) {
             const std::string off = num(std::uint64_t{b} * lw);
@@ -541,17 +486,17 @@ struct Emitter {
         os << "    }\n";
       } else {
         os << "    for (int l = 0; l < " << lanes << "; ++l) {\n";
-        os << "      if (((S[" << num(wp.en_at)
+        os << "      if (((S[" << num(en_at)
            << " + (l >> 6)] >> (l & 63)) & 1u) == 0) continue;\n";
         os << "      u64 a = 0;\n";
         for (std::size_t i = n; i-- > 0;)
-          os << "      a = (a << 1) | ((S[" << num(wp.addr_at + i * lw)
+          os << "      a = (a << 1) | ((S[" << num(addr_at + i * lw)
              << " + (l >> 6)] >> (l & 63)) & 1u);\n";
         os << "      if (a >= " << m.depth << "u) continue;\n";
         os << "      const u64 bm = 1ull << (l & 63);\n";
-        os << "      u64* e = M[" << wp.mem << "] + a * "
+        os << "      u64* e = M[" << mem << "] + a * "
            << num(std::uint64_t{m.width} * lw) << "u + (l >> 6);\n";
-        os << "      const u64* s = S + " << num(wp.data_at)
+        os << "      const u64* s = S + " << num(data_at)
            << " + (l >> 6);\n";
         os << "      for (unsigned b = 0; b < " << m.width << "u; ++b) {\n";
         os << "        const u64 nb = (s[b * " << lw
@@ -587,17 +532,15 @@ struct Emitter {
     os << jit::flat_ops_prelude();
     os << jit::step_prelude();
     os << "}  // namespace\n\n";
-    std::vector<std::uint64_t> dff_at, wp_at;
-    const std::uint64_t scratch = compute_scratch(dff_at, wp_at);
     os << "extern \"C\" unsigned osss_gate_abi() { return 1u; }\n";
     os << "extern \"C\" unsigned osss_gate_lanes() { return " << lanes
        << "u; }\n";
     os << "extern \"C\" unsigned long long osss_gate_nets() { return "
        << nl.cells().size() << "ull; }\n";
     os << "extern \"C\" unsigned long long osss_gate_scratch() { return "
-       << scratch << "ull; }\n\n";
+       << s.scratch_words() << "ull; }\n\n";
     emit_eval();
-    emit_step(dff_at, wp_at);
+    emit_step();
     return os.str();
   }
 };
@@ -605,12 +548,11 @@ struct Emitter {
 }  // namespace
 
 std::string emit_netlist_cpp(const Netlist& nl, unsigned lanes) {
-  if (lanes == 0) lanes = 64;
-  if (lanes != 1 && (lanes % 64 != 0 || lanes > NativeEngine::kMaxLanes))
-    throw std::invalid_argument(
-        "gate::emit_netlist_cpp: lanes must be 1 or a multiple of 64 up to " +
-        std::to_string(NativeEngine::kMaxLanes));
-  return Emitter(nl, lanes).run();
+  return emit_netlist_cpp(nl, Schedule(nl, lanes));
+}
+
+std::string emit_netlist_cpp(const Netlist& nl, const Schedule& s) {
+  return Emitter(nl, s).run();
 }
 
 }  // namespace osss::gate

@@ -196,20 +196,9 @@ void Netlist::mem_write(unsigned mem, std::vector<NetId> addr,
 }
 
 NetId Netlist::raw_gate(CellKind kind, std::vector<NetId> ins) {
-  std::size_t arity = 0;
-  switch (kind) {
-    case CellKind::kBuf:
-    case CellKind::kInv: arity = 1; break;
-    case CellKind::kAnd2:
-    case CellKind::kOr2:
-    case CellKind::kNand2:
-    case CellKind::kNor2:
-    case CellKind::kXor2:
-    case CellKind::kXnor2: arity = 2; break;
-    case CellKind::kMux2: arity = 3; break;
-    default: bad(name_, "raw_gate: not a logic cell kind");
-  }
-  if (ins.size() != arity) bad(name_, "raw_gate: arity mismatch");
+  if (!is_logic(kind)) bad(name_, "raw_gate: not a logic cell kind");
+  if (ins.size() != static_cast<std::size_t>(arity(kind)))
+    bad(name_, "raw_gate: arity mismatch");
   for (const NetId in : ins) {
     if (in == kInvalidNet || in >= cells_.size())
       bad(name_, "raw_gate: unknown input net");
@@ -426,20 +415,8 @@ std::vector<std::uint32_t> Netlist::topo_levels() const {
 
 void Netlist::mutate_cell(NetId id, CellKind new_kind) {
   if (id >= cells_.size()) bad(name_, "mutate_cell: bad net id");
-  auto arity = [this](CellKind k) -> int {
-    switch (k) {
-      case CellKind::kBuf:
-      case CellKind::kInv: return 1;
-      case CellKind::kAnd2:
-      case CellKind::kOr2:
-      case CellKind::kNand2:
-      case CellKind::kNor2:
-      case CellKind::kXor2:
-      case CellKind::kXnor2: return 2;
-      case CellKind::kMux2: return 3;
-      default: bad(name_, "mutate_cell: not a logic cell"); return -1;
-    }
-  };
+  if (!is_logic(cells_[id].kind) || !is_logic(new_kind))
+    bad(name_, "mutate_cell: not a logic cell");
   if (arity(cells_[id].kind) != arity(new_kind))
     bad(name_, "mutate_cell: arity mismatch");
   cells_[id].kind = new_kind;

@@ -53,6 +53,50 @@ enum class CellKind : std::uint8_t {
 
 const char* cell_kind_name(CellKind k);
 
+/// Combinational logic kinds: kBuf .. kMux2, contiguous in CellKind.
+constexpr bool is_logic(CellKind k) {
+  return k >= CellKind::kBuf && k <= CellKind::kMux2;
+}
+
+/// Input count of a cell kind; -1 for kMemQ, whose address width varies.
+constexpr int arity(CellKind k) {
+  switch (k) {
+    case CellKind::kConst0:
+    case CellKind::kConst1:
+    case CellKind::kInput: return 0;
+    case CellKind::kBuf:
+    case CellKind::kInv:
+    case CellKind::kDff: return 1;
+    case CellKind::kMux2: return 3;
+    case CellKind::kMemQ: return -1;
+    default: return 2;
+  }
+}
+
+/// Word-parallel value of a logic cell of kind `k`: in(i) is the word of
+/// input i (read only for the kind's inputs) and `ones` the all-ones word
+/// of the caller's lanes.  Inversions flip exactly the bits of `ones`, so
+/// operands must carry no bits outside it.  W is any unsigned word or
+/// bool; non-logic kinds give 0.
+template <class W, class In>
+constexpr W eval_cell(CellKind k, In in, W ones) {
+  switch (k) {
+    case CellKind::kBuf: return static_cast<W>(in(0));
+    case CellKind::kInv: return static_cast<W>(in(0) ^ ones);
+    case CellKind::kAnd2: return static_cast<W>(in(0) & in(1));
+    case CellKind::kOr2: return static_cast<W>(in(0) | in(1));
+    case CellKind::kNand2: return static_cast<W>((in(0) & in(1)) ^ ones);
+    case CellKind::kNor2: return static_cast<W>((in(0) | in(1)) ^ ones);
+    case CellKind::kXor2: return static_cast<W>(in(0) ^ in(1));
+    case CellKind::kXnor2: return static_cast<W>(in(0) ^ in(1) ^ ones);
+    case CellKind::kMux2: {
+      const W s = static_cast<W>(in(0));
+      return static_cast<W>((s & in(1)) | ((s ^ ones) & in(2)));
+    }
+    default: return W{};
+  }
+}
+
 struct Cell {
   CellKind kind = CellKind::kConst0;
   std::vector<NetId> ins;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-
-#include "par/pool.hpp"
 
 namespace osss::gate {
 
@@ -246,7 +243,7 @@ std::vector<std::uint64_t> Simulator::output_values(
 const Simulator::Stats& Simulator::stats() const noexcept {
   if (native_) {
     const NativeEngine::RunStats& rs = native_->stats();
-    stats_.events = rs.gate_evals;
+    stats_.events = rs.evals;
     stats_.cycles = rs.cycles;
     stats_.levels_evaluated = rs.levels_evaluated;
     stats_.levels_skipped = rs.levels_skipped;
@@ -419,72 +416,29 @@ void run_lane_block(Simulator& sim, const Netlist& nl, par::StimulusBlock& b,
 }  // namespace
 
 void run_batch(const Netlist& nl, SimMode mode,
-               std::span<par::StimulusBlock> blocks, par::Pool* pool_arg) {
+               std::span<par::StimulusBlock> blocks, par::Pool* pool) {
   if (blocks.empty()) return;
   const unsigned lanes = blocks.front().lanes;
-  if (lanes != 1 && (lanes % 64 != 0 || lanes > Simulator::kMaxLanes))
-    throw std::invalid_argument(
-        "gate::run_batch: lanes must be 1 or a multiple of 64 up to " +
-        std::to_string(Simulator::kMaxLanes));
   if (lanes != 1 && mode != SimMode::kNative)
     throw std::invalid_argument(
         "gate::run_batch: lane blocks require kNative");
-  const unsigned lwords = lanes == 1 ? 1 : lanes / 64;
-
-  unsigned in_slots = 0, out_slots = 0;
-  if (lanes == 1) {
-    in_slots = static_cast<unsigned>(nl.inputs().size());
-    out_slots = static_cast<unsigned>(nl.outputs().size());
-  } else {
-    for (const Bus& bus : nl.inputs())
-      in_slots += static_cast<unsigned>(bus.nets.size()) * lwords;
-    for (const Bus& bus : nl.outputs())
-      out_slots += static_cast<unsigned>(bus.nets.size()) * lwords;
-  }
-  for (par::StimulusBlock& b : blocks) {
-    if (b.lanes != lanes)
-      throw std::invalid_argument("gate::run_batch: mixed-lane batch");
-    if (b.in_slots != in_slots ||
-        b.in.size() != static_cast<std::size_t>(b.cycles) * in_slots)
-      throw std::invalid_argument("gate::run_batch: block stimulus shape "
-                                  "does not match the netlist interface");
-    b.out_slots = out_slots;
-    b.out.assign(static_cast<std::size_t>(b.cycles) * out_slots, 0);
-  }
-
-  par::Pool& pool = pool_arg ? *pool_arg : par::Pool::global();
-  // Engines are pooled across chunks: a chunk borrows an idle simulator
-  // (or builds one when all are busy — at most one per concurrently active
-  // worker) and returns it, so schedule build and JIT compile are paid
-  // once per worker, not once per chunk, and every native chunk shares one
-  // cached object.  Blocks start from restore_poweron(), a snapshot copy.
-  const std::size_t chunks =
-      std::min(blocks.size(), static_cast<std::size_t>(pool.size()) * 2);
-  const std::size_t per = (blocks.size() + chunks - 1) / chunks;
-  std::mutex pool_mu;
-  std::vector<std::unique_ptr<Simulator>> idle;
-  pool.parallel_for(chunks, [&](std::size_t chunk) {
-    const std::size_t lo = chunk * per;
-    const std::size_t hi = std::min(blocks.size(), lo + per);
-    if (lo >= hi) return;
-    std::unique_ptr<Simulator> sim;
-    {
-      std::lock_guard<std::mutex> lk(pool_mu);
-      if (!idle.empty()) {
-        sim = std::move(idle.back());
-        idle.pop_back();
-      }
-    }
-    if (!sim) sim = std::make_unique<Simulator>(nl, mode, lanes);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (lanes == 1)
-        run_scalar_block(*sim, nl, blocks[i]);
-      else
-        run_lane_block(*sim, nl, blocks[i], lwords);
-    }
-    std::lock_guard<std::mutex> lk(pool_mu);
-    idle.push_back(std::move(sim));
-  });
+  std::vector<unsigned> in_widths, out_widths;
+  for (const Bus& bus : nl.inputs())
+    in_widths.push_back(static_cast<unsigned>(bus.nets.size()));
+  for (const Bus& bus : nl.outputs())
+    out_widths.push_back(static_cast<unsigned>(bus.nets.size()));
+  // Every native engine shares one cached object; blocks start from
+  // restore_poweron(), a snapshot copy.
+  par::run_blocks(
+      blocks, in_widths, out_widths, Simulator::kMaxLanes, pool,
+      "gate::run_batch",
+      [&] { return std::make_unique<Simulator>(nl, mode, lanes); },
+      [&](Simulator& sim, par::StimulusBlock& b) {
+        if (lanes == 1)
+          run_scalar_block(sim, nl, b);
+        else
+          run_lane_block(sim, nl, b, lanes / 64);
+      });
 }
 
 }  // namespace osss::gate

@@ -33,10 +33,6 @@
 #include "gate/netlist.hpp"
 #include "par/batch.hpp"
 
-namespace osss::par {
-class Pool;
-}
-
 namespace osss::gate {
 
 /// Evaluation engine selection (fixed per Simulator instance).

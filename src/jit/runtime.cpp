@@ -1,0 +1,71 @@
+// runtime.cpp — the binder and the state resets of jit::Runtime.
+
+#include "jit/runtime.hpp"
+
+#include <algorithm>
+
+namespace osss::jit {
+
+namespace {
+
+/// The ABI probe, shared by the post-compile check and the disk cache's
+/// load-time validation: a stale or truncated published artifact must fail
+/// here and fall back to a fresh compile, never reach an engine.
+bool probe(const Object& obj, const Abi& abi) {
+  const std::string p = abi.prefix;
+  const auto fn = [&](const std::string& suffix) {
+    return obj.sym((p + suffix).c_str());
+  };
+  const auto version = reinterpret_cast<unsigned (*)()>(fn("_abi"));
+  const auto lanes = reinterpret_cast<unsigned (*)()>(fn("_lanes"));
+  const auto size = reinterpret_cast<unsigned long long (*)()>(
+      fn(std::string("_") + abi.size_name));
+  return version != nullptr && version() == abi.version && lanes != nullptr &&
+         lanes() == abi.lanes && size != nullptr && size() == abi.size &&
+         fn("_scratch") != nullptr && fn("_eval") != nullptr &&
+         fn("_step") != nullptr;
+}
+
+}  // namespace
+
+void Runtime::bind(const std::function<std::string()>& emit,
+                   CompileOptions opt, const Abi& abi) {
+  if (jit_disabled_by_env()) opt.force_fallback = true;
+  // A forced fallback that keeps no source never reads it: compile()
+  // returns before the source is used, so skip the emission.
+  const std::string src =
+      opt.force_fallback && opt.keep_source.empty() ? std::string() : emit();
+  opt.validate = [&abi](const Object& o) { return probe(o, abi); };
+  std::string tag = abi.prefix;  // the temp dir prefix: osss-gate, osss-tape
+  std::replace(tag.begin(), tag.end(), '_', '-');
+  obj_ = compile(src, opt, tag.c_str(), log_);
+  if (obj_ == nullptr) return;
+  if (!probe(*obj_, abi)) {
+    log_ += "\n[ABI check failed; using interpreted dispatch]";
+    obj_.reset();
+    return;
+  }
+  const std::string p = abi.prefix;
+  eval_ = reinterpret_cast<EvalFn>(obj_->sym((p + "_eval").c_str()));
+  step_ = reinterpret_cast<StepFn>(obj_->sym((p + "_step").c_str()));
+  step_settles_ = abi.step_settles;
+  scratch_.assign(reinterpret_cast<unsigned long long (*)()>(
+                      obj_->sym((p + "_scratch").c_str()))(),
+                  0);
+}
+
+void Runtime::reset() {
+  for (auto& m : mems_) std::fill(m.begin(), m.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 1);
+  pending_ = true;
+}
+
+void Runtime::restore_poweron() {
+  arena_ = poweron_;
+  for (auto& m : mems_) std::fill(m.begin(), m.end(), 0);
+  // The snapshot was taken settled, so the schedule is clean.
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  pending_ = false;
+}
+
+}  // namespace osss::jit

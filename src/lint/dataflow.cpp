@@ -133,9 +133,17 @@ Fact fact_bool(std::optional<bool> v) {
   return Fact::constant(Bits(1, *v ? 1u : 0u));
 }
 
+/// Abstract sequential iterations before the engine gives up and soundly
+/// tops out the registers that are still moving.
+constexpr unsigned kMaxIterations = 256;
+/// Iterations before interval widening kicks in (known bits never widen).
+constexpr unsigned kWidenAfter = 8;
+/// Node budget for one branch-constrained mux-arm re-evaluation.
+constexpr unsigned kRefineBudget = 192;
+
 class Engine {
  public:
-  Engine(const Module& m, const DataflowOptions& opt) : m_(m), opt_(opt) {}
+  explicit Engine(const Module& m) : m_(m) {}
 
   void run() {
     m_.validate();
@@ -151,9 +159,9 @@ class Engine {
 
     unsigned it = 0;
     bool converged = false;
-    for (; it < opt_.max_iterations; ++it) {
+    for (; it < kMaxIterations; ++it) {
       eval_all();
-      if (!commit(/*widen=*/it + 1 >= opt_.widen_after, /*force_top=*/false))
+      if (!commit(/*widen=*/it + 1 >= kWidenAfter, /*force_top=*/false))
         { converged = true; break; }
     }
     if (!converged) {
@@ -175,7 +183,6 @@ class Engine {
   }
 
   const Module& m_;
-  const DataflowOptions& opt_;
   std::vector<NodeId> order_;
   std::vector<Fact> val_;
   std::vector<Fact> reg_;
@@ -330,7 +337,7 @@ class Engine {
     const auto it = refine_memo_.find(id);
     if (it != refine_memo_.end()) return it->second;
     if (!depends_on_assumption(id) || refine_overflow_) return val_[id];
-    if (++refine_nodes_ > opt_.refine_budget) {
+    if (++refine_nodes_ > kRefineBudget) {
       refine_overflow_ = true;
       return val_[id];
     }
@@ -651,8 +658,7 @@ class Engine {
       return in_fact(*sb ? n.ins[1] : n.ins[2], refined);
     const Fact then_f = in_fact(n.ins[1], refined);
     const Fact else_f = in_fact(n.ins[2], refined);
-    if (refined || opt_.refine_budget == 0)
-      return Fact::join(then_f, else_f);  // no nested refinement
+    if (refined) return Fact::join(then_f, else_f);  // no nested refinement
 
     // Try to evaluate each arm under the guard's constraint.
     const Fact then_r = arm_fact(n.ins[0], true, n.ins[1], then_f);
@@ -811,8 +817,8 @@ std::unordered_map<std::string, bool> FactDB::const_reg_bits() const {
   return out;
 }
 
-FactDB analyze_dataflow(const rtl::Module& m, const DataflowOptions& opt) {
-  Engine engine(m, opt);
+FactDB analyze_dataflow(const rtl::Module& m) {
+  Engine engine(m);
   engine.run();
   FactDB db;
   db.node_facts_ = std::move(engine.val_);

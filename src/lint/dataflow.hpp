@@ -36,17 +36,6 @@
 
 namespace osss::lint {
 
-struct DataflowOptions {
-  /// Abstract sequential iterations before the engine gives up and
-  /// soundly tops out the registers that are still moving.
-  unsigned max_iterations = 256;
-  /// Iterations before interval widening kicks in (known bits never widen).
-  unsigned widen_after = 8;
-  /// Node budget for one branch-constrained mux-arm re-evaluation; 0
-  /// disables guard refinement.
-  unsigned refine_budget = 192;
-};
-
 /// Queryable result of analyze_dataflow().  Facts are invariants: they hold
 /// in every cycle of every execution from reset, for any input stimulus.
 class FactDB {
@@ -87,7 +76,7 @@ class FactDB {
   bool converged() const noexcept { return converged_; }
 
  private:
-  friend FactDB analyze_dataflow(const rtl::Module&, const DataflowOptions&);
+  friend FactDB analyze_dataflow(const rtl::Module&);
 
   std::vector<Fact> node_facts_;
   std::vector<Fact> reg_facts_;
@@ -100,6 +89,6 @@ class FactDB {
 /// Run the abstract interpreter.  The module must validate() (the lint
 /// driver only runs dataflow rules on structurally clean modules; the
 /// engine validates again defensively).
-FactDB analyze_dataflow(const rtl::Module& m, const DataflowOptions& opt = {});
+FactDB analyze_dataflow(const rtl::Module& m);
 
 }  // namespace osss::lint

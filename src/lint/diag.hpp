@@ -66,8 +66,6 @@ struct Options {
   /// GATE-005: warn when a net drives at least this many cell inputs
   /// (0 = report the histogram only, never warn).
   unsigned fanout_warn_threshold = 0;
-  /// RTL-006/007: FSM reachability explores registers up to this many bits.
-  unsigned fsm_max_state_bits = 10;
 
   bool suppressed(const std::string& rule) const {
     return suppress.count(rule) != 0;

@@ -18,33 +18,6 @@ using gate::MemMacro;
 using gate::NetId;
 using gate::Netlist;
 
-/// Expected input count for a cell kind; -1 when variable (kMemQ address
-/// buses have memory-dependent width).
-int cell_arity(CellKind k) {
-  switch (k) {
-    case CellKind::kConst0:
-    case CellKind::kConst1:
-    case CellKind::kInput:
-      return 0;
-    case CellKind::kBuf:
-    case CellKind::kInv:
-    case CellKind::kDff:
-      return 1;
-    case CellKind::kAnd2:
-    case CellKind::kOr2:
-    case CellKind::kNand2:
-    case CellKind::kNor2:
-    case CellKind::kXor2:
-    case CellKind::kXnor2:
-      return 2;
-    case CellKind::kMux2:
-      return 3;
-    case CellKind::kMemQ:
-      return -1;
-  }
-  return -1;
-}
-
 class NetlistLinter {
  public:
   NetlistLinter(const Netlist& nl, const Options& opt) : nl_(nl), opt_(opt) {}
@@ -105,7 +78,7 @@ class NetlistLinter {
                    std::to_string(i) + " is a dangling net reference");
         }
       }
-      const int want = cell_arity(c.kind);
+      const int want = gate::arity(c.kind);
       if (want >= 0 && !dangling &&
           c.ins.size() != static_cast<std::size_t>(want)) {
         const char* what =

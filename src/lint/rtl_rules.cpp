@@ -25,6 +25,9 @@ using sysc::Bits;
 
 namespace {
 
+/// RTL-006/007: FSM reachability explores registers up to this many bits.
+constexpr unsigned kFsmMaxStateBits = 10;
+
 std::string node_label(const Module& m, NodeId id) {
   const Node& n = m.node(id);
   std::ostringstream os;
@@ -512,7 +515,7 @@ class ModuleLinter {
     for (std::size_t ri = 0; ri < m_.registers().size(); ++ri) {
       const Register& r = m_.registers()[ri];
       const unsigned w = m_.node(r.q).width;
-      if (w > opt_.fsm_max_state_bits || w > 64) continue;
+      if (w > kFsmMaxStateBits) continue;
       if (r.init.width() != w) continue;
 
       // Collect the mux-tree arms; bail if the cone is not FSM-shaped.

@@ -14,41 +14,6 @@ namespace {
 /// Greedy iteration bound: moves applied per pass run.
 constexpr unsigned kMaxMoves = 64;
 
-bool retimable_kind(CellKind k) {
-  switch (k) {
-    case CellKind::kBuf:
-    case CellKind::kInv:
-    case CellKind::kAnd2:
-    case CellKind::kOr2:
-    case CellKind::kNand2:
-    case CellKind::kNor2:
-    case CellKind::kXor2:
-    case CellKind::kXnor2:
-    case CellKind::kMux2:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool eval_bit(CellKind k, const std::vector<bool>& in) {
-  const auto a = in.at(0);
-  const auto b = in.size() > 1 && in[1];
-  const auto c = in.size() > 2 && in[2];
-  switch (k) {
-    case CellKind::kBuf: return a;
-    case CellKind::kInv: return !a;
-    case CellKind::kAnd2: return a && b;
-    case CellKind::kOr2: return a || b;
-    case CellKind::kNand2: return !(a && b);
-    case CellKind::kNor2: return !(a || b);
-    case CellKind::kXor2: return a != b;
-    case CellKind::kXnor2: return a == b;
-    case CellKind::kMux2: return a ? b : c;
-    default: return false;
-  }
-}
-
 /// First cell on the critical path whose fanins are all registers or
 /// constants (with at least one register) — the one forward move that can
 /// shorten this path.  kInvalidNet when the path has none.
@@ -56,7 +21,7 @@ NetId find_candidate(const gate::Netlist& nl,
                      const std::vector<NetId>& path) {
   for (const NetId id : path) {
     const gate::Cell& c = nl.cells()[id];
-    if (!retimable_kind(c.kind)) continue;
+    if (!gate::is_logic(c.kind)) continue;
     bool has_dff = false, ok = true;
     for (const NetId in : c.ins) {
       const CellKind k = nl.cells()[in].kind;
@@ -125,8 +90,9 @@ gate::Netlist RetimePass::run(const gate::Netlist& in,
       }
     }
     const NetId moved = nl.raw_gate(cell.kind, std::move(d_ins));
+    const auto init = [&](std::size_t i) -> bool { return init_ins[i]; };
     const NetId q = nl.dff("rt" + std::to_string(nl.cells().size()),
-                           eval_bit(cell.kind, init_ins));
+                           gate::eval_cell(cell.kind, init, true));
     nl.connect_dff(q, moved);
     nl.replace_net(c, q);
     nl.sweep();  // drop dead registers before the next timing run

@@ -46,22 +46,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t eval_word(CellKind k, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t c) {
-  switch (k) {
-    case CellKind::kBuf: return a;
-    case CellKind::kInv: return ~a;
-    case CellKind::kAnd2: return a & b;
-    case CellKind::kOr2: return a | b;
-    case CellKind::kNand2: return ~(a & b);
-    case CellKind::kNor2: return ~(a | b);
-    case CellKind::kXor2: return a ^ b;
-    case CellKind::kXnor2: return ~(a ^ b);
-    case CellKind::kMux2: return (a & b) | (~a & c);
-    default: return 0;
-  }
-}
-
 bool is_free_leaf(CellKind k) {
   return k == CellKind::kInput || k == CellKind::kDff ||
          k == CellKind::kMemQ;
@@ -370,9 +354,9 @@ class Sweeper {
         val[id] = memq_eval(mem[c.param], c, val);
         continue;
       }
-      val[id] = eval_word(c.kind, val[uf_.find(c.ins[0])],
-                          c.ins.size() > 1 ? val[uf_.find(c.ins[1])] : 0,
-                          c.ins.size() > 2 ? val[uf_.find(c.ins[2])] : 0);
+      val[id] = gate::eval_cell(
+          c.kind, [&](std::size_t i) { return val[uf_.find(c.ins[i])]; },
+          ~0ull);
     }
   }
 
@@ -417,13 +401,16 @@ class Sweeper {
       if (uf_.find(id) != id || obs[id] == 0) continue;
       const Cell& c = nl_.cells()[id];
       if (c.kind == CellKind::kMemQ) continue;  // handled above
-      const std::uint64_t a = val[uf_.find(c.ins[0])];
-      const std::uint64_t b = c.ins.size() > 1 ? val[uf_.find(c.ins[1])] : 0;
-      const std::uint64_t d = c.ins.size() > 2 ? val[uf_.find(c.ins[2])] : 0;
+      std::uint64_t in[3] = {};
+      for (std::size_t i = 0; i < c.ins.size(); ++i)
+        in[i] = val[uf_.find(c.ins[i])];
       for (std::size_t j = 0; j < c.ins.size(); ++j) {
+        // The lanes where flipping input j flips the cell's output.
         const std::uint64_t sens =
-            eval_word(c.kind, j == 0 ? ~a : a, j == 1 ? ~b : b,
-                      j == 2 ? ~d : d) ^
+            gate::eval_cell(
+                c.kind,
+                [&](std::size_t i) { return i == j ? ~in[i] : in[i]; },
+                ~0ull) ^
             val[id];
         obs[uf_.find(c.ins[j])] |= sens & obs[id];
       }
@@ -826,9 +813,8 @@ class Sweeper {
     for (const NetId id : order_) {
       const Cell& c = nl_.cells()[id];
       if (c.kind == CellKind::kMemQ) continue;  // free leaf, assigned above
-      val[id] = eval_word(c.kind, val[c.ins[0]],
-                          c.ins.size() > 1 ? val[c.ins[1]] : 0,
-                          c.ins.size() > 2 ? val[c.ins[2]] : 0);
+      val[id] = gate::eval_cell(
+          c.kind, [&](std::size_t i) { return val[c.ins[i]]; }, ~0ull);
     }
   }
 
@@ -890,10 +876,9 @@ class Sweeper {
         continue;
       }
       const Cell& c = nl_.cells()[id];
-      cone_val_[id] =
-          eval_word(c.kind, cone_val_[res(c.ins[0])],
-                    c.ins.size() > 1 ? cone_val_[res(c.ins[1])] : 0,
-                    c.ins.size() > 2 ? cone_val_[res(c.ins[2])] : 0);
+      cone_val_[id] = gate::eval_cell(
+          c.kind, [&](std::size_t i) { return cone_val_[res(c.ins[i])]; },
+          ~0ull);
     }
     return cone_val_[res(root)];
   }

@@ -15,42 +15,6 @@ namespace {
 /// Cells explored per cut cone.
 constexpr unsigned kMaxCone = 8;
 
-bool comb_logic(CellKind k) {
-  switch (k) {
-    case CellKind::kBuf:
-    case CellKind::kInv:
-    case CellKind::kAnd2:
-    case CellKind::kOr2:
-    case CellKind::kNand2:
-    case CellKind::kNor2:
-    case CellKind::kXor2:
-    case CellKind::kXnor2:
-    case CellKind::kMux2:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// 4-valued truth-table evaluation: bit i of a mask is the cell's value under
-/// leaf assignment (leaf0 = i&1, leaf1 = i>>1).
-std::uint8_t eval_tt(CellKind k, std::uint8_t a, std::uint8_t b,
-                     std::uint8_t c) {
-  switch (k) {
-    case CellKind::kBuf: return a;
-    case CellKind::kInv: return static_cast<std::uint8_t>(~a & 0xF);
-    case CellKind::kAnd2: return a & b;
-    case CellKind::kOr2: return a | b;
-    case CellKind::kNand2: return static_cast<std::uint8_t>(~(a & b) & 0xF);
-    case CellKind::kNor2: return static_cast<std::uint8_t>(~(a | b) & 0xF);
-    case CellKind::kXor2: return a ^ b;
-    case CellKind::kXnor2: return static_cast<std::uint8_t>(~(a ^ b) & 0xF);
-    case CellKind::kMux2:
-      return static_cast<std::uint8_t>((a & b) | (~a & c & 0xF));
-    default: return 0;
-  }
-}
-
 /// A structural cut: up to two leaf nets plus the cone cells (root included)
 /// between them and the root, in ascending (level, id) order.
 struct Cut {
@@ -107,7 +71,7 @@ class Mapper {
   NetId emit(Netlist& dst, NetId root, const std::vector<NetId>& ins,
              const std::function<NetId(NetId)>& mapped) {
     const Cell& c = src_.cells()[root];
-    if (comb_logic(c.kind)) {
+    if (gate::is_logic(c.kind)) {
       Plan cut = cut_plan(dst, root, mapped);
       Plan aoi = aoi_plan(dst, root, mapped);
       Plan& best = aoi.savings > cut.savings ? aoi : cut;
@@ -178,7 +142,7 @@ class Mapper {
     for (std::size_t i = 0; i < cuts.size(); ++i) {
       const Cut cut = cuts[i];  // copy: cuts grows below
       for (const NetId leaf : cut.leaves) {
-        if (!comb_logic(src_.cells()[leaf].kind)) continue;
+        if (!gate::is_logic(src_.cells()[leaf].kind)) continue;
         Cut next;
         next.cone = cut.cone;
         next.cone.push_back(leaf);
@@ -213,7 +177,8 @@ class Mapper {
     return cuts;
   }
 
-  /// Truth table of `root` over the cut's leaves.
+  /// Truth table of `root` over the cut's leaves: bit i of a 4-bit mask is
+  /// the value under leaf assignment (leaf0 = i&1, leaf1 = i>>1).
   std::uint8_t truth_table(NetId root, const Cut& cut) const {
     std::map<NetId, std::uint8_t> val;
     val[0] = 0x0;
@@ -223,9 +188,9 @@ class Mapper {
       val[cut.leaves[i]] = kPattern[i];
     for (const NetId id : cut.cone) {
       const Cell& c = src_.cells()[id];
-      val[id] = eval_tt(c.kind, val.at(c.ins[0]),
-                        c.ins.size() > 1 ? val.at(c.ins[1]) : 0,
-                        c.ins.size() > 2 ? val.at(c.ins[2]) : 0);
+      val[id] = gate::eval_cell(
+          c.kind, [&](std::size_t i) { return val.at(c.ins[i]); },
+          std::uint8_t{0xF});
     }
     return val.at(root);
   }

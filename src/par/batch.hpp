@@ -23,9 +23,16 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "par/pool.hpp"
 
 namespace osss::par {
 
@@ -57,6 +64,68 @@ struct StimulusBlock {
     return out[static_cast<std::size_t>(cycle) * out_slots + slot];
   }
 };
+
+/// The scaffold of gate::run_batch and rtl::run_batch over a design with
+/// ports of `in_widths`/`out_widths` bits: a scalar block has one slot per
+/// port, a lane block one per port bit and lane word.  Checks the blocks'
+/// lanes (one count, 1 or a multiple of 64 up to `max_lanes`) and input
+/// shape (std::invalid_argument naming `who`), sizes their outputs and runs
+/// them in chunks across `pool` (nullptr = Pool::global()).  A chunk
+/// borrows an idle engine or builds one with make() (a std::unique_ptr), so
+/// set-up and JIT compile are paid once per worker, not per chunk.
+/// run(engine, block) simulates one block from power-on.
+template <class Make, class Run>
+void run_blocks(std::span<StimulusBlock> blocks,
+                const std::vector<unsigned>& in_widths,
+                const std::vector<unsigned>& out_widths, unsigned max_lanes,
+                Pool* pool, const char* who, Make make, Run run) {
+  if (blocks.empty()) return;
+  const unsigned lanes = blocks.front().lanes;
+  if (lanes != 1 && (lanes % 64 != 0 || lanes > max_lanes))
+    throw std::invalid_argument(std::string(who) +
+                                ": lanes must be 1 or a multiple of 64 up to " +
+                                std::to_string(max_lanes));
+  const auto slots = [&](const std::vector<unsigned>& widths) {
+    unsigned n = 0;
+    for (const unsigned w : widths) n += lanes == 1 ? 1 : w * (lanes / 64);
+    return n;
+  };
+  const unsigned in_slots = slots(in_widths), out_slots = slots(out_widths);
+  for (StimulusBlock& b : blocks) {
+    if (b.lanes != lanes)
+      throw std::invalid_argument(std::string(who) + ": mixed-lane batch");
+    if (b.in_slots != in_slots ||
+        b.in.size() != static_cast<std::size_t>(b.cycles) * in_slots)
+      throw std::invalid_argument(std::string(who) +
+                                  ": block stimulus shape does not match the "
+                                  "design's interface");
+    b.out_slots = out_slots;
+    b.out.assign(static_cast<std::size_t>(b.cycles) * out_slots, 0);
+  }
+  Pool& p = pool != nullptr ? *pool : Pool::global();
+  const std::size_t chunks =
+      std::min(blocks.size(), static_cast<std::size_t>(p.size()) * 2);
+  const std::size_t per = (blocks.size() + chunks - 1) / chunks;
+  std::mutex mu;
+  std::vector<decltype(make())> idle;
+  p.parallel_for(chunks, [&](std::size_t chunk) {
+    const std::size_t lo = chunk * per;
+    const std::size_t hi = std::min(blocks.size(), lo + per);
+    if (lo >= hi) return;
+    decltype(make()) engine;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!idle.empty()) {
+        engine = std::move(idle.back());
+        idle.pop_back();
+      }
+    }
+    if (!engine) engine = make();
+    for (std::size_t i = lo; i < hi; ++i) run(*engine, blocks[i]);
+    std::lock_guard<std::mutex> lk(mu);
+    idle.push_back(std::move(engine));
+  });
+}
 
 /// One value per lane -> bit-sliced lane words.  Lane l's value is
 /// values[l * stride]; bit i of it (i < width, 1 <= width <= 64) becomes

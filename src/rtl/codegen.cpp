@@ -39,7 +39,7 @@ using detail::words_of;
 struct NativeEngine::Exec {
   template <TOp OP>
   static bool run(NativeEngine& e, const Instr& ins) {
-    std::uint64_t* const ar = e.arena_.data();
+    std::uint64_t* const ar = e.rt_.arena();
     const unsigned lanes = e.prog_.lanes;
 
     if constexpr (OP == TOp::kAdd1 || OP == TOp::kSub1 || OP == TOp::kMul1 ||
@@ -206,7 +206,7 @@ struct NativeEngine::Exec {
   template <TOp OP>
   static bool run_wide(NativeEngine& e, const Instr& ins, unsigned lane,
                        std::uint64_t* s) {
-    std::uint64_t* const ar = e.arena_.data();
+    std::uint64_t* const ar = e.rt_.arena();
     std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
 
     if constexpr (OP == TOp::kCopyN) {
@@ -388,14 +388,14 @@ struct NativeEngine::Exec {
       if (ins.dw == 1) {
         const std::uint64_t v =
             addr < pm.depth
-                ? e.mem_[ins.param][(addr * e.prog_.lanes + lane) * pm.words]
+                ? e.rt_.mem(ins.param)[(addr * e.prog_.lanes + lane) * pm.words]
                 : 0;
         return store1(d, v);
       }
       if (addr >= pm.depth) {
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
       } else {
-        const std::uint64_t* src = e.mem_[ins.param].data() +
+        const std::uint64_t* src = e.rt_.mem(ins.param) +
                                    (addr * e.prog_.lanes + lane) * pm.words;
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = src[w];
       }
@@ -466,7 +466,7 @@ struct NativeEngine::Exec {
 // --- the lane switch (kLaneSwitch) -----------------------------------------
 
 bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
-  std::uint64_t* const ar = arena_.data();
+  std::uint64_t* const ar = rt_.arena();
   std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
   std::uint64_t* s = scratch_.data();
   switch (ins.op) {
@@ -622,9 +622,12 @@ unsigned checked_lanes(unsigned lanes, Evaluator ev) {
 
 NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
                            Evaluator ev)
-    : prog_(Program::compile(m, checked_lanes(lanes, ev))), ev_(ev) {
-  lw_ = (prog_.lanes + 63) / 64;
-  arena_.assign(prog_.arena_size, 0);
+    : prog_(Program::compile(m, checked_lanes(lanes, ev))),
+      ev_(ev),
+      lw_((prog_.lanes + 63) / 64),
+      rt_(prog_.arena_size, prog_.stats.levels) {
+  for (const Program::Mem& pm : prog_.mems)
+    rt_.add_memory(std::size_t{pm.depth} * pm.words * prog_.lanes);
   for (const auto& [off, v] : prog_.const_init)
     for (unsigned l = 0; l < prog_.lanes; ++l)
       write_lane_bits(off, static_cast<std::uint16_t>(words_of(v.width())), l,
@@ -633,14 +636,6 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
   for (const Instr& ins : prog_.instrs)
     max_dw = std::max<std::uint16_t>(max_dw, ins.dw);
   scratch_.assign(max_dw, 0);
-  mem_.resize(prog_.mems.size());
-  for (std::size_t i = 0; i < prog_.mems.size(); ++i)
-    mem_[i].assign(std::size_t{prog_.mems[i].depth} * prog_.mems[i].words *
-                       prog_.lanes,
-                   0);
-  mem_ptrs_.resize(prog_.mems.size());
-  for (std::size_t i = 0; i < prog_.mems.size(); ++i)
-    mem_ptrs_[i] = mem_[i].data();
   std::uint32_t roff = 0;
   for (const auto& reg : prog_.regs) {
     reg_next_off_.push_back(roff);
@@ -672,101 +667,39 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
   wp_en_.assign(std::size_t{wps_.size()} * prog_.lanes, 0);
   wp_addr_.assign(aat, 0);
   wp_data_.assign(dat, 0);
-  level_dirty_.assign(prog_.stats.levels, 1);
-  pending_ = true;
 
   if (ev_ == Evaluator::kCompiled) {
     handlers_.reserve(prog_.instrs.size());
     for (const Instr& ins : prog_.instrs)
       handlers_.push_back(Exec::pick(ins.op));
-    if (jit::jit_disabled_by_env()) opt.force_fallback = true;
-    try_native(opt);
+    rt_.bind([this] { return emit_cpp(prog_); }, std::move(opt),
+             {"osss_tape", 2, prog_.lanes, "arena", prog_.arena_size,
+              /*step_settles=*/false});
   }
   // Power-on snapshot: consts + reg inits written, inputs and mems all 0.
-  poweron_arena_ = arena_;
+  eval();
+  rt_.take_poweron();
 }
 
 NativeEngine::~NativeEngine() = default;
 
-void NativeEngine::drop_native() {
-  eval_fn_ = nullptr;
-  step_fn_ = nullptr;
-  obj_.reset();
-}
-
-namespace {
-/// ABI probe shared between the post-compile check and the persistent
-/// disk cache's load-time validation: a stale or truncated published
-/// artifact must fail here and fall back to a fresh compile.
-bool probe_tape_abi(const jit::Object& obj, unsigned lanes,
-                    std::uint64_t arena_size) {
-  const auto abi = reinterpret_cast<unsigned (*)()>(obj.sym("osss_tape_abi"));
-  const auto lns =
-      reinterpret_cast<unsigned (*)()>(obj.sym("osss_tape_lanes"));
-  const auto asz = reinterpret_cast<unsigned long long (*)()>(
-      obj.sym("osss_tape_arena"));
-  const auto ssz = reinterpret_cast<unsigned long long (*)()>(
-      obj.sym("osss_tape_scratch"));
-  return abi != nullptr && abi() == 2u && lns != nullptr && lns() == lanes &&
-         asz != nullptr && asz() == arena_size && ssz != nullptr &&
-         obj.sym("osss_tape_eval") != nullptr &&
-         obj.sym("osss_tape_step") != nullptr;
-}
-}  // namespace
-
-void NativeEngine::try_native(const CodegenOptions& opt) {
-  // A forced fallback that keeps no source never reads it: jit::compile
-  // returns before the source is used, so skip the emission.
-  const std::string src = opt.force_fallback && opt.keep_source.empty()
-                              ? std::string()
-                              : emit_cpp(prog_);
-  CodegenOptions vopt = opt;
-  vopt.validate = [this](const jit::Object& o) {
-    return probe_tape_abi(o, prog_.lanes, prog_.arena_size);
-  };
-  obj_ = jit::compile(src, vopt, "osss-tape", compile_log_);
-  if (obj_ == nullptr) return;
-  if (!probe_tape_abi(*obj_, prog_.lanes, prog_.arena_size)) {
-    compile_log_ += "\n[ABI check failed; using threaded-code dispatch]";
-    drop_native();
-    return;
-  }
-  const auto ssz = reinterpret_cast<unsigned long long (*)()>(
-      obj_->sym("osss_tape_scratch"));
-  eval_fn_ = reinterpret_cast<EvalFn>(obj_->sym("osss_tape_eval"));
-  step_fn_ = reinterpret_cast<StepFn>(obj_->sym("osss_tape_step"));
-  step_scratch_.assign(ssz(), 0);
-}
-
 void NativeEngine::write_lane_bits(std::uint32_t off, std::uint16_t words,
                                    unsigned lane, const Bits& value) {
-  std::uint64_t* d = arena_.data() + off + std::size_t{lane} * words;
+  std::uint64_t* d = rt_.arena() + off + std::size_t{lane} * words;
   for (unsigned w = 0; w < words; ++w) d[w] = value.word(w);
 }
 
 Bits NativeEngine::read_lane_bits(std::uint32_t off, std::uint16_t words,
                                   unsigned width, unsigned lane) const {
-  return bits_from_words(arena_.data() + off + std::size_t{lane} * words,
+  return bits_from_words(rt_.arena() + off + std::size_t{lane} * words,
                          width);
-}
-
-void NativeEngine::mark_levels(const std::vector<std::uint32_t>& off,
-                               const std::vector<std::uint32_t>& fl,
-                               std::uint32_t site) {
-  for (std::uint32_t i = off[site]; i < off[site + 1]; ++i)
-    level_dirty_[fl[i]] = 1;
-}
-
-void NativeEngine::mark_all_dirty() {
-  std::fill(level_dirty_.begin(), level_dirty_.end(), 1);
-  pending_ = true;
 }
 
 void NativeEngine::set_input(unsigned index, const Bits& value) {
   const Program::Port& port = prog_.inputs.at(index);
   bool changed = false;
   for (unsigned l = 0; l < prog_.lanes; ++l) {
-    std::uint64_t* d = arena_.data() + port.off + std::size_t{l} * port.words;
+    std::uint64_t* d = rt_.arena() + port.off + std::size_t{l} * port.words;
     for (unsigned w = 0; w < port.words; ++w) {
       const std::uint64_t nv = value.word(w);
       if (d[w] != nv) {
@@ -775,10 +708,7 @@ void NativeEngine::set_input(unsigned index, const Bits& value) {
       }
     }
   }
-  if (changed) {
-    mark_levels(prog_.input_fl_off, prog_.input_fl, index);
-    pending_ = true;
-  }
+  if (changed) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::set_input_u64(unsigned index, std::uint64_t value) {
@@ -786,7 +716,7 @@ void NativeEngine::set_input_u64(unsigned index, std::uint64_t value) {
   if (port.width < 64) value &= (std::uint64_t{1} << port.width) - 1;
   bool changed = false;
   for (unsigned l = 0; l < prog_.lanes; ++l) {
-    std::uint64_t* d = arena_.data() + port.off + std::size_t{l} * port.words;
+    std::uint64_t* d = rt_.arena() + port.off + std::size_t{l} * port.words;
     if (d[0] != value) {
       d[0] = value;
       changed = true;
@@ -797,10 +727,7 @@ void NativeEngine::set_input_u64(unsigned index, std::uint64_t value) {
         changed = true;
       }
   }
-  if (changed) {
-    mark_levels(prog_.input_fl_off, prog_.input_fl, index);
-    pending_ = true;
-  }
+  if (changed) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::set_input_lanes(unsigned index,
@@ -815,17 +742,14 @@ void NativeEngine::set_input_lanes(unsigned index,
     par::lane_words_to_values(bit_lanes.data() + std::size_t{w} * 64 * lw_,
                               prog_.lanes, std::min(64u, port.width - w * 64),
                               nv, 1);
-    std::uint64_t* d = arena_.data() + port.off + w;
+    std::uint64_t* d = rt_.arena() + port.off + w;
     for (unsigned l = 0; l < prog_.lanes; ++l) {
       std::uint64_t& slot = d[std::size_t{l} * port.words];
       diff |= slot ^ nv[l];
       slot = nv[l];
     }
   }
-  if (diff != 0) {
-    mark_levels(prog_.input_fl_off, prog_.input_fl, index);
-    pending_ = true;
-  }
+  if (diff != 0) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::set_input_values(unsigned index,
@@ -838,17 +762,14 @@ void NativeEngine::set_input_values(unsigned index,
     throw std::logic_error("tape engine: set_input_values lane count mismatch");
   const std::uint64_t mask =
       port.width < 64 ? (std::uint64_t{1} << port.width) - 1 : ~std::uint64_t{0};
-  std::uint64_t* d = arena_.data() + port.off;
+  std::uint64_t* d = rt_.arena() + port.off;
   std::uint64_t diff = 0;
   for (unsigned l = 0; l < prog_.lanes; ++l) {
     const std::uint64_t nv = values[l] & mask;
     diff |= nv ^ d[l];
     d[l] = nv;
   }
-  if (diff != 0) {
-    mark_levels(prog_.input_fl_off, prog_.input_fl, index);
-    pending_ = true;
-  }
+  if (diff != 0) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::check_lane(unsigned lane) const {
@@ -867,7 +788,7 @@ Bits NativeEngine::output(unsigned index, unsigned lane) {
 
 std::uint64_t NativeEngine::output_u64(unsigned index) {
   eval();
-  return arena_[prog_.outputs.at(index).off];
+  return rt_.arena()[prog_.outputs.at(index).off];
 }
 
 std::vector<std::uint64_t> NativeEngine::output_words(unsigned index) {
@@ -875,7 +796,7 @@ std::vector<std::uint64_t> NativeEngine::output_words(unsigned index) {
   const Program::Port& port = prog_.outputs.at(index);
   std::vector<std::uint64_t> out(std::size_t{port.width} * lw_);
   for (unsigned w = 0; w < port.words; ++w)
-    par::values_to_lane_words(arena_.data() + port.off + w, port.words,
+    par::values_to_lane_words(rt_.arena() + port.off + w, port.words,
                               prog_.lanes, std::min(64u, port.width - w * 64),
                               out.data() + std::size_t{w} * 64 * lw_);
   return out;
@@ -886,7 +807,7 @@ std::vector<std::uint64_t> NativeEngine::output_values(unsigned index) {
   const Program::Port& port = prog_.outputs.at(index);
   if (port.words != 1)
     throw std::logic_error("tape engine: output_values needs a <= 64-bit port");
-  const std::uint64_t* s = arena_.data() + port.off;
+  const std::uint64_t* s = rt_.arena() + port.off;
   return std::vector<std::uint64_t>(s, s + prog_.lanes);
 }
 
@@ -907,30 +828,28 @@ bool NativeEngine::node_live(NodeId id) const {
 }
 
 void NativeEngine::eval() {
-  if (!pending_) return;
-  if (eval_fn_ != nullptr)
-    eval_fn_(arena_.data(), mem_ptrs_.data(), level_dirty_.data());
-  else if (ev_ == Evaluator::kLaneSwitch)
-    sweep<true>();
-  else
-    sweep<false>();
-  pending_ = false;
+  rt_.settle([this] {
+    if (ev_ == Evaluator::kLaneSwitch)
+      sweep<true>();
+    else
+      sweep<false>();
+  });
 }
 
 template <bool kLaneSwitch>
 void NativeEngine::sweep() {
   const std::size_t levels = prog_.level_offset.size() - 1;
   for (std::size_t lev = 0; lev < levels; ++lev) {
-    if (level_dirty_[lev] == 0) {
-      ++stats_.levels_skipped;
+    if (rt_.dirty()[lev] == 0) {
+      ++rt_.stats().levels_skipped;
       continue;
     }
-    level_dirty_[lev] = 0;
-    ++stats_.levels_evaluated;
+    rt_.dirty()[lev] = 0;
+    ++rt_.stats().levels_evaluated;
     const std::uint32_t b = prog_.level_offset[lev];
     const std::uint32_t e = prog_.level_offset[lev + 1];
     for (std::uint32_t i = b; i < e; ++i) {
-      ++stats_.nodes_evaluated;
+      ++rt_.stats().evals;
       const Instr& ins = prog_.instrs[i];
       bool changed = false;
       if constexpr (kLaneSwitch) {
@@ -938,24 +857,19 @@ void NativeEngine::sweep() {
       } else {
         changed = handlers_[i](*this, ins);
       }
-      if (changed) mark_levels(prog_.instr_fl_off, prog_.instr_fl, i);
+      if (changed) rt_.mark(prog_.instr_fl_off, prog_.instr_fl, i);
     }
   }
 }
 
 void NativeEngine::step() {
   eval();
-  if (step_fn_ != nullptr) {
-    // Sample + commit + dirty marking all live in the generated entry
-    // point; the scratch arena keeps the object stateless so cached
-    // objects can be shared across engines.
-    if (step_fn_(arena_.data(), mem_ptrs_.data(), level_dirty_.data(),
-                 step_scratch_.data()) != 0)
-      pending_ = true;
-    ++stats_.cycles;
-    return;
-  }
+  rt_.step([this] { commit(); });
+}
+
+void NativeEngine::commit() {
   const unsigned lanes = prog_.lanes;
+  std::uint64_t* const ar = rt_.arena();
   // Sample next state before committing anything: all registers and write
   // ports observe the same pre-edge values (matches the interpreter).
   // Enables live one word per lane in the lane-major arena, so the
@@ -966,25 +880,23 @@ void NativeEngine::step() {
     if (reg.en != kNoSlot) {
       std::uint64_t* en = reg_en_.data() + r * lanes;
       any = 0;
-      for (unsigned l = 0; l < lanes; ++l) any |= en[l] = arena_[reg.en + l];
+      for (unsigned l = 0; l < lanes; ++l) any |= en[l] = ar[reg.en + l];
     }
     if (any != 0)
-      std::copy(arena_.begin() + reg.d,
-                arena_.begin() + reg.d + std::size_t{reg.words} * lanes,
-                reg_next_.begin() + reg_next_off_[r]);
+      std::copy_n(ar + reg.d, std::size_t{reg.words} * lanes,
+                  reg_next_.begin() + reg_next_off_[r]);
   }
   for (std::size_t wi = 0; wi < wps_.size(); ++wi) {
     const Wp& wp = wps_[wi];
     std::uint64_t* en = wp_en_.data() + wi * lanes;
     std::uint64_t any = 0;
-    for (unsigned l = 0; l < lanes; ++l) any |= en[l] = arena_[wp.port.en + l];
+    for (unsigned l = 0; l < lanes; ++l) any |= en[l] = ar[wp.port.en + l];
     if (any == 0) continue;
     for (unsigned l = 0; l < lanes; ++l)
       wp_addr_[wp.addr_at + l] =
-          arena_[wp.port.addr + std::size_t{l} * wp.port.addr_words];
-    std::copy(arena_.begin() + wp.port.data,
-              arena_.begin() + wp.port.data + std::size_t{wp.words} * lanes,
-              wp_data_.begin() + wp.data_at);
+          ar[wp.port.addr + std::size_t{l} * wp.port.addr_words];
+    std::copy_n(ar + wp.port.data, std::size_t{wp.words} * lanes,
+                wp_data_.begin() + wp.data_at);
   }
   // Commit registers.  The single-word case (the common one) is a
   // branchless masked merge over contiguous lanes — vectorizable.
@@ -993,7 +905,7 @@ void NativeEngine::step() {
     const Program::Reg& reg = prog_.regs[r];
     std::uint64_t diff = 0;
     if (reg.words == 1) {
-      std::uint64_t* q = arena_.data() + reg.q;
+      std::uint64_t* q = ar + reg.q;
       const std::uint64_t* nd = reg_next_.data() + reg_next_off_[r];
       for (unsigned l = 0; l < lanes; ++l) {
         const std::uint64_t m = ~((en[l] & 1u) - 1);  // en ? ~0 : 0
@@ -1004,7 +916,7 @@ void NativeEngine::step() {
     } else {
       for (unsigned l = 0; l < lanes; ++l) {
         if ((en[l] & 1u) == 0) continue;
-        std::uint64_t* q = arena_.data() + reg.q + std::size_t{l} * reg.words;
+        std::uint64_t* q = ar + reg.q + std::size_t{l} * reg.words;
         const std::uint64_t* nd =
             reg_next_.data() + reg_next_off_[r] + std::size_t{l} * reg.words;
         for (unsigned w = 0; w < reg.words; ++w) {
@@ -1013,11 +925,7 @@ void NativeEngine::step() {
         }
       }
     }
-    if (diff != 0) {
-      mark_levels(prog_.reg_fl_off, prog_.reg_fl,
-                  static_cast<std::uint32_t>(r));
-      pending_ = true;
-    }
+    if (diff != 0) rt_.mark(prog_.reg_fl_off, prog_.reg_fl, r);
   }
   // Commit memory writes (port order = declaration order; later ports win).
   for (std::size_t wi = 0; wi < wps_.size(); ++wi) {
@@ -1029,7 +937,7 @@ void NativeEngine::step() {
       if ((en[l] & 1u) == 0) continue;
       const std::uint64_t addr = wp_addr_[wp.addr_at + l];
       if (addr >= pm.depth) continue;
-      std::uint64_t* e = mem_[wp.mem].data() + (addr * lanes + l) * pm.words;
+      std::uint64_t* e = rt_.mem(wp.mem) + (addr * lanes + l) * pm.words;
       const std::uint64_t* s =
           wp_data_.data() + wp.data_at + std::size_t{l} * pm.words;
       for (unsigned w = 0; w < pm.words; ++w)
@@ -1038,34 +946,25 @@ void NativeEngine::step() {
           changed = true;
         }
     }
-    if (changed) {
-      mark_levels(prog_.mem_fl_off, prog_.mem_fl, wp.mem);
-      pending_ = true;
-    }
+    if (changed) rt_.mark(prog_.mem_fl_off, prog_.mem_fl, wp.mem);
   }
-  ++stats_.cycles;
 }
 
 void NativeEngine::reset() {
   for (const Program::Reg& reg : prog_.regs)
     for (unsigned l = 0; l < prog_.lanes; ++l)
       write_lane_bits(reg.q, reg.words, l, reg.init);
-  for (auto& words : mem_) std::fill(words.begin(), words.end(), 0);
-  mark_all_dirty();
+  rt_.reset();
 }
 
-void NativeEngine::restore_poweron() {
-  arena_ = poweron_arena_;
-  for (auto& words : mem_) std::fill(words.begin(), words.end(), 0);
-  mark_all_dirty();
-}
+void NativeEngine::restore_poweron() { rt_.restore_poweron(); }
 
 Bits NativeEngine::mem_word(unsigned mem_index, unsigned word) {
   const Program::Mem& pm = prog_.mems.at(mem_index);
   if (word >= pm.depth)
     throw std::out_of_range("tape engine: mem word out of range");
   return bits_from_words(
-      mem_[mem_index].data() + std::size_t{word} * prog_.lanes * pm.words,
+      rt_.mem(mem_index) + std::size_t{word} * prog_.lanes * pm.words,
       pm.width);
 }
 
@@ -1075,20 +974,18 @@ void NativeEngine::poke_mem(unsigned mem_index, unsigned word,
   if (word >= pm.depth)
     throw std::out_of_range("tape engine: mem word out of range");
   for (unsigned l = 0; l < prog_.lanes; ++l) {
-    std::uint64_t* e = mem_[mem_index].data() +
-                       (std::size_t{word} * prog_.lanes + l) * pm.words;
+    std::uint64_t* e =
+        rt_.mem(mem_index) + (std::size_t{word} * prog_.lanes + l) * pm.words;
     for (unsigned w = 0; w < pm.words; ++w) e[w] = value.word(w);
   }
-  mark_levels(prog_.mem_fl_off, prog_.mem_fl, mem_index);
-  pending_ = true;
+  rt_.mark(prog_.mem_fl_off, prog_.mem_fl, mem_index);
 }
 
 void NativeEngine::poke_reg(unsigned reg_index, const Bits& value) {
   const Program::Reg& reg = prog_.regs.at(reg_index);
   for (unsigned l = 0; l < prog_.lanes; ++l)
     write_lane_bits(reg.q, reg.words, l, value);
-  mark_levels(prog_.reg_fl_off, prog_.reg_fl, reg_index);
-  pending_ = true;
+  rt_.mark(prog_.reg_fl_off, prog_.reg_fl, reg_index);
 }
 
 }  // namespace osss::rtl::tape

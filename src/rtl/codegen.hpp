@@ -1,10 +1,12 @@
 // codegen.hpp — the tape engine: one runtime, two evaluators.
 //
-// NativeEngine executes a compiled tape::Program (rtl/tape.hpp).  It owns
-// the lane-major arena (lane l of a node lives at offset + l*words), the
-// memories, the power-on snapshot, port I/O, the register/memory commit,
-// reset, pokes, node inspection and the run counters, for both of
-// rtl::Simulator's tape modes.  Only eval() differs between them:
+// NativeEngine executes a compiled tape::Program (rtl/tape.hpp) for both of
+// rtl::Simulator's tape modes.  Its jit::Runtime, shared with the gate
+// backend, holds the lane-major arena (lane l of a node lives at offset +
+// l*words), the memories, the power-on snapshot, the dirty levels, the run
+// counters and the generated code; the engine adds port I/O, the
+// register/memory commit, reset, pokes and node inspection.  Only eval()
+// differs between the modes:
 //
 //   * Evaluator::kCompiled (SimMode::kNative) — emit_cpp() lowers the
 //     Program into specialized C++: one straight-line block per instruction
@@ -31,10 +33,8 @@
 // generated code, the C++ register/memory commit.  Results are
 // bit-identical across evaluators and against the interpreter.
 //
-// The compile/dlopen machinery and the content-hash object cache live in
-// src/jit (shared with the gate-level backend): engines whose emitted
-// source is byte-identical share one loaded object, and the temp dir is
-// removed when the last engine using it dies.
+// Engines whose emitted source is byte-identical share one loaded object
+// (src/jit), and the temp dir is removed when the last engine using it dies.
 //
 // The interpreter (SimMode::kInterp) remains the oracle:
 // tests/rtl/native_test.cpp runs it against both evaluators differentially
@@ -43,11 +43,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "jit/jit.hpp"
+#include "jit/runtime.hpp"
 #include "rtl/tape.hpp"
 
 namespace osss::rtl::tape {
@@ -88,18 +88,13 @@ class NativeEngine {
 
   /// True when the dlopen'd generated code is driving eval(); false means
   /// an interpreted evaluator is active (results are identical).
-  bool native() const noexcept { return eval_fn_ != nullptr; }
+  bool native() const noexcept { return rt_.native(); }
   /// Compiler/dlopen diagnostics of the last compile attempt (empty when
   /// the native path loaded cleanly or was never attempted).
-  const std::string& compile_log() const noexcept { return compile_log_; }
+  const std::string& compile_log() const noexcept { return rt_.compile_log(); }
 
-  struct RunStats {
-    std::uint64_t cycles = 0;
-    std::uint64_t nodes_evaluated = 0;   ///< interpreted evaluators only
-    std::uint64_t levels_evaluated = 0;  ///< interpreted evaluators only
-    std::uint64_t levels_skipped = 0;    ///< interpreted evaluators only
-  };
-  const RunStats& stats() const noexcept { return stats_; }
+  using RunStats = jit::RunStats;
+  const RunStats& stats() const noexcept { return rt_.stats(); }
 
   void set_input(unsigned index, const Bits& value);
   /// Allocation-free fast path: drive all lanes with `value` truncated to
@@ -133,12 +128,13 @@ class NativeEngine {
   Bits node_value(NodeId id, unsigned lane = 0);
   bool node_live(NodeId id) const;
 
+  /// Settle the dirty levels (reads and step() call this first).
   void eval();
   void step();
   void reset();
   /// Restore the exact post-construction state (power-on values, inputs at
-  /// 0) from a snapshot taken at construction; run_batch uses this to
-  /// recycle one engine across stimulus blocks.
+  /// 0, settled) from a snapshot taken at construction; run_batch uses
+  /// this to recycle one engine across stimulus blocks.
   void restore_poweron();
 
   /// Memory word `word` of lane 0 (pokes write every lane alike).
@@ -149,33 +145,15 @@ class NativeEngine {
  private:
   struct Exec;  // the threaded handlers and the lane switch (codegen.cpp)
   using Handler = bool (*)(NativeEngine&, const Instr&);
-  using EvalFn = void (*)(std::uint64_t*, std::uint64_t* const*,
-                          unsigned char*);
-  using StepFn = unsigned (*)(std::uint64_t*, std::uint64_t* const*,
-                              unsigned char*, std::uint64_t*);
 
   Program prog_;
   Evaluator ev_;
   unsigned lw_ = 1;  ///< lane words: ceil(lanes/64)
-  std::vector<std::uint64_t> arena_;
-  std::vector<std::uint64_t> poweron_arena_;  ///< ctor-time snapshot
+  /// Arena, memories (word w of entry a in lane l at (a * lanes + l) *
+  /// words + w), dirty levels, power-on snapshot, counters and the
+  /// generated code.
+  jit::Runtime rt_;
   std::vector<std::uint64_t> scratch_;  ///< multi-word result staging
-  std::vector<unsigned char> level_dirty_;
-  bool pending_ = true;
-  RunStats stats_;
-
-  /// Memory content, per memory: word w of entry a in lane l lives at
-  /// (a * lanes + l) * words + w.
-  std::vector<std::vector<std::uint64_t>> mem_;
-  std::vector<std::uint64_t*> mem_ptrs_;  ///< stable, passed to native eval
-
-  // Native path state.  obj_ is a shared handle into the jit object cache;
-  // engines built from identical emitted source share one dlopen'd object.
-  std::shared_ptr<jit::Object> obj_;
-  EvalFn eval_fn_ = nullptr;
-  StepFn step_fn_ = nullptr;
-  std::vector<std::uint64_t> step_scratch_;  ///< sized by osss_tape_scratch()
-  std::string compile_log_;
 
   // Threaded-code dispatch (kCompiled without generated code): one bound
   // handler per instruction.
@@ -201,17 +179,15 @@ class NativeEngine {
   std::vector<std::uint64_t> wp_addr_;  ///< per port * lane
   std::vector<std::uint64_t> wp_data_;  ///< per port: words * lanes
 
-  void try_native(const CodegenOptions& opt);
-  void drop_native();
   template <bool kLaneSwitch>
   void sweep();
+  /// Interpreted clock edge: sample, then commit registers and memory
+  /// write ports, dirty-marking what changed.
+  void commit();
   /// kLaneSwitch: one lane of one instruction, switching on the opcode the
   /// tape holds at evaluation time.
   bool exec_one(const Instr& ins, unsigned lane);
   void check_lane(unsigned lane) const;
-  void mark_levels(const std::vector<std::uint32_t>& off,
-                   const std::vector<std::uint32_t>& fl, std::uint32_t site);
-  void mark_all_dirty();
   void write_lane_bits(std::uint32_t off, std::uint16_t words, unsigned lane,
                        const Bits& value);
   Bits read_lane_bits(std::uint32_t off, std::uint16_t words, unsigned width,

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-
-#include "par/pool.hpp"
 
 namespace osss::rtl {
 
@@ -272,7 +269,7 @@ Simulator::Stats Simulator::stats() const {
     const tape::NativeEngine::RunStats& rs = engine_->stats();
     const tape::CompileStats& cs = engine_->program().stats;
     s.cycles = rs.cycles;
-    s.nodes_evaluated = rs.nodes_evaluated;
+    s.nodes_evaluated = rs.evals;
     s.levels_evaluated = rs.levels_evaluated;
     s.levels_skipped = rs.levels_skipped;
     s.tape_len = cs.tape_len;
@@ -388,13 +385,9 @@ void run_lane_block(Simulator& sim, const std::vector<InputHandle>& in,
 }  // namespace
 
 void run_batch(const Module& m, SimMode mode,
-               std::span<par::StimulusBlock> blocks, par::Pool* pool_arg) {
+               std::span<par::StimulusBlock> blocks, par::Pool* pool) {
   if (blocks.empty()) return;
   const unsigned lanes = blocks.front().lanes;
-  if (lanes != 1 && (lanes % 64 != 0 || lanes > tape::kMaxLanes))
-    throw std::invalid_argument(
-        "rtl::run_batch: lanes must be 1 or a multiple of 64 up to "
-        "tape::kMaxLanes");
   if (lanes > 1 && mode != SimMode::kTape && mode != SimMode::kNative)
     throw std::invalid_argument(
         "rtl::run_batch: lane blocks require SimMode::kTape or kNative");
@@ -402,39 +395,13 @@ void run_batch(const Module& m, SimMode mode,
     throw std::invalid_argument(
         "rtl::run_batch: blocks wider than 64 lanes require SimMode::kNative");
 
-  std::vector<unsigned> in_widths;
+  std::vector<unsigned> in_widths, out_widths;
   for (const PortRef& p : m.inputs())
     in_widths.push_back(m.node(p.node).width);
-  unsigned in_slots = 0, out_slots = 0;
-  if (lanes == 1) {
-    in_slots = static_cast<unsigned>(m.inputs().size());
-    out_slots = static_cast<unsigned>(m.outputs().size());
-  } else {
-    const unsigned lw = lanes / 64;
-    for (const unsigned w : in_widths) in_slots += w * lw;
-    for (const PortRef& p : m.outputs())
-      out_slots += m.node(p.node).width * lw;
-  }
-  for (par::StimulusBlock& b : blocks) {
-    if (b.lanes != lanes)
-      throw std::invalid_argument("rtl::run_batch: mixed-lane batch");
-    if (b.in_slots != in_slots ||
-        b.in.size() != static_cast<std::size_t>(b.cycles) * in_slots)
-      throw std::invalid_argument("rtl::run_batch: block stimulus shape "
-                                  "does not match the module interface");
-    b.out_slots = out_slots;
-    b.out.assign(static_cast<std::size_t>(b.cycles) * out_slots, 0);
-  }
-
-  par::Pool& pool = pool_arg ? *pool_arg : par::Pool::global();
-  const std::size_t chunks =
-      std::min(blocks.size(), static_cast<std::size_t>(pool.size()) * 2);
-  const std::size_t per = (blocks.size() + chunks - 1) / chunks;
-  // Engines (plus their resolved port handles) are pooled across chunks: a
-  // chunk borrows an idle entry or builds one when all are busy — at most
-  // one per concurrently active worker — so module compile and JIT cost
-  // are paid once per worker, not once per chunk.  Blocks start from
-  // restore_poweron(), a snapshot copy.
+  for (const PortRef& p : m.outputs())
+    out_widths.push_back(m.node(p.node).width);
+  // Each pooled engine carries its resolved port handles; blocks start
+  // from restore_poweron(), a snapshot copy.
   struct BatchSim {
     Simulator sim;
     std::vector<InputHandle> in;
@@ -448,31 +415,15 @@ void run_batch(const Module& m, SimMode mode,
         out.push_back(sim.output_handle(p.name));
     }
   };
-  std::mutex pool_mu;
-  std::vector<std::unique_ptr<BatchSim>> idle;
-  pool.parallel_for(chunks, [&](std::size_t chunk) {
-    const std::size_t lo = chunk * per;
-    const std::size_t hi = std::min(blocks.size(), lo + per);
-    if (lo >= hi) return;
-    std::unique_ptr<BatchSim> bs;
-    {
-      std::lock_guard<std::mutex> lk(pool_mu);
-      if (!idle.empty()) {
-        bs = std::move(idle.back());
-        idle.pop_back();
-      }
-    }
-    if (!bs) bs = std::make_unique<BatchSim>(m, mode, lanes);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (lanes == 1)
-        run_scalar_block(bs->sim, bs->in, bs->out, blocks[i]);
-      else
-        run_lane_block(bs->sim, bs->in, in_widths, bs->out, blocks[i],
-                       bs->scratch);
-    }
-    std::lock_guard<std::mutex> lk(pool_mu);
-    idle.push_back(std::move(bs));
-  });
+  par::run_blocks(
+      blocks, in_widths, out_widths, tape::kMaxLanes, pool, "rtl::run_batch",
+      [&] { return std::make_unique<BatchSim>(m, mode, lanes); },
+      [&](BatchSim& bs, par::StimulusBlock& b) {
+        if (lanes == 1)
+          run_scalar_block(bs.sim, bs.in, bs.out, b);
+        else
+          run_lane_block(bs.sim, bs.in, in_widths, bs.out, b, bs.scratch);
+      });
 }
 
 }  // namespace osss::rtl

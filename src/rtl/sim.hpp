@@ -36,10 +36,6 @@
 #include "rtl/ir.hpp"
 #include "rtl/tape.hpp"
 
-namespace osss::par {
-class Pool;
-}
-
 namespace osss::rtl {
 
 enum class SimMode : std::uint8_t {
