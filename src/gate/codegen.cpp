@@ -292,13 +292,6 @@ void NativeEngine::reset() {
 
 void NativeEngine::restore_poweron() { rt_.restore_poweron(); }
 
-const Bus& NativeEngine::find_bus(const std::vector<Bus>& buses,
-                                  const std::string& name) const {
-  for (const Bus& b : buses)
-    if (b.name == name) return b;
-  throw std::logic_error("gate::NativeEngine: no bus " + name);
-}
-
 void NativeEngine::store_input(NetId id, const std::uint64_t* nv) {
   const unsigned lw = plan_.lw;
   std::uint64_t* d = rt_.arena() + std::size_t{id} * lw;
@@ -309,11 +302,11 @@ void NativeEngine::store_input(NetId id, const std::uint64_t* nv) {
   rt_.mark(plan_.net_fl_off, plan_.net_fl, id);
 }
 
-void NativeEngine::set_input(const std::string& bus, const Bits& value) {
-  const Bus& b = find_bus(nl_->inputs(), bus);
+void NativeEngine::set_input(unsigned bus, const Bits& value) {
+  const Bus& b = nl_->inputs().at(bus);
   if (value.width() != b.nets.size())
     throw std::logic_error("gate::NativeEngine: input width mismatch on " +
-                           bus);
+                           b.name);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
     std::fill_n(nv, plan_.lw,
@@ -322,12 +315,12 @@ void NativeEngine::set_input(const std::string& bus, const Bits& value) {
   }
 }
 
-void NativeEngine::set_input(const std::string& bus, std::uint64_t value) {
-  const Bus& b = find_bus(nl_->inputs(), bus);
+void NativeEngine::set_input(unsigned bus, std::uint64_t value) {
+  const Bus& b = nl_->inputs().at(bus);
   const std::size_t n = b.nets.size();
   if (n < 64 && (value >> n) != 0)
     throw std::logic_error("gate::NativeEngine: value does not fit " +
-                           std::to_string(n) + "-bit input bus " + bus);
+                           std::to_string(n) + "-bit input bus " + b.name);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < n; ++i) {
     std::fill_n(nv, plan_.lw,
@@ -336,13 +329,13 @@ void NativeEngine::set_input(const std::string& bus, std::uint64_t value) {
   }
 }
 
-void NativeEngine::set_input_lanes(const std::string& bus,
+void NativeEngine::set_input_lanes(unsigned bus,
                                    std::span<const std::uint64_t> bit_lanes) {
-  const Bus& b = find_bus(nl_->inputs(), bus);
+  const Bus& b = nl_->inputs().at(bus);
   const unsigned lw = plan_.lw;
   if (bit_lanes.size() != b.nets.size() * std::size_t{lw})
     throw std::logic_error("gate::NativeEngine: input width mismatch on " +
-                           bus);
+                           b.name);
   std::uint64_t nv[kMaxLanes / 64];
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
     const std::uint64_t* s = bit_lanes.data() + i * lw;
@@ -351,9 +344,9 @@ void NativeEngine::set_input_lanes(const std::string& bus,
   }
 }
 
-void NativeEngine::set_input_values(const std::string& bus,
+void NativeEngine::set_input_values(unsigned bus,
                                     std::span<const std::uint64_t> values) {
-  const Bus& b = find_bus(nl_->inputs(), bus);
+  const Bus& b = nl_->inputs().at(bus);
   if (b.nets.size() > 64)
     throw std::logic_error(
         "gate::NativeEngine: set_input_values requires a <= 64-bit bus");
@@ -367,14 +360,10 @@ void NativeEngine::set_input_values(const std::string& bus,
     store_input(b.nets[i], nv + i * plan_.lw);
 }
 
-Bits NativeEngine::output(const std::string& bus) const {
-  return output_lane(bus, 0);
-}
-
-Bits NativeEngine::output_lane(const std::string& bus, unsigned lane) const {
+Bits NativeEngine::output_lane(unsigned bus, unsigned lane) const {
   if (lane >= plan_.lanes)
     throw std::logic_error("gate::NativeEngine: lane out of range");
-  const Bus& b = find_bus(nl_->outputs(), bus);
+  const Bus& b = nl_->outputs().at(bus);
   settle();
   Bits out(static_cast<unsigned>(b.nets.size()));
   for (std::size_t i = 0; i < b.nets.size(); ++i)
@@ -385,9 +374,8 @@ Bits NativeEngine::output_lane(const std::string& bus, unsigned lane) const {
   return out;
 }
 
-std::vector<std::uint64_t> NativeEngine::output_words(
-    const std::string& bus) const {
-  const Bus& b = find_bus(nl_->outputs(), bus);
+std::vector<std::uint64_t> NativeEngine::output_words(unsigned bus) const {
+  const Bus& b = nl_->outputs().at(bus);
   const unsigned lw = plan_.lw;
   settle();
   std::vector<std::uint64_t> out(b.nets.size() * lw);
@@ -397,9 +385,8 @@ std::vector<std::uint64_t> NativeEngine::output_words(
   return out;
 }
 
-std::vector<std::uint64_t> NativeEngine::output_values(
-    const std::string& bus) const {
-  const Bus& b = find_bus(nl_->outputs(), bus);
+std::vector<std::uint64_t> NativeEngine::output_values(unsigned bus) const {
+  const Bus& b = nl_->outputs().at(bus);
   if (b.nets.size() > 64)
     throw std::logic_error(
         "gate::NativeEngine: output_values requires a <= 64-bit bus");

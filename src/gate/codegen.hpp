@@ -133,25 +133,24 @@ class NativeEngine {
   using RunStats = jit::RunStats;
   const RunStats& stats() const noexcept { return rt_.stats(); }
 
+  // `bus` indexes the netlist's inputs() or outputs() (Simulator::find_bus).
+
   /// Drive an input bus, broadcast to all lanes.
-  void set_input(const std::string& bus, const Bits& value);
-  void set_input(const std::string& bus, std::uint64_t value);
+  void set_input(unsigned bus, const Bits& value);
+  void set_input(unsigned bus, std::uint64_t value);
   /// Drive all lanes bit-sliced: bit_lanes[i*lane_words() + w] is lane word
   /// w of bus bit i (the gate::Simulator layout, generalized past 64).
-  void set_input_lanes(const std::string& bus,
-                       std::span<const std::uint64_t> bit_lanes);
+  void set_input_lanes(unsigned bus, std::span<const std::uint64_t> bit_lanes);
   /// Drive one value per lane (<= 64-bit buses; values[l] is lane l,
   /// truncated to the bus width).
-  void set_input_values(const std::string& bus,
-                        std::span<const std::uint64_t> values);
+  void set_input_values(unsigned bus, std::span<const std::uint64_t> values);
 
-  Bits output(const std::string& bus) const;
-  Bits output_lane(const std::string& bus, unsigned lane) const;
+  Bits output_lane(unsigned bus, unsigned lane) const;
   /// Lane words of an output bus: width * lane_words() elements, same
   /// layout as set_input_lanes.
-  std::vector<std::uint64_t> output_words(const std::string& bus) const;
+  std::vector<std::uint64_t> output_words(unsigned bus) const;
   /// One value per lane of an output (<= 64-bit buses; throws otherwise).
-  std::vector<std::uint64_t> output_values(const std::string& bus) const;
+  std::vector<std::uint64_t> output_values(unsigned bus) const;
 
   /// Lane word w of net id (settled; bit l%64 of word l/64 = lane l).
   std::uint64_t net_word(NetId id, unsigned word = 0) const;
@@ -198,8 +197,6 @@ class NativeEngine {
                  std::uint64_t* out) const;
   /// Store lw lane words into input net `id`; dirty-mark it if they differ.
   void store_input(NetId id, const std::uint64_t* nv);
-  const Bus& find_bus(const std::vector<Bus>& buses,
-                      const std::string& name) const;
 };
 
 }  // namespace osss::gate

@@ -423,51 +423,92 @@ void Netlist::mutate_cell(NetId id, CellKind new_kind) {
   strash_.clear();  // hashed shapes are stale after mutation
 }
 
-void Netlist::validate() const {
+std::vector<Violation> Netlist::violations() const {
+  std::vector<Violation> out;
+  const auto net_ok = [&](NetId id) { return id < cells_.size(); };
   for (NetId id = 0; id < cells_.size(); ++id) {
     const Cell& c = cells_[id];
-    for (const NetId in : c.ins) {
-      if (in == kInvalidNet || in >= cells_.size())
-        bad(name_, "dangling net reference");
-    }
-    if (c.kind == CellKind::kDff && c.ins.size() != 1)
-      bad(name_, "dff '" + c.name + "' has unconnected D");
-    if (c.kind == CellKind::kMemQ && c.param >= mems_.size())
-      bad(name_, "memq references unknown memory");
+    const char* kind = cell_kind_name(c.kind);
+    const std::size_t before = out.size();
+    for (std::uint32_t i = 0; i < c.ins.size(); ++i)
+      if (!net_ok(c.ins[i]))
+        out.push_back({Violation::Kind::kDangling, id, i,
+                       std::string(kind) + " input " + std::to_string(i) +
+                           " is a dangling net reference",
+                       ""});
+    const int want = arity(c.kind);
+    if (want >= 0 && out.size() == before &&
+        c.ins.size() != static_cast<std::size_t>(want))
+      out.push_back({Violation::Kind::kCell, id, 0,
+                     std::string(kind) +
+                         (c.kind == CellKind::kDff && c.ins.empty()
+                                 ? ": flip-flop D input was never connected"
+                                 : ": wrong input count for this cell kind"),
+                     "has " + std::to_string(c.ins.size()) +
+                         " input(s), needs " + std::to_string(want)});
+    if (c.kind != CellKind::kMemQ) continue;
+    if (c.param >= mems_.size())
+      out.push_back({Violation::Kind::kCell, id, 0,
+                     "memq reads from a memory that does not exist", ""});
+    else if (c.param2 >= mems_[c.param].width)
+      out.push_back({Violation::Kind::kCell, id, 0,
+                     "memq reads a data bit the memory does not have",
+                     "bit " + std::to_string(c.param2) + " of a " +
+                         std::to_string(mems_[c.param].width) +
+                         "-bit memory"});
   }
-  for (const MemMacro& m : mems_) {
-    for (const auto& w : m.writes) {
-      if (w.enable == kInvalidNet || w.data.size() != m.width)
-        bad(name_, "memory write port malformed");
+  for (std::uint32_t mi = 0; mi < mems_.size(); ++mi) {
+    const MemMacro& m = mems_[mi];
+    for (std::uint32_t wi = 0; wi < m.writes.size(); ++wi) {
+      const auto& w = m.writes[wi];
+      if (!net_ok(w.enable) || w.data.size() != m.width ||
+          !std::all_of(w.addr.begin(), w.addr.end(), net_ok) ||
+          !std::all_of(w.data.begin(), w.data.end(), net_ok))
+        out.push_back({Violation::Kind::kWritePort, mi, wi,
+                       "write port is floating or malformed",
+                       !net_ok(w.enable)
+                           ? "enable net is unconnected"
+                           : "data bus width does not match the memory"});
     }
   }
+  for (std::uint32_t bi = 0; bi < outputs_.size(); ++bi)
+    for (std::uint32_t i = 0; i < outputs_[bi].nets.size(); ++i)
+      if (!net_ok(outputs_[bi].nets[i]))
+        out.push_back({Violation::Kind::kOutput, bi, i,
+                       "output port bit is not driven by any net", ""});
+  return out;
+}
+
+void Netlist::validate() const {
+  const std::vector<Violation> v = violations();
+  if (!v.empty()) bad(name_, v.front().message);
   (void)topo_order();
 }
 
-std::size_t Netlist::sweep() {
-  validate();
+std::vector<bool> Netlist::live_cells() const {
   std::vector<bool> keep(cells_.size(), false);
   std::vector<NetId> work;
   auto mark = [&](NetId n) {
-    if (!keep[n]) {
+    if (n < keep.size() && !keep[n]) {
       keep[n] = true;
       work.push_back(n);
     }
   };
   mark(const0());
   mark(const1());
+  // Input bits are part of the interface: always kept.
+  for (const Bus& bus : inputs_)
+    for (const NetId n : bus.nets) mark(n);
   for (const Bus& bus : outputs_)
     for (const NetId n : bus.nets) mark(n);
-  // Inputs are part of the interface: always kept.
-  for (const Bus& bus : inputs_)
-    for (const NetId n : bus.nets) keep[n] = true;
   std::vector<bool> mem_used(mems_.size(), false);
   while (!work.empty()) {
     const NetId id = work.back();
     work.pop_back();
     const Cell& c = cells_[id];
     for (const NetId in : c.ins) mark(in);
-    if (c.kind == CellKind::kMemQ && !mem_used[c.param]) {
+    if (c.kind == CellKind::kMemQ && c.param < mems_.size() &&
+        !mem_used[c.param]) {
       mem_used[c.param] = true;
       for (const auto& w : mems_[c.param].writes) {
         for (const NetId n : w.addr) mark(n);
@@ -476,6 +517,16 @@ std::size_t Netlist::sweep() {
       }
     }
   }
+  return keep;
+}
+
+std::size_t Netlist::sweep() {
+  validate();
+  const std::vector<bool> keep = live_cells();
+  std::vector<bool> mem_used(mems_.size(), false);
+  for (NetId id = 0; id < cells_.size(); ++id)
+    if (keep[id] && cells_[id].kind == CellKind::kMemQ)
+      mem_used[cells_[id].param] = true;
   // Compact.
   std::vector<NetId> remap(cells_.size(), kInvalidNet);
   std::vector<Cell> kept;
@@ -507,6 +558,22 @@ std::size_t Netlist::sweep() {
   }
   strash_.clear();  // ids changed; further strash would be wrong
   return removed;
+}
+
+std::vector<std::uint32_t> fanout_counts(const Netlist& nl) {
+  std::vector<std::uint32_t> fanout(nl.cells().size(), 0);
+  for (const Cell& c : nl.cells())
+    for (const NetId in : c.ins) ++fanout[in];
+  for (const auto& m : nl.memories()) {
+    for (const auto& w : m.writes) {
+      for (const NetId n : w.addr) ++fanout[n];
+      for (const NetId n : w.data) ++fanout[n];
+      ++fanout[w.enable];
+    }
+  }
+  for (const auto& bus : nl.outputs())
+    for (const NetId n : bus.nets) ++fanout[n];
+  return fanout;
 }
 
 std::string Netlist::dump() const {

@@ -125,6 +125,21 @@ struct Bus {
   std::vector<NetId> nets;
 };
 
+/// One structural rule a netlist breaks (Netlist::violations()).
+struct Violation {
+  enum class Kind : std::uint8_t {
+    kCell,       ///< cell `index` has the wrong input count or memory read
+    kDangling,   ///< input `sub` of cell `index` references no cell
+    kWritePort,  ///< write port `sub` of memory `index` is malformed
+    kOutput,     ///< bit `sub` of output bus `index` references no cell
+  };
+  Kind kind = Kind::kCell;
+  std::uint32_t index = 0;
+  std::uint32_t sub = 0;
+  std::string message;
+  std::string note;
+};
+
 class Netlist {
 public:
   explicit Netlist(std::string name) : name_(std::move(name)) {
@@ -220,8 +235,12 @@ public:
   /// on non-logic cells or arity mismatch.
   void mutate_cell(NetId id, CellKind new_kind);
 
-  /// Structural validation; throws std::logic_error on dangling nets,
-  /// unconnected DFFs or combinational cycles.
+  /// Every structural rule the netlist breaks, cells first, then write
+  /// ports and output bits.  Never throws or reads out of range.
+  std::vector<Violation> violations() const;
+
+  /// Throws std::logic_error with the first violation's message, then
+  /// checks combinational acyclicity (see topo_order).
   void validate() const;
 
   /// Topological order of combinational cells (sources excluded).
@@ -233,8 +252,13 @@ public:
   /// schedule.
   std::vector<std::uint32_t> topo_levels() const;
 
+  /// The cells sweep() keeps: constants, inputs and all the outputs read,
+  /// through DFFs and read memories' write ports (bad references skipped).
+  std::vector<bool> live_cells() const;
+
   /// Remove logic not reachable from any output, DFF input or memory write
-  /// port.  Returns the number of cells removed.  Net ids are NOT preserved.
+  /// port (every cell live_cells() leaves unmarked).  Returns the number of
+  /// cells removed.  Net ids are NOT preserved.
   std::size_t sweep();
 
   std::string dump() const;
@@ -254,11 +278,17 @@ private:
   friend struct NetlistSurgeon;
 };
 
+/// Number of reader pins of every net: cell inputs, DFF D pins, memory
+/// write-port pins and output-bus bits all count.  fanout[n] == 1 means the
+/// net has exactly one consumer — the gate a local rewrite may absorb.
+std::vector<std::uint32_t> fanout_counts(const Netlist& nl);
+
 /// Raw access to a netlist's cells, bypassing the optimizing factories.
 /// Exists for the lint subsystem's test vectors (combinational loops and
 /// floating inputs cannot be built through the factory API).  A mutated
-/// netlist may violate every structural invariant — lint it, don't build on
-/// it or simulate it.
+/// netlist may violate every structural invariant: violations() lists what
+/// it breaks, lint reports it, and validate() — which the simulators call
+/// first — throws on it.  Don't build on it.
 struct NetlistSurgeon {
   static std::vector<Cell>& cells(Netlist& nl) { return nl.cells_; }
   static std::vector<MemMacro>& memories(Netlist& nl) { return nl.mems_; }

@@ -178,19 +178,20 @@ void Simulator::restore_poweron() {
   reset();
 }
 
-const Bus& Simulator::find_bus(const std::vector<Bus>& buses,
-                               const std::string& name) const {
-  for (const Bus& b : buses)
-    if (b.name == name) return b;
+unsigned Simulator::find_bus(const std::vector<Bus>& buses,
+                             const std::string& name) const {
+  for (unsigned i = 0; i < buses.size(); ++i)
+    if (buses[i].name == name) return i;
   throw std::logic_error("gate::Simulator: no bus " + name);
 }
 
 void Simulator::set_input(const std::string& bus, const Bits& value) {
+  const unsigned bi = find_bus(nl_.inputs(), bus);
   if (native_) {
-    native_->set_input(bus, value);
+    native_->set_input(bi, value);
     return;
   }
-  const Bus& b = find_bus(nl_.inputs(), bus);
+  const Bus& b = nl_.inputs()[bi];
   if (value.width() != b.nets.size())
     throw std::logic_error("gate::Simulator: input width mismatch on " + bus);
   for (std::size_t i = 0; i < b.nets.size(); ++i) {
@@ -204,12 +205,12 @@ void Simulator::set_input(const std::string& bus, const Bits& value) {
 }
 
 void Simulator::set_input(const std::string& bus, std::uint64_t value) {
+  const unsigned bi = find_bus(nl_.inputs(), bus);
   if (native_) {
-    native_->set_input(bus, value);
+    native_->set_input(bi, value);
     return;
   }
-  const Bus& b = find_bus(nl_.inputs(), bus);
-  const std::size_t n = b.nets.size();
+  const std::size_t n = nl_.inputs()[bi].nets.size();
   if (n < 64 && (value >> n) != 0)
     throw std::logic_error("gate::Simulator: value does not fit " +
                            std::to_string(n) + "-bit input bus " + bus);
@@ -221,7 +222,7 @@ void Simulator::set_input_lanes(const std::string& bus,
   if (!native_)
     throw std::logic_error(
         "gate::Simulator: set_input_lanes requires kNative mode");
-  native_->set_input_lanes(bus, bit_lanes);
+  native_->set_input_lanes(find_bus(nl_.inputs(), bus), bit_lanes);
 }
 
 void Simulator::set_input_values(const std::string& bus,
@@ -229,7 +230,7 @@ void Simulator::set_input_values(const std::string& bus,
   if (!native_)
     throw std::logic_error(
         "gate::Simulator: set_input_values requires kNative mode");
-  native_->set_input_values(bus, values);
+  native_->set_input_values(find_bus(nl_.inputs(), bus), values);
 }
 
 std::vector<std::uint64_t> Simulator::output_values(
@@ -237,7 +238,7 @@ std::vector<std::uint64_t> Simulator::output_values(
   if (!native_)
     throw std::logic_error(
         "gate::Simulator: output_values requires kNative mode");
-  return native_->output_values(bus);
+  return native_->output_values(find_bus(nl_.outputs(), bus));
 }
 
 const Simulator::Stats& Simulator::stats() const noexcept {
@@ -268,9 +269,10 @@ Bits Simulator::output(const std::string& bus) const {
 }
 
 Bits Simulator::output_lane(const std::string& bus, unsigned lane) const {
-  if (native_) return native_->output_lane(bus, lane);
+  const unsigned bi = find_bus(nl_.outputs(), bus);
+  if (native_) return native_->output_lane(bi, lane);
   if (lane != 0) throw std::logic_error("gate::Simulator: lane out of range");
-  const Bus& b = find_bus(nl_.outputs(), bus);
+  const Bus& b = nl_.outputs()[bi];
   Bits out(static_cast<unsigned>(b.nets.size()));
   for (std::size_t i = 0; i < b.nets.size(); ++i)
     out.set_bit(static_cast<unsigned>(i), values_[b.nets[i]] != 0);
@@ -279,8 +281,9 @@ Bits Simulator::output_lane(const std::string& bus, unsigned lane) const {
 
 std::vector<std::uint64_t> Simulator::output_words(
     const std::string& bus) const {
-  if (native_) return native_->output_words(bus);
-  const Bus& b = find_bus(nl_.outputs(), bus);
+  const unsigned bi = find_bus(nl_.outputs(), bus);
+  if (native_) return native_->output_words(bi);
+  const Bus& b = nl_.outputs()[bi];
   std::vector<std::uint64_t> out(b.nets.size());
   for (std::size_t i = 0; i < b.nets.size(); ++i) out[i] = values_[b.nets[i]];
   return out;

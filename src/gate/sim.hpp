@@ -202,8 +202,9 @@ private:
   mutable Stats stats_;  ///< mutable: stats() folds in native run counters
 
   [[noreturn]] static void throw_bad_net(NetId id, unsigned word);
-  const Bus& find_bus(const std::vector<Bus>& buses,
-                      const std::string& name) const;
+  /// Index of bus `name` in `buses`: the one port-name lookup.
+  unsigned find_bus(const std::vector<Bus>& buses,
+                    const std::string& name) const;
   std::uint64_t eval_cell(NetId id) const;
   std::uint64_t eval_memq(const Cell& c) const;
   void on_net_changed(NetId id);   ///< schedule fanout of a changed net

@@ -34,10 +34,10 @@ const std::vector<RuleInfo>& rule_registry() {
        "graph) and reports one concrete cycle path."},
       {"RTL-002", "rtl", Severity::kError, "width or shape mismatch",
        "A node violates the IR's structural contract: operand widths "
-       "disagree, a slice reads out of range, a register or memory port "
-       "is unconnected, or a concat's parts do not sum to its width.  "
-       "Mirrors rtl::Module::validate() violation for violation so the "
-       "lint can report every problem instead of throwing on the first."},
+       "disagree, a slice reads out of range, a register, memory port or "
+       "module port is unconnected, or a concat's parts do not sum to its "
+       "width.  Reports rtl::Module::violations(), whose first entry "
+       "Module::validate() throws, so every problem shows at once."},
       {"RTL-003", "rtl", Severity::kWarning,
        "dead node (never observable; agrees with the tape pruner)",
        "The node is unreachable from every output, register and memory "
@@ -123,8 +123,9 @@ const std::vector<RuleInfo>& rule_registry() {
       {"GATE-004", "gate", Severity::kWarning,
        "dead cell (sweep would remove it)",
        "The cell drives nothing observable (no path to an output, "
-       "flip-flop or memory write).  Netlist::sweep would erase it; its "
-       "presence after optimization indicates a pass forgot to clean up."},
+       "flip-flop or memory write): Netlist::live_cells(), the mark sweep() "
+       "erases by, leaves it unmarked.  Its presence after optimization "
+       "indicates a pass forgot to clean up."},
       {"GATE-005", "gate", Severity::kInfo,
        "fanout histogram / high-fanout net",
        "Reports the net fanout distribution, and warns about nets whose "

@@ -8,12 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "lint/cycle_path.hpp"
+
 namespace osss::lint {
 namespace {
 
 using gate::Cell;
 using gate::CellKind;
-using gate::kInvalidNet;
 using gate::MemMacro;
 using gate::NetId;
 using gate::Netlist;
@@ -23,8 +24,13 @@ class NetlistLinter {
   NetlistLinter(const Netlist& nl, const Options& opt) : nl_(nl), opt_(opt) {}
 
   Report run() {
-    structural();
-    if (!refs_ok_) return std::move(report_);  // indices unusable beyond here
+    const std::vector<gate::Violation> violations = nl_.violations();
+    structural(violations);
+    // The rules below follow every cell input, write port and output bit.
+    const bool refs_ok = std::all_of(
+        violations.begin(), violations.end(),
+        [](const gate::Violation& v) { return v.kind == Kind::kCell; });
+    if (!refs_ok) return std::move(report_);
     cycles();
     dead_cells();
     fanout();
@@ -32,6 +38,8 @@ class NetlistLinter {
   }
 
  private:
+  using Kind = gate::Violation::Kind;
+
   void emit(const char* rule, Severity sev, std::string object,
             std::int64_t index, std::string message, std::string note = {}) {
     if (opt_.suppressed(rule)) return;
@@ -53,186 +61,70 @@ class NetlistLinter {
     return s;
   }
 
-  bool is_source(NetId id) const {
-    const CellKind k = nl_.cells()[id].kind;
-    return k == CellKind::kConst0 || k == CellKind::kConst1 ||
-           k == CellKind::kInput || k == CellKind::kDff;
+  // --- GATE-003: Netlist::violations(); GATE-002 --------------------------
+  // A memory's GATE-002 comes just before its write ports' violations.
+  void structural(const std::vector<gate::Violation>& violations) {
+    const auto& mems = nl_.memories();
+    std::size_t next = 0;  // the first memory whose GATE-002 is still due
+    for (const gate::Violation& v : violations) {
+      std::string object;
+      std::int64_t index = v.index;
+      if (v.kind == Kind::kWritePort) {
+        for (; next <= v.index; ++next) multi_write(next);
+        object = "memory '" + mems[v.index].name + "' write port " +
+                 std::to_string(v.sub);
+      } else if (v.kind == Kind::kOutput) {
+        for (; next < mems.size(); ++next) multi_write(next);
+        object = "output '" + nl_.outputs()[v.index].name + "' bit " +
+                 std::to_string(v.sub);
+        index = -1;
+      } else {
+        object = label(v.index);
+      }
+      emit("GATE-003", Severity::kError, std::move(object), index, v.message,
+           v.note);
+    }
+    for (; next < mems.size(); ++next) multi_write(next);
   }
 
-  bool net_ok(NetId id) const { return id < nl_.cells().size(); }
-
-  // --- GATE-002 / GATE-003: port and reference sanity ----------------------
-
-  void structural() {
-    const auto& cells = nl_.cells();
-    for (NetId id = 0; id < cells.size(); ++id) {
-      const Cell& c = cells[id];
-      bool dangling = false;
-      for (std::size_t i = 0; i < c.ins.size(); ++i) {
-        if (!net_ok(c.ins[i])) {
-          dangling = true;
-          refs_ok_ = false;
-          emit("GATE-003", Severity::kError, label(id),
-               static_cast<std::int64_t>(id),
-               std::string(cell_kind_name(c.kind)) + " input " +
-                   std::to_string(i) + " is a dangling net reference");
-        }
-      }
-      const int want = gate::arity(c.kind);
-      if (want >= 0 && !dangling &&
-          c.ins.size() != static_cast<std::size_t>(want)) {
-        const char* what =
-            c.kind == CellKind::kDff && c.ins.empty()
-                ? "flip-flop D input was never connected"
-                : "wrong input count for this cell kind";
-        emit("GATE-003", Severity::kError, label(id),
-             static_cast<std::int64_t>(id),
-             std::string(cell_kind_name(c.kind)) + ": " + what,
-             "has " + std::to_string(c.ins.size()) + " input(s), needs " +
-                 std::to_string(want));
-      }
-      if (c.kind == CellKind::kMemQ && c.param >= nl_.memories().size()) {
-        emit("GATE-003", Severity::kError, label(id),
-             static_cast<std::int64_t>(id),
-             "memq reads from a memory that does not exist");
-      }
-    }
-    const auto& mems = nl_.memories();
-    for (std::size_t mi = 0; mi < mems.size(); ++mi) {
-      const MemMacro& m = mems[mi];
-      if (m.writes.size() > 1) {
-        emit("GATE-002", Severity::kWarning, "memory '" + m.name + "'",
-             static_cast<std::int64_t>(mi),
-             std::to_string(m.writes.size()) +
-                 " write ports drive one memory; simultaneous writes to the "
-                 "same word collide");
-      }
-      for (std::size_t wi = 0; wi < m.writes.size(); ++wi) {
-        const auto& w = m.writes[wi];
-        bool bad = !net_ok(w.enable) || w.data.size() != m.width;
-        for (const NetId net : w.addr)
-          if (!net_ok(net)) bad = true;
-        for (const NetId net : w.data)
-          if (!net_ok(net)) bad = true;
-        if (bad) {
-          refs_ok_ = false;
-          emit("GATE-003", Severity::kError,
-               "memory '" + m.name + "' write port " + std::to_string(wi),
-               static_cast<std::int64_t>(mi),
-               "write port is floating or malformed",
-               !net_ok(w.enable) ? "enable net is unconnected"
-                                 : "data bus width does not match the memory");
-        }
-      }
-    }
-    for (const auto& bus : nl_.outputs()) {
-      for (std::size_t i = 0; i < bus.nets.size(); ++i) {
-        if (!net_ok(bus.nets[i])) {
-          refs_ok_ = false;
-          emit("GATE-003", Severity::kError,
-               "output '" + bus.name + "' bit " + std::to_string(i), -1,
-               "output port bit is not driven by any net");
-        }
-      }
-    }
+  void multi_write(std::size_t mi) {
+    const MemMacro& m = nl_.memories()[mi];
+    if (m.writes.size() < 2) return;
+    emit("GATE-002", Severity::kWarning, "memory '" + m.name + "'",
+         static_cast<std::int64_t>(mi),
+         std::to_string(m.writes.size()) +
+             " write ports drive one memory; simultaneous writes to the "
+             "same word collide");
   }
 
   // --- GATE-001: combinational loops ---------------------------------------
 
   void cycles() {
-    const auto& cells = nl_.cells();
-    const NetId n = static_cast<NetId>(cells.size());
-    std::vector<std::uint8_t> color(n, 0);  // 0 white, 1 on stack, 2 done
-    parent_.assign(n, kInvalidNet);
-    struct Frame {
-      NetId id;
-      std::size_t next = 0;
-    };
-    for (NetId root = 0; root < n; ++root) {
-      if (color[root] != 0 || is_source(root)) continue;
-      std::vector<Frame> stack{{root, 0}};
-      color[root] = 1;
-      while (!stack.empty()) {
-        Frame& f = stack.back();
-        const Cell& c = cells[f.id];
-        if (f.next >= c.ins.size()) {
-          color[f.id] = 2;
-          stack.pop_back();
-          continue;
-        }
-        const NetId in = c.ins[f.next++];
-        if (is_source(in)) continue;  // sequential/primary boundary
-        if (color[in] == 1) {
-          report_cycle(in, f.id);
-          return;  // one loop report is enough: the netlist is broken
-        }
-        if (color[in] == 0) {
-          color[in] = 1;
-          parent_[in] = f.id;
-          stack.push_back({in, 0});
-        }
-      }
-    }
-  }
-
-  void report_cycle(NetId head, NetId tail) {
-    // tail is on the DFS stack with head as an ancestor; walking parents
-    // from tail reconstructs the loop head -> ... -> tail -> head.
-    std::vector<NetId> path;
-    for (NetId cur = tail; cur != head && cur != kInvalidNet;
-         cur = parent_[cur])
-      path.push_back(cur);
-    std::reverse(path.begin(), path.end());
-    std::string note = label(head);
-    for (const NetId id : path) note += " -> " + label(id);
-    note += " -> " + label(head);
-    emit("GATE-001", Severity::kError, label(head),
-         static_cast<std::int64_t>(head),
-         "combinational loop through " + std::to_string(path.size() + 1) +
+    const std::vector<NetId> loop =
+        detail::cycle_path(nl_.cells(), [](const Cell& c) {
+          return c.kind == CellKind::kConst0 || c.kind == CellKind::kConst1 ||
+                 c.kind == CellKind::kInput || c.kind == CellKind::kDff;
+        });
+    if (loop.empty()) return;
+    std::string note;
+    for (const NetId id : loop) note += label(id) + " -> ";
+    note += label(loop.front());
+    emit("GATE-001", Severity::kError, label(loop.front()),
+         static_cast<std::int64_t>(loop.front()),
+         "combinational loop through " + std::to_string(loop.size()) +
              " cell(s)",
          note);
   }
 
-  // --- GATE-004: dead cells (mirror of Netlist::sweep's marking) -----------
+  // --- GATE-004: dead cells (the cells Netlist::sweep() removes) ----------
 
   void dead_cells() {
-    const auto& cells = nl_.cells();
-    std::vector<bool> keep(cells.size(), false);
-    std::vector<NetId> work;
-    auto mark = [&](NetId id) {
-      if (!keep[id]) {
-        keep[id] = true;
-        work.push_back(id);
-      }
-    };
-    mark(nl_.const0());
-    mark(nl_.const1());
-    for (const auto& bus : nl_.outputs())
-      for (const NetId net : bus.nets) mark(net);
-    for (const auto& bus : nl_.inputs())
-      for (const NetId net : bus.nets)
-        if (net_ok(net)) keep[net] = true;  // interface: kept, not traversed
-    std::vector<bool> mem_used(nl_.memories().size(), false);
-    while (!work.empty()) {
-      const NetId id = work.back();
-      work.pop_back();
-      const Cell& c = cells[id];
-      for (const NetId in : c.ins) mark(in);
-      if (c.kind == CellKind::kMemQ && c.param < mem_used.size() &&
-          !mem_used[c.param]) {
-        mem_used[c.param] = true;
-        for (const auto& w : nl_.memories()[c.param].writes) {
-          for (const NetId net : w.addr) mark(net);
-          for (const NetId net : w.data) mark(net);
-          if (net_ok(w.enable)) mark(w.enable);
-        }
-      }
-    }
-    for (NetId id = 0; id < cells.size(); ++id) {
+    const std::vector<bool> keep = nl_.live_cells();
+    for (NetId id = 0; id < keep.size(); ++id) {
       if (keep[id]) continue;
       emit("GATE-004", Severity::kWarning, label(id),
            static_cast<std::int64_t>(id),
-           std::string(cell_kind_name(cells[id].kind)) +
+           std::string(cell_kind_name(nl_.cells()[id].kind)) +
                " drives no output, register or memory; sweep() removes it");
     }
   }
@@ -240,30 +132,11 @@ class NetlistLinter {
   // --- GATE-005: fanout ----------------------------------------------------
 
   void fanout() {
-    const auto& cells = nl_.cells();
-    std::vector<unsigned> fo(cells.size(), 0);
-    for (const Cell& c : cells)
-      for (const NetId in : c.ins) ++fo[in];
-    for (const MemMacro& m : nl_.memories()) {
-      for (const auto& w : m.writes) {
-        for (const NetId net : w.addr) ++fo[net];
-        for (const NetId net : w.data) ++fo[net];
-        if (net_ok(w.enable)) ++fo[w.enable];
-      }
-    }
-    for (const auto& bus : nl_.outputs())
-      for (const NetId net : bus.nets) ++fo[net];
-
+    const std::vector<std::uint32_t> fo = gate::fanout_counts(nl_);
     std::map<unsigned, std::size_t> hist;
-    unsigned max_fo = 0;
-    NetId max_net = 0;
-    for (NetId id = 0; id < cells.size(); ++id) {
-      ++hist[fo[id]];
-      if (fo[id] > max_fo) {
-        max_fo = fo[id];
-        max_net = id;
-      }
-    }
+    for (const std::uint32_t f : fo) ++hist[f];
+    const auto max_it = std::max_element(fo.begin(), fo.end());
+    const auto max_net = static_cast<NetId>(max_it - fo.begin());
     std::string note;
     for (const auto& [f, count] : hist) {
       if (!note.empty()) note += ", ";
@@ -271,11 +144,11 @@ class NetlistLinter {
               " net(s)";
     }
     emit("GATE-005", Severity::kInfo, "netlist", -1,
-         "fanout histogram (max " + std::to_string(max_fo) + " at " +
+         "fanout histogram (max " + std::to_string(*max_it) + " at " +
              label(max_net) + ")",
          note);
     if (opt_.fanout_warn_threshold > 0) {
-      for (NetId id = 0; id < cells.size(); ++id) {
+      for (NetId id = 0; id < fo.size(); ++id) {
         if (fo[id] >= opt_.fanout_warn_threshold) {
           emit("GATE-005", Severity::kWarning, label(id),
                static_cast<std::int64_t>(id),
@@ -290,8 +163,6 @@ class NetlistLinter {
   const Netlist& nl_;
   const Options& opt_;
   Report report_;
-  bool refs_ok_ = true;  ///< false once any net index is out of range
-  std::vector<NetId> parent_;  ///< DFS tree for loop-path reconstruction
 };
 
 }  // namespace

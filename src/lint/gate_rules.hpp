@@ -10,13 +10,15 @@
 //                    impossible here since a cell index is its output net)
 //   GATE-003  error  floating/dangling input: bad net reference, DFF without
 //                    a D input, malformed memory port, arity mismatch
+//                    (Netlist::violations())
 //   GATE-004  warn   dead cell — logic Netlist::sweep() would remove
-//                    (mirrors sweep()'s marking exactly)
-//   GATE-005  info   fanout histogram; per-net warning above
-//                    Options::fanout_warn_threshold
+//                    (the cells Netlist::live_cells() leaves unmarked)
+//   GATE-005  info   fanout histogram (gate::fanout_counts); per-net
+//                    warning above Options::fanout_warn_threshold
 //
 // Never throws on malformed netlists; damage becomes diagnostics.  The
-// reachability rules (GATE-004/005) only run on structurally sound input.
+// rules report the netlist's own checks, mark and counts; GATE-001/004/005
+// only run once every net reference is sound.
 
 #pragma once
 

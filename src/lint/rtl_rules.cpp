@@ -6,9 +6,9 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
+#include "lint/cycle_path.hpp"
 #include "lint/dataflow.hpp"
 #include "rtl/tape.hpp"
 
@@ -41,21 +41,11 @@ class ModuleLinter {
   ModuleLinter(const Module& m, const Options& opt) : m_(m), opt_(opt) {}
 
   Report run() {
-    structural();          // RTL-002 / RTL-004 / RTL-009
+    const std::vector<rtl::Violation> violations = m_.violations();
+    structural(violations);         // RTL-002 / RTL-004 / RTL-009
     const bool acyclic = cycles();  // RTL-001
-    // The deep rules need a module that validate() accepts; structural
-    // errors above are exactly its violations, so gate on them.  RTL-004
-    // (reset-less register) is only a warning here, but validate() rejects
-    // the empty init too, so deep analysis is impossible for it as well.
-    if (acyclic && report_.clean() && !report_.has("RTL-004")) {
-      try {
-        deep();
-      } catch (const std::logic_error& e) {
-        // Defensive: if validate() rejects something the structural pass
-        // missed, surface it as a diagnostic instead of crashing the lint.
-        emit("RTL-002", "", -1, e.what(), "");
-      }
-    }
+    // The deep rules need a module validate() accepts (RTL-004 included).
+    if (acyclic && violations.empty()) deep();
     return std::move(report_);
   }
 
@@ -80,228 +70,64 @@ class ModuleLinter {
     report_.add(std::move(d));
   }
 
-  bool in_range(NodeId id) const { return id < m_.node_count(); }
-
-  unsigned width_of(NodeId id) const { return m_.node(id).width; }
-
-  // --- RTL-002 (+ RTL-004, RTL-009): per-node structural checks ----------
-  // Mirrors Module::validate() violation for violation, as diagnostics.
-  void structural() {
-    for (NodeId id = 0; id < m_.node_count(); ++id) {
-      const Node& n = m_.node(id);
-      if (n.width == 0) {
-        emit("RTL-002", node_label(m_, id), id, "node has zero width", "");
-        continue;
-      }
-      bool dangling = false;
-      for (const NodeId in : n.ins)
-        if (!in_range(in)) dangling = true;
-      if (dangling) {
-        emit("RTL-002", node_label(m_, id), id,
-             "dangling input reference", "");
-        continue;  // operand-dependent checks would read out of range
-      }
-      structural_node(id, n);
-    }
-    for (std::size_t i = 0; i < m_.memories().size(); ++i)
-      structural_memory(i, m_.memories()[i]);
-    for (const auto& p : m_.outputs()) {
-      if (p.node == kInvalidNode)
-        emit("RTL-002", p.name, -1, "output '" + p.name + "' unbound", "");
-    }
-  }
-
-  void structural_node(NodeId id, const Node& n) {
-    auto bad = [&](const std::string& msg) {
-      emit("RTL-002", node_label(m_, id), id, msg, "");
-    };
-    switch (n.op) {
-      case Op::kConst:
-        if (n.value.width() != n.width) bad("const width mismatch");
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-        if (n.ins.size() != 2 || width_of(n.ins[0]) != n.width ||
-            width_of(n.ins[1]) != n.width)
-          bad(std::string(op_name(n.op)) + " width mismatch");
-        break;
-      case Op::kNot:
-        if (n.ins.size() != 1 || width_of(n.ins[0]) != n.width)
-          bad("unary width mismatch");
-        break;
-      case Op::kShlI:
-      case Op::kLshrI:
-      case Op::kAshrI:
-        if (n.ins.size() != 1 || width_of(n.ins[0]) != n.width) {
-          bad("unary width mismatch");
-        } else if (n.param >= n.width && n.op != Op::kAshrI) {
-          emit("RTL-009", node_label(m_, id), id,
-               std::string(op_name(n.op)) + " by " +
-                   std::to_string(n.param) + " >= width " +
-                   std::to_string(n.width) + " always yields zero",
+  // --- RTL-002 / RTL-004: Module::violations(); RTL-009 ------------------
+  // In node order: a node's violations, else its RTL-009.
+  void structural(const std::vector<rtl::Violation>& violations) {
+    using Kind = rtl::Violation::Kind;
+    NodeId next = 0;  // the first node whose RTL-009 is still due
+    for (const rtl::Violation& v : violations) {
+      const bool at_node = v.kind == Kind::kNode || v.kind == Kind::kNoReset;
+      for (; next < (at_node ? v.index : m_.node_count()); ++next)
+        over_shift(next);
+      if (at_node) next = v.index + 1;
+      switch (v.kind) {
+        case Kind::kNode:
+          emit("RTL-002", node_label(m_, v.index), v.index, v.message, "");
+          break;
+        case Kind::kNoReset: {
+          const unsigned reg = m_.node(v.index).param;
+          emit("RTL-004", m_.registers()[reg].name, reg, v.message, "");
+          break;
+        }
+        case Kind::kMemory:
+          emit("RTL-002", m_.memories()[v.index].name, v.index, v.message,
                "");
-        }
-        break;
-      case Op::kShlV:
-      case Op::kLshrV:
-        if (n.ins.size() != 2 || width_of(n.ins[0]) != n.width)
-          bad("variable shift width mismatch");
-        break;
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kUlt:
-      case Op::kUle:
-      case Op::kSlt:
-      case Op::kSle:
-        if (n.ins.size() != 2 || n.width != 1 ||
-            width_of(n.ins[0]) != width_of(n.ins[1]))
-          bad("comparison shape error");
-        break;
-      case Op::kMux:
-        if (n.ins.size() != 3 || width_of(n.ins[0]) != 1 ||
-            width_of(n.ins[1]) != n.width || width_of(n.ins[2]) != n.width)
-          bad("mux shape error");
-        break;
-      case Op::kSlice:
-        if (n.ins.size() != 1 || n.param + n.width > width_of(n.ins[0]))
-          bad("slice out of range");
-        break;
-      case Op::kConcat: {
-        if (n.ins.empty()) {
-          bad("empty concat");
           break;
-        }
-        unsigned total = 0;
-        for (const NodeId in : n.ins) total += width_of(in);
-        if (total != n.width) bad("concat width mismatch");
-        break;
-      }
-      case Op::kZExt:
-      case Op::kSExt:
-        if (n.ins.size() != 1 || width_of(n.ins[0]) > n.width)
-          bad("extension narrows");
-        break;
-      case Op::kRedOr:
-      case Op::kRedAnd:
-      case Op::kRedXor:
-        if (n.ins.size() != 1 || n.width != 1) bad("reduction shape error");
-        break;
-      case Op::kReg: {
-        if (n.param >= m_.registers().size()) {
-          bad("reg index out of range");
+        case Kind::kInput:
+          emit("RTL-002", m_.inputs()[v.index].name, -1, v.message, "");
           break;
-        }
-        const Register& r = m_.registers()[n.param];
-        if (r.q != id) bad("reg back-reference broken");
-        if (r.d == kInvalidNode || !in_range(r.d))
-          bad("register '" + r.name + "' has unconnected D input");
-        else if (width_of(r.d) != n.width)
-          bad("register D width mismatch");
-        if (r.enable != kInvalidNode &&
-            (!in_range(r.enable) || width_of(r.enable) != 1))
-          bad("register enable must be 1 bit");
-        if (r.init.width() == 0)
-          emit("RTL-004", r.name, n.param,
-               "register '" + r.name + "' has no reset value", "");
-        else if (r.init.width() != n.width)
-          bad("register init width");
-        break;
-      }
-      case Op::kMemRead: {
-        if (n.param >= m_.memories().size()) {
-          bad("mem index out of range");
+        case Kind::kOutput:
+          emit("RTL-002", m_.outputs()[v.index].name, -1, v.message, "");
           break;
-        }
-        const Memory& mem = m_.memories()[n.param];
-        if (n.ins.size() != 1 || width_of(n.ins[0]) != mem.addr_width)
-          bad("mem read address width");
-        if (n.width != mem.data_width) bad("mem read data width");
-        break;
       }
-      case Op::kInput:
-        break;
     }
+    for (; next < m_.node_count(); ++next) over_shift(next);
   }
 
-  void structural_memory(std::size_t index, const Memory& mem) {
-    auto bad = [&](const std::string& msg) {
-      emit("RTL-002", mem.name, static_cast<std::int64_t>(index), msg, "");
-    };
-    if (mem.depth == 0 || mem.depth > (1u << mem.addr_width))
-      bad("memory depth out of range");
-    for (const auto& w : mem.writes) {
-      if (w.addr == kInvalidNode || w.data == kInvalidNode ||
-          w.enable == kInvalidNode || !in_range(w.addr) ||
-          !in_range(w.data) || !in_range(w.enable)) {
-        bad("memory write port incomplete");
-        continue;
-      }
-      if (width_of(w.addr) != mem.addr_width ||
-          width_of(w.data) != mem.data_width || width_of(w.enable) != 1)
-        bad("memory write port width");
-    }
+  // RTL-009 on a node violations() accepts.
+  void over_shift(NodeId id) {
+    const Node& n = m_.node(id);
+    if ((n.op != Op::kShlI && n.op != Op::kLshrI) || n.param < n.width)
+      return;
+    emit("RTL-009", node_label(m_, id), id,
+         std::string(op_name(n.op)) + " by " + std::to_string(n.param) +
+             " >= width " + std::to_string(n.width) + " always yields zero",
+         "");
   }
 
-  // --- RTL-001: combinational cycle detection ----------------------------
-  // Iterative DFS over the combinational edges (kReg breaks the graph the
-  // same way topo_order does); a back edge yields one concrete cycle path.
+  // --- RTL-001: combinational cycle (kReg breaks the graph) --------------
   bool cycles() {
-    // Only meaningful on a graph whose edges are in range.
-    for (NodeId id = 0; id < m_.node_count(); ++id)
-      for (const NodeId in : m_.node(id).ins)
-        if (!in_range(in)) return false;
-    const std::size_t n = m_.node_count();
-    std::vector<std::uint8_t> color(n, 0);  // 0 white, 1 on stack, 2 done
-    std::vector<NodeId> parent(n, kInvalidNode);
-    for (NodeId root = 0; root < n; ++root) {
-      if (color[root] != 0) continue;
-      // Explicit stack of (node, next-input-index).
-      std::vector<std::pair<NodeId, std::size_t>> stack;
-      stack.emplace_back(root, 0);
-      color[root] = 1;
-      while (!stack.empty()) {
-        auto& [id, next] = stack.back();
-        const Node& nd = m_.node(id);
-        const bool sequential = nd.op == Op::kReg;
-        if (sequential || next >= nd.ins.size()) {
-          color[id] = 2;
-          stack.pop_back();
-          continue;
-        }
-        const NodeId in = nd.ins[next++];
-        if (color[in] == 0) {
-          color[in] = 1;
-          parent[in] = id;
-          stack.emplace_back(in, 0);
-        } else if (color[in] == 1) {
-          report_cycle(in, id, parent);
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  void report_cycle(NodeId entry, NodeId from,
-                    const std::vector<NodeId>& parent) {
-    // Walk parents from `from` back to `entry` to materialize the loop.
-    std::vector<NodeId> path;
-    for (NodeId id = from; id != entry && id != kInvalidNode;
-         id = parent[id])
-      path.push_back(id);
-    std::reverse(path.begin(), path.end());
+    const std::vector<NodeId> loop = detail::cycle_path(
+        m_.nodes(), [](const Node& n) { return n.op == Op::kReg; });
+    if (loop.empty()) return true;
     std::ostringstream os;
-    os << node_label(m_, entry);
-    for (const NodeId id : path) os << " -> " << node_label(m_, id);
-    os << " -> " << node_label(m_, entry);
-    emit("RTL-001", node_label(m_, entry), entry,
-         "combinational cycle through " + std::to_string(path.size() + 1) +
+    for (const NodeId id : loop) os << node_label(m_, id) << " -> ";
+    os << node_label(m_, loop.front());
+    emit("RTL-001", node_label(m_, loop.front()), loop.front(),
+         "combinational cycle through " + std::to_string(loop.size()) +
              " node(s)",
          os.str());
+    return false;
   }
 
   // --- deep rules (validated module): RTL-003/005/008, FSM 006/007 -------
@@ -411,12 +237,13 @@ class ModuleLinter {
         case Op::kSlice: {
           // RTL-012: pure truncation whose dropped high bits are proven
           // always-set — information lost in every cycle.
-          if (n.param != 0 || n.width >= width_of(n.ins[0])) break;
+          const unsigned in_width = m_.node(n.ins[0]).width;
+          if (n.param != 0 || n.width >= in_width) break;
           if (!na.folded[id].empty() || !na.folded[n.ins[0]].empty()) break;
           const Fact& f = db.fact(n.ins[0]);
           std::ostringstream bits;
           unsigned dropped_set = 0;
-          for (unsigned b = n.width; b < width_of(n.ins[0]); ++b) {
+          for (unsigned b = n.width; b < in_width; ++b) {
             if (f.kb.bit(b) != std::optional<bool>(true)) continue;
             if (dropped_set++) bits << " ";
             bits << b;

@@ -5,10 +5,10 @@
 // malformed (nothing here throws on bad IR — badness becomes diagnostics).
 //
 //   RTL-001  error  combinational cycle (reports one cycle path)
-//   RTL-002  error  width/shape mismatch (every Module::validate violation)
+//   RTL-002  error  width/shape mismatch (Module::violations())
 //   RTL-003  warn   dead node — agrees with rtl::tape's pruner by
 //                   construction (both consume tape::analyze)
-//   RTL-004  warn   register without reset value (empty init)
+//   RTL-004  warn   register without reset value (a violation, too)
 //   RTL-005  warn   output port folds to a compile-time constant
 //   RTL-006  warn   unreachable FSM state (static reachability over the
 //                   next-state mux tree from the reset state)
@@ -17,8 +17,9 @@
 //   RTL-008  warn   stuck register (value can never change after reset)
 //   RTL-009  info   constant over-shift (shift amount >= width: always 0)
 //
-// The deep rules (003 and up) only run once the module is structurally
-// sound; on malformed IR you get the structural diagnostics alone.
+// RTL-002/004 report the IR's own checks.  The deep rules (003 and up)
+// only run on a module validate() accepts; on malformed IR you get the
+// structural diagnostics alone.
 
 #pragma once
 

@@ -18,22 +18,6 @@ std::vector<NetId> level_order(const Netlist& src) {
   return order;
 }
 
-std::vector<std::uint32_t> fanout_counts(const Netlist& nl) {
-  std::vector<std::uint32_t> fanout(nl.cells().size(), 0);
-  for (const Cell& c : nl.cells())
-    for (const NetId in : c.ins) ++fanout[in];
-  for (const auto& m : nl.memories()) {
-    for (const auto& w : m.writes) {
-      for (const NetId n : w.addr) ++fanout[n];
-      for (const NetId n : w.data) ++fanout[n];
-      ++fanout[w.enable];
-    }
-  }
-  for (const auto& bus : nl.outputs())
-    for (const NetId n : bus.nets) ++fanout[n];
-  return fanout;
-}
-
 namespace {
 
 /// Mapped kinds stay mapped (decomposing them through the factories would

@@ -60,9 +60,4 @@ Netlist rebuild(const Netlist& src, const RebuildHooks& hooks = {});
 /// (topo level, NetId) order — the rebuild emission order.
 std::vector<NetId> level_order(const Netlist& src);
 
-/// Number of reader pins of every net: cell inputs, DFF D pins, memory
-/// write-port pins and output-bus bits all count.  fanout[n] == 1 means the
-/// net has exactly one consumer — the gate a local rewrite may absorb.
-std::vector<std::uint32_t> fanout_counts(const Netlist& nl);
-
 }  // namespace osss::opt

@@ -63,7 +63,7 @@ gate::Netlist RetimePass::run(const gate::Netlist& in,
 
     // Area guard: the move adds one register, so at least one fanin
     // register must die with it (its Q feeding only this cell).
-    const std::vector<std::uint32_t> fanout = fanout_counts(nl);
+    const std::vector<std::uint32_t> fanout = gate::fanout_counts(nl);
     std::size_t dying = 0;
     std::vector<NetId> counted;
     for (const NetId fi : cell.ins) {

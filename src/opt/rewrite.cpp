@@ -16,7 +16,7 @@ constexpr unsigned kMaxIterations = 8;
 class Rewriter {
  public:
   explicit Rewriter(const Netlist& src)
-      : src_(src), fanout_(fanout_counts(src)) {}
+      : src_(src), fanout_(gate::fanout_counts(src)) {}
 
   std::size_t changes() const noexcept { return changes_; }
 

@@ -61,7 +61,7 @@ class Mapper {
       : src_(src),
         lib_(lib),
         levels_(src.topo_levels()),
-        fanout_(fanout_counts(src)) {
+        fanout_(gate::fanout_counts(src)) {
     const gate::TimingReport report = gate::analyze_timing(src, lib);
     required_ = required_times(src, lib, report.critical_path_ps);
   }

@@ -183,16 +183,4 @@ void Pool::parallel_for(std::size_t n,
   if (ctl->error) std::rethrow_exception(ctl->error);
 }
 
-std::future<void> Pool::submit(std::function<void()> fn) {
-  auto task =
-      std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> f = task->get_future();
-  if (slots_ == 1) {
-    (*task)();
-    return f;
-  }
-  push([task] { (*task)(); });
-  return f;
-}
-
 }  // namespace osss::par

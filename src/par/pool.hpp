@@ -14,10 +14,10 @@
 // the implementation stays obviously ThreadSanitizer-clean.
 //
 // Determinism contract: the pool never reorders *results*.  parallel_map
-// writes result i of work item i into slot i and parallel_reduce folds
-// those slots in ascending index order, so any reduction over pool output
-// is bit-identical for every thread count (including 1, which runs inline
-// on the caller with no threads spawned).  Thread count comes from the
+// writes result i of work item i into slot i, so a caller that folds
+// those slots in ascending index order gets a reduction bit-identical for
+// every thread count (including 1, which runs inline on the caller with no
+// threads spawned).  Thread count comes from the
 // constructor, or OSSS_THREADS / std::thread::hardware_concurrency when
 // constructed with 0 (see env_threads).
 
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -73,19 +72,6 @@ class Pool {
     return out;
   }
 
-  /// Ordered reduction: fold fn(0..n-1) into `acc` in ascending index
-  /// order.  `fold` runs on the calling thread only.
-  template <class T, class R>
-  R parallel_reduce(std::size_t n, const std::function<T(std::size_t)>& fn,
-                    R acc, const std::function<R(R, T)>& fold) {
-    std::vector<T> parts = parallel_map<T>(n, fn);
-    for (T& p : parts) acc = fold(std::move(acc), std::move(p));
-    return acc;
-  }
-
-  /// Fire-and-collect single task.  On a 1-context pool the task runs
-  /// inline before submit returns.
-  std::future<void> submit(std::function<void()> fn);
 
   struct Stats {
     std::uint64_t executed = 0;      ///< tasks run to completion

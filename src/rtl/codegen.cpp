@@ -731,7 +731,7 @@ void NativeEngine::set_input_u64(unsigned index, std::uint64_t value) {
 }
 
 void NativeEngine::set_input_lanes(unsigned index,
-                                   const std::vector<std::uint64_t>& bit_lanes) {
+                                   std::span<const std::uint64_t> bit_lanes) {
   const Program::Port& port = prog_.inputs.at(index);
   if (bit_lanes.size() != std::size_t{port.width} * lw_)
     throw std::logic_error("tape engine: set_input_lanes width mismatch");
@@ -753,7 +753,7 @@ void NativeEngine::set_input_lanes(unsigned index,
 }
 
 void NativeEngine::set_input_values(unsigned index,
-                                    const std::vector<std::uint64_t>& values) {
+                                    std::span<const std::uint64_t> values) {
   const Program::Port& port = prog_.inputs.at(index);
   if (port.words != 1)
     throw std::logic_error(

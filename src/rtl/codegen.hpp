@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,13 +106,12 @@ class NativeEngine {
   /// bit_lanes[i*lane_words() .. (i+1)*lane_words()).  For lanes <= 64 this
   /// is exactly the gate::Simulator layout.
   void set_input_lanes(unsigned index,
-                       const std::vector<std::uint64_t>& bit_lanes);
+                       std::span<const std::uint64_t> bit_lanes);
   /// Drive all lanes of one input with one value per lane (values[l] =
   /// lane l, truncated to the port width).  The arena is lane-major, so
   /// this is a straight masked copy — no bit transpose — and the fast
   /// path for per-lane stimulus.  Ports wider than 64 bits throw.
-  void set_input_values(unsigned index,
-                        const std::vector<std::uint64_t>& values);
+  void set_input_values(unsigned index, std::span<const std::uint64_t> values);
 
   /// Throws std::logic_error when lane >= lanes().
   Bits output(unsigned index, unsigned lane = 0);

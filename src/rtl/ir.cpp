@@ -1,5 +1,6 @@
 #include "rtl/ir.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -106,17 +107,27 @@ std::vector<NodeId> Module::topo_order() const {
   return order;
 }
 
-void Module::validate() const {
-  auto width_of = [&](NodeId id) { return nodes_.at(id).width; };
+std::vector<Violation> Module::violations() const {
+  std::vector<Violation> out;
+  const auto in_range = [&](NodeId id) { return id < nodes_.size(); };
+  const auto width_of = [&](NodeId id) { return nodes_[id].width; };
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];
-    if (n.width == 0) bad(name_, "node has zero width");
-    for (const NodeId in : n.ins) {
-      if (in >= nodes_.size()) bad(name_, "dangling input reference");
+    const auto w = [&](std::size_t i) { return nodes_[n.ins[i]].width; };
+    const auto bad = [&](std::string msg) {
+      out.push_back({Violation::Kind::kNode, id, std::move(msg)});
+    };
+    if (n.width == 0) {
+      bad("node has zero width");
+      continue;
+    }
+    if (!std::all_of(n.ins.begin(), n.ins.end(), in_range)) {
+      bad("dangling input reference");
+      continue;  // operand-dependent checks would read out of range
     }
     switch (n.op) {
       case Op::kConst:
-        if (n.value.width() != n.width) bad(name_, "const width mismatch");
+        if (n.value.width() != n.width) bad("const width mismatch");
         break;
       case Op::kAdd:
       case Op::kSub:
@@ -124,21 +135,19 @@ void Module::validate() const {
       case Op::kAnd:
       case Op::kOr:
       case Op::kXor:
-        if (n.ins.size() != 2 || width_of(n.ins[0]) != n.width ||
-            width_of(n.ins[1]) != n.width)
-          bad(name_, std::string(op_name(n.op)) + " width mismatch");
+        if (n.ins.size() != 2 || w(0) != n.width || w(1) != n.width)
+          bad(std::string(op_name(n.op)) + " width mismatch");
         break;
       case Op::kNot:
       case Op::kShlI:
       case Op::kLshrI:
       case Op::kAshrI:
-        if (n.ins.size() != 1 || width_of(n.ins[0]) != n.width)
-          bad(name_, "unary width mismatch");
+        if (n.ins.size() != 1 || w(0) != n.width) bad("unary width mismatch");
         break;
       case Op::kShlV:
       case Op::kLshrV:
-        if (n.ins.size() != 2 || width_of(n.ins[0]) != n.width)
-          bad(name_, "variable shift width mismatch");
+        if (n.ins.size() != 2 || w(0) != n.width)
+          bad("variable shift width mismatch");
         break;
       case Op::kEq:
       case Op::kNe:
@@ -146,77 +155,105 @@ void Module::validate() const {
       case Op::kUle:
       case Op::kSlt:
       case Op::kSle:
-        if (n.ins.size() != 2 || n.width != 1 ||
-            width_of(n.ins[0]) != width_of(n.ins[1]))
-          bad(name_, "comparison shape error");
+        if (n.ins.size() != 2 || n.width != 1 || w(0) != w(1))
+          bad("comparison shape error");
         break;
       case Op::kMux:
-        if (n.ins.size() != 3 || width_of(n.ins[0]) != 1 ||
-            width_of(n.ins[1]) != n.width || width_of(n.ins[2]) != n.width)
-          bad(name_, "mux shape error");
+        if (n.ins.size() != 3 || w(0) != 1 || w(1) != n.width ||
+            w(2) != n.width)
+          bad("mux shape error");
         break;
       case Op::kSlice:
-        if (n.ins.size() != 1 ||
-            n.param + n.width > width_of(n.ins[0]))
-          bad(name_, "slice out of range");
+        if (n.ins.size() != 1 || std::uint64_t{n.param} + n.width > w(0))
+          bad("slice out of range");
         break;
       case Op::kConcat: {
-        if (n.ins.empty()) bad(name_, "empty concat");
-        unsigned total = 0;
+        std::uint64_t total = 0;
         for (const NodeId in : n.ins) total += width_of(in);
-        if (total != n.width) bad(name_, "concat width mismatch");
+        if (n.ins.empty()) bad("empty concat");
+        else if (total != n.width) bad("concat width mismatch");
         break;
       }
       case Op::kZExt:
       case Op::kSExt:
-        if (n.ins.size() != 1 || width_of(n.ins[0]) > n.width)
-          bad(name_, "extension narrows");
+        if (n.ins.size() != 1 || w(0) > n.width) bad("extension narrows");
         break;
       case Op::kRedOr:
       case Op::kRedAnd:
       case Op::kRedXor:
-        if (n.ins.size() != 1 || n.width != 1)
-          bad(name_, "reduction shape error");
+        if (n.ins.size() != 1 || n.width != 1) bad("reduction shape error");
         break;
       case Op::kReg: {
-        if (n.param >= regs_.size()) bad(name_, "reg index out of range");
+        if (n.param >= regs_.size()) {
+          bad("reg index out of range");
+          break;
+        }
         const Register& r = regs_[n.param];
-        if (r.q != id) bad(name_, "reg back-reference broken");
-        if (r.d == kInvalidNode)
-          bad(name_, "register '" + r.name + "' has unconnected D input");
-        if (width_of(r.d) != n.width) bad(name_, "register D width mismatch");
-        if (r.enable != kInvalidNode && width_of(r.enable) != 1)
-          bad(name_, "register enable must be 1 bit");
-        if (r.init.width() != n.width) bad(name_, "register init width");
+        if (r.q != id) bad("reg back-reference broken");
+        if (!in_range(r.d))
+          bad("register '" + r.name + "' has unconnected D input");
+        else if (width_of(r.d) != n.width)
+          bad("register D width mismatch");
+        if (r.enable != kInvalidNode &&
+            (!in_range(r.enable) || width_of(r.enable) != 1))
+          bad("register enable must be 1 bit");
+        if (r.init.width() == 0)
+          out.push_back({Violation::Kind::kNoReset, id,
+                         "register '" + r.name + "' has no reset value"});
+        else if (r.init.width() != n.width)
+          bad("register init width");
         break;
       }
       case Op::kMemRead: {
-        if (n.param >= mems_.size()) bad(name_, "mem index out of range");
+        if (n.param >= mems_.size()) {
+          bad("mem index out of range");
+          break;
+        }
         const Memory& m = mems_[n.param];
-        if (n.ins.size() != 1 || width_of(n.ins[0]) != m.addr_width)
-          bad(name_, "mem read address width");
-        if (n.width != m.data_width) bad(name_, "mem read data width");
+        if (n.ins.size() != 1 || w(0) != m.addr_width)
+          bad("mem read address width");
+        if (n.width != m.data_width) bad("mem read data width");
         break;
       }
       case Op::kInput:
         break;
     }
   }
-  for (const Memory& m : mems_) {
-    if (m.depth == 0 || m.depth > (1u << m.addr_width))
-      bad(name_, "memory depth out of range");
+  for (std::uint32_t i = 0; i < mems_.size(); ++i) {
+    const Memory& m = mems_[i];
+    const auto bad = [&](std::string msg) {
+      out.push_back({Violation::Kind::kMemory, i, std::move(msg)});
+    };
+    if (m.depth == 0 || (m.addr_width < 32 && m.depth > (1u << m.addr_width)))
+      bad("memory depth out of range");
     for (const auto& w : m.writes) {
-      if (w.addr == kInvalidNode || w.data == kInvalidNode ||
-          w.enable == kInvalidNode)
-        bad(name_, "memory write port incomplete");
+      if (!in_range(w.addr) || !in_range(w.data) || !in_range(w.enable)) {
+        bad("memory write port incomplete");
+        continue;
+      }
       if (width_of(w.addr) != m.addr_width ||
           width_of(w.data) != m.data_width || width_of(w.enable) != 1)
-        bad(name_, "memory write port width");
+        bad("memory write port width");
     }
   }
-  for (const auto& p : outputs_) {
-    if (p.node == kInvalidNode) bad(name_, "output '" + p.name + "' unbound");
-  }
+  const auto ports = [&](Violation::Kind kind, const std::vector<PortRef>& v,
+                         const std::string& dir) {
+    for (std::uint32_t i = 0; i < v.size(); ++i)
+      if (!in_range(v[i].node))
+        out.push_back({kind, i,
+                       dir + " '" + v[i].name + "' " +
+                           (v[i].node == kInvalidNode
+                                ? "unbound"
+                                : "bound past the last node")});
+  };
+  ports(Violation::Kind::kInput, inputs_, "input");
+  ports(Violation::Kind::kOutput, outputs_, "output");
+  return out;
+}
+
+void Module::validate() const {
+  const std::vector<Violation> v = violations();
+  if (!v.empty()) bad(name_, v.front().message);
   (void)topo_order();  // acyclicity
 }
 

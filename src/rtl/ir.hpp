@@ -161,6 +161,20 @@ struct PortRef {
   NodeId node = kInvalidNode;
 };
 
+/// One structural rule a module breaks (Module::violations()).
+struct Violation {
+  enum class Kind : std::uint8_t {
+    kNode,     ///< node `index` is malformed
+    kNoReset,  ///< node `index` is a register without a reset value
+    kMemory,   ///< memory `index` or one of its write ports is malformed
+    kInput,    ///< input port `index` is unbound or past the last node
+    kOutput,   ///< output port `index` is unbound or past the last node
+  };
+  Kind kind = Kind::kNode;
+  std::uint32_t index = 0;
+  std::string message;
+};
+
 /// Area/complexity statistics used by the experiments' reports.
 struct ModuleStats {
   std::size_t comb_nodes = 0;
@@ -189,8 +203,12 @@ public:
   NodeId find_input(const std::string& name) const;
   NodeId find_output(const std::string& name) const;
 
-  /// Structural checks: widths, connected registers, port sanity,
-  /// combinational acyclicity.  Throws std::logic_error on violation.
+  /// Every structural rule the module breaks, nodes first, then memories,
+  /// inputs and outputs.  Never throws or reads out of range.
+  std::vector<Violation> violations() const;
+
+  /// Throws std::logic_error with the first violation's message, then
+  /// checks combinational acyclicity (see topo_order).
   void validate() const;
 
   /// Topological order of all nodes (sources first).  Throws on
@@ -217,9 +235,9 @@ private:
 /// Exists for the lint subsystem's test vectors: rules like RTL-001/RTL-002
 /// diagnose IR the Builder refuses to construct (combinational cycles,
 /// width mismatches), so their tests need to inflict the damage directly.
-/// Anything mutated through here may violate every Module invariant — only
-/// hand the result to analyses that tolerate malformed IR (lint), never to
-/// simulators or the gate backend.
+/// Anything mutated through here may violate every Module invariant:
+/// violations() lists what it breaks, lint reports it, and validate() —
+/// which the simulators and the gate backend call first — throws on it.
 struct ModuleSurgeon {
   static std::vector<Node>& nodes(Module& m) { return m.nodes_; }
   static std::vector<Register>& registers(Module& m) { return m.regs_; }

@@ -94,7 +94,7 @@ void Simulator::set_input(InputHandle h, std::uint64_t value) {
 }
 
 void Simulator::set_input_lanes(InputHandle h,
-                                const std::vector<std::uint64_t>& bit_lanes) {
+                                std::span<const std::uint64_t> bit_lanes) {
   if (mode_ == SimMode::kInterp)
     throw std::logic_error(
         "Simulator: set_input_lanes requires kTape or kNative");
@@ -104,7 +104,7 @@ void Simulator::set_input_lanes(InputHandle h,
 }
 
 void Simulator::set_input_values(InputHandle h,
-                                 const std::vector<std::uint64_t>& values) {
+                                 std::span<const std::uint64_t> values) {
   if (mode_ == SimMode::kInterp)
     throw std::logic_error(
         "Simulator: set_input_values requires kTape or kNative");
@@ -359,16 +359,16 @@ void run_scalar_block(Simulator& sim, const std::vector<InputHandle>& in,
 void run_lane_block(Simulator& sim, const std::vector<InputHandle>& in,
                     const std::vector<unsigned>& in_widths,
                     const std::vector<OutputHandle>& out,
-                    par::StimulusBlock& b,
-                    std::vector<std::uint64_t>& scratch) {
+                    par::StimulusBlock& b) {
   const unsigned lw = sim.lane_words();
   sim.restore_poweron();
   for (unsigned c = 0; c < b.cycles; ++c) {
     unsigned slot = 0;
     for (std::size_t p = 0; p < in.size(); ++p) {
       const unsigned w = in_widths[p] * lw;
-      scratch.assign(&b.in_at(c, slot), &b.in_at(c, slot) + w);
-      sim.set_input_lanes(in[p], scratch);
+      // Block memory already has the set_input_lanes layout.
+      sim.set_input_lanes(in[p],
+                          std::span<const std::uint64_t>(&b.in_at(c, slot), w));
       slot += w;
     }
     sim.step();
@@ -406,7 +406,6 @@ void run_batch(const Module& m, SimMode mode,
     Simulator sim;
     std::vector<InputHandle> in;
     std::vector<OutputHandle> out;
-    std::vector<std::uint64_t> scratch;
     BatchSim(const Module& m, SimMode mode, unsigned lanes)
         : sim(m, mode, lanes) {
       for (const PortRef& p : m.inputs())
@@ -422,7 +421,7 @@ void run_batch(const Module& m, SimMode mode,
         if (lanes == 1)
           run_scalar_block(bs.sim, bs.in, bs.out, b);
         else
-          run_lane_block(bs.sim, bs.in, in_widths, bs.out, b, bs.scratch);
+          run_lane_block(bs.sim, bs.in, in_widths, bs.out, b);
       });
 }
 

@@ -86,15 +86,14 @@ public:
   /// Drive all lanes of one input (tape/native mode): input bit i occupies
   /// lane_words() consecutive elements starting at bit_lanes[i *
   /// lane_words()].  For <= 64 lanes this is the gate::Simulator layout
-  /// (one lane word per bit).
-  void set_input_lanes(InputHandle h,
-                       const std::vector<std::uint64_t>& bit_lanes);
+  /// (one lane word per bit).  Accepts any contiguous storage without
+  /// copying — batch runners pass block memory directly.
+  void set_input_lanes(InputHandle h, std::span<const std::uint64_t> bit_lanes);
   /// Drive all lanes of one input with one value per lane — values[l] =
   /// lane l, truncated to the port width (tape/native mode, <= 64-bit
   /// ports).  The engines' arenas are lane-major, so this skips the bit
   /// transpose of set_input_lanes; use it for per-lane stimulus loops.
-  void set_input_values(InputHandle h,
-                        const std::vector<std::uint64_t>& values);
+  void set_input_values(InputHandle h, std::span<const std::uint64_t> values);
   /// Words per lane mask: ceil(lanes / 64).
   unsigned lane_words() const noexcept { return (lanes_ + 63) / 64; }
 

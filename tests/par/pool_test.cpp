@@ -1,6 +1,6 @@
-// Work-stealing pool: exactly-once execution, ordered results, ordered
-// reduction that is bit-identical for every thread count, futures and
-// exception propagation.
+// Work-stealing pool: exactly-once execution, ordered results, an ordered
+// reduction that is bit-identical for every thread count, and exception
+// propagation.
 
 #include "par/pool.hpp"
 
@@ -52,37 +52,21 @@ TEST(Pool, ParallelMapPreservesIndexOrder) {
 }
 
 TEST(Pool, OrderedReduceIsIdenticalForEveryThreadCount) {
-  // String concatenation is non-commutative: any reordering of the fold
-  // would change the result, so equality across pool sizes proves the
-  // determinism contract.
+  // String concatenation is non-commutative: folding the parallel_map
+  // slots in index order gives the same string only if no slot moved, so
+  // equality across pool sizes proves the determinism contract.
   const auto campaign = [](unsigned threads) {
     Pool pool(threads);
-    return pool.parallel_reduce<std::string, std::string>(
-        26, [](std::size_t i) { return std::string(1, char('a' + i)); },
-        std::string(),
-        [](std::string acc, std::string part) { return acc + part; });
+    std::string acc;
+    for (const std::string& part : pool.parallel_map<std::string>(
+             26, [](std::size_t i) { return std::string(1, char('a' + i)); }))
+      acc += part;
+    return acc;
   };
   const std::string serial = campaign(1);
   EXPECT_EQ(serial, "abcdefghijklmnopqrstuvwxyz");
   EXPECT_EQ(campaign(2), serial);
   EXPECT_EQ(campaign(8), serial);
-}
-
-TEST(Pool, SubmitReturnsWorkingFuture) {
-  for (const unsigned threads : {1u, 4u}) {
-    Pool pool(threads);
-    std::atomic<int> done{0};
-    std::future<void> f = pool.submit([&] { done.store(42); });
-    f.wait();
-    EXPECT_EQ(done.load(), 42) << threads << " threads";
-  }
-}
-
-TEST(Pool, SubmitPropagatesExceptionThroughFuture) {
-  Pool pool(2);
-  std::future<void> f =
-      pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(Pool, ParallelForRethrowsFirstBodyException) {

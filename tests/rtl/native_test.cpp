@@ -418,7 +418,8 @@ TEST(NativeLaneValues, WidePortsThrow) {
   b2.output("o", b2.not_(b2.input("a", 16)));
   Simulator s16(b2.take(), SimMode::kNative, 2, fb);
   EXPECT_THROW(
-      s16.set_input_values(s16.input_handle("a"), {1, 2, 3}),
+      s16.set_input_values(s16.input_handle("a"),
+                           std::vector<std::uint64_t>{1, 2, 3}),
       std::logic_error);
 }
 
