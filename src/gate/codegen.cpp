@@ -88,7 +88,7 @@ NativeEngine::NativeEngine(const Netlist& nl, unsigned lanes,
   std::fill_n(rt_.arena() + std::size_t{nl.const1()} * plan_.lw, plan_.lw,
               plan_.tail_mask);
   rt_.bind([&] { return emit_netlist_cpp(nl, plan_); }, std::move(opt),
-           {"osss_gate", 1, plan_.lanes, "nets", nl.cells().size(),
+           {"osss_gate", 2, plan_.lanes, "nets", nl.cells().size(),
             /*step_settles=*/true});
   reset();
   // Power-on snapshot: inputs are still 0, so restore_poweron() can

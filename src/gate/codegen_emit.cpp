@@ -297,8 +297,12 @@ struct Emitter {
   }
 
   void emit_eval() {
+    // The last two parameters are the engine callback jit::EvalFn passes
+    // every generated eval.  Gate code has nothing to call back for, so they
+    // stay unnamed, and their defaults let the step's settle call omit them.
     os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
-          "unsigned char* D) {\n";
+          "unsigned char* D, bool (*)(void*, unsigned) noexcept = nullptr, "
+          "void* = nullptr) {\n";
     os << "  (void)V; (void)M; (void)D;\n";
     const std::uint32_t num_levels = s.levels();
     if (num_levels == 0) {
@@ -532,7 +536,7 @@ struct Emitter {
     os << jit::flat_ops_prelude();
     os << jit::step_prelude();
     os << "}  // namespace\n\n";
-    os << "extern \"C\" unsigned osss_gate_abi() { return 1u; }\n";
+    os << "extern \"C\" unsigned osss_gate_abi() { return 2u; }\n";
     os << "extern \"C\" unsigned osss_gate_lanes() { return " << lanes
        << "u; }\n";
     os << "extern \"C\" unsigned long long osss_gate_nets() { return "

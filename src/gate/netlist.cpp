@@ -461,14 +461,27 @@ std::vector<Violation> Netlist::violations() const {
     const MemMacro& m = mems_[mi];
     for (std::uint32_t wi = 0; wi < m.writes.size(); ++wi) {
       const auto& w = m.writes[wi];
-      if (!net_ok(w.enable) || w.data.size() != m.width ||
-          !std::all_of(w.addr.begin(), w.addr.end(), net_ok) ||
-          !std::all_of(w.data.begin(), w.data.end(), net_ok))
+      // The note names the first fault: enable, data width, then the
+      // first unconnected address or data bit.
+      const auto bad_addr =
+          std::find_if_not(w.addr.begin(), w.addr.end(), net_ok);
+      const auto bad_data =
+          std::find_if_not(w.data.begin(), w.data.end(), net_ok);
+      std::string note;
+      if (!net_ok(w.enable))
+        note = "enable net is unconnected";
+      else if (w.data.size() != m.width)
+        note = "data bus width does not match the memory";
+      else if (bad_addr != w.addr.end())
+        note = "address bit " + std::to_string(bad_addr - w.addr.begin()) +
+               " is unconnected";
+      else if (bad_data != w.data.end())
+        note = "data bit " + std::to_string(bad_data - w.data.begin()) +
+               " is unconnected";
+      if (!note.empty())
         out.push_back({Violation::Kind::kWritePort, mi, wi,
                        "write port is floating or malformed",
-                       !net_ok(w.enable)
-                           ? "enable net is unconnected"
-                           : "data bus width does not match the memory"});
+                       std::move(note)});
     }
   }
   for (std::uint32_t bi = 0; bi < outputs_.size(); ++bi)

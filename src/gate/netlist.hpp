@@ -171,7 +171,6 @@ public:
   NetId and2(NetId a, NetId b);
   NetId or2(NetId a, NetId b);
   NetId nand2(NetId a, NetId b) { return inv(and2(a, b)); }
-  NetId nor2(NetId a, NetId b) { return inv(or2(a, b)); }
   NetId xor2(NetId a, NetId b);
   NetId xnor2(NetId a, NetId b) { return inv(xor2(a, b)); }
   NetId mux2(NetId sel, NetId t, NetId e);

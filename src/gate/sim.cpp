@@ -194,13 +194,8 @@ void Simulator::set_input(const std::string& bus, const Bits& value) {
   const Bus& b = nl_.inputs()[bi];
   if (value.width() != b.nets.size())
     throw std::logic_error("gate::Simulator: input width mismatch on " + bus);
-  for (std::size_t i = 0; i < b.nets.size(); ++i) {
-    const std::uint64_t nv = value.bit(static_cast<unsigned>(i)) ? 1 : 0;
-    if (values_[b.nets[i]] != nv) {
-      values_[b.nets[i]] = nv;
-      on_net_changed(b.nets[i]);
-    }
-  }
+  for (std::size_t i = 0; i < b.nets.size(); ++i)
+    drive(b.nets[i], value.bit(static_cast<unsigned>(i)) ? 1 : 0);
   propagate();
 }
 
@@ -210,11 +205,20 @@ void Simulator::set_input(const std::string& bus, std::uint64_t value) {
     native_->set_input(bi, value);
     return;
   }
-  const std::size_t n = nl_.inputs()[bi].nets.size();
+  const std::vector<NetId>& nets = nl_.inputs()[bi].nets;
+  const std::size_t n = nets.size();
   if (n < 64 && (value >> n) != 0)
     throw std::logic_error("gate::Simulator: value does not fit " +
                            std::to_string(n) + "-bit input bus " + bus);
-  set_input(bus, Bits(static_cast<unsigned>(n), value));
+  for (std::size_t i = 0; i < n; ++i)
+    drive(nets[i], i < 64 ? (value >> i) & 1u : 0);
+  propagate();
+}
+
+void Simulator::drive(NetId net, std::uint64_t v) {
+  if (values_[net] == v) return;
+  values_[net] = v;
+  on_net_changed(net);
 }
 
 void Simulator::set_input_lanes(const std::string& bus,

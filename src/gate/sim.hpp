@@ -207,6 +207,8 @@ private:
                     const std::string& name) const;
   std::uint64_t eval_cell(NetId id) const;
   std::uint64_t eval_memq(const Cell& c) const;
+  /// Store input net `net`'s value; schedule its fanout if it changed.
+  void drive(NetId net, std::uint64_t v);
   void on_net_changed(NetId id);   ///< schedule fanout of a changed net
   void wake_cell(NetId cell);      ///< schedule re-evaluation of one cell
   void propagate();                ///< settle combinational logic

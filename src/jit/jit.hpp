@@ -146,9 +146,11 @@ bool jit_disabled_by_env() noexcept;
 // emitters write prelude_header() (the <cstdint> include and the lane
 // vectors: GCC/Clang vector-extension types `Vec<W>`, the widest width VL
 // picked once per file from __AVX512F__ / __AVX2__), then `constexpr int L
-// = <lanes>;`, then vector_prelude() (the lane-vector helper library: P/K/Ps
-// operands, the v_*/n_* drivers, one body each) and step_prelude() (the
-// sequential-commit helpers used by the generated step() entry points).
+// = <lanes>;`, then vector_prelude() (the rtl lane-vector helper library:
+// P/K operands and the change-accumulating v_* drivers, one body each, all
+// single-word: a multi-word tape instruction is a call back into the
+// engine, never prelude code) and step_prelude() (the sequential-commit
+// helpers used by the generated step() entry points).
 
 const char* prelude_header();
 const char* vector_prelude();

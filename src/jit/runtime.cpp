@@ -29,7 +29,8 @@ bool probe(const Object& obj, const Abi& abi) {
 }  // namespace
 
 void Runtime::bind(const std::function<std::string()>& emit,
-                   CompileOptions opt, const Abi& abi) {
+                   CompileOptions opt, const Abi& abi, WideFn wide,
+                   void* ctx) {
   if (jit_disabled_by_env()) opt.force_fallback = true;
   // A forced fallback that keeps no source never reads it: compile()
   // returns before the source is used, so skip the emission.
@@ -47,6 +48,8 @@ void Runtime::bind(const std::function<std::string()>& emit,
   }
   const std::string p = abi.prefix;
   eval_ = reinterpret_cast<EvalFn>(obj_->sym((p + "_eval").c_str()));
+  wide_ = wide;
+  ctx_ = ctx;
   step_ = reinterpret_cast<StepFn>(obj_->sym((p + "_step").c_str()));
   step_settles_ = abi.step_settles;
   scratch_.assign(reinterpret_cast<unsigned long long (*)()>(

@@ -25,12 +25,18 @@
 
 namespace osss::jit {
 
+/// Runs instruction `i` through the engine's own code and returns true when
+/// its result changed.  Generated code calls it for each instruction it
+/// does not compile; `ctx` is the engine that bound it.
+using WideFn = bool (*)(void* ctx, unsigned i) noexcept;
+
 /// Entry points of generated lane code: settle the dirty levels, and one
 /// clock edge (sample, commit, dirty-mark) that returns nonzero when the
-/// commit changed state.  Arguments: arena, memory table, dirty bytes and,
-/// for step, the step scratch.
-using EvalFn = void (*)(std::uint64_t*, std::uint64_t* const*,
-                        unsigned char*);
+/// commit changed state.  Arguments: arena, memory table and dirty bytes;
+/// then, for eval, the engine callback and its context (gate code ignores
+/// both) and, for step, the step scratch.
+using EvalFn = void (*)(std::uint64_t*, std::uint64_t* const*, unsigned char*,
+                        WideFn, void*);
 using StepFn = unsigned (*)(std::uint64_t*, std::uint64_t* const*,
                             unsigned char*, std::uint64_t*);
 
@@ -72,9 +78,9 @@ class Runtime {
   /// and bind its entry points once the ABI probe passes; the source is
   /// emitted without compiling only when opt.keep_source asks for it.  On
   /// any failure the engine stays on its interpreted sweep and
-  /// compile_log() says why.
+  /// compile_log() says why.  The generated eval gets `wide` and `ctx`.
   void bind(const std::function<std::string()>& emit, CompileOptions opt,
-            const Abi& abi);
+            const Abi& abi, WideFn wide = nullptr, void* ctx = nullptr);
   bool native() const noexcept { return eval_ != nullptr; }
   const std::string& compile_log() const noexcept { return log_; }
 
@@ -107,7 +113,7 @@ class Runtime {
   void settle(Sweep&& sweep) {
     if (!pending_) return;
     if (eval_ != nullptr)
-      eval_(arena_.data(), mem_ptrs_.data(), dirty_.data());
+      eval_(arena_.data(), mem_ptrs_.data(), dirty_.data(), wide_, ctx_);
     else
       sweep();
     pending_ = false;
@@ -149,6 +155,8 @@ class Runtime {
 
   std::shared_ptr<Object> obj_;  ///< shared through the object cache
   EvalFn eval_ = nullptr;
+  WideFn wide_ = nullptr;
+  void* ctx_ = nullptr;
   StepFn step_ = nullptr;
   bool step_settles_ = false;
   std::vector<std::uint64_t> scratch_;  ///< sized by `<prefix>_scratch()`

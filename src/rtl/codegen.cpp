@@ -3,10 +3,12 @@
 // opcode switch, port I/O and the register/memory commit.
 //
 // The threaded handlers (Exec::run, bound per instruction by Exec::pick)
-// each run their lane loop internally.  The lane switch (exec_one, kTape)
-// evaluates one lane per call and reads the opcode from the tape each time:
-// it spells out the single-word opcodes and runs the multi-word and
-// width-generic ones through the handlers' per-lane code (Exec::run_wide).
+// each run their lane loop internally; the generated code calls them back
+// (run_instr) for every instruction wider than one word.  The lane switch
+// (exec_one, kTape) evaluates one lane per call and reads the opcode from
+// the tape each time: it spells out the single-word opcodes and runs the
+// multi-word and width-generic ones through the handlers' per-lane code
+// (Exec::run_wide), the one multi-word implementation next to the oracle.
 // R7 measures the generated code against this switch, so it keeps the
 // interpreted tape's per-lane dispatch.  Both are differentially tested
 // against the interpreter.
@@ -673,8 +675,9 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
     for (const Instr& ins : prog_.instrs)
       handlers_.push_back(Exec::pick(ins.op));
     rt_.bind([this] { return emit_cpp(prog_); }, std::move(opt),
-             {"osss_tape", 2, prog_.lanes, "arena", prog_.arena_size,
-              /*step_settles=*/false});
+             {"osss_tape", 3, prog_.lanes, "arena", prog_.arena_size,
+              /*step_settles=*/false},
+             &run_instr, this);
   }
   // Power-on snapshot: consts + reg inits written, inputs and mems all 0.
   eval();
@@ -682,6 +685,11 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
 }
 
 NativeEngine::~NativeEngine() = default;
+
+bool NativeEngine::run_instr(void* engine, unsigned i) noexcept {
+  NativeEngine& e = *static_cast<NativeEngine*>(engine);
+  return e.handlers_[i](e, e.prog_.instrs[i]);
+}
 
 void NativeEngine::write_lane_bits(std::uint32_t off, std::uint16_t words,
                                    unsigned lane, const Bits& value) {
@@ -821,10 +829,6 @@ Bits NativeEngine::node_value(NodeId id, unsigned lane) {
   return read_lane_bits(prog_.node_slot[id],
                         static_cast<std::uint16_t>(words_of(width)), width,
                         lane);
-}
-
-bool NativeEngine::node_live(NodeId id) const {
-  return id < prog_.node_slot.size() && prog_.node_slot[id] != kNoSlot;
 }
 
 void NativeEngine::eval() {

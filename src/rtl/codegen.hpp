@@ -9,20 +9,24 @@
 // differs between the modes:
 //
 //   * Evaluator::kCompiled (SimMode::kNative) — emit_cpp() lowers the
-//     Program into specialized C++: one straight-line block per instruction
-//     with arena offsets, widths, masks and shift amounts baked in as
-//     literals, single-word constants inlined as immediates, and the
-//     level-granular activity gating lowered to guarded basic blocks over a
-//     shared `dirty` byte array.  The engine compiles it with the host
-//     toolchain (`$OSSS_CC`, else `c++`) into a shared object, dlopen()s it
-//     and drives the exported `osss_tape_eval` / `osss_tape_step` entry
-//     points.  When no compiler is available — or compilation, dlopen or
-//     the ABI check fails, or OSSS_CC points at garbage — it falls back
-//     *silently* to threaded-code dispatch: one specialized handler per
-//     opcode, bound per instruction at construction, each running its own
-//     lane loop.  1..tape::kMaxLanes lanes; the generated code walks lane
-//     groups as GCC/Clang vector-extension values (8 lanes per op with
-//     AVX-512, 4 with AVX2, following the cpu-probed compile flags).
+//     Program into specialized C++: one straight-line block per
+//     single-word instruction with arena offsets, widths, masks and shift
+//     amounts baked in as literals, single-word constants inlined as
+//     immediates, and the level-granular activity gating lowered to
+//     guarded basic blocks over a shared `dirty` byte array.  Each
+//     instruction wider than one word is a call back into the engine
+//     (jit::WideFn), which runs its threaded handler, so the handlers hold
+//     the one multi-word implementation.  The engine compiles the source
+//     with the host toolchain (`$OSSS_CC`, else `c++`) into a shared
+//     object, dlopen()s it and drives the exported `osss_tape_eval` /
+//     `osss_tape_step` entry points.  When no compiler is available — or
+//     compilation, dlopen or the ABI check fails, or OSSS_CC points at
+//     garbage — it falls back *silently* to threaded-code dispatch: one
+//     specialized handler per opcode, bound per instruction at
+//     construction, each running its own lane loop.  1..tape::kMaxLanes
+//     lanes; the generated code walks lane groups as GCC/Clang
+//     vector-extension values (8 lanes per op with AVX-512, 4 with AVX2,
+//     following the cpu-probed compile flags).
 //   * Evaluator::kLaneSwitch (SimMode::kTape) — never emits or compiles.
 //     Each instruction runs through a per-lane switch that reads its
 //     opcode at evaluation time; the multi-word and width-generic cases
@@ -126,7 +130,6 @@ class NativeEngine {
   /// Value of any live node.  Throws std::logic_error if the node was
   /// pruned or folded away, or when lane >= lanes().
   Bits node_value(NodeId id, unsigned lane = 0);
-  bool node_live(NodeId id) const;
 
   /// Settle the dirty levels (reads and step() call this first).
   void eval();
@@ -155,8 +158,9 @@ class NativeEngine {
   jit::Runtime rt_;
   std::vector<std::uint64_t> scratch_;  ///< multi-word result staging
 
-  // Threaded-code dispatch (kCompiled without generated code): one bound
-  // handler per instruction.
+  // Threaded-code dispatch (kCompiled without generated code, and the
+  // generated code's multi-word instructions): one bound handler per
+  // instruction.
   std::vector<Handler> handlers_;
 
   // Pre-edge sampling buffers.  Enables are snapshotted one full arena
@@ -179,6 +183,9 @@ class NativeEngine {
   std::vector<std::uint64_t> wp_addr_;  ///< per port * lane
   std::vector<std::uint64_t> wp_data_;  ///< per port: words * lanes
 
+  /// The generated code's callback (jit::WideFn): instruction i of
+  /// `engine` through its bound handler.
+  static bool run_instr(void* engine, unsigned i) noexcept;
   template <bool kLaneSwitch>
   void sweep();
   /// Interpreted clock edge: sample, then commit registers and memory

@@ -9,6 +9,13 @@
 // literals; single-word constants from the pool are inlined as immediates
 // (`K{...}` operands, broadcast across a lane vector).
 //
+// Only single-word instructions are compiled: those whose result and every
+// operand fit one word per lane.  Each multi-word one is a single call back
+// into the engine, `X(C, i)`, which runs instruction i's bound handler (the
+// engine's one multi-word implementation, lane by lane) and says whether
+// its result changed; the generated code dirty-marks the fanout levels as
+// for any other instruction.
+//
 // Layout contract (must match NativeEngine's runtime exactly): lane l
 // of a node with `words` words lives at arena[off + l*words]; memory word w
 // of entry a in lane l lives at mem[mi][(a*L + l)*words + w].
@@ -27,8 +34,21 @@ namespace osss::rtl::tape {
 namespace {
 
 using detail::mask64;
-using detail::top_mask;
 
+/// True when the result and every operand of `ins` fit one word per lane,
+/// so the generated code computes it rather than calling back.
+bool compiled(const Instr& ins) {
+  switch (ins.op) {
+    case TOp::kShlV1:
+    case TOp::kLshrV1:
+      return ins.aw == 1;  // the shift amount's word count
+    case TOp::kConcat:
+    case TOp::kMemRead:
+      return ins.dw == 1;
+    default:
+      return ins.op < TOp::kCopyN;  // the *1 forms precede the *N forms
+  }
+}
 
 struct Emitter {
   const Program& p;
@@ -55,16 +75,7 @@ struct Emitter {
     if (it != c1.end()) return "K{" + hex(it->second) + "}";
     return "P{A + " + num(off) + "}";
   }
-  /// Strided operand (variable shift amounts with multi-word amount slots).
-  std::string srcs(std::uint32_t off, unsigned stride) const {
-    if (stride == 1) return src1(off);
-    return "Ps<" + num(stride) + ">{A + " + num(off) + "}";
-  }
   std::string dst(const Instr& ins) const { return "A + " + num(ins.dst); }
-  std::string ptr(std::uint32_t off) const { return "A + " + num(off); }
-  std::string lanes_words(unsigned per_lane) const {
-    return num(std::uint64_t{p.lanes} * per_lane);
-  }
 
   /// Dirty marks for instruction i's fanout levels; empty when none.
   std::string marks(std::uint32_t i) const {
@@ -74,12 +85,10 @@ struct Emitter {
     return m;
   }
 
-  /// The change-returning call expression for one instruction, or "" for
-  /// ops emitted as inline blocks (concat, memread).
+  /// The change-returning call expression for one compiled instruction
+  /// other than concat and memread, which are emitted as inline blocks.
   std::string expr(const Instr& ins) const {
     const std::string LN = num(p.lanes);
-    const std::string DW = num(ins.dw);
-    const std::string AW = num(ins.aw);
     const std::string M = hex(ins.mask);
     const std::string ONES = hex(~0ull);
     switch (ins.op) {
@@ -118,12 +127,11 @@ struct Emitter {
                num(ins.param) + ", " + num(ins.width) + ", " + M + ")";
       case TOp::kShlV1:
         return "v_shv<" + LN + ", true>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + srcs(ins.b, ins.aw) + ", " + num(ins.width) + ", " + M +
-               ")";
+               ", " + src1(ins.b) + ", " + num(ins.width) + ", " + M + ")";
       case TOp::kLshrV1:
         return "v_shv<" + LN + ", false>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + srcs(ins.b, ins.aw) + ", " + num(ins.width) + ", " +
-               ONES + ")";
+               ", " + src1(ins.b) + ", " + num(ins.width) + ", " + ONES +
+               ")";
       case TOp::kEq1:
         return "v_cmp<" + LN + ", CEq>(" + dst(ins) + ", " + src1(ins.a) +
                ", " + src1(ins.b) + ")";
@@ -156,131 +164,49 @@ struct Emitter {
                ", " + hex(mask64(ins.a_width)) + ")";
       case TOp::kRedXor1:
         return "v_redxor<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ")";
-
-      case TOp::kCopyN:
-        return "n_copy<" + LN + ", " + AW + ", " + DW + ">(" + dst(ins) +
-               ", " + ptr(ins.a) + ")";
-      case TOp::kAddN:
-        return "n_add<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " + M + ")";
-      case TOp::kSubN:
-        return "n_sub<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " + M + ")";
-      case TOp::kMulN:
-        return "n_mul<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " + M + ")";
-      // Lane-major multi-word bitwise ops are elementwise over the flat
-      // lanes*words span, so they reuse the vector driver directly.
-      case TOp::kAndN:
-        return "v_bin<" + lanes_words(ins.dw) + ", OpAnd>(" + dst(ins) +
-               ", P{" + ptr(ins.a) + "}, P{" + ptr(ins.b) + "}, " + ONES + ")";
-      case TOp::kOrN:
-        return "v_bin<" + lanes_words(ins.dw) + ", OpOr>(" + dst(ins) +
-               ", P{" + ptr(ins.a) + "}, P{" + ptr(ins.b) + "}, " + ONES + ")";
-      case TOp::kXorN:
-        return "v_bin<" + lanes_words(ins.dw) + ", OpXor>(" + dst(ins) +
-               ", P{" + ptr(ins.a) + "}, P{" + ptr(ins.b) + "}, " + ONES + ")";
-      case TOp::kNotN:
-        return "n_not<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + M + ")";
-      case TOp::kShlIN:
-        return "n_shli<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + num(ins.param) + ", " + M + ")";
-      case TOp::kLshrIN:
-        return "n_lshri<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + num(ins.param) + ")";
-      case TOp::kAshrIN:
-        return "n_ashri<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + num(ins.param) + ", " + num(ins.width) +
-               ", " + M + ")";
-      case TOp::kShlVN:
-        return "n_shv<" + LN + ", " + DW + ", " + AW + ", true>(" + dst(ins) +
-               ", " + ptr(ins.a) + ", " + ptr(ins.b) + ", " + num(ins.width) +
-               ", " + M + ")";
-      case TOp::kLshrVN:
-        return "n_shv<" + LN + ", " + DW + ", " + AW + ", false>(" +
-               dst(ins) + ", " + ptr(ins.a) + ", " + ptr(ins.b) + ", " +
-               num(ins.width) + ", " + M + ")";
-      case TOp::kEqN:
-        return "n_eq<" + LN + ", " + AW + ", false>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ")";
-      case TOp::kNeN:
-        return "n_eq<" + LN + ", " + AW + ", true>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ")";
-      case TOp::kUltN:
-        return "n_ucmp<" + LN + ", " + AW + ", false>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ")";
-      case TOp::kUleN:
-        return "n_ucmp<" + LN + ", " + AW + ", true>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ")";
-      case TOp::kSltN:
-        return "n_scmp<" + LN + ", " + AW + ", false>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " +
-               num((ins.a_width - 1) / 64) + ", " +
-               num((ins.a_width - 1) % 64) + ")";
-      case TOp::kSleN:
-        return "n_scmp<" + LN + ", " + AW + ", true>(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " +
-               num((ins.a_width - 1) / 64) + ", " +
-               num((ins.a_width - 1) % 64) + ")";
-      case TOp::kMuxN:
-        return "n_mux<" + LN + ", " + DW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + ptr(ins.b) + ", " + ptr(ins.c) + ")";
-      case TOp::kSliceN:
-        return "n_slice<" + LN + ", " + AW + ", " + DW + ">(" + dst(ins) +
-               ", " + ptr(ins.a) + ", " + num(ins.param) + ", " + M + ")";
-      case TOp::kSExtN:
-        return "n_sext<" + LN + ", " + AW + ", " + DW + ">(" + dst(ins) +
-               ", " + ptr(ins.a) + ", " + num(ins.a_width) + ", " +
-               num(ins.width) + ", " + M + ")";
-      case TOp::kRedOrN:
-        return "n_redor<" + LN + ", " + AW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ")";
-      case TOp::kRedAndN:
-        return "n_redand<" + LN + ", " + AW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ", " + hex(top_mask(ins.a_width)) + ")";
-      case TOp::kRedXorN:
-        return "n_redxor<" + LN + ", " + AW + ">(" + dst(ins) + ", " +
-               ptr(ins.a) + ")";
-      case TOp::kConcat:
-      case TOp::kMemRead:
+      default:  // run() emits the rest
         return "";
     }
-    return "";
   }
 
-  /// Fully unrolled concat: each part's word contributions are emitted as
-  /// constant-shift OR statements into a local staging array.
-  void emit_concat(std::uint32_t i, const Instr& ins) {
-    os << "    { // concat\n      u64 ch = 0;\n";
-    os << "      for (int l = 0; l < " << p.lanes << "; ++l) {\n";
-    os << "        u64 s[" << unsigned{ins.dw} << "] = {0};\n";
-    unsigned pos = 0;
-    for (std::uint32_t pi = 0; pi < ins.c; ++pi) {
-      const ConcatPart& part = p.parts[ins.param + pi];
-      const unsigned wo = pos / 64, bo = pos % 64;
-      os << "        { const u64* q = A + " << part.off << " + l * "
-         << unsigned{part.words} << ";\n";
-      for (unsigned w = 0; w < part.words; ++w) {
-        os << "          s[" << (wo + w) << "] |= q[" << w << "]";
-        if (bo != 0) os << " << " << bo;
-        os << ";\n";
-        if (bo != 0 && wo + w + 1 < ins.dw)
-          os << "          s[" << (wo + w + 1) << "] |= q[" << w << "] >> "
-             << (64 - bo) << ";\n";
-      }
-      os << "        }\n";
-      pos += part.width;
-    }
-    os << "        ch |= stn(A + " << ins.dst << " + l * "
-       << unsigned{ins.dw} << ", s, " << unsigned{ins.dw} << ");\n";
-    os << "      }\n";
+  /// One change-returning statement `e` that dirty-marks instruction i's
+  /// fanout levels.
+  void emit_change(std::uint32_t i, const std::string& e) {
+    const std::string m = marks(i);
+    if (m.empty())
+      os << "    (void)" << e << ";\n";
+    else
+      os << "    if (" << e << ") {" << m << " }\n";
+  }
+
+  /// Ends an inline block whose `ch` says whether instruction i changed.
+  void close_block(std::uint32_t i) {
     const std::string m = marks(i);
     if (m.empty())
       os << "      (void)ch;\n";
     else
       os << "      if (ch) {" << m << " }\n";
     os << "    }\n";
+  }
+
+  /// Fully unrolled single-word concat: each part is OR-ed into the one
+  /// staging word at its bit offset.
+  void emit_concat(std::uint32_t i, const Instr& ins) {
+    os << "    { // concat\n      u64 ch = 0;\n";
+    os << "      for (int l = 0; l < " << p.lanes << "; ++l) {\n";
+    os << "        u64 s[1] = {0};\n";
+    unsigned pos = 0;
+    for (std::uint32_t pi = 0; pi < ins.c; ++pi) {
+      const ConcatPart& part = p.parts[ins.param + pi];
+      os << "        { const u64* q = A + " << part.off << " + l * 1;\n";
+      os << "          s[0] |= q[0]";
+      if (pos != 0) os << " << " << pos;
+      os << ";\n        }\n";
+      pos += part.width;
+    }
+    os << "        ch |= stn(A + " << ins.dst << " + l * 1, s, 1);\n";
+    os << "      }\n";
+    close_block(i);
   }
 
   void emit_memread(std::uint32_t i, const Instr& ins) {
@@ -291,32 +217,12 @@ struct Emitter {
     os << "      for (int l = 0; l < " << p.lanes << "; ++l) {\n";
     os << "        const u64 addr = A[" << ins.a << " + l * "
        << unsigned{ins.aw} << "];\n";
-    if (ins.dw == 1) {
-      os << "        const u64 nv = addr < " << pm.depth << "u ? mp[(addr * "
-         << p.lanes << "u + l) * " << unsigned{pm.words} << "] : 0;\n";
-      os << "        ch |= nv ^ A[" << ins.dst << " + l];\n";
-      os << "        A[" << ins.dst << " + l] = nv;\n";
-    } else {
-      os << "        u64 s[" << unsigned{ins.dw} << "];\n";
-      os << "        if (addr < " << pm.depth << "u) {\n";
-      os << "          const u64* e = mp + (addr * " << p.lanes << "u + l) * "
-         << unsigned{pm.words} << ";\n";
-      os << "          for (int w = 0; w < " << unsigned{ins.dw}
-         << "; ++w) s[w] = e[w];\n";
-      os << "        } else {\n";
-      os << "          for (int w = 0; w < " << unsigned{ins.dw}
-         << "; ++w) s[w] = 0;\n";
-      os << "        }\n";
-      os << "        ch |= stn(A + " << ins.dst << " + l * "
-         << unsigned{ins.dw} << ", s, " << unsigned{ins.dw} << ");\n";
-    }
+    os << "        const u64 nv = addr < " << pm.depth << "u ? mp[(addr * "
+       << p.lanes << "u + l) * " << unsigned{pm.words} << "] : 0;\n";
+    os << "        ch |= nv ^ A[" << ins.dst << " + l];\n";
+    os << "        A[" << ins.dst << " + l] = nv;\n";
     os << "      }\n";
-    const std::string m = marks(i);
-    if (m.empty())
-      os << "      (void)ch;\n";
-    else
-      os << "      if (ch) {" << m << " }\n";
-    os << "    }\n";
+    close_block(i);
   }
 
   /// Generated `osss_tape_step`: register/write-port sample + commit with
@@ -454,7 +360,7 @@ struct Emitter {
     std::ostringstream step;
     step.swap(os);
     os.swap(body);
-    os << "extern \"C\" unsigned osss_tape_abi() { return 2u; }\n";
+    os << "extern \"C\" unsigned osss_tape_abi() { return 3u; }\n";
     os << "extern \"C\" unsigned osss_tape_lanes() { return "
        << p.lanes << "u; }\n";
     os << "extern \"C\" unsigned long long osss_tape_arena() { return "
@@ -463,7 +369,8 @@ struct Emitter {
        << scratch << "ull; }\n\n";
     os << step.str() << "\n";
     os << "extern \"C\" void osss_tape_eval(u64* A, u64* const* M, "
-          "unsigned char* D) {\n";
+          "unsigned char* D, bool (*X)(void*, unsigned) noexcept, "
+          "void* C) {\n";
     os << "  (void)A; (void)M; (void)D;\n";
     const std::size_t levels = p.level_offset.size() - 1;
     for (std::size_t lev = 0; lev < levels; ++lev) {
@@ -471,20 +378,14 @@ struct Emitter {
       for (std::uint32_t i = p.level_offset[lev]; i < p.level_offset[lev + 1];
            ++i) {
         const Instr& ins = p.instrs[i];
-        if (ins.op == TOp::kConcat) {
+        if (!compiled(ins))
+          emit_change(i, "X(C, " + num(i) + "u)");
+        else if (ins.op == TOp::kConcat)
           emit_concat(i, ins);
-          continue;
-        }
-        if (ins.op == TOp::kMemRead) {
+        else if (ins.op == TOp::kMemRead)
           emit_memread(i, ins);
-          continue;
-        }
-        const std::string e = expr(ins);
-        const std::string m = marks(i);
-        if (m.empty())
-          os << "    (void)" << e << ";\n";
         else
-          os << "    if (" << e << ") {" << m << " }\n";
+          emit_change(i, expr(ins));
       }
       os << "  }\n";
     }

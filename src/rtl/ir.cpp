@@ -42,21 +42,6 @@ const char* op_name(Op op) {
   return "?";
 }
 
-bool op_is_commutative(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kEq:
-    case Op::kNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 [[noreturn]] void bad(const std::string& module, const std::string& msg) {
   throw std::logic_error("rtl::Module " + module + ": " + msg);
@@ -65,12 +50,6 @@ namespace {
 
 NodeId Module::find_input(const std::string& name) const {
   for (const auto& p : inputs_)
-    if (p.name == name) return p.node;
-  return kInvalidNode;
-}
-
-NodeId Module::find_output(const std::string& name) const {
-  for (const auto& p : outputs_)
     if (p.name == name) return p.node;
   return kInvalidNode;
 }

@@ -63,7 +63,6 @@ enum class Op : std::uint8_t {
 };
 
 const char* op_name(Op op);
-bool op_is_commutative(Op op);
 
 struct Node {
   Op op;
@@ -201,7 +200,6 @@ public:
   const std::vector<PortRef>& outputs() const noexcept { return outputs_; }
 
   NodeId find_input(const std::string& name) const;
-  NodeId find_output(const std::string& name) const;
 
   /// Every structural rule the module breaks, nodes first, then memories,
   /// inputs and outputs.  Never throws or reads out of range.

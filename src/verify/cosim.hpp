@@ -239,7 +239,6 @@ public:
     return ref;
   }
 
-  std::size_t model_count() const noexcept { return models_.size(); }
   Model& model(std::size_t i) { return *models_.at(i); }
 
   void add_input(const std::string& name, unsigned width);

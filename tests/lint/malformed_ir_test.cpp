@@ -3,7 +3,8 @@
 // ports, output bits, cell arity, memory-read bits and output ports past
 // the last node — validate() throws exactly the first RTL-002/RTL-004 or
 // GATE-003 finding lint reports, and every simulator rejects the input
-// instead of reading out of range.
+// instead of reading out of range.  A broken write port's GATE-003 note
+// names its first fault.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,10 @@ const std::vector<GateCase>& gate_cases() {
          const NetId x = first_cell(nl, CellKind::kAnd2);
          NetlistSurgeon::cells(nl)[x].ins[0] = x;
        }},
+      {"write-port data narrower than the memory",
+       [](Netlist& nl) {
+         NetlistSurgeon::memories(nl)[0].writes[0].data.pop_back();
+       }},
   };
   return kCases;
 }
@@ -219,6 +224,18 @@ TEST(MalformedIr, NewFindingsNameTheBrokenPortAndBit) {
   EXPECT_EQ(bit.by_rule("GATE-003")[0].message,
             "memq reads a data bit the memory does not have");
   EXPECT_EQ(bit.by_rule("GATE-003")[0].note, "bit 2 of a 2-bit memory");
+}
+
+TEST(MalformedIr, WritePortNoteNamesTheFault) {
+  const auto note = [](std::size_t gate_case) {
+    const Report r = lint_netlist(broken_netlist(gate_cases()[gate_case]));
+    const auto found = r.by_rule("GATE-003");
+    return found.empty() ? std::string("(no GATE-003)") : found[0].note;
+  };
+  EXPECT_EQ(note(1), "address bit 1 is unconnected");
+  EXPECT_EQ(note(2), "data bit 0 is unconnected");
+  EXPECT_EQ(note(3), "enable net is unconnected");
+  EXPECT_EQ(note(9), "data bus width does not match the memory");
 }
 
 TEST(MalformedIr, SimulatorsRejectInsteadOfReadingOutOfRange) {

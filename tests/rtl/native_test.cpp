@@ -245,6 +245,29 @@ TEST(NativeEmit, GeneratedSourceExportsTheTapeAbi) {
   EXPECT_NE(src.find("osss_tape_arena"), std::string::npos);
 }
 
+/// Each instruction wider than one word is one call back into the engine
+/// (the threaded handler runs it); the single-word ones stay compiled.
+TEST(NativeEmit, WideInstructionsCallTheEngine) {
+  Builder b("wide");
+  Wire a = b.input("a", 80);
+  Wire n = b.input("n", 8);
+  const MemHandle mem = b.memory("m", 4, 100);
+  b.mem_write(mem, b.slice(n, 1, 0), b.zext(a, 100), b.bit(n, 7));
+  b.output("sum", b.add(a, a));                       // kAddN
+  b.output("cat", b.concat({n, a}));                  // 88-bit kConcat
+  b.output("rd", b.mem_read(mem, b.slice(n, 3, 2)));  // 100-bit kMemRead
+  b.output("sh", b.shlv(n, a));                       // 80-bit amount
+  b.output("lo", b.add(n, n));                        // kAdd1
+  const tp::Program p = tp::Program::compile(b.take(), 4);
+  const std::string src = tp::emit_cpp(p);
+  std::size_t calls = 0;
+  for (std::size_t at = src.find("X(C, "); at != std::string::npos;
+       at = src.find("X(C, ", at + 1))
+    ++calls;
+  EXPECT_EQ(calls, 4u) << src;
+  EXPECT_NE(src.find("v_bin<4, OpAdd>"), std::string::npos);
+}
+
 // --- run_batch over wide native lanes --------------------------------------
 
 /// The same stimulus through scalar interpreter blocks and one 128-lane
