@@ -10,8 +10,9 @@
 // source with gate::check_equivalence, the event-driven engine simulating
 // one side and the native engine's 64-lane interpreter the other — so the
 // table measures netlists that two independent evaluators agree are the
-// same machine.  One side is the one-lane event engine, so the check is
-// scalar: 2 sequences x 128 cycles = 256 vectors per component.
+// same machine.  The event side runs one engine per lane, so every lane
+// is scored: 2 sequences x 128 cycles x 64 lanes = 16384 vectors per
+// component.
 
 #include <cstdio>
 #include <memory>
@@ -96,13 +97,13 @@ int main() {
   std::printf("\narea ratio OSSS/VHDL: pre %.2f, post %.2f\n",
               pre_total[0] / pre_total[1], post_total[0] / post_total[1]);
 
-  // Equivalence backing: pre-opt vs post-opt netlist per component, the
-  // event-driven engine on one side and the native engine's interpreted
-  // fallback (64 lanes, driven with broadcast scalar vectors) on the other.
+  // Equivalence backing: pre-opt vs post-opt netlist per component, one
+  // event-driven engine per lane on one side and the native engine's
+  // interpreted fallback (64 lanes) on the other.
   // Each check carries an explicit per-component seed so the sweep is
   // reproducible regardless of thread count or completion order.
   std::printf("\npre/post-optimization equivalence (event vs native "
-              "64-lane interpreter, scalar vectors):\n");
+              "64-lane interpreter, every lane):\n");
   osss::gate::EquivOptions opt;
   opt.sequences = 2;
   opt.cycles = 128;

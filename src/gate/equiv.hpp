@@ -6,19 +6,18 @@
 // integration tests to demonstrate the §12 "fully complies with its
 // original description" property at netlist level.
 //
-// Since PR 2 the checker is a thin wrapper over the unified co-simulation
-// driver (verify::CoSim): both netlists are attached as gate models and
-// scored by the shared scoreboard, so its implementation lives in the
-// verify library (src/verify/equiv.cpp) and linking against
-// check_equivalence requires osss_verify.
+// The checker is a thin wrapper over the co-simulation driver
+// (verify::CoSim), so it lives in the verify library (src/verify/equiv.cpp)
+// and linking against check_equivalence requires osss_verify.
 //
 // The checker runs on either of the gate simulator's engines
-// (EquivOptions).  With both sides on the kNative engine at 64 lanes (its
-// default; generated code or, with codegen.force_fallback, the interpreted
-// sweep), every simulated cycle checks 64 independent stimulus vectors.
-// Mixing engines cross-validates them on one netlist:
-// check_equivalence(nl, nl, {.mode_a = kEvent, .mode_b = kNative}) must
-// hold, one scalar vector per cycle.
+// (EquivOptions).  With a side on the kNative engine (64 lanes by default;
+// generated code or, with codegen.force_fallback, the interpreted sweep),
+// every simulated cycle checks one independent stimulus vector per lane; a
+// kEvent side facing it runs as one event engine per lane
+// (verify::ReplicaModel).  Mixing engines cross-validates them on one
+// netlist: check_equivalence(nl, nl, {.mode_a = kEvent, .mode_b =
+// kNative}) must hold on every lane.
 //
 // Determinism contract:
 //   * seed == 0 (the default) derives the effective seed from the two
@@ -60,9 +59,9 @@ struct EquivOptions {
   std::uint64_t seed = 0;  ///< 0 = derive from the netlist names
   SimMode mode_a = SimMode::kEvent;  ///< engine simulating netlist `a`
   SimMode mode_b = SimMode::kEvent;  ///< engine simulating netlist `b`
-  /// kNative sides only: stimulus lanes (0 = the 64-lane default; 1 or a
-  /// multiple of 64 up to Simulator::kMaxLanes).  Sides wider than 64 join
-  /// the scoreboard as scalar broadcast models (see verify::GateModel).
+  /// Stimulus lanes when a side is kNative (0 = the 64-lane default; 1 or
+  /// a multiple of 64 up to Simulator::kMaxLanes); every lane is scored.
+  /// Two kEvent sides run one lane.
   unsigned lanes = 0;
   /// kNative sides only: backend knobs (forced fallback, compiler override).
   CodegenOptions codegen = {};
@@ -78,9 +77,9 @@ struct EquivOptions {
 std::uint64_t derive_equiv_seed(const Netlist& a, const Netlist& b);
 
 /// Randomized sequential equivalence check.  Both netlists must expose
-/// identical input and output bus interfaces (name and width).  64-lane
-/// stimulus is used when both engines are kNative at 64 lanes; otherwise
-/// the same scalar vector drives both sides each cycle.
+/// identical input and output bus interfaces (name and width).  Lane-wide
+/// stimulus (EquivOptions::lanes) is used when either engine is kNative;
+/// with two kEvent sides one scalar vector drives both each cycle.
 EquivResult check_equivalence(const Netlist& a, const Netlist& b,
                               const EquivOptions& opt);
 

@@ -45,8 +45,7 @@ const char* sim_mode_name(SimMode m);
 
 class Simulator {
 public:
-  /// Default kNative lane count: one 64-lane word per net.  Also the
-  /// widest lane count a co-sim model exchanges (verify::CoSim).
+  /// Default kNative lane count: one 64-lane word per net.
   static constexpr unsigned kLanes = 64;
   /// Upper lane bound in kNative mode (multiples of 64).
   static constexpr unsigned kMaxLanes = NativeEngine::kMaxLanes;
@@ -74,6 +73,7 @@ public:
   Simulator& operator=(const Simulator&) = delete;
 
   SimMode mode() const noexcept { return mode_; }
+  const Netlist& netlist() const noexcept { return nl_; }
   /// Stimulus lanes carried per net (1 for kEvent, the kNative lane count).
   unsigned lanes() const noexcept { return native_ ? native_->lanes() : 1; }
   /// Words per lane group: ceil(lanes / 64).

@@ -478,14 +478,12 @@ class Engine {
         const Fact& amt = in(1);
         const bool left = n.op == Op::kShlV;
         if (const auto c = amt.constant()) {
-          const unsigned k =
-              static_cast<unsigned>(c->to_u64() & 0xffffffffu);
-          f = shift_const(a, left ? Op::kShlI : Op::kLshrI, k, w);
+          f = shift_const(a, left ? Op::kShlI : Op::kLshrI,
+                          rtl::shift_count(*c, w), w);
           break;
         }
-        // Variable amount: bound via the amount interval when its width
-        // can't alias through the `to_u64() & 0xffffffff` truncation.
-        if (amt.width() <= 32 && amt.iv.tracked) {
+        // Variable amount: bound via the amount interval.
+        if (amt.iv.tracked) {
           const std::uint64_t alo = amt.iv.lo;
           const std::uint64_t ahi = amt.iv.hi;
           if (alo >= w) return Fact::constant(Bits(w));

@@ -44,9 +44,8 @@ rtl::Wire RtlEmitter::compute(const ExprPtr& e) {
         case BinOp::kLshr: {
           // Constant shift amounts become fixed wiring.
           if (is_const(e->args[1])) {
-            const std::uint64_t amt = e->args[1]->value.to_u64();
             const unsigned clamped =
-                amt > a.width ? a.width : static_cast<unsigned>(amt);
+                rtl::shift_count(e->args[1]->value, a.width);
             return e->bop == BinOp::kShl ? b_.shli(a, clamped)
                                          : b_.lshri(a, clamped);
           }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "rtl/ir.hpp"
+
 namespace osss::meta {
 
 namespace {
@@ -63,14 +65,8 @@ Bits apply_bin(BinOp op, const Bits& a, const Bits& b) {
     case BinOp::kAnd: return a & b;
     case BinOp::kOr: return a | b;
     case BinOp::kXor: return a ^ b;
-    case BinOp::kShl: {
-      const std::uint64_t amt = b.to_u64();
-      return a.shl(amt > a.width() ? a.width() : static_cast<unsigned>(amt));
-    }
-    case BinOp::kLshr: {
-      const std::uint64_t amt = b.to_u64();
-      return a.lshr(amt > a.width() ? a.width() : static_cast<unsigned>(amt));
-    }
+    case BinOp::kShl: return a.shl(rtl::shift_count(b, a.width()));
+    case BinOp::kLshr: return a.lshr(rtl::shift_count(b, a.width()));
     case BinOp::kEq: return Bits(1, a == b ? 1u : 0u);
     case BinOp::kNe: return Bits(1, a != b ? 1u : 0u);
     case BinOp::kUlt: return Bits(1, Bits::ult(a, b) ? 1u : 0u);

@@ -109,10 +109,14 @@ class UnionFind {
 
 class Sweeper {
  public:
-  Sweeper(const Netlist& nl, const SatSweepOptions& opt, std::uint64_t seed)
+  /// `sample`: accept wide-cone pairs that survive random resolution;
+  /// false keeps only proven merges.
+  Sweeper(const Netlist& nl, const SatSweepOptions& opt, std::uint64_t seed,
+          bool sample = true)
       : nl_(nl),
         opt_(opt),
         seed_(seed),
+        sample_(sample),
         levels_(nl.topo_levels()),
         order_(level_order(nl)),
         uf_(nl, levels_),
@@ -135,6 +139,9 @@ class Sweeper {
   }
 
   NetId find(NetId id) const { return uf_.find(id); }
+
+  /// Combinational merges accepted by random resolution, not proven.
+  std::size_t sampled() const noexcept { return sampled_; }
 
   /// SDC phase: re-prove the externally supplied per-bit register constants
   /// by netlist induction, then unite the survivors into the constant-net
@@ -248,6 +255,8 @@ class Sweeper {
   const Netlist& nl_;
   const SatSweepOptions& opt_;
   std::uint64_t seed_;
+  bool sample_;
+  std::size_t sampled_ = 0;
   std::vector<std::uint32_t> levels_;
   std::vector<NetId> order_;
   UnionFind uf_;
@@ -910,6 +919,7 @@ class Sweeper {
     const auto same = [&] { return eval_cone(ca, a) == eval_cone(cb, b); };
     if (support.size() <= kExhaustiveBits)
       return for_all_assignments(support, same);  // proven
+    if (!sample_) return false;
     // Random resolution over the union support only.
     for (unsigned r = 0; r < kResolutionRounds; ++r) {
       std::uint64_t s = verify::StimGen::derive(
@@ -918,7 +928,8 @@ class Sweeper {
       for (const NetId v : support) cone_val_[v] = splitmix64(s);
       if (!same()) return false;
     }
-    return true;  // accepted (backstopped by the pipeline self-check)
+    ++sampled_;  // accepted, verified by SatSweepPass::run
+    return true;
   }
 
   /// One signature/merge sweep over combinational nets.
@@ -993,21 +1004,25 @@ gate::Netlist SatSweepPass::run(const gate::Netlist& in,
   hooks.replace = [&](NetId id) { return sweeper.find(id); };
   gate::Netlist out = rebuild(in, hooks);
 
-  if (fact_merges + odc_merges != 0) {
-    // Facts and ODC merges are sampled (trajectory/resolution rounds), so
-    // every run that applied one is differentially verified here — even
-    // when the pipeline-level self-check is off — and falls back to the
-    // deterministic classic sweep if the check disagrees.  The pass never
-    // throws on a speculative merge gone wrong; it just forgoes it.
+  if (fact_merges + odc_merges + sweeper.sampled() != 0) {
+    // Facts, ODC merges and random resolution are sampled (trajectory /
+    // resolution rounds), so every run that applied one is differentially
+    // verified here, on 64 lanes — even when the pipeline-level self-check
+    // is off — and falls back to proven merges only if the check
+    // disagrees.  The pass never throws on a speculative merge gone wrong;
+    // it just forgoes it.
     gate::EquivOptions eopt;
-    eopt.sequences = 4;
-    eopt.cycles = 128;
+    eopt.sequences = 2;
+    eopt.cycles = 64;
     eopt.seed = verify::StimGen::derive(seed, "verify");
+    eopt.mode_a = gate::SimMode::kNative;
+    eopt.mode_b = gate::SimMode::kNative;
+    eopt.codegen.force_fallback = true;
     if (!gate::check_equivalence(in, out, eopt)) {
-      Sweeper classic(in, opt_, seed);
-      stats.changes += classic.sweep();
+      Sweeper proven(in, opt_, seed, /*sample=*/false);
+      stats.changes += proven.sweep();
       RebuildHooks fallback;
-      fallback.replace = [&](NetId id) { return classic.find(id); };
+      fallback.replace = [&](NetId id) { return proven.find(id); };
       return rebuild(in, fallback);
     }
   }

@@ -10,9 +10,8 @@
 //     kExhaustiveBits (14) free variables, all 2^k assignments are
 //     enumerated in 64-lane blocks — the merge is proven, not sampled;
 //   * larger cones get kResolutionRounds (96) additional independent
-//     64-lane random rounds; survivors are accepted (random resolution — the
-//     pipeline's differential self-check backstops this, like the
-//     equivalence checker backstops Hardcaml-style rewriting).
+//     64-lane random rounds; survivors are accepted (random resolution,
+//     verified in-pass as below).
 //
 // Registers dedup too: DFFs whose resolved D-nets merge and whose init
 // values agree are unified, and the sweep iterates until no new comb or
@@ -38,11 +37,11 @@
 //     nobody is watching are accepted on an exact exhaustive proof over
 //     every affected observation cone, with and without the replacement.
 //
-// The fact phase is still sampled for wide cones, so any run that applied
-// a fact or sequential merge is differentially verified in-pass
-// (gate::check_equivalence against the input) and falls back to the
-// classic-only sweep when the check disagrees — the pass never ships an
-// unverified speculative merge.
+// Random resolution and the fact phase are sampled for wide cones, so any
+// run that applied a sampled, fact or sequential merge is differentially
+// verified in-pass (gate::check_equivalence against the input, 64 lanes)
+// and falls back to proven merges only when the check disagrees — the pass
+// never ships an unverified speculative merge.
 
 #pragma once
 

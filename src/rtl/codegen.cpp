@@ -28,6 +28,7 @@ namespace osss::rtl::tape {
 
 using detail::bits_from_words;
 using detail::mask64;
+using detail::shift_amount;
 using detail::span_fill;
 using detail::span_lshr;
 using detail::span_shl;
@@ -112,7 +113,7 @@ struct NativeEngine::Exec {
       std::uint64_t ch = 0;
       for (unsigned l = 0; l < lanes; ++l) {
         const std::uint64_t amt =
-            ar[ins.b + std::size_t{l} * ins.aw] & 0xffffffffu;
+            shift_amount(ar + ins.b + std::size_t{l} * ins.aw, ins.aw);
         std::uint64_t nv = 0;
         if (amt < ins.width) {
           if constexpr (OP == TOp::kShlV1) nv = (a[l] << amt) & ins.mask;
@@ -294,7 +295,7 @@ struct NativeEngine::Exec {
     } else if constexpr (OP == TOp::kShlVN || OP == TOp::kLshrVN) {
       const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
       const std::uint64_t amt =
-          ar[ins.b + std::size_t{lane} * ins.aw] & 0xffffffffu;
+          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
       if (amt >= ins.width) {
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
       } else if (OP == TOp::kShlVN) {
@@ -505,14 +506,14 @@ bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
     }
     case TOp::kShlV1: {
       const std::uint64_t amt =
-          ar[ins.b + std::size_t{lane} * ins.aw] & 0xffffffffu;
+          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
       return store1(d, amt >= ins.width
                            ? 0
                            : (ar[ins.a + lane] << amt) & ins.mask);
     }
     case TOp::kLshrV1: {
       const std::uint64_t amt =
-          ar[ins.b + std::size_t{lane} * ins.aw] & 0xffffffffu;
+          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
       return store1(d, amt >= ins.width ? 0 : ar[ins.a + lane] >> amt);
     }
     case TOp::kEq1:

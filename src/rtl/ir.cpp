@@ -42,6 +42,12 @@ const char* op_name(Op op) {
   return "?";
 }
 
+unsigned shift_count(const Bits& amount, unsigned width) {
+  for (unsigned w = 1; w * 64 < amount.width(); ++w)
+    if (amount.word(w) != 0) return width;
+  return static_cast<unsigned>(std::min<std::uint64_t>(amount.to_u64(), width));
+}
+
 namespace {
 [[noreturn]] void bad(const std::string& module, const std::string& msg) {
   throw std::logic_error("rtl::Module " + module + ": " + msg);

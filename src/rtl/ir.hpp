@@ -42,8 +42,9 @@ enum class Op : std::uint8_t {
   kShlI,     ///< logical shift left by constant `param`
   kLshrI,    ///< logical shift right by constant `param`
   kAshrI,    ///< arithmetic shift right by constant `param`
-  kShlV,     ///< logical shift left by variable amount (ins[1])
-  kLshrV,    ///< logical shift right by variable amount (ins[1])
+  kShlV,     ///< logical shift left by variable amount (ins[1], any
+             ///< width; shift_count has the rule)
+  kLshrV,    ///< logical shift right by variable amount (ins[1], as kShlV)
   kEq,       ///< 1-bit result
   kNe,
   kUlt,
@@ -73,6 +74,12 @@ struct Node {
   std::string name;    ///< debug name for inputs, registers, named nets
 };
 
+/// The one variable-shift rule (kShlV / kLshrV), the gate barrel
+/// shifter's and Verilog's: the whole amount, read as an unsigned number
+/// of any width, shifts a `width`-bit value, and an amount of `width` or
+/// more shifts every bit out.  Returns the amount clamped to `width`.
+unsigned shift_count(const Bits& amount, unsigned width);
+
 /// The value of combinational node `n`, given the value of each operand
 /// n.ins[i] as `in(i)` (a `const Bits&`).  The one Bits-level definition of
 /// every op: the interpreter (SimMode::kInterp), the tape compiler's
@@ -94,10 +101,8 @@ Bits eval_op(const Node& n, In&& in) {
     case Op::kShlI: return in(0).shl(n.param);
     case Op::kLshrI: return in(0).lshr(n.param);
     case Op::kAshrI: return in(0).ashr(n.param);
-    case Op::kShlV:
-      return in(0).shl(static_cast<unsigned>(in(1).to_u64() & 0xffffffffu));
-    case Op::kLshrV:
-      return in(0).lshr(static_cast<unsigned>(in(1).to_u64() & 0xffffffffu));
+    case Op::kShlV: return in(0).shl(shift_count(in(1), n.width));
+    case Op::kLshrV: return in(0).lshr(shift_count(in(1), n.width));
     case Op::kEq: return Bits(1, in(0) == in(1) ? 1u : 0u);
     case Op::kNe: return Bits(1, in(0) != in(1) ? 1u : 0u);
     case Op::kUlt: return Bits(1, Bits::ult(in(0), in(1)) ? 1u : 0u);

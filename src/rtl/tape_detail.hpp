@@ -26,6 +26,15 @@ inline std::uint64_t mask64(unsigned width) {
   return width >= 64 ? ~0ull : ((std::uint64_t{1} << width) - 1);
 }
 
+/// A variable shift's amount from its `words` lane words: the low word, or
+/// ~0 (past every width) when a higher word is nonzero — rtl::shift_count's
+/// whole-amount rule.
+inline std::uint64_t shift_amount(const std::uint64_t* amt, unsigned words) {
+  for (unsigned w = 1; w < words; ++w)
+    if (amt[w] != 0) return ~0ull;
+  return amt[0];
+}
+
 inline bool store1(std::uint64_t* d, std::uint64_t nv) {
   const bool changed = *d != nv;
   *d = nv;

@@ -1,7 +1,11 @@
 #include "verify/cosim.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
+
+#include "par/batch.hpp"
 
 namespace osss::verify {
 
@@ -105,12 +109,7 @@ rtl::OutputHandle RtlModel::out_handle(const std::string& name) {
   return h;
 }
 
-unsigned RtlModel::lanes() const {
-  // CoSim's lane protocol is one 64-bit lane word per port bit, so a
-  // wider-than-64-lane native sim joins as a scalar model: every lane gets
-  // the broadcast stimulus and lane 0 is scoreboarded.
-  return sim_.lanes() <= 64 ? sim_.lanes() : 1;
-}
+unsigned RtlModel::lanes() const { return sim_.lanes(); }
 
 void RtlModel::reset() { sim_.reset(); }
 
@@ -120,10 +119,6 @@ void RtlModel::set_input(const std::string& name, const Bits& value) {
 
 void RtlModel::set_input_lanes(const std::string& name,
                                const std::vector<std::uint64_t>& bit_lanes) {
-  if (sim_.lanes() == 1) {
-    Model::set_input_lanes(name, bit_lanes);
-    return;
-  }
   sim_.set_input_lanes(in_handle(name), bit_lanes);
 }
 
@@ -132,15 +127,14 @@ Bits RtlModel::output(const std::string& name) {
 }
 
 Bits RtlModel::output_lane(const std::string& name, unsigned lane) {
-  if (sim_.lanes() == 1) return output(name);
   return sim_.output_lane(out_handle(name), lane);
 }
 
 std::vector<std::uint64_t> RtlModel::output_words(const std::string& name,
                                                   unsigned width) {
-  // lanes() caps the co-sim protocol at one lane word per bit; sims that
-  // joined as scalar (1 lane, or wider than 64) use the broadcast default.
-  if (lanes() == 1) return Model::output_words(name, width);
+  // The interpreter keeps Bits values, not lane words.
+  if (sim_.mode() == rtl::SimMode::kInterp)
+    return Model::output_words(name, width);
   return sim_.output_words(out_handle(name));
 }
 
@@ -151,25 +145,19 @@ void RtlModel::step() { sim_.step(); }
 GateModel::GateModel(gate::Netlist nl, gate::SimMode mode, std::string name)
     : Model(name.empty() ? std::string("gate:") + gate::sim_mode_name(mode)
                          : std::move(name)),
-      nl_(std::move(nl)),
-      sim_(nl_, mode) {}
+      sim_(std::move(nl), mode) {}
 
 GateModel::GateModel(gate::Netlist nl, gate::SimMode mode, unsigned lanes,
                      gate::CodegenOptions codegen, std::string name)
     : Model(name.empty() ? std::string("gate:") + gate::sim_mode_name(mode)
                          : std::move(name)),
-      nl_(std::move(nl)),
-      sim_(nl_, mode, lanes, std::move(codegen)) {}
+      sim_(std::move(nl), mode, lanes, std::move(codegen)) {}
 
 void GateModel::enable_toggle_coverage() {
-  toggle_ = std::make_unique<ToggleCoverage>(nl_);
+  toggle_ = std::make_unique<ToggleCoverage>(sim_.netlist());
 }
 
-unsigned GateModel::lanes() const {
-  // Same protocol cap as RtlModel: one 64-bit lane word per port bit, so a
-  // wider-than-64-lane native sim joins as a scalar (broadcast) model.
-  return sim_.lanes() <= 64 ? sim_.lanes() : 1;
-}
+unsigned GateModel::lanes() const { return sim_.lanes(); }
 
 void GateModel::reset() { sim_.reset(); }
 
@@ -179,23 +167,17 @@ void GateModel::set_input(const std::string& name, const Bits& value) {
 
 void GateModel::set_input_lanes(const std::string& name,
                                 const std::vector<std::uint64_t>& bit_lanes) {
-  if (lanes() == 1) {
-    Model::set_input_lanes(name, bit_lanes);
-    return;
-  }
   sim_.set_input_lanes(name, bit_lanes);
 }
 
 Bits GateModel::output(const std::string& name) { return sim_.output(name); }
 
 Bits GateModel::output_lane(const std::string& name, unsigned lane) {
-  if (lanes() == 1) return output(name);
   return sim_.output_lane(name, lane);
 }
 
 std::vector<std::uint64_t> GateModel::output_words(const std::string& name,
-                                                   unsigned width) {
-  if (lanes() == 1) return Model::output_words(name, width);
+                                                   unsigned) {
   return sim_.output_words(name);
 }
 
@@ -207,6 +189,101 @@ void GateModel::sample_coverage() {
 
 void GateModel::report_coverage(CoverageReport& r) const {
   if (toggle_) r.items.push_back(toggle_->item(name()));
+}
+
+// --- ReplicaModel ----------------------------------------------------------
+
+namespace {
+
+unsigned lane_words(unsigned lanes) { return (lanes + 63) / 64; }
+
+}  // namespace
+
+ReplicaModel::ReplicaModel(unsigned lanes, const Factory& make)
+    : ReplicaModel(make(), lanes, make) {}
+
+ReplicaModel::ReplicaModel(std::unique_ptr<Model> first, unsigned lanes,
+                           const Factory& make)
+    : Model(first->name()), bits_(lanes), values_(lanes) {
+  if (lanes == 0) throw std::invalid_argument("ReplicaModel: zero lanes");
+  copies_.push_back(std::move(first));
+  while (copies_.size() < lanes) copies_.push_back(make());
+  for (const auto& c : copies_)
+    if (c->lanes() != 1)
+      throw std::invalid_argument("ReplicaModel: copy '" + c->name() +
+                                  "' has more than one lane");
+}
+
+unsigned ReplicaModel::lanes() const {
+  return static_cast<unsigned>(copies_.size());
+}
+
+void ReplicaModel::reset() {
+  for (auto& c : copies_) c->reset();
+}
+
+void ReplicaModel::set_input(const std::string& name, const Bits& value) {
+  for (auto& c : copies_) c->set_input(name, value);
+}
+
+void ReplicaModel::set_input_lanes(
+    const std::string& name, const std::vector<std::uint64_t>& bit_lanes) {
+  const unsigned lw = lane_words(lanes());
+  const auto width = static_cast<unsigned>(bit_lanes.size() / lw);
+  for (unsigned lo = 0; lo < width; lo += 64) {
+    const unsigned n = std::min(64u, width - lo);
+    par::lane_words_to_values(bit_lanes.data() + std::size_t{lo} * lw,
+                              lanes(), n, values_.data(), 1);
+    for (unsigned l = 0; l < lanes(); ++l) {
+      if (lo == 0)
+        bits_[l] = Bits(width, values_[l]);
+      else
+        bits_[l].set_range(lo, Bits(n, values_[l]));
+    }
+  }
+  for (unsigned l = 0; l < lanes(); ++l)
+    copies_[l]->set_input(name, bits_[l]);
+}
+
+Bits ReplicaModel::output(const std::string& name) {
+  return copies_.front()->output(name);
+}
+
+Bits ReplicaModel::output_lane(const std::string& name, unsigned lane) {
+  return copies_.at(lane)->output(name);
+}
+
+std::vector<std::uint64_t> ReplicaModel::output_words(const std::string& name,
+                                                      unsigned width) {
+  const unsigned lw = lane_words(lanes());
+  for (unsigned l = 0; l < lanes(); ++l) bits_[l] = copies_[l]->output(name);
+  std::vector<std::uint64_t> words(std::size_t{width} * lw);
+  for (unsigned lo = 0; lo < width; lo += 64) {
+    for (unsigned l = 0; l < lanes(); ++l) values_[l] = bits_[l].word(lo / 64);
+    par::values_to_lane_words(values_.data(), 1, lanes(),
+                              std::min(64u, width - lo),
+                              words.data() + std::size_t{lo} * lw);
+  }
+  return words;
+}
+
+void ReplicaModel::step() {
+  for (auto& c : copies_) c->step();
+}
+
+void ReplicaModel::sample_coverage() {
+  for (auto& c : copies_) c->sample_coverage();
+}
+
+void ReplicaModel::report_coverage(CoverageReport& r) const {
+  CoverageReport merged;
+  for (const auto& c : copies_) {
+    CoverageReport one;
+    c->report_coverage(one);
+    for (CoverageItem& it : one.items) it.model = name();
+    merged.merge(one);
+  }
+  r.items.insert(r.items.end(), merged.items.begin(), merged.items.end());
 }
 
 // --- Mismatch --------------------------------------------------------------
@@ -268,10 +345,15 @@ void CoSim::declare_stimulus(StimGen& gen, StimConstraint c) const {
 }
 
 unsigned CoSim::common_lanes() const {
-  unsigned lanes = gate::Simulator::kLanes;
+  const Model& first = *models_.front();
   for (const auto& m : models_)
-    if (m->lanes() < lanes) lanes = m->lanes();
-  return lanes == 0 ? 1 : lanes;
+    if (m->lanes() != first.lanes())
+      throw std::invalid_argument(
+          "CoSim: model '" + m->name() + "' has " +
+          std::to_string(m->lanes()) + " lanes and '" + first.name() +
+          "' has " + std::to_string(first.lanes()) +
+          " (wrap a scalar model in a ReplicaModel)");
+  return first.lanes();
 }
 
 void CoSim::reset_models() {
@@ -283,10 +365,9 @@ void CoSim::finish(RunResult& r) const {
   for (const auto& m : models_) m->report_coverage(r.coverage);
 }
 
-bool CoSim::score_cycle(RunResult& r, unsigned lanes_active,
+bool CoSim::score_cycle(RunResult& r, unsigned lanes, unsigned scored,
                         unsigned sequence, std::uint64_t cycle) {
-  const std::uint64_t active_mask =
-      lanes_active >= 64 ? ~0ull : ((1ull << lanes_active) - 1);
+  const unsigned lw = lane_words(lanes);
   Model& ref = *models_.front();
   for (const IoDecl& out : outputs_) {
     const std::vector<std::uint64_t> wr = ref.output_words(out.name, out.width);
@@ -294,22 +375,23 @@ bool CoSim::score_cycle(RunResult& r, unsigned lanes_active,
       Model& dut = *models_[mi];
       const std::vector<std::uint64_t> wd =
           dut.output_words(out.name, out.width);
-      std::uint64_t diff = 0;
-      for (std::size_t i = 0; i < wr.size(); ++i) diff |= wr[i] ^ wd[i];
-      diff &= active_mask;
-      r.checks += lanes_active;
-      if (diff == 0) continue;
-      unsigned lane = 0;
-      while (((diff >> lane) & 1u) == 0) ++lane;
-      r.mismatch.sequence = sequence;
-      r.mismatch.cycle = cycle;
-      r.mismatch.lane = lane;
-      r.mismatch.output = out.name;
-      r.mismatch.ref_model = ref.name();
-      r.mismatch.dut_model = dut.name();
-      r.mismatch.ref_value = ref.output_lane(out.name, lane);
-      r.mismatch.dut_value = dut.output_lane(out.name, lane);
-      return false;
+      r.checks += scored;
+      for (unsigned g = 0; g * 64 < scored; ++g) {
+        std::uint64_t diff = 0;
+        for (std::size_t i = g; i < wr.size(); i += lw) diff |= wr[i] ^ wd[i];
+        if (scored - g * 64 < 64) diff &= (1ull << (scored - g * 64)) - 1;
+        if (diff == 0) continue;
+        const unsigned lane = g * 64 + std::countr_zero(diff);
+        r.mismatch.sequence = sequence;
+        r.mismatch.cycle = cycle;
+        r.mismatch.lane = lane;
+        r.mismatch.output = out.name;
+        r.mismatch.ref_model = ref.name();
+        r.mismatch.dut_model = dut.name();
+        r.mismatch.ref_value = ref.output_lane(out.name, lane);
+        r.mismatch.dut_value = dut.output_lane(out.name, lane);
+        return false;
+      }
     }
   }
   return true;
@@ -319,19 +401,20 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
   if (models_.empty()) throw std::logic_error("CoSim: no models attached");
   RunResult r;
   const unsigned lanes = common_lanes();
-  const bool wide = lanes > 1;
+  const unsigned lw = lane_words(lanes);
 
   // Flat per-sequence stimulus recorder: one row of `row_words` lane words
-  // per cycle (input bits concatenated in declaration order), sized once
-  // and overwritten every sequence — the hot loop does no allocation.
+  // per cycle (input bits concatenated in declaration order, `lw` words
+  // each), sized once and overwritten every sequence — the hot loop does
+  // no allocation.
   std::vector<std::size_t> offset(inputs_.size(), 0);
   std::size_t row_words = 0;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     offset[i] = row_words;
-    row_words += inputs_[i].width;
+    row_words += std::size_t{inputs_[i].width} * lw;
   }
   std::vector<std::uint64_t> rec(static_cast<std::size_t>(cycles) * row_words);
-  std::vector<std::uint64_t> scratch(wide ? row_words : 0);
+  std::vector<std::uint64_t> scratch(lanes > 1 ? row_words : 0);
 
   r.recorder_bytes = (rec.capacity() + scratch.capacity()) * 8 +
                      offset.capacity() * sizeof(std::size_t);
@@ -343,23 +426,10 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
       for (std::size_t ii = 0; ii < inputs_.size(); ++ii) {
         const IoDecl& in = inputs_[ii];
         std::uint64_t* words = row + offset[ii];
-        if (wide) {
-          gen.next_lanes(in.name, words);
-          bool shared = false;  // scratch vector built lazily, reused after
-          for (auto& m : models_) {
-            if (m->lanes() > 1) {
-              if (!shared) {
-                scratch.assign(words, words + in.width);
-                shared = true;
-              }
-              m->set_input_lanes(in.name, scratch);
-            } else {
-              Bits v(in.width);
-              for (unsigned i = 0; i < in.width; ++i)
-                v.set_bit(i, (words[i] & 1u) != 0);
-              m->set_input(in.name, v);
-            }
-          }
+        if (lanes > 1) {
+          gen.next_lanes(in.name, lanes, words);
+          scratch.assign(words, words + std::size_t{in.width} * lw);
+          for (auto& m : models_) m->set_input_lanes(in.name, scratch);
         } else {
           const Bits v = gen.next(in.name);
           for (auto& m : models_) m->set_input(in.name, v);
@@ -367,7 +437,7 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
             words[i] = v.bit(i) ? 1u : 0u;
         }
       }
-      if (!score_cycle(r, lanes, s, c)) {
+      if (!score_cycle(r, lanes, lanes, s, c)) {
         // Extract the offending lane's scalar stimulus, including the
         // failing cycle, for shrinking / replay.
         const unsigned lane = r.mismatch.lane;
@@ -379,8 +449,10 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
           values.reserve(inputs_.size());
           for (std::size_t i = 0; i < inputs_.size(); ++i) {
             Bits v(inputs_[i].width);
+            const std::uint64_t* words = prow + offset[i] + lane / 64;
             for (unsigned bi = 0; bi < inputs_[i].width; ++bi)
-              v.set_bit(bi, ((prow[offset[i] + bi] >> lane) & 1u) != 0);
+              v.set_bit(bi, ((words[std::size_t{bi} * lw] >> (lane % 64)) &
+                             1u) != 0);
             values.push_back(std::move(v));
           }
           r.failing_trace.cycles.push_back(std::move(values));
@@ -405,6 +477,7 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
 RunResult CoSim::run_trace(const Trace& t) {
   if (models_.empty()) throw std::logic_error("CoSim: no models attached");
   RunResult r;
+  const unsigned lanes = common_lanes();
   reset_models();
   for (std::size_t c = 0; c < t.cycles.size(); ++c) {
     const std::vector<Bits>& values = t.cycles[c];
@@ -412,7 +485,7 @@ RunResult CoSim::run_trace(const Trace& t) {
       throw std::invalid_argument("CoSim: trace input arity mismatch");
     for (std::size_t i = 0; i < inputs_.size(); ++i)
       for (auto& m : models_) m->set_input(inputs_[i].name, values[i]);
-    if (!score_cycle(r, 1, 0, c)) {
+    if (!score_cycle(r, lanes, 1, 0, c)) {
       r.mismatch.inputs = values;
       r.failing_trace.inputs = inputs_;
       r.failing_trace.cycles.assign(t.cycles.begin(),

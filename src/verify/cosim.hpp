@@ -9,11 +9,14 @@
 // bespoke lockstep loops that used to live in bench/exp_r8_accuracy.cpp and
 // gate/equiv.cpp are thin layers over it.
 //
-// When every attached model supports 64 stimulus lanes (gate simulators in
-// kNative mode at 64 lanes, RTL tapes at 64 lanes), each simulated cycle
-// scores 64 independent vectors; otherwise the run is scalar.  Runs record
-// their stimulus, so a mismatch yields a per-lane scalar trace that the
-// shrinker (shrink.hpp) can minimize and replay.
+// A run has one lane count: the lanes() of its models, which must all
+// agree (run() throws otherwise).  At one lane every cycle drives one
+// scalar vector through set_input().  At L lanes every input bit travels as
+// ceil(L / 64) lane words, every lane draws its own stimulus and every lane
+// is scored.  A scalar model joins a lane-parallel run as a ReplicaModel:
+// L copies of it, one per lane.  Runs record their stimulus, so a mismatch
+// yields the failing lane's scalar trace that the shrinker (shrink.hpp) can
+// minimize and replay.
 
 #pragma once
 
@@ -65,20 +68,24 @@ public:
 
   const std::string& name() const noexcept { return name_; }
 
-  /// Stimulus lanes the model advances per cycle (1 or Simulator::kLanes).
+  /// Stimulus lanes the model advances per cycle.  Every model of one
+  /// co-simulation has the same count.
   virtual unsigned lanes() const { return 1; }
 
   virtual void reset() = 0;
+  /// Drive one value into every lane.
   virtual void set_input(const std::string& name, const Bits& value) = 0;
-  /// Drive 64 lanes (bit_lanes[i] = lane word of input bit i).  Models with
-  /// lanes() == 1 receive lane 0 via set_input instead; CoSim never calls
-  /// this on them.
+  /// Drive every lane: input bit i occupies ceil(lanes() / 64) consecutive
+  /// lane words from bit_lanes[i * ceil(lanes() / 64)], bit l % 64 of word
+  /// l / 64 being lane l (the gate and RTL simulators' layout).  CoSim
+  /// calls it only when lanes() > 1; the default drives lane 0 through
+  /// set_input.
   virtual void set_input_lanes(const std::string& name,
                                const std::vector<std::uint64_t>& bit_lanes);
   virtual Bits output(const std::string& name) = 0;
   virtual Bits output_lane(const std::string& name, unsigned lane);
-  /// Lane words of an output (element i = lanes of bit i).  The default
-  /// broadcasts the scalar output into lane 0.
+  /// Lane words of an output, in set_input_lanes' layout.  The default
+  /// puts the scalar output into lane 0.
   virtual std::vector<std::uint64_t> output_words(const std::string& name,
                                                   unsigned width);
   virtual void step() = 0;
@@ -117,9 +124,9 @@ private:
   std::unique_ptr<FsmCoverage> fsm_;
 };
 
-/// rtl::Simulator as a co-sim model: interpreter or tape engine, the tape
-/// optionally contributing up to 64 stimulus lanes.  Port names are resolved
-/// to handles once so lockstep driving skips the name lookup.
+/// rtl::Simulator as a co-sim model: interpreter or tape engine, at the
+/// simulator's lane count.  Port names are resolved to handles once so
+/// lockstep driving skips the name lookup.
 class RtlModel final : public Model {
 public:
   explicit RtlModel(rtl::Module m, std::string name = "rtl");
@@ -153,9 +160,8 @@ private:
   rtl::OutputHandle out_handle(const std::string& name);
 };
 
-/// gate::Simulator as a co-sim model; kNative engines contribute their
-/// lanes per cycle up to 64 (wider native sims join as scalar broadcast
-/// models, like wide RtlModel tapes), kEvent engines one.
+/// gate::Simulator as a co-sim model at the simulator's lane count: the
+/// kNative engine's lanes, one for kEvent.
 class GateModel final : public Model {
 public:
   explicit GateModel(gate::Netlist nl,
@@ -167,7 +173,6 @@ public:
             gate::CodegenOptions codegen, std::string name = "");
 
   gate::Simulator& sim() noexcept { return sim_; }
-  const gate::Netlist& netlist() const noexcept { return nl_; }
 
   /// Enable net toggle coverage.
   void enable_toggle_coverage();
@@ -187,9 +192,47 @@ public:
   void report_coverage(CoverageReport& r) const override;
 
 private:
-  gate::Netlist nl_;  ///< kept for coverage universe / diagnostics
   gate::Simulator sim_;
   std::unique_ptr<ToggleCoverage> toggle_;
+};
+
+/// L copies of a scalar model behind one L-lane model, copy l being lane l:
+/// how a one-lane reference (behaviour or RTL interpreter, gate event
+/// engine) scores every lane of a lane-parallel engine.  Lane words split
+/// into per-copy values and outputs assemble back into lane words through
+/// par::lane_words_to_values / values_to_lane_words, 64 port bits at a
+/// time.  set_input() drives every copy (run_trace and the shrinker
+/// broadcast scalar vectors).  Coverage is sampled on every copy and
+/// reported merged, under the model's name.
+class ReplicaModel final : public Model {
+public:
+  using Factory = std::function<std::unique_ptr<Model>()>;
+
+  /// Calls `make` `lanes` times; every copy must have one lane.  The model
+  /// takes the copies' name.
+  ReplicaModel(unsigned lanes, const Factory& make);
+
+  unsigned lanes() const override;
+  void reset() override;
+  void set_input(const std::string& name, const Bits& value) override;
+  void set_input_lanes(
+      const std::string& name,
+      const std::vector<std::uint64_t>& bit_lanes) override;
+  Bits output(const std::string& name) override;
+  Bits output_lane(const std::string& name, unsigned lane) override;
+  std::vector<std::uint64_t> output_words(const std::string& name,
+                                          unsigned width) override;
+  void step() override;
+  void sample_coverage() override;
+  void report_coverage(CoverageReport& r) const override;
+
+private:
+  ReplicaModel(std::unique_ptr<Model> first, unsigned lanes,
+               const Factory& make);
+
+  std::vector<std::unique_ptr<Model>> copies_;
+  std::vector<Bits> bits_;             ///< one port value per lane
+  std::vector<std::uint64_t> values_;  ///< 64 port bits per lane
 };
 
 /// A scoreboard divergence: reference model vs another model on one output.
@@ -239,8 +282,6 @@ public:
     return ref;
   }
 
-  Model& model(std::size_t i) { return *models_.at(i); }
-
   void add_input(const std::string& name, unsigned width);
   void add_output(const std::string& name, unsigned width);
 
@@ -259,14 +300,16 @@ public:
   void enable_coverage() { coverage_ = true; }
 
   /// Run `sequences` independent sequences of `cycles` cycles each, all
-  /// models reset at each sequence start, stimulus drawn from `gen`
-  /// (lane-wide when every model supports it).  Stops at the first
-  /// mismatch; RunResult.failing_trace then holds the scalar stimulus of
-  /// the offending lane up to and including the failing cycle.
+  /// models reset at each sequence start, stimulus drawn from `gen` (one
+  /// vector per lane and cycle).  Throws std::invalid_argument when the
+  /// models' lane counts differ.  Stops at the first mismatch;
+  /// RunResult.failing_trace then holds the scalar stimulus of the
+  /// offending lane up to and including the failing cycle.
   RunResult run(StimGen& gen, unsigned cycles, unsigned sequences = 1);
 
-  /// Replay an explicit scalar stimulus sequence (models reset first).
-  /// Used by the shrinker and by replay records.
+  /// Replay an explicit scalar stimulus sequence (models reset first),
+  /// driven into every lane and scored on lane 0.  Used by the shrinker and
+  /// by replay records.
   RunResult run_trace(const Trace& t);
 
   /// Sharded campaign across a par::Pool: each shard gets its own CoSim
@@ -283,12 +326,15 @@ private:
   std::vector<IoDecl> outputs_;
   bool coverage_ = false;
 
+  /// The models' one lane count; throws std::invalid_argument when they
+  /// differ.
   unsigned common_lanes() const;
   void reset_models();
   void finish(RunResult& r) const;
-  /// Score all outputs of all models against the reference for this cycle.
-  /// Returns false (and fills `r.mismatch` except the trace) on divergence.
-  bool score_cycle(RunResult& r, unsigned lanes_active,
+  /// Score all outputs of all models against the reference for this cycle
+  /// on lanes [0, scored) of `lanes`.  Returns false (and fills `r.mismatch`
+  /// except the trace) on divergence.
+  bool score_cycle(RunResult& r, unsigned lanes, unsigned scored,
                    unsigned sequence, std::uint64_t cycle);
 };
 

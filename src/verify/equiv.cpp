@@ -59,6 +59,23 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
   const unsigned seqs = opt.sequences;
   std::atomic<unsigned> first_fail{seqs};
 
+  // One lane count for both sides: a kEvent side facing a kNative side
+  // runs as one event engine per native lane.
+  const bool any_native =
+      opt.mode_a == SimMode::kNative || opt.mode_b == SimMode::kNative;
+  const unsigned lanes =
+      !any_native ? 1 : opt.lanes == 0 ? Simulator::kLanes : opt.lanes;
+  const auto model = [&](const Netlist& nl, SimMode mode,
+                         const char* name) -> std::unique_ptr<verify::Model> {
+    const bool native = mode == SimMode::kNative;
+    const auto one = [&] {
+      return std::make_unique<verify::GateModel>(
+          nl, mode, native ? opt.lanes : 0, opt.codegen, name);
+    };
+    if (native || lanes == 1) return one();
+    return std::make_unique<verify::ReplicaModel>(lanes, one);
+  };
+
   struct SeqOut {
     verify::RunResult run;
     bool ran = false;
@@ -69,12 +86,8 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
     if (static_cast<unsigned>(s) > first_fail.load(std::memory_order_acquire))
       return out;
     verify::CoSim cs;
-    cs.add(std::make_unique<verify::GateModel>(
-        a, opt.mode_a, opt.mode_a == SimMode::kNative ? opt.lanes : 0,
-        opt.codegen, "a"));
-    cs.add(std::make_unique<verify::GateModel>(
-        b, opt.mode_b, opt.mode_b == SimMode::kNative ? opt.lanes : 0,
-        opt.codegen, "b"));
+    cs.add_model(model(a, opt.mode_a, "a"));
+    cs.add_model(model(b, opt.mode_b, "b"));
     cs.declare_io(a);
     verify::StimGen gen(verify::StimGen::derive(
         result.seed, "seq/" + std::to_string(s)));
@@ -110,11 +123,6 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
     return result;
   }
 
-  // The run was lane-wide when both sides are native at 64 lanes (the
-  // default; wider native sims join as scalar broadcast models).
-  const unsigned native_lanes = opt.lanes == 0 ? Simulator::kLanes : opt.lanes;
-  const bool lanes = opt.mode_a == SimMode::kNative &&
-                     opt.mode_b == SimMode::kNative && native_lanes == 64;
   verify::Mismatch mismatch = outs[fail].run.mismatch;
   mismatch.sequence = fail;
   std::vector<verify::IoDecl> decls;
@@ -122,7 +130,7 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b,
     decls.push_back(
         verify::IoDecl{bus.name, static_cast<unsigned>(bus.nets.size())});
   std::ostringstream os;
-  os << mismatch.describe(decls, lanes) << "(seed " << result.seed << ")";
+  os << mismatch.describe(decls, lanes > 1) << "(seed " << result.seed << ")";
   result.counterexample = os.str();
   return result;
 }

@@ -32,7 +32,7 @@ struct Gen {
 
   void random_op() {
     const Wire a = pick();
-    switch (rng() % 14) {
+    switch (rng() % 16) {
       case 0: pool.push_back(b.add(a, pick_w(a.width))); break;
       case 1: pool.push_back(b.sub(a, pick_w(a.width))); break;
       case 2:
@@ -59,6 +59,8 @@ struct Gen {
                                  static_cast<unsigned>(rng() % a.width)));
         break;
       case 13: pool.push_back(b.concat({a, pick()})); break;
+      case 14: pool.push_back(b.shlv(a, pick())); break;
+      case 15: pool.push_back(b.lshrv(a, pick())); break;
     }
     if (pool.back().width > 40)
       pool.back() = b.trunc(pool.back(), 40);  // keep widths sane

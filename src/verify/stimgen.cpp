@@ -142,19 +142,15 @@ Bits StimGen::next_value(Input& in) {
 
 Bits StimGen::next(const std::string& name) { return next_value(find(name)); }
 
-std::vector<std::uint64_t> StimGen::next_lanes(const std::string& name) {
-  std::vector<std::uint64_t> words(width_of(name));
-  next_lanes(name, words.data());
-  return words;
-}
-
-void StimGen::next_lanes(const std::string& name, std::uint64_t* out) {
+void StimGen::next_lanes(const std::string& name, unsigned lanes,
+                         std::uint64_t* out) {
   Input& in = find(name);
   const Bits lane0 = next_value(in);
+  const unsigned lw = (lanes + 63) / 64;
   for (unsigned i = 0; i < in.width; ++i) {
-    std::uint64_t w = next_u64(in.lane_state);
-    w = (w & ~1ull) | (lane0.bit(i) ? 1u : 0u);
-    out[i] = w;
+    std::uint64_t* words = out + std::size_t{i} * lw;
+    for (unsigned g = 0; g < lw; ++g) words[g] = next_u64(in.lane_state);
+    words[0] = (words[0] & ~1ull) | (lane0.bit(i) ? 1u : 0u);
   }
 }
 

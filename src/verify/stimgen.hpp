@@ -68,15 +68,14 @@ public:
   /// Next scalar vector for an input (advances only that input's stream).
   Bits next(const std::string& name);
 
-  /// Next 64-lane stimulus: element i holds bit i's 64 lane values.  Lane 0
-  /// follows the declared constraint (identical to the scalar stream);
-  /// lanes 1..63 are uniform, matching the 64-lane engines' use as a wide
-  /// random-vector batch.
-  std::vector<std::uint64_t> next_lanes(const std::string& name);
-
-  /// Allocation-free variant: writes width_of(name) lane words into `out`.
-  /// Same stream as the allocating overload.
-  void next_lanes(const std::string& name, std::uint64_t* out);
+  /// Next lane-parallel stimulus for `lanes` lanes, written to `out` in the
+  /// CoSim lane layout: input bit i occupies the ceil(lanes / 64) words
+  /// from out[i * ceil(lanes / 64)], lane l in bit l % 64 of word l / 64.
+  /// Lane 0 follows the declared constraint (identical to the scalar
+  /// stream); the other lanes are uniform.  Up to 64 lanes draw the same
+  /// words at every lane count.
+  void next_lanes(const std::string& name, unsigned lanes,
+                  std::uint64_t* out);
 
   /// Restart every stream from the construction seed.
   void restart();
@@ -87,7 +86,7 @@ private:
     unsigned width = 0;
     StimConstraint c;
     std::uint64_t state = 0;   ///< splitmix64 state (constrained stream)
-    std::uint64_t lane_state = 0;  ///< splitmix64 state (lanes 1..63)
+    std::uint64_t lane_state = 0;  ///< splitmix64 state (lanes 1 and up)
     Bits held;                 ///< kSticky current value / kBitToggle walker
     unsigned hold_left = 0;    ///< kSticky cycles remaining
   };

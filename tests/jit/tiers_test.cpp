@@ -5,21 +5,24 @@
 // the widest tier the host has, so on an AVX-512 host the other native
 // suites never compile the AVX2 or the one-word tier.  NativeTiers turns
 // the tiers off one at a time through CodegenOptions::extra_flags and
-// checks every lane of the ExpoCU histogram and threshold (RTL and gate
-// level) and a random module against the oracles: the RTL interpreter
-// and the gate event engine, one scalar run per lane.  Every compile must
-// load and be silent (no -Wpsabi notes), and the emitted sources include
-// nothing but <cstdint> and name no intrinsics.
+// co-simulates every lane of the ExpoCU histogram and threshold (RTL and
+// gate level) and a random module against the oracles: the RTL
+// interpreter and the gate event engine, one per lane
+// (verify::ReplicaModel).  Every compile must load and be silent (no
+// -Wpsabi notes), and the emitted sources include nothing but <cstdint>
+// and name no intrinsics.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "../testutil.hpp"
 #include "expocu/hw.hpp"
 #include "gate/codegen.hpp"
 #include "gate/lower.hpp"
@@ -28,7 +31,7 @@
 #include "jit/jit.hpp"
 #include "rtl/codegen.hpp"
 #include "rtl/sim.hpp"
-#include "sysc/bits.hpp"
+#include "verify/cosim.hpp"
 #include "verify/random_module.hpp"
 #include "verify/stimgen.hpp"
 
@@ -56,25 +59,6 @@ rtl::Module design(const std::string& name) {
   return random_design();
 }
 
-/// stim[c][i][l]: value of input i in cycle c on lane l, masked to the
-/// port width.
-using Stimulus = std::vector<std::vector<std::vector<std::uint64_t>>>;
-
-Stimulus make_stimulus(const std::vector<unsigned>& widths, unsigned lanes,
-                       std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  Stimulus st(kCycles, std::vector<std::vector<std::uint64_t>>(
-                           widths.size(), std::vector<std::uint64_t>(lanes)));
-  for (auto& cycle : st)
-    for (std::size_t i = 0; i < widths.size(); ++i)
-      for (std::uint64_t& v : cycle[i])
-        v = rng() & (widths[i] >= 64 ? ~0ull : (1ull << widths[i]) - 1);
-  return st;
-}
-
-/// expected[l][c][o]: output o after cycle c of lane l's scalar oracle run.
-using Trace = std::vector<std::vector<std::vector<sysc::Bits>>>;
-
 struct Case {
   std::string design;  ///< histogram / threshold / random
   bool gate;           ///< gate level (lowered) instead of RTL
@@ -92,8 +76,8 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 
 class NativeTiers : public ::testing::TestWithParam<Case> {};
 
-/// One design at one lane count: the oracle runs every lane once, then
-/// each tier's native engine runs all lanes at once and must match.
+/// One design at one lane count: one co-simulation scores each tier's
+/// native engine against one oracle per lane.
 TEST_P(NativeTiers, EveryLaneMatchesTheOracle) {
   if (jit::jit_disabled_by_env()) GTEST_SKIP() << "OSSS_NO_JIT set";
 #if !defined(__x86_64__)
@@ -101,79 +85,42 @@ TEST_P(NativeTiers, EveryLaneMatchesTheOracle) {
 #endif
   const Case& tc = GetParam();
   const rtl::Module m = design(tc.design);
+  const gate::Netlist nl = gate::lower_to_gates(m);
   const std::uint64_t seed = verify::StimGen::derive(
       verify::env_seed(7301), "native-tiers/" + case_name({tc, 0}));
 
-  std::vector<std::string> ins, outs;
-  std::vector<unsigned> in_widths;
-  for (const rtl::PortRef& p : m.inputs()) {
-    ins.push_back(p.name);
-    in_widths.push_back(m.node(p.node).width);
-  }
-  for (const rtl::PortRef& p : m.outputs()) outs.push_back(p.name);
-  const Stimulus st = make_stimulus(in_widths, tc.lanes, seed);
-
-  Trace expected(tc.lanes);
-  if (tc.gate) {
-    const gate::Netlist nl = gate::lower_to_gates(m);
-    for (unsigned l = 0; l < tc.lanes; ++l) {
-      gate::Simulator ref(nl, gate::SimMode::kEvent);
-      for (unsigned c = 0; c < kCycles; ++c) {
-        for (std::size_t i = 0; i < ins.size(); ++i)
-          ref.set_input(ins[i], st[c][i][l]);
-        ref.step();
-        auto& row = expected[l].emplace_back();
-        for (const std::string& o : outs) row.push_back(ref.output(o));
-      }
-    }
-    for (const char* flags : kTierFlags) {
-      SCOPED_TRACE(std::string("extra_flags \"") + flags + "\"");
-      gate::CodegenOptions opt;
-      opt.extra_flags = flags;
-      gate::Simulator sim(nl, gate::SimMode::kNative, tc.lanes, opt);
-      ASSERT_TRUE(sim.native().native()) << sim.native().compile_log();
-      EXPECT_EQ(sim.native().compile_log(), "");
-      for (unsigned c = 0; c < kCycles; ++c) {
-        for (std::size_t i = 0; i < ins.size(); ++i)
-          sim.set_input_values(ins[i], st[c][i]);
-        sim.step();
-        for (std::size_t o = 0; o < outs.size(); ++o)
-          for (unsigned l = 0; l < tc.lanes; ++l)
-            ASSERT_EQ(sim.output_lane(outs[o], l), expected[l][c][o])
-                << "cycle " << c << " output " << outs[o] << " lane " << l;
-      }
-    }
-    return;
-  }
-
-  for (unsigned l = 0; l < tc.lanes; ++l) {
-    rtl::Simulator ref(m, rtl::SimMode::kInterp);
-    for (unsigned c = 0; c < kCycles; ++c) {
-      for (std::size_t i = 0; i < ins.size(); ++i)
-        ref.set_input(ins[i], st[c][i][l]);
-      ref.step();
-      auto& row = expected[l].emplace_back();
-      for (const std::string& o : outs) row.push_back(ref.output(o));
-    }
-  }
+  std::vector<std::unique_ptr<verify::Model>> tiers;
   for (const char* flags : kTierFlags) {
     SCOPED_TRACE(std::string("extra_flags \"") + flags + "\"");
-    rtl::tape::CodegenOptions opt;
-    opt.extra_flags = flags;
-    rtl::Simulator sim(m, rtl::SimMode::kNative, tc.lanes, opt);
-    ASSERT_TRUE(sim.native().native()) << sim.native().compile_log();
-    EXPECT_EQ(sim.native().compile_log(), "");
-    for (unsigned c = 0; c < kCycles; ++c) {
-      for (std::size_t i = 0; i < ins.size(); ++i)
-        sim.set_input_values(sim.input_handle(ins[i]), st[c][i]);
-      sim.step();
-      for (std::size_t o = 0; o < outs.size(); ++o)
-        for (unsigned l = 0; l < tc.lanes; ++l)
-          ASSERT_EQ(sim.output_lane(sim.output_handle(outs[o]), l),
-                    expected[l][c][o])
-              << "cycle " << c << " output " << outs[o] << " lane " << l;
+    const std::string name = std::string("native[") + flags + "]";
+    bool loaded;
+    std::string log;
+    if (tc.gate) {
+      gate::CodegenOptions opt;
+      opt.extra_flags = flags;
+      auto g = std::make_unique<verify::GateModel>(nl, gate::SimMode::kNative,
+                                                   tc.lanes, opt, name);
+      loaded = g->sim().native().native();
+      log = g->sim().native().compile_log();
+      tiers.push_back(std::move(g));
+    } else {
+      rtl::tape::CodegenOptions opt;
+      opt.extra_flags = flags;
+      auto r = std::make_unique<verify::RtlModel>(m, rtl::SimMode::kNative,
+                                                  tc.lanes, opt, name);
+      loaded = r->sim().native().native();
+      log = r->sim().native().compile_log();
+      tiers.push_back(std::move(r));
     }
+    ASSERT_TRUE(loaded) << log;
+    EXPECT_EQ(log, "");
   }
+  if (tc.gate)
+    testutil::expect_lanes_match(nl, testutil::event(nl), std::move(tiers),
+                                 seed, kCycles);
+  else
+    testutil::expect_lanes_match(m, testutil::interp(m), std::move(tiers),
+                                 seed, kCycles);
 }
 
 std::vector<Case> all_cases() {

@@ -87,7 +87,7 @@ TEST(OptProperty, AnyPassOrderPreservesEquivalence) {
       const gate::Netlist out = p.run(in);
       gate::EquivOptions eo;
       eo.sequences = 1;
-      eo.cycles = 48;
+      eo.cycles = 8;
       eo.seed = verify::StimGen::derive(verify::env_seed(6163),
                                         "opt_prop/order/" + in.name());
       eo.mode_b = gate::SimMode::kNative;  // the 64-lane interpreter

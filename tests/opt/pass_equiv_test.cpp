@@ -50,7 +50,7 @@ gate::EquivResult check(const gate::Netlist& before, const gate::Netlist& after,
                         std::uint64_t seed) {
   gate::EquivOptions eo;
   eo.sequences = 1;
-  eo.cycles = 48;
+  eo.cycles = 8;
   eo.seed = seed;
   eo.mode_a = gate::SimMode::kEvent;
   eo.mode_b = gate::SimMode::kNative;  // the 64-lane interpreter

@@ -19,7 +19,9 @@
 #include <memory>
 #include <random>
 
+#include "../testutil.hpp"
 #include "expocu/flows.hpp"
+#include "par/batch.hpp"
 #include "rtl/builder.hpp"
 #include "rtl/sim.hpp"
 #include "verify/cosim.hpp"
@@ -38,22 +40,26 @@ bool jit_disabled() {
   return nj != nullptr && *nj != '\0' && *nj != '0';
 }
 
-/// Interpreter (reference) vs kTape's lane switch vs kNative.
+/// Interpreter (the reference, one per lane) vs kTape's lane switch vs
+/// kNative, two sequences, every lane scored.  kTape stops at 64 lanes, so
+/// a wider run checks it at 64 in a co-sim of its own.
 void expect_three_way_match(const Module& m, std::uint64_t seed,
                             unsigned cycles, unsigned lanes,
                             tp::CodegenOptions opt) {
-  verify::CoSim cs;
-  cs.add(std::make_unique<verify::RtlModel>(m));  // reference: interpreter
-  cs.add(std::make_unique<verify::RtlModel>(
-      m, SimMode::kTape, std::min(lanes, 64u)));
-  cs.add(std::make_unique<verify::RtlModel>(m, SimMode::kNative, lanes,
-                                            std::move(opt), "rtl:native"));
-  cs.declare_io(m);
-  verify::StimGen gen(seed);
-  cs.declare_stimulus(gen);
-  const verify::RunResult r = cs.run(gen, cycles, 2);
-  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), lanes > 1) << " seed "
-                    << seed;
+  auto tape = std::make_unique<verify::RtlModel>(m, SimMode::kTape,
+                                                 std::min(lanes, 64u));
+  auto native = std::make_unique<verify::RtlModel>(
+      m, SimMode::kNative, lanes, std::move(opt), "rtl:native");
+  const auto check = [&](std::vector<std::unique_ptr<verify::Model>> duts) {
+    testutil::expect_lanes_match(m, testutil::interp(m), std::move(duts),
+                                 seed, cycles, 2);
+  };
+  if (lanes > 64) {
+    check(testutil::models(std::move(tape)));
+    check(testutil::models(std::move(native)));
+  } else {
+    check(testutil::models(std::move(tape), std::move(native)));
+  }
 }
 
 // --- differential fuzz over random_module shapes (fallback dispatch) -------
@@ -62,7 +68,7 @@ class NativeFuzz : public ::testing::TestWithParam<unsigned> {};
 
 void run_fuzz_case(const char* variant,
                    const verify::RandomModuleOptions& opt, unsigned index,
-                   unsigned lanes) {
+                   unsigned lanes, unsigned cycles) {
   const std::uint64_t seed = verify::StimGen::derive(
       verify::env_seed(7301),
       std::string("native/") + variant + "/" + std::to_string(index));
@@ -70,40 +76,39 @@ void run_fuzz_case(const char* variant,
   const Module m = verify::random_module(rng, opt);
   tp::CodegenOptions copt;
   copt.force_fallback = true;  // corpus sweep: no per-case compile cost
-  expect_three_way_match(m, seed, 100, lanes, std::move(copt));
+  expect_three_way_match(m, seed, cycles, lanes, std::move(copt));
 }
 
 TEST_P(NativeFuzz, MatchesInterpreter) {
-  run_fuzz_case("base", {40, false, false, false}, GetParam(), 1);
+  run_fuzz_case("base", {40, false, false, false}, GetParam(), 1, 100);
 }
 
 TEST_P(NativeFuzz, WithMemories) {
-  run_fuzz_case("mem", {32, true, false, false}, GetParam(), 1);
+  run_fuzz_case("mem", {32, true, false, false}, GetParam(), 1, 100);
 }
 
 TEST_P(NativeFuzz, WithSharedMuxShapes) {
-  run_fuzz_case("shared", {32, false, true, false}, GetParam(), 1);
+  run_fuzz_case("shared", {32, false, true, false}, GetParam(), 1, 100);
 }
 
 TEST_P(NativeFuzz, WithPolymorphicDispatch) {
-  run_fuzz_case("poly", {32, false, false, true}, GetParam(), 1);
+  run_fuzz_case("poly", {32, false, false, true}, GetParam(), 1, 100);
 }
 
 TEST_P(NativeFuzz, WithEverything) {
-  run_fuzz_case("all", {48, true, true, true}, GetParam(), 1);
+  run_fuzz_case("all", {48, true, true, true}, GetParam(), 1, 100);
 }
 
-/// 64-lane fallback: the CoSim scores all 64 lanes against the interpreted
-/// tape and the scalar interpreter.
+/// 64 lanes: every lane of the interpreted tape and the threaded handlers
+/// against its own interpreter.
 TEST_P(NativeFuzz, SixtyFourLanes) {
-  run_fuzz_case("lanes64", {32, true, false, false}, GetParam(), 64);
+  run_fuzz_case("lanes64", {32, true, false, false}, GetParam(), 64, 40);
 }
 
-/// Wider than kTape's cap: 256 lanes join the co-sim as a broadcast scalar
-/// model, so lane 0 of the wide arena is checked and the multi-word enable
-/// masks in step() get exercised.
+/// Wider than kTape's cap: all 256 lanes of the threaded handlers are
+/// scored, which exercises the multi-word enable masks in step().
 TEST_P(NativeFuzz, WideLanes) {
-  run_fuzz_case("lanes256", {32, true, false, false}, GetParam(), 256);
+  run_fuzz_case("lanes256", {32, true, false, false}, GetParam(), 256, 12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NativeFuzz,
@@ -135,7 +140,7 @@ TEST(NativeJit, WideLanesCompileAndMatch) {
   std::mt19937_64 rng(seed);
   const Module m = verify::random_module(
       rng, verify::RandomModuleOptions{40, true, false, false});
-  expect_three_way_match(m, seed, 80, 192, {});
+  expect_three_way_match(m, seed, 24, 192, {});
 }
 
 /// Both flows' ExpoCU components through the real JIT, three-way checked.
@@ -285,9 +290,8 @@ TEST(NativeBatch, WideLaneBlocksMatchScalarBlocks) {
   for (const PortRef& p : m.inputs()) in_widths.push_back(m.node(p.node).width);
   for (const PortRef& p : m.outputs())
     out_widths.push_back(m.node(p.node).width);
-  unsigned in_bits = 0, out_bits = 0;
+  unsigned in_bits = 0;
   for (unsigned w : in_widths) in_bits += w;
-  for (unsigned w : out_widths) out_bits += w;
 
   // Scalar reference: one block per lane.
   std::vector<par::StimulusBlock> scalar(kLanes);
@@ -300,42 +304,32 @@ TEST(NativeBatch, WideLaneBlocksMatchScalarBlocks) {
         scalar[l].in_at(c, s) = rng();
   run_batch(m, SimMode::kInterp, scalar);
 
-  // One wide-lane native block carrying the same stimulus.
+  // One wide-lane native block carrying the same stimulus, transposed port
+  // by port (bit i of a port at `lw` words per bit).
   par::StimulusBlock wide =
       par::StimulusBlock::make(kCycles, in_bits * lw, kLanes);
-  for (unsigned c = 0; c < kCycles; ++c) {
-    unsigned slot = 0;
-    for (unsigned s = 0; s < in_widths.size(); ++s) {
-      for (unsigned bit = 0; bit < in_widths[s]; ++bit) {
-        for (unsigned l = 0; l < kLanes; ++l) {
-          const std::uint64_t masked =
-              scalar[l].in_at(c, s) &
-              (in_widths[s] >= 64 ? ~0ull
-                                  : ((std::uint64_t{1} << in_widths[s]) - 1));
-          wide.in_at(c, slot + bit * lw + l / 64) |=
-              ((masked >> bit) & 1u) << (l % 64);
-        }
-      }
-      slot += in_widths[s] * lw;
+  std::vector<std::uint64_t> values(kLanes);
+  for (unsigned c = 0; c < kCycles; ++c)
+    for (unsigned s = 0, slot = 0; s < in_widths.size();
+         slot += in_widths[s++] * lw) {
+      for (unsigned l = 0; l < kLanes; ++l) values[l] = scalar[l].in_at(c, s);
+      par::values_to_lane_words(values.data(), 1, kLanes, in_widths[s],
+                                &wide.in_at(c, slot));
     }
-  }
   std::vector<par::StimulusBlock> wide_batch;
   wide_batch.push_back(std::move(wide));
   run_batch(m, SimMode::kNative, wide_batch);
 
   const par::StimulusBlock& w = wide_batch.front();
-  for (unsigned c = 0; c < kCycles; ++c) {
-    unsigned slot = 0;
-    for (unsigned s = 0; s < out_widths.size(); ++s) {
-      for (unsigned bit = 0; bit < out_widths[s]; ++bit)
-        for (unsigned l = 0; l < kLanes; ++l)
-          ASSERT_EQ((w.out_at(c, slot + bit * lw + l / 64) >> (l % 64)) & 1u,
-                    (scalar[l].out_at(c, s) >> bit) & 1u)
-              << "cycle " << c << " output " << s << " bit " << bit
-              << " lane " << l;
-      slot += out_widths[s] * lw;
+  for (unsigned c = 0; c < kCycles; ++c)
+    for (unsigned s = 0, slot = 0; s < out_widths.size();
+         slot += out_widths[s++] * lw) {
+      par::lane_words_to_values(&w.out[c * w.out_slots + slot], kLanes,
+                                out_widths[s], values.data(), 1);
+      for (unsigned l = 0; l < kLanes; ++l)
+        ASSERT_EQ(values[l], scalar[l].out_at(c, s))
+            << "cycle " << c << " output " << s << " lane " << l;
     }
-  }
 }
 
 // --- value-per-lane I/O ----------------------------------------------------

@@ -8,9 +8,9 @@
 // different dispatch.  The module generator below builds 65–300-bit nodes
 // (random_module caps widths at 40 bits, so the fuzz corpus never reaches a
 // `*N` opcode), a wide register, a wide enabled register and a wide memory.
-// Every lane carries its own stimulus, and probed lanes are checked against
-// one interpreter each, so a wrong lane stride cannot hide behind
-// broadcast values.
+// Every lane carries its own stimulus and is checked against one
+// interpreter of its own (verify::ReplicaModel), so a wrong lane stride
+// cannot hide behind broadcast values.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,11 @@
 #include <tuple>
 #include <vector>
 
+#include "../testutil.hpp"
 #include "rtl/builder.hpp"
 #include "rtl/codegen.hpp"
 #include "rtl/sim.hpp"
+#include "verify/cosim.hpp"
 #include "verify/stimgen.hpp"
 
 namespace osss::rtl {
@@ -192,62 +194,6 @@ Module wide_module(unsigned index) {
   return WideGen(rng).build();
 }
 
-Bits random_bits(std::mt19937_64& rng, unsigned width) {
-  Bits v(width);
-  for (unsigned w = 0; w * 64 < width; ++w)
-    v.set_range(w * 64, Bits(std::min(64u, width - w * 64), rng()));
-  return v;
-}
-
-/// Drives every lane of each engine in `duts` (all with the same lane
-/// count) with its own random inputs for `cycles` cycles, and checks every
-/// output of lanes 0, 1, lanes/2 and lanes-1 against one interpreter per
-/// lane fed that lane's inputs.
-void expect_lanes_match_interp(const Module& m,
-                               std::vector<std::unique_ptr<Simulator>>& duts,
-                               std::uint64_t seed, unsigned cycles) {
-  const unsigned lanes = duts.front()->lanes();
-  const unsigned lw = duts.front()->lane_words();
-  const std::set<unsigned> probe_set{0u, std::min(1u, lanes - 1), lanes / 2,
-                                     lanes - 1};
-  const std::vector<unsigned> probes(probe_set.begin(), probe_set.end());
-  std::vector<std::unique_ptr<Simulator>> refs;
-  for (std::size_t i = 0; i < probes.size(); ++i)
-    refs.push_back(std::make_unique<Simulator>(m, SimMode::kInterp));
-
-  std::mt19937_64 rng(seed);
-  std::vector<Bits> values(lanes);
-  for (unsigned c = 0; c < cycles; ++c) {
-    for (std::uint32_t p = 0; p < m.inputs().size(); ++p) {
-      const InputHandle h{p};
-      const unsigned width = m.node(m.inputs()[p].node).width;
-      std::vector<std::uint64_t> bit_lanes(std::size_t{width} * lw, 0);
-      for (unsigned l = 0; l < lanes; ++l) {
-        values[l] = random_bits(rng, width);
-        for (unsigned bit = 0; bit < width; ++bit)
-          if (values[l].bit(bit))
-            bit_lanes[std::size_t{bit} * lw + l / 64] |= 1ull << (l % 64);
-      }
-      for (auto& dut : duts) dut->set_input_lanes(h, bit_lanes);
-      for (std::size_t i = 0; i < probes.size(); ++i)
-        refs[i]->set_input(h, values[probes[i]]);
-    }
-    for (std::uint32_t o = 0; o < m.outputs().size(); ++o) {
-      const OutputHandle h{o};
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        const Bits want = refs[i]->output(h);
-        for (auto& dut : duts)
-          ASSERT_EQ(dut->output_lane(h, probes[i]), want)
-              << sim_mode_name(dut->mode()) << " x" << lanes << ": output "
-              << m.outputs()[o].name << " lane " << probes[i] << " cycle "
-              << c << " seed " << seed;
-      }
-    }
-    for (auto& dut : duts) dut->step();
-    for (auto& ref : refs) ref->step();
-  }
-}
-
 // --- kInterp vs kTape vs the threaded handlers ------------------------------
 
 class NativeWideFuzz : public ::testing::TestWithParam<unsigned> {};
@@ -256,13 +202,14 @@ TEST_P(NativeWideFuzz, TapeAndHandlersMatchInterpreter) {
   const Module m = wide_module(GetParam());
   tp::CodegenOptions fb;
   fb.force_fallback = true;
-  for (const unsigned lanes : {1u, 64u}) {
-    std::vector<std::unique_ptr<Simulator>> duts;
-    duts.push_back(std::make_unique<Simulator>(m, SimMode::kTape, lanes));
-    duts.push_back(
-        std::make_unique<Simulator>(m, SimMode::kNative, lanes, fb));
-    expect_lanes_match_interp(m, duts, module_seed(GetParam()) + lanes, 60);
-  }
+  for (const unsigned lanes : {1u, 64u})
+    testutil::expect_lanes_match(
+        m, testutil::interp(m),
+        testutil::models(
+            std::make_unique<verify::RtlModel>(m, SimMode::kTape, lanes),
+            std::make_unique<verify::RtlModel>(m, SimMode::kNative, lanes,
+                                               fb)),
+        module_seed(GetParam()) + lanes, 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideFuzz,
@@ -278,13 +225,14 @@ class NativeWideJit
 TEST_P(NativeWideJit, CompiledMatchesInterpreter) {
   const auto [index, lanes] = GetParam();
   const Module m = wide_module(index);
-  std::vector<std::unique_ptr<Simulator>> duts;
-  duts.push_back(std::make_unique<Simulator>(m, SimMode::kNative, lanes));
+  auto jit = std::make_unique<verify::RtlModel>(m, SimMode::kNative, lanes);
   if (!jit_disabled()) {
-    ASSERT_TRUE(duts.front()->native().native())
-        << duts.front()->native().compile_log();
+    ASSERT_TRUE(jit->sim().native().native())
+        << jit->sim().native().compile_log();
   }
-  expect_lanes_match_interp(m, duts, module_seed(index) + lanes, 40);
+  testutil::expect_lanes_match(m, testutil::interp(m),
+                               testutil::models(std::move(jit)),
+                               module_seed(index) + lanes, 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideJit,

@@ -12,6 +12,7 @@
 #include <memory>
 #include <random>
 
+#include "../testutil.hpp"
 #include "expocu/flows.hpp"
 #include "gate/lower.hpp"
 #include "rtl/builder.hpp"
@@ -33,19 +34,16 @@ Module xor_pipe() {
   return b.take();
 }
 
-/// Differentially run interpreter vs tape on `m` and fail with the CoSim
-/// counterexample if they ever diverge.
+/// Differentially run one interpreter per lane vs the tape on `m`, every
+/// lane scored, and fail with the CoSim counterexample if they ever
+/// diverge.
 void expect_tape_matches_interp(const Module& m, std::uint64_t seed,
                                 unsigned cycles, unsigned lanes = 1) {
-  verify::CoSim cs;
-  cs.add(std::make_unique<verify::RtlModel>(m));  // reference: interpreter
-  cs.add(std::make_unique<verify::RtlModel>(m, SimMode::kTape, lanes));
-  cs.declare_io(m);
-  verify::StimGen gen(seed);
-  cs.declare_stimulus(gen);
-  const verify::RunResult r = cs.run(gen, cycles, 2);
-  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), lanes > 1) << " seed "
-                    << seed;
+  testutil::expect_lanes_match(
+      m, testutil::interp(m),
+      testutil::models(
+          std::make_unique<verify::RtlModel>(m, SimMode::kTape, lanes)),
+      seed, cycles, 2);
 }
 
 // --- differential property tests over random_module shapes -----------------
@@ -82,8 +80,8 @@ TEST_P(TapeFuzz, WithEverything) {
   run_fuzz_case("all", {48, true, true, true}, GetParam());
 }
 
-/// Multi-lane tape vs the interpreter: the run degrades to scalar (the
-/// interpreter has one lane) but lane 0 of the tape must still agree.
+/// 64-lane tape vs one interpreter per lane: every lane, lane 0 included,
+/// must agree.
 TEST_P(TapeFuzz, MultiLaneLaneZeroMatchesInterpreter) {
   const std::uint64_t seed = verify::StimGen::derive(
       verify::env_seed(6271), "tape/lanes/" + std::to_string(GetParam()));
@@ -91,7 +89,7 @@ TEST_P(TapeFuzz, MultiLaneLaneZeroMatchesInterpreter) {
   const Module m =
       verify::random_module(rng, verify::RandomModuleOptions{32, true, false,
                                                              false});
-  expect_tape_matches_interp(m, seed, 80, 64);
+  expect_tape_matches_interp(m, seed, 40, 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TapeFuzz,

@@ -2,12 +2,61 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "meta/class_desc.hpp"
+#include "verify/cosim.hpp"
 
 namespace osss::testutil {
+
+/// Co-simulates `duts` (one lane count) against `reference` built once per
+/// lane (verify::ReplicaModel): `sequences` runs of `cycles` cycles of
+/// StimGen(seed) stimulus on `design`'s ports, every lane scored.  Fails
+/// the test on a mismatch or a short vector count, and returns the run.
+template <class Design>
+verify::RunResult expect_lanes_match(
+    const Design& design, const verify::ReplicaModel::Factory& reference,
+    std::vector<std::unique_ptr<verify::Model>> duts, std::uint64_t seed,
+    unsigned cycles, unsigned sequences = 1) {
+  const unsigned lanes = duts.front()->lanes();
+  verify::CoSim cs;
+  cs.add(std::make_unique<verify::ReplicaModel>(lanes, reference));
+  for (auto& dut : duts) cs.add_model(std::move(dut));
+  cs.declare_io(design);
+  verify::StimGen gen(seed);
+  cs.declare_stimulus(gen);
+  verify::RunResult r = cs.run(gen, cycles, sequences);
+  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), lanes > 1) << " x"
+                    << lanes << " seed " << seed;
+  EXPECT_EQ(r.vectors, std::uint64_t{cycles} * sequences * lanes);
+  return r;
+}
+
+/// One RTL interpreter, the reference of expect_lanes_match on a module.
+inline verify::ReplicaModel::Factory interp(const rtl::Module& m) {
+  return [&m] { return std::make_unique<verify::RtlModel>(m); };
+}
+
+/// One gate event engine, the reference of expect_lanes_match on a
+/// netlist.
+inline verify::ReplicaModel::Factory event(const gate::Netlist& nl) {
+  return [&nl] {
+    return std::make_unique<verify::GateModel>(nl, gate::SimMode::kEvent,
+                                               "event");
+  };
+}
+
+/// `models` as a vector (initializer lists cannot hold move-only values).
+template <class... M>
+std::vector<std::unique_ptr<verify::Model>> models(std::unique_ptr<M>... m) {
+  std::vector<std::unique_ptr<verify::Model>> out;
+  (out.push_back(std::move(m)), ...);
+  return out;
+}
 
 /// The paper's SyncRegister<REGSIZE, RESETVALUE> as the analyzer sees it:
 /// a shift register with reset value, LSB-in Write and rising-edge detect

@@ -1,5 +1,6 @@
 // Tests for the lockstep co-simulation driver: multi-level agreement,
-// lane accounting, scoreboard mismatch reporting and trace replay.
+// lane accounting and the one-lane-count rule, scoreboard mismatch
+// reporting and trace replay.
 
 #include "verify/cosim.hpp"
 
@@ -62,6 +63,17 @@ rtl::Module xor_pipe(const char* reg_name = "q") {
   return b.take();
 }
 
+/// `nl` with its first xor2 flipped to xnor2: a single-gate mutation.
+gate::Netlist xnor_mutant(gate::Netlist nl) {
+  for (gate::NetId id = 0; id < nl.cells().size(); ++id)
+    if (nl.cells()[id].kind == gate::CellKind::kXor2) {
+      nl.mutate_cell(id, gate::CellKind::kXnor2);
+      return nl;
+    }
+  ADD_FAILURE() << "no xor2 to mutate";
+  return nl;
+}
+
 TEST(CoSim, ThreeLevelsAgreeOnBehaviour) {
   const hls::Behavior beh = pulse_behavior();
   CoSim cs;
@@ -95,38 +107,36 @@ TEST(CoSim, BitParallelPairScores64LanesPerCycle) {
   EXPECT_EQ(r.vectors, 50u * gate::Simulator::kLanes);
 }
 
-TEST(CoSim, MixedLaneModelsFallBackToScalar) {
+/// A co-sim has one lane count: a scalar model next to a 64-lane one is
+/// refused, and the same model replicated per lane scores all 64 lanes.
+TEST(CoSim, MismatchedLaneCountsThrow) {
   const rtl::Module m = xor_pipe();
+  CoSim mixed;
+  mixed.add(std::make_unique<RtlModel>(m));
+  mixed.add(lane_model(gate::lower_to_gates(m), "gate"));
+  mixed.declare_io(m);
+  StimGen gen(4);
+  mixed.declare_stimulus(gen);
+  EXPECT_THROW(mixed.run(gen, 40), std::invalid_argument);
+  EXPECT_THROW(mixed.run_trace(Trace{mixed.inputs(), {}}),
+               std::invalid_argument);
+
   CoSim cs;
-  cs.add(std::make_unique<RtlModel>(m));
+  cs.add(std::make_unique<ReplicaModel>(
+      64, [&m] { return std::make_unique<RtlModel>(m); }));
   cs.add(lane_model(gate::lower_to_gates(m), "gate"));
   cs.declare_io(m);
-  StimGen gen(4);
-  cs.declare_stimulus(gen);
   const RunResult r = cs.run(gen, 40);
-  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), false);
-  EXPECT_EQ(r.vectors, 40u);
+  EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), true);
+  EXPECT_EQ(r.vectors, 40u * 64u);
 }
 
 TEST(CoSim, ScoreboardCatchesInjectedFault) {
   const rtl::Module m = xor_pipe();
-  gate::Netlist good = gate::lower_to_gates(m);
-  gate::Netlist bad = gate::lower_to_gates(m);
-  // Flip the first 2-input logic gate found: a single-gate mutation.
-  bool mutated = false;
-  for (gate::NetId id = 0; id < bad.cells().size() && !mutated; ++id) {
-    const gate::CellKind k = bad.cells()[id].kind;
-    if (k == gate::CellKind::kXor2) {
-      bad.mutate_cell(id, gate::CellKind::kXnor2);
-      mutated = true;
-    }
-  }
-  ASSERT_TRUE(mutated);
-
+  const gate::Netlist good = gate::lower_to_gates(m);
   CoSim cs;
-  cs.add(std::make_unique<GateModel>(std::move(good), gate::SimMode::kEvent,
-                                     "good"));
-  cs.add(std::make_unique<GateModel>(std::move(bad), gate::SimMode::kEvent,
+  cs.add(std::make_unique<GateModel>(good, gate::SimMode::kEvent, "good"));
+  cs.add(std::make_unique<GateModel>(xnor_mutant(good), gate::SimMode::kEvent,
                                      "bad"));
   cs.declare_io(m);
   StimGen gen(5);
@@ -147,18 +157,9 @@ TEST(CoSim, ScoreboardCatchesInjectedFault) {
 
 TEST(CoSim, FailingLaneExtractedFromWideRun) {
   const rtl::Module m = xor_pipe();
-  gate::Netlist bad = gate::lower_to_gates(m);
-  bool mutated = false;
-  for (gate::NetId id = 0; id < bad.cells().size() && !mutated; ++id) {
-    if (bad.cells()[id].kind == gate::CellKind::kXor2) {
-      bad.mutate_cell(id, gate::CellKind::kXnor2);
-      mutated = true;
-    }
-  }
-  ASSERT_TRUE(mutated);
   CoSim cs;
   cs.add(lane_model(gate::lower_to_gates(m), "good"));
-  cs.add(lane_model(std::move(bad), "bad"));
+  cs.add(lane_model(xnor_mutant(gate::lower_to_gates(m)), "bad"));
   cs.declare_io(m);
   StimGen gen(6);
   cs.declare_stimulus(gen);
@@ -167,6 +168,37 @@ TEST(CoSim, FailingLaneExtractedFromWideRun) {
   // Whatever lane failed, its scalar extraction must fail standalone too.
   const RunResult scalar = cs.run_trace(r.failing_trace);
   EXPECT_FALSE(scalar.ok);
+}
+
+/// Extraction past the first lane word: in a 256-lane run whose copies
+/// from lane 100 on are faulty, the reported lane is a faulty one, and its
+/// scalar trace fails a scalar good-vs-bad co-sim.
+TEST(CoSim, FailingLaneExtractedPastTheFirstLaneWord) {
+  const rtl::Module m = xor_pipe();
+  const gate::Netlist good = gate::lower_to_gates(m);
+  const gate::Netlist bad = xnor_mutant(good);
+  CoSim cs;
+  cs.add(std::make_unique<ReplicaModel>(256, [&] {
+    return std::make_unique<GateModel>(good, gate::SimMode::kEvent, "good");
+  }));
+  unsigned made = 0;
+  cs.add(std::make_unique<ReplicaModel>(256, [&] {
+    return std::make_unique<GateModel>(made++ < 100 ? good : bad,
+                                       gate::SimMode::kEvent, "dut");
+  }));
+  cs.declare_io(m);
+  StimGen gen(8);
+  cs.declare_stimulus(gen);
+  const RunResult r = cs.run(gen, 16);
+  ASSERT_FALSE(r.ok);
+  EXPECT_GE(r.mismatch.lane, 100u);
+  EXPECT_EQ(r.failing_trace.cycles.size(), r.mismatch.cycle + 1);
+
+  CoSim scalar;
+  scalar.add(std::make_unique<GateModel>(good, gate::SimMode::kEvent, "good"));
+  scalar.add(std::make_unique<GateModel>(bad, gate::SimMode::kEvent, "bad"));
+  scalar.declare_io(m);
+  EXPECT_FALSE(scalar.run_trace(r.failing_trace).ok);
 }
 
 TEST(CoSim, DescribeMentionsOutputAndInputs) {

@@ -115,15 +115,19 @@ TEST(StimGen, CornerBiasHitsCorners) {
 }
 
 TEST(StimGen, LanesCarryScalarStreamInLaneZero) {
-  StimGen scalar(23), wide(23);
+  StimGen scalar(23), wide(23), wider(23);
   scalar.declare("x", 9);
   wide.declare("x", 9);
+  wider.declare("x", 9);
+  std::uint64_t words[9], words256[9 * 4];
   for (int i = 0; i < 20; ++i) {
     const Bits v = scalar.next("x");
-    const std::vector<std::uint64_t> words = wide.next_lanes("x");
-    ASSERT_EQ(words.size(), 9u);
-    for (unsigned bi = 0; bi < 9; ++bi)
+    wide.next_lanes("x", 64, words);
+    wider.next_lanes("x", 256, words256);
+    for (unsigned bi = 0; bi < 9; ++bi) {
       EXPECT_EQ((words[bi] & 1u) != 0, v.bit(bi)) << "cycle " << i;
+      EXPECT_EQ((words256[bi * 4] & 1u) != 0, v.bit(bi)) << "cycle " << i;
+    }
   }
 }
 
