@@ -396,7 +396,8 @@ void BM_GateNativeLanesSim(benchmark::State& state) {
 // --- Cold JIT compile --------------------------------------------------------
 //
 // One frames design (RTL or gate level, histogram or threshold) at 256
-// lanes: each iteration emits the generated source and compiles it.  A
+// lanes: each iteration emits the generated parts and compiles them as the
+// engines do (concurrently, then linked into one object).  A
 // per-iteration -DOSSS_COLD_NONCE=<n> changes the cache key, so every
 // iteration misses the in-memory cache and runs the compiler, and the
 // disk cache is switched off for the row.  The time
@@ -420,12 +421,12 @@ void BM_JitColdCompile(benchmark::State& state, bool gate_level,
   for (auto _ : state) {
     jit::CompileOptions opt;
     opt.extra_flags = "-DOSSS_COLD_NONCE=" + std::to_string(++nonce);
-    const std::string src = gate_level
-                                ? gate::emit_netlist_cpp(nl, kColdLanes)
-                                : rtl::tape::emit_cpp(prog);
+    const jit::Parts parts = gate_level
+                                 ? gate::emit_netlist_cpp(nl, kColdLanes)
+                                 : rtl::tape::emit_cpp(prog);
     std::string log;
     const std::shared_ptr<jit::Object> obj =
-        jit::compile(src, opt, "osss-cold", log);
+        jit::compile(parts, opt, "osss-cold", log);
     if (obj == nullptr) {
       state.SkipWithError(("JIT compile failed: " + log).c_str());
       break;

@@ -14,18 +14,30 @@
 //     every change without per-cell diff tracking; memory read ports are
 //     grouped and gathered through one-hot row masks when the row count is
 //     small against the lane count (word ops instead of per-lane probes);
+//   * the source is a list of translation units (jit::Parts) that the JIT
+//     compiles concurrently and links into one object.  Part 0 holds the
+//     ABI symbols, `osss_gate_eval`'s dirty scan and `osss_gate_step`; the
+//     other parts hold hidden functions: level-range chunks (each runs the
+//     levels from `first` on within its range, every memory read group in
+//     its level) and the write-port commits, cut by the fixed
+//     emitted-size budget both emitters share (jit::kPartBytes), so the
+//     list never depends on the machine;
 //   * the DFF and memory-write-port commit is emitted *inside* the
-//     generated `osss_gate_step` entry point — sample offsets, depths,
-//     widths and dirty marks baked in, no C++ commit loop on the hot path;
+//     generated `osss_gate_step` entry point — the DFFs as a walk over
+//     constant tables of D/Q offsets and CSR dirty marks, each write port
+//     as one call with depth, width and dirty marks baked in, no engine
+//     commit loop on the hot path;
 //   * the engine holds a jit::Runtime, shared with the rtl backend: it
 //     owns the arena, memories, dirty levels, power-on snapshot and run
 //     counters, binds the generated code through the content-hash object
 //     cache and applies the one settle rule of both engines;
 //   * when the compile is off or unavailable (force_fallback, OSSS_NO_JIT,
-//     bogus $OSSS_CC, a sandboxed runner) the engine falls back *silently*
-//     to an interpreted level sweep over the same LW-word arena —
-//     bit-identical results.  That sweep is the repo's only gate-level
-//     lane interpreter; with force_fallback the source is never emitted.
+//     bogus $OSSS_CC, a sandboxed runner) the engine falls back to an
+//     interpreted level sweep over the same LW-word arena — bit-identical
+//     results.  A fallback that was not forced prints one stderr line per
+//     process (jit::Runtime::bind).  That sweep is the repo's only
+//     gate-level lane interpreter; with force_fallback the source is never
+//     emitted.
 //
 // Lanes: 1 (scalar) or any multiple of 64 up to kMaxLanes (512).  A "lane
 // word" packs 64 stimulus lanes of one single-bit net; 256 lanes = 4 words
@@ -97,12 +109,14 @@ struct Schedule {
   }
 };
 
-/// Generate the specialized C++ translation unit for `nl` at `lanes`
-/// stimulus lanes — exposed for tests and for inspecting what the backend
-/// actually compiles.
-std::string emit_netlist_cpp(const Netlist& nl, unsigned lanes);
+/// Generate the specialized C++ for `nl` at `lanes` stimulus lanes, as the
+/// translation units jit::compile links into one object — exposed for
+/// tests and for inspecting what the backend actually compiles.  Part 0
+/// holds the ABI symbols, the eval dispatch and the step; the level chunks
+/// and write-port commits follow.
+jit::Parts emit_netlist_cpp(const Netlist& nl, unsigned lanes);
 /// The same over a schedule already derived from `nl`.
-std::string emit_netlist_cpp(const Netlist& nl, const Schedule& s);
+jit::Parts emit_netlist_cpp(const Netlist& nl, const Schedule& s);
 
 /// Executes a levelized netlist through generated native code (dlopen) or
 /// the interpreted LW-word level sweep.  Owned by gate::Simulator behind

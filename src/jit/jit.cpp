@@ -1,5 +1,14 @@
 // jit.cpp — runtime compile + dlopen behind a two-level object cache.
 //
+// A design's parts compile as concurrent `-c` jobs and link into one .so.
+// Every compiler process of the process takes a slot first: at most as
+// many run at once as the calling thread's affinity mask has cpus.  Each
+// job runs on one of min(parts, cap) threads of its compile() call, so a
+// thread holds at most one slot and never waits for a slot while its own
+// compiler is unreaped; the jobs wait on the pids they spawned only.  A
+// failed job is flagged before its slot is given back, and a job checks
+// the flag once it holds a slot, so nothing starts after a failure.
+//
 // Level 1 is the in-process map of live objects (weak entries, so temp
 // dirs die with their last engine).  Level 2 is the optional persistent
 // directory ($OSSS_JIT_CACHE_DIR) shared across processes: artifacts are
@@ -15,12 +24,14 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <sched.h>
 #include <spawn.h>
 #include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
@@ -31,6 +42,8 @@
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <system_error>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -92,7 +105,7 @@ std::string resolve_compiler(const CompileOptions& opt) {
 }
 
 std::string default_flags() {
-  std::string flags = "-std=c++17 -O2 -fPIC -shared";
+  std::string flags = "-std=c++17 -O2 -fPIC";
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) flags += " -mavx2";
   if (__builtin_cpu_supports("avx512f")) flags += " -mavx512f";
@@ -143,6 +156,108 @@ int wait_exit(pid_t pid, const std::string& name, std::string& why) {
   return WEXITSTATUS(status);
 }
 
+/// Cpus in the calling thread's affinity mask (at least 1): the cap on
+/// compiler processes it may keep running.
+unsigned affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0)
+    return std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+}
+
+/// The process-wide count of running compiler processes.  A caller takes
+/// a slot while fewer than its cap run, and holds it from spawn to reap.
+struct Slots {
+  std::mutex mu;
+  std::condition_variable cv;
+  unsigned running = 0;
+
+  void acquire(unsigned cap) {
+    std::unique_lock<std::mutex> hold(mu);
+    cv.wait(hold, [&] { return running < cap; });
+    ++running;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> hold(mu);
+      --running;
+    }
+    cv.notify_all();
+  }
+};
+
+Slots& slots() {
+  static Slots s;
+  return s;
+}
+
+/// One compiler command of a build: its argv, the file its stdout and
+/// stderr go to, and how it ended.
+struct Job {
+  std::vector<std::string> argv;
+  std::string log_path;
+  bool ran = false;
+  int rc = -1;      ///< exit status; -1 when it could not run or died
+  std::string why;  ///< spawn / wait failure
+};
+
+/// Runs `job` in a compiler slot and waits for its pid, unless `failed`
+/// is set by the time the slot is taken.  A failure sets `failed` before
+/// the slot is given back, so a job waiting for that slot never starts.
+void run_job(Job& job, unsigned cap, std::atomic<bool>& failed) {
+  Slots& sl = slots();
+  sl.acquire(cap);
+  if (!failed) {
+    job.ran = true;
+    const int log_fd = ::open(job.log_path.c_str(),
+                              O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (log_fd < 0) {
+      job.why = "cannot create " + job.log_path;
+    } else {
+      const pid_t pid = spawn(job.argv, log_fd, log_fd, job.why);
+      ::close(log_fd);
+      if (pid > 0) job.rc = wait_exit(pid, job.argv[0], job.why);
+    }
+    if (job.rc != 0) failed = true;
+  }
+  sl.release();
+}
+
+/// Runs `jobs` on min(jobs, cap) threads, the calling one included.  No
+/// job starts after one has failed; every started job has been reaped when
+/// this returns.  Returns the failed job, or nullptr when all succeeded.
+const Job* run_jobs(std::vector<Job>& jobs, unsigned cap) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  const auto work = [&] {
+    for (std::size_t i; !failed && (i = next++) < jobs.size();)
+      run_job(jobs[i], cap, failed);
+  };
+  std::vector<std::thread> helpers;
+  for (std::size_t k = 1; k < std::min<std::size_t>(jobs.size(), cap); ++k) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // fewer threads: the ones running take the rest
+    }
+  }
+  work();
+  for (std::thread& t : helpers) t.join();
+  const auto bad = std::find_if(jobs.begin(), jobs.end(), [](const Job& j) {
+    return j.ran && j.rc != 0;
+  });
+  return bad != jobs.end() ? &*bad : nullptr;
+}
+
+/// What a job wrote to its log, then why it could not run, if it could not.
+std::string read_log(const Job& job) {
+  std::ifstream f(job.log_path);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str() + job.why;
+}
+
 /// Whitespace-separated words of a flag string, one argv entry each.
 std::vector<std::string> split_words(const std::string& s) {
   std::vector<std::string> out;
@@ -167,6 +282,7 @@ std::string compiler_version(const std::string& cc) {
   const int null_fd = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
   if (null_fd >= 0 && ::pipe2(fds, O_CLOEXEC) == 0) {
     std::string why;
+    slots().acquire(affinity_cpus());
     const pid_t pid = spawn({cc, "--version"}, fds[1], null_fd, why);
     ::close(fds[1]);
     std::string out;
@@ -177,6 +293,7 @@ std::string compiler_version(const std::string& cc) {
     ::close(fds[0]);
     if (pid > 0 && wait_exit(pid, cc, why) >= 0)
       ver = out.substr(0, out.find('\n'));
+    slots().release();
   }
   if (null_fd >= 0) ::close(null_fd);
   seen.emplace(cc, ver);
@@ -302,8 +419,8 @@ struct SlowResult {
 /// on a miss, publish the result.  Runs WITHOUT the cache mutex; same-key
 /// callers are serialized by the in-flight entry (in-process) and the
 /// per-key flock (cross-process).
-SlowResult compile_slow(const std::string& source, const CompileOptions& opt,
-                        const std::string& cc, const char* tag,
+SlowResult compile_slow(const Parts& parts, const CompileOptions& opt,
+                        const std::string& cc, unsigned cap, const char* tag,
                         std::uint64_t key, std::string& log) {
   SlowResult r;
   const DiskCache dc = disk_config();
@@ -344,44 +461,49 @@ SlowResult compile_slow(const std::string& source, const CompileOptions& opt,
     return done(std::move(r));
   }
   std::shared_ptr<Object> obj = ObjectAccess::make(key);
-  ObjectAccess::work_dir(*obj) = buf.data();
-  const std::string cpp = ObjectAccess::work_dir(*obj) + "/gen.cpp";
-  const std::string so = ObjectAccess::work_dir(*obj) + "/gen.so";
-  const std::string cc_log = ObjectAccess::work_dir(*obj) + "/cc.log";
-  {
-    std::ofstream f(cpp);
-    f << source;
+  const std::string dir = ObjectAccess::work_dir(*obj) = buf.data();
+  const std::string so = dir + "/gen.so";
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    std::ofstream f(dir + "/gen" + std::to_string(i) + ".cpp");
+    f << parts[i];
     if (!f) {
       log = "failed to write generated source";
       return done(std::move(r));  // obj dtor removes the dir
     }
   }
-  std::vector<std::string> argv =
+  // cc <flags> <args>, output to <dir>/<log_name>.
+  const std::vector<std::string> flags =
       split_words(default_flags() + " " + opt.extra_flags);
-  argv.insert(argv.begin(), cc);
-  argv.insert(argv.end(), {cpp, "-o", so});
-  std::string why;
-  int rc = -1;
-  const int log_fd =
-      ::open(cc_log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (log_fd < 0) {
-    why = "cannot create " + cc_log;
-  } else {
-    const pid_t pid = spawn(argv, log_fd, log_fd, why);
-    ::close(log_fd);
-    if (pid > 0) rc = wait_exit(pid, cc, why);
+  const auto job = [&](std::initializer_list<std::string> args,
+                       const std::string& log_name) {
+    Job j;
+    j.argv.push_back(cc);
+    j.argv.insert(j.argv.end(), flags.begin(), flags.end());
+    j.argv.insert(j.argv.end(), args);
+    j.log_path = dir + "/" + log_name;
+    return j;
+  };
+  // The parts compile to objects concurrently, then link.
+  std::vector<Job> parts_cc, link(1, job({"-shared"}, "link.log"));
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::string stem = dir + "/gen" + std::to_string(i);
+    parts_cc.push_back(job({"-c", stem + ".cpp", "-o", stem + ".o"},
+                           "cc" + std::to_string(i) + ".log"));
+    link[0].argv.push_back(stem + ".o");
   }
-  {
-    std::ifstream f(cc_log);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    ObjectAccess::log(*obj) = ss.str() + why;
-  }
-  if (rc != 0) {
-    log = ObjectAccess::log(*obj) +
-          "\n[compile failed; using interpreted dispatch]";
+  link[0].argv.insert(link[0].argv.end(), {"-o", so});
+  if (const Job* bad = run_jobs(parts_cc, cap)) {
+    log = read_log(*bad) + "\n[compile failed in part " +
+          std::to_string(bad - parts_cc.data()) + " of " +
+          std::to_string(parts.size()) + "; using interpreted dispatch]";
     return done(std::move(r));
   }
+  if (const Job* bad = run_jobs(link, cap)) {
+    log = read_log(*bad) + "\n[link failed; using interpreted dispatch]";
+    return done(std::move(r));
+  }
+  for (const Job& j : parts_cc) ObjectAccess::log(*obj) += read_log(j);
+  ObjectAccess::log(*obj) += read_log(link[0]);
   ObjectAccess::dl(*obj) = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (ObjectAccess::dl(*obj) == nullptr) {
     const char* err = dlerror();
@@ -411,8 +533,7 @@ void* Object::sym(const char* name) const noexcept {
   return dl_ != nullptr ? dlsym(dl_, name) : nullptr;
 }
 
-std::uint64_t source_hash(const std::string& source,
-                          const CompileOptions& opt) {
+std::uint64_t source_hash(const Parts& parts, const CompileOptions& opt) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](const std::string& s) {
     for (const char c : s) {
@@ -423,7 +544,8 @@ std::uint64_t source_hash(const std::string& source,
     h *= 0x100000001b3ull;
   };
   const std::string cc = resolve_compiler(opt);
-  mix(source);
+  mix(std::to_string(parts.size()));
+  for (const std::string& part : parts) mix(part);
   mix(cc);
   mix(compiler_version(cc));
   mix(default_flags());
@@ -431,19 +553,20 @@ std::uint64_t source_hash(const std::string& source,
   return h;
 }
 
-std::shared_ptr<Object> compile(const std::string& source,
-                                const CompileOptions& opt, const char* tag,
-                                std::string& log) {
+std::shared_ptr<Object> compile(const Parts& parts, const CompileOptions& opt,
+                                const char* tag, std::string& log) {
   if (!opt.keep_source.empty()) {
     std::ofstream f(opt.keep_source);
-    f << source;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      f << "// ---- part " << i << " of " << parts.size() << " ----\n"
+        << parts[i];
   }
   if (opt.force_fallback) {
     log = "native backend disabled; using interpreted dispatch";
     return nullptr;
   }
   const std::string cc = resolve_compiler(opt);
-  const std::uint64_t key = source_hash(source, opt);
+  const std::uint64_t key = source_hash(parts, opt);
 
   Cache& c = cache();
   std::shared_ptr<Inflight> fl;
@@ -485,7 +608,8 @@ std::shared_ptr<Object> compile(const std::string& source,
     }
   }
 
-  SlowResult r = compile_slow(source, opt, cc, tag, key, log);
+  SlowResult r =
+      compile_slow(parts, opt, cc, affinity_cpus(), tag, key, log);
 
   {
     std::lock_guard<std::mutex> hold(c.mu);

@@ -3,10 +3,29 @@
 #include "jit/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 
 namespace osss::jit {
 
 namespace {
+
+/// The one stderr line of a process whose generated code failed to load:
+/// the interpreted dispatch it falls back to is about ten times slower.
+void warn_fallback(const char* prefix, const std::string& log) {
+  static std::atomic<bool> warned{false};
+  if (warned.exchange(true)) return;
+  std::string first;
+  for (std::size_t at = 0; at < log.size() && first.empty();) {
+    const std::size_t end = std::min(log.find('\n', at), log.size());
+    first = log.substr(at, end - at);
+    at = end + 1;
+  }
+  std::fprintf(stderr,
+               "osss: native code for %s unavailable, using interpreted "
+               "dispatch (~10x slower; said once per process): %s\n",
+               prefix, first.c_str());
+}
 
 /// The ABI probe, shared by the post-compile check and the disk cache's
 /// load-time validation: a stale or truncated published artifact must fail
@@ -28,22 +47,24 @@ bool probe(const Object& obj, const Abi& abi) {
 
 }  // namespace
 
-void Runtime::bind(const std::function<std::string()>& emit,
+void Runtime::bind(const std::function<Parts()>& emit,
                    CompileOptions opt, const Abi& abi, WideFn wide,
                    void* ctx) {
   if (jit_disabled_by_env()) opt.force_fallback = true;
   // A forced fallback that keeps no source never reads it: compile()
   // returns before the source is used, so skip the emission.
-  const std::string src =
-      opt.force_fallback && opt.keep_source.empty() ? std::string() : emit();
+  const Parts src =
+      opt.force_fallback && opt.keep_source.empty() ? Parts{} : emit();
   opt.validate = [&abi](const Object& o) { return probe(o, abi); };
   std::string tag = abi.prefix;  // the temp dir prefix: osss-gate, osss-tape
   std::replace(tag.begin(), tag.end(), '_', '-');
   obj_ = compile(src, opt, tag.c_str(), log_);
-  if (obj_ == nullptr) return;
-  if (!probe(*obj_, abi)) {
+  if (obj_ != nullptr && !probe(*obj_, abi)) {
     log_ += "\n[ABI check failed; using interpreted dispatch]";
     obj_.reset();
+  }
+  if (obj_ == nullptr) {
+    if (!opt.force_fallback) warn_fallback(abi.prefix, log_);
     return;
   }
   const std::string p = abi.prefix;

@@ -74,12 +74,14 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Load the generated code.  Unless `opt.force_fallback` or OSSS_NO_JIT
-  /// say otherwise, emit() the source, compile it through the object cache
-  /// and bind its entry points once the ABI probe passes; the source is
-  /// emitted without compiling only when opt.keep_source asks for it.  On
-  /// any failure the engine stays on its interpreted sweep and
-  /// compile_log() says why.  The generated eval gets `wide` and `ctx`.
-  void bind(const std::function<std::string()>& emit, CompileOptions opt,
+  /// say otherwise, emit() the parts, compile them through the object
+  /// cache and bind the entry points once the ABI probe passes; the parts
+  /// are emitted without compiling only when opt.keep_source asks for it.
+  /// On any failure the engine stays on its interpreted sweep and
+  /// compile_log() says why; a failure that was not forced off also prints
+  /// one stderr line, quoting the log, the first time it happens in the
+  /// process.  The generated eval gets `wide` and `ctx`.
+  void bind(const std::function<Parts()>& emit, CompileOptions opt,
             const Abi& abi, WideFn wide = nullptr, void* ctx = nullptr);
   bool native() const noexcept { return eval_ != nullptr; }
   const std::string& compile_log() const noexcept { return log_; }

@@ -16,14 +16,20 @@
 //     guarded basic blocks over a shared `dirty` byte array.  Each
 //     instruction wider than one word is a call back into the engine
 //     (jit::WideFn), which runs its threaded handler, so the handlers hold
-//     the one multi-word implementation.  The engine compiles the source
-//     with the host toolchain (`$OSSS_CC`, else `c++`) into a shared
-//     object, dlopen()s it and drives the exported `osss_tape_eval` /
-//     `osss_tape_step` entry points.  When no compiler is available — or
-//     compilation, dlopen or the ABI check fails, or OSSS_CC points at
-//     garbage — it falls back *silently* to threaded-code dispatch: one
-//     specialized handler per opcode, bound per instruction at
-//     construction, each running its own lane loop.  1..tape::kMaxLanes
+//     the one multi-word implementation.  The source is a list of
+//     translation units (jit::Parts): part 0 holds the ABI symbols, the
+//     step and an eval that calls the level chunks, hidden functions of
+//     consecutive `if (D[level])` blocks cut by the fixed emitted-size
+//     budget both emitters share (jit::kPartBytes), one part each.  The
+//     engine compiles the parts concurrently with the host toolchain
+//     (`$OSSS_CC`, else `c++`), links them into one shared object,
+//     dlopen()s it and drives the exported `osss_tape_eval` /
+//     `osss_tape_step` entry points.  When no compiler
+//     is available — or compilation, dlopen or the ABI check fails, or
+//     OSSS_CC points at garbage — it falls back to threaded-code dispatch
+//     (saying so once per process on stderr unless the fallback was
+//     forced): one specialized handler per opcode, bound per instruction
+//     at construction, each running its own lane loop.  1..tape::kMaxLanes
 //     lanes; the generated code walks lane groups as GCC/Clang
 //     vector-extension values (8 lanes per op with AVX-512, 4 with AVX2,
 //     following the cpu-probed compile flags).
@@ -37,7 +43,7 @@
 // generated code, the C++ register/memory commit.  Results are
 // bit-identical across evaluators and against the interpreter.
 //
-// Engines whose emitted source is byte-identical share one loaded object
+// Engines whose emitted parts are byte-identical share one loaded object
 // (src/jit), and the temp dir is removed when the last engine using it dies.
 //
 // The interpreter (SimMode::kInterp) remains the oracle:
@@ -63,9 +69,11 @@ namespace osss::rtl::tape {
 /// skips the compile attempt entirely.
 using CodegenOptions = jit::CompileOptions;
 
-/// Generate the specialized C++ translation unit for `p` — exposed for
-/// tests and for inspecting what the backend actually compiles.
-std::string emit_cpp(const Program& p);
+/// Generate the specialized C++ for `p`, as the translation units
+/// jit::compile links into one object — exposed for tests and for
+/// inspecting what the backend actually compiles.  Part 0 holds the ABI
+/// symbols, the step and the eval dispatch; the level chunks follow.
+jit::Parts emit_cpp(const Program& p);
 
 /// How an engine evaluates its tape (see the file comment).
 enum class Evaluator : std::uint8_t {

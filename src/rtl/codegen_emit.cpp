@@ -1,13 +1,18 @@
 // codegen_emit.cpp — lower a compiled tape::Program into specialized C++.
 //
-// The generated translation unit is self-contained: a prelude of lane-vector
-// helpers (vector-extension types whose width follows the flags the host
-// compile passes) followed by one straight-line statement per tape
-// instruction, grouped into `if (D[level])` guarded basic blocks that
-// mirror the interpreter's level-granular activity gating.  Arena offsets,
-// widths, masks, shift amounts and fanout-level marks are baked in as
-// literals; single-word constants from the pool are inlined as immediates
-// (`K{...}` operands, broadcast across a lane vector).
+// The output is a list of self-contained translation units (jit::Parts),
+// each opening with a prelude of lane-vector helpers (vector-extension
+// types whose width follows the flags the host compile passes).  The code
+// is one straight-line statement per tape instruction, grouped into
+// `if (D[level])` guarded basic blocks that mirror the interpreter's
+// level-granular activity gating.  Consecutive blocks form hidden chunk
+// functions `tape_levels_<k>`, one part each, cut once a chunk's code
+// reaches jit::kPartBytes; part 0 holds the ABI symbols, `osss_tape_step`
+// and an `osss_tape_eval` that calls the chunks in order, and the jit
+// compiles the parts concurrently.  Arena offsets, widths, masks, shift
+// amounts and fanout-level marks are baked in as literals; single-word
+// constants from the pool are inlined as immediates (`K{...}` operands,
+// broadcast across a lane vector).
 //
 // Only single-word instructions are compiled: those whose result and every
 // operand fit one word per lane.  Each multi-word one is a single call back
@@ -34,6 +39,11 @@ namespace osss::rtl::tape {
 namespace {
 
 using detail::mask64;
+
+/// The parameters of a level chunk: those of the eval that calls it.
+constexpr const char* kChunkParams =
+    "(u64* A, u64* const* M, unsigned char* D, "
+    "bool (*X)(void*, unsigned) noexcept, void* C)";
 
 /// True when the result and every operand of `ins` fit one word per lane,
 /// so the generated code computes it rather than calling back.
@@ -348,18 +358,71 @@ struct Emitter {
     return sat;
   }
 
-  std::string run() {
-    os << jit::prelude_header();
-    os << "constexpr int L = " << p.lanes << ";\n";
-    os << jit::vector_prelude();
-    os << jit::step_prelude();
-    os << "}  // namespace\n\n";
-    std::ostringstream body;
-    body.swap(os);  // emit the step entry first to learn the scratch size
-    const std::uint64_t scratch = emit_step();
-    std::ostringstream step;
-    step.swap(os);
-    os.swap(body);
+  /// Whatever the emitter wrote since the last take().
+  std::string take() {
+    std::string out = os.str();
+    os.str("");
+    return out;
+  }
+
+  /// What every part starts with: the preludes and the lane count.
+  std::string header() const {
+    std::ostringstream h;
+    h << jit::prelude_header();
+    h << "constexpr int L = " << p.lanes << ";\n";
+    h << jit::vector_prelude();
+    h << jit::step_prelude();
+    h << "}  // namespace\n\n";
+    return h.str();
+  }
+
+  /// Level `lev` inside a chunk function: its instructions, skipped
+  /// unless the level is dirty.
+  void emit_level(std::size_t lev) {
+    os << "  if (D[" << lev << "]) {\n    D[" << lev << "] = 0;\n";
+    for (std::uint32_t i = p.level_offset[lev]; i < p.level_offset[lev + 1];
+         ++i) {
+      const Instr& ins = p.instrs[i];
+      if (!compiled(ins))
+        emit_change(i, "X(C, " + num(i) + "u)");
+      else if (ins.op == TOp::kConcat)
+        emit_concat(i, ins);
+      else if (ins.op == TOp::kMemRead)
+        emit_memread(i, ins);
+      else
+        emit_change(i, expr(ins));
+    }
+    os << "  }\n";
+  }
+
+  /// Level chunks `tape_levels_<k>`, one part each: consecutive levels cut
+  /// by jit::cut_parts.  Returns the chunk count.
+  std::size_t emit_level_chunks(jit::Parts& parts) {
+    std::size_t chunks = 0;
+    jit::cut_parts(
+        p.level_offset.size() - 1,
+        [&](std::size_t lev) {
+          emit_level(lev);
+          return take();
+        },
+        [&](const std::string& code, std::size_t) {
+          os << header() << jit::hidden_function() << "void tape_levels_"
+             << chunks++ << kChunkParams << " {\n";
+          os << "  (void)A; (void)M; (void)X; (void)C;\n";
+          os << code << "}\n";
+          parts.push_back(take());
+        });
+    return chunks;
+  }
+
+  /// Part 0 holds the ABI symbols, the step and the eval, which calls
+  /// each level chunk in order; the chunks follow, hidden.
+  jit::Parts run() {
+    jit::Parts parts(1);
+    const std::size_t chunks = emit_level_chunks(parts);
+    const std::uint64_t scratch = emit_step();  // learns the scratch size
+    const std::string step = take();
+    os << header();
     os << "extern \"C\" unsigned osss_tape_abi() { return 3u; }\n";
     os << "extern \"C\" unsigned osss_tape_lanes() { return "
        << p.lanes << "u; }\n";
@@ -367,35 +430,22 @@ struct Emitter {
        << p.arena_size << "ull; }\n";
     os << "extern \"C\" unsigned long long osss_tape_scratch() { return "
        << scratch << "ull; }\n\n";
-    os << step.str() << "\n";
-    os << "extern \"C\" void osss_tape_eval(u64* A, u64* const* M, "
-          "unsigned char* D, bool (*X)(void*, unsigned) noexcept, "
-          "void* C) {\n";
-    os << "  (void)A; (void)M; (void)D;\n";
-    const std::size_t levels = p.level_offset.size() - 1;
-    for (std::size_t lev = 0; lev < levels; ++lev) {
-      os << "  if (D[" << lev << "]) {\n    D[" << lev << "] = 0;\n";
-      for (std::uint32_t i = p.level_offset[lev]; i < p.level_offset[lev + 1];
-           ++i) {
-        const Instr& ins = p.instrs[i];
-        if (!compiled(ins))
-          emit_change(i, "X(C, " + num(i) + "u)");
-        else if (ins.op == TOp::kConcat)
-          emit_concat(i, ins);
-        else if (ins.op == TOp::kMemRead)
-          emit_memread(i, ins);
-        else
-          emit_change(i, expr(ins));
-      }
-      os << "  }\n";
-    }
+    for (std::size_t k = 0; k < chunks; ++k)
+      os << jit::hidden_function() << "void tape_levels_" << k
+         << kChunkParams << ";\n";
+    os << "\n" << step << "\n";
+    os << "extern \"C\" void osss_tape_eval" << kChunkParams << " {\n";
+    os << "  (void)A; (void)M; (void)D; (void)X; (void)C;\n";
+    for (std::size_t k = 0; k < chunks; ++k)
+      os << "  tape_levels_" << k << "(A, M, D, X, C);\n";
     os << "}\n";
-    return os.str();
+    parts[0] = take();
+    return parts;
   }
 };
 
 }  // namespace
 
-std::string emit_cpp(const Program& p) { return Emitter(p).run(); }
+jit::Parts emit_cpp(const Program& p) { return Emitter(p).run(); }
 
 }  // namespace osss::rtl::tape

@@ -384,13 +384,8 @@ TEST(GateNativeEmit, GeneratedSourceExportsTheGateAbi) {
   Builder b("emit");
   b.output("o", b.xor_(b.input("a", 8), b.input("b", 8)));
   const Netlist nl = lower_to_gates(b.take());
-  const std::string src = emit_netlist_cpp(nl, 256);
-  EXPECT_NE(src.find("osss_gate_eval"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_step"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_abi"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_lanes"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_nets"), std::string::npos);
-  EXPECT_NE(src.find("osss_gate_scratch"), std::string::npos);
+  testutil::expect_parts_well_formed(emit_netlist_cpp(nl, 256),
+                                     testutil::kGateAbi);
 }
 
 TEST(GateNativeEmit, LaneValidation) {

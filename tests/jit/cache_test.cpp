@@ -12,6 +12,11 @@
 // started: an argv with no shell, so an odd compiler path works and shell
 // syntax in it is never run.
 //
+// The JitParts cases pin the part-list contract: one key over every part
+// in order, one object (one compile, one published artifact) per list,
+// hidden cross-part functions, an emission that ignores the thread count,
+// and the process-wide cap on concurrent compilers.
+//
 // The WarmCache environment at the bottom backs the CI warm-start job:
 // when OSSS_JIT_EXPECT_WARM is set, every test process asserts it invoked
 // the compiler zero times (ctest runs one process per test, so this
@@ -21,10 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,11 +40,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "expocu/hw.hpp"
+#include "gate/codegen.hpp"
 #include "gate/lower.hpp"
 #include "gate/sim.hpp"
+#include "hls/synth.hpp"
 #include "rtl/builder.hpp"
+#include "rtl/codegen.hpp"
 
 namespace fs = std::filesystem;
 
@@ -91,16 +104,50 @@ bool jit_disabled() { return jit_disabled_by_env(); }
 /// One exported symbol per id keeps cache keys distinct between tests
 /// sharing a process; equal-length ids keep the compiled .so sizes equal
 /// (the LRU test relies on that).
-std::string tiny_source(const std::string& id) {
+std::string tiny_symbol(const std::string& id) {
   return "extern \"C\" unsigned osss_cache_probe_" + id + "() { return " +
          std::to_string(id.size()) + "u; }\n";
 }
 
-fs::path artifact_path(const std::string& dir, const std::string& source,
+/// tiny_symbol as a one-part design.
+Parts tiny_source(const std::string& id) { return {tiny_symbol(id)}; }
+
+/// A three-part design: part 0 exports osss_cache_probe_<id>(), which sums
+/// two hidden functions that parts 1 and 2 define (1 + 2 = 3).
+Parts three_parts(const std::string& id) {
+  const std::string hidden =
+      "extern \"C\" __attribute__((visibility(\"hidden\"))) unsigned ";
+  return {hidden + "part_one_" + id + "();\n" + hidden + "part_two_" + id +
+              "();\nextern \"C\" unsigned osss_cache_probe_" + id +
+              "() { return part_one_" + id + "() + part_two_" + id +
+              "(); }\n",
+          hidden + "part_one_" + id + "() { return 1u; }\n",
+          hidden + "part_two_" + id + "() { return 2u; }\n"};
+}
+
+/// osss_cache_probe_<id>() of a loaded object, or 0 when it is missing.
+unsigned call_probe(const Object& obj, const std::string& id) {
+  const auto fn = reinterpret_cast<unsigned (*)()>(
+      obj.sym(("osss_cache_probe_" + id).c_str()));
+  return fn != nullptr ? fn() : 0u;
+}
+
+/// A shell-script compiler in `dir`: `body`, then `exec c++ "$@"`.
+fs::path wrapper_compiler(const std::string& dir, const std::string& body) {
+  const fs::path cc = fs::path(dir) / "cc-wrapper";
+  {
+    std::ofstream f(cc);
+    f << "#!/bin/sh\n" << body << "exec c++ \"$@\"\n";
+  }
+  ::chmod(cc.c_str(), 0755);
+  return cc;
+}
+
+fs::path artifact_path(const std::string& dir, const Parts& parts,
                        const CompileOptions& opt, const char* tag) {
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(source_hash(source, opt)));
+                static_cast<unsigned long long>(source_hash(parts, opt)));
   return fs::path(dir) / (std::string(tag) + "-" + hex + ".so");
 }
 
@@ -109,7 +156,7 @@ TEST(JitDiskCache, PublishAndWarmLoad) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src = tiny_source("warmload");
+  const Parts src = tiny_source("warmload");
   const CompileOptions opt;
   std::string log;
 
@@ -140,7 +187,7 @@ TEST(JitDiskCache, TruncatedArtifactFallsBackToFreshCompile) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src = tiny_source("truncated");
+  const Parts src = tiny_source("truncated");
   const CompileOptions opt;
   std::string log;
   compile(src, opt, "osss-jt", log).reset();
@@ -167,7 +214,7 @@ TEST(JitDiskCache, ValidateHookGatesDiskLoads) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src = tiny_source("validate");
+  const Parts src = tiny_source("validate");
   std::string log;
   compile(src, CompileOptions{}, "osss-jt", log).reset();
 
@@ -201,7 +248,7 @@ TEST(JitDiskCache, ValidateHookGatesDiskLoads) {
 TEST(JitDiskCache, UnsetDirBehavesLikeInMemoryOnly) {
   if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
-  const std::string src = tiny_source("memonly1");
+  const Parts src = tiny_source("memonly1");
   std::string log;
   const CacheStats before = cache_stats();
   std::shared_ptr<Object> obj = compile(src, CompileOptions{}, "osss-jt", log);
@@ -230,7 +277,7 @@ TEST(JitDiskCache, UnwritableDirDegradesSilently) {
   // A directory that can neither be created nor written: compiles must
   // still succeed, exactly like the in-memory-only path.
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", "/dev/null/osss-nope");
-  const std::string src = tiny_source("unwritable");
+  const Parts src = tiny_source("unwritable");
   std::string log;
   const CacheStats before = cache_stats();
   std::shared_ptr<Object> obj = compile(src, CompileOptions{}, "osss-jt", log);
@@ -246,7 +293,7 @@ TEST(JitDiskCache, TwoProcessesPublishExactlyOneCompile) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src = tiny_source("twoproc");
+  const Parts src = tiny_source("twoproc");
   const std::uint64_t base = cache_stats().compiles;  // inherited by forks
 
   // Both children race the same key into the shared directory.  The
@@ -284,9 +331,9 @@ TEST(JitDiskCache, LruEvictsOldestArtifactFirst) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src_a = tiny_source("aaaaaaaa");
-  const std::string src_b = tiny_source("bbbbbbbb");
-  const std::string src_c = tiny_source("cccccccc");
+  const Parts src_a = tiny_source("aaaaaaaa");
+  const Parts src_b = tiny_source("bbbbbbbb");
+  const Parts src_c = tiny_source("cccccccc");
   std::string log;
   {  // publish A and B with eviction disabled
     EnvVar cap("OSSS_JIT_CACHE_MAX_BYTES", "0");
@@ -322,7 +369,7 @@ TEST(JitDiskCache, MalformedCapKeepsDefaultAndWarns) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
-  const std::string src_a = tiny_source("ffffffff");
+  const Parts src_a = tiny_source("ffffffff");
   std::string log;
   {
     EnvVar cap("OSSS_JIT_CACHE_MAX_BYTES", "0");
@@ -348,6 +395,34 @@ TEST(JitDiskCache, MalformedCapKeepsDefaultAndWarns) {
   }
 }
 
+/// A multi-part object is one artifact: the second process-level load
+/// finds it on disk and runs no compiler.
+TEST(JitDiskCache, MultiPartObjectPublishesOneArtifact) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
+  const Parts src = three_parts("diskparts");
+  std::string log;
+  std::shared_ptr<Object> obj = compile(src, {}, "osss-jt", log);
+  ASSERT_NE(obj, nullptr) << log;
+  EXPECT_EQ(call_probe(*obj, "diskparts"), 3u);
+  std::vector<fs::path> artifacts;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir.path))
+    if (e.path().extension() == ".so") artifacts.push_back(e.path());
+  ASSERT_EQ(artifacts.size(), 1u) << "one object, one artifact";
+  EXPECT_EQ(artifacts[0], artifact_path(dir.path, src, {}, "osss-jt"));
+
+  obj.reset();
+  const CacheStats before = cache_stats();
+  std::shared_ptr<Object> warm = compile(src, {}, "osss-jt", log);
+  ASSERT_NE(warm, nullptr) << log;
+  EXPECT_EQ(call_probe(*warm, "diskparts"), 3u);
+  const CacheStats after = cache_stats();
+  EXPECT_EQ(after.compiles, before.compiles) << "warm load ran the compiler";
+  EXPECT_EQ(after.disk_hits, before.disk_hits + 1);
+}
+
 // --- end-to-end: a stale artifact with the wrong ABI never reaches an
 // engine ---------------------------------------------------------------
 
@@ -370,8 +445,8 @@ TEST(JitDiskCache, GateEngineRejectsWrongLanesArtifact) {
     gate::Simulator first(nl, gate::SimMode::kNative, 64);
     ASSERT_TRUE(first.native().native()) << first.native().compile_log();
   }
-  const std::string src64 = gate::emit_netlist_cpp(nl, 64);
-  const std::string src128 = gate::emit_netlist_cpp(nl, 128);
+  const Parts src64 = gate::emit_netlist_cpp(nl, 64);
+  const Parts src128 = gate::emit_netlist_cpp(nl, 128);
   const fs::path so64 = artifact_path(dir.path, src64, {}, "osss-gate");
   const fs::path so128 = artifact_path(dir.path, src128, {}, "osss-gate");
   ASSERT_TRUE(fs::exists(so64)) << "64-lane engine did not publish";
@@ -387,6 +462,107 @@ TEST(JitDiskCache, GateEngineRejectsWrongLanesArtifact) {
   sim.set_input("a", std::uint64_t{2});
   sim.step(3);
   EXPECT_EQ(sim.output("o").to_u64(), 6u);
+}
+
+// --- part lists ------------------------------------------------------------
+
+TEST(JitParts, HashCoversEveryPartInOrder) {
+  const CompileOptions opt;
+  const std::uint64_t base = source_hash({"aa", "bb", "cc"}, opt);
+  EXPECT_EQ(source_hash({"aa", "bb", "cc"}, opt), base);
+  EXPECT_NE(source_hash({"aa", "bb", "cx"}, opt), base) << "last part";
+  EXPECT_NE(source_hash({"xa", "bb", "cc"}, opt), base) << "first part";
+  EXPECT_NE(source_hash({"aa", "cc", "bb"}, opt), base) << "order";
+  EXPECT_NE(source_hash({"aab", "b", "cc"}, opt), base) << "boundary";
+  EXPECT_NE(source_hash({"aa", "bb"}, opt), base) << "a dropped part";
+  EXPECT_NE(source_hash({"aabbcc"}, opt), base) << "one part of the same text";
+}
+
+TEST(JitParts, SameListIsAnInMemoryHit) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  const Parts src = three_parts("memhit");
+  std::string log;
+  const std::shared_ptr<Object> obj = compile(src, {}, "osss-jt", log);
+  ASSERT_NE(obj, nullptr) << log;
+  const CacheStats before = cache_stats();
+  const std::shared_ptr<Object> again = compile(src, {}, "osss-jt", log);
+  EXPECT_EQ(again.get(), obj.get());
+  const CacheStats after = cache_stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.compiles, before.compiles);
+}
+
+/// `compiles` counts objects, not parts; the parts link into one object
+/// whose cross-part functions stay hidden.
+TEST(JitParts, OneCompilePerMultiPartBuild) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  const CacheStats before = cache_stats();
+  std::string log;
+  const std::shared_ptr<Object> obj =
+      compile(three_parts("onecompile"), {}, "osss-jt", log);
+  ASSERT_NE(obj, nullptr) << log;
+  EXPECT_TRUE(log.empty()) << log;
+  EXPECT_EQ(cache_stats().compiles, before.compiles + 1);
+  EXPECT_EQ(call_probe(*obj, "onecompile"), 3u);
+  EXPECT_EQ(obj->sym("part_one_onecompile"), nullptr) << "exported";
+  EXPECT_EQ(obj->sym("part_two_onecompile"), nullptr) << "exported";
+}
+
+/// The split is a fixed size budget: the thread count never reaches it.
+TEST(JitParts, PartListIgnoresTheThreadCount) {
+  const rtl::Module m = hls::synthesize(expocu::build_threshold_osss());
+  const gate::Netlist nl = gate::lower_to_gates(m);
+  const auto emit = [&](const char* threads) {
+    EnvVar t("OSSS_THREADS", threads);
+    return std::make_pair(
+        gate::emit_netlist_cpp(nl, 256),
+        rtl::tape::emit_cpp(rtl::tape::Program::compile(m, 256)));
+  };
+  const auto one = emit("1");
+  const auto four = emit("4");
+  EXPECT_GT(one.first.size(), 2u) << "the gate threshold should split";
+  EXPECT_EQ(one.first, four.first);
+  EXPECT_EQ(one.second, four.second);
+}
+
+/// Pinned to one cpu, a multi-part compile still succeeds, and it runs one
+/// compiler at a time: the wrapper logs how many of its own runs overlap.
+TEST(JitParts, CompilesWhenPinnedToOneCpu) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  const fs::path cc = wrapper_compiler(
+      dir.path,
+      "d=$(dirname \"$0\")\nmkdir \"$d/run.$$\"\n"
+      "ls -d \"$d\"/run.* | wc -l >> \"$d/overlap\"\n"
+      "sleep 0.1\nrmdir \"$d/run.$$\"\n");
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &saved)) {
+      CPU_SET(c, &one);
+      break;
+    }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  CompileOptions opt;
+  opt.compiler = cc.string();
+  std::string log;
+  const std::shared_ptr<Object> obj =
+      compile(three_parts("pinned"), opt, "osss-jt", log);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+  ASSERT_NE(obj, nullptr) << log;
+  EXPECT_EQ(call_probe(*obj, "pinned"), 3u);
+  std::ifstream f(fs::path(dir.path) / "overlap");
+  std::vector<int> overlap;
+  for (int n; f >> n;) overlap.push_back(n);
+  EXPECT_EQ(overlap.size(), 5u) << "--version, three parts and the link";
+  EXPECT_EQ(*std::max_element(overlap.begin(), overlap.end()), 1)
+      << "two compilers ran at once on one cpu";
 }
 
 // --- compiler invocation (no shell) ----------------------------------------
@@ -420,6 +596,100 @@ TEST(JitSpawn, WrapperAtQuotedPathCompilesNatively) {
   EXPECT_EQ(fn(), 10u);
 }
 
+/// One failing part: compile() waits for the siblings still running, names
+/// the part, removes its temp dir and leaves no child behind.  Part 0
+/// fails at once, so the calling thread, which usually compiles it, sees
+/// the failure while the others still sleep.  Then, on two cpus, another
+/// thread's compile holds one compiler slot, so the failing list runs one
+/// part at a time with a sibling waiting for the slot when part 0 fails:
+/// that sibling must not start.
+TEST(JitSpawn, FailedPartReapsEverySibling) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
+  TempDir dir, tmp;
+  ASSERT_FALSE(dir.path.empty());
+  ASSERT_FALSE(tmp.path.empty());
+  EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
+  EnvVar tmpdir("TMPDIR", tmp.path.c_str());
+  const fs::path cc = wrapper_compiler(
+      dir.path,
+      "case \"$*\" in *gen0.cpp*) echo osss-part-refused >&2; exit 1;; "
+      "esac\nsleep 0.3\n");
+  CompileOptions opt;
+  opt.compiler = cc.string();
+  const CacheStats before = cache_stats();
+  std::string log;
+  EXPECT_EQ(compile(three_parts("failpart"), opt, "osss-jt", log), nullptr);
+  EXPECT_NE(log.find("osss-part-refused"), std::string::npos) << log;
+  EXPECT_NE(log.find("[compile failed in part 0 of 3"), std::string::npos)
+      << log;
+  EXPECT_EQ(cache_stats().compiles, before.compiles);
+  EXPECT_TRUE(fs::is_empty(tmp.path)) << "the temp dir outlived compile()";
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a compiler is left";
+  EXPECT_EQ(errno, ECHILD);
+
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int c = 0; c < CPU_SETSIZE && CPU_COUNT(&two) < 2; ++c)
+    if (CPU_ISSET(c, &saved)) CPU_SET(c, &two);
+  if (CPU_COUNT(&two) < 2) GTEST_SKIP() << "one cpu: no compiler waits";
+  TempDir held_dir;
+  ASSERT_FALSE(held_dir.path.empty());
+  const fs::path d = held_dir.path;
+  // The holder's compiles (temp dirs tagged osss-hold) wait while `hold`
+  // exists; part 0 of the failing list fails at once, the rest succeed
+  // without compiling, and every run says so in `events`.
+  const fs::path hold_cc = wrapper_compiler(
+      held_dir.path,
+      "d=$(dirname \"$0\")\ncase \"$*\" in\n"
+      "*osss-hold-*) touch \"$d/held\"\n"
+      "  while [ -e \"$d/hold\" ]; do sleep 0.01; done;;\n"
+      "*--version*) ;;\n"
+      "*gen0.cpp*) echo fail >> \"$d/events\"; exit 1;;\n"
+      "*) echo start >> \"$d/events\"; exit 0;;\nesac\n");
+  opt.compiler = hold_cc.string();
+  std::ofstream(d / "hold").put('\n');
+  ASSERT_EQ(::sched_setaffinity(0, sizeof two, &two), 0);
+  std::shared_ptr<Object> held;
+  std::string held_log;
+  std::thread holder([&] {
+    held = compile(tiny_source("slotholder"), opt, "osss-hold", held_log);
+  });
+  // Nothing between here and the join may throw or return early.
+  std::error_code ec;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!fs::exists(d / "held", ec) &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const bool holding = fs::exists(d / "held", ec);
+  Parts many;
+  for (int i = 0; i < 16; ++i)
+    many.push_back(tiny_symbol("wait" + std::to_string(i)));
+  EXPECT_EQ(compile(many, opt, "osss-jt", log), nullptr);
+  fs::remove(d / "hold", ec);
+  holder.join();
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+  ASSERT_TRUE(holding) << "the holder never reached its compiler";
+  ASSERT_NE(held, nullptr) << held_log;
+  EXPECT_EQ(call_probe(*held, "slotholder"), 10u);
+  EXPECT_NE(log.find("[compile failed in part 0 of 16"), std::string::npos)
+      << log;
+  std::ifstream f(d / "events");
+  std::vector<std::string> events;
+  for (std::string e; std::getline(f, e);) events.push_back(e);
+  const auto fail = std::find(events.begin(), events.end(), "fail");
+  ASSERT_NE(fail, events.end());
+  EXPECT_EQ(std::count(fail, events.end(), "start"), 0)
+      << "a part started after part 0 failed";
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a compiler is left";
+  EXPECT_EQ(errno, ECHILD);
+}
+
 /// Shell syntax in the compiler name is a file name, not a command line:
 /// the compile falls back and the injected command never runs.
 TEST(JitSpawn, ShellSyntaxInCompilerIsNotRun) {
@@ -442,13 +712,13 @@ TEST(JitSpawn, CompilerOutputReachesTheLog) {
   if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT set";
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", nullptr);
   std::string log;
-  EXPECT_EQ(compile("this is not C++;\n", {}, "osss-jt", log), nullptr);
+  EXPECT_EQ(compile({"this is not C++;\n"}, {}, "osss-jt", log), nullptr);
   EXPECT_NE(log.find("error"), std::string::npos) << log;
   EXPECT_NE(log.find("[compile failed"), std::string::npos) << log;
 
-  const std::shared_ptr<Object> obj = compile(
-      "#warning osss-spawn-probe\n" + tiny_source("spawnwarn"), {}, "osss-jt",
-      log);
+  const std::shared_ptr<Object> obj =
+      compile({"#warning osss-spawn-probe\n" + tiny_symbol("spawnwarn")}, {},
+              "osss-jt", log);
   ASSERT_NE(obj, nullptr) << log;
   EXPECT_NE(log.find("osss-spawn-probe"), std::string::npos) << log;
 }

@@ -11,11 +11,17 @@
 //
 // Every interpreted sweep adds the design's level count to
 // levels_evaluated + levels_skipped, so that sum counts settles.
+//
+// A fallback that was not asked for is said once per process on stderr;
+// those checks run in a fresh process each (a death-test child), so what
+// earlier tests printed cannot hide or repeat the line.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -212,6 +218,54 @@ TEST(NativeRuntime, RestorePoweronIsSettledAndMatchesAFreshEngine) {
       ASSERT_EQ(e->read(), fresh->read()) << "cycle " << cycle;
     }
   }
+}
+
+/// Builds a gate and an RTL engine at 64 lanes in this process with
+/// OSSS_CC and OSSS_NO_JIT as given (nullptr unsets), then a gate engine
+/// with force_fallback, and exits with the number of fallback warnings on
+/// stderr, echoing that stderr with a summary line for the parent's regex.
+[[noreturn]] void count_fallback_warnings(const char* cc, const char* no_jit) {
+  const auto set = [](const char* var, const char* value) {
+    if (value != nullptr)
+      ::setenv(var, value, 1);
+    else
+      ::unsetenv(var);
+  };
+  set("OSSS_CC", cc);
+  set("OSSS_NO_JIT", no_jit);
+  testing::internal::CaptureStderr();
+  {
+    gate::Simulator g(gate::lower_to_gates(design()), gate::SimMode::kNative,
+                      64);
+    rtl::Simulator r(design(), rtl::SimMode::kNative, 64);
+    gate::CodegenOptions off;
+    off.force_fallback = true;
+    gate::Simulator f(gate::lower_to_gates(design()), gate::SimMode::kNative,
+                      64, off);
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  int warnings = 0;
+  for (std::size_t at = err.find("osss: "); at != std::string::npos;
+       at = err.find("osss: ", at + 1))
+    ++warnings;
+  std::fprintf(stderr, "%sfallback warnings: %d\n", err.c_str(), warnings);
+  std::exit(warnings);
+}
+
+/// Two engines whose compiler cannot run print one line between them, and
+/// it quotes the compile log.
+TEST(NativeRuntime, FailedCompileWarnsOncePerProcess) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(count_fallback_warnings("/nonexistent/osss-cc", nullptr),
+              ::testing::ExitedWithCode(1),
+              "interpreted dispatch.*cannot run '/nonexistent/osss-cc'");
+}
+
+/// A fallback that was asked for (OSSS_NO_JIT, force_fallback) is silent.
+TEST(NativeRuntime, DisabledJitPrintsNothing) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(count_fallback_warnings("/nonexistent/osss-cc", "1"),
+              ::testing::ExitedWithCode(0), "fallback warnings: 0");
 }
 
 }  // namespace

@@ -135,33 +135,31 @@ std::vector<Case> all_cases() {
 INSTANTIATE_TEST_SUITE_P(Designs, NativeTiers,
                          ::testing::ValuesIn(all_cases()), case_name);
 
-/// The emitted sources include <cstdint> and nothing else, and name no
-/// intrinsic or intrinsic vector type, at every lane count.
+/// Every emitted part includes <cstdint> and nothing else and names no
+/// intrinsic or intrinsic vector type, the ABI symbols sit in one part and
+/// the level chunks are hidden, at every lane count.
 TEST(NativeTiersSource, IncludesOnlyCstdintAndNoIntrinsics) {
-  std::vector<std::function<std::string(unsigned)>> emitters;
+  std::vector<std::pair<std::function<jit::Parts(unsigned)>,
+                        const std::vector<std::string>*>>
+      emitters;
   for (const char* d : {"histogram", "threshold", "random"}) {
     const rtl::Module m = design(d);
-    emitters.push_back([m](unsigned lanes) {
-      return rtl::tape::emit_cpp(rtl::tape::Program::compile(m, lanes));
-    });
-    emitters.push_back([nl = gate::lower_to_gates(m)](unsigned lanes) {
-      return gate::emit_netlist_cpp(nl, lanes);
-    });
+    emitters.emplace_back(
+        [m](unsigned lanes) {
+          return rtl::tape::emit_cpp(rtl::tape::Program::compile(m, lanes));
+        },
+        &testutil::kTapeAbi);
+    emitters.emplace_back(
+        [nl = gate::lower_to_gates(m)](unsigned lanes) {
+          return gate::emit_netlist_cpp(nl, lanes);
+        },
+        &testutil::kGateAbi);
   }
-  for (const auto& emit : emitters)
+  for (const auto& [emit, abi] : emitters)
     for (const unsigned lanes : {1u, 64u, 256u, 512u}) {
-      const std::string src = emit(lanes);
-      SCOPED_TRACE(src.substr(0, 200));
-      std::size_t includes = 0;
-      for (std::size_t at = src.find("#include"); at != std::string::npos;
-           at = src.find("#include", at + 1)) {
-        ++includes;
-        EXPECT_EQ(src.compare(at, 18, "#include <cstdint>"), 0)
-            << src.substr(at, src.find('\n', at) - at);
-      }
-      EXPECT_EQ(includes, 1u);
-      for (const char* token : {"_mm", "__m256i", "__m512i", "immintrin"})
-        EXPECT_EQ(src.find(token), std::string::npos) << token;
+      const jit::Parts parts = emit(lanes);
+      EXPECT_GE(parts.size(), 2u) << "no level chunk part";
+      testutil::expect_parts_well_formed(parts, *abi);
     }
 }
 

@@ -243,11 +243,7 @@ TEST(NativeEmit, GeneratedSourceExportsTheTapeAbi) {
   Wire c = b.input("b", 8);
   b.output("o", b.xor_(a, c));
   const tp::Program p = tp::Program::compile(b.take(), 4);
-  const std::string src = tp::emit_cpp(p);
-  EXPECT_NE(src.find("osss_tape_eval"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_abi"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_lanes"), std::string::npos);
-  EXPECT_NE(src.find("osss_tape_arena"), std::string::npos);
+  testutil::expect_parts_well_formed(tp::emit_cpp(p), testutil::kTapeAbi);
 }
 
 /// Each instruction wider than one word is one call back into the engine
@@ -264,13 +260,17 @@ TEST(NativeEmit, WideInstructionsCallTheEngine) {
   b.output("sh", b.shlv(n, a));                       // 80-bit amount
   b.output("lo", b.add(n, n));                        // kAdd1
   const tp::Program p = tp::Program::compile(b.take(), 4);
-  const std::string src = tp::emit_cpp(p);
-  std::size_t calls = 0;
-  for (std::size_t at = src.find("X(C, "); at != std::string::npos;
-       at = src.find("X(C, ", at + 1))
-    ++calls;
-  EXPECT_EQ(calls, 4u) << src;
-  EXPECT_NE(src.find("v_bin<4, OpAdd>"), std::string::npos);
+  const jit::Parts parts = tp::emit_cpp(p);
+  testutil::expect_parts_well_formed(parts, testutil::kTapeAbi);
+  std::size_t calls = 0, adds = 0;
+  for (const std::string& src : parts) {
+    for (std::size_t at = src.find("X(C, "); at != std::string::npos;
+         at = src.find("X(C, ", at + 1))
+      ++calls;
+    adds += src.find("v_bin<4, OpAdd>") != std::string::npos;
+  }
+  EXPECT_EQ(calls, 4u);
+  EXPECT_EQ(adds, 1u);
 }
 
 // --- run_batch over wide native lanes --------------------------------------

@@ -8,10 +8,60 @@
 #include <string>
 #include <vector>
 
+#include "jit/jit.hpp"
 #include "meta/class_desc.hpp"
 #include "verify/cosim.hpp"
 
 namespace osss::testutil {
+
+/// The entry points a generated tape / gate object exports.
+inline const std::vector<std::string> kTapeAbi = {
+    "osss_tape_eval",  "osss_tape_step",  "osss_tape_abi",
+    "osss_tape_lanes", "osss_tape_arena", "osss_tape_scratch"};
+inline const std::vector<std::string> kGateAbi = {
+    "osss_gate_eval",  "osss_gate_step", "osss_gate_abi",
+    "osss_gate_lanes", "osss_gate_nets", "osss_gate_scratch"};
+
+/// The part-list contract of a generated design: every part includes
+/// <cstdint> once and nothing else and names no intrinsic; the `osss_`
+/// symbols, `abi` among them, sit in one part only; and every other
+/// C-linkage function is declared hidden.
+inline void expect_parts_well_formed(const jit::Parts& parts,
+                                     const std::vector<std::string>& abi) {
+  ASSERT_FALSE(parts.empty());
+  std::size_t abi_parts = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::string& src = parts[i];
+    SCOPED_TRACE("part " + std::to_string(i) + " of " +
+                 std::to_string(parts.size()) + ": " + src.substr(0, 200));
+    std::size_t includes = 0;
+    for (std::size_t at = src.find("#include"); at != std::string::npos;
+         at = src.find("#include", at + 1)) {
+      ++includes;
+      EXPECT_EQ(src.compare(at, 18, "#include <cstdint>"), 0)
+          << src.substr(at, src.find('\n', at) - at);
+    }
+    EXPECT_EQ(includes, 1u);
+    for (const char* token : {"_mm", "__m256i", "__m512i", "immintrin"})
+      EXPECT_EQ(src.find(token), std::string::npos) << token;
+    if (src.find("osss_") != std::string::npos) {
+      ++abi_parts;
+      for (const std::string& sym : abi)
+        EXPECT_NE(src.find(sym), std::string::npos) << sym;
+    }
+    const std::string c_linkage = "extern \"C\" ";
+    const std::string hidden = jit::hidden_function();
+    for (std::size_t at = src.find(c_linkage); at != std::string::npos;
+         at = src.find(c_linkage, at + 1)) {
+      if (src.compare(at, hidden.size(), hidden) == 0) continue;
+      const std::size_t decl = at + c_linkage.size();
+      const std::string head = src.substr(decl, src.find('(', decl) - decl);
+      EXPECT_EQ(head.compare(head.rfind(' ') + 1, 5, "osss_"), 0)
+          << "exported non-ABI function: " << head;
+    }
+  }
+  EXPECT_EQ(abi_parts, 1u) << "the osss_ symbols must sit in one part";
+}
 
 /// Co-simulates `duts` (one lane count) against `reference` built once per
 /// lane (verify::ReplicaModel): `sequences` runs of `cycles` cycles of
