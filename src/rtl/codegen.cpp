@@ -2,16 +2,18 @@
 // dlopen of the generated tape code, the threaded handlers, the per-lane
 // opcode switch, port I/O and the register/memory commit.
 //
-// The threaded handlers (Exec::run, bound per instruction by Exec::pick)
-// each run their lane loop internally; the generated code calls them back
-// (run_instr) for every instruction wider than one word.  The lane switch
-// (exec_one, kTape) evaluates one lane per call and reads the opcode from
-// the tape each time: it spells out the single-word opcodes and runs the
-// multi-word and width-generic ones through the handlers' per-lane code
-// (Exec::run_wide), the one multi-word implementation next to the oracle.
-// R7 measures the generated code against this switch, so it keeps the
-// interpreted tape's per-lane dispatch.  Both are differentially tested
-// against the interpreter.
+// The two interpreted evaluators share one definition per opcode and one
+// opcode dispatch (Exec::dispatch, a runtime opcode to a template
+// argument).  Exec::lane1 is the value a single-word opcode stores in one
+// lane; Exec::run_wide is the multi-word and width-generic implementation,
+// one lane at a time.  The threaded handlers (Exec::run, bound per
+// instruction through the dispatch at construction) each run their lane
+// loop over those; the generated code calls them back (run_instr) for
+// every instruction wider than one word.  The lane switch (exec_one, kTape)
+// evaluates one lane per call and dispatches on the opcode the tape holds
+// each time.  R7 measures the generated code against this switch, so it
+// keeps the interpreted tape's per-lane dispatch.  Both are differentially
+// tested against the interpreter.
 
 #include "rtl/codegen.hpp"
 
@@ -37,160 +39,75 @@ using detail::storeN;
 using detail::top_mask;
 using detail::words_of;
 
-// --- threaded-code handlers ------------------------------------------------
+// --- the per-lane definitions and the one opcode dispatch ------------------
 
 struct NativeEngine::Exec {
+  /// The value single-word opcode OP stores in lane `l` of its destination.
+  /// Operand x of that lane is ar[x + l], except a variable shift's amount
+  /// (aw words per lane).  Both interpreted evaluators compute their
+  /// single-word results here.
   template <TOp OP>
-  static bool run(NativeEngine& e, const Instr& ins) {
-    std::uint64_t* const ar = e.rt_.arena();
-    const unsigned lanes = e.prog_.lanes;
-
-    if constexpr (OP == TOp::kAdd1 || OP == TOp::kSub1 || OP == TOp::kMul1 ||
-                  OP == TOp::kAnd1 || OP == TOp::kOr1 || OP == TOp::kXor1) {
-      const std::uint64_t* a = ar + ins.a;
-      const std::uint64_t* b = ar + ins.b;
-      std::uint64_t* d = ar + ins.dst;
-      const std::uint64_t m = ins.mask;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        std::uint64_t nv;
-        if constexpr (OP == TOp::kAdd1) nv = (a[l] + b[l]) & m;
-        else if constexpr (OP == TOp::kSub1) nv = (a[l] - b[l]) & m;
-        else if constexpr (OP == TOp::kMul1) nv = (a[l] * b[l]) & m;
-        else if constexpr (OP == TOp::kAnd1) nv = a[l] & b[l];
-        else if constexpr (OP == TOp::kOr1) nv = a[l] | b[l];
-        else nv = a[l] ^ b[l];
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kNot1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t nv = ~a[l] & ins.mask;
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kShlI1 || OP == TOp::kLshrI1 ||
-                         OP == TOp::kSlice1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        std::uint64_t nv;
-        if constexpr (OP == TOp::kShlI1) nv = (a[l] << ins.param) & ins.mask;
-        else if constexpr (OP == TOp::kLshrI1) nv = a[l] >> ins.param;
-        else nv = (a[l] >> ins.param) & ins.mask;
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kAshrI1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      const unsigned w = ins.width;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t x = a[l];
-        const bool sign = ((x >> (w - 1)) & 1u) != 0;
-        std::uint64_t nv;
-        if (ins.param >= w) {
-          nv = sign ? ins.mask : 0;
-        } else {
-          nv = x >> ins.param;
-          if (sign) nv |= ins.mask ^ (ins.mask >> ins.param);
-        }
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
+  static std::uint64_t lane1(const Instr& ins, const std::uint64_t* ar,
+                             unsigned l) {
+    const auto at = [ar, l](std::uint32_t off) { return (ar + off)[l]; };
+    const std::uint64_t a = at(ins.a);
+    if constexpr (OP == TOp::kAdd1) return (a + at(ins.b)) & ins.mask;
+    else if constexpr (OP == TOp::kSub1) return (a - at(ins.b)) & ins.mask;
+    else if constexpr (OP == TOp::kMul1) return (a * at(ins.b)) & ins.mask;
+    else if constexpr (OP == TOp::kAnd1) return a & at(ins.b);
+    else if constexpr (OP == TOp::kOr1) return a | at(ins.b);
+    else if constexpr (OP == TOp::kXor1) return a ^ at(ins.b);
+    else if constexpr (OP == TOp::kNot1) return ~a & ins.mask;
+    else if constexpr (OP == TOp::kShlI1) return (a << ins.param) & ins.mask;
+    else if constexpr (OP == TOp::kLshrI1) return a >> ins.param;
+    else if constexpr (OP == TOp::kAshrI1) {
+      const bool sign = ((a >> (ins.width - 1)) & 1u) != 0;
+      if (ins.param >= ins.width) return sign ? ins.mask : 0;
+      const std::uint64_t r = a >> ins.param;
+      return sign ? r | (ins.mask ^ (ins.mask >> ins.param)) : r;
     } else if constexpr (OP == TOp::kShlV1 || OP == TOp::kLshrV1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t amt =
-            shift_amount(ar + ins.b + std::size_t{l} * ins.aw, ins.aw);
-        std::uint64_t nv = 0;
-        if (amt < ins.width) {
-          if constexpr (OP == TOp::kShlV1) nv = (a[l] << amt) & ins.mask;
-          else nv = a[l] >> amt;
-        }
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kEq1 || OP == TOp::kNe1 ||
-                         OP == TOp::kUlt1 || OP == TOp::kUle1) {
-      const std::uint64_t* a = ar + ins.a;
-      const std::uint64_t* b = ar + ins.b;
-      std::uint64_t* d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        bool r;
-        if constexpr (OP == TOp::kEq1) r = a[l] == b[l];
-        else if constexpr (OP == TOp::kNe1) r = a[l] != b[l];
-        else if constexpr (OP == TOp::kUlt1) r = a[l] < b[l];
-        else r = a[l] <= b[l];
-        const std::uint64_t nv = r ? 1u : 0u;
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kSlt1 || OP == TOp::kSle1) {
-      const std::uint64_t* a = ar + ins.a;
-      const std::uint64_t* b = ar + ins.b;
-      std::uint64_t* d = ar + ins.dst;
+      const std::uint64_t amt =
+          shift_amount(ar + ins.b + std::size_t{l} * ins.aw, ins.aw);
+      if (amt >= ins.width) return 0;
+      return OP == TOp::kShlV1 ? (a << amt) & ins.mask : a >> amt;
+    } else if constexpr (OP == TOp::kEq1) return a == at(ins.b);
+    else if constexpr (OP == TOp::kNe1) return a != at(ins.b);
+    else if constexpr (OP == TOp::kUlt1) return a < at(ins.b);
+    else if constexpr (OP == TOp::kUle1) return a <= at(ins.b);
+    else if constexpr (OP == TOp::kSlt1 || OP == TOp::kSle1) {
       const unsigned sh = 64 - ins.a_width;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const auto x = static_cast<std::int64_t>(a[l] << sh);
-        const auto y = static_cast<std::int64_t>(b[l] << sh);
-        const bool r = OP == TOp::kSlt1 ? x < y : x <= y;
-        const std::uint64_t nv = r ? 1u : 0u;
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
+      const auto x = static_cast<std::int64_t>(a << sh);
+      const auto y = static_cast<std::int64_t>(at(ins.b) << sh);
+      return OP == TOp::kSlt1 ? x < y : x <= y;
     } else if constexpr (OP == TOp::kMux1) {
-      const std::uint64_t* s = ar + ins.a;
-      const std::uint64_t* b = ar + ins.b;
-      const std::uint64_t* c = ar + ins.c;
-      std::uint64_t* d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t nv = (s[l] & 1u) != 0 ? b[l] : c[l];
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
+      return (a & 1u) != 0 ? at(ins.b) : at(ins.c);
+    } else if constexpr (OP == TOp::kSlice1) {
+      return (a >> ins.param) & ins.mask;
     } else if constexpr (OP == TOp::kSExt1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      const std::uint64_t hi = ins.mask ^ mask64(ins.a_width);
+      const bool sign = ((a >> (ins.a_width - 1)) & 1u) != 0;
+      return sign ? a | (ins.mask ^ mask64(ins.a_width)) : a;
+    } else if constexpr (OP == TOp::kRedOr1) return a != 0;
+    else if constexpr (OP == TOp::kRedAnd1) return a == mask64(ins.a_width);
+    else {
+      static_assert(OP == TOp::kRedXor1, "lane1 computes single-word ops");
+      return std::popcount(a) & 1u;
+    }
+  }
+
+  /// Threaded handler: instruction `in` over every lane, saying whether
+  /// any lane's result changed.
+  template <TOp OP>
+  static bool run(NativeEngine& e, const Instr& in) {
+    const unsigned lanes = e.prog_.lanes;
+    if constexpr (single_word(OP)) {
+      // A copy: arena stores cannot alias it, so its fields stay in
+      // registers across the lane loop.
+      const Instr ins = in;
+      std::uint64_t* const ar = e.rt_.arena();
+      std::uint64_t* const d = ar + ins.dst;
       std::uint64_t ch = 0;
       for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t x = a[l];
-        const bool sign = ((x >> (ins.a_width - 1)) & 1u) != 0;
-        const std::uint64_t nv = sign ? (x | hi) : x;
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
-    } else if constexpr (OP == TOp::kRedOr1 || OP == TOp::kRedAnd1 ||
-                         OP == TOp::kRedXor1) {
-      const std::uint64_t* a = ar + ins.a;
-      std::uint64_t* d = ar + ins.dst;
-      const std::uint64_t full = mask64(ins.a_width);
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        std::uint64_t nv;
-        if constexpr (OP == TOp::kRedOr1) nv = a[l] != 0 ? 1u : 0u;
-        else if constexpr (OP == TOp::kRedAnd1) nv = a[l] == full ? 1u : 0u;
-        else nv = std::popcount(a[l]) & 1u;
+        const std::uint64_t nv = lane1<OP>(ins, ar, l);
         ch |= nv ^ d[l];
         d[l] = nv;
       }
@@ -201,11 +118,13 @@ struct NativeEngine::Exec {
       std::uint64_t* s = e.scratch_.data();
       bool changed = false;
       for (unsigned l = 0; l < lanes; ++l)
-        changed |= run_wide<OP>(e, ins, l, s);
+        changed |= run_wide<OP>(e, in, l, s);
       return changed;
     }
   }
 
+  /// Multi-word or width-generic opcode OP in one lane, staged through the
+  /// scratch words `s`: the engine's one multi-word implementation.
   template <TOp OP>
   static bool run_wide(NativeEngine& e, const Instr& ins, unsigned lane,
                        std::uint64_t* s) {
@@ -385,7 +304,8 @@ struct NativeEngine::Exec {
         pos += part.width;
       }
       return storeN(d, s, ins.dw);
-    } else if constexpr (OP == TOp::kMemRead) {
+    } else {
+      static_assert(OP == TOp::kMemRead, "run_wide computes multi-word ops");
       const Program::Mem& pm = e.prog_.mems[ins.param];
       const std::uint64_t addr = ar[ins.a + std::size_t{lane} * ins.aw];
       if (ins.dw == 1) {
@@ -403,64 +323,65 @@ struct NativeEngine::Exec {
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = src[w];
       }
       return storeN(d, s, ins.dw);
-    } else {
-      return false;  // unreachable: run() handles single-word ops
     }
   }
 
-  static NativeEngine::Handler pick(TOp op) {
+  /// `f.template operator()<OP>()` for the runtime opcode `op`: the one
+  /// opcode dispatch, which binds the handlers and drives the lane switch.
+  template <class F>
+  static decltype(auto) dispatch(TOp op, F&& f) {
     switch (op) {
-      case TOp::kAdd1: return &run<TOp::kAdd1>;
-      case TOp::kSub1: return &run<TOp::kSub1>;
-      case TOp::kMul1: return &run<TOp::kMul1>;
-      case TOp::kAnd1: return &run<TOp::kAnd1>;
-      case TOp::kOr1: return &run<TOp::kOr1>;
-      case TOp::kXor1: return &run<TOp::kXor1>;
-      case TOp::kNot1: return &run<TOp::kNot1>;
-      case TOp::kShlI1: return &run<TOp::kShlI1>;
-      case TOp::kLshrI1: return &run<TOp::kLshrI1>;
-      case TOp::kAshrI1: return &run<TOp::kAshrI1>;
-      case TOp::kShlV1: return &run<TOp::kShlV1>;
-      case TOp::kLshrV1: return &run<TOp::kLshrV1>;
-      case TOp::kEq1: return &run<TOp::kEq1>;
-      case TOp::kNe1: return &run<TOp::kNe1>;
-      case TOp::kUlt1: return &run<TOp::kUlt1>;
-      case TOp::kUle1: return &run<TOp::kUle1>;
-      case TOp::kSlt1: return &run<TOp::kSlt1>;
-      case TOp::kSle1: return &run<TOp::kSle1>;
-      case TOp::kMux1: return &run<TOp::kMux1>;
-      case TOp::kSlice1: return &run<TOp::kSlice1>;
-      case TOp::kSExt1: return &run<TOp::kSExt1>;
-      case TOp::kRedOr1: return &run<TOp::kRedOr1>;
-      case TOp::kRedAnd1: return &run<TOp::kRedAnd1>;
-      case TOp::kRedXor1: return &run<TOp::kRedXor1>;
-      case TOp::kCopyN: return &run<TOp::kCopyN>;
-      case TOp::kAddN: return &run<TOp::kAddN>;
-      case TOp::kSubN: return &run<TOp::kSubN>;
-      case TOp::kMulN: return &run<TOp::kMulN>;
-      case TOp::kAndN: return &run<TOp::kAndN>;
-      case TOp::kOrN: return &run<TOp::kOrN>;
-      case TOp::kXorN: return &run<TOp::kXorN>;
-      case TOp::kNotN: return &run<TOp::kNotN>;
-      case TOp::kShlIN: return &run<TOp::kShlIN>;
-      case TOp::kLshrIN: return &run<TOp::kLshrIN>;
-      case TOp::kAshrIN: return &run<TOp::kAshrIN>;
-      case TOp::kShlVN: return &run<TOp::kShlVN>;
-      case TOp::kLshrVN: return &run<TOp::kLshrVN>;
-      case TOp::kEqN: return &run<TOp::kEqN>;
-      case TOp::kNeN: return &run<TOp::kNeN>;
-      case TOp::kUltN: return &run<TOp::kUltN>;
-      case TOp::kUleN: return &run<TOp::kUleN>;
-      case TOp::kSltN: return &run<TOp::kSltN>;
-      case TOp::kSleN: return &run<TOp::kSleN>;
-      case TOp::kMuxN: return &run<TOp::kMuxN>;
-      case TOp::kSliceN: return &run<TOp::kSliceN>;
-      case TOp::kSExtN: return &run<TOp::kSExtN>;
-      case TOp::kRedOrN: return &run<TOp::kRedOrN>;
-      case TOp::kRedAndN: return &run<TOp::kRedAndN>;
-      case TOp::kRedXorN: return &run<TOp::kRedXorN>;
-      case TOp::kConcat: return &run<TOp::kConcat>;
-      case TOp::kMemRead: return &run<TOp::kMemRead>;
+      case TOp::kAdd1: return f.template operator()<TOp::kAdd1>();
+      case TOp::kSub1: return f.template operator()<TOp::kSub1>();
+      case TOp::kMul1: return f.template operator()<TOp::kMul1>();
+      case TOp::kAnd1: return f.template operator()<TOp::kAnd1>();
+      case TOp::kOr1: return f.template operator()<TOp::kOr1>();
+      case TOp::kXor1: return f.template operator()<TOp::kXor1>();
+      case TOp::kNot1: return f.template operator()<TOp::kNot1>();
+      case TOp::kShlI1: return f.template operator()<TOp::kShlI1>();
+      case TOp::kLshrI1: return f.template operator()<TOp::kLshrI1>();
+      case TOp::kAshrI1: return f.template operator()<TOp::kAshrI1>();
+      case TOp::kShlV1: return f.template operator()<TOp::kShlV1>();
+      case TOp::kLshrV1: return f.template operator()<TOp::kLshrV1>();
+      case TOp::kEq1: return f.template operator()<TOp::kEq1>();
+      case TOp::kNe1: return f.template operator()<TOp::kNe1>();
+      case TOp::kUlt1: return f.template operator()<TOp::kUlt1>();
+      case TOp::kUle1: return f.template operator()<TOp::kUle1>();
+      case TOp::kSlt1: return f.template operator()<TOp::kSlt1>();
+      case TOp::kSle1: return f.template operator()<TOp::kSle1>();
+      case TOp::kMux1: return f.template operator()<TOp::kMux1>();
+      case TOp::kSlice1: return f.template operator()<TOp::kSlice1>();
+      case TOp::kSExt1: return f.template operator()<TOp::kSExt1>();
+      case TOp::kRedOr1: return f.template operator()<TOp::kRedOr1>();
+      case TOp::kRedAnd1: return f.template operator()<TOp::kRedAnd1>();
+      case TOp::kRedXor1: return f.template operator()<TOp::kRedXor1>();
+      case TOp::kCopyN: return f.template operator()<TOp::kCopyN>();
+      case TOp::kAddN: return f.template operator()<TOp::kAddN>();
+      case TOp::kSubN: return f.template operator()<TOp::kSubN>();
+      case TOp::kMulN: return f.template operator()<TOp::kMulN>();
+      case TOp::kAndN: return f.template operator()<TOp::kAndN>();
+      case TOp::kOrN: return f.template operator()<TOp::kOrN>();
+      case TOp::kXorN: return f.template operator()<TOp::kXorN>();
+      case TOp::kNotN: return f.template operator()<TOp::kNotN>();
+      case TOp::kShlIN: return f.template operator()<TOp::kShlIN>();
+      case TOp::kLshrIN: return f.template operator()<TOp::kLshrIN>();
+      case TOp::kAshrIN: return f.template operator()<TOp::kAshrIN>();
+      case TOp::kShlVN: return f.template operator()<TOp::kShlVN>();
+      case TOp::kLshrVN: return f.template operator()<TOp::kLshrVN>();
+      case TOp::kEqN: return f.template operator()<TOp::kEqN>();
+      case TOp::kNeN: return f.template operator()<TOp::kNeN>();
+      case TOp::kUltN: return f.template operator()<TOp::kUltN>();
+      case TOp::kUleN: return f.template operator()<TOp::kUleN>();
+      case TOp::kSltN: return f.template operator()<TOp::kSltN>();
+      case TOp::kSleN: return f.template operator()<TOp::kSleN>();
+      case TOp::kMuxN: return f.template operator()<TOp::kMuxN>();
+      case TOp::kSliceN: return f.template operator()<TOp::kSliceN>();
+      case TOp::kSExtN: return f.template operator()<TOp::kSExtN>();
+      case TOp::kRedOrN: return f.template operator()<TOp::kRedOrN>();
+      case TOp::kRedAndN: return f.template operator()<TOp::kRedAndN>();
+      case TOp::kRedXorN: return f.template operator()<TOp::kRedXorN>();
+      case TOp::kConcat: return f.template operator()<TOp::kConcat>();
+      case TOp::kMemRead: return f.template operator()<TOp::kMemRead>();
     }
     throw std::logic_error("tape engine: unknown opcode");
   }
@@ -468,143 +389,19 @@ struct NativeEngine::Exec {
 
 // --- the lane switch (kLaneSwitch) -----------------------------------------
 
-bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
+// Out of line, as a call per lane from sweep<true>: R7 gate 2 measures the
+// generated code against this switch's cost, and inlined into the sweep it
+// ran kTape's rows ~1.3x faster.
+[[gnu::noinline]] bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
   std::uint64_t* const ar = rt_.arena();
   std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
   std::uint64_t* s = scratch_.data();
-  switch (ins.op) {
-    case TOp::kAdd1:
-      return store1(d, (ar[ins.a + lane] + ar[ins.b + lane]) & ins.mask);
-    case TOp::kSub1:
-      return store1(d, (ar[ins.a + lane] - ar[ins.b + lane]) & ins.mask);
-    case TOp::kMul1:
-      return store1(d, (ar[ins.a + lane] * ar[ins.b + lane]) & ins.mask);
-    case TOp::kAnd1:
-      return store1(d, ar[ins.a + lane] & ar[ins.b + lane]);
-    case TOp::kOr1:
-      return store1(d, ar[ins.a + lane] | ar[ins.b + lane]);
-    case TOp::kXor1:
-      return store1(d, ar[ins.a + lane] ^ ar[ins.b + lane]);
-    case TOp::kNot1:
-      return store1(d, ~ar[ins.a + lane] & ins.mask);
-    case TOp::kShlI1:
-      return store1(d, (ar[ins.a + lane] << ins.param) & ins.mask);
-    case TOp::kLshrI1:
-      return store1(d, ar[ins.a + lane] >> ins.param);
-    case TOp::kAshrI1: {
-      const std::uint64_t a = ar[ins.a + lane];
-      const unsigned w = ins.width;
-      const bool sign = ((a >> (w - 1)) & 1u) != 0;
-      std::uint64_t v;
-      if (ins.param >= w) {
-        v = sign ? ins.mask : 0;
-      } else {
-        v = a >> ins.param;
-        if (sign) v |= ins.mask ^ (ins.mask >> ins.param);
-      }
-      return store1(d, v);
-    }
-    case TOp::kShlV1: {
-      const std::uint64_t amt =
-          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
-      return store1(d, amt >= ins.width
-                           ? 0
-                           : (ar[ins.a + lane] << amt) & ins.mask);
-    }
-    case TOp::kLshrV1: {
-      const std::uint64_t amt =
-          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
-      return store1(d, amt >= ins.width ? 0 : ar[ins.a + lane] >> amt);
-    }
-    case TOp::kEq1:
-      return store1(d, ar[ins.a + lane] == ar[ins.b + lane] ? 1u : 0u);
-    case TOp::kNe1:
-      return store1(d, ar[ins.a + lane] != ar[ins.b + lane] ? 1u : 0u);
-    case TOp::kUlt1:
-      return store1(d, ar[ins.a + lane] < ar[ins.b + lane] ? 1u : 0u);
-    case TOp::kUle1:
-      return store1(d, ar[ins.a + lane] <= ar[ins.b + lane] ? 1u : 0u);
-    case TOp::kSlt1:
-    case TOp::kSle1: {
-      const unsigned sh = 64 - ins.a_width;
-      const auto a = static_cast<std::int64_t>(ar[ins.a + lane] << sh);
-      const auto b = static_cast<std::int64_t>(ar[ins.b + lane] << sh);
-      const bool r = ins.op == TOp::kSlt1 ? a < b : a <= b;
-      return store1(d, r ? 1u : 0u);
-    }
-    case TOp::kMux1:
-      return store1(d, (ar[ins.a + lane] & 1u) != 0 ? ar[ins.b + lane]
-                                                    : ar[ins.c + lane]);
-    case TOp::kSlice1:
-      return store1(d, (ar[ins.a + lane] >> ins.param) & ins.mask);
-    case TOp::kSExt1: {
-      const std::uint64_t a = ar[ins.a + lane];
-      const bool sign = ((a >> (ins.a_width - 1)) & 1u) != 0;
-      return store1(d, sign ? (a | (ins.mask ^ mask64(ins.a_width))) : a);
-    }
-    case TOp::kRedOr1:
-      return store1(d, ar[ins.a + lane] != 0 ? 1u : 0u);
-    case TOp::kRedAnd1:
-      return store1(d, ar[ins.a + lane] == mask64(ins.a_width) ? 1u : 0u);
-    case TOp::kRedXor1:
-      return store1(d, std::popcount(ar[ins.a + lane]) & 1u);
-    // Multi-word and width-generic: the threaded handlers' per-lane code.
-    case TOp::kCopyN:
-      return Exec::run_wide<TOp::kCopyN>(*this, ins, lane, s);
-    case TOp::kAddN:
-      return Exec::run_wide<TOp::kAddN>(*this, ins, lane, s);
-    case TOp::kSubN:
-      return Exec::run_wide<TOp::kSubN>(*this, ins, lane, s);
-    case TOp::kMulN:
-      return Exec::run_wide<TOp::kMulN>(*this, ins, lane, s);
-    case TOp::kAndN:
-      return Exec::run_wide<TOp::kAndN>(*this, ins, lane, s);
-    case TOp::kOrN:
-      return Exec::run_wide<TOp::kOrN>(*this, ins, lane, s);
-    case TOp::kXorN:
-      return Exec::run_wide<TOp::kXorN>(*this, ins, lane, s);
-    case TOp::kNotN:
-      return Exec::run_wide<TOp::kNotN>(*this, ins, lane, s);
-    case TOp::kShlIN:
-      return Exec::run_wide<TOp::kShlIN>(*this, ins, lane, s);
-    case TOp::kLshrIN:
-      return Exec::run_wide<TOp::kLshrIN>(*this, ins, lane, s);
-    case TOp::kAshrIN:
-      return Exec::run_wide<TOp::kAshrIN>(*this, ins, lane, s);
-    case TOp::kShlVN:
-      return Exec::run_wide<TOp::kShlVN>(*this, ins, lane, s);
-    case TOp::kLshrVN:
-      return Exec::run_wide<TOp::kLshrVN>(*this, ins, lane, s);
-    case TOp::kEqN:
-      return Exec::run_wide<TOp::kEqN>(*this, ins, lane, s);
-    case TOp::kNeN:
-      return Exec::run_wide<TOp::kNeN>(*this, ins, lane, s);
-    case TOp::kUltN:
-      return Exec::run_wide<TOp::kUltN>(*this, ins, lane, s);
-    case TOp::kUleN:
-      return Exec::run_wide<TOp::kUleN>(*this, ins, lane, s);
-    case TOp::kSltN:
-      return Exec::run_wide<TOp::kSltN>(*this, ins, lane, s);
-    case TOp::kSleN:
-      return Exec::run_wide<TOp::kSleN>(*this, ins, lane, s);
-    case TOp::kMuxN:
-      return Exec::run_wide<TOp::kMuxN>(*this, ins, lane, s);
-    case TOp::kSliceN:
-      return Exec::run_wide<TOp::kSliceN>(*this, ins, lane, s);
-    case TOp::kSExtN:
-      return Exec::run_wide<TOp::kSExtN>(*this, ins, lane, s);
-    case TOp::kRedOrN:
-      return Exec::run_wide<TOp::kRedOrN>(*this, ins, lane, s);
-    case TOp::kRedAndN:
-      return Exec::run_wide<TOp::kRedAndN>(*this, ins, lane, s);
-    case TOp::kRedXorN:
-      return Exec::run_wide<TOp::kRedXorN>(*this, ins, lane, s);
-    case TOp::kConcat:
-      return Exec::run_wide<TOp::kConcat>(*this, ins, lane, s);
-    case TOp::kMemRead:
-      return Exec::run_wide<TOp::kMemRead>(*this, ins, lane, s);
-  }
-  throw std::logic_error("tape engine: unknown opcode");
+  return Exec::dispatch(ins.op, [&]<TOp OP>() {
+    if constexpr (single_word(OP))
+      return store1(d, Exec::lane1<OP>(ins, ar, lane));
+    else
+      return Exec::run_wide<OP>(*this, ins, lane, s);
+  });
 }
 
 // --- NativeEngine ----------------------------------------------------------
@@ -674,7 +471,8 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
   if (ev_ == Evaluator::kCompiled) {
     handlers_.reserve(prog_.instrs.size());
     for (const Instr& ins : prog_.instrs)
-      handlers_.push_back(Exec::pick(ins.op));
+      handlers_.push_back(Exec::dispatch(
+          ins.op, []<TOp OP>() -> Handler { return &Exec::run<OP>; }));
     rt_.bind([this] { return emit_cpp(prog_); }, std::move(opt),
              {"osss_tape", 3, prog_.lanes, "arena", prog_.arena_size,
               /*step_settles=*/false},

@@ -35,13 +35,16 @@
 //     following the cpu-probed compile flags).
 //   * Evaluator::kLaneSwitch (SimMode::kTape) — never emits or compiles.
 //     Each instruction runs through a per-lane switch that reads its
-//     opcode at evaluation time; the multi-word and width-generic cases
-//     call the threaded handlers' per-lane code.  1..64 lanes.  R7
-//     measures the generated code against this evaluator.
+//     opcode at evaluation time.  1..64 lanes.  R7 measures the generated
+//     code against this evaluator.
 //
-// Both evaluators share the level sweep's activity gating and, without
-// generated code, the C++ register/memory commit.  Results are
-// bit-identical across evaluators and against the interpreter.
+// The threaded handlers and the lane switch share one definition per
+// opcode (the value a single-word opcode stores in one lane, and the
+// multi-word implementation, one lane at a time) and one opcode dispatch;
+// they differ only in the lane loop around them.  Both evaluators share
+// the level sweep's activity gating and, without generated code, the C++
+// register/memory commit.  Results are bit-identical across evaluators
+// and against the interpreter.
 //
 // Engines whose emitted parts are byte-identical share one loaded object
 // (src/jit), and the temp dir is removed when the last engine using it dies.
@@ -154,7 +157,7 @@ class NativeEngine {
   void poke_reg(unsigned reg_index, const Bits& value);
 
  private:
-  struct Exec;  // the threaded handlers and the lane switch (codegen.cpp)
+  struct Exec;  // per-lane opcode definitions, handlers, dispatch (.cpp)
   using Handler = bool (*)(NativeEngine&, const Instr&);
 
   Program prog_;

@@ -15,11 +15,16 @@
 // broadcast across a lane vector).
 //
 // Only single-word instructions are compiled: those whose result and every
-// operand fit one word per lane.  Each multi-word one is a single call back
-// into the engine, `X(C, i)`, which runs instruction i's bound handler (the
-// engine's one multi-word implementation, lane by lane) and says whether
-// its result changed; the generated code dirty-marks the fanout levels as
-// for any other instruction.
+// operand fit one word per lane (tape::single_word, plus concat and memory
+// reads one word wide and variable shifts by a one-word amount).  Each
+// multi-word one is a single call back into the engine, `X(C, i)`, which
+// runs instruction i's bound handler (the engine's one multi-word
+// implementation, lane by lane) and says whether its result changed; the
+// generated code dirty-marks the fanout levels as for any other
+// instruction.  The emitted single-word statements are this file's own;
+// the engine's interpreted evaluators (the threaded handlers and kTape's
+// lane switch) share one per-lane definition of each opcode and one
+// opcode dispatch between them.
 //
 // Layout contract (must match NativeEngine's runtime exactly): lane l
 // of a node with `words` words lives at arena[off + l*words]; memory word w
@@ -56,7 +61,7 @@ bool compiled(const Instr& ins) {
     case TOp::kMemRead:
       return ins.dw == 1;
     default:
-      return ins.op < TOp::kCopyN;  // the *1 forms precede the *N forms
+      return single_word(ins.op);
   }
 }
 

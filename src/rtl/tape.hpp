@@ -64,6 +64,11 @@ enum class TOp : std::uint8_t {
   kMemRead,  // param = memory index; a = address slot
 };
 
+/// True for the 24 `*1` opcodes, whose result and data operands fit one
+/// word per lane.  Their operands stride one word per lane, except a
+/// variable shift's amount (aw words).
+constexpr bool single_word(TOp op) { return op < TOp::kCopyN; }
+
 /// One tape instruction.  Field meaning varies slightly by opcode:
 ///   dst       destination arena offset (lane stride = dw words)
 ///   a, b, c   operand arena offsets

@@ -35,11 +35,4 @@ struct RandomModuleOptions {
 rtl::Module random_module(std::mt19937_64& rng,
                           const RandomModuleOptions& opt = {});
 
-/// Back-compat helper matching the original fuzz generator's signature.
-inline rtl::Module random_module(std::mt19937_64& rng, unsigned ops) {
-  RandomModuleOptions opt;
-  opt.ops = ops;
-  return random_module(rng, opt);
-}
-
 }  // namespace osss::verify

@@ -293,6 +293,10 @@ TEST(JitDiskCache, TwoProcessesPublishExactlyOneCompile) {
   TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   EnvVar cache_dir("OSSS_JIT_CACHE_DIR", dir.path.c_str());
+  // The compile's own temp dir goes under a private TMPDIR, checked below.
+  TempDir tmp;
+  ASSERT_FALSE(tmp.path.empty());
+  EnvVar tmpdir("TMPDIR", tmp.path.c_str());
   const Parts src = tiny_source("twoproc");
   const std::uint64_t base = cache_stats().compiles;  // inherited by forks
 
@@ -308,8 +312,10 @@ TEST(JitDiskCache, TwoProcessesPublishExactlyOneCompile) {
       std::string log;
       std::shared_ptr<Object> obj =
           compile(src, CompileOptions{}, "osss-jt", log);
-      if (obj == nullptr || obj->sym("osss_cache_probe_twoproc") == nullptr)
-        ::_exit(77);
+      const bool loaded =
+          obj != nullptr && obj->sym("osss_cache_probe_twoproc") != nullptr;
+      obj.reset();  // _exit runs no destructor: remove the temp dir first
+      if (!loaded) ::_exit(77);
       ::_exit(static_cast<int>(cache_stats().compiles - base));
     }
     kid = pid;
@@ -324,6 +330,9 @@ TEST(JitDiskCache, TwoProcessesPublishExactlyOneCompile) {
   }
   EXPECT_EQ(total, 1) << "the flock'd publish must cost one compile total";
   EXPECT_TRUE(fs::exists(artifact_path(dir.path, src, {}, "osss-jt")));
+  for (const fs::directory_entry& e : fs::directory_iterator(tmp.path))
+    EXPECT_NE(e.path().filename().string().rfind("osss-jt-", 0), 0u)
+        << "a child left its compile's temp dir behind: " << e.path();
 }
 
 TEST(JitDiskCache, LruEvictsOldestArtifactFirst) {

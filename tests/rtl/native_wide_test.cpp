@@ -1,15 +1,22 @@
-// native_wide_test.cpp — differential coverage of the multi-word tape
-// instructions: the 25 `*N` opcodes, concat and memory reads wider than one
-// word, and variable shifts whose amount spans more than one word.
+// native_wide_test.cpp — differential coverage of every tape opcode at the
+// edges of its word: the multi-word instructions (the 25 `*N` opcodes,
+// concat and memory reads wider than one word, variable shifts whose
+// amount spans more than one word) and the 24 single-word `*1` opcodes at
+// 1..64 bits.
 //
-// The generated code computes single-word instructions only and calls back
-// into the engine for these, so kTape's lane switch, the threaded handlers
-// and the JIT all reach the same per-lane code (Exec::run_wide) through
-// different dispatch.  The module generator below builds 65–300-bit nodes
-// (random_module caps widths at 40 bits, so the fuzz corpus never reaches a
-// `*N` opcode), a wide register, a wide enabled register and a wide memory.
-// Every lane carries its own stimulus and is checked against one
-// interpreter of its own (verify::ReplicaModel), so a wrong lane stride
+// The interpreted evaluators share one definition per opcode: kTape's lane
+// switch and the threaded handlers compute a single-word result in
+// Exec::lane1 and a multi-word one in Exec::run_wide, reached through one
+// opcode dispatch; the generated code computes single-word instructions
+// itself and calls back into the engine for the rest.  One module
+// generator builds both corpora from a width band.  The wide band builds
+// 65–300-bit nodes (random_module caps widths at 40 bits, so the fuzz
+// corpus never reaches a `*N` opcode), a wide register, a wide enabled
+// register and a wide memory.  The narrow band builds 1–64-bit nodes,
+// favouring 1, 2, 63 and 64 bits, with variable shifts by amounts past the
+// width; random_module never emits ne, ule, slt, sle, lshri, sext or a
+// reduction.  Every lane carries its own stimulus and is checked against
+// one interpreter of its own (verify::ReplicaModel), so a wrong lane stride
 // cannot hide behind broadcast values.
 
 #include <gtest/gtest.h>
@@ -35,27 +42,40 @@ namespace {
 
 namespace tp = tape;
 
-constexpr unsigned kMinWide = 65, kMaxWide = 300;
+/// The widths a generated module's values take.
+struct Band {
+  unsigned lo, hi;
+  const char* name;
+};
+constexpr Band kWide{65, 300, "wide"};
+constexpr Band kNarrow{1, 64, "narrow"};
 
 bool jit_disabled() {
   const char* nj = std::getenv("OSSS_NO_JIT");
   return nj != nullptr && *nj != '\0' && *nj != '0';
 }
 
-/// Builds one module from every multi-word operator.  Each operator kind
-/// appears at least once, on operands picked from a pool of wide values;
-/// every result drives an output, so the compiler prunes none of them.
-struct WideGen {
+/// Builds one module from every operator at the band's widths.  Each
+/// operator kind appears at least once, on operands picked from a pool of
+/// values in the band (the narrow band's first pass at 64 bits); every
+/// result drives an output, so the compiler prunes none of them.
+struct OpGen {
   std::mt19937_64& rng;
-  Builder b{"wide"};
-  std::vector<Wire> pool;  ///< 65..300-bit values
+  const Band band;
+  Builder b{band.name};
+  std::vector<Wire> pool;  ///< values inside the band
   Wire narrow;             ///< 40-bit input: addresses, selects, amounts
   unsigned outputs = 0;
 
-  explicit WideGen(std::mt19937_64& r) : rng(r) {}
+  OpGen(std::mt19937_64& r, Band bd) : rng(r), band(bd) {}
 
+  bool wide() const { return band.lo > 64; }
   unsigned width() {
-    return kMinWide + static_cast<unsigned>(rng() % (kMaxWide - kMinWide + 1));
+    if (!wide() && rng() % 2 == 0) {
+      static constexpr unsigned kEdges[] = {1, 2, 63, 64};
+      return kEdges[rng() % 4];
+    }
+    return band.lo + static_cast<unsigned>(rng() % (band.hi - band.lo + 1));
   }
   Wire pick() { return pool[rng() % pool.size()]; }
   /// A pool value adapted to `w` bits (a multi-word slice or zext when no
@@ -74,23 +94,24 @@ struct WideGen {
   /// `a` itself or another value of its width, so compares and equality
   /// tests see both outcomes.
   Wire maybe_same(Wire a) { return b.mux(bit(), a, pick_w(a.width)); }
-  /// A shift amount: small enough to move bits, or any wide value (nearly
-  /// always past the width).
+  /// A shift amount: small enough to move bits, or any pool value (often
+  /// past the width, nearly always in the wide band).
   Wire amount() {
-    return rng() % 2 == 0 ? b.zext(b.slice(narrow, 8, 0), width()) : pick();
+    if (rng() % 2 != 0) return pick();
+    if (wide()) return b.zext(b.slice(narrow, 8, 0), width());
+    return b.slice(narrow, static_cast<unsigned>(rng() % 8), 0);
   }
   void out(Wire w) {
     b.output(std::string("o").append(std::to_string(outputs++)), w);
   }
   void keep(Wire w) {
-    if (w.width > kMaxWide) w = b.trunc(w, kMaxWide);
+    if (w.width > band.hi) w = b.trunc(w, band.hi);
     out(w);
-    if (w.width >= kMinWide) pool.push_back(w);
+    if (w.width >= band.lo) pool.push_back(w);
   }
 
-  /// One instance of operator kind k (0..kKinds-1).
-  void op(unsigned k) {
-    const Wire a = pick();
+  /// One instance of operator kind k (0..kKinds-1) on operand `a`.
+  void op(unsigned k, Wire a) {
     switch (k) {
       case 0: keep(b.add(a, pick_w(a.width))); break;
       case 1: keep(b.sub(a, pick_w(a.width))); break;
@@ -127,7 +148,8 @@ struct WideGen {
       case 20: {
         // From a narrow or a wide value; a 1-bit source fills all ones
         // half the time, which red_and below relies on.
-        const Wire src = rng() % 3 == 0 ? bit() : b.trunc(a, a.width - 1);
+        const Wire src =
+            rng() % 3 == 0 || a.width == 1 ? bit() : b.trunc(a, a.width - 1);
         keep(b.sext(src, std::max(width(), src.width + 1)));
         break;
       }
@@ -135,16 +157,27 @@ struct WideGen {
       case 22: out(b.red_and(b.or_(a, b.sext(bit(), a.width)))); break;
       case 23: out(b.red_xor(a)); break;
       case 24: {
+        if (!wide()) {  // a concat that fits one word
+          keep(b.concat({bit(), b.trunc(a, std::min(a.width, 63u))}));
+          break;
+        }
         // Zero-extension that grows the word count: from a narrow value or
         // from a wide one to more words.
         const Wire src = rng() % 2 == 0 ? b.slice(a, 63, 0) : a;
-        keep(b.zext(src, std::min(kMaxWide, src.width + 64 +
-                                    static_cast<unsigned>(rng() % 64))));
+        keep(b.zext(src, std::min(band.hi, src.width + 64 +
+                                     static_cast<unsigned>(rng() % 64))));
         break;
       }
       case 25: keep(b.concat({a, rng() % 2 == 0 ? bit() : pick()})); break;
-      case 26: out(b.shlv(b.slice(a, 40, 0), amount())); break;
-      case 27: out(b.lshrv(b.slice(a, 40, 0), amount())); break;
+      // Wide: a one-word value by a wide amount; narrow: by the 40-bit
+      // input, mostly past the width.
+      case 26:
+        out(wide() ? b.shlv(b.slice(a, 40, 0), amount()) : b.shlv(a, narrow));
+        break;
+      case 27:
+        out(wide() ? b.lshrv(b.slice(a, 40, 0), amount())
+                   : b.lshrv(a, narrow));
+        break;
     }
   }
   static constexpr unsigned kKinds = 28;
@@ -168,13 +201,16 @@ struct WideGen {
     const unsigned mw = b.peek().memories()[m.index].data_width;
     pool.push_back(b.mem_read(m, b.slice(narrow, 20 + aw - 1, 20)));
 
-    // Every kind once, in a random order, then as many again at random.
+    // Every kind once, in a random order (narrow: on a 64-bit operand),
+    // then as many again at random.
     std::vector<unsigned> kinds(kKinds);
     for (unsigned k = 0; k < kKinds; ++k) kinds[k] = k;
     std::shuffle(kinds.begin(), kinds.end(), rng);
-    for (const unsigned k : kinds) op(k);
-    for (unsigned i = 0; i < kKinds; ++i)
-      op(static_cast<unsigned>(rng() % kKinds));
+    for (const unsigned k : kinds) op(k, wide() ? pick() : pick_w(64));
+    for (unsigned i = 0; i < kKinds; ++i) {
+      const auto k = static_cast<unsigned>(rng() % kKinds);
+      op(k, pick());
+    }
 
     b.mem_write(m, b.slice(narrow, 30 + aw - 1, 30), pick_w(mw), bit());
     b.connect(r0, pick_w(w0));
@@ -183,23 +219,25 @@ struct WideGen {
   }
 };
 
-std::uint64_t module_seed(unsigned index) {
-  return verify::StimGen::derive(
-      verify::env_seed(7309),
-      std::string("native-wide/").append(std::to_string(index)));
+std::uint64_t module_seed(Band band, unsigned index) {
+  return verify::StimGen::derive(verify::env_seed(7309),
+                                 std::string("native-")
+                                     .append(band.name)
+                                     .append("/")
+                                     .append(std::to_string(index)));
 }
 
-Module wide_module(unsigned index) {
-  std::mt19937_64 rng(module_seed(index));
-  return WideGen(rng).build();
+Module band_module(Band band, unsigned index) {
+  std::mt19937_64 rng(module_seed(band, index));
+  return OpGen(rng, band).build();
 }
 
-// --- kInterp vs kTape vs the threaded handlers ------------------------------
-
-class NativeWideFuzz : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(NativeWideFuzz, TapeAndHandlersMatchInterpreter) {
-  const Module m = wide_module(GetParam());
+/// kInterp against kTape's lane switch and the forced threaded handlers at
+/// 1 and 64 lanes.  Lane 0's stimulus follows `stim`; the other lanes are
+/// uniform.
+void expect_interpreters_match(Band band, unsigned index,
+                               verify::StimConstraint stim = {}) {
+  const Module m = band_module(band, index);
   tp::CodegenOptions fb;
   fb.force_fallback = true;
   for (const unsigned lanes : {1u, 64u})
@@ -209,22 +247,13 @@ TEST_P(NativeWideFuzz, TapeAndHandlersMatchInterpreter) {
             std::make_unique<verify::RtlModel>(m, SimMode::kTape, lanes),
             std::make_unique<verify::RtlModel>(m, SimMode::kNative, lanes,
                                                fb)),
-        module_seed(GetParam()) + lanes, 20);
+        module_seed(band, index) + lanes, 20, 1, stim);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideFuzz,
-                         ::testing::Range(0u, verify::env_iters(16)));
-
-// --- the generated code -----------------------------------------------------
-
-class NativeWideJit
-    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
-
-/// The real JIT at 1, 64 and 256 lanes: single-word instructions compiled,
-/// multi-word ones called back into the engine.
-TEST_P(NativeWideJit, CompiledMatchesInterpreter) {
-  const auto [index, lanes] = GetParam();
-  const Module m = wide_module(index);
+/// The real JIT: single-word instructions compiled, multi-word ones called
+/// back into the engine.
+void expect_jit_matches(Band band, unsigned index, unsigned lanes) {
+  const Module m = band_module(band, index);
   auto jit = std::make_unique<verify::RtlModel>(m, SimMode::kNative, lanes);
   if (!jit_disabled()) {
     ASSERT_TRUE(jit->sim().native().native())
@@ -232,12 +261,54 @@ TEST_P(NativeWideJit, CompiledMatchesInterpreter) {
   }
   testutil::expect_lanes_match(m, testutil::interp(m),
                                testutil::models(std::move(jit)),
-                               module_seed(index) + lanes, 8);
+                               module_seed(band, index) + lanes, 8);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideJit,
-                         ::testing::Combine(::testing::Range(0u, 2u),
-                                            ::testing::Values(1u, 64u, 256u)));
+// --- kInterp vs kTape vs the threaded handlers ------------------------------
+
+class NativeWideFuzz : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(NativeWideFuzz, TapeAndHandlersMatchInterpreter) {
+  expect_interpreters_match(kWide, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideFuzz,
+                         ::testing::Range(0u, verify::env_iters(16)));
+
+class NativeNarrowFuzz : public ::testing::TestWithParam<unsigned> {};
+
+/// Lane 0 leans on corner values (0, 1, all ones, the sign bit).
+TEST_P(NativeNarrowFuzz, TapeAndHandlersMatchInterpreter) {
+  verify::StimConstraint corner;
+  corner.kind = verify::StimKind::kCorner;
+  expect_interpreters_match(kNarrow, GetParam(), corner);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NativeNarrowFuzz,
+                         ::testing::Range(0u, verify::env_iters(16)));
+
+// --- the generated code at 1, 64 and 256 lanes ------------------------------
+
+using JitParam = std::tuple<unsigned, unsigned>;  ///< {module, lanes}
+const auto kJitParams = ::testing::Combine(::testing::Range(0u, 2u),
+                                           ::testing::Values(1u, 64u, 256u));
+
+class NativeWideJit : public ::testing::TestWithParam<JitParam> {};
+
+TEST_P(NativeWideJit, CompiledMatchesInterpreter) {
+  expect_jit_matches(kWide, std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NativeWideJit, kJitParams);
+
+class NativeNarrowJit : public ::testing::TestWithParam<JitParam> {};
+
+TEST_P(NativeNarrowJit, CompiledMatchesInterpreter) {
+  expect_jit_matches(kNarrow, std::get<0>(GetParam()),
+                     std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NativeNarrowJit, kJitParams);
 
 // --- coverage ---------------------------------------------------------------
 
@@ -247,7 +318,7 @@ TEST(NativeWide, CorpusCoversEveryMultiWordInstruction) {
   std::set<tp::TOp> wide_ops;
   bool concat = false, memread = false, shlv = false, lshrv = false;
   for (unsigned i = 0; i < verify::env_iters(16); ++i) {
-    const tp::Program p = tp::Program::compile(wide_module(i));
+    const tp::Program p = tp::Program::compile(band_module(kWide, i));
     for (const tp::Instr& ins : p.instrs) {
       if (ins.op >= tp::TOp::kCopyN && ins.op <= tp::TOp::kRedXorN)
         wide_ops.insert(ins.op);
@@ -266,6 +337,32 @@ TEST(NativeWide, CorpusCoversEveryMultiWordInstruction) {
   EXPECT_TRUE(memread) << "no memory read wider than one word";
   EXPECT_TRUE(shlv) << "no shlv by a multi-word amount";
   EXPECT_TRUE(lshrv) << "no lshrv by a multi-word amount";
+}
+
+/// The narrow corpus compiles to all 24 single-word opcodes, and the
+/// compares, reductions and kNot1 also occur on 64-bit operands, where a
+/// mask or a sign bit sits in the word's top bit.
+TEST(NativeNarrow, CorpusCoversEverySingleWordInstruction) {
+  std::set<tp::TOp> ops, at64;
+  for (unsigned i = 0; i < verify::env_iters(16); ++i) {
+    const tp::Program p = tp::Program::compile(band_module(kNarrow, i));
+    for (const tp::Instr& ins : p.instrs) {
+      if (!tp::single_word(ins.op)) continue;
+      ops.insert(ins.op);
+      if (ins.op == tp::TOp::kNot1 ? ins.width == 64 : ins.a_width == 64)
+        at64.insert(ins.op);
+    }
+  }
+  EXPECT_EQ(ops.size(), 24u);
+  for (unsigned op = 0; tp::single_word(static_cast<tp::TOp>(op)); ++op)
+    EXPECT_TRUE(ops.count(static_cast<tp::TOp>(op)) != 0)
+        << "no instruction with opcode " << op;
+  using tp::TOp;
+  for (const TOp op : {TOp::kEq1, TOp::kNe1, TOp::kUlt1, TOp::kUle1,
+                       TOp::kSlt1, TOp::kSle1, TOp::kRedOr1, TOp::kRedAnd1,
+                       TOp::kRedXor1, TOp::kNot1})
+    EXPECT_TRUE(at64.count(op) != 0)
+        << "no 64-bit instruction with opcode " << static_cast<unsigned>(op);
 }
 
 }  // namespace

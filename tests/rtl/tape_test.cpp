@@ -102,7 +102,7 @@ TEST(Tape, SixtyFourLanesAgainstBitParallelGates) {
   const std::uint64_t seed =
       verify::StimGen::derive(verify::env_seed(6271), "tape/wide");
   std::mt19937_64 rng(seed);
-  const Module m = verify::random_module(rng, 36);
+  const Module m = verify::random_module(rng, verify::RandomModuleOptions{36});
   verify::CoSim cs;
   cs.add(std::make_unique<verify::RtlModel>(m, SimMode::kTape, 64));
   gate::CodegenOptions fallback;

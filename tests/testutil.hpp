@@ -65,20 +65,22 @@ inline void expect_parts_well_formed(const jit::Parts& parts,
 
 /// Co-simulates `duts` (one lane count) against `reference` built once per
 /// lane (verify::ReplicaModel): `sequences` runs of `cycles` cycles of
-/// StimGen(seed) stimulus on `design`'s ports, every lane scored.  Fails
-/// the test on a mismatch or a short vector count, and returns the run.
+/// StimGen(seed) stimulus on `design`'s ports, every lane scored.  Lane 0
+/// follows `stim`; the other lanes are uniform.  Fails the test on a
+/// mismatch or a short vector count, and returns the run.
 template <class Design>
 verify::RunResult expect_lanes_match(
     const Design& design, const verify::ReplicaModel::Factory& reference,
     std::vector<std::unique_ptr<verify::Model>> duts, std::uint64_t seed,
-    unsigned cycles, unsigned sequences = 1) {
+    unsigned cycles, unsigned sequences = 1,
+    verify::StimConstraint stim = {}) {
   const unsigned lanes = duts.front()->lanes();
   verify::CoSim cs;
   cs.add(std::make_unique<verify::ReplicaModel>(lanes, reference));
   for (auto& dut : duts) cs.add_model(std::move(dut));
   cs.declare_io(design);
   verify::StimGen gen(seed);
-  cs.declare_stimulus(gen);
+  cs.declare_stimulus(gen, stim);
   verify::RunResult r = cs.run(gen, cycles, sequences);
   EXPECT_TRUE(r.ok) << r.mismatch.describe(cs.inputs(), lanes > 1) << " x"
                     << lanes << " seed " << seed;
