@@ -16,12 +16,13 @@
 //     small against the lane count (word ops instead of per-lane probes);
 //   * the source is a list of translation units (jit::Parts) that the JIT
 //     compiles concurrently and links into one object.  Part 0 holds the
-//     ABI symbols, `osss_gate_eval`'s dirty scan and `osss_gate_step`; the
-//     other parts hold hidden functions: level-range chunks (each runs the
-//     levels from `first` on within its range, every memory read group in
-//     its level) and the write-port commits, cut by the fixed
-//     emitted-size budget both emitters share (jit::kPartBytes), so the
-//     list never depends on the machine;
+//     ABI symbols, the settle's dirty scan (a hidden `gate_eval`, which
+//     `osss_gate_eval` exports and `osss_gate_step` calls directly) and
+//     `osss_gate_step`; the other parts hold hidden functions: level-range
+//     chunks (each runs the levels from `first` on within its range, every
+//     memory read group in its level) and the write-port commits, cut by
+//     the fixed emitted-size budget both emitters share (jit::kPartBytes),
+//     so the list never depends on the machine;
 //   * the DFF and memory-write-port commit is emitted *inside* the
 //     generated `osss_gate_step` entry point — the DFFs as a walk over
 //     constant tables of D/Q offsets and CSR dirty marks, each write port

@@ -3,17 +3,20 @@
 // The output is a list of translation units (jit::Parts), each opening
 // with the shared jit preludes: the store-only lane_ops_prelude chunk
 // layer (vw = one vector-extension chunk of lane words) for combinational
-// logic and step_prelude for the sequential commit.  Part 0 holds the ABI
-// symbols, `osss_gate_eval` and `osss_gate_step`.  The levels go to
-// hidden chunk functions `gate_levels_<k>(V, M, first)`, one part each,
-// and each write port's commit to a hidden `gate_wport_<k>`; a chunk
-// closes, and a part of write ports is cut, once its code reaches
-// jit::kPartBytes.  The jit compiles the parts concurrently: the compiler's
-// cost grows faster than linearly with a function's size, so many small
-// functions on several cores build far sooner than one huge one.
+// logic and step_prelude's helpers (lane vectors over a literal word
+// count) for the write-port samples and memory-tap copies.  Part 0 holds
+// the ABI symbols, the settle `gate_eval` and `osss_gate_step`; the settle
+// is hidden, so the step calls it directly, and `osss_gate_eval` exports
+// it.  The levels go to hidden chunk functions `gate_levels_<k>(V, M,
+// first)`, one part each, and each write port's commit to a hidden
+// `gate_wport_<k>`; a chunk closes, and a part of write ports is cut, once
+// its code reaches jit::kPartBytes.  The jit compiles the parts
+// concurrently: the compiler's cost grows faster than linearly with a
+// function's size, so many small functions on several cores build far
+// sooner than one huge one.
 //
 // Unlike the interpreter, the generated eval keeps no per-cell change
-// tracking.  Levels form a topological schedule, so `osss_gate_eval` scans
+// tracking.  Levels form a topological schedule, so `gate_eval` scans
 // the per-level dirty flags once and then runs one straight-line sweep
 // from the first dirty level to the end, calling each chunk that ends
 // past it — every downstream value is recomputed exactly (change
@@ -251,10 +254,9 @@ struct Emitter {
         os << "      }\n";
       }
       for (std::size_t t = 0; t < cells.size(); ++t)
-        os << "      j_cpy(V + " << num(std::uint64_t{cells[t]} * lw)
-           << ", q + "
-           << num(std::uint64_t{nl.cells()[cells[t]].param2} * lw) << ", "
-           << lw << ");\n";
+        os << "      v_cpy<" << lw << ">(V + "
+           << num(std::uint64_t{cells[t]} * lw) << ", q + "
+           << num(std::uint64_t{nl.cells()[cells[t]].param2} * lw) << ");\n";
     } else if (use_row_masks(bound)) {
       // Row-mask gather: one sweep of the addressable rows per lane word
       // serves every tap; dead-lane garbage in the masks is confined by
@@ -384,30 +386,32 @@ struct Emitter {
     return ends;
   }
 
-  /// `osss_gate_eval`: one in-order sweep from the first dirty level
-  /// settles everything downstream of any marked change (a clean schedule
-  /// costs only the flag scan), chunk by chunk.
+  /// The settle, `gate_eval`: one in-order sweep from the first dirty
+  /// level settles everything downstream of any marked change (a clean
+  /// schedule costs only the flag scan), chunk by chunk.  It is hidden, so
+  /// the step's settle is a direct call (an exported function of a -fPIC
+  /// object is called through the PLT); `osss_gate_eval` exports it.
   void emit_eval(const std::vector<std::uint32_t>& ends) {
-    // The last two parameters are the engine callback jit::EvalFn passes
-    // every generated eval.  Gate code has nothing to call back for, so they
-    // stay unnamed, and their defaults let the step's settle call omit them.
-    os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
-          "unsigned char* D, bool (*)(void*, unsigned) noexcept = nullptr, "
-          "void* = nullptr) {\n";
+    os << jit::hidden_function()
+       << "void gate_eval(u64* V, u64* const* M, unsigned char* D) {\n";
     os << "  (void)V; (void)M; (void)D;\n";
     const std::uint32_t num_levels = s.levels();
-    if (num_levels == 0) {
-      os << "}\n\n";
-      return;
+    if (num_levels != 0) {
+      os << "  int first = " << num_levels << ";\n";
+      os << "  for (int i = 0; i < " << num_levels << "; ++i)\n";
+      os << "    if (D[i]) { first = i; break; }\n";
+      os << "  if (first >= " << num_levels << ") return;\n";
+      os << "  for (int i = first; i < " << num_levels << "; ++i) D[i] = 0;\n";
+      for (std::size_t k = 0; k < ends.size(); ++k)
+        os << "  if (first < " << ends[k] << ") gate_levels_" << k
+           << "(V, M, first);\n";
     }
-    os << "  int first = " << num_levels << ";\n";
-    os << "  for (int i = 0; i < " << num_levels << "; ++i)\n";
-    os << "    if (D[i]) { first = i; break; }\n";
-    os << "  if (first >= " << num_levels << ") return;\n";
-    os << "  for (int i = first; i < " << num_levels << "; ++i) D[i] = 0;\n";
-    for (std::size_t k = 0; k < ends.size(); ++k)
-      os << "  if (first < " << ends[k] << ") gate_levels_" << k
-         << "(V, M, first);\n";
+    os << "}\n\n";
+    // The last two parameters are the engine callback jit::EvalFn passes
+    // every generated eval.  Gate code has nothing to call back for.
+    os << "extern \"C\" void osss_gate_eval(u64* V, u64* const* M, "
+          "unsigned char* D, bool (*)(void*, unsigned) noexcept, void*) {\n";
+    os << "  gate_eval(V, M, D);\n";
     os << "}\n\n";
   }
 
@@ -624,7 +628,7 @@ struct Emitter {
     // Commit memory writes (port order = declaration order; later win).
     for (std::size_t k = 0; k < s.wports.size(); ++k)
       os << "  chg |= gate_wport_" << k << "(V, M, D, S);\n";
-    os << "  osss_gate_eval(V, M, D);\n";
+    os << "  gate_eval(V, M, D);\n";
     os << "  return chg;\n";
     os << "}\n";
   }
@@ -636,12 +640,12 @@ struct Emitter {
       return num(std::uint64_t{s.wp_nets[k]} * lw);
     };
     for (const Schedule::WritePort& wp : s.wports) {
-      os << "  if (j_snap(S + " << num(sample_at(wp.base)) << ", V + "
-         << src(wp.base) << ", " << lw << ")) {\n";
+      os << "  if (v_snap<" << lw << ">(S + " << num(sample_at(wp.base))
+         << ", V + " << src(wp.base) << ")) {\n";
       for (std::size_t k = wp.base + 1; k <= wp.base + wp.addr_n + wp.width;
            ++k)
-        os << "    j_cpy(S + " << num(sample_at(k)) << ", V + " << src(k)
-           << ", " << lw << ");\n";
+        os << "    v_cpy<" << lw << ">(S + " << num(sample_at(k)) << ", V + "
+           << src(k) << ");\n";
       os << "  }\n";
     }
   }

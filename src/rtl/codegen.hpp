@@ -46,6 +46,16 @@
 // register/memory commit.  Results are bit-identical across evaluators
 // and against the interpreter.
 //
+// The clock edge, generated or not, follows Program's sampling rule: only
+// the commit inputs whose arena range overlaps some register's q range
+// are copied before the commits (into the generated step's scratch, or
+// samples_); every other input is read in place.  The generated step's
+// lane loops are lane-vector helpers over a literal word count (the JIT
+// prelude's step set), and a one-word memory read is one gather driver
+// (v_mread; eight lanes per instruction on AVX-512).  Input writes that
+// broadcast one value (set_input, set_input_u64) compute the change over
+// all lanes first, then fill.
+//
 // Engines whose emitted parts are byte-identical share one loaded object
 // (src/jit), and the temp dir is removed when the last engine using it dies.
 //
@@ -174,34 +184,22 @@ class NativeEngine {
   // instruction.
   std::vector<Handler> handlers_;
 
-  // Pre-edge sampling buffers.  Enables are snapshotted one full arena
-  // word per lane (bit 0 significant) — a contiguous copy from the
-  // lane-major arena — so the commit loops are branchless masked merges
-  // the compiler can vectorize, instead of per-lane bit gathers.
-  std::vector<std::uint64_t> reg_next_;
-  std::vector<std::uint32_t> reg_next_off_;
-  std::vector<std::uint64_t> reg_en_;  ///< regs * lanes (always-on regs
-                                       ///  prefilled with 1 at build)
-  struct Wp {
-    std::uint32_t mem = 0;
-    Program::WritePort port;
-    std::uint32_t addr_at = 0;
-    std::uint32_t data_at = 0;
-    std::uint16_t words = 1;
-  };
-  std::vector<Wp> wps_;
-  std::vector<std::uint64_t> wp_en_;    ///< ports * lanes
-  std::vector<std::uint64_t> wp_addr_;  ///< per port * lane
-  std::vector<std::uint64_t> wp_data_;  ///< per port: words * lanes
+  /// Pre-edge copies of the inputs Program's sampling rule flags, laid out
+  /// as the generated step's scratch (Program::sample_words).
+  std::vector<std::uint64_t> samples_;
 
   /// The generated code's callback (jit::WideFn): instruction i of
   /// `engine` through its bound handler.
   static bool run_instr(void* engine, unsigned i) noexcept;
   template <bool kLaneSwitch>
   void sweep();
-  /// Interpreted clock edge: sample, then commit registers and memory
-  /// write ports, dirty-marking what changed.
+  /// Interpreted clock edge: sample what a commit could overwrite, then
+  /// commit registers and memory write ports, dirty-marking what changed.
   void commit();
+  /// Drive every lane of input `index` with the port-wide word pattern
+  /// `word(w)`: the change over all lanes first, then the fill.
+  template <class Word>
+  void broadcast_input(unsigned index, Word word);
   /// kLaneSwitch: one lane of one instruction, switching on the opcode the
   /// tape holds at evaluation time.
   bool exec_one(const Instr& ins, unsigned lane);

@@ -26,6 +26,15 @@
 // lane switch) share one per-lane definition of each opcode and one
 // opcode dispatch between them.
 //
+// Every compiled statement is one call of a vector-prelude driver written
+// against lane vectors: concat through v_store, a one-word memory read
+// through v_mread (on AVX-512 a gather of eight lanes under an unsigned
+// in-depth mask).  The clock edge is the step prelude's helper set,
+// templated on a literal word count: it copies into the step scratch only
+// the inputs Program's sampling rule flags (those a register commit could
+// overwrite) and reads the rest in place, and each write port commits in
+// one lane loop that stores without comparing first (v_mwrite).
+//
 // Layout contract (must match NativeEngine's runtime exactly): lane l
 // of a node with `words` words lives at arena[off + l*words]; memory word w
 // of entry a in lane l lives at mem[mi][(a*L + l)*words + w].
@@ -35,6 +44,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "rtl/codegen.hpp"
 #include "rtl/tape_detail.hpp"
@@ -92,16 +102,19 @@ struct Emitter {
   }
   std::string dst(const Instr& ins) const { return "A + " + num(ins.dst); }
 
-  /// Dirty marks for instruction i's fanout levels; empty when none.
-  std::string marks(std::uint32_t i) const {
+  /// Dirty marks for the fanout levels of row `row` of a fanout table
+  /// (`off` indexes `levels`, one row per instruction, register or
+  /// memory); empty when none.
+  std::string marks(const std::vector<std::uint32_t>& off,
+                    const std::vector<std::uint32_t>& levels,
+                    std::size_t row) const {
     std::string m;
-    for (std::uint32_t k = p.instr_fl_off[i]; k < p.instr_fl_off[i + 1]; ++k)
-      m += " D[" + num(p.instr_fl[k]) + "] = 1;";
+    for (std::uint32_t k = off[row]; k < off[row + 1]; ++k)
+      m += " D[" + num(levels[k]) + "] = 1;";
     return m;
   }
 
-  /// The change-returning call expression for one compiled instruction
-  /// other than concat and memread, which are emitted as inline blocks.
+  /// The change-returning call expression for one compiled instruction.
   std::string expr(const Instr& ins) const {
     const std::string LN = num(p.lanes);
     const std::string M = hex(ins.mask);
@@ -179,7 +192,11 @@ struct Emitter {
                ", " + hex(mask64(ins.a_width)) + ")";
       case TOp::kRedXor1:
         return "v_redxor<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ")";
-      default:  // run() emits the rest
+      case TOp::kConcat:
+        return concat_expr(ins);
+      case TOp::kMemRead:
+        return memread_expr(ins);
+      default:  // not compiled(): a call back into the engine
         return "";
     }
   }
@@ -187,180 +204,105 @@ struct Emitter {
   /// One change-returning statement `e` that dirty-marks instruction i's
   /// fanout levels.
   void emit_change(std::uint32_t i, const std::string& e) {
-    const std::string m = marks(i);
+    const std::string m = marks(p.instr_fl_off, p.instr_fl, i);
     if (m.empty())
       os << "    (void)" << e << ";\n";
     else
       os << "    if (" << e << ") {" << m << " }\n";
   }
 
-  /// Ends an inline block whose `ch` says whether instruction i changed.
-  void close_block(std::uint32_t i) {
-    const std::string m = marks(i);
-    if (m.empty())
-      os << "      (void)ch;\n";
-    else
-      os << "      if (ch) {" << m << " }\n";
-    os << "    }\n";
-  }
-
-  /// Fully unrolled single-word concat: each part is OR-ed into the one
-  /// staging word at its bit offset.
-  void emit_concat(std::uint32_t i, const Instr& ins) {
-    os << "    { // concat\n      u64 ch = 0;\n";
-    os << "      for (int l = 0; l < " << p.lanes << "; ++l) {\n";
-    os << "        u64 s[1] = {0};\n";
+  /// Single-word concat: every part shifted to its bit offset and OR-ed,
+  /// one lane vector per step.
+  std::string concat_expr(const Instr& ins) const {
+    const std::string LN = num(p.lanes);
+    std::string e = "v_store<" + LN + ">(" + dst(ins) +
+                    ", [&](int l) { using V = LaneV<" + LN + ">; return ";
     unsigned pos = 0;
     for (std::uint32_t pi = 0; pi < ins.c; ++pi) {
       const ConcatPart& part = p.parts[ins.param + pi];
-      os << "        { const u64* q = A + " << part.off << " + l * 1;\n";
-      os << "          s[0] |= q[0]";
-      if (pos != 0) os << " << " << pos;
-      os << ";\n        }\n";
+      if (pi != 0) e += " | ";
+      e += "ld<V>(" + src1(part.off) + ", l)";
+      if (pos != 0) e += " << " + num(pos);
       pos += part.width;
     }
-    os << "        ch |= stn(A + " << ins.dst << " + l * 1, s, 1);\n";
-    os << "      }\n";
-    close_block(i);
+    return e + "; })";
   }
 
-  void emit_memread(std::uint32_t i, const Instr& ins) {
-    const Program::Mem& pm = p.mems[ins.param];
-    os << "    { // memread m" << ins.param << "\n";
-    os << "      const u64* mp = M[" << ins.param << "];\n";
-    os << "      u64 ch = 0;\n";
-    os << "      for (int l = 0; l < " << p.lanes << "; ++l) {\n";
-    os << "        const u64 addr = A[" << ins.a << " + l * "
-       << unsigned{ins.aw} << "];\n";
-    os << "        const u64 nv = addr < " << pm.depth << "u ? mp[(addr * "
-       << p.lanes << "u + l) * " << unsigned{pm.words} << "] : 0;\n";
-    os << "        ch |= nv ^ A[" << ins.dst << " + l];\n";
-    os << "        A[" << ins.dst << " + l] = nv;\n";
-    os << "      }\n";
-    close_block(i);
+  /// One-word memory read: the v_mread driver (a gather on AVX-512).
+  std::string memread_expr(const Instr& ins) const {
+    return "v_mread<" + num(p.lanes) + ", " + num(p.mems[ins.param].depth) +
+           ", " + num(ins.aw) + ">(" + dst(ins) + ", M[" + num(ins.param) +
+           "], A + " + num(ins.a) + ")";
   }
 
-  /// Generated `osss_tape_step`: register/write-port sample + commit with
-  /// offsets, word counts and dirty marks baked in.  Mirrors the engine's
-  /// C++ fallback loops exactly (those remain the no-JIT path).  Mutable
-  /// step state lives in the engine-owned scratch S (sized by
-  /// osss_tape_scratch()) so a cached object stays stateless.
-  std::uint64_t emit_step() {
-    std::uint64_t sat = 0;  // scratch allocation cursor (words)
-    const auto alloc = [&sat](std::uint64_t n) {
-      const std::uint64_t at = sat;
-      sat += n;
-      return at;
-    };
-    const std::string L = num(p.lanes);
-    std::vector<std::uint64_t> reg_en_at(p.regs.size(), 0);
-    std::vector<std::uint64_t> reg_nd_at(p.regs.size(), 0);
-    for (std::size_t r = 0; r < p.regs.size(); ++r) {
-      if (p.regs[r].en != kNoSlot) reg_en_at[r] = alloc(p.lanes);
-      reg_nd_at[r] = alloc(std::uint64_t{p.regs[r].words} * p.lanes);
-    }
-    struct WpAt {
-      std::uint32_t mem;
-      const Program::WritePort* port;
-      std::uint16_t words;
-      std::uint64_t en_at, addr_at, data_at;
-    };
-    std::vector<WpAt> wps;
-    for (std::uint32_t mi = 0; mi < p.mems.size(); ++mi)
-      for (const Program::WritePort& port : p.mems[mi].writes)
-        wps.push_back({mi, &port, p.mems[mi].words, alloc(p.lanes),
-                       alloc(p.lanes),
-                       alloc(std::uint64_t{p.mems[mi].words} * p.lanes)});
-
+  /// Generated `osss_tape_step`: the clock edge with offsets, word counts
+  /// and dirty marks baked in, the same sample and commits that
+  /// NativeEngine::commit() runs without generated code.  Only the inputs
+  /// the sampling rule flags (Program::Reg, Program::WritePort) are copied
+  /// into the engine-owned scratch S first, so a cached object stays
+  /// stateless; the commits read every other input in place.  Each copy
+  /// and each commit is one call of a step-prelude helper: v_cpy, v_stn
+  /// for a register without enable, v_merge with one, v_mwrite per write
+  /// port.
+  void emit_step() {
+    const std::uint64_t L = p.lanes;
     os << "extern \"C\" unsigned osss_tape_step(u64* A, u64* const* M, "
           "unsigned char* D, u64* S) {\n";
     os << "  (void)A; (void)M; (void)D; (void)S;\n";
     os << "  unsigned chg = 0; (void)chg;\n";
-    // Pre-edge sample: every register and write port observes the same
-    // settled values before any commit overwrites the arena.
-    for (std::size_t r = 0; r < p.regs.size(); ++r) {
-      const Program::Reg& reg = p.regs[r];
-      const std::string wl = num(std::uint64_t{reg.words} * p.lanes);
-      if (reg.en != kNoSlot)
-        os << "  if (j_snap(S + " << num(reg_en_at[r]) << ", A + "
-           << num(reg.en) << ", " << L << ")) j_cpy(S + "
-           << num(reg_nd_at[r]) << ", A + " << num(reg.d) << ", " << wl
+    // Pre-edge sample: what a commit below could overwrite.
+    const auto sample = [&](std::uint32_t off, std::uint32_t at,
+                            std::uint64_t words) {
+      if (at != kNoSlot)
+        os << "  v_cpy<" << words * L << ">(S + " << at << ", A + " << off
            << ");\n";
-      else
-        os << "  j_cpy(S + " << num(reg_nd_at[r]) << ", A + " << num(reg.d)
-           << ", " << wl << ");\n";
+    };
+    for (const Program::Reg& reg : p.regs) {
+      sample(reg.d, reg.d_at, reg.words);
+      sample(reg.en, reg.en_at, 1);
     }
-    for (const WpAt& wp : wps) {
-      const std::string wl = num(std::uint64_t{wp.words} * p.lanes);
-      os << "  if (j_snap(S + " << num(wp.en_at) << ", A + "
-         << num(wp.port->en) << ", " << L << ")) {\n";
-      if (wp.port->addr_words == 1)
-        os << "    j_cpy(S + " << num(wp.addr_at) << ", A + "
-           << num(wp.port->addr) << ", " << L << ");\n";
-      else
-        os << "    for (int l = 0; l < " << L << "; ++l) S["
-           << num(wp.addr_at) << " + l] = A[" << num(wp.port->addr)
-           << " + l * " << unsigned{wp.port->addr_words} << "];\n";
-      os << "    j_cpy(S + " << num(wp.data_at) << ", A + "
-         << num(wp.port->data) << ", " << wl << ");\n";
-      os << "  }\n";
-    }
+    for (const Program::Mem& pm : p.mems)
+      for (const Program::WritePort& w : pm.writes) {
+        sample(w.addr, w.addr_at, w.addr_words);
+        sample(w.data, w.data_at, pm.words);
+        sample(w.en, w.en_at, 1);
+      }
+    // Where the commits read an input: its sample, else the arena.
+    const auto src = [](std::uint32_t off, std::uint32_t at) {
+      return at == kNoSlot ? "A + " + num(off) : "S + " + num(at);
+    };
+    // One commit: a change-returning helper call that dirty-marks row
+    // `row` of a fanout table and flags the step's change.
+    const auto commit = [&](const std::string& e,
+                            const std::vector<std::uint32_t>& off,
+                            const std::vector<std::uint32_t>& levels,
+                            std::size_t row) {
+      os << "  if (" << e << ") {" << marks(off, levels, row)
+         << " chg = 1u; }\n";
+    };
     // Commit registers.
     for (std::size_t r = 0; r < p.regs.size(); ++r) {
       const Program::Reg& reg = p.regs[r];
-      std::string m;
-      for (std::uint32_t k = p.reg_fl_off[r]; k < p.reg_fl_off[r + 1]; ++k)
-        m += " D[" + num(p.reg_fl[k]) + "] = 1;";
-      os << "  {\n";
-      if (reg.en == kNoSlot) {
-        os << "    const u64 diff = j_stn(A + " << num(reg.q) << ", S + "
-           << num(reg_nd_at[r]) << ", "
-           << num(std::uint64_t{reg.words} * p.lanes) << ");\n";
-      } else if (reg.words == 1) {
-        os << "    const u64 diff = j_merge1(A + " << num(reg.q) << ", S + "
-           << num(reg_nd_at[r]) << ", S + " << num(reg_en_at[r]) << ", " << L
-           << ");\n";
-      } else {
-        os << "    u64 diff = 0;\n";
-        os << "    for (int l = 0; l < " << L << "; ++l) {\n";
-        os << "      if ((S[" << num(reg_en_at[r])
-           << " + l] & 1u) == 0) continue;\n";
-        os << "      diff |= j_stn(A + " << num(reg.q) << " + l * "
-           << unsigned{reg.words} << ", S + " << num(reg_nd_at[r])
-           << " + l * " << unsigned{reg.words} << ", " << unsigned{reg.words}
-           << ");\n";
-        os << "    }\n";
-      }
-      os << "    if (diff) {" << m << " chg = 1u; }\n";
-      os << "  }\n";
+      const std::string q = "A + " + num(reg.q), d = src(reg.d, reg.d_at);
+      commit(reg.en == kNoSlot
+                 ? "v_stn<" + num(reg.words * L) + ">(" + q + ", " + d + ")"
+                 : "v_merge<" + num(L) + ", " + num(reg.words) + ">(" + q +
+                       ", " + d + ", " + src(reg.en, reg.en_at) + ")",
+             p.reg_fl_off, p.reg_fl, r);
     }
     // Commit memory writes (port order = declaration order; later win).
-    for (std::size_t wi = 0; wi < wps.size(); ++wi) {
-      const WpAt& wp = wps[wi];
-      const Program::Mem& pm = p.mems[wp.mem];
-      std::string m;
-      for (std::uint32_t k = p.mem_fl_off[wp.mem];
-           k < p.mem_fl_off[wp.mem + 1]; ++k)
-        m += " D[" + num(p.mem_fl[k]) + "] = 1;";
-      os << "  {\n";
-      os << "    u64 ch = 0;\n";
-      os << "    for (int l = 0; l < " << L << "; ++l) {\n";
-      os << "      if ((S[" << num(wp.en_at) << " + l] & 1u) == 0) continue;\n";
-      os << "      const u64 addr = S[" << num(wp.addr_at) << " + l];\n";
-      os << "      if (addr >= " << pm.depth << "u) continue;\n";
-      os << "      u64* e = M[" << wp.mem << "] + (addr * " << L
-         << "u + l) * " << unsigned{pm.words} << ";\n";
-      os << "      const u64* s = S + " << num(wp.data_at) << " + l * "
-         << unsigned{pm.words} << ";\n";
-      os << "      for (int w = 0; w < " << unsigned{pm.words}
-         << "; ++w) if (e[w] != s[w]) { e[w] = s[w]; ch = 1u; }\n";
-      os << "    }\n";
-      os << "    if (ch) {" << m << " chg = 1u; }\n";
-      os << "  }\n";
+    for (std::uint32_t mi = 0; mi < p.mems.size(); ++mi) {
+      const Program::Mem& pm = p.mems[mi];
+      for (const Program::WritePort& w : pm.writes)
+        commit("v_mwrite<" + num(L) + ", " + num(pm.depth) + ", " +
+                   num(pm.words) + ", " + num(w.addr_words) + ">(M[" +
+                   num(mi) + "], " + src(w.en, w.en_at) + ", " +
+                   src(w.addr, w.addr_at) + ", " + src(w.data, w.data_at) +
+                   ")",
+               p.mem_fl_off, p.mem_fl, mi);
     }
     os << "  return chg;\n";
     os << "}\n";
-    return sat;
   }
 
   /// Whatever the emitter wrote since the last take().
@@ -388,14 +330,7 @@ struct Emitter {
     for (std::uint32_t i = p.level_offset[lev]; i < p.level_offset[lev + 1];
          ++i) {
       const Instr& ins = p.instrs[i];
-      if (!compiled(ins))
-        emit_change(i, "X(C, " + num(i) + "u)");
-      else if (ins.op == TOp::kConcat)
-        emit_concat(i, ins);
-      else if (ins.op == TOp::kMemRead)
-        emit_memread(i, ins);
-      else
-        emit_change(i, expr(ins));
+      emit_change(i, compiled(ins) ? expr(ins) : "X(C, " + num(i) + "u)");
     }
     os << "  }\n";
   }
@@ -425,7 +360,7 @@ struct Emitter {
   jit::Parts run() {
     jit::Parts parts(1);
     const std::size_t chunks = emit_level_chunks(parts);
-    const std::uint64_t scratch = emit_step();  // learns the scratch size
+    emit_step();
     const std::string step = take();
     os << header();
     os << "extern \"C\" unsigned osss_tape_abi() { return 3u; }\n";
@@ -434,7 +369,7 @@ struct Emitter {
     os << "extern \"C\" unsigned long long osss_tape_arena() { return "
        << p.arena_size << "ull; }\n";
     os << "extern \"C\" unsigned long long osss_tape_scratch() { return "
-       << scratch << "ull; }\n\n";
+       << p.sample_words << "ull; }\n\n";
     for (std::size_t k = 0; k < chunks; ++k)
       os << jit::hidden_function() << "void tape_levels_" << k
          << kChunkParams << ";\n";

@@ -513,6 +513,31 @@ Program Program::compile(const Module& m, unsigned lanes) {
     p.mems.push_back(std::move(pm));
   }
 
+  // ---- pass 10: the sampling rule (see Program) -------------------------
+  const auto overwritten = [&](std::uint32_t off, std::size_t words) {
+    for (const Reg& r : p.regs)
+      if (off < r.q + std::size_t{r.words} * lanes && r.q < off + words)
+        return true;
+    return false;
+  };
+  const auto sample = [&](std::uint32_t off, std::size_t words_per_lane) {
+    const std::size_t words = words_per_lane * lanes;
+    if (off == kNoSlot || !overwritten(off, words)) return kNoSlot;
+    const auto at = static_cast<std::uint32_t>(p.sample_words);
+    p.sample_words += words;
+    return at;
+  };
+  for (Reg& r : p.regs) {
+    r.d_at = sample(r.d, r.words);
+    r.en_at = sample(r.en, 1);
+  }
+  for (Mem& pm : p.mems)
+    for (WritePort& w : pm.writes) {
+      w.addr_at = sample(w.addr, w.addr_words);
+      w.data_at = sample(w.data, pm.words);
+      w.en_at = sample(w.en, 1);
+    }
+
   // Aliases read their representative's slot; folded nodes read their
   // pooled constant when one was materialized (pruned nodes keep kNoSlot).
   for (NodeId id = 0; id < n; ++id) {

@@ -176,10 +176,19 @@ struct Program {
   std::vector<Port> inputs;   ///< module input-port order
   std::vector<Port> outputs;  ///< module output-port order
 
+  // The sampling rule.  A clock edge rewrites only register q slots (memory
+  // writes never touch the arena), so a commit input (a register's next
+  // value and enable, a write port's address, data and enable) needs a
+  // pre-edge copy only when its arena range overlaps some register's q
+  // range.  compile() gives each such input a range of the step scratch
+  // (its `*_at` offset, same lane striding as in the arena); every other
+  // input has kNoSlot there and is read in place by the commit.
   struct Reg {
     std::uint32_t q = kNoSlot;   ///< arena slot of the kReg node
     std::uint32_t d = kNoSlot;   ///< arena slot of the next-value input
     std::uint32_t en = kNoSlot;  ///< 1-bit enable slot; kNoSlot = always
+    std::uint32_t d_at = kNoSlot;   ///< pre-edge copy of d in the scratch
+    std::uint32_t en_at = kNoSlot;  ///< pre-edge copy of en in the scratch
     std::uint16_t width = 0;
     std::uint16_t words = 1;
     Bits init;
@@ -190,6 +199,9 @@ struct Program {
     std::uint32_t addr = kNoSlot;
     std::uint32_t data = kNoSlot;
     std::uint32_t en = kNoSlot;
+    std::uint32_t addr_at = kNoSlot;  ///< pre-edge copies in the scratch
+    std::uint32_t data_at = kNoSlot;
+    std::uint32_t en_at = kNoSlot;
     std::uint16_t addr_words = 1;  ///< lane stride of the address operand
   };
   struct Mem {
@@ -205,6 +217,8 @@ struct Program {
   std::vector<std::pair<std::uint32_t, Bits>> const_init;
 
   std::size_t arena_size = 0;  ///< words, including lane striding
+  /// Step scratch words: the pre-edge copies of the sampling rule.
+  std::size_t sample_words = 0;
 
   /// Per-node arena slot (kNoSlot when pruned) and bit width, for
   /// Simulator::get() and debugging.

@@ -384,8 +384,18 @@ TEST(GateNativeEmit, GeneratedSourceExportsTheGateAbi) {
   Builder b("emit");
   b.output("o", b.xor_(b.input("a", 8), b.input("b", 8)));
   const Netlist nl = lower_to_gates(b.take());
-  testutil::expect_parts_well_formed(emit_netlist_cpp(nl, 256),
-                                     testutil::kGateAbi);
+  const jit::Parts parts = emit_netlist_cpp(nl, 256);
+  testutil::expect_parts_well_formed(parts, testutil::kGateAbi);
+  // The step settles through the hidden settle body, a direct call; the
+  // exported osss_gate_eval would be called through the PLT.
+  const std::string& p0 = parts.front();
+  EXPECT_NE(p0.find(jit::hidden_function() + std::string("void gate_eval(")),
+            std::string::npos);
+  const std::size_t step = p0.find("unsigned osss_gate_step(");
+  ASSERT_NE(step, std::string::npos);
+  const std::string body = p0.substr(step, p0.find("\n}\n", step) - step);
+  EXPECT_NE(body.find("gate_eval(V, M, D);"), std::string::npos) << body;
+  EXPECT_EQ(body.find("osss_gate_eval"), std::string::npos) << body;
 }
 
 TEST(GateNativeEmit, LaneValidation) {
