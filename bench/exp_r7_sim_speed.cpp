@@ -504,20 +504,23 @@ void BM_GateBitParallelShards(benchmark::State& state) {
 
 void BM_RtlTapeBatch(benchmark::State& state) {
   const rtl::Module m = build_histogram_rtl();
-  // Scalar blocks: slots follow the module ports (pixel, pixel_valid,
-  // vsync); block b runs the pixel streams of frames b*2 and b*2+1.
+  // One-lane blocks: 10 bit slots, pixel[8], pixel_valid, vsync, each a
+  // lane word whose bit 0 is the lane; block b runs the pixel streams of
+  // frames b*2 and b*2+1.
   std::vector<par::StimulusBlock> blocks;
   for (unsigned b = 0; b < kBatchBlocks; ++b) {
-    par::StimulusBlock blk = par::StimulusBlock::make(kBatchCycles, 3, 1);
+    par::StimulusBlock blk = par::StimulusBlock::make(kBatchCycles, 10, 1);
     for (unsigned f = 0; f < kFramesPerBlock; ++f) {
       const std::uint64_t frame =
           static_cast<std::uint64_t>(b) * kFramesPerBlock + f;
       for (unsigned i = 0; i < kCyclesPerFrame; ++i) {
         const unsigned c = f * kCyclesPerFrame + i;
         const bool valid = i < kPixelsPerFrame;
-        blk.in_at(c, 0) = (i * 7 + frame * 13) & 0xff;
-        blk.in_at(c, 1) = valid ? 1 : 0;
-        blk.in_at(c, 2) = (valid && i == 0) ? 1 : 0;
+        const std::uint64_t pix = (i * 7 + frame * 13) & 0xff;
+        for (unsigned bit = 0; bit < 8; ++bit)
+          blk.in_at(c, bit) = (pix >> bit) & 1u;
+        blk.in_at(c, 8) = valid ? 1 : 0;
+        blk.in_at(c, 9) = (valid && i == 0) ? 1 : 0;
       }
     }
     blocks.push_back(std::move(blk));

@@ -18,22 +18,6 @@
 
 namespace osss::gate {
 
-namespace {
-
-/// Rows of a CSR from per-row lists, each sorted and deduplicated.
-void to_csr(std::vector<std::vector<std::uint32_t>>& rows,
-            std::vector<std::uint32_t>& off, std::vector<std::uint32_t>& flat) {
-  off.assign(1, 0);
-  for (std::vector<std::uint32_t>& r : rows) {
-    std::sort(r.begin(), r.end());
-    r.erase(std::unique(r.begin(), r.end()), r.end());
-    flat.insert(flat.end(), r.begin(), r.end());
-    off.push_back(static_cast<std::uint32_t>(flat.size()));
-  }
-}
-
-}  // namespace
-
 Schedule::Schedule(const Netlist& nl, unsigned lanes_arg)
     : lanes(lanes_arg == 0 ? 64 : lanes_arg) {
   if (lanes != 1 && (lanes % 64 != 0 || lanes > NativeEngine::kMaxLanes))
@@ -61,9 +45,9 @@ Schedule::Schedule(const Netlist& nl, unsigned lanes_arg)
     if (c.kind == CellKind::kMemQ) mem_users[c.param].push_back(level_of[id]);
     for (const NetId in : c.ins) net_users[in].push_back(level_of[id]);
   }
-  to_csr(by_level, level_offset, level_cells);
-  to_csr(net_users, net_fl_off, net_fl);
-  to_csr(mem_users, mem_fl_off, mem_fl);
+  jit::to_csr(by_level, level_offset, level_cells);
+  jit::to_csr(net_users, net_fl_off, net_fl);
+  jit::to_csr(mem_users, mem_fl_off, mem_fl);
 
   for (std::uint32_t mi = 0; mi < nl.memories().size(); ++mi) {
     const MemMacro& m = nl.memories()[mi];

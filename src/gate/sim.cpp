@@ -223,10 +223,17 @@ void Simulator::drive(NetId net, std::uint64_t v) {
 
 void Simulator::set_input_lanes(const std::string& bus,
                                 std::span<const std::uint64_t> bit_lanes) {
-  if (!native_)
-    throw std::logic_error(
-        "gate::Simulator: set_input_lanes requires kNative mode");
-  native_->set_input_lanes(find_bus(nl_.inputs(), bus), bit_lanes);
+  const unsigned bi = find_bus(nl_.inputs(), bus);
+  if (native_) {
+    native_->set_input_lanes(bi, bit_lanes);
+    return;
+  }
+  const std::vector<NetId>& nets = nl_.inputs()[bi].nets;
+  if (bit_lanes.size() != nets.size())
+    throw std::logic_error("gate::Simulator: input width mismatch on " + bus);
+  for (std::size_t i = 0; i < nets.size(); ++i)
+    drive(nets[i], bit_lanes[i] & 1u);
+  propagate();
 }
 
 void Simulator::set_input_values(const std::string& bus,
@@ -370,44 +377,19 @@ void Simulator::poke_mem(unsigned mem, unsigned word, const Bits& value) {
 
 namespace {
 
-std::uint64_t low64(const Bits& v) {
-  std::uint64_t out = 0;
-  const unsigned n = v.width() < 64 ? v.width() : 64;
-  for (unsigned i = 0; i < n; ++i)
-    if (v.bit(i)) out |= 1ull << i;
-  return out;
-}
-
-void run_scalar_block(Simulator& sim, const Netlist& nl,
-                      par::StimulusBlock& b) {
-  sim.restore_poweron();
-  for (unsigned c = 0; c < b.cycles; ++c) {
-    for (unsigned s = 0; s < b.in_slots; ++s) {
-      const Bus& bus = nl.inputs()[s];
-      const unsigned w = static_cast<unsigned>(bus.nets.size());
-      const std::uint64_t mask = w >= 64 ? ~0ull : ((1ull << w) - 1);
-      sim.set_input(bus.name, b.in_at(c, s) & mask);
-    }
-    sim.step();
-    for (unsigned s = 0; s < b.out_slots; ++s)
-      b.out[static_cast<std::size_t>(c) * b.out_slots + s] =
-          low64(sim.output(nl.outputs()[s].name));
-  }
-}
-
-void run_lane_block(Simulator& sim, const Netlist& nl, par::StimulusBlock& b,
-                    unsigned lwords) {
+void run_block(Simulator& sim, const Netlist& nl, par::StimulusBlock& b) {
+  const unsigned lw = sim.lane_words();
   sim.restore_poweron();
   for (unsigned c = 0; c < b.cycles; ++c) {
     unsigned slot = 0;
     for (const Bus& bus : nl.inputs()) {
       const unsigned w = static_cast<unsigned>(bus.nets.size());
       // Block memory already has the set_input_lanes layout (bit i at
-      // lwords consecutive slots) — hand it over without copying.
-      sim.set_input_lanes(
-          bus.name, std::span<const std::uint64_t>(
-                        &b.in_at(c, slot), std::size_t{w} * lwords));
-      slot += w * lwords;
+      // lw consecutive slots) — hand it over without copying.
+      sim.set_input_lanes(bus.name,
+                          std::span<const std::uint64_t>(
+                              &b.in_at(c, slot), std::size_t{w} * lw));
+      slot += w * lw;
     }
     sim.step();
     slot = 0;
@@ -440,12 +422,7 @@ void run_batch(const Netlist& nl, SimMode mode,
       blocks, in_widths, out_widths, Simulator::kMaxLanes, pool,
       "gate::run_batch",
       [&] { return std::make_unique<Simulator>(nl, mode, lanes); },
-      [&](Simulator& sim, par::StimulusBlock& b) {
-        if (lanes == 1)
-          run_scalar_block(sim, nl, b);
-        else
-          run_lane_block(sim, nl, b, lanes / 64);
-      });
+      [&](Simulator& sim, par::StimulusBlock& b) { run_block(sim, nl, b); });
 }
 
 }  // namespace osss::gate

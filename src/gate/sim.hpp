@@ -86,11 +86,14 @@ public:
   void set_input(const std::string& bus, const Bits& value);
   /// Convenience overload; throws if `value` has bits beyond the bus width.
   void set_input(const std::string& bus, std::uint64_t value);
-  /// Drive an input bus with distinct per-lane vectors: bus bit i occupies
-  /// lane_words() consecutive elements starting at bit_lanes[i *
-  /// lane_words()] (for <= 64 lanes, `bit_lanes[i]` is simply the lane word
-  /// of bit i).  kNative mode only.  Accepts any contiguous storage without
-  /// copying — batch runners pass block memory directly.
+  /// Drive an input bus with distinct per-lane vectors, in either mode: bus
+  /// bit i occupies lane_words() consecutive elements starting at
+  /// bit_lanes[i * lane_words()], lane l in bit l % 64 of element l / 64
+  /// (for <= 64 lanes, `bit_lanes[i]` is simply the lane word of bit i; the
+  /// event engine's one lane is its bit 0).  Bits of lanes past lanes() are
+  /// ignored; a size other than the bus width times lane_words() throws
+  /// std::logic_error.  Accepts any contiguous storage without copying —
+  /// batch runners pass block memory directly.
   void set_input_lanes(const std::string& bus,
                        std::span<const std::uint64_t> bit_lanes);
   /// Drive an input bus with one value per lane — values[l] = lane l,
@@ -105,8 +108,9 @@ public:
   /// Output bus value of one stimulus lane (throws std::logic_error when
   /// lane >= lanes()).
   Bits output_lane(const std::string& bus, unsigned lane) const;
-  /// All lanes of an output bus: bit i occupies lane_words() consecutive
-  /// elements (for <= 64 lanes, element i holds the lanes of bit i).
+  /// All lanes of an output bus in set_input_lanes' layout: bit i occupies
+  /// lane_words() consecutive elements (for <= 64 lanes, element i holds
+  /// the lanes of bit i); bits of lanes past lanes() are zero.
   std::vector<std::uint64_t> output_words(const std::string& bus) const;
   /// One value per lane of an output (kNative mode, <= 64-bit buses); the
   /// inverse of set_input_values.
@@ -221,12 +225,11 @@ private:
 /// runner drives every input slot, steps, then samples every output slot
 /// into block.out.
 ///
-/// Scalar blocks (lanes == 1, either engine): slot s is input/output bus s
-/// in netlist declaration order, values masked to the bus width.  Lane
-/// blocks (lanes a multiple of 64 up to Simulator::kMaxLanes, kNative
-/// only): bit i of the buses concatenated LSB-first occupies lanes/64
-/// consecutive slots — in_slots must equal the summed input widths times
-/// lanes/64, each element one 64-lane word.
+/// Blocks use the par::StimulusBlock lane-word layout: bit i of the buses
+/// concatenated LSB-first in netlist declaration order occupies
+/// ceil(lanes / 64) consecutive slots, so in_slots must equal the summed
+/// input widths times ceil(lanes / 64).  Both engines run one-lane blocks;
+/// kNative also runs any multiple of 64 lanes up to Simulator::kMaxLanes.
 ///
 /// Block results depend only on the block's own stimulus, so the batch is
 /// bit-identical for every pool size.  kNative engines are built with the

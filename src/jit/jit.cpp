@@ -555,12 +555,6 @@ std::uint64_t source_hash(const Parts& parts, const CompileOptions& opt) {
 
 std::shared_ptr<Object> compile(const Parts& parts, const CompileOptions& opt,
                                 const char* tag, std::string& log) {
-  if (!opt.keep_source.empty()) {
-    std::ofstream f(opt.keep_source);
-    for (std::size_t i = 0; i < parts.size(); ++i)
-      f << "// ---- part " << i << " of " << parts.size() << " ----\n"
-        << parts[i];
-  }
   if (opt.force_fallback) {
     log = "native backend disabled; using interpreted dispatch";
     return nullptr;

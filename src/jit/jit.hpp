@@ -64,12 +64,9 @@ struct CompileOptions {
   /// interpreted).
   std::string extra_flags;
   /// Skip the compile and force the engine's interpreted fallback
-  /// (also set by the OSSS_NO_JIT environment variable).  Unless
-  /// keep_source is set, the engines then skip emitting the source too.
+  /// (also set by the OSSS_NO_JIT environment variable).  The engines then
+  /// skip emitting the source too.
   bool force_fallback = false;
-  /// When non-empty, also write the emitted parts to this path, one after
-  /// another, each after a `// ---- part i of n ----` line.
-  std::string keep_source;
   /// Probe an object loaded from the persistent disk cache before it is
   /// accepted (engines re-check their ABI version / lane count / entry
   /// points here); return false to discard the artifact and compile

@@ -51,10 +51,9 @@ void Runtime::bind(const std::function<Parts()>& emit,
                    CompileOptions opt, const Abi& abi, WideFn wide,
                    void* ctx) {
   if (jit_disabled_by_env()) opt.force_fallback = true;
-  // A forced fallback that keeps no source never reads it: compile()
-  // returns before the source is used, so skip the emission.
-  const Parts src =
-      opt.force_fallback && opt.keep_source.empty() ? Parts{} : emit();
+  // A forced fallback never reads the source: compile() returns before
+  // the source is used, so skip the emission.
+  const Parts src = opt.force_fallback ? Parts{} : emit();
   opt.validate = [&abi](const Object& o) { return probe(o, abi); };
   std::string tag = abi.prefix;  // the temp dir prefix: osss-gate, osss-tape
   std::replace(tag.begin(), tag.end(), '_', '-');
@@ -76,6 +75,19 @@ void Runtime::bind(const std::function<Parts()>& emit,
   scratch_.assign(reinterpret_cast<unsigned long long (*)()>(
                       obj_->sym((p + "_scratch").c_str()))(),
                   0);
+}
+
+void to_csr(std::vector<std::vector<std::uint32_t>>& rows,
+            std::vector<std::uint32_t>& off, std::vector<std::uint32_t>& flat) {
+  off.assign(1, 0);
+  off.reserve(rows.size() + 1);
+  flat.clear();
+  for (std::vector<std::uint32_t>& r : rows) {
+    std::sort(r.begin(), r.end());
+    r.erase(std::unique(r.begin(), r.end()), r.end());
+    flat.insert(flat.end(), r.begin(), r.end());
+    off.push_back(static_cast<std::uint32_t>(flat.size()));
+  }
 }
 
 void Runtime::reset() {

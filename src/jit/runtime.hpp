@@ -63,6 +63,12 @@ struct Abi {
   bool step_settles;
 };
 
+/// Flattens per-row lists into the CSR that Runtime::mark reads: each row
+/// sorted and deduplicated in place, then appended to `flat`, with
+/// off[r] .. off[r + 1] its range.  Overwrites `off` and `flat`.
+void to_csr(std::vector<std::vector<std::uint32_t>>& rows,
+            std::vector<std::uint32_t>& off, std::vector<std::uint32_t>& flat);
+
 class Runtime {
  public:
   /// A zeroed arena of `arena_words` and `levels` dirty bytes, all set:
@@ -75,12 +81,12 @@ class Runtime {
 
   /// Load the generated code.  Unless `opt.force_fallback` or OSSS_NO_JIT
   /// say otherwise, emit() the parts, compile them through the object
-  /// cache and bind the entry points once the ABI probe passes; the parts
-  /// are emitted without compiling only when opt.keep_source asks for it.
-  /// On any failure the engine stays on its interpreted sweep and
-  /// compile_log() says why; a failure that was not forced off also prints
-  /// one stderr line, quoting the log, the first time it happens in the
-  /// process.  The generated eval gets `wide` and `ctx`.
+  /// cache and bind the entry points once the ABI probe passes; a forced
+  /// fallback emits nothing.  On any failure the engine stays on its
+  /// interpreted sweep and compile_log() says why; a failure that was not
+  /// forced off also prints one stderr line, quoting the log, the first
+  /// time it happens in the process.  The generated eval gets `wide` and
+  /// `ctx`.
   void bind(const std::function<Parts()>& emit, CompileOptions opt,
             const Abi& abi, WideFn wide = nullptr, void* ctx = nullptr);
   bool native() const noexcept { return eval_ != nullptr; }

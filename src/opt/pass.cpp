@@ -132,7 +132,7 @@ gate::Netlist Pipeline::run(const gate::Netlist& in) {
         const gate::EquivResult r =
             gate::check_equivalence(current, next, eopt);
         if (!r) {
-          throw std::logic_error("opt::Pipeline: pass '" + stats.pass +
+          throw PassDivergence("opt::Pipeline: pass '" + stats.pass +
                                  "' broke equivalence on '" + in.name() +
                                  "': " + r.counterexample);
         }

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +61,14 @@ struct PassStats {
 
   /// One-line table row used by osss-opt and the lint diagnostics.
   std::string format() const;
+};
+
+/// Thrown by Pipeline::run when a pass's self-check finds a divergence.
+/// It is a std::logic_error, so callers catching that keep working; the
+/// CLI tells it apart from every other failure.
+class PassDivergence : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
 };
 
 class Pass {
@@ -106,7 +115,7 @@ class Pipeline {
   static Pipeline standard(PipelineOptions opt = {});
 
   /// Run every pass in order; appends one PassStats per invocation.
-  /// Throws std::logic_error if a self-check finds a divergence.
+  /// Throws PassDivergence if a self-check finds a divergence.
   gate::Netlist run(const gate::Netlist& in);
 
   const std::vector<PassStats>& stats() const noexcept { return stats_; }

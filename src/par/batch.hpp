@@ -1,25 +1,26 @@
 // batch.hpp — stimulus blocks for batch simulation across pool workers.
 //
-// A StimulusBlock is one self-contained simulation job: `cycles` cycles of
-// pre-generated input values for `in_slots` input ports, starting from
-// power-on reset, producing `cycles` rows of `out_slots` sampled outputs.
+// A StimulusBlock is one self-contained simulation job: `cycles` rows of
+// `in_slots` pre-generated input words, starting from power-on reset,
+// producing `cycles` rows of `out_slots` sampled output words.
 // Blocks are independent by construction (each starts from reset), so a
 // batch of blocks can run on any worker in any order and the per-block
 // outputs are bit-identical for every thread count.
 //
-// Layout: flat row-major arrays.  For lanes == 1, in[c * in_slots + s] is
-// the scalar value driven on input slot s at cycle c (masked to the port
-// width by the batch runner).  For lane blocks (lanes a multiple of 64:
-// exactly 64 for the RTL tape lane mode, wider multiples for the gate and
-// RTL native backends) the same indexing holds but each element is one
-// 64-lane word: bit i of the ports concatenated LSB-first occupies
-// lanes/64 consecutive slots (its lane words, low lanes first), so
-// in_slots is the sum of port widths times lanes/64.
+// Layout: flat row-major arrays of bit-sliced lane words, one layout at
+// every lane count (1 or a multiple of 64).  Bit i of the ports
+// concatenated LSB-first (inputs for `in`, outputs for `out`) occupies
+// ceil(lanes / 64) consecutive slots of its cycle's row, low lanes first;
+// lane l is bit l % 64 of slot l / 64 of that run.  So in_slots is the sum
+// of the input widths times ceil(lanes / 64), and at one lane every port bit
+// is one word whose bit 0 carries the value.  Bits of lanes past `lanes` are
+// ignored on input and read zero on output.
 //
-// The gate and RTL engines take and give the same bit-sliced layout at
-// their lane I/O (`set_input_lanes` / `output_words`).  The two lane
-// transposes below convert between it and one value per lane; every lane
-// I/O path of those engines that changes layout goes through them.
+// The gate and RTL engines take and give this layout at their lane I/O
+// (`set_input_lanes` / `output_words`), so a runner hands block memory to
+// the engine without copying.  The two lane transposes below convert
+// between it and one value per lane; every lane I/O path of those engines
+// that changes layout goes through them.
 
 #pragma once
 
@@ -38,7 +39,7 @@ namespace osss::par {
 
 struct StimulusBlock {
   unsigned cycles = 0;
-  unsigned lanes = 1;  ///< 1 (scalar) or a multiple of 64 (lane words)
+  unsigned lanes = 1;  ///< 1 or a multiple of 64
   unsigned in_slots = 0;
   unsigned out_slots = 0;
   std::vector<std::uint64_t> in;   ///< [cycle * in_slots + slot]
@@ -66,14 +67,14 @@ struct StimulusBlock {
 };
 
 /// The scaffold of gate::run_batch and rtl::run_batch over a design with
-/// ports of `in_widths`/`out_widths` bits: a scalar block has one slot per
-/// port, a lane block one per port bit and lane word.  Checks the blocks'
-/// lanes (one count, 1 or a multiple of 64 up to `max_lanes`) and input
-/// shape (std::invalid_argument naming `who`), sizes their outputs and runs
-/// them in chunks across `pool` (nullptr = Pool::global()).  A chunk
-/// borrows an idle engine or builds one with make() (a std::unique_ptr), so
-/// set-up and JIT compile are paid once per worker, not per chunk.
-/// run(engine, block) simulates one block from power-on.
+/// ports of `in_widths`/`out_widths` bits: one slot per port bit and lane
+/// word.  Checks the blocks' lanes (one count, 1 or a multiple of 64 up to
+/// `max_lanes`) and input shape (std::invalid_argument naming `who`), sizes
+/// their outputs and runs them in chunks across `pool` (nullptr =
+/// Pool::global()).  A chunk borrows an idle engine or builds one with
+/// make() (a std::unique_ptr), so set-up and JIT compile are paid once per
+/// worker, not per chunk.  run(engine, block) simulates one block from
+/// power-on.
 template <class Make, class Run>
 void run_blocks(std::span<StimulusBlock> blocks,
                 const std::vector<unsigned>& in_widths,
@@ -81,13 +82,14 @@ void run_blocks(std::span<StimulusBlock> blocks,
                 Pool* pool, const char* who, Make make, Run run) {
   if (blocks.empty()) return;
   const unsigned lanes = blocks.front().lanes;
-  if (lanes != 1 && (lanes % 64 != 0 || lanes > max_lanes))
+  if (lanes == 0 || (lanes != 1 && (lanes % 64 != 0 || lanes > max_lanes)))
     throw std::invalid_argument(std::string(who) +
                                 ": lanes must be 1 or a multiple of 64 up to " +
                                 std::to_string(max_lanes));
+  const unsigned lane_words = (lanes + 63) / 64;
   const auto slots = [&](const std::vector<unsigned>& widths) {
     unsigned n = 0;
-    for (const unsigned w : widths) n += lanes == 1 ? 1 : w * (lanes / 64);
+    for (const unsigned w : widths) n += w * lane_words;
     return n;
   };
   const unsigned in_slots = slots(in_widths), out_slots = slots(out_widths);

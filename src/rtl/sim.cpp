@@ -95,12 +95,19 @@ void Simulator::set_input(InputHandle h, std::uint64_t value) {
 
 void Simulator::set_input_lanes(InputHandle h,
                                 std::span<const std::uint64_t> bit_lanes) {
-  if (mode_ == SimMode::kInterp)
-    throw std::logic_error(
-        "Simulator: set_input_lanes requires kTape or kNative");
   if (h.index >= m_.inputs().size())
     throw std::logic_error("Simulator: bad input handle");
-  engine_->set_input_lanes(h.index, bit_lanes);
+  if (mode_ != SimMode::kInterp) {
+    engine_->set_input_lanes(h.index, bit_lanes);
+    return;
+  }
+  Bits& v = input_values_[h.index];
+  if (bit_lanes.size() != v.width())
+    throw std::logic_error("Simulator: set_input_lanes width mismatch on " +
+                           m_.inputs()[h.index].name);
+  for (unsigned i = 0; i < v.width(); ++i)
+    v.set_bit(i, (bit_lanes[i] & 1u) != 0);
+  dirty_ = true;
 }
 
 void Simulator::set_input_values(InputHandle h,
@@ -184,12 +191,14 @@ std::uint64_t Simulator::output_u64(OutputHandle h) {
 }
 
 std::vector<std::uint64_t> Simulator::output_words(OutputHandle h) {
-  if (mode_ == SimMode::kInterp)
-    throw std::logic_error(
-        "Simulator: output_words requires kTape or kNative");
   if (h.index >= m_.outputs().size())
     throw std::logic_error("Simulator: bad output handle");
-  return engine_->output_words(h.index);
+  if (mode_ != SimMode::kInterp) return engine_->output_words(h.index);
+  eval();
+  const Bits& v = values_[m_.outputs()[h.index].node];
+  std::vector<std::uint64_t> out(v.width());
+  for (unsigned i = 0; i < v.width(); ++i) out[i] = v.bit(i) ? 1u : 0u;
+  return out;
 }
 
 std::vector<std::uint64_t> Simulator::output_values(OutputHandle h) {
@@ -342,24 +351,9 @@ void Simulator::poke_reg(const std::string& name, const Bits& value) {
 
 namespace {
 
-void run_scalar_block(Simulator& sim, const std::vector<InputHandle>& in,
-                      const std::vector<OutputHandle>& out,
-                      par::StimulusBlock& b) {
-  sim.restore_poweron();
-  for (unsigned c = 0; c < b.cycles; ++c) {
-    for (unsigned s = 0; s < b.in_slots; ++s)
-      sim.set_input(in[s], b.in_at(c, s));  // truncates to port width
-    sim.step();
-    for (unsigned s = 0; s < b.out_slots; ++s)
-      b.out[static_cast<std::size_t>(c) * b.out_slots + s] =
-          sim.output_u64(out[s]);
-  }
-}
-
-void run_lane_block(Simulator& sim, const std::vector<InputHandle>& in,
-                    const std::vector<unsigned>& in_widths,
-                    const std::vector<OutputHandle>& out,
-                    par::StimulusBlock& b) {
+void run_block(Simulator& sim, const std::vector<InputHandle>& in,
+               const std::vector<unsigned>& in_widths,
+               const std::vector<OutputHandle>& out, par::StimulusBlock& b) {
   const unsigned lw = sim.lane_words();
   sim.restore_poweron();
   for (unsigned c = 0; c < b.cycles; ++c) {
@@ -418,10 +412,7 @@ void run_batch(const Module& m, SimMode mode,
       blocks, in_widths, out_widths, tape::kMaxLanes, pool, "rtl::run_batch",
       [&] { return std::make_unique<BatchSim>(m, mode, lanes); },
       [&](BatchSim& bs, par::StimulusBlock& b) {
-        if (lanes == 1)
-          run_scalar_block(bs.sim, bs.in, bs.out, b);
-        else
-          run_lane_block(bs.sim, bs.in, in_widths, bs.out, b);
+        run_block(bs.sim, bs.in, in_widths, bs.out, b);
       });
 }
 

@@ -83,11 +83,13 @@ public:
   void set_input(InputHandle h, const Bits& value);
   void set_input(InputHandle h, std::uint64_t value);
 
-  /// Drive all lanes of one input (tape/native mode): input bit i occupies
+  /// Drive all lanes of one input, in every mode: input bit i occupies
   /// lane_words() consecutive elements starting at bit_lanes[i *
-  /// lane_words()].  For <= 64 lanes this is the gate::Simulator layout
-  /// (one lane word per bit).  Accepts any contiguous storage without
-  /// copying — batch runners pass block memory directly.
+  /// lane_words()], lane l in bit l % 64 of element l / 64 (the
+  /// gate::Simulator and par::StimulusBlock layout; at one lane, bit 0 of
+  /// element i).  Bits of lanes past lanes() are ignored; a size other than
+  /// width * lane_words() throws std::logic_error.  Accepts any contiguous
+  /// storage without copying — batch runners pass block memory directly.
   void set_input_lanes(InputHandle h, std::span<const std::uint64_t> bit_lanes);
   /// Drive all lanes of one input with one value per lane — values[l] =
   /// lane l, truncated to the port width (tape/native mode, <= 64-bit
@@ -109,7 +111,8 @@ public:
   /// Low 64 bits of an output, lane 0 — the allocation-free hot path for
   /// testbench loops (pairs with the u64 set_input overload).
   std::uint64_t output_u64(OutputHandle h);
-  /// Lane words of an output: element i = lanes of output bit i.
+  /// Lane words of an output in set_input_lanes' layout, in every mode;
+  /// bits of lanes past lanes() are zero.
   std::vector<std::uint64_t> output_words(OutputHandle h);
   /// One value per lane of an output (tape/native mode, <= 64-bit ports);
   /// the inverse of set_input_values.
@@ -197,11 +200,10 @@ private:
 /// from power-on reset; per cycle the runner drives every input slot, steps,
 /// then samples every output slot into block.out.
 ///
-/// Scalar blocks (lanes == 1): slot s is input/output port s in module
-/// declaration order, values truncated to the port width.  Lane blocks
-/// (lanes a multiple of 64; kTape accepts exactly 64, kNative up to
-/// tape::kMaxLanes): bit i of the ports concatenated LSB-first occupies
-/// lanes/64 consecutive slots, each element one 64-lane word.
+/// Blocks use the par::StimulusBlock lane-word layout (bit i of the ports
+/// concatenated in module declaration order at ceil(lanes / 64)
+/// consecutive slots).  Every mode runs one-lane blocks; kTape also runs
+/// 64-lane blocks and kNative any multiple of 64 up to tape::kMaxLanes.
 ///
 /// Bit-identical for every pool size.  Throws std::invalid_argument on
 /// malformed blocks.

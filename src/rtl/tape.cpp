@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "jit/runtime.hpp"
 #include "rtl/tape_detail.hpp"
 
 namespace osss::rtl::tape {
@@ -454,22 +455,10 @@ Program Program::compile(const Module& m, unsigned lanes) {
     if (m.node(id).op == Op::kMemRead)
       mem_out[m.node(id).param].push_back(L);
   }
-  auto build_csr = [](std::vector<std::vector<std::uint32_t>>& src,
-                      std::vector<std::uint32_t>& off,
-                      std::vector<std::uint32_t>& fl) {
-    off.reserve(src.size() + 1);
-    off.push_back(0);
-    for (auto& v : src) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-      fl.insert(fl.end(), v.begin(), v.end());
-      off.push_back(static_cast<std::uint32_t>(fl.size()));
-    }
-  };
-  build_csr(instr_out, p.instr_fl_off, p.instr_fl);
-  build_csr(input_out, p.input_fl_off, p.input_fl);
-  build_csr(reg_out, p.reg_fl_off, p.reg_fl);
-  build_csr(mem_out, p.mem_fl_off, p.mem_fl);
+  jit::to_csr(instr_out, p.instr_fl_off, p.instr_fl);
+  jit::to_csr(input_out, p.input_fl_off, p.input_fl);
+  jit::to_csr(reg_out, p.reg_fl_off, p.reg_fl);
+  jit::to_csr(mem_out, p.mem_fl_off, p.mem_fl);
 
   // ---- pass 9: ports, registers, memories -------------------------------
   for (const auto& in : m.inputs()) {

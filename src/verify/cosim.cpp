@@ -131,10 +131,7 @@ Bits RtlModel::output_lane(const std::string& name, unsigned lane) {
 }
 
 std::vector<std::uint64_t> RtlModel::output_words(const std::string& name,
-                                                  unsigned width) {
-  // The interpreter keeps Bits values, not lane words.
-  if (sim_.mode() == rtl::SimMode::kInterp)
-    return Model::output_words(name, width);
+                                                  unsigned) {
   return sim_.output_words(out_handle(name));
 }
 
@@ -405,8 +402,8 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
 
   // Flat per-sequence stimulus recorder: one row of `row_words` lane words
   // per cycle (input bits concatenated in declaration order, `lw` words
-  // each), sized once and overwritten every sequence — the hot loop does
-  // no allocation.
+  // each), sized once and overwritten every sequence.  `scratch` hands one
+  // input's words to the models; it only grows over the first cycle.
   std::vector<std::size_t> offset(inputs_.size(), 0);
   std::size_t row_words = 0;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
@@ -414,10 +411,10 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
     row_words += std::size_t{inputs_[i].width} * lw;
   }
   std::vector<std::uint64_t> rec(static_cast<std::size_t>(cycles) * row_words);
-  std::vector<std::uint64_t> scratch(lanes > 1 ? row_words : 0);
+  std::vector<std::uint64_t> scratch;
 
-  r.recorder_bytes = (rec.capacity() + scratch.capacity()) * 8 +
-                     offset.capacity() * sizeof(std::size_t);
+  r.recorder_bytes =
+      rec.capacity() * 8 + offset.capacity() * sizeof(std::size_t);
 
   for (unsigned s = 0; s < sequences; ++s) {
     reset_models();
@@ -426,16 +423,9 @@ RunResult CoSim::run(StimGen& gen, unsigned cycles, unsigned sequences) {
       for (std::size_t ii = 0; ii < inputs_.size(); ++ii) {
         const IoDecl& in = inputs_[ii];
         std::uint64_t* words = row + offset[ii];
-        if (lanes > 1) {
-          gen.next_lanes(in.name, lanes, words);
-          scratch.assign(words, words + std::size_t{in.width} * lw);
-          for (auto& m : models_) m->set_input_lanes(in.name, scratch);
-        } else {
-          const Bits v = gen.next(in.name);
-          for (auto& m : models_) m->set_input(in.name, v);
-          for (unsigned i = 0; i < in.width; ++i)
-            words[i] = v.bit(i) ? 1u : 0u;
-        }
+        gen.next_lanes(in.name, lanes, words);
+        scratch.assign(words, words + std::size_t{in.width} * lw);
+        for (auto& m : models_) m->set_input_lanes(in.name, scratch);
       }
       if (!score_cycle(r, lanes, lanes, s, c)) {
         // Extract the offending lane's scalar stimulus, including the

@@ -10,13 +10,14 @@
 // gate/equiv.cpp are thin layers over it.
 //
 // A run has one lane count: the lanes() of its models, which must all
-// agree (run() throws otherwise).  At one lane every cycle drives one
-// scalar vector through set_input().  At L lanes every input bit travels as
-// ceil(L / 64) lane words, every lane draws its own stimulus and every lane
-// is scored.  A scalar model joins a lane-parallel run as a ReplicaModel:
-// L copies of it, one per lane.  Runs record their stimulus, so a mismatch
-// yields the failing lane's scalar trace that the shrinker (shrink.hpp) can
-// minimize and replay.
+// agree (run() throws otherwise).  At every lane count L, one included,
+// every input bit travels as ceil(L / 64) lane words through
+// set_input_lanes(), every lane draws its own stimulus and every lane is
+// scored; lane 0 follows the scalar stimulus stream, so a one-lane run
+// drives the vectors a scalar loop would.  A scalar model joins a
+// lane-parallel run as a ReplicaModel: L copies of it, one per lane.  Runs
+// record their stimulus, so a mismatch yields the failing lane's scalar
+// trace that the shrinker (shrink.hpp) can minimize and replay.
 
 #pragma once
 
@@ -78,8 +79,8 @@ public:
   /// Drive every lane: input bit i occupies ceil(lanes() / 64) consecutive
   /// lane words from bit_lanes[i * ceil(lanes() / 64)], bit l % 64 of word
   /// l / 64 being lane l (the gate and RTL simulators' layout).  CoSim
-  /// calls it only when lanes() > 1; the default drives lane 0 through
-  /// set_input.
+  /// drives every input through it at every lane count; the default drives
+  /// lane 0 through set_input.
   virtual void set_input_lanes(const std::string& name,
                                const std::vector<std::uint64_t>& bit_lanes);
   virtual Bits output(const std::string& name) = 0;

@@ -198,11 +198,36 @@ TEST(GateSim, BitParallelLanesAreIndependent) {
   }
 }
 
-TEST(GateSim, SetInputLanesRequiresBitParallelMode) {
-  Simulator sim(lower_to_gates(modes::accumulator()), SimMode::kEvent);
-  const std::uint64_t one = 1;
-  EXPECT_THROW(sim.set_input_lanes("en", std::span<const std::uint64_t>(&one, 1)),
-               std::logic_error);
+TEST(GateSim, EventEngineTakesOneLaneWords) {
+  // The event engine's one lane is bit 0 of each lane word: it must track a
+  // by-value twin while the other bits carry noise, and a word count other
+  // than the bus width must throw.
+  const Netlist nl = lower_to_gates(modes::accumulator());
+  Simulator words(nl, SimMode::kEvent), values(nl, SimMode::kEvent);
+  for (unsigned c = 0; c < 40; ++c) {
+    const std::uint64_t noise = 0x5a5a5a5a5a5a5a5aull * (c + 1);
+    const std::uint64_t operand = (c * 37 + 11) & 0xff;
+    const std::uint64_t enable = (c % 3) != 0 ? 1 : 0;
+    std::vector<std::uint64_t> d(8);
+    for (unsigned b = 0; b < 8; ++b)
+      d[b] = (noise & ~1ull) | ((operand >> b) & 1u);
+    const std::uint64_t en = (noise & ~1ull) | enable;
+    words.set_input_lanes("d", d);
+    words.set_input_lanes("en", std::span<const std::uint64_t>(&en, 1));
+    values.set_input("d", operand);
+    values.set_input("en", enable);
+    words.step();
+    values.step();
+    ASSERT_EQ(words.output("acc"), values.output("acc")) << "cycle " << c;
+    const std::vector<std::uint64_t> out = words.output_words("acc");
+    ASSERT_EQ(out.size(), 8u);
+    for (unsigned b = 0; b < 8; ++b)
+      ASSERT_EQ(out[b], values.output("acc").bit(b) ? 1u : 0u)
+          << "cycle " << c << " bit " << b;
+  }
+  const std::vector<std::uint64_t> two(2, 1);
+  EXPECT_THROW(words.set_input_lanes("en", two), std::logic_error);
+  EXPECT_THROW(words.set_input_lanes("d", two), std::logic_error);
 }
 
 TEST(GateSim, SameCycleMemWriteReachesReadPort) {

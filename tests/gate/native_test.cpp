@@ -416,7 +416,7 @@ TEST(GateNativeEmit, LaneValidation) {
 
 // --- run_batch over wide native lanes --------------------------------------
 
-/// The same stimulus through scalar event-engine blocks and one 128-lane
+/// The same stimulus through one-lane event-engine blocks and one 128-lane
 /// native block must produce identical per-lane outputs.
 TEST(GateNativeBatch, WideLaneBlocksMatchScalarBlocks) {
   const std::uint64_t seed = case_seed("batch", 0);
@@ -430,45 +430,48 @@ TEST(GateNativeBatch, WideLaneBlocksMatchScalarBlocks) {
     in_widths.push_back(static_cast<unsigned>(bus.nets.size()));
   for (const Bus& bus : nl.outputs())
     out_widths.push_back(static_cast<unsigned>(bus.nets.size()));
-  unsigned in_bits = 0;
+  unsigned in_bits = 0, out_bits = 0;
   for (unsigned w : in_widths) in_bits += w;
+  for (unsigned w : out_widths) out_bits += w;
 
-  // Scalar reference: one block per lane on the event engine.
+  // Scalar reference: one one-lane block per lane on the event engine, and
+  // one wide-lane native block carrying the same stimulus, both built bus
+  // by bus from one value per lane (bit i of a bus at `lw` words per bit in
+  // the wide block, at one word per bit in a one-lane block).
   std::vector<par::StimulusBlock> scalar(kWide);
-  for (auto& blk : scalar)
-    blk = par::StimulusBlock::make(kCycles,
-                                   static_cast<unsigned>(in_widths.size()));
-  for (unsigned l = 0; l < kWide; ++l)
-    for (unsigned c = 0; c < kCycles; ++c)
-      for (unsigned s = 0; s < in_widths.size(); ++s)
-        scalar[l].in_at(c, s) = rng();
-  run_batch(nl, SimMode::kEvent, scalar);
-
-  // One wide-lane native block carrying the same stimulus, transposed bus
-  // by bus (bit i of a bus at `lw` words per bit).
+  for (auto& blk : scalar) blk = par::StimulusBlock::make(kCycles, in_bits);
   par::StimulusBlock wide =
       par::StimulusBlock::make(kCycles, in_bits * lw, kWide);
   std::vector<std::uint64_t> values(kWide);
   for (unsigned c = 0; c < kCycles; ++c)
-    for (unsigned s = 0, slot = 0; s < in_widths.size();
-         slot += in_widths[s++] * lw) {
-      for (unsigned l = 0; l < kWide; ++l) values[l] = scalar[l].in_at(c, s);
+    for (unsigned s = 0, bit = 0; s < in_widths.size(); bit += in_widths[s++]) {
+      for (unsigned l = 0; l < kWide; ++l) {
+        values[l] = rng();
+        par::values_to_lane_words(&values[l], 1, 1, in_widths[s],
+                                  &scalar[l].in_at(c, bit));
+      }
       par::values_to_lane_words(values.data(), 1, kWide, in_widths[s],
-                                &wide.in_at(c, slot));
+                                &wide.in_at(c, bit * lw));
     }
+  run_batch(nl, SimMode::kEvent, scalar);
   std::vector<par::StimulusBlock> wide_batch;
   wide_batch.push_back(std::move(wide));
   run_batch(nl, SimMode::kNative, wide_batch);
 
   const par::StimulusBlock& w = wide_batch.front();
+  ASSERT_EQ(w.out_slots, out_bits * lw);
   for (unsigned c = 0; c < kCycles; ++c)
-    for (unsigned s = 0, slot = 0; s < out_widths.size();
-         slot += out_widths[s++] * lw) {
-      par::lane_words_to_values(&w.out[c * w.out_slots + slot], kWide,
+    for (unsigned s = 0, bit = 0; s < out_widths.size();
+         bit += out_widths[s++]) {
+      par::lane_words_to_values(&w.out[c * w.out_slots + bit * lw], kWide,
                                 out_widths[s], values.data(), 1);
-      for (unsigned l = 0; l < kWide; ++l)
-        ASSERT_EQ(values[l], scalar[l].out_at(c, s))
+      for (unsigned l = 0; l < kWide; ++l) {
+        std::uint64_t want = 0;
+        par::lane_words_to_values(&scalar[l].out[c * scalar[l].out_slots + bit],
+                                  1, out_widths[s], &want, 1);
+        ASSERT_EQ(values[l], want)
             << "cycle " << c << " output " << s << " lane " << l;
+      }
     }
 }
 
@@ -501,25 +504,25 @@ TEST(GateNativeBatch, ManyChunksShareOneCompile) {
   EXPECT_LE(after.compiles - before.compiles, 1u)
       << "run_batch must reuse one compiled object across all chunks";
 
-  // Scalar reference: one event-engine block per (block, lane).
+  // Scalar reference: one one-lane event-engine block per (block, lane),
+  // bit i of lane l at slot i (the lane word shifted down to lane l).
   std::vector<par::StimulusBlock> scalar(kBlocks * 64);
-  for (par::StimulusBlock& s : scalar) s = par::StimulusBlock::make(kCycles, 1);
-  std::uint64_t values[64];
+  for (par::StimulusBlock& s : scalar)
+    s = par::StimulusBlock::make(kCycles, 12);
   for (unsigned i = 0; i < kBlocks; ++i)
-    for (unsigned c = 0; c < kCycles; ++c) {
-      par::lane_words_to_values(&blocks[i].in_at(c, 0), 64, 12, values, 1);
+    for (unsigned c = 0; c < kCycles; ++c)
       for (unsigned l = 0; l < 64; ++l)
-        scalar[i * 64 + l].in_at(c, 0) = values[l];
-    }
+        for (unsigned bit = 0; bit < 12; ++bit)
+          scalar[i * 64 + l].in_at(c, bit) = blocks[i].in_at(c, bit) >> l;
   run_batch(nl, SimMode::kEvent, scalar, &pool);
   for (unsigned i = 0; i < kBlocks; ++i)
-    for (unsigned c = 0; c < kCycles; ++c) {
-      par::lane_words_to_values(&blocks[i].out[c * blocks[i].out_slots], 64,
-                                12, values, 1);
+    for (unsigned c = 0; c < kCycles; ++c)
       for (unsigned l = 0; l < 64; ++l)
-        ASSERT_EQ(values[l], scalar[i * 64 + l].out_at(c, 0))
-            << "block " << i << " lane " << l << " cycle " << c;
-    }
+        for (unsigned bit = 0; bit < 12; ++bit)
+          ASSERT_EQ((blocks[i].out_at(c, bit) >> l) & 1,
+                    scalar[i * 64 + l].out_at(c, bit))
+              << "block " << i << " lane " << l << " cycle " << c << " bit "
+              << bit;
 }
 
 TEST(GateNativeBatch, LaneValidation) {

@@ -275,7 +275,7 @@ TEST(NativeEmit, WideInstructionsCallTheEngine) {
 
 // --- run_batch over wide native lanes --------------------------------------
 
-/// The same stimulus through scalar interpreter blocks and one 128-lane
+/// The same stimulus through one-lane interpreter blocks and one 128-lane
 /// native block must produce identical per-lane outputs.
 TEST(NativeBatch, WideLaneBlocksMatchScalarBlocks) {
   const std::uint64_t seed =
@@ -290,45 +290,48 @@ TEST(NativeBatch, WideLaneBlocksMatchScalarBlocks) {
   for (const PortRef& p : m.inputs()) in_widths.push_back(m.node(p.node).width);
   for (const PortRef& p : m.outputs())
     out_widths.push_back(m.node(p.node).width);
-  unsigned in_bits = 0;
+  unsigned in_bits = 0, out_bits = 0;
   for (unsigned w : in_widths) in_bits += w;
+  for (unsigned w : out_widths) out_bits += w;
 
-  // Scalar reference: one block per lane.
+  // Scalar reference: one one-lane block per lane, and one wide-lane native
+  // block carrying the same stimulus, both built port by port from one
+  // value per lane (bit i of a port at `lw` words per bit in the wide
+  // block, at one word per bit in a one-lane block).
   std::vector<par::StimulusBlock> scalar(kLanes);
-  for (auto& b : scalar)
-    b = par::StimulusBlock::make(kCycles,
-                                 static_cast<unsigned>(in_widths.size()));
-  for (unsigned l = 0; l < kLanes; ++l)
-    for (unsigned c = 0; c < kCycles; ++c)
-      for (unsigned s = 0; s < in_widths.size(); ++s)
-        scalar[l].in_at(c, s) = rng();
-  run_batch(m, SimMode::kInterp, scalar);
-
-  // One wide-lane native block carrying the same stimulus, transposed port
-  // by port (bit i of a port at `lw` words per bit).
+  for (auto& b : scalar) b = par::StimulusBlock::make(kCycles, in_bits);
   par::StimulusBlock wide =
       par::StimulusBlock::make(kCycles, in_bits * lw, kLanes);
   std::vector<std::uint64_t> values(kLanes);
   for (unsigned c = 0; c < kCycles; ++c)
-    for (unsigned s = 0, slot = 0; s < in_widths.size();
-         slot += in_widths[s++] * lw) {
-      for (unsigned l = 0; l < kLanes; ++l) values[l] = scalar[l].in_at(c, s);
+    for (unsigned s = 0, bit = 0; s < in_widths.size(); bit += in_widths[s++]) {
+      for (unsigned l = 0; l < kLanes; ++l) {
+        values[l] = rng();
+        par::values_to_lane_words(&values[l], 1, 1, in_widths[s],
+                                  &scalar[l].in_at(c, bit));
+      }
       par::values_to_lane_words(values.data(), 1, kLanes, in_widths[s],
-                                &wide.in_at(c, slot));
+                                &wide.in_at(c, bit * lw));
     }
+  run_batch(m, SimMode::kInterp, scalar);
   std::vector<par::StimulusBlock> wide_batch;
   wide_batch.push_back(std::move(wide));
   run_batch(m, SimMode::kNative, wide_batch);
 
   const par::StimulusBlock& w = wide_batch.front();
+  ASSERT_EQ(w.out_slots, out_bits * lw);
   for (unsigned c = 0; c < kCycles; ++c)
-    for (unsigned s = 0, slot = 0; s < out_widths.size();
-         slot += out_widths[s++] * lw) {
-      par::lane_words_to_values(&w.out[c * w.out_slots + slot], kLanes,
+    for (unsigned s = 0, bit = 0; s < out_widths.size();
+         bit += out_widths[s++]) {
+      par::lane_words_to_values(&w.out[c * w.out_slots + bit * lw], kLanes,
                                 out_widths[s], values.data(), 1);
-      for (unsigned l = 0; l < kLanes; ++l)
-        ASSERT_EQ(values[l], scalar[l].out_at(c, s))
+      for (unsigned l = 0; l < kLanes; ++l) {
+        std::uint64_t want = 0;
+        par::lane_words_to_values(&scalar[l].out[c * scalar[l].out_slots + bit],
+                                  1, out_widths[s], &want, 1);
+        ASSERT_EQ(values[l], want)
             << "cycle " << c << " output " << s << " lane " << l;
+      }
     }
 }
 

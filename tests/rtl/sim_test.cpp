@@ -251,6 +251,43 @@ TEST(RtlSim, HandlesDriveAndReadPortsWithoutNameLookups) {
   EXPECT_THROW(sim.set_input(ha, Bits(9, 0)), std::logic_error);
 }
 
+TEST(RtlSim, InterpreterTakesOneLaneWords) {
+  // The interpreter's one lane is bit 0 of each lane word: it must track a
+  // by-value twin while the other bits carry noise, read its outputs back
+  // as lane words, and throw on a word count other than the port width.
+  Builder b("lanes");
+  Wire a = b.input("a", 8);
+  Wire q = b.reg("q", 8);
+  b.connect(q, b.add(q, a));
+  b.output("o", b.xor_(q, a));
+  const Module m = b.take();
+  Simulator words(m), values(m);
+  const InputHandle ha = words.input_handle("a");
+  const OutputHandle ho = words.output_handle("o");
+  for (unsigned c = 0; c < 40; ++c) {
+    const std::uint64_t noise = 0x5a5a5a5a5a5a5a5aull * (c + 1);
+    const std::uint64_t operand = (c * 37 + 11) & 0xff;
+    std::vector<std::uint64_t> lane_words(8);
+    for (unsigned i = 0; i < 8; ++i)
+      lane_words[i] = (noise & ~1ull) | ((operand >> i) & 1u);
+    words.set_input_lanes(ha, lane_words);
+    values.set_input("a", operand);
+    words.step();
+    values.step();
+    const std::uint64_t want = values.output("o").to_u64();
+    const std::vector<std::uint64_t> out = words.output_words(ho);
+    ASSERT_EQ(out.size(), 8u);
+    for (unsigned i = 0; i < 8; ++i)
+      ASSERT_EQ(out[i], (want >> i) & 1u) << "cycle " << c << " bit " << i;
+  }
+  EXPECT_THROW(words.set_input_lanes(ha, std::vector<std::uint64_t>(9)),
+               std::logic_error);
+  EXPECT_THROW(
+      words.set_input_lanes(InputHandle{7}, std::vector<std::uint64_t>(8)),
+      std::logic_error);
+  EXPECT_THROW(words.output_words(OutputHandle{7}), std::logic_error);
+}
+
 TEST(RtlSim, WideConcatEvaluatesLinearly) {
   // Many-operand concat: each operand deposited once (regression for the
   // quadratic accumulator rebuild); values must match bit-by-bit.

@@ -13,6 +13,10 @@
 //             [--fanout-warn=N] [--list-rules] [--explain=RULE-ID]
 //             [--rules-doc]
 //
+// --fuzz takes at most 1000000 modules, --seed any unsigned 64-bit value
+// and --fanout-warn at most 4294967295; a malformed, negative or
+// out-of-range number is a usage error.
+//
 // Exit codes: 0 clean (below fail-on), 1 findings at/above fail-on,
 // 2 usage or I/O error.
 
@@ -27,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cli.hpp"
 #include "expocu/flows.hpp"
 #include "gate/lower.hpp"
 #include "lint/dataflow.hpp"
@@ -39,6 +44,8 @@ namespace {
 using osss::lint::Options;
 using osss::lint::Report;
 using osss::lint::Severity;
+using osss::tools::kMaxFuzz;
+using osss::tools::parse_number;
 
 struct Unit {
   std::string name;
@@ -89,9 +96,11 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       cli.lint_gate = *v == "gate" || *v == "both";
       if (!cli.lint_rtl && !cli.lint_gate) return false;
     } else if (auto v = value("--fuzz=")) {
-      cli.fuzz = static_cast<unsigned>(std::stoul(*v));
+      std::uint64_t n = 0;
+      if (!parse_number(*v, kMaxFuzz, n)) return false;
+      cli.fuzz = static_cast<unsigned>(n);
     } else if (auto v = value("--seed=")) {
-      cli.seed = std::stoull(*v);
+      if (!parse_number(*v, ~std::uint64_t{0}, cli.seed)) return false;
     } else if (auto v = value("--format=")) {
       if (*v != "text" && *v != "json" && *v != "sarif") return false;
       cli.format = *v;
@@ -101,7 +110,9 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       if (*v != "error" && *v != "warning" && *v != "never") return false;
       cli.fail_on = *v;
     } else if (auto v = value("--fanout-warn=")) {
-      cli.opt.fanout_warn_threshold = static_cast<unsigned>(std::stoul(*v));
+      std::uint64_t n = 0;
+      if (!parse_number(*v, UINT32_MAX, n)) return false;
+      cli.opt.fanout_warn_threshold = static_cast<unsigned>(n);
     } else if (auto v = value("--suppress=")) {
       std::stringstream ss(*v);
       std::string rule;

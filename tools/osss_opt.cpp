@@ -3,17 +3,20 @@
 // Lowers the ExpoCU evaluation designs (and optional fuzz corpora of random
 // modules) to gates, runs them through the src/opt pass pipeline and reports
 // per-pass statistics plus pre/post area and fmax.  Every pass invocation is
-// differentially self-checked by default (gate::check_equivalence input vs
-// output); a divergence aborts the run with the pass name, derived seed and
-// counterexample, and exits 1.
+// differentially self-checked (gate::check_equivalence input vs output) in
+// every build type unless --check=0 opts out; a divergence aborts the run
+// with the pass name, derived seed and counterexample, and exits 1.
 //
 // Usage:
 //   osss-opt [--flow=osss|vhdl|both] [--passes=NAME[,NAME...]] [--fuzz=N]
 //            [--seed=S] [--check=0|1] [--format=text|json] [--out=FILE]
 //            [--list-passes]
 //
+// --fuzz takes at most 1000000 modules and --seed any unsigned 64-bit
+// value; a malformed, negative or out-of-range number is a usage error.
+//
 // Exit codes: 0 success, 1 differential self-check failure, 2 usage or
-// I/O error.
+// I/O error, or any other failure.
 
 #include <cstdint>
 #include <fstream>
@@ -26,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cli.hpp"
 #include "expocu/flows.hpp"
 #include "gate/lower.hpp"
 #include "gate/timing.hpp"
@@ -38,6 +42,8 @@ namespace {
 using osss::gate::Library;
 using osss::gate::Netlist;
 using osss::opt::PassStats;
+using osss::tools::kMaxFuzz;
+using osss::tools::parse_number;
 
 using FactsPtr = std::shared_ptr<const std::unordered_map<std::string, bool>>;
 
@@ -66,7 +72,7 @@ struct Cli {
   std::vector<std::string> passes;  // empty = standard pipeline
   unsigned fuzz = 0;
   std::uint64_t seed = 1;
-  int check = -1;  // -1 = pipeline default (env / build type)
+  bool check = true;
   std::string format = "text";
   std::string out;
   bool list_passes = false;
@@ -82,10 +88,10 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     if (a == "--list-passes") {
       cli.list_passes = true;
     } else if (a == "--check") {
-      cli.check = 1;
+      cli.check = true;
     } else if (auto v = value("--check=")) {
       if (*v != "0" && *v != "1") return false;
-      cli.check = *v == "1" ? 1 : 0;
+      cli.check = *v == "1";
     } else if (auto v = value("--flow=")) {
       cli.run_osss = *v == "osss" || *v == "both";
       cli.run_vhdl = *v == "vhdl" || *v == "both";
@@ -102,9 +108,11 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       }
       if (cli.passes.empty()) return false;
     } else if (auto v = value("--fuzz=")) {
-      cli.fuzz = static_cast<unsigned>(std::stoul(*v));
+      std::uint64_t n = 0;
+      if (!parse_number(*v, kMaxFuzz, n)) return false;
+      cli.fuzz = static_cast<unsigned>(n);
     } else if (auto v = value("--seed=")) {
-      cli.seed = std::stoull(*v);
+      if (!parse_number(*v, ~std::uint64_t{0}, cli.seed)) return false;
     } else if (auto v = value("--format=")) {
       if (*v != "text" && *v != "json") return false;
       cli.format = *v;
@@ -121,7 +129,7 @@ osss::opt::Pipeline build_pipeline(const Cli& cli, const Library& lib,
                                    const FactsPtr& facts) {
   osss::opt::PipelineOptions popt;
   popt.lib = &lib;
-  popt.self_check = cli.check;
+  popt.self_check = cli.check ? 1 : 0;
   popt.facts = facts;
   if (cli.passes.empty()) return osss::opt::Pipeline::standard(popt);
   osss::opt::Pipeline p(popt);
@@ -256,7 +264,7 @@ int main(int argc, char** argv) {
                                    osss::gate::lower_to_gates(m), cli, lib,
                                    facts_of(m)));
     }
-  } catch (const std::logic_error& e) {
+  } catch (const osss::opt::PassDivergence& e) {
     std::cerr << "osss-opt: " << e.what() << "\n";
     return 1;  // differential self-check failure
   } catch (const std::exception& e) {
