@@ -12,8 +12,10 @@
 //     in-order sweep from the first dirty level to the end — the level
 //     schedule is topological, so recomputing the whole suffix propagates
 //     every change without per-cell diff tracking; memory read ports are
-//     grouped and gathered through one-hot row masks when the row count is
-//     small against the lane count (word ops instead of per-lane probes);
+//     grouped, and each group is one call of the prelude's g_mread
+//     (jit::gate_memory_prelude), which sweeps one-hot row masks when the
+//     row count is small against the lane count (word ops instead of
+//     per-lane probes) and decodes each lane's address otherwise;
 //   * the source is a list of translation units (jit::Parts) that the JIT
 //     compiles concurrently and links into one object.  Part 0 holds the
 //     ABI symbols, the settle's dirty scan (a hidden `gate_eval`, which
@@ -26,8 +28,9 @@
 //   * the DFF and memory-write-port commit is emitted *inside* the
 //     generated `osss_gate_step` entry point — the DFFs as a walk over
 //     constant tables of D/Q offsets and CSR dirty marks, each write port
-//     as one call with depth, width and dirty marks baked in, no engine
-//     commit loop on the hot path;
+//     as one function whose g_mwrite call has depth and width baked in and
+//     which sets the memory's dirty marks, no engine commit loop on the hot
+//     path;
 //   * the engine holds a jit::Runtime, shared with the rtl backend: it
 //     owns the arena, memories, dirty levels, power-on snapshot and run
 //     counters, binds the generated code through the content-hash object

@@ -28,25 +28,17 @@
 // an explicit SIMD chunk.
 //
 // Memory read ports are grouped — one block per distinct (mem, address
-// nets) tuple instead of one per read-data bit — and lowered to one-hot
-// row masks over lane words when the addressable row count is small
-// against the lane count, so a gather costs O(rows * width) word ops for
-// all lanes at once instead of O(lanes * width) bit probes.  Deep
-// memories keep a per-lane sparse gather (touching every row would lose
-// when rows >> lanes).  The write-port commits make the same choice.
+// nets) tuple instead of one per read-data bit — and each group is one
+// call of the prelude's `g_mread`, over constant tables of its address-net
+// offsets, tap offsets and tap bits; each write port's commit is one call
+// of `g_mwrite` over the port's step-scratch samples
+// (jit::gate_memory_prelude, written only into the parts that call them).
+// The helpers pick, at compile time, a one-hot row sweep over all lanes or
+// a per-lane address decode.
 // `osss_gate_step` samples and commits the DFFs by walking constant tables
 // (D and Q offsets, CSR dirty marks) rather than one unrolled copy per
 // flip-flop, calls the write-port commits and ends with an inline settle
 // call, so a clock cycle is one native call.
-//
-// When a row span (width * LW words) tiles into the flat `fv` tier
-// (flat_ops_prelude: always the widest vector the target enables, FW words
-// per chunk regardless of LW), row-mask gathers and write commits sweep
-// whole rows in explicit fv chunks against a cyclically replicated row
-// mask — one chunk covers several data bits across lane words.  This
-// pins vectorization the auto-vectorizer finds only erratically (GCC's
-// SLP pass is context-sensitive enough to drop it under benign
-// reorderings) and widens it past the per-tap word.
 //
 // Layout contract (must match gate::NativeEngine exactly): lane word w of
 // net n lives at V[n*LW + w]; lane word w of data bit b of memory entry a
@@ -54,14 +46,10 @@
 // the engine-owned scratch S so a cached object stays stateless.
 //
 // Masking invariant: every arena and memory word only ever holds bits of
-// valid lanes (the engine masks on input, the drivers mask on inversion),
-// so one-hot row masks built from complemented address words may carry
-// garbage in dead-lane bits — ANDing with a memory or enable word always
-// confines the result.
+// valid lanes (the engine masks on input, the drivers mask on inversion).
 
 #include <cstdint>
 #include <cstdio>
-#include <algorithm>
 #include <map>
 #include <span>
 #include <sstream>
@@ -87,6 +75,8 @@ struct Emitter {
   const unsigned lw;
   const std::uint64_t tm;
   std::ostringstream os;
+  /// Whether the level chunk being emitted calls g_mread.
+  bool memory_calls = false;
 
   Emitter(const Netlist& n, const Schedule& sched)
       : nl(n),
@@ -103,59 +93,7 @@ struct Emitter {
   }
   static std::string num(std::uint64_t v) { return std::to_string(v); }
 
-  std::string LW() const { return num(lw); }
   std::string TM() const { return hex(tm); }
-
-  /// Rows a port can actually address: the memory depth capped by the
-  /// reach of its address bits.
-  static std::uint64_t row_bound(std::uint64_t depth, std::size_t addr_bits) {
-    if (addr_bits < 63)
-      depth = std::min(depth, std::uint64_t{1} << addr_bits);
-    return depth;
-  }
-  /// One-hot row masks win while the row sweep is small against the lane
-  /// count (a scalar engine always gathers: one lane never beats a sweep).
-  bool use_row_masks(std::uint64_t bound) const {
-    return lanes > 1 && bound <= std::uint64_t{4} * lanes;
-  }
-  /// The flat `fv` sweep walks whole memory rows (width * LW contiguous
-  /// words) in widest-ISA chunks against a cyclically replicated row
-  /// mask, so the span must tile: lane words a power of two and the row
-  /// span divisible by 8 (the widest FW any target tier picks), capped
-  /// so the gather's stack accumulator stays small.
-  bool flat_rows_ok(std::uint32_t width) const {
-    const std::uint64_t span = std::uint64_t{width} * lw;
-    return (lw & (lw - 1)) == 0 && span % 8 == 0 && span <= 2048;
-  }
-  /// Replicate each address net's lane words (and their complement)
-  /// cyclically out to MR words, once per port, so per-row masks build
-  /// with pure fv ops.  `arena` names the source array ("V" or "S"),
-  /// `off(i)` its word offset for address bit i.
-  template <typename OffsetFn>
-  void emit_addr_reps(const char* indent, std::size_t addr_bits,
-                      const char* arena, OffsetFn off) {
-    for (std::size_t i = 0; i < addr_bits; ++i) {
-      os << indent << "alignas(64) u64 ar" << i << "[MR], cr" << i
-         << "[MR];\n";
-      os << indent << "for (int k = 0; k < MR; ++k) { ar" << i << "[k] = "
-         << arena << "[" << num(off(i)) << " + (k & " << (lw - 1)
-         << ")]; cr" << i << "[k] = ~ar" << i << "[k]; }\n";
-    }
-  }
-  /// The fv expression for one MR-chunk (`+ k`) of row `a`'s one-hot
-  /// mask: AND of the matching replicated address (or complement)
-  /// chunks, seeded with `seed` ("" = no seed; all-ones when n == 0).
-  static std::string mask_chain(const std::string& seed, std::uint64_t a,
-                                std::size_t addr_bits) {
-    std::string e = seed;
-    for (std::size_t i = 0; i < addr_bits; ++i) {
-      std::string term = (a >> i) & 1 ? "fld(ar" : "fld(cr";
-      term += num(i);
-      term += " + k)";
-      e = e.empty() ? std::move(term) : "f_and(" + e + ", " + term + ")";
-    }
-    return e.empty() ? "fbc(~0ull)" : e;
-  }
 
   /// Chunk operand for an input net inside a fused `w` loop: constants
   /// 0/1 use the hoisted broadcast chunks, any other net loads its arena
@@ -201,118 +139,41 @@ struct Emitter {
     }
   }
 
-  /// Emit the one-hot address-match expression for row `a` over hoisted
-  /// address words a0..a{n-1} into variable `var` seeded with `seed`.
-  void emit_row_mask(const char* indent, const std::string& var,
-                     const std::string& seed, std::uint64_t a,
-                     std::size_t addr_bits) {
-    os << indent << "u64 " << var << " = " << seed << ";\n";
-    for (std::size_t i = 0; i < addr_bits; ++i)
-      os << indent << var << " &= " << ((a >> i) & 1 ? "a" : "~a") << i
-         << ";\n";
+  /// `static const <type> <name>[] = {...};` at `indent`, twelve values a
+  /// line.
+  template <class T>
+  void table(const char* indent, const char* type, const char* name,
+             const std::vector<T>& values) {
+    os << indent << "static const " << type << " " << name << "[] = {";
+    for (std::size_t i = 0; i < values.size(); ++i)
+      os << (i % 12 == 0 ? "\n" + std::string(indent) + "  " : " ")
+         << num(values[i]) << ",";
+    os << "\n" << indent << "};\n";
   }
 
-  /// One grouped read port: every kMemQ cell sharing (mem, address nets).
+  /// One grouped read port: every kMemQ cell sharing (mem, address nets),
+  /// one g_mread call over the address-net offsets, the taps' offsets and
+  /// their data bits.
   void emit_memq_group(const std::vector<NetId>& cells) {
     const Cell& c0 = nl.cells()[cells.front()];
     const MemMacro& m = nl.memories()[c0.param];
-    const std::size_t n = c0.ins.size();
-    const std::uint64_t bound = row_bound(m.depth, n);
+    std::vector<std::uint64_t> ad, qo;
+    std::vector<std::uint32_t> qb;
+    for (const NetId a : c0.ins) ad.push_back(std::uint64_t{a} * lw);
+    for (const NetId id : cells) {
+      qo.push_back(std::uint64_t{id} * lw);
+      qb.push_back(nl.cells()[id].param2);
+    }
     os << "    { // mem " << c0.param << " read port: depth " << m.depth
        << ", " << cells.size() << " tap(s)\n";
-    os << "      const u64* mp = M[" << c0.param << "];\n";
-    if (use_row_masks(bound) && flat_rows_ok(m.width) &&
-        std::uint64_t{cells.size()} * 4 >= m.width) {
-      // Flat row-mask gather: build each row's replicated one-hot mask
-      // with pure fv ops over per-port replicated address chunks, then
-      // accumulate the whole row into a local buffer — one chunk covers
-      // several data bits across lane words.  This pins vectorization
-      // the auto-vectorizer only sometimes finds and widens it past the
-      // per-tap word.  Worth it only when taps cover a decent fraction
-      // of the row (the sweep always reads the full width).  Dead-lane
-      // garbage in the complemented chunks is confined by the memory
-      // words (masking invariant).
-      const std::uint64_t span = std::uint64_t{m.width} * lw;
-      os << "      constexpr int MR = FW > L ? FW : L;\n";
-      emit_addr_reps("      ", n, "V",
-                     [&](std::size_t i) { return std::uint64_t{c0.ins[i]} * lw; });
-      os << "      alignas(64) u64 mrep[MR];\n";
-      os << "      alignas(64) u64 q[" << span << "] = {};\n";
-      for (std::uint64_t a = 0; a < bound; ++a) {
-        os << "      {\n";
-        os << "        fv anyv = fbc(0x0ull);\n";
-        os << "        for (int k = 0; k < MR; k += FW) {\n";
-        os << "          const fv mk = " << mask_chain("", a, n) << ";\n";
-        os << "          fst(mrep + k, mk); anyv = f_or(anyv, mk);\n";
-        os << "        }\n";
-        os << "        if (f_any(anyv)) {\n";
-        os << "          const u64* r = mp + " << num(a * span) << "u;\n";
-        os << "          for (int c = 0; c < " << span << "; c += FW)\n";
-        os << "            fst(q + c, f_or(fld(q + c), "
-              "f_and(fld(mrep + (c & (MR - 1))), fld(r + c))));\n";
-        os << "        }\n";
-        os << "      }\n";
-      }
-      for (std::size_t t = 0; t < cells.size(); ++t)
-        os << "      v_cpy<" << lw << ">(V + "
-           << num(std::uint64_t{cells[t]} * lw) << ", q + "
-           << num(std::uint64_t{nl.cells()[cells[t]].param2} * lw) << ");\n";
-    } else if (use_row_masks(bound)) {
-      // Row-mask gather: one sweep of the addressable rows per lane word
-      // serves every tap; dead-lane garbage in the masks is confined by
-      // the memory words (see masking invariant above).
-      os << "      for (int w = 0; w < " << lw << "; ++w) {\n";
-      for (std::size_t i = 0; i < n; ++i)
-        os << "        const u64 a" << i << " = V["
-           << num(std::uint64_t{c0.ins[i]} * lw) << " + w];\n";
-      for (std::size_t t = 0; t < cells.size(); ++t)
-        os << "        u64 q" << t << " = 0;\n";
-      for (std::uint64_t a = 0; a < bound; ++a) {
-        os << "        {\n";
-        emit_row_mask("          ", "m", "~0ull", a, n);
-        os << "          if (m) {\n";
-        os << "            const u64* r = mp + "
-           << num(a * m.width * lw) << "u + w;\n";
-        for (std::size_t t = 0; t < cells.size(); ++t)
-          os << "            q" << t << " |= m & r["
-             << num(std::uint64_t{nl.cells()[cells[t]].param2} * lw)
-             << "];\n";
-        os << "          }\n";
-        os << "        }\n";
-      }
-      for (std::size_t t = 0; t < cells.size(); ++t)
-        os << "        V[" << num(std::uint64_t{cells[t]} * lw)
-           << " + w] = q" << t << ";\n";
-      os << "      }\n";
-    } else {
-      // Sparse per-lane gather: decode each lane's address once, then
-      // probe one row for every tap.
-      os << "      for (int l = 0; l < " << lanes << "; ++l) {\n";
-      os << "        u64 a = 0;\n";
-      for (std::size_t i = n; i-- > 0;)
-        os << "        a = (a << 1) | ((V["
-           << num(std::uint64_t{c0.ins[i]} * lw)
-           << " + (l >> 6)] >> (l & 63)) & 1u);\n";
-      os << "        const int w = l >> 6;\n";
-      os << "        const u64 bm = 1ull << (l & 63);\n";
-      os << "        if (a < " << m.depth << "u) {\n";
-      os << "          const u64* r = mp + a * "
-         << num(std::uint64_t{m.width} * lw) << "u + w;\n";
-      for (std::size_t t = 0; t < cells.size(); ++t) {
-        const std::string off = num(std::uint64_t{cells[t]} * lw);
-        os << "          V[" << off << " + w] = (V[" << off
-           << " + w] & ~bm) | (((r["
-           << num(std::uint64_t{nl.cells()[cells[t]].param2} * lw)
-           << "] >> (l & 63)) & 1u) << (l & 63));\n";
-      }
-      os << "        } else {\n";
-      for (std::size_t t = 0; t < cells.size(); ++t)
-        os << "          V[" << num(std::uint64_t{cells[t]} * lw)
-           << " + w] &= ~bm;\n";
-      os << "        }\n";
-      os << "      }\n";
-    }
+    table("      ", "u64", "ad", ad);
+    table("      ", "u64", "qo", qo);
+    table("      ", "unsigned", "qb", qb);
+    os << "      g_mread<" << lanes << ", " << lw << ", " << m.depth << ", "
+       << ad.size() << ", " << m.width << ", " << cells.size() << ">(V, M["
+       << c0.param << "], ad, qo, qb);\n";
     os << "    }\n";
+    memory_calls = true;
   }
 
   /// Whatever the emitter wrote since the last take().
@@ -374,14 +235,15 @@ struct Emitter {
           return take();
         },
         [&](const std::string& code, std::size_t end) {
-          os << header() << jit::hidden_function() << "void gate_levels_"
-             << ends.size() << kChunkParams << " {\n";
+          os << header(memory_calls) << jit::hidden_function()
+             << "void gate_levels_" << ends.size() << kChunkParams << " {\n";
           os << "  (void)M;\n";
           os << "  const vw vc0 = vbc(0x0ull); (void)vc0;\n";
           os << "  const vw vc1 = vbc(TM); (void)vc1;\n";
           os << code << "}\n";
           parts.push_back(take());
           ends.push_back(static_cast<std::uint32_t>(end));
+          memory_calls = false;
         });
     return ends;
   }
@@ -415,131 +277,23 @@ struct Emitter {
     os << "}\n\n";
   }
 
-  /// One memory write port's commit (`gate_wport_<k>`): merges the sampled
-  /// enable, address and data into the memory, dirty-marks its read
-  /// levels and returns nonzero when a word changed.
+  /// One memory write port's commit (`gate_wport_<k>`): one g_mwrite call
+  /// merges the sampled enable, address and data into the memory; the
+  /// function dirty-marks the memory's read levels and returns nonzero
+  /// when a word changed.
   void emit_write_port(std::size_t k, const Schedule::WritePort& wp) {
-    const std::uint32_t mem = wp.mem;
-    const MemMacro& m = nl.memories()[mem];
-    const std::size_t n = wp.addr_n;
-    const std::uint64_t en_at = sample_at(wp.base),
-                        addr_at = sample_at(wp.base + 1),
-                        data_at = sample_at(wp.base + 1 + n);
-    const std::uint64_t bound = row_bound(m.depth, n);
-    const std::string mk = marks(s.mem_fl_off, s.mem_fl, mem);
+    const MemMacro& m = nl.memories()[wp.mem];
+    const std::string mk = marks(s.mem_fl_off, s.mem_fl, wp.mem);
     os << jit::hidden_function() << "unsigned gate_wport_" << k
        << kPortParams << " {\n";
-    os << "  (void)V; (void)M; (void)D; (void)S;\n";
-    os << "  unsigned chg = 0;\n";
-    os << "  { // mem " << mem << " write port: depth " << m.depth
+    os << "  (void)V; (void)D;\n";
+    os << "  // mem " << wp.mem << " write port: depth " << m.depth
        << ", width " << m.width << "\n";
-    os << "    u64 ch = 0;\n";
-    if (use_row_masks(bound) && flat_rows_ok(m.width)) {
-      // Flat row-mask merge: build each row's replicated select mask
-      // (enable AND address match) with pure fv ops and merge whole
-      // rows in fv chunks — one select/merge covers several data bits
-      // across lane words.  Change detection rides along as a vector
-      // accumulator reduced once per port.  sel is seeded from the
-      // sampled enable chunks, so complemented address garbage never
-      // escapes.
-      const std::uint64_t span = std::uint64_t{m.width} * lw;
-      std::string eany;
-      for (unsigned w = 0; w < lw; ++w) {
-        eany += w ? " | S[" : "S[";
-        eany += num(en_at + w);
-        eany += "]";
-      }
-      os << "    if (" << eany << ") {\n";
-      os << "      constexpr int MR = FW > L ? FW : L;\n";
-      os << "      alignas(64) u64 enr[MR];\n";
-      os << "      for (int k = 0; k < MR; ++k) enr[k] = S["
-         << num(en_at) << " + (k & " << (lw - 1) << ")];\n";
-      emit_addr_reps("      ", n, "S",
-                     [&](std::size_t i) { return addr_at + i * lw; });
-      os << "      alignas(64) u64 srep[MR];\n";
-      os << "      fv chv = fbc(0x0ull);\n";
-      os << "      u64* const mb = M[" << mem << "];\n";
-      os << "      const u64* const sd = S + " << num(data_at) << ";\n";
-      for (std::uint64_t a = 0; a < bound; ++a) {
-        os << "      {\n";
-        os << "        fv anyv = fbc(0x0ull);\n";
-        os << "        for (int k = 0; k < MR; k += FW) {\n";
-        os << "          const fv sk = " << mask_chain("fld(enr + k)", a, n)
-           << ";\n";
-        os << "          fst(srep + k, sk); anyv = f_or(anyv, sk);\n";
-        os << "        }\n";
-        os << "        if (f_any(anyv)) {\n";
-        os << "          u64* e = mb + " << num(a * span) << "u;\n";
-        os << "          for (int c = 0; c < " << span << "; c += FW) {\n";
-        os << "            const fv sv = fld(srep + (c & (MR - 1)));\n";
-        os << "            const fv ov = fld(e + c);\n";
-        os << "            const fv nv = f_or(f_andn(sv, ov), "
-              "f_and(sv, fld(sd + c)));\n";
-        os << "            chv = f_or(chv, f_xor(nv, ov));\n";
-        os << "            fst(e + c, nv);\n";
-        os << "          }\n";
-        os << "        }\n";
-        os << "      }\n";
-      }
-      os << "      alignas(64) u64 chb[FW];\n";
-      os << "      fst(chb, chv);\n";
-      os << "      for (int k = 0; k < FW; ++k) ch |= chb[k];\n";
-      os << "    }\n";
-    } else if (use_row_masks(bound)) {
-      // Row-mask merge: sel = enabled lanes writing row `a`; every data
-      // bit merges with two word ops.  sel is confined by the sampled
-      // enable word, so complemented address garbage never escapes.
-      os << "    for (int w = 0; w < " << lw << "; ++w) {\n";
-      os << "      const u64 en = S[" << num(en_at) << " + w];\n";
-      os << "      if (!en) continue;\n";
-      for (std::size_t i = 0; i < n; ++i)
-        os << "      const u64 a" << i << " = S[" << num(addr_at + i * lw)
-           << " + w];\n";
-      for (std::uint64_t a = 0; a < bound; ++a) {
-        os << "      {\n";
-        emit_row_mask("        ", "sel", "en", a, n);
-        os << "        if (sel) {\n";
-        os << "          u64* e = M[" << mem << "] + "
-           << num(a * m.width * lw) << "u + w;\n";
-        os << "          const u64* s = S + " << num(data_at) << " + w;\n";
-        for (std::uint32_t b = 0; b < m.width; ++b) {
-          const std::string off = num(std::uint64_t{b} * lw);
-          os << "          { const u64 nw = (e[" << off
-             << "] & ~sel) | (sel & s[" << off << "]); ch |= nw ^ e[" << off
-             << "]; e[" << off << "] = nw; }\n";
-        }
-        os << "        }\n";
-        os << "      }\n";
-      }
-      os << "    }\n";
-    } else {
-      os << "    for (int l = 0; l < " << lanes << "; ++l) {\n";
-      os << "      if (((S[" << num(en_at)
-         << " + (l >> 6)] >> (l & 63)) & 1u) == 0) continue;\n";
-      os << "      u64 a = 0;\n";
-      for (std::size_t i = n; i-- > 0;)
-        os << "      a = (a << 1) | ((S[" << num(addr_at + i * lw)
-           << " + (l >> 6)] >> (l & 63)) & 1u);\n";
-      os << "      if (a >= " << m.depth << "u) continue;\n";
-      os << "      const u64 bm = 1ull << (l & 63);\n";
-      os << "      u64* e = M[" << mem << "] + a * "
-         << num(std::uint64_t{m.width} * lw) << "u + (l >> 6);\n";
-      os << "      const u64* s = S + " << num(data_at) << " + (l >> 6);\n";
-      os << "      for (unsigned b = 0; b < " << m.width << "u; ++b) {\n";
-      os << "        const u64 nb = (s[b * " << lw << "u] >> (l & 63)) & 1u;\n";
-      os << "        const u64 nw = (e[b * " << lw
-         << "u] & ~bm) | (nb << (l & 63));\n";
-      os << "        ch |= nw ^ e[b * " << lw << "u];\n";
-      os << "        e[b * " << lw << "u] = nw;\n";
-      os << "      }\n";
-      os << "    }\n";
-    }
-    if (mk.empty())
-      os << "    if (ch) chg = 1u;\n";
-    else
-      os << "    if (ch) {" << mk << " chg = 1u; }\n";
-    os << "  }\n";
-    os << "  return chg;\n";
+    os << "  if (!g_mwrite<" << lanes << ", " << lw << ", " << m.depth << ", "
+       << wp.addr_n << ", " << m.width << ">(M[" << wp.mem << "], S + "
+       << sample_at(wp.base) << ")) return 0u;\n";
+    if (!mk.empty()) os << " " << mk << "\n";
+    os << "  return 1u;\n";
     os << "}\n";
   }
 
@@ -553,7 +307,7 @@ struct Emitter {
           return take();
         },
         [&](const std::string& code, std::size_t) {
-          parts.push_back(header() + code);
+          parts.push_back(header(true) + code);
         });
   }
 
@@ -573,13 +327,6 @@ struct Emitter {
     os << "  (void)V; (void)M; (void)D; (void)S;\n";
     os << "  unsigned chg = 0; (void)chg;\n";
     const std::vector<NetId>& dffs = s.dffs;
-    const auto table = [&](const char* type, const char* name,
-                           const auto& values) {
-      os << "  static const " << type << " " << name << "[] = {";
-      for (std::size_t i = 0; i < values.size(); ++i)
-        os << (i % 12 == 0 ? "\n    " : " ") << num(values[i]) << ",";
-      os << "\n  };\n";
-    };
     if (!dffs.empty()) {
       std::vector<std::uint64_t> d_at, q_at;
       std::vector<std::uint32_t> fo = {0}, fl;
@@ -590,11 +337,11 @@ struct Emitter {
           fl.push_back(s.net_fl[k]);
         fo.push_back(static_cast<std::uint32_t>(fl.size()));
       }
-      table("u64", "dff_d", d_at);
-      table("u64", "dff_q", q_at);
+      table("  ", "u64", "dff_d", d_at);
+      table("  ", "u64", "dff_q", q_at);
       if (!fl.empty()) {
-        table("unsigned", "dff_fo", fo);
-        table("unsigned", "dff_fl", fl);
+        table("  ", "unsigned", "dff_fo", fo);
+        table("  ", "unsigned", "dff_fl", fl);
       }
       // Pre-edge sample: every DFF and write port observes the settled
       // pre-clock values before any commit rewrites the arena.  Each copy
@@ -651,8 +398,8 @@ struct Emitter {
   }
 
   /// What every part starts with: the preludes and this design's lane
-  /// constants.
-  std::string header() const {
+  /// constants, and the memory-port helpers when the part calls them.
+  std::string header(bool memory) const {
     std::ostringstream h;
     h << jit::prelude_header();
     h << "constexpr int L = " << lw << ";\n";
@@ -661,10 +408,8 @@ struct Emitter {
     // downstream cell anyway, so the change-accumulating v_* drivers
     // would pay an xor/or reduction per word for nothing.
     h << jit::lane_ops_prelude();
-    // Flat widest-ISA drivers for whole-row memory sweeps (gather and
-    // write commit) — independent of the vw lane-chunk tier.
-    h << jit::flat_ops_prelude();
     h << jit::step_prelude();
+    if (memory) h << jit::gate_memory_prelude();
     h << "}  // namespace\n\n";
     return h.str();
   }
@@ -675,7 +420,7 @@ struct Emitter {
     jit::Parts parts(1);
     const std::vector<std::uint32_t> ends = emit_level_chunks(parts);
     emit_write_ports(parts);
-    os << header();
+    os << header(false);
     os << "extern \"C\" unsigned osss_gate_abi() { return 2u; }\n";
     os << "extern \"C\" unsigned osss_gate_lanes() { return " << lanes
        << "u; }\n";

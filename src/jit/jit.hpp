@@ -21,8 +21,8 @@
 //   * on disk (opt-in via $OSSS_JIT_CACHE_DIR): compiled .so files are
 //     published under the cache directory keyed by the same content hash
 //     (compiler identity and version included), so a *second process* —
-//     a rerun of the test suite, a CI warm job, the future osss-serve
-//     daemon — dlopens the published artifact instead of compiling.
+//     a rerun of the test suite, a CI warm job — dlopens the published
+//     artifact instead of compiling.
 //     Publication is atomic (temp file + rename), concurrent processes
 //     compiling the same key serialize on a per-key flock and the loser
 //     loads the winner's artifact, stale or truncated artifacts are
@@ -169,11 +169,13 @@ bool jit_disabled_by_env() noexcept;
 // prelude_header() (the <cstdint> include and the lane
 // vectors: GCC/Clang vector-extension types `Vec<W>`, the widest width VL
 // picked once per file from __AVX512F__ / __AVX2__), then `constexpr int L
-// = <lanes>;`, then vector_prelude() (the rtl lane-vector helper library:
-// P/K operands and the change-accumulating v_* drivers, one body each, all
-// single-word: a multi-word tape instruction is a call back into the
-// engine, never prelude code) and step_prelude() (the sequential-commit
-// helpers used by the generated step() entry points).
+// = <lanes>;`, then the rtl emitter vector_prelude() (the lane-vector helper
+// library: P/K operands and the change-accumulating v_* drivers, one body
+// each, all single-word: a multi-word tape instruction is a call back into
+// the engine, never prelude code) and the gate emitter lane_ops_prelude(),
+// then step_prelude() (the sequential-commit helpers used by the generated
+// step() entry points), and a gate part with a memory port
+// gate_memory_prelude().
 
 const char* prelude_header();
 const char* vector_prelude();
@@ -189,12 +191,13 @@ const char* step_prelude();
 /// (the tail-lane mask) before this fragment.
 const char* lane_ops_prelude();
 
-/// Flat vector layer `fv`/`FW` for contiguous memory-row sweeps: always
-/// the widest vector the target enables (FW = VL: 8 / 4 / 1), so one
-/// chunk may span several data bits of a row at once.  Users must keep
-/// swept spans divisible by 8 words and replicate per-lane-word masks
-/// out to max(FW, L) words.  Independent of lane_ops_prelude()'s width.
-const char* flat_ops_prelude();
+/// The gate emitter's memory-port helpers, written after step_prelude()
+/// and only into the parts that call them: `g_mread` (one read group:
+/// every data-bit tap of one memory behind one set of address nets) and
+/// `g_mwrite` (one write port's commit from its step-scratch samples).
+/// Each picks at compile time between a one-hot row sweep over all lanes
+/// and a per-lane address decode.
+const char* gate_memory_prelude();
 
 /// Opens the declaration or definition of a function that one part of a
 /// design defines for another: C linkage, hidden visibility, so the object

@@ -57,62 +57,56 @@ ExprPtr make(Expr e) {
   return bucket.back();
 }
 
-Bits apply_bin(BinOp op, const Bits& a, const Bits& b) {
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kAnd: return a & b;
-    case BinOp::kOr: return a | b;
-    case BinOp::kXor: return a ^ b;
-    case BinOp::kShl: return a.shl(rtl::shift_count(b, a.width()));
-    case BinOp::kLshr: return a.lshr(rtl::shift_count(b, a.width()));
-    case BinOp::kEq: return Bits(1, a == b ? 1u : 0u);
-    case BinOp::kNe: return Bits(1, a != b ? 1u : 0u);
-    case BinOp::kUlt: return Bits(1, Bits::ult(a, b) ? 1u : 0u);
-    case BinOp::kUle: return Bits(1, Bits::ule(a, b) ? 1u : 0u);
-    case BinOp::kSlt: return Bits(1, Bits::slt(a, b) ? 1u : 0u);
-    case BinOp::kSle: return Bits(1, Bits::sle(a, b) ? 1u : 0u);
-  }
-  fail("unknown binary op");
-}
-
-Bits apply_un(UnOp op, const Bits& a) {
-  switch (op) {
-    case UnOp::kNot: return ~a;
-    case UnOp::kNeg: return a.negate();
-    case UnOp::kRedOr: return Bits(1, a.is_zero() ? 0u : 1u);
-    case UnOp::kRedAnd: return Bits(1, a.is_ones() ? 1u : 0u);
-    case UnOp::kRedXor: return Bits(1, a.popcount() & 1u);
-  }
-  fail("unknown unary op");
-}
-
 bool all_const(const std::vector<ExprPtr>& args) {
   for (const auto& a : args)
     if (a->kind != ExprKind::kConst) return false;
   return true;
 }
 
-/// Evaluate an expression node whose arguments are all constants.
+/// Evaluate an expression node whose arguments are all constants through
+/// rtl::eval_op, the one Bits-level definition of every operator: the node
+/// maps onto an rtl::Node whose operand i is argument i.  A negation is a
+/// subtraction from a zero operand.  kCond never gets here: cond() picks a
+/// branch of a constant condition itself.
 Bits fold_node(const Expr& e) {
-  auto cv = [&](std::size_t i) -> const Bits& { return e.args[i]->value; };
+  // BinOp and UnOp in declaration order.
+  static constexpr rtl::Op kBinOps[] = {
+      rtl::Op::kAdd, rtl::Op::kSub,  rtl::Op::kMul,   rtl::Op::kAnd,
+      rtl::Op::kOr,  rtl::Op::kXor,  rtl::Op::kShlV,  rtl::Op::kLshrV,
+      rtl::Op::kEq,  rtl::Op::kNe,   rtl::Op::kUlt,   rtl::Op::kUle,
+      rtl::Op::kSlt, rtl::Op::kSle};
+  static constexpr rtl::Op kUnOps[] = {rtl::Op::kNot, rtl::Op::kSub,
+                                       rtl::Op::kRedOr, rtl::Op::kRedAnd,
+                                       rtl::Op::kRedXor};
+  static_assert(sizeof kBinOps / sizeof *kBinOps ==
+                    static_cast<std::size_t>(BinOp::kSle) + 1 &&
+                sizeof kUnOps / sizeof *kUnOps ==
+                    static_cast<std::size_t>(UnOp::kRedXor) + 1);
+  rtl::Node n{};
+  n.width = e.width;
   switch (e.kind) {
-    case ExprKind::kConst: return e.value;
-    case ExprKind::kBinary: return apply_bin(e.bop, cv(0), cv(1));
-    case ExprKind::kUnary: return apply_un(e.uop, cv(0));
-    case ExprKind::kSlice: return cv(0).slice(e.lo + e.width - 1, e.lo);
-    case ExprKind::kConcat: {
-      Bits acc = cv(0);
-      for (std::size_t i = 1; i < e.args.size(); ++i)
-        acc = Bits::concat(acc, cv(i));
-      return acc;
-    }
-    case ExprKind::kCond: return cv(0).bit(0) ? cv(1) : cv(2);
-    case ExprKind::kZExt: return cv(0).zext(e.width);
-    case ExprKind::kSExt: return cv(0).sext(e.width);
+    case ExprKind::kBinary: n.op = kBinOps[static_cast<int>(e.bop)]; break;
+    case ExprKind::kUnary: n.op = kUnOps[static_cast<int>(e.uop)]; break;
+    case ExprKind::kSlice:
+      n.op = rtl::Op::kSlice;
+      n.param = e.lo;
+      break;
+    case ExprKind::kConcat:
+      n.op = rtl::Op::kConcat;
+      n.ins.resize(e.args.size());  // eval_op counts the operands
+      break;
+    case ExprKind::kZExt: n.op = rtl::Op::kZExt; break;
+    case ExprKind::kSExt: n.op = rtl::Op::kSExt; break;
     default: fail("cannot fold reference");
   }
+  if (e.kind == ExprKind::kUnary && e.uop == UnOp::kNeg) {
+    const Bits zero(e.width);
+    return rtl::eval_op(n, [&](std::size_t i) -> const Bits& {
+      return i == 0 ? zero : e.args[0]->value;
+    });
+  }
+  return rtl::eval_op(
+      n, [&](std::size_t i) -> const Bits& { return e.args[i]->value; });
 }
 
 }  // namespace

@@ -82,9 +82,9 @@ unsigned shift_count(const Bits& amount, unsigned width);
 
 /// The value of combinational node `n`, given the value of each operand
 /// n.ins[i] as `in(i)` (a `const Bits&`).  The one Bits-level definition of
-/// every op: the interpreter (SimMode::kInterp), the tape compiler's
-/// constant folder and lint's abstract evaluator all call it, while the
-/// tape engine's handlers and generated code implement each op
+/// every op: the interpreter (SimMode::kInterp), the tape compiler's and
+/// meta's constant folders and lint's abstract evaluator all call it, while
+/// the tape engine's handlers and generated code implement each op
 /// independently and are differentially tested against it.  Sources
 /// (kInput, kReg, kMemRead) have no value derivable from operands: throws.
 template <typename In>

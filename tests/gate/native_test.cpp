@@ -147,7 +147,7 @@ TEST(GateNativeJit, CompilesAndMatchesEventEngine) {
 }
 
 /// Wide SIMD lanes through the real JIT — 256 lanes = 4 words per net
-/// through the store-only word loops (g_bin/g_nbin/g_mux) and the
+/// through the store-only chunk drivers (v_and/v_nand/v_mux ...) and the
 /// generated commit.
 TEST(GateNativeJit, WideLanesCompileAndMatch) {
   const std::uint64_t seed = case_seed("jit-wide", 0);
@@ -157,7 +157,8 @@ TEST(GateNativeJit, WideLanesCompileAndMatch) {
 
 /// Memory semantics through the generated step(): same-cycle write-to-read
 /// forwarding, reset clearing, poke_mem propagation — all against the
-/// event engine on the same netlist.
+/// event engine on the same netlist — and a write that only its port's
+/// dirty marks can make visible.
 TEST(GateNativeJit, MemoryCommitMatchesEventEngine) {
   Builder b("m");
   Wire waddr = b.input("waddr", 2);
@@ -183,20 +184,36 @@ TEST(GateNativeJit, MemoryCommitMatchesEventEngine) {
   nat.reset();
   ASSERT_EQ(ev.output("q").to_u64(), nat.output("q").to_u64());
   ASSERT_EQ(nat.mem_word(0, 1).to_u64(), 0u);
+
+  // A write that moves nothing else: the design has no register, so only
+  // the write port's dirty marks wake the read level after the commit (the
+  // per-lane write at one lane, the row sweep at 128).
+  for (const unsigned lanes : {1u, 128u}) {
+    Simulator w(nl, SimMode::kNative, lanes);
+    w.set_input("waddr", 2);
+    w.set_input("raddr", 2);
+    w.set_input("d", 0x5a);
+    w.set_input("wen", 1);
+    w.step();
+    EXPECT_EQ(w.output_lane("q", lanes - 1).to_u64(), 0x5au) << lanes;
+  }
 }
 
-/// Deep memory through every read path: 320 rows exceed 4x64 lanes (the
-/// generated code's sparse per-lane gather) but not 4x128 (one-hot row
-/// masks), and the interpreted fallback decodes directly at 1 lane and
-/// through transposed address words at 64 and 256.  The 9-bit address
-/// ports point past the depth about 3 times in 8 (such reads return 0 and
-/// such writes are dropped), and half the time `again` reads back the row
-/// written the cycle before.  Every lane runs its own addresses against
-/// its own event engine.
+/// Deep memory through both lowerings of each memory helper, at every
+/// lane-word class.  320 rows exceed 4x1 and 4x64 lanes (the generated
+/// code's per-lane address decode) but not 4x128 or 4x192 (the one-hot row
+/// sweep, at two and three lane words), and the interpreted fallback
+/// decodes directly at 1 lane and through transposed address words at 256.
+/// A second read port keeps one bit of the word, so its read group has one
+/// tap.  The 9-bit address ports point past the depth about 3 times in 8
+/// (such reads return 0 and such writes are dropped), and half the time
+/// `again` reads back the row written the cycle before.  Every lane runs
+/// its own addresses against its own event engine.
 TEST(GateNativeJit, DeepMemoryMatchesEventEngine) {
   Builder b("deep");
   Wire waddr = b.input("waddr", 9);
   Wire raddr = b.input("raddr", 9);
+  Wire taddr = b.input("taddr", 9);
   Wire again = b.input("again", 1);
   Wire data = b.input("d", 6);
   Wire wen = b.input("wen", 1);
@@ -205,10 +222,11 @@ TEST(GateNativeJit, DeepMemoryMatchesEventEngine) {
   rtl::MemHandle mem = b.memory("ram", 320, 6);
   b.mem_write(mem, waddr, data, wen);
   b.output("q", b.mem_read(mem, b.mux(again, last, raddr)));
+  b.output("t", b.bit(b.mem_read(mem, taddr), 4));
   const Netlist nl = lower_to_gates(b.take());
 
   const std::uint64_t seed = case_seed("jit-deep", 0);
-  for (const unsigned lanes : {64u, 128u})
+  for (const unsigned lanes : {1u, 64u, 128u, 192u})
     expect_matches_event(nl, seed, 24, lanes, {});
   for (const unsigned lanes : {1u, 256u})
     expect_matches_event(nl, seed, 24, lanes, fallback());

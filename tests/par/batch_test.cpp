@@ -279,7 +279,8 @@ void naive_values(const std::vector<std::uint64_t>& words, unsigned lanes,
 
 TEST(BatchLaneTranspose, BothDirectionsMatchPerBitReference) {
   std::mt19937_64 rng(97);
-  for (const unsigned lanes : {1u, 2u, 63u, 64u, 65u, 200u, 256u, 512u}) {
+  for (const unsigned lanes :
+       {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 72u, 200u, 256u, 512u}) {
     const unsigned lw = (lanes + 63) / 64;
     for (unsigned width = 1; width <= 64; ++width) {
       for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
