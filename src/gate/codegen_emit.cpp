@@ -145,9 +145,13 @@ struct Emitter {
   void table(const char* indent, const char* type, const char* name,
              const std::vector<T>& values) {
     os << indent << "static const " << type << " " << name << "[] = {";
-    for (std::size_t i = 0; i < values.size(); ++i)
-      os << (i % 12 == 0 ? "\n" + std::string(indent) + "  " : " ")
-         << num(values[i]) << ",";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i % 12 == 0)
+        os << "\n" << indent << "  ";
+      else
+        os << " ";
+      os << num(values[i]) << ",";
+    }
     os << "\n" << indent << "};\n";
   }
 

@@ -109,6 +109,9 @@ std::string default_flags() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) flags += " -mavx2";
   if (__builtin_cpu_supports("avx512f")) flags += " -mavx512f";
+  // Byte and halfword lane vectors (the rtl tape's u8 / u16 classes) are 64
+  // bytes only under AVX-512BW.
+  if (__builtin_cpu_supports("avx512bw")) flags += " -mavx512bw";
 #endif
   return flags;
 }

@@ -59,8 +59,8 @@ struct CompileOptions {
   /// path, looked up on $PATH unless it contains a slash.
   std::string compiler;
   /// Extra flags appended after the defaults ("-std=c++17 -O2 -fPIC" plus
-  /// cpu-probed -mavx2 / -mavx512f) in every compile and link command,
-  /// split on whitespace into separate arguments (quotes are not
+  /// cpu-probed -mavx2 / -mavx512f / -mavx512bw) in every compile and link
+  /// command, split on whitespace into separate arguments (quotes are not
   /// interpreted).
   std::string extra_flags;
   /// Skip the compile and force the engine's interpreted fallback
@@ -165,28 +165,59 @@ bool jit_disabled_by_env() noexcept;
 
 // --- shared emit preludes ---------------------------------------------------
 // Fragments of generated source shared by the backends' emitters.  Every
-// part of a design opens with the same preludes: the emitters write
-// prelude_header() (the <cstdint> include and the lane
-// vectors: GCC/Clang vector-extension types `Vec<W>`, the widest width VL
-// picked once per file from __AVX512F__ / __AVX2__), then `constexpr int L
-// = <lanes>;`, then the rtl emitter vector_prelude() (the lane-vector helper
-// library: P/K operands and the change-accumulating v_* drivers, one body
-// each, all single-word: a multi-word tape instruction is a call back into
-// the engine, never prelude code) and the gate emitter lane_ops_prelude(),
-// then step_prelude() (the sequential-commit helpers used by the generated
-// step() entry points), and a gate part with a memory port
-// gate_memory_prelude().
+// part of a design opens with prelude_header() (the <cstdint> include and
+// the lane vectors: GCC/Clang vector-extension types `Vec<W>`, the widest
+// width VL picked once per file from __AVX512F__ / __AVX2__), then
+// `constexpr int L = <lanes>;`.  A part writes only the fragments its code
+// calls:
+//   * rtl: tape_base_prelude() (the width classes, converting loads and
+//     v_store), then in a level chunk the tape_driver_prelude() of each
+//     driver its statements call, in part 0 tape_step_prelude() (the
+//     class-typed commit helpers of the generated step).  All drivers are
+//     single-word: a multi-word tape instruction is a call back into the
+//     engine, never prelude code;
+//   * gate: lane_ops_prelude(), step_prelude() (the word-copy helpers of
+//     the generated step) and, in a part with a memory port,
+//     gate_memory_prelude().
 
 const char* prelude_header();
-const char* vector_prelude();
+
+/// The rtl tape's level-chunk drivers, one prelude fragment each.
+enum class TapeDriver : unsigned {
+  kBin,    ///< v_bin, v_bin_sc and the OpAdd .. OpXor operators
+  kNot,    ///< v_not
+  kShi,    ///< v_shi: immediate shifts and slices
+  kAshri,  ///< v_ashri
+  kShv,    ///< v_shv: variable shifts
+  kCmp,    ///< v_cmp and the CEq .. CUle compares
+  kScmp,   ///< v_scmp: signed compares
+  kMux,    ///< v_mux
+  kSext,   ///< v_sext
+  kRed,    ///< v_redor, v_redand, v_redxor
+  kCat,    ///< v_cat and its parts (at)
+  kMread,  ///< v_mread: one-word memory reads
+  kCount
+};
+
+/// What every rtl tape part opens with after the lane count: the width
+/// classes (u8/u16/u32/u64 lanes, the lane-vector bytes of each class on
+/// the target, the converting load) and the change-accumulating store.
+const char* tape_base_prelude();
+/// The fragment of one level-chunk driver (written after the base).
+const char* tape_driver_prelude(TapeDriver d);
+/// The class-typed commit helpers of the generated tape step (written
+/// after the base): v_cpyb, v_stn, v_merge, v_mwrite.
+const char* tape_step_prelude();
+
+/// The word-copy helpers of the generated gate step: v_cpy, v_snap.
 const char* step_prelude();
 
 /// Store-only lane-word vector layer for the gate emitter's fused level
 /// loops: defines `vw` (one chunk of lane words), `VW` (lane words per
 /// chunk: VL, else 4, else 1, the first that divides L), vld/vst and
 /// the v_and/v_or/v_xor/v_inv/v_nand/v_nor/v_xnor/v_mux/vbc drivers.
-/// Unlike vector_prelude()'s v_* templates these accumulate no change
-/// masks — the gate suffix sweep recomputes every downstream cell anyway.
+/// Unlike the tape drivers these accumulate no change masks — the gate
+/// suffix sweep recomputes every downstream cell anyway.
 /// The emitter must have written `constexpr int L` and `constexpr u64 TM`
 /// (the tail-lane mask) before this fragment.
 const char* lane_ops_prelude();

@@ -1,36 +1,38 @@
 // prelude.cpp — generated-source fragments shared by the JIT emitters.
 //
-// The lane-vector helper library (operand loaders, change-accumulating
-// drivers) was factored out of the rtl tape emitter so the gate-level
-// emitter reuses the same code shapes; the step prelude holds the
-// sequential-commit helpers both generated step() entry points call.
-// Emitters write prelude_header(), their own `constexpr int L = <lanes>;`,
-// then either vector_prelude() (rtl: the change-accumulating single-word
-// v_* drivers, among them the one-word memory read v_mread; multi-word
-// instructions call back into the engine) or lane_ops_prelude() (gate: the
-// store-only chunk layer for fused level loops), then step_prelude(); a
-// gate part that reads or writes a memory adds gate_memory_prelude() (the
-// g_mread / g_mwrite port helpers).
+// Emitters write prelude_header() (the lane vectors both backends share),
+// their own `constexpr int L = <lanes>;`, then only the fragments the part
+// calls.  The rtl tape writes tape_base_prelude() (the width classes: u8,
+// u16, u32 and u64 lanes, the lane-vector bytes of each class, the
+// converting load and the change-accumulating v_store), then in a level
+// chunk the fragment of each driver its statements call (the
+// single-word v_* drivers, among them the one-word memory read v_mread;
+// multi-word instructions call back into the engine) and in part 0 the
+// tape step set (the class-typed commit helpers).  The gate writes
+// lane_ops_prelude() (the store-only chunk layer for fused level loops) and
+// step_prelude() (its word-copy step helpers), and a part that reads or
+// writes a memory gate_memory_prelude() (the g_mread / g_mwrite port
+// helpers).
 //
 // Lane vectors are GCC/Clang vector-extension types, not <immintrin.h>
-// intrinsics: every driver has one body, written once against `Vec<W>`,
-// and the generated file includes nothing but <cstdint> (parsing the
-// intrinsics header used to cost more than compiling a small design).
-// The widest width is picked once per file from the ISA macros the
+// intrinsics: every driver has one body, written once against lane vectors
+// of its classes, and the generated file includes nothing but <cstdint>
+// (parsing the intrinsics header used to cost more than compiling a small
+// design).  The widths are picked once per file from the ISA macros the
 // cpu-probed compile flags define.  Only three helpers name ISA builtins:
-// the any-bit test (vptest / a mask compare instead of an OR-fold), on
-// GCC and-not (see v_andn), and on AVX-512 v_mread's gather under an
-// unsigned in-depth mask (the builtins GCC's and Clang's avx512fintrin.h
-// both wrap).
+// the any-bit test (vptest / a mask compare instead of an OR-fold), on GCC
+// and-not (see v_andn), and on AVX-512 v_mread's gather under an unsigned
+// in-depth mask (the builtins GCC's and Clang's avx512fintrin.h both
+// wrap).  Class conversions go through __builtin_convertvector, which is
+// no intrinsic, one halving or doubling of the element at a time.
 //
-// The step prelude is one helper set over a literal word count N, each
-// loop a fixed count of Vec<lane_width(N)> vectors as in the v_* drivers:
-// GCC does not vectorize a runtime-length copy between the arena and the
-// step scratch, which may alias.  The commit copies into the scratch only
-// what a register commit could overwrite (tape::Program's sampling rule).
-// Every rtl register commit is v_stn or v_merge, every write port v_mwrite,
-// a lane loop with no compare before its store (a vector store would need
-// a scatter).
+// The step helpers walk a literal lane or word count in whole vectors, as
+// the drivers do: GCC does not vectorize a runtime-length copy between the
+// arena and the step scratch, which may alias.  The commit copies into the
+// scratch only what a register commit could overwrite (tape::Program's
+// sampling rule).  Every rtl register commit is v_stn or v_merge, every
+// write port v_mwrite, a lane loop with no compare before its store (a
+// vector store would need a scatter).
 
 #include "jit/jit.hpp"
 
@@ -127,47 +129,174 @@ inline Vec<8>::u v_andn(Vec<8>::u a, Vec<8>::u b) {
 #endif
 )OSSS";
 
-const char kVector[] = R"OSSS(
-struct P {  // lane-major pointer operand, stride 1
-  const u64* p;
+// ---- the rtl tape preludes ---------------------------------------------------
+// Width classes: a tape slot holds each lane in the narrowest of u8, u16,
+// u32 and u64 that fits the widest value it holds (lane l of a class-T slot
+// sits l * sizeof(T) bytes past its offset).  A driver computes in the
+// widest class it touches and steps G lanes at a time: as many as one lane
+// vector of that class holds, halved until G divides the lane count, and
+// plain scalars at G = 1 (one lane).  It loads every operand in its own
+// class and converts it (cvt, through __builtin_convertvector, which is no
+// intrinsic, so the file still includes nothing but <cstdint>), and stores
+// the result converted to the destination's class.  Byte and halfword
+// vectors are 64 bytes only under AVX-512BW: without it GCC scalarizes
+// their 64-byte operations, so they take 32.
+
+const char kTapeBase[] = R"OSSS(
+// ---- width classes -------------------------------------------------------
+using u8 = std::uint8_t;
+using u16 = std::uint16_t;
+using u32 = std::uint32_t;
+
+template <class T> struct Signed;
+template <> struct Signed<u8> { typedef signed char t; };
+template <> struct Signed<u16> { typedef short t; };
+template <> struct Signed<u32> { typedef int t; };
+template <> struct Signed<u64> { typedef long long t; };
+
+template <int B> struct OfBytes;
+template <> struct OfBytes<1> { typedef u8 t; };
+template <> struct OfBytes<2> { typedef u16 t; };
+template <> struct OfBytes<4> { typedef u32 t; };
+template <> struct OfBytes<8> { typedef u64 t; };
+
+// Lane-vector bytes of class T on the target.
+template <class T>
+constexpr int vbytes() {
+#if defined(__AVX512BW__)
+  return 64;
+#elif defined(__AVX512F__)
+  return sizeof(T) >= 4 ? 64 : 32;
+#elif defined(__AVX2__)
+  return 32;
+#else
+  return sizeof(T) >= 8 ? 8 : 16;
+#endif
+}
+
+// Lanes per step of a driver computing in class T over N lanes.
+template <class T, int N>
+constexpr int step_lanes() {
+  int g = vbytes<T>() / (int)sizeof(T);
+  while (N % g != 0) g /= 2;
+  return g;
+}
+
+// G lanes of class T: a vector, or a plain scalar at G = 1.
+template <class T, int G>
+struct LV {
+  typedef T u __attribute__((vector_size(sizeof(T) * G)));
+  typedef typename Signed<T>::t s __attribute__((vector_size(sizeof(T) * G)));
 };
-struct K {  // inlined constant-pool operand
+template <class T>
+struct LV<T, 1> {
+  typedef T u;
+  typedef typename Signed<T>::t s;
+};
+template <class T, int G>
+using Lanes = typename LV<T, G>::u;
+
+template <bool B, class X, class Y> struct Pick { typedef X t; };
+template <class X, class Y> struct Pick<false, X, Y> { typedef Y t; };
+template <class X, class... R> struct Widest { typedef X t; };
+template <class X, class Y, class... R>
+struct Widest<X, Y, R...> {
+  typedef typename Widest<typename Pick<(sizeof(X) >= sizeof(Y)), X, Y>::t,
+                          R...>::t t;
+};
+
+// G lanes of class F as class C, one halving or doubling of the element at
+// a time: GCC 12 converts between element sizes 2x apart in one
+// instruction but scalarizes a 4x or 8x conversion.
+template <class C, int G, class F>
+inline Lanes<C, G> cvt(Lanes<F, G> x) {
+  if constexpr (sizeof(F) == sizeof(C)) {
+    return x;
+  } else if constexpr (G == 1) {
+    return (C)x;
+  } else {
+    using M = typename OfBytes<(sizeof(F) < sizeof(C) ? sizeof(F) * 2
+                                                      : sizeof(F) / 2)>::t;
+    return cvt<C, G, M>(__builtin_convertvector(x, Lanes<M, G>));
+  }
+}
+
+template <class T, int G>
+inline Lanes<T, G> lload(const u8* p) {
+  Lanes<T, G> x;
+  __builtin_memcpy(&x, p, sizeof x);
+  return x;
+}
+template <class T, int G>
+inline void lstore(u8* p, Lanes<T, G> x) {
+  __builtin_memcpy(p, &x, sizeof x);
+}
+
+template <class T> struct P {  // a slot: lanes of class T
+  const u8* p;
+};
+template <class T> struct K {  // an inlined constant of class T
   u64 v;
 };
-template <class V>
-inline V ld(P a, int l) {
-  return vload<V>(a.p + l);
+template <class A> struct ClassOf;
+template <class T> struct ClassOf<P<T>> { typedef T t; };
+template <class T> struct ClassOf<K<T>> { typedef T t; };
+template <class... A>
+using WidestOf = typename Widest<typename ClassOf<A>::t...>::t;
+
+// G lanes of an operand from lane l, converted to class C.
+template <class C, int G, class T>
+inline Lanes<C, G> ld(P<T> a, int l) {
+  return cvt<C, G, T>(lload<T, G>(a.p + l * (int)sizeof(T)));
 }
-template <class V>
-inline V ld(K a, int) {
-  return vsplat<V>(a.v);
+template <class C, int G, class T>
+inline Lanes<C, G> ld(K<T> a, int) {
+  return Lanes<C, G>{} + (C)a.v;
 }
 
-// The lane vector (and its signed twin) a driver over N lane words uses.
-template <int N>
-using LaneV = typename Vec<lane_width(N)>::u;
-template <int N>
-using LaneS = typename Vec<lane_width(N)>::s;
-
-// Stores f(l) into the N lane words at d, one W-word vector per step, and
-// returns nonzero when any stored word changed.
-template <int N, int W = lane_width(N), class F>
-inline u64 v_store(u64* d, F f) {
-  using V = typename Vec<W>::u;
-  V acc = {};
-  for (int l = 0; l < N; l += W) {
-    const V nv = f(l);
-    acc |= nv ^ vload<V>(d + l);
-    vstore(d + l, nv);
+// True when any bit of x is set (the wide vectors through v_any).
+template <class V>
+inline bool any_lane(V x) {
+  if constexpr (sizeof(V) >= 32) {
+    return v_any((typename Vec<sizeof(V) / 8>::u)x);
+  } else {
+    u64 w[(sizeof(V) + 7) / 8] = {}, r = 0;
+    __builtin_memcpy(w, &x, sizeof x);
+    for (const u64 v : w) r |= v;
+    return r != 0;
   }
-  return v_any(acc);
 }
 
+// Stores f(l), G lanes computed in class C, as the N class-D lanes at d;
+// true when any stored lane changed.
+template <int N, class D, class C, int G = step_lanes<C, N>(), class F>
+inline bool v_store(u8* d, F f) {
+  using V = Lanes<D, G>;
+  V acc = {};
+  for (int l = 0; l < N; l += G) {
+    u8* const p = d + l * (int)sizeof(D);
+    const V nv = cvt<D, G, C>(f(l));
+    acc |= nv ^ lload<D, G>(p);
+    lstore<D, G>(p, nv);
+  }
+  return any_lane(acc);
+}
+)OSSS";
+
+// One fragment per level-chunk driver (TapeDriver order); the emitter writes
+// only those a chunk calls.  Each computes in class C, the widest its
+// destination and operands touch, G lanes a step.
+const char* const kTapeDrivers[] = {
+    // kBin
+    R"OSSS(
 struct OpAdd {
   template <class V> static V f(V x, V y) { return x + y; }
 };
 struct OpSub {
   template <class V> static V f(V x, V y) { return x - y; }
+};
+struct OpMul {
+  template <class V> static V f(V x, V y) { return x * y; }
 };
 struct OpAnd {
   template <class V> static V f(V x, V y) { return x & y; }
@@ -178,43 +307,87 @@ struct OpOr {
 struct OpXor {
   template <class V> static V f(V x, V y) { return x ^ y; }
 };
-struct OpMul {  // no 64-bit vector multiply below AVX-512DQ: v_bin_sc only
-  template <class V> static V f(V x, V y) { return x * y; }
-};
 
-// Masked binary over N lane-words: d[l] = op(a[l], b[l]) & m.
-template <int N, class OP, class A, class B, int W = lane_width(N)>
-inline u64 v_bin(u64* d, A a, B b, u64 m) {
-  using V = typename Vec<W>::u;
-  return v_store<N, W>(
-      d, [&](int l) { return OP::f(ld<V>(a, l), ld<V>(b, l)) & m; });
+// d = op(a, b) & m
+template <int N, class OP, class D, class A, class B>
+inline bool v_bin(u8* d, A a, B b, u64 m) {
+  using C = WidestOf<P<D>, A, B>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(
+      d, [&](int l) -> V { return OP::f(ld<C, G>(a, l), ld<C, G>(b, l)) & (C)m; });
 }
 
-// v_bin one word at a time.
-template <int N, class OP, class A, class B>
-inline u64 v_bin_sc(u64* d, A a, B b, u64 m) {
-  return v_bin<N, OP, A, B, 1>(d, a, b, m);
+// v_bin one u64 lane at a time: no 64-bit vector multiply below AVX-512DQ.
+template <int N, class OP, class D, class A, class B>
+inline bool v_bin_sc(u8* d, A a, B b, u64 m) {
+  return v_store<N, D, u64, 1>(
+      d, [&](int l) -> u64 { return OP::f(ld<u64, 1>(a, l), ld<u64, 1>(b, l)) & m; });
 }
-
-// d[l] = ~a[l] & m
-template <int N, class A>
-inline u64 v_not(u64* d, A a, u64 m) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) { return ~ld<V>(a, l) & m; });
+)OSSS",
+    // kNot
+    R"OSSS(
+// d = ~a & m
+template <int N, class D, class A>
+inline bool v_not(u8* d, A a, u64 m) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V { return ~ld<C, G>(a, l) & (C)m; });
 }
-
-// d[l] = (a[l] << k) & m  /  (a[l] >> k) & m  (immediate shift; k >= 64
+)OSSS",
+    // kShi
+    R"OSSS(
+// d = (a << k) & m  /  (a >> k) & m  (immediate shift; k past the class
 // yields 0)
-template <int N, bool SHL, class A>
-inline u64 v_shi(u64* d, A a, int k, u64 m) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    const V x = ld<V>(a, l);
-    if (k >= 64) return V{};
-    return (SHL ? x << k : x >> k) & m;
+template <int N, bool SHL, class D, class A>
+inline bool v_shi(u8* d, A a, int k, u64 m) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    const V x = ld<C, G>(a, l);
+    if (k >= 8 * (int)sizeof(C)) return V{};
+    return (SHL ? x << k : x >> k) & (C)m;
   });
 }
-
+)OSSS",
+    // kAshri
+    R"OSSS(
+// Arithmetic shift right of w-bit values by k: sign-filled, masked by m.
+template <int N, class D, class A>
+inline bool v_ashri(u8* d, A a, int k, int w, u64 m) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    const V x = ld<C, G>(a, l);
+    const V neg = V{} - ((x >> (w - 1)) & 1);  // all-ones where negative
+    if (k >= w) return neg & (C)m;
+    return (x >> k) | (neg & (C)(m ^ (m >> k)));
+  });
+}
+)OSSS",
+    // kShv
+    R"OSSS(
+// Variable shift by a one-word amount: amt >= w yields 0.  At least u32:
+// below AVX-512BW there is no byte or halfword variable shift.
+template <int N, bool SHL, class D, class A, class B>
+inline bool v_shv(u8* d, A a, B b, int w, u64 m) {
+  using C = WidestOf<P<D>, A, B, P<u32>>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    const V amt = ld<C, G>(b, l);
+    const V x = ld<C, G>(a, l);
+    const V k = amt & (C)(8 * sizeof(C) - 1);
+    const V sh = (SHL ? x << k : x >> k) & (C)m;
+    return amt < (C)w ? sh : V{};
+  });
+}
+)OSSS",
+    // kCmp
+    R"OSSS(
 struct CEq {
   template <class V> static auto f(V x, V y) { return x == y; }
 };
@@ -228,156 +401,234 @@ struct CUle {
   template <class V> static auto f(V x, V y) { return x <= y; }
 };
 
-// d[l] = cmp(a[l], b[l]) ? 1 : 0  (unsigned)
-template <int N, class OP, class A, class B>
-inline u64 v_cmp(u64* d, A a, B b) {
-  using V = LaneV<N>;
-  return v_store<N>(
-      d, [&](int l) { return (V)OP::f(ld<V>(a, l), ld<V>(b, l)) & 1; });
+// d = cmp(a, b) ? 1 : 0  (unsigned)
+template <int N, class OP, class D, class A, class B>
+inline bool v_cmp(u8* d, A a, B b) {
+  using C = WidestOf<P<D>, A, B>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(
+      d, [&](int l) -> V { return (V)OP::f(ld<C, G>(a, l), ld<C, G>(b, l)) & 1; });
 }
-
-// Signed compare after left-normalizing a_width-bit values by `sh`.
-template <int N, bool LE, class A, class B>
-inline u64 v_scmp(u64* d, A a, B b, int sh) {
-  using V = LaneV<N>;
-  using S = LaneS<N>;
-  return v_store<N>(d, [&](int l) {
-    const S x = (S)(ld<V>(a, l) << sh);
-    const S y = (S)(ld<V>(b, l) << sh);
+)OSSS",
+    // kScmp
+    R"OSSS(
+// Signed compare of aw-bit values, left-normalized to the class.
+template <int N, bool LE, class D, class A, class B>
+inline bool v_scmp(u8* d, A a, B b, int aw) {
+  using C = WidestOf<P<D>, A, B>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  using S = typename LV<C, G>::s;
+  const int sh = 8 * (int)sizeof(C) - aw;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    const S x = (S)(ld<C, G>(a, l) << sh);
+    const S y = (S)(ld<C, G>(b, l) << sh);
     return (V)(LE ? x <= y : x < y) & 1;
   });
 }
-
-// d[l] = (s[l] & 1) ? b[l] : c[l]
-template <int N, class S, class B, class C>
-inline u64 v_mux(u64* d, S s, B b, C c) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    return (ld<V>(s, l) & 1) != 0 ? ld<V>(b, l) : ld<V>(c, l);
+)OSSS",
+    // kMux
+    R"OSSS(
+// d = (s & 1) ? b : c
+template <int N, class D, class S, class B, class E>
+inline bool v_mux(u8* d, S s, B b, E c) {
+  using C = WidestOf<P<D>, S, B, E>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    return (ld<C, G>(s, l) & 1) != 0 ? ld<C, G>(b, l) : ld<C, G>(c, l);
   });
 }
-
-// d[l] = a[l] | (sign(a[l]) ? hi : 0), sign bit at index sb
-template <int N, class A>
-inline u64 v_sext(u64* d, A a, int sb, u64 hi) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    const V x = ld<V>(a, l);
-    return x | ((V{} - ((x >> sb) & 1)) & hi);
+)OSSS",
+    // kSext
+    R"OSSS(
+// d = a | (sign(a) ? hi : 0), sign bit at index sb
+template <int N, class D, class A>
+inline bool v_sext(u8* d, A a, int sb, u64 hi) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    const V x = ld<C, G>(a, l);
+    return x | ((V{} - ((x >> sb) & 1)) & (C)hi);
   });
 }
-
-template <int N, class A>
-inline u64 v_redor(u64* d, A a) {
-  using V = LaneV<N>;
-  return v_store<N>(
-      d, [&](int l) { return (V)(ld<V>(a, l) != 0) & 1; });
+)OSSS",
+    // kRed
+    R"OSSS(
+template <int N, class D, class A>
+inline bool v_redor(u8* d, A a) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V { return (V)(ld<C, G>(a, l) != 0) & 1; });
 }
 
-template <int N, class A>
-inline u64 v_redand(u64* d, A a, u64 full) {
-  using V = LaneV<N>;
-  return v_store<N>(
-      d, [&](int l) { return (V)(ld<V>(a, l) == full) & 1; });
+template <int N, class D, class A>
+inline bool v_redand(u8* d, A a, u64 full) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(
+      d, [&](int l) -> V { return (V)(ld<C, G>(a, l) == (C)full) & 1; });
 }
 
-// d[l] = parity of a[l], folded by halves
-template <int N, class A>
-inline u64 v_redxor(u64* d, A a) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    V x = ld<V>(a, l);
-    for (int s = 32; s != 0; s /= 2) x ^= x >> s;
+// d = parity of a, folded by halves
+template <int N, class D, class A>
+inline bool v_redxor(u8* d, A a) {
+  using C = WidestOf<P<D>, A>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(d, [&](int l) -> V {
+    V x = ld<C, G>(a, l);
+    for (int s = 4 * (int)sizeof(C); s != 0; s /= 2) x ^= x >> s;
     return x & 1;
   });
 }
-
-// Arithmetic shift right of w-bit values by k: sign-filled, masked by m.
-template <int N, class A>
-inline u64 v_ashri(u64* d, A a, int k, int w, u64 m) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    const V x = ld<V>(a, l);
-    const V neg = V{} - ((x >> (w - 1)) & 1);  // all-ones where negative
-    if (k >= w) return neg & m;
-    return (x >> k) | (neg & (m ^ (m >> k)));
-  });
+)OSSS",
+    // kCat
+    R"OSSS(
+// One concat part: an operand and its bit offset.
+template <class A> struct At {
+  A a;
+  int pos;
+};
+template <class A>
+inline At<A> at(A a, int pos) {
+  return {a, pos};
 }
 
-// Variable shift by a one-word amount: amt >= w yields 0.
-template <int N, bool SHL, class A, class B>
-inline u64 v_shv(u64* d, A a, B b, int w, u64 m) {
-  using V = LaneV<N>;
-  return v_store<N>(d, [&](int l) {
-    const V amt = ld<V>(b, l);
-    const V x = ld<V>(a, l);
-    const V sh = (SHL ? x << (amt & 63) : x >> (amt & 63)) & m;
-    return amt < (u64)w ? sh : V{};
-  });
+// d = the parts shifted to their offsets and OR-ed
+template <int N, class D, class... A>
+inline bool v_cat(u8* d, At<A>... p) {
+  using C = WidestOf<P<D>, A...>;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, D, C>(
+      d, [&](int l) -> V { return (V{} | ... | (V)(ld<C, G>(p.a, l) << p.pos)); });
 }
-
+)OSSS",
+    // kMread
+    R"OSSS(
 // One-word memory read over N lanes (row r of lane l at m[r*N + l]; lane
-// l's address at a[l*AW]): d[l] = a[l*AW] < DEPTH ? row a[l*AW] : 0, nonzero
-// when any lane changed.  With AVX-512 and one-word addresses, a gather
-// loads eight lanes per instruction under an unsigned in-depth mask (a
-// signed compare would let addresses at or above 2^63 through as negative);
-// the other tiers load lane by lane.
-template <int N, u64 DEPTH, int AW>
-inline u64 v_mread(u64* d, const u64* m, const u64* a) {
+// l's address, class A and AW words, at a): d[l] = its row while the
+// address is below DEPTH, else 0, stored as class D; true when any lane
+// changed.  With AVX-512 and one-word addresses, a gather loads eight lanes
+// per instruction under an unsigned in-depth mask (a signed compare would
+// let addresses at or above 2^63 through as negative), the addresses
+// widened to u64 indices and the rows narrowed to class D; the other tiers
+// load lane by lane.
+template <int N, u64 DEPTH, class D, class A, int AW>
+inline bool v_mread(u8* d, const u64* m, const u8* a) {
 #if defined(__AVX512F__)
   if constexpr (AW == 1 && N % 8 == 0) {
     using V = Vec<8>::u;
     using S = Vec<8>::s;
     const S lane = {0, 1, 2, 3, 4, 5, 6, 7};
-    V acc = {};
-    for (int l = 0; l < N; l += 8) {
-      const V ad = vload<V>(a + l);
+    return v_store<N, D, u64, 8>(d, [&](int l) -> V {
+      const V ad = ld<u64, 8>(P<A>{a}, l);
       const unsigned char in = __builtin_ia32_ucmpq512_mask(
           (S)ad, (S)vsplat<V>(DEPTH), 1 /* less than */, 0xff);
-      const V nv = (V)__builtin_ia32_gatherdiv8di(
+      return (V)__builtin_ia32_gatherdiv8di(
           S{}, m, (S)(ad * (u64)N) + lane + l, in, 8);
-      acc |= nv ^ vload<V>(d + l);
-      vstore(d + l, nv);
-    }
-    return v_any(acc);
+    });
   }
 #endif
   u64 ch = 0;
   for (int l = 0; l < N; ++l) {
-    const u64 ad = a[l * AW];
-    const u64 nv = ad < DEPTH ? m[ad * N + l] : 0;
-    ch |= nv ^ d[l];
-    d[l] = nv;
+    const u64 ad = lload<A, 1>(a + l * AW * (int)sizeof(A));
+    const D nv = (D)(ad < DEPTH ? m[ad * N + l] : 0);
+    ch |= (u64)(nv ^ lload<D, 1>(d + l * (int)sizeof(D)));
+    lstore<D, 1>(d + l * (int)sizeof(D), nv);
+  }
+  return ch != 0;
+}
+)OSSS",
+};
+
+const char kTapeStep[] = R"OSSS(
+// ---- sequential-commit helpers (the generated tape step) -------------------
+// Each walks a literal lane count in the classes it touches: the register
+// commits in lane vectors through v_store, the wider merge and the write
+// port lane by lane.
+
+// Copy NB bytes (pre-edge samples into the step scratch).
+template <int NB>
+inline void v_cpyb(u8* d, const u8* s) {
+  __builtin_memcpy(d, s, NB);
+}
+
+// Register commit without enable: the N class-Q lanes at q take the
+// class-D lanes at nd; true when any changed.
+template <int N, class Q, class D>
+inline bool v_stn(u8* q, const u8* nd) {
+  using C = typename Widest<Q, D>::t;
+  constexpr int G = step_lanes<C, N>();
+  using V = Lanes<C, G>;
+  return v_store<N, Q, C>(q, [&](int l) -> V { return ld<C, G>(P<D>{nd}, l); });
+}
+
+// Enable-masked register commit over N lanes of W words each: lane l takes
+// its next value over the held q when bit 0 of its enable (class E) is
+// set; true when any word changed.  One-word registers merge in lane
+// vectors of the widest class, wider ones (u64 words) copy lane by lane.
+template <int N, int W, class Q, class D, class E>
+inline bool v_merge(u8* q, const u8* nd, const u8* en) {
+  if constexpr (W == 1) {
+    using C = typename Widest<Q, D, E>::t;
+    constexpr int G = step_lanes<C, N>();
+    using V = Lanes<C, G>;
+    return v_store<N, Q, C>(q, [&](int l) -> V {
+      const V o = ld<C, G>(P<Q>{q}, l);
+      return o ^ ((o ^ ld<C, G>(P<D>{nd}, l)) & (V{} - (ld<C, G>(P<E>{en}, l) & 1)));
+    });
+  } else {
+    bool diff = false;
+    for (int l = 0; l < N; ++l)
+      if (lload<E, 1>(en + l * (int)sizeof(E)) & 1)
+        diff |= v_stn<W, u64, u64>(q + l * W * 8, nd + l * W * 8);
+    return diff;
+  }
+}
+
+// Memory write port over N lanes of W-word entries (word w of row r in lane
+// l at m[(r*N + l)*W + w]; lane l's enable of class E, its address of
+// class A and AW words, its data of class D, W words wide when W > 1): a
+// lane with bit 0 of its enable set and an address below DEPTH stores its
+// data, widened to u64, in that row.  The store is unconditional, the
+// change OR-accumulated (nonzero when any word changed).  A branch-free
+// select that stores a disabled lane's word back instead of skipping the
+// lane ran slower at 256 lanes and 32 rows of one word, even with random
+// enables (470 against 390 ns per call, AVX-512 VM).
+template <int N, u64 DEPTH, int W, int AW, class E, class A, class D>
+inline u64 v_mwrite(u64* m, const u8* en, const u8* a, const u8* v) {
+  u64 ch = 0;
+  for (int l = 0; l < N; ++l) {
+    const u64 ad = lload<A, 1>(a + l * AW * (int)sizeof(A));
+    if ((lload<E, 1>(en + l * (int)sizeof(E)) & 1) == 0 || ad >= DEPTH)
+      continue;
+    u64* const e = m + (ad * N + l) * W;
+    for (int w = 0; w < W; ++w) {
+      const u64 nv = lload<D, 1>(v + (l * W + w) * (int)sizeof(D));
+      ch |= e[w] ^ nv;
+      e[w] = nv;
+    }
   }
   return ch;
 }
 )OSSS";
 
 const char kStep[] = R"OSSS(
-// ---- sequential-commit helpers (generated step() entry points) -------------
-// Each walks a literal count of lane words: the copies and the one-word
-// merge in Vec<lane_width(N)> vectors, as the v_* drivers do, so each such
-// loop is a fixed count of whole vectors; the wider merge and the write
-// port lane by lane.
+// ---- sequential-commit helpers (the generated gate step) -------------------
+// Each walks a literal count of lane words in Vec<lane_width(N)> vectors,
+// so each loop is a fixed count of whole vectors.
 
 // Copy N words (pre-edge samples into the step scratch, gate memory taps).
 template <int N>
 inline void v_cpy(u64* d, const u64* s) {
   using V = typename Vec<lane_width(N)>::u;
   for (int i = 0; i < N; i += lane_width(N)) vstore(d + i, vload<V>(s + i));
-}
-
-// Copy N words; true when any changed (register commit).
-template <int N>
-inline bool v_stn(u64* d, const u64* s) {
-  using V = typename Vec<lane_width(N)>::u;
-  V acc = {};
-  for (int i = 0; i < N; i += lane_width(N)) {
-    const V nv = vload<V>(s + i);
-    acc |= nv ^ vload<V>(d + i);
-    vstore(d + i, nv);
-  }
-  return v_any(acc);
 }
 
 // Copy N words; true when any is nonzero (enable sample: some lane is
@@ -392,52 +643,6 @@ inline bool v_snap(u64* d, const u64* s) {
     vstore(d + i, nv);
   }
   return v_any(acc);
-}
-
-// Enable-masked register commit over N lanes of W words each: lane l takes
-// its next value (the W words at nd + l*W) over the held q when bit 0 of
-// en[l] is set; true when any word changed.  One-word registers merge in
-// lane vectors, wider ones copy lane by lane.
-template <int N, int W>
-inline bool v_merge(u64* q, const u64* nd, const u64* en) {
-  if constexpr (W == 1) {
-    using V = typename Vec<lane_width(N)>::u;
-    V acc = {};
-    for (int i = 0; i < N; i += lane_width(N)) {
-      const V o = vload<V>(q + i);
-      const V flip = (o ^ vload<V>(nd + i)) & (V{} - (vload<V>(en + i) & 1));
-      acc |= flip;
-      vstore(q + i, o ^ flip);
-    }
-    return v_any(acc);
-  } else {
-    bool diff = false;
-    for (int l = 0; l < N; ++l)
-      if (en[l] & 1) diff |= v_stn<W>(q + l * W, nd + l * W);
-    return diff;
-  }
-}
-
-// Memory write port over N lanes of W-word entries (word w of row r in lane
-// l at m[(r*N + l)*W + w]; lane l's address at a[l*AW], its data at
-// v + l*W): a lane with bit 0 of en[l] set and an address below DEPTH
-// stores its data in that row.  The store is unconditional, the change
-// OR-accumulated (nonzero when any word changed).  A branch-free select
-// that stores a disabled lane's word back instead of skipping the lane ran
-// slower at 256 lanes and 32 rows of one word, even with random enables
-// (470 against 390 ns per call, AVX-512 VM).
-template <int N, u64 DEPTH, int W, int AW>
-inline u64 v_mwrite(u64* m, const u64* en, const u64* a, const u64* v) {
-  u64 ch = 0;
-  for (int l = 0; l < N; ++l) {
-    if ((en[l] & 1) == 0 || a[l * AW] >= DEPTH) continue;
-    u64* const e = m + (a[l * AW] * N + l) * W;
-    for (int w = 0; w < W; ++w) {
-      ch |= e[w] ^ v[l * W + w];
-      e[w] = v[l * W + w];
-    }
-  }
-  return ch;
 }
 )OSSS";
 
@@ -653,8 +858,16 @@ inline bool g_mwrite(u64* m, const u64* s) {
 
 }  // namespace
 
+static_assert(sizeof kTapeDrivers / sizeof kTapeDrivers[0] ==
+                  static_cast<unsigned>(TapeDriver::kCount),
+              "one fragment per TapeDriver");
+
 const char* prelude_header() { return kHeader; }
-const char* vector_prelude() { return kVector; }
+const char* tape_base_prelude() { return kTapeBase; }
+const char* tape_driver_prelude(TapeDriver d) {
+  return kTapeDrivers[static_cast<unsigned>(d)];
+}
+const char* tape_step_prelude() { return kTapeStep; }
 const char* step_prelude() { return kStep; }
 const char* lane_ops_prelude() { return kLaneOps; }
 const char* gate_memory_prelude() { return kGateMem; }

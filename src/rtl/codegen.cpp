@@ -20,7 +20,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "jit/jit.hpp"
 #include "par/batch.hpp"
@@ -29,34 +31,41 @@
 namespace osss::rtl::tape {
 
 using detail::bits_from_words;
+using detail::load_word;
 using detail::mask64;
 using detail::shift_amount;
 using detail::span_fill;
 using detail::span_lshr;
 using detail::span_shl;
-using detail::store1;
+using detail::store_word;
 using detail::storeN;
 using detail::top_mask;
+using detail::with_class;
 using detail::words_of;
 
 // --- the per-lane definitions and the one opcode dispatch ------------------
 
 struct NativeEngine::Exec {
   /// The value single-word opcode OP stores in lane `l` of its destination.
-  /// Operand x of that lane is ar[x + l], except a variable shift's amount
-  /// (aw words per lane).  Both interpreted evaluators compute their
-  /// single-word results here.
+  /// Operand x of that lane is one class-aware load (load_word: the slot's
+  /// lane word at x + (l << class), masked to the class), except a
+  /// variable shift's amount when it spans aw > 1 words.  Both interpreted
+  /// evaluators compute their single-word results here.
   template <TOp OP>
   static std::uint64_t lane1(const Instr& ins, const std::uint64_t* ar,
                              unsigned l) {
-    const auto at = [ar, l](std::uint32_t off) { return (ar + off)[l]; };
-    const std::uint64_t a = at(ins.a);
-    if constexpr (OP == TOp::kAdd1) return (a + at(ins.b)) & ins.mask;
-    else if constexpr (OP == TOp::kSub1) return (a - at(ins.b)) & ins.mask;
-    else if constexpr (OP == TOp::kMul1) return (a * at(ins.b)) & ins.mask;
-    else if constexpr (OP == TOp::kAnd1) return a & at(ins.b);
-    else if constexpr (OP == TOp::kOr1) return a | at(ins.b);
-    else if constexpr (OP == TOp::kXor1) return a ^ at(ins.b);
+    const auto* const by = reinterpret_cast<const unsigned char*>(ar);
+    const auto at = [by, l](std::uint32_t off, unsigned c) {
+      return load_word(by, off, c, 1, l);
+    };
+    const std::uint64_t a = at(ins.a, ins.ac);
+    const auto b = [&] { return at(ins.b, ins.bc); };
+    if constexpr (OP == TOp::kAdd1) return (a + b()) & ins.mask;
+    else if constexpr (OP == TOp::kSub1) return (a - b()) & ins.mask;
+    else if constexpr (OP == TOp::kMul1) return (a * b()) & ins.mask;
+    else if constexpr (OP == TOp::kAnd1) return a & b();
+    else if constexpr (OP == TOp::kOr1) return a | b();
+    else if constexpr (OP == TOp::kXor1) return a ^ b();
     else if constexpr (OP == TOp::kNot1) return ~a & ins.mask;
     else if constexpr (OP == TOp::kShlI1) return (a << ins.param) & ins.mask;
     else if constexpr (OP == TOp::kLshrI1) return a >> ins.param;
@@ -67,20 +76,22 @@ struct NativeEngine::Exec {
       return sign ? r | (ins.mask ^ (ins.mask >> ins.param)) : r;
     } else if constexpr (OP == TOp::kShlV1 || OP == TOp::kLshrV1) {
       const std::uint64_t amt =
-          shift_amount(ar + ins.b + std::size_t{l} * ins.aw, ins.aw);
+          ins.aw == 1 ? b()
+                      : shift_amount(ar + ins.b / 8 + std::size_t{l} * ins.aw,
+                                     ins.aw);
       if (amt >= ins.width) return 0;
       return OP == TOp::kShlV1 ? (a << amt) & ins.mask : a >> amt;
-    } else if constexpr (OP == TOp::kEq1) return a == at(ins.b);
-    else if constexpr (OP == TOp::kNe1) return a != at(ins.b);
-    else if constexpr (OP == TOp::kUlt1) return a < at(ins.b);
-    else if constexpr (OP == TOp::kUle1) return a <= at(ins.b);
+    } else if constexpr (OP == TOp::kEq1) return a == b();
+    else if constexpr (OP == TOp::kNe1) return a != b();
+    else if constexpr (OP == TOp::kUlt1) return a < b();
+    else if constexpr (OP == TOp::kUle1) return a <= b();
     else if constexpr (OP == TOp::kSlt1 || OP == TOp::kSle1) {
       const unsigned sh = 64 - ins.a_width;
       const auto x = static_cast<std::int64_t>(a << sh);
-      const auto y = static_cast<std::int64_t>(at(ins.b) << sh);
+      const auto y = static_cast<std::int64_t>(b() << sh);
       return OP == TOp::kSlt1 ? x < y : x <= y;
     } else if constexpr (OP == TOp::kMux1) {
-      return (a & 1u) != 0 ? at(ins.b) : at(ins.c);
+      return (a & 1u) != 0 ? b() : at(ins.c, ins.cc);
     } else if constexpr (OP == TOp::kSlice1) {
       return (a >> ins.param) & ins.mask;
     } else if constexpr (OP == TOp::kSExt1) {
@@ -104,14 +115,11 @@ struct NativeEngine::Exec {
       // registers across the lane loop.
       const Instr ins = in;
       std::uint64_t* const ar = e.rt_.arena();
-      std::uint64_t* const d = ar + ins.dst;
-      std::uint64_t ch = 0;
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t nv = lane1<OP>(ins, ar, l);
-        ch |= nv ^ d[l];
-        d[l] = nv;
-      }
-      return ch != 0;
+      auto* const by = reinterpret_cast<unsigned char*>(ar);
+      bool ch = false;
+      for (unsigned l = 0; l < lanes; ++l)
+        ch |= store_word(by, ins.dst, ins.dc, 1, l, lane1<OP>(ins, ar, l));
+      return ch;
     } else {
       // Multi-word and width-generic forms: per-lane scratch staging, same
       // flow as the interpreter.
@@ -124,21 +132,38 @@ struct NativeEngine::Exec {
   }
 
   /// Multi-word or width-generic opcode OP in one lane, staged through the
-  /// scratch words `s`: the engine's one multi-word implementation.
+  /// scratch words `s`: the engine's one multi-word implementation.  An
+  /// operand reads as u64 words: in place for a u64-class slot, else its
+  /// one masked lane word staged in a local; the result goes through one
+  /// class-aware store.
   template <TOp OP>
   static bool run_wide(NativeEngine& e, const Instr& ins, unsigned lane,
                        std::uint64_t* s) {
     std::uint64_t* const ar = e.rt_.arena();
-    std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
+    auto* const by = reinterpret_cast<unsigned char*>(ar);
+    std::uint64_t ta = 0, tb = 0;
+    const auto in = [&](std::uint32_t off, unsigned c, unsigned words,
+                        std::uint64_t& tmp) -> const std::uint64_t* {
+      if (c == 3) return ar + off / 8 + std::size_t{lane} * words;
+      tmp = load_word(by, off, c, 1, lane);
+      return &tmp;
+    };
+    const auto out = [&](const std::uint64_t* r) {
+      if (ins.dc == 3)
+        return storeN(ar + ins.dst / 8 + std::size_t{lane} * ins.dw, r,
+                      ins.dw);
+      return store_word(by, ins.dst, ins.dc, 1, lane, r[0]);
+    };
+    const auto out1 = [&](std::uint64_t v) { return out(&v); };
 
     if constexpr (OP == TOp::kCopyN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       for (unsigned w = 0; w < ins.aw; ++w) s[w] = a[w];
       for (unsigned w = ins.aw; w < ins.dw; ++w) s[w] = 0;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kAddN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.dw, tb);
       std::uint64_t carry = 0;
       for (unsigned w = 0; w < ins.dw; ++w) {
         const std::uint64_t t = a[w] + carry;
@@ -147,10 +172,10 @@ struct NativeEngine::Exec {
         carry = c1 | (s[w] < b[w] ? 1u : 0u);
       }
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kSubN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.dw, tb);
       std::uint64_t borrow = 0;
       for (unsigned w = 0; w < ins.dw; ++w) {
         const std::uint64_t t = a[w] - b[w];
@@ -159,10 +184,10 @@ struct NativeEngine::Exec {
         borrow = b1 | (t < borrow ? 1u : 0u);
       }
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kMulN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.dw, tb);
       for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
       for (unsigned i = 0; i < ins.dw; ++i) {
         if (a[i] == 0) continue;
@@ -175,32 +200,31 @@ struct NativeEngine::Exec {
         }
       }
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kAndN || OP == TOp::kOrN ||
                          OP == TOp::kXorN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.dw, tb);
       for (unsigned w = 0; w < ins.dw; ++w) {
         if constexpr (OP == TOp::kAndN) s[w] = a[w] & b[w];
         else if constexpr (OP == TOp::kOrN) s[w] = a[w] | b[w];
         else s[w] = a[w] ^ b[w];
       }
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kNotN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
       for (unsigned w = 0; w < ins.dw; ++w) s[w] = ~a[w];
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kShlIN) {
-      span_shl(s, ar + ins.a + std::size_t{lane} * ins.dw, ins.dw, ins.param);
+      span_shl(s, in(ins.a, ins.ac, ins.dw, ta), ins.dw, ins.param);
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kLshrIN) {
-      span_lshr(s, ar + ins.a + std::size_t{lane} * ins.dw, ins.dw,
-                ins.param);
-      return storeN(d, s, ins.dw);
+      span_lshr(s, in(ins.a, ins.ac, ins.dw, ta), ins.dw, ins.param);
+      return out(s);
     } else if constexpr (OP == TOp::kAshrIN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
       const unsigned w = ins.width;
       const bool sign = ((a[(w - 1) / 64] >> ((w - 1) % 64)) & 1u) != 0;
       if (ins.param >= w) {
@@ -210,11 +234,11 @@ struct NativeEngine::Exec {
         if (sign && ins.param > 0) span_fill(s, w - ins.param, w);
       }
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kShlVN || OP == TOp::kLshrVN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.dw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.dw, ta);
       const std::uint64_t amt =
-          shift_amount(ar + ins.b + std::size_t{lane} * ins.aw, ins.aw);
+          shift_amount(in(ins.b, ins.bc, ins.aw, tb), ins.aw);
       if (amt >= ins.width) {
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
       } else if (OP == TOp::kShlVN) {
@@ -223,37 +247,36 @@ struct NativeEngine::Exec {
       } else {
         span_lshr(s, a, ins.dw, static_cast<unsigned>(amt));
       }
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kEqN || OP == TOp::kNeN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.aw, tb);
       std::uint64_t diff = 0;
       for (unsigned w = 0; w < ins.aw; ++w) diff |= a[w] ^ b[w];
       const bool r = OP == TOp::kEqN ? diff == 0 : diff != 0;
-      return store1(d, r ? 1u : 0u);
+      return out1(r ? 1u : 0u);
     } else if constexpr (OP == TOp::kUltN || OP == TOp::kUleN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.aw, tb);
       for (unsigned w = ins.aw; w-- > 0;)
-        if (a[w] != b[w]) return store1(d, a[w] < b[w] ? 1u : 0u);
-      return store1(d, OP == TOp::kUleN ? 1u : 0u);
+        if (a[w] != b[w]) return out1(a[w] < b[w] ? 1u : 0u);
+      return out1(OP == TOp::kUleN ? 1u : 0u);
     } else if constexpr (OP == TOp::kSltN || OP == TOp::kSleN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
-      const std::uint64_t* b = ar + ins.b + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
+      const std::uint64_t* b = in(ins.b, ins.bc, ins.aw, tb);
       const unsigned sw = (ins.a_width - 1) / 64, sb = (ins.a_width - 1) % 64;
       const bool sa = ((a[sw] >> sb) & 1u) != 0;
       const bool sbit = ((b[sw] >> sb) & 1u) != 0;
-      if (sa != sbit) return store1(d, sa ? 1u : 0u);
+      if (sa != sbit) return out1(sa ? 1u : 0u);
       for (unsigned w = ins.aw; w-- > 0;)
-        if (a[w] != b[w]) return store1(d, a[w] < b[w] ? 1u : 0u);
-      return store1(d, OP == TOp::kSleN ? 1u : 0u);
+        if (a[w] != b[w]) return out1(a[w] < b[w] ? 1u : 0u);
+      return out1(OP == TOp::kSleN ? 1u : 0u);
     } else if constexpr (OP == TOp::kMuxN) {
-      const bool sel = (ar[ins.a + lane] & 1u) != 0;
-      const std::uint64_t* src =
-          ar + (sel ? ins.b : ins.c) + std::size_t{lane} * ins.dw;
-      return storeN(d, src, ins.dw);
+      const bool sel = (load_word(by, ins.a, ins.ac, 1, lane) & 1u) != 0;
+      return out(sel ? in(ins.b, ins.bc, ins.dw, tb)
+                     : in(ins.c, ins.cc, ins.dw, tb));
     } else if constexpr (OP == TOp::kSliceN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       for (unsigned j = 0; j < ins.dw; ++j) {
         const unsigned bitpos = ins.param + j * 64;
         const unsigned ws = bitpos / 64, bs = bitpos % 64;
@@ -262,41 +285,40 @@ struct NativeEngine::Exec {
         s[j] = v;
       }
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kSExtN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       for (unsigned w = 0; w < ins.aw; ++w) s[w] = a[w];
       for (unsigned w = ins.aw; w < ins.dw; ++w) s[w] = 0;
       const unsigned sw = (ins.a_width - 1) / 64, sb = (ins.a_width - 1) % 64;
       if (((a[sw] >> sb) & 1u) != 0) span_fill(s, ins.a_width, ins.width);
       s[ins.dw - 1] &= ins.mask;
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else if constexpr (OP == TOp::kRedOrN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       std::uint64_t any = 0;
       for (unsigned w = 0; w < ins.aw; ++w) any |= a[w];
-      return store1(d, any != 0 ? 1u : 0u);
+      return out1(any != 0 ? 1u : 0u);
     } else if constexpr (OP == TOp::kRedAndN) {
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       bool all = true;
       for (unsigned w = 0; w + 1 < ins.aw; ++w) all &= a[w] == ~0ull;
       all &= a[ins.aw - 1] == top_mask(ins.a_width);
-      return store1(d, all ? 1u : 0u);
+      return out1(all ? 1u : 0u);
     } else if constexpr (OP == TOp::kRedXorN) {
       // Parity by XOR-folding: the words into one, then its halves (no
       // popcount, which is a libgcc call without -mpopcnt).
-      const std::uint64_t* a = ar + ins.a + std::size_t{lane} * ins.aw;
+      const std::uint64_t* a = in(ins.a, ins.ac, ins.aw, ta);
       std::uint64_t x = 0;
       for (unsigned w = 0; w < ins.aw; ++w) x ^= a[w];
       for (unsigned sh = 32; sh != 0; sh /= 2) x ^= x >> sh;
-      return store1(d, x & 1u);
+      return out1(x & 1u);
     } else if constexpr (OP == TOp::kConcat) {
       for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
       unsigned pos = 0;
       for (std::uint32_t pi = 0; pi < ins.c; ++pi) {
         const ConcatPart& part = e.prog_.parts[ins.param + pi];
-        const std::uint64_t* src =
-            ar + part.off + std::size_t{lane} * part.words;
+        const std::uint64_t* src = in(part.off, part.cls, part.words, ta);
         const unsigned wo = pos / 64, bo = pos % 64;
         for (unsigned w = 0; w < part.words; ++w) {
           s[wo + w] |= src[w] << bo;
@@ -305,26 +327,17 @@ struct NativeEngine::Exec {
         }
         pos += part.width;
       }
-      return storeN(d, s, ins.dw);
+      return out(s);
     } else {
       static_assert(OP == TOp::kMemRead, "run_wide computes multi-word ops");
       const Program::Mem& pm = e.prog_.mems[ins.param];
-      const std::uint64_t addr = ar[ins.a + std::size_t{lane} * ins.aw];
-      if (ins.dw == 1) {
-        const std::uint64_t v =
-            addr < pm.depth
-                ? e.rt_.mem(ins.param)[(addr * e.prog_.lanes + lane) * pm.words]
-                : 0;
-        return store1(d, v);
-      }
+      const std::uint64_t addr = in(ins.a, ins.ac, ins.aw, ta)[0];
       if (addr >= pm.depth) {
         for (unsigned w = 0; w < ins.dw; ++w) s[w] = 0;
-      } else {
-        const std::uint64_t* src = e.rt_.mem(ins.param) +
-                                   (addr * e.prog_.lanes + lane) * pm.words;
-        for (unsigned w = 0; w < ins.dw; ++w) s[w] = src[w];
+        return out(s);
       }
-      return storeN(d, s, ins.dw);
+      return out(e.rt_.mem(ins.param) +
+                 (addr * e.prog_.lanes + lane) * pm.words);
     }
   }
 
@@ -396,11 +409,11 @@ struct NativeEngine::Exec {
 // ran kTape's rows ~1.3x faster.
 [[gnu::noinline]] bool NativeEngine::exec_one(const Instr& ins, unsigned lane) {
   std::uint64_t* const ar = rt_.arena();
-  std::uint64_t* d = ar + ins.dst + std::size_t{lane} * ins.dw;
   std::uint64_t* s = scratch_.data();
   return Exec::dispatch(ins.op, [&]<TOp OP>() {
     if constexpr (single_word(OP))
-      return store1(d, Exec::lane1<OP>(ins, ar, lane));
+      return store_word(reinterpret_cast<unsigned char*>(ar), ins.dst, ins.dc,
+                        1, lane, Exec::lane1<OP>(ins, ar, lane));
     else
       return Exec::run_wide<OP>(*this, ins, lane, s);
   });
@@ -420,6 +433,12 @@ unsigned checked_lanes(unsigned lanes, Evaluator ev) {
   return lanes;
 }
 
+/// Buffer words for `bytes` bytes of slots plus the tail padding of the
+/// masked lane loads.
+std::size_t padded_words(std::size_t bytes) {
+  return (bytes + kArenaPad + 7) / 8;
+}
+
 }  // namespace
 
 NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
@@ -427,21 +446,21 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
     : prog_(Program::compile(m, checked_lanes(lanes, ev))),
       ev_(ev),
       lw_((prog_.lanes + 63) / 64),
-      rt_(prog_.arena_size, prog_.stats.levels) {
+      rt_(padded_words(prog_.arena_bytes), prog_.stats.levels) {
   for (const Program::Mem& pm : prog_.mems)
     rt_.add_memory(std::size_t{pm.depth} * pm.words * prog_.lanes);
   for (const auto& [off, v] : prog_.const_init)
     for (unsigned l = 0; l < prog_.lanes; ++l)
-      write_lane_bits(off, static_cast<std::uint16_t>(words_of(v.width())), l,
-                      v);
+      write_lane_bits(off, class_of(v.width()),
+                      static_cast<std::uint16_t>(words_of(v.width())), l, v);
   std::uint16_t max_dw = 1;
   for (const Instr& ins : prog_.instrs)
     max_dw = std::max<std::uint16_t>(max_dw, ins.dw);
   scratch_.assign(max_dw, 0);
-  samples_.assign(prog_.sample_words, 0);
+  samples_.assign(padded_words(prog_.sample_bytes), 0);
   for (const auto& reg : prog_.regs)
     for (unsigned l = 0; l < prog_.lanes; ++l)
-      write_lane_bits(reg.q, reg.words, l, reg.init);
+      write_lane_bits(reg.q, reg.qc, reg.words, l, reg.init);
 
   if (ev_ == Evaluator::kCompiled) {
     handlers_.reserve(prog_.instrs.size());
@@ -449,7 +468,7 @@ NativeEngine::NativeEngine(const Module& m, unsigned lanes, CodegenOptions opt,
       handlers_.push_back(Exec::dispatch(
           ins.op, []<TOp OP>() -> Handler { return &Exec::run<OP>; }));
     rt_.bind([this] { return emit_cpp(prog_); }, std::move(opt),
-             {"osss_tape", 3, prog_.lanes, "arena", prog_.arena_size,
+             {"osss_tape", kTapeAbi, prog_.lanes, "arena", prog_.arena_bytes,
               /*step_settles=*/false},
              &run_instr, this);
   }
@@ -465,44 +484,69 @@ bool NativeEngine::run_instr(void* engine, unsigned i) noexcept {
   return e.handlers_[i](e, e.prog_.instrs[i]);
 }
 
-void NativeEngine::write_lane_bits(std::uint32_t off, std::uint16_t words,
-                                   unsigned lane, const Bits& value) {
-  std::uint64_t* d = rt_.arena() + off + std::size_t{lane} * words;
-  for (unsigned w = 0; w < words; ++w) d[w] = value.word(w);
+unsigned char* NativeEngine::bytes() noexcept {
+  return reinterpret_cast<unsigned char*>(rt_.arena());
 }
 
-Bits NativeEngine::read_lane_bits(std::uint32_t off, std::uint16_t words,
-                                  unsigned width, unsigned lane) const {
-  return bits_from_words(rt_.arena() + off + std::size_t{lane} * words,
-                         width);
+void NativeEngine::write_lane_bits(std::uint32_t off, std::uint8_t cls,
+                                   std::uint16_t words, unsigned lane,
+                                   const Bits& value) {
+  for (unsigned w = 0; w < words; ++w)
+    store_word(bytes(), off, cls, words, lane, value.word(w), w);
+}
+
+Bits NativeEngine::read_lane_bits(std::uint32_t off, std::uint8_t cls,
+                                  std::uint16_t words, unsigned width,
+                                  unsigned lane) const {
+  // A u64-class slot is read in place (it may span many words); a narrower
+  // one is one masked lane word.
+  if (cls == 3)
+    return bits_from_words(rt_.arena() + off / 8 + std::size_t{lane} * words,
+                           width);
+  const std::uint64_t v = load_word(
+      reinterpret_cast<const unsigned char*>(rt_.arena()), off, cls, 1, lane);
+  return bits_from_words(&v, width);
 }
 
 template <class Word>
 void NativeEngine::broadcast_input(unsigned index, Word word) {
   const Program::Port& port = prog_.inputs.at(index);
-  std::uint64_t* const d = rt_.arena() + port.off;
+  unsigned char* const d = bytes() + port.off;
   const unsigned lanes = prog_.lanes;
-  std::uint64_t diff = 0;
-  // A one-word port is one flat lane loop, which GCC vectorizes; the word
-  // loop nested in the lane loop below stays scalar.  The frames
-  // histogram's two set_input_u64 writes per 256-lane cycle took 225-353
-  // ns with this branch against 651-908 ns through the nested loop alone
-  // (Release, pinned, six alternating runs on an AVX-512 VM).
+  bool changed = false;
+  // A one-word port is one flat lane loop in its class, which GCC
+  // vectorizes; the word loop nested in the lane loop below stays scalar.
+  // The frames histogram's two set_input_u64 writes per 256-lane cycle
+  // took 225-353 ns with this branch against 651-908 ns through the nested
+  // loop alone (Release, pinned, six alternating runs on an AVX-512 VM).
+  // The loop stores as it compares: a separate fill loop of a byte class
+  // became a memset call, which cost a one-lane set_input_u64 ~4 ns.
   if (port.words == 1) {
-    const std::uint64_t v = word(0);
-    for (unsigned l = 0; l < lanes; ++l) diff |= d[l] ^ v;
-    if (diff == 0) return;
-    std::fill_n(d, lanes, v);
+    changed = with_class(port.cls, [&]<class T>() {
+      const T v = static_cast<T>(word(0));
+      T diff = 0;
+      for (unsigned l = 0; l < lanes; ++l) {
+        unsigned char* const p = d + std::size_t{l} * sizeof(T);
+        T o;
+        std::memcpy(&o, p, sizeof o);
+        diff |= o ^ v;
+        std::memcpy(p, &v, sizeof v);
+      }
+      return diff != 0;
+    });
   } else {
+    auto* const q = reinterpret_cast<std::uint64_t*>(d);
+    std::uint64_t diff = 0;
     for (unsigned l = 0; l < lanes; ++l)
       for (unsigned w = 0; w < port.words; ++w)
-        diff |= d[std::size_t{l} * port.words + w] ^ word(w);
-    if (diff == 0) return;
-    for (unsigned l = 0; l < lanes; ++l)
-      for (unsigned w = 0; w < port.words; ++w)
-        d[std::size_t{l} * port.words + w] = word(w);
+        diff |= q[std::size_t{l} * port.words + w] ^ word(w);
+    changed = diff != 0;
+    if (changed)
+      for (unsigned l = 0; l < lanes; ++l)
+        for (unsigned w = 0; w < port.words; ++w)
+          q[std::size_t{l} * port.words + w] = word(w);
   }
-  rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
+  if (changed) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::set_input(unsigned index, const Bits& value) {
@@ -516,6 +560,37 @@ void NativeEngine::set_input_u64(unsigned index, std::uint64_t value) {
                   [value](unsigned w) { return w == 0 ? value : 0; });
 }
 
+namespace {
+
+/// Stores values[l] as lane l of the one-word class-T slot at d, for `n`
+/// lanes; true when any lane changed.  The conversion to the port's class
+/// happens here, at the port boundary.
+template <class T>
+bool store_values(unsigned char* d, const std::uint64_t* values, unsigned n,
+                  std::uint64_t mask) {
+  T diff = 0;
+  for (unsigned l = 0; l < n; ++l) {
+    const T nv = static_cast<T>(values[l] & mask);
+    T o;
+    std::memcpy(&o, d + std::size_t{l} * sizeof(T), sizeof o);
+    diff |= o ^ nv;
+    std::memcpy(d + std::size_t{l} * sizeof(T), &nv, sizeof nv);
+  }
+  return diff != 0;
+}
+
+/// The `n` lanes of the one-word class-T slot at s as u64 values.
+template <class T>
+void load_values(const unsigned char* s, unsigned n, std::uint64_t* out) {
+  for (unsigned l = 0; l < n; ++l) {
+    T v;
+    std::memcpy(&v, s + std::size_t{l} * sizeof(T), sizeof v);
+    out[l] = v;
+  }
+}
+
+}  // namespace
+
 void NativeEngine::set_input_lanes(unsigned index,
                                    std::span<const std::uint64_t> bit_lanes) {
   const Program::Port& port = prog_.inputs.at(index);
@@ -523,19 +598,21 @@ void NativeEngine::set_input_lanes(unsigned index,
     throw std::logic_error("tape engine: set_input_lanes width mismatch");
   // One 64-bit column of the port at a time: word w of every lane.
   std::uint64_t nv[tape::kMaxLanes];
-  std::uint64_t diff = 0;
+  bool changed = false;
   for (unsigned w = 0; w < port.words; ++w) {
     par::lane_words_to_values(bit_lanes.data() + std::size_t{w} * 64 * lw_,
                               prog_.lanes, std::min(64u, port.width - w * 64),
                               nv, 1);
-    std::uint64_t* d = rt_.arena() + port.off + w;
-    for (unsigned l = 0; l < prog_.lanes; ++l) {
-      std::uint64_t& slot = d[std::size_t{l} * port.words];
-      diff |= slot ^ nv[l];
-      slot = nv[l];
+    if (port.words == 1) {
+      changed |= with_class(port.cls, [&]<class T>() {
+        return store_values<T>(bytes() + port.off, nv, prog_.lanes, ~0ull);
+      });
+    } else {
+      for (unsigned l = 0; l < prog_.lanes; ++l)
+        changed |= store_word(bytes(), port.off, 3, port.words, l, nv[l], w);
     }
   }
-  if (diff != 0) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
+  if (changed) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::set_input_values(unsigned index,
@@ -546,16 +623,12 @@ void NativeEngine::set_input_values(unsigned index,
         "tape engine: set_input_values needs a <= 64-bit port");
   if (values.size() != prog_.lanes)
     throw std::logic_error("tape engine: set_input_values lane count mismatch");
-  const std::uint64_t mask =
-      port.width < 64 ? (std::uint64_t{1} << port.width) - 1 : ~std::uint64_t{0};
-  std::uint64_t* d = rt_.arena() + port.off;
-  std::uint64_t diff = 0;
-  for (unsigned l = 0; l < prog_.lanes; ++l) {
-    const std::uint64_t nv = values[l] & mask;
-    diff |= nv ^ d[l];
-    d[l] = nv;
-  }
-  if (diff != 0) rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
+  const std::uint64_t mask = mask64(port.width);
+  if (with_class(port.cls, [&]<class T>() {
+        return store_values<T>(bytes() + port.off, values.data(), prog_.lanes,
+                               mask);
+      }))
+    rt_.mark(prog_.input_fl_off, prog_.input_fl, index);
 }
 
 void NativeEngine::check_lane(unsigned lane) const {
@@ -569,22 +642,33 @@ Bits NativeEngine::output(unsigned index, unsigned lane) {
   check_lane(lane);
   eval();
   const Program::Port& port = prog_.outputs.at(index);
-  return read_lane_bits(port.off, port.words, port.width, lane);
+  return read_lane_bits(port.off, port.cls, port.words, port.width, lane);
 }
 
 std::uint64_t NativeEngine::output_u64(unsigned index) {
   eval();
-  return rt_.arena()[prog_.outputs.at(index).off];
+  const Program::Port& port = prog_.outputs.at(index);
+  return load_word(bytes(), port.off, port.cls, port.words, 0);
 }
 
 std::vector<std::uint64_t> NativeEngine::output_words(unsigned index) {
   eval();
   const Program::Port& port = prog_.outputs.at(index);
   std::vector<std::uint64_t> out(std::size_t{port.width} * lw_);
-  for (unsigned w = 0; w < port.words; ++w)
-    par::values_to_lane_words(rt_.arena() + port.off + w, port.words,
-                              prog_.lanes, std::min(64u, port.width - w * 64),
+  std::uint64_t v[tape::kMaxLanes];
+  for (unsigned w = 0; w < port.words; ++w) {
+    if (port.words == 1) {
+      with_class(port.cls, [&]<class T>() {
+        load_values<T>(bytes() + port.off, prog_.lanes, v);
+      });
+    } else {
+      for (unsigned l = 0; l < prog_.lanes; ++l)
+        v[l] = load_word(bytes(), port.off, 3, port.words, l, w);
+    }
+    par::values_to_lane_words(v, 1, prog_.lanes,
+                              std::min(64u, port.width - w * 64),
                               out.data() + std::size_t{w} * 64 * lw_);
+  }
   return out;
 }
 
@@ -593,8 +677,11 @@ std::vector<std::uint64_t> NativeEngine::output_values(unsigned index) {
   const Program::Port& port = prog_.outputs.at(index);
   if (port.words != 1)
     throw std::logic_error("tape engine: output_values needs a <= 64-bit port");
-  const std::uint64_t* s = rt_.arena() + port.off;
-  return std::vector<std::uint64_t>(s, s + prog_.lanes);
+  std::vector<std::uint64_t> out(prog_.lanes);
+  with_class(port.cls, [&]<class T>() {
+    load_values<T>(bytes() + port.off, prog_.lanes, out.data());
+  });
+  return out;
 }
 
 Bits NativeEngine::node_value(NodeId id, unsigned lane) {
@@ -604,7 +691,7 @@ Bits NativeEngine::node_value(NodeId id, unsigned lane) {
     throw std::logic_error(
         "tape engine: node was pruned or folded away (no arena slot)");
   const unsigned width = prog_.node_width[id];
-  return read_lane_bits(prog_.node_slot[id],
+  return read_lane_bits(prog_.node_slot[id], prog_.node_cls[id],
                         static_cast<std::uint16_t>(words_of(width)), width,
                         lane);
 }
@@ -651,79 +738,65 @@ void NativeEngine::step() {
 
 void NativeEngine::commit() {
   const unsigned lanes = prog_.lanes;
-  std::uint64_t* const ar = rt_.arena();
-  std::uint64_t* const sp = samples_.data();
+  unsigned char* const ar = bytes();
+  auto* const sp = reinterpret_cast<unsigned char*>(samples_.data());
   // Sample first what a commit below could overwrite (the inputs Program's
   // sampling rule flags): all registers and write ports observe the same
   // pre-edge values, as in the interpreter.  Every other input is read in
-  // place.
+  // place.  A sample keeps its slot's class and lane striding.
   const auto sample = [&](std::uint32_t off, std::uint32_t at,
-                          std::size_t words) {
-    if (at != kNoSlot) std::copy_n(ar + off, words * lanes, sp + at);
+                          std::size_t words, std::uint8_t cls) {
+    if (at != kNoSlot) std::memcpy(sp + at, ar + off, (words << cls) * lanes);
   };
   for (const Program::Reg& reg : prog_.regs) {
-    sample(reg.d, reg.d_at, reg.words);
-    sample(reg.en, reg.en_at, 1);
+    sample(reg.d, reg.d_at, reg.words, reg.dc);
+    sample(reg.en, reg.en_at, 1, reg.ec);
   }
   for (const Program::Mem& pm : prog_.mems)
     for (const Program::WritePort& w : pm.writes) {
-      sample(w.addr, w.addr_at, w.addr_words);
-      sample(w.data, w.data_at, pm.words);
-      sample(w.en, w.en_at, 1);
+      sample(w.addr, w.addr_at, w.addr_words, w.ac);
+      sample(w.data, w.data_at, pm.words, w.dc);
+      sample(w.en, w.en_at, 1, w.ec);
     }
-  const auto src = [&](std::uint32_t off,
-                       std::uint32_t at) -> const std::uint64_t* {
-    return at == kNoSlot ? ar + off : sp + at;
+  // Where a commit reads an input: its sample, else the arena.
+  const auto src = [&](std::uint32_t off, std::uint32_t at) {
+    return at == kNoSlot ? std::pair{ar, off} : std::pair{sp, at};
   };
-  // Commit registers.  The single-word enabled case (the common one) is a
-  // branchless masked merge over contiguous lanes.
+  // Commit registers: lane by lane, each word through one class-aware load
+  // and store.
   for (std::size_t r = 0; r < prog_.regs.size(); ++r) {
     const Program::Reg& reg = prog_.regs[r];
-    std::uint64_t* const q = ar + reg.q;
-    const std::uint64_t* const nd = src(reg.d, reg.d_at);
-    const std::uint64_t* const en =
-        reg.en == kNoSlot ? nullptr : src(reg.en, reg.en_at);
-    std::uint64_t diff = 0;
-    if (en == nullptr) {
-      for (std::size_t i = 0; i < std::size_t{reg.words} * lanes; ++i) {
-        diff |= q[i] ^ nd[i];
-        q[i] = nd[i];
-      }
-    } else if (reg.words == 1) {
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint64_t flip = (q[l] ^ nd[l]) & (0 - (en[l] & 1u));
-        diff |= flip;
-        q[l] ^= flip;
-      }
-    } else {
-      for (unsigned l = 0; l < lanes; ++l) {
-        if ((en[l] & 1u) == 0) continue;
-        for (std::size_t w = std::size_t{l} * reg.words;
-             w < std::size_t{l + 1} * reg.words; ++w) {
-          diff |= q[w] ^ nd[w];
-          q[w] = nd[w];
-        }
-      }
+    const auto [nb, noff] = src(reg.d, reg.d_at);
+    const auto [eb, eoff] =
+        reg.en == kNoSlot ? std::pair{ar, kNoSlot} : src(reg.en, reg.en_at);
+    bool changed = false;
+    for (unsigned l = 0; l < lanes; ++l) {
+      if (eoff != kNoSlot && (load_word(eb, eoff, reg.ec, 1, l) & 1u) == 0)
+        continue;
+      for (unsigned w = 0; w < reg.words; ++w)
+        changed |= store_word(ar, reg.q, reg.qc, reg.words, l,
+                              load_word(nb, noff, reg.dc, reg.words, l, w), w);
     }
-    if (diff != 0) rt_.mark(prog_.reg_fl_off, prog_.reg_fl, r);
+    if (changed) rt_.mark(prog_.reg_fl_off, prog_.reg_fl, r);
   }
   // Commit memory writes (port order = declaration order; later ports win).
   for (std::uint32_t mi = 0; mi < prog_.mems.size(); ++mi) {
     const Program::Mem& pm = prog_.mems[mi];
     for (const Program::WritePort& w : pm.writes) {
-      const std::uint64_t* const en = src(w.en, w.en_at);
-      const std::uint64_t* const ad = src(w.addr, w.addr_at);
-      const std::uint64_t* const dt = src(w.data, w.data_at);
+      const auto [eb, eoff] = src(w.en, w.en_at);
+      const auto [ab, aoff] = src(w.addr, w.addr_at);
+      const auto [db, doff] = src(w.data, w.data_at);
       std::uint64_t ch = 0;
       for (unsigned l = 0; l < lanes; ++l) {
-        if ((en[l] & 1u) == 0) continue;
-        const std::uint64_t addr = ad[std::size_t{l} * w.addr_words];
+        if ((load_word(eb, eoff, w.ec, 1, l) & 1u) == 0) continue;
+        const std::uint64_t addr =
+            load_word(ab, aoff, w.ac, w.addr_words, l);
         if (addr >= pm.depth) continue;
         std::uint64_t* e = rt_.mem(mi) + (addr * lanes + l) * pm.words;
-        const std::uint64_t* s = dt + std::size_t{l} * pm.words;
         for (unsigned k = 0; k < pm.words; ++k) {
-          ch |= e[k] ^ s[k];
-          e[k] = s[k];
+          const std::uint64_t v = load_word(db, doff, w.dc, pm.words, l, k);
+          ch |= e[k] ^ v;
+          e[k] = v;
         }
       }
       if (ch != 0) rt_.mark(prog_.mem_fl_off, prog_.mem_fl, mi);
@@ -734,7 +807,7 @@ void NativeEngine::commit() {
 void NativeEngine::reset() {
   for (const Program::Reg& reg : prog_.regs)
     for (unsigned l = 0; l < prog_.lanes; ++l)
-      write_lane_bits(reg.q, reg.words, l, reg.init);
+      write_lane_bits(reg.q, reg.qc, reg.words, l, reg.init);
   rt_.reset();
 }
 
@@ -765,7 +838,7 @@ void NativeEngine::poke_mem(unsigned mem_index, unsigned word,
 void NativeEngine::poke_reg(unsigned reg_index, const Bits& value) {
   const Program::Reg& reg = prog_.regs.at(reg_index);
   for (unsigned l = 0; l < prog_.lanes; ++l)
-    write_lane_bits(reg.q, reg.words, l, value);
+    write_lane_bits(reg.q, reg.qc, reg.words, l, value);
   rt_.mark(prog_.reg_fl_off, prog_.reg_fl, reg_index);
 }
 

@@ -2,11 +2,12 @@
 //
 // NativeEngine executes a compiled tape::Program (rtl/tape.hpp) for both of
 // rtl::Simulator's tape modes.  Its jit::Runtime, shared with the gate
-// backend, holds the lane-major arena (lane l of a node lives at offset +
-// l*words), the memories, the power-on snapshot, the dirty levels, the run
-// counters and the generated code; the engine adds port I/O, the
-// register/memory commit, reset, pokes and node inspection.  Only eval()
-// differs between the modes:
+// backend, holds the arena (here a byte arena of width-classed slots: lane
+// l of a node lives at byte offset + l * (words << class), see
+// tape::class_of), the memories (one u64 per lane per entry word), the
+// power-on snapshot, the dirty levels, the run counters and the generated
+// code; the engine adds port I/O, the register/memory commit, reset, pokes
+// and node inspection.  Only eval() differs between the modes:
 //
 //   * Evaluator::kCompiled (SimMode::kNative) — emit_cpp() lowers the
 //     Program into specialized C++: one straight-line block per
@@ -31,8 +32,10 @@
 //     forced): one specialized handler per opcode, bound per instruction
 //     at construction, each running its own lane loop.  1..tape::kMaxLanes
 //     lanes; the generated code walks lane groups as GCC/Clang
-//     vector-extension values (8 lanes per op with AVX-512, 4 with AVX2,
-//     following the cpu-probed compile flags).
+//     vector-extension values in each instruction's widest class (64-byte
+//     vectors with AVX-512, bytes and halfwords only with AVX-512BW, else
+//     32; 16 to 64 lanes per op for u32 down to u8), loading every operand
+//     through a converting load, following the cpu-probed compile flags.
 //   * Evaluator::kLaneSwitch (SimMode::kTape) — never emits or compiles.
 //     Each instruction runs through a per-lane switch that reads its
 //     opcode at evaluation time.  1..64 lanes.  R7 measures the generated
@@ -41,7 +44,11 @@
 // The threaded handlers and the lane switch share one definition per
 // opcode (the value a single-word opcode stores in one lane, and the
 // multi-word implementation, one lane at a time) and one opcode dispatch;
-// they differ only in the lane loop around them.  Both evaluators share
+// they differ only in the lane loop around them.  Each reads an operand
+// through one class-aware load (an unaligned 8-byte load masked to the
+// slot's class; the arena keeps tape::kArenaPad bytes of tail padding) and
+// writes through one class-aware store.  Port I/O converts between u64
+// values and a port's class at the port boundary.  Both evaluators share
 // the level sweep's activity gating and, without generated code, the C++
 // register/memory commit.  Results are bit-identical across evaluators
 // and against the interpreter.
@@ -50,10 +57,11 @@
 // the commit inputs whose arena range overlaps some register's q range
 // are copied before the commits (into the generated step's scratch, or
 // samples_); every other input is read in place.  The generated step's
-// lane loops are lane-vector helpers over a literal word count (the JIT
-// prelude's step set), and a one-word memory read is one gather driver
-// (v_mread; eight lanes per instruction on AVX-512).  Input writes that
-// broadcast one value (set_input, set_input_u64) compute the change over
+// lane loops are lane-vector helpers over a literal lane count and the
+// classes they touch (the JIT's tape step set), and a one-word memory read
+// is one gather driver (v_mread; eight lanes per instruction on AVX-512,
+// the address widened and the row narrowed to their classes).  Input
+// writes that broadcast one value (set_input, set_input_u64) compute the change over
 // all lanes first, then fill.
 //
 // Engines whose emitted parts are byte-identical share one loaded object
@@ -75,6 +83,11 @@
 #include "rtl/tape.hpp"
 
 namespace osss::rtl::tape {
+
+/// Version of the generated tape ABI (`osss_tape_abi()`): 4 since the byte
+/// arena of width classes, so an object of the u64 layout published in the
+/// disk cache fails the load-time probe and is compiled afresh.
+inline constexpr unsigned kTapeAbi = 4;
 
 /// Knobs for the runtime compile step (see jit::CompileOptions).  Defaults
 /// resolve from the environment: `OSSS_CC` overrides the compiler (an
@@ -173,9 +186,9 @@ class NativeEngine {
   Program prog_;
   Evaluator ev_;
   unsigned lw_ = 1;  ///< lane words: ceil(lanes/64)
-  /// Arena, memories (word w of entry a in lane l at (a * lanes + l) *
-  /// words + w), dirty levels, power-on snapshot, counters and the
-  /// generated code.
+  /// Arena (bytes, in u64 storage padded by kArenaPad), memories (word w
+  /// of entry a in lane l at (a * lanes + l) * words + w), dirty levels,
+  /// power-on snapshot, counters and the generated code.
   jit::Runtime rt_;
   std::vector<std::uint64_t> scratch_;  ///< multi-word result staging
 
@@ -185,7 +198,7 @@ class NativeEngine {
   std::vector<Handler> handlers_;
 
   /// Pre-edge copies of the inputs Program's sampling rule flags, laid out
-  /// as the generated step's scratch (Program::sample_words).
+  /// as the generated step's scratch (Program::sample_bytes, padded).
   std::vector<std::uint64_t> samples_;
 
   /// The generated code's callback (jit::WideFn): instruction i of
@@ -204,9 +217,12 @@ class NativeEngine {
   /// tape holds at evaluation time.
   bool exec_one(const Instr& ins, unsigned lane);
   void check_lane(unsigned lane) const;
-  void write_lane_bits(std::uint32_t off, std::uint16_t words, unsigned lane,
-                       const Bits& value);
-  Bits read_lane_bits(std::uint32_t off, std::uint16_t words, unsigned width,
+  /// The arena as bytes.
+  unsigned char* bytes() noexcept;
+  void write_lane_bits(std::uint32_t off, std::uint8_t cls,
+                       std::uint16_t words, unsigned lane, const Bits& value);
+  Bits read_lane_bits(std::uint32_t off, std::uint8_t cls,
+                      std::uint16_t words, unsigned width,
                       unsigned lane) const;
 };
 

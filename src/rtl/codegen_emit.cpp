@@ -1,18 +1,19 @@
 // codegen_emit.cpp — lower a compiled tape::Program into specialized C++.
 //
 // The output is a list of self-contained translation units (jit::Parts),
-// each opening with a prelude of lane-vector helpers (vector-extension
-// types whose width follows the flags the host compile passes).  The code
-// is one straight-line statement per tape instruction, grouped into
-// `if (D[level])` guarded basic blocks that mirror the interpreter's
-// level-granular activity gating.  Consecutive blocks form hidden chunk
-// functions `tape_levels_<k>`, one part each, cut once a chunk's code
-// reaches jit::kPartBytes; part 0 holds the ABI symbols, `osss_tape_step`
-// and an `osss_tape_eval` that calls the chunks in order, and the jit
-// compiles the parts concurrently.  Arena offsets, widths, masks, shift
-// amounts and fanout-level marks are baked in as literals; single-word
-// constants from the pool are inlined as immediates (`K{...}` operands,
-// broadcast across a lane vector).
+// each opening with the width-class prelude (lane vectors per class whose
+// width follows the flags the host compile passes) and only the helpers its
+// code calls.  The code is one straight-line statement per tape
+// instruction, grouped into `if (D[level])` guarded basic blocks that
+// mirror the interpreter's level-granular activity gating.  Consecutive
+// blocks form hidden chunk functions `tape_levels_<k>`, one part each, cut
+// once a chunk's code reaches jit::kPartBytes, each with the drivers its
+// statements call; part 0 holds the ABI symbols, `osss_tape_step` (with the
+// step helper set) and an `osss_tape_eval` that calls the chunks in order,
+// and the jit compiles the parts concurrently.  Arena byte offsets, classes,
+// widths, masks, shift amounts and fanout-level marks are baked in as
+// literals; single-word constants from the pool are inlined as immediates
+// (`K<class>{...}` operands, broadcast across a lane vector).
 //
 // Only single-word instructions are compiled: those whose result and every
 // operand fit one word per lane (tape::single_word, plus concat and memory
@@ -26,19 +27,25 @@
 // lane switch) share one per-lane definition of each opcode and one
 // opcode dispatch between them.
 //
-// Every compiled statement is one call of a vector-prelude driver written
-// against lane vectors: concat through v_store, a one-word memory read
-// through v_mread (on AVX-512 a gather of eight lanes under an unsigned
-// in-depth mask).  The clock edge is the step prelude's helper set,
-// templated on a literal word count: it copies into the step scratch only
-// the inputs Program's sampling rule flags (those a register commit could
-// overwrite) and reads the rest in place, and each write port commits in
-// one lane loop that stores without comparing first (v_mwrite).
+// Every compiled statement is one call of a tape driver, templated on the
+// lane count and the classes of its destination and operands (a slot
+// operand is `P<class>{B + offset}`): it computes in the widest class it
+// touches, converting each operand on load and the result on store.
+// Concat is v_cat over its parts, a one-word memory read v_mread (on
+// AVX-512 a gather of eight lanes under an unsigned in-depth mask).  The
+// clock edge is the tape step set, templated on literal lane counts and
+// classes: it copies into the step scratch only the inputs Program's
+// sampling rule flags (those a register commit could overwrite) and reads
+// the rest in place, and each write port commits in one lane loop that
+// stores without comparing first (v_mwrite).
 //
-// Layout contract (must match NativeEngine's runtime exactly): lane l
-// of a node with `words` words lives at arena[off + l*words]; memory word w
-// of entry a in lane l lives at mem[mi][(a*L + l)*words + w].
+// Layout contract (must match NativeEngine's runtime exactly): lane l of a
+// slot of class c with `words` words lives at byte (off + ((l * words) <<
+// c)) of the arena, a lane word of class c taking 1 << c bytes (u8, u16,
+// u32, u64); memory word w of entry a in lane l lives at
+// mem[mi][(a*L + l)*words + w], one u64 per entry word whatever the width.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -55,9 +62,9 @@ namespace {
 
 using detail::mask64;
 
-/// The parameters of a level chunk: those of the eval that calls it.
+/// The parameters of a level chunk: the eval's, the arena as bytes.
 constexpr const char* kChunkParams =
-    "(u64* A, u64* const* M, unsigned char* D, "
+    "(u8* B, u64* const* M, unsigned char* D, "
     "bool (*X)(void*, unsigned) noexcept, void* C)";
 
 /// True when the result and every operand of `ins` fit one word per lane,
@@ -75,11 +82,19 @@ bool compiled(const Instr& ins) {
   }
 }
 
+/// The lane type of width class c in the generated source.
+const char* cls_name(unsigned c) {
+  static const char* const kNames[] = {"u8", "u16", "u32", "u64"};
+  return kNames[c];
+}
+
 struct Emitter {
   const Program& p;
   std::ostringstream os;
-  /// Single-word constant-pool slots, inlined as K{...} immediates.
+  /// Single-word constant-pool slots, inlined as K<class>{...} immediates.
   std::unordered_map<std::uint32_t, std::uint64_t> c1;
+  /// The drivers the current level chunk calls (bit per jit::TapeDriver).
+  unsigned used = 0;
 
   explicit Emitter(const Program& prog) : p(prog) {
     for (const auto& [off, v] : p.const_init)
@@ -94,13 +109,26 @@ struct Emitter {
   }
   static std::string num(std::uint64_t v) { return std::to_string(v); }
 
-  /// Stride-1 operand: inlined constant or arena pointer.
-  std::string src1(std::uint32_t off) const {
+  /// One-word operand of class c: inlined constant or slot.
+  std::string src(std::uint32_t off, unsigned c) const {
+    const std::string t = std::string("<") + cls_name(c) + ">{";
     const auto it = c1.find(off);
-    if (it != c1.end()) return "K{" + hex(it->second) + "}";
-    return "P{A + " + num(off) + "}";
+    if (it != c1.end()) return "K" + t + hex(it->second) + "}";
+    return "P" + t + "B + " + num(off) + "}";
   }
-  std::string dst(const Instr& ins) const { return "A + " + num(ins.dst); }
+  std::string a(const Instr& ins) const { return src(ins.a, ins.ac); }
+  std::string b(const Instr& ins) const { return src(ins.b, ins.bc); }
+  std::string c(const Instr& ins) const { return src(ins.c, ins.cc); }
+
+  /// `name<lanes, args..., dst class>(B + dst, ` — the head of a driver
+  /// call, noting the driver as used.
+  std::string call(jit::TapeDriver drv, const std::string& name,
+                   const Instr& ins, const std::string& args = "",
+                   const std::string& tail = "") {
+    used |= 1u << static_cast<unsigned>(drv);
+    return name + "<" + num(p.lanes) + ", " + args + cls_name(ins.dc) + tail +
+           ">(B + " + num(ins.dst) + ", ";
+  }
 
   /// Dirty marks for the fanout levels of row `row` of a fanout table
   /// (`off` indexes `levels`, one row per instruction, register or
@@ -115,87 +143,85 @@ struct Emitter {
   }
 
   /// The change-returning call expression for one compiled instruction.
-  std::string expr(const Instr& ins) const {
-    const std::string LN = num(p.lanes);
+  std::string expr(const Instr& ins) {
+    using jit::TapeDriver;
     const std::string M = hex(ins.mask);
     const std::string ONES = hex(~0ull);
+    const auto bin = [&](const char* op, const std::string& m) {
+      return call(TapeDriver::kBin, "v_bin", ins, std::string(op) + ", ") +
+             a(ins) + ", " + b(ins) + ", " + m + ")";
+    };
     switch (ins.op) {
-      case TOp::kAdd1:
-        return "v_bin<" + LN + ", OpAdd>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + M + ")";
-      case TOp::kSub1:
-        return "v_bin<" + LN + ", OpSub>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + M + ")";
+      case TOp::kAdd1: return bin("OpAdd", M);
+      case TOp::kSub1: return bin("OpSub", M);
       case TOp::kMul1:
-        return "v_bin_sc<" + LN + ", OpMul>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + M + ")";
-      case TOp::kAnd1:
-        return "v_bin<" + LN + ", OpAnd>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + ONES + ")";
-      case TOp::kOr1:
-        return "v_bin<" + LN + ", OpOr>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + ONES + ")";
-      case TOp::kXor1:
-        return "v_bin<" + LN + ", OpXor>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + ONES + ")";
+        // No 64-bit vector multiply below AVX-512DQ: a u64 product goes
+        // lane by lane, every narrower one in vectors.
+        if (std::max({ins.dc, ins.ac, ins.bc}) == 3)
+          return call(TapeDriver::kBin, "v_bin_sc", ins, "OpMul, ") + a(ins) +
+                 ", " + b(ins) + ", " + M + ")";
+        return bin("OpMul", M);
+      case TOp::kAnd1: return bin("OpAnd", ONES);
+      case TOp::kOr1: return bin("OpOr", ONES);
+      case TOp::kXor1: return bin("OpXor", ONES);
       case TOp::kNot1:
-        return "v_not<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ", " +
-               M + ")";
+        return call(TapeDriver::kNot, "v_not", ins) + a(ins) + ", " + M + ")";
       case TOp::kShlI1:
-        return "v_shi<" + LN + ", true>(" + dst(ins) + ", " + src1(ins.a) +
+        return call(TapeDriver::kShi, "v_shi", ins, "true, ") + a(ins) +
                ", " + num(ins.param) + ", " + M + ")";
       case TOp::kLshrI1:
-        return "v_shi<" + LN + ", false>(" + dst(ins) + ", " + src1(ins.a) +
+        return call(TapeDriver::kShi, "v_shi", ins, "false, ") + a(ins) +
                ", " + num(ins.param) + ", " + ONES + ")";
       case TOp::kSlice1:
-        return "v_shi<" + LN + ", false>(" + dst(ins) + ", " + src1(ins.a) +
+        return call(TapeDriver::kShi, "v_shi", ins, "false, ") + a(ins) +
                ", " + num(ins.param) + ", " + M + ")";
       case TOp::kAshrI1:
-        return "v_ashri<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ", " +
+        return call(TapeDriver::kAshri, "v_ashri", ins) + a(ins) + ", " +
                num(ins.param) + ", " + num(ins.width) + ", " + M + ")";
       case TOp::kShlV1:
-        return "v_shv<" + LN + ", true>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + num(ins.width) + ", " + M + ")";
+        return call(TapeDriver::kShv, "v_shv", ins, "true, ") + a(ins) +
+               ", " + b(ins) + ", " + num(ins.width) + ", " + M + ")";
       case TOp::kLshrV1:
-        return "v_shv<" + LN + ", false>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + num(ins.width) + ", " + ONES +
-               ")";
+        return call(TapeDriver::kShv, "v_shv", ins, "false, ") + a(ins) +
+               ", " + b(ins) + ", " + num(ins.width) + ", " + ONES + ")";
       case TOp::kEq1:
-        return "v_cmp<" + LN + ", CEq>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ")";
       case TOp::kNe1:
-        return "v_cmp<" + LN + ", CNe>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ")";
       case TOp::kUlt1:
-        return "v_cmp<" + LN + ", CUlt>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ")";
-      case TOp::kUle1:
-        return "v_cmp<" + LN + ", CUle>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ")";
+      case TOp::kUle1: {
+        const char* op = ins.op == TOp::kEq1   ? "CEq, "
+                         : ins.op == TOp::kNe1 ? "CNe, "
+                         : ins.op == TOp::kUlt1 ? "CUlt, "
+                                                : "CUle, ";
+        return call(TapeDriver::kCmp, "v_cmp", ins, op) + a(ins) + ", " +
+               b(ins) + ")";
+      }
       case TOp::kSlt1:
-        return "v_scmp<" + LN + ", false>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + num(64 - ins.a_width) + ")";
       case TOp::kSle1:
-        return "v_scmp<" + LN + ", true>(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + src1(ins.b) + ", " + num(64 - ins.a_width) + ")";
+        return call(TapeDriver::kScmp, "v_scmp", ins,
+                    ins.op == TOp::kSle1 ? "true, " : "false, ") +
+               a(ins) + ", " + b(ins) + ", " + num(ins.a_width) + ")";
       case TOp::kMux1:
-        return "v_mux<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ", " +
-               src1(ins.b) + ", " + src1(ins.c) + ")";
+        return call(TapeDriver::kMux, "v_mux", ins) + a(ins) + ", " + b(ins) +
+               ", " + c(ins) + ")";
       case TOp::kSExt1:
-        return "v_sext<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ", " +
+        return call(TapeDriver::kSext, "v_sext", ins) + a(ins) + ", " +
                num(ins.a_width - 1) + ", " +
                hex(ins.mask ^ mask64(ins.a_width)) + ")";
       case TOp::kRedOr1:
-        return "v_redor<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ")";
+        return call(TapeDriver::kRed, "v_redor", ins) + a(ins) + ")";
       case TOp::kRedAnd1:
-        return "v_redand<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) +
-               ", " + hex(mask64(ins.a_width)) + ")";
+        return call(TapeDriver::kRed, "v_redand", ins) + a(ins) + ", " +
+               hex(mask64(ins.a_width)) + ")";
       case TOp::kRedXor1:
-        return "v_redxor<" + LN + ">(" + dst(ins) + ", " + src1(ins.a) + ")";
+        return call(TapeDriver::kRed, "v_redxor", ins) + a(ins) + ")";
       case TOp::kConcat:
         return concat_expr(ins);
       case TOp::kMemRead:
-        return memread_expr(ins);
+        return call(TapeDriver::kMread, "v_mread", ins,
+                    num(p.mems[ins.param].depth) + ", ",
+                    std::string(", ") + cls_name(ins.ac) + ", " +
+                        num(ins.aw)) +
+               "M[" + num(ins.param) + "], B + " + num(ins.a) + ")";
       default:  // not compiled(): a call back into the engine
         return "";
     }
@@ -212,64 +238,55 @@ struct Emitter {
   }
 
   /// Single-word concat: every part shifted to its bit offset and OR-ed,
-  /// one lane vector per step.
-  std::string concat_expr(const Instr& ins) const {
-    const std::string LN = num(p.lanes);
-    std::string e = "v_store<" + LN + ">(" + dst(ins) +
-                    ", [&](int l) { using V = LaneV<" + LN + ">; return ";
+  /// in the widest class of the destination and the parts.
+  std::string concat_expr(const Instr& ins) {
+    std::string e = call(jit::TapeDriver::kCat, "v_cat", ins);
     unsigned pos = 0;
     for (std::uint32_t pi = 0; pi < ins.c; ++pi) {
       const ConcatPart& part = p.parts[ins.param + pi];
-      if (pi != 0) e += " | ";
-      e += "ld<V>(" + src1(part.off) + ", l)";
-      if (pos != 0) e += " << " + num(pos);
+      if (pi != 0) e += ", ";
+      e += "at(" + src(part.off, part.cls) + ", " + num(pos) + ")";
       pos += part.width;
     }
-    return e + "; })";
+    return e + ")";
   }
 
-  /// One-word memory read: the v_mread driver (a gather on AVX-512).
-  std::string memread_expr(const Instr& ins) const {
-    return "v_mread<" + num(p.lanes) + ", " + num(p.mems[ins.param].depth) +
-           ", " + num(ins.aw) + ">(" + dst(ins) + ", M[" + num(ins.param) +
-           "], A + " + num(ins.a) + ")";
-  }
-
-  /// Generated `osss_tape_step`: the clock edge with offsets, word counts
-  /// and dirty marks baked in, the same sample and commits that
+  /// Generated `osss_tape_step`: the clock edge with offsets, classes, lane
+  /// counts and dirty marks baked in, the same sample and commits that
   /// NativeEngine::commit() runs without generated code.  Only the inputs
   /// the sampling rule flags (Program::Reg, Program::WritePort) are copied
   /// into the engine-owned scratch S first, so a cached object stays
   /// stateless; the commits read every other input in place.  Each copy
-  /// and each commit is one call of a step-prelude helper: v_cpy, v_stn
-  /// for a register without enable, v_merge with one, v_mwrite per write
-  /// port.
+  /// and each commit is one call of a tape step helper: v_cpyb, v_stn for
+  /// a register without enable, v_merge with one, v_mwrite per write port.
   void emit_step() {
     const std::uint64_t L = p.lanes;
     os << "extern \"C\" unsigned osss_tape_step(u64* A, u64* const* M, "
           "unsigned char* D, u64* S) {\n";
-    os << "  (void)A; (void)M; (void)D; (void)S;\n";
+    os << "  u8* const B = (u8*)A;\n";
+    os << "  u8* const T = (u8*)S;\n";
+    os << "  (void)B; (void)T; (void)M; (void)D;\n";
     os << "  unsigned chg = 0; (void)chg;\n";
     // Pre-edge sample: what a commit below could overwrite.
     const auto sample = [&](std::uint32_t off, std::uint32_t at,
-                            std::uint64_t words) {
+                            std::uint64_t words, unsigned cls) {
       if (at != kNoSlot)
-        os << "  v_cpy<" << words * L << ">(S + " << at << ", A + " << off
-           << ");\n";
+        os << "  v_cpyb<" << (words << cls) * L << ">(T + " << at << ", B + "
+           << off << ");\n";
     };
     for (const Program::Reg& reg : p.regs) {
-      sample(reg.d, reg.d_at, reg.words);
-      sample(reg.en, reg.en_at, 1);
+      sample(reg.d, reg.d_at, reg.words, reg.dc);
+      sample(reg.en, reg.en_at, 1, reg.ec);
     }
     for (const Program::Mem& pm : p.mems)
       for (const Program::WritePort& w : pm.writes) {
-        sample(w.addr, w.addr_at, w.addr_words);
-        sample(w.data, w.data_at, pm.words);
-        sample(w.en, w.en_at, 1);
+        sample(w.addr, w.addr_at, w.addr_words, w.ac);
+        sample(w.data, w.data_at, pm.words, w.dc);
+        sample(w.en, w.en_at, 1, w.ec);
       }
     // Where the commits read an input: its sample, else the arena.
-    const auto src = [](std::uint32_t off, std::uint32_t at) {
-      return at == kNoSlot ? "A + " + num(off) : "S + " + num(at);
+    const auto in = [](std::uint32_t off, std::uint32_t at) {
+      return at == kNoSlot ? "B + " + num(off) : "T + " + num(at);
     };
     // One commit: a change-returning helper call that dirty-marks row
     // `row` of a fanout table and flags the step's change.
@@ -283,11 +300,15 @@ struct Emitter {
     // Commit registers.
     for (std::size_t r = 0; r < p.regs.size(); ++r) {
       const Program::Reg& reg = p.regs[r];
-      const std::string q = "A + " + num(reg.q), d = src(reg.d, reg.d_at);
+      const std::string q = "B + " + num(reg.q), d = in(reg.d, reg.d_at);
+      const std::string qd =
+          std::string(cls_name(reg.qc)) + ", " + cls_name(reg.dc);
       commit(reg.en == kNoSlot
-                 ? "v_stn<" + num(reg.words * L) + ">(" + q + ", " + d + ")"
-                 : "v_merge<" + num(L) + ", " + num(reg.words) + ">(" + q +
-                       ", " + d + ", " + src(reg.en, reg.en_at) + ")",
+                 ? "v_stn<" + num(reg.words * L) + ", " + qd + ">(" + q +
+                       ", " + d + ")"
+                 : "v_merge<" + num(L) + ", " + num(reg.words) + ", " + qd +
+                       ", " + cls_name(reg.ec) + ">(" + q + ", " + d + ", " +
+                       in(reg.en, reg.en_at) + ")",
              p.reg_fl_off, p.reg_fl, r);
     }
     // Commit memory writes (port order = declaration order; later win).
@@ -295,10 +316,11 @@ struct Emitter {
       const Program::Mem& pm = p.mems[mi];
       for (const Program::WritePort& w : pm.writes)
         commit("v_mwrite<" + num(L) + ", " + num(pm.depth) + ", " +
-                   num(pm.words) + ", " + num(w.addr_words) + ">(M[" +
-                   num(mi) + "], " + src(w.en, w.en_at) + ", " +
-                   src(w.addr, w.addr_at) + ", " + src(w.data, w.data_at) +
-                   ")",
+                   num(pm.words) + ", " + num(w.addr_words) + ", " +
+                   cls_name(w.ec) + ", " + cls_name(w.ac) + ", " +
+                   cls_name(w.dc) + ">(M[" + num(mi) + "], " +
+                   in(w.en, w.en_at) + ", " + in(w.addr, w.addr_at) + ", " +
+                   in(w.data, w.data_at) + ")",
                p.mem_fl_off, p.mem_fl, mi);
     }
     os << "  return chg;\n";
@@ -312,13 +334,19 @@ struct Emitter {
     return out;
   }
 
-  /// What every part starts with: the preludes and the lane count.
-  std::string header() const {
+  /// What a part starts with: the preludes its code calls and the lane
+  /// count.  `step` selects the step helper set (part 0), else the
+  /// drivers in `drivers` (a level chunk).
+  std::string header(bool step, unsigned drivers) const {
     std::ostringstream h;
     h << jit::prelude_header();
     h << "constexpr int L = " << p.lanes << ";\n";
-    h << jit::vector_prelude();
-    h << jit::step_prelude();
+    h << jit::tape_base_prelude();
+    if (step) h << jit::tape_step_prelude();
+    for (unsigned d = 0; d < static_cast<unsigned>(jit::TapeDriver::kCount);
+         ++d)
+      if ((drivers >> d) & 1u)
+        h << jit::tape_driver_prelude(static_cast<jit::TapeDriver>(d));
     h << "}  // namespace\n\n";
     return h.str();
   }
@@ -336,7 +364,8 @@ struct Emitter {
   }
 
   /// Level chunks `tape_levels_<k>`, one part each: consecutive levels cut
-  /// by jit::cut_parts.  Returns the chunk count.
+  /// by jit::cut_parts, each with the drivers it calls.  Returns the chunk
+  /// count.
   std::size_t emit_level_chunks(jit::Parts& parts) {
     std::size_t chunks = 0;
     jit::cut_parts(
@@ -346,11 +375,12 @@ struct Emitter {
           return take();
         },
         [&](const std::string& code, std::size_t) {
-          os << header() << jit::hidden_function() << "void tape_levels_"
-             << chunks++ << kChunkParams << " {\n";
-          os << "  (void)A; (void)M; (void)X; (void)C;\n";
+          os << header(false, used) << jit::hidden_function()
+             << "void tape_levels_" << chunks++ << kChunkParams << " {\n";
+          os << "  (void)B; (void)M; (void)X; (void)C;\n";
           os << code << "}\n";
           parts.push_back(take());
+          used = 0;
         });
     return chunks;
   }
@@ -362,22 +392,25 @@ struct Emitter {
     const std::size_t chunks = emit_level_chunks(parts);
     emit_step();
     const std::string step = take();
-    os << header();
-    os << "extern \"C\" unsigned osss_tape_abi() { return 3u; }\n";
+    os << header(true, 0);
+    os << "extern \"C\" unsigned osss_tape_abi() { return " << kTapeAbi
+       << "u; }\n";
     os << "extern \"C\" unsigned osss_tape_lanes() { return "
        << p.lanes << "u; }\n";
     os << "extern \"C\" unsigned long long osss_tape_arena() { return "
-       << p.arena_size << "ull; }\n";
+       << p.arena_bytes << "ull; }\n";
     os << "extern \"C\" unsigned long long osss_tape_scratch() { return "
-       << p.sample_words << "ull; }\n\n";
+       << (p.sample_bytes + 7) / 8 << "ull; }\n\n";
     for (std::size_t k = 0; k < chunks; ++k)
       os << jit::hidden_function() << "void tape_levels_" << k
          << kChunkParams << ";\n";
     os << "\n" << step << "\n";
-    os << "extern \"C\" void osss_tape_eval" << kChunkParams << " {\n";
+    os << "extern \"C\" void osss_tape_eval(u64* A, u64* const* M, "
+          "unsigned char* D, bool (*X)(void*, unsigned) noexcept, void* C) "
+          "{\n";
     os << "  (void)A; (void)M; (void)D; (void)X; (void)C;\n";
     for (std::size_t k = 0; k < chunks; ++k)
-      os << "  tape_levels_" << k << "(A, M, D, X, C);\n";
+      os << "  tape_levels_" << k << "((u8*)A, M, D, X, C);\n";
     os << "}\n";
     parts[0] = take();
     return parts;

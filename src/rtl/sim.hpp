@@ -145,6 +145,7 @@ public:
     std::uint64_t levels_evaluated = 0;
     std::uint64_t levels_skipped = 0;
     std::uint32_t tape_len = 0;
+    /// The byte arena of width-classed slots in 8-byte words, rounded up.
     std::uint32_t arena_words = 0;
     std::uint32_t levels = 0;
     std::uint32_t const_folded = 0;

@@ -235,32 +235,45 @@ Program Program::compile(const Module& m, unsigned lanes) {
   const std::uint32_t num_levels = static_cast<std::uint32_t>(max_lvl + 1);
 
   // ---- pass 6: arena allocation -----------------------------------------
-  // Lane-major slots: lane l of a node lives at offset + l*words.  All
-  // inputs and register outputs get slots (they are driven externally /
-  // sequentially); instructions get slots when live; constants are pooled
-  // and deduplicated on demand.
+  // Lanes of a slot are contiguous: lane l of a node lives at byte offset
+  // off + l * (words << class).  A slot's class is that of the widest value
+  // it holds: an alias group shares its representative's slot in the class
+  // of its widest member (sound, since bits above a node's width are
+  // zero), and a constant-pool slot takes its value's class.  Each
+  // slot is aligned to its class.  All inputs and register outputs get
+  // slots (they are driven externally / sequentially); instructions get
+  // slots when live; constants are pooled and deduplicated on demand.
   p.node_slot.assign(n, kNoSlot);
+  p.node_cls.assign(n, 0);
   p.node_width.assign(n, 0);
-  for (NodeId id = 0; id < n; ++id)
+  std::vector<unsigned> group_width(n, 0);
+  for (NodeId id = 0; id < n; ++id) {
     p.node_width[id] = static_cast<std::uint16_t>(m.node(id).width);
+    const NodeId r = rep(id);
+    group_width[r] = std::max(group_width[r], m.node(id).width);
+  }
   std::size_t arena = 0;
-  auto alloc = [&](unsigned words) {
+  auto alloc = [&](unsigned width, std::uint8_t cls) {
+    const std::size_t align = std::size_t{1} << cls;
+    arena = (arena + align - 1) & ~(align - 1);
     const std::uint32_t off = static_cast<std::uint32_t>(arena);
-    arena += std::size_t{words} * lanes;
+    arena += (std::size_t{words_of(width)} << cls) * lanes;
     return off;
   };
-  for (const auto& in : m.inputs())
-    p.node_slot[in.node] = alloc(words_of(m.node(in.node).width));
-  for (const Register& r : m.registers())
-    p.node_slot[r.q] = alloc(words_of(m.node(r.q).width));
+  auto alloc_node = [&](NodeId id) {
+    p.node_cls[id] = class_of(group_width[id]);
+    p.node_slot[id] = alloc(m.node(id).width, p.node_cls[id]);
+  };
+  for (const auto& in : m.inputs()) alloc_node(in.node);
+  for (const Register& r : m.registers()) alloc_node(r.q);
   for (const NodeId id : order)
-    if (is_instr(id)) p.node_slot[id] = alloc(words_of(m.node(id).width));
+    if (is_instr(id)) alloc_node(id);
 
   std::unordered_map<Bits, std::uint32_t, sysc::BitsHash> pool;
   auto const_slot = [&](const Bits& v) {
     const auto it = pool.find(v);
     if (it != pool.end()) return it->second;
-    const std::uint32_t off = alloc(words_of(v.width()));
+    const std::uint32_t off = alloc(v.width(), class_of(v.width()));
     pool.emplace(v, off);
     p.const_init.emplace_back(off, v);
     return off;
@@ -271,10 +284,14 @@ Program Program::compile(const Module& m, unsigned lanes) {
     return p.node_slot[r];
   };
   // Width of the value an operand slot actually holds (constant pool slots
-  // carry the folded value's width).
+  // carry the folded value's width), and the slot's class.
   auto src_width = [&](NodeId raw) {
     const NodeId r = rep(raw);
     return fv[r].empty() ? m.node(r).width : fv[r].width();
+  };
+  auto cls_of = [&](NodeId raw) {
+    const NodeId r = rep(raw);
+    return fv[r].empty() ? p.node_cls[r] : class_of(fv[r].width());
   };
 
   // ---- pass 7: emission, grouped by level -------------------------------
@@ -285,6 +302,7 @@ Program Program::compile(const Module& m, unsigned lanes) {
     ins.dw = static_cast<std::uint8_t>(words_of(nd.width));
     ins.mask = top_mask(nd.width);
     ins.dst = p.node_slot[id];
+    ins.dc = p.node_cls[id];
     const bool one = ins.dw == 1;
     switch (nd.op) {
       case Op::kAdd:
@@ -402,6 +420,7 @@ Program Program::compile(const Module& m, unsigned lanes) {
           part.width = static_cast<std::uint16_t>(m.node(*it).width);
           part.words =
               static_cast<std::uint16_t>(words_of(m.node(*it).width));
+          part.cls = cls_of(*it);
           p.parts.push_back(part);
         }
         break;
@@ -414,6 +433,15 @@ Program Program::compile(const Module& m, unsigned lanes) {
         break;
       default:
         throw std::logic_error("tape: unexpected op in emission");
+    }
+    // Operand classes: each operand's slot, wherever the switch above read
+    // one (kSlice reads its composed source, kMemRead its address).
+    if (nd.op == Op::kSlice) {
+      ins.ac = cls_of(sliced[id].first);
+    } else if (nd.op != Op::kConcat) {
+      std::uint8_t* const cls[] = {&ins.ac, &ins.bc, &ins.cc};
+      for (std::size_t i = 0; i < nd.ins.size() && i < 3; ++i)
+        *cls[i] = cls_of(nd.ins[i]);
     }
     return ins;
   };
@@ -466,6 +494,7 @@ Program Program::compile(const Module& m, unsigned lanes) {
     port.off = p.node_slot[in.node];
     port.width = static_cast<std::uint16_t>(m.node(in.node).width);
     port.words = static_cast<std::uint16_t>(words_of(port.width));
+    port.cls = p.node_cls[in.node];
     p.inputs.push_back(port);
   }
   for (const auto& out : m.outputs()) {
@@ -473,13 +502,19 @@ Program Program::compile(const Module& m, unsigned lanes) {
     port.off = slot_of(out.node);
     port.width = static_cast<std::uint16_t>(m.node(out.node).width);
     port.words = static_cast<std::uint16_t>(words_of(port.width));
+    port.cls = cls_of(out.node);
     p.outputs.push_back(port);
   }
   for (const Register& r : m.registers()) {
     Reg reg;
     reg.q = p.node_slot[r.q];
     reg.d = slot_of(r.d);
-    if (r.enable != kInvalidNode) reg.en = slot_of(r.enable);
+    reg.qc = p.node_cls[r.q];
+    reg.dc = cls_of(r.d);
+    if (r.enable != kInvalidNode) {
+      reg.en = slot_of(r.enable);
+      reg.ec = cls_of(r.enable);
+    }
     reg.width = static_cast<std::uint16_t>(m.node(r.q).width);
     reg.words = static_cast<std::uint16_t>(words_of(reg.width));
     reg.init = r.init;
@@ -497,34 +532,42 @@ Program Program::compile(const Module& m, unsigned lanes) {
       wp.en = slot_of(w.enable);
       wp.addr_words =
           static_cast<std::uint16_t>(words_of(src_width(w.addr)));
+      wp.ac = cls_of(w.addr);
+      wp.dc = cls_of(w.data);
+      wp.ec = cls_of(w.enable);
       pm.writes.push_back(wp);
     }
     p.mems.push_back(std::move(pm));
   }
 
   // ---- pass 10: the sampling rule (see Program) -------------------------
-  const auto overwritten = [&](std::uint32_t off, std::size_t words) {
+  // Over byte ranges: a slot of class c and w words spans lanes * (w << c)
+  // bytes.
+  const auto span = [&](std::size_t words, std::uint8_t cls) {
+    return (words << cls) * lanes;
+  };
+  const auto overwritten = [&](std::uint32_t off, std::size_t bytes) {
     for (const Reg& r : p.regs)
-      if (off < r.q + std::size_t{r.words} * lanes && r.q < off + words)
-        return true;
+      if (off < r.q + span(r.words, r.qc) && r.q < off + bytes) return true;
     return false;
   };
-  const auto sample = [&](std::uint32_t off, std::size_t words_per_lane) {
-    const std::size_t words = words_per_lane * lanes;
-    if (off == kNoSlot || !overwritten(off, words)) return kNoSlot;
-    const auto at = static_cast<std::uint32_t>(p.sample_words);
-    p.sample_words += words;
+  const auto sample = [&](std::uint32_t off, std::size_t words,
+                          std::uint8_t cls) {
+    const std::size_t bytes = span(words, cls);
+    if (off == kNoSlot || !overwritten(off, bytes)) return kNoSlot;
+    const auto at = static_cast<std::uint32_t>(p.sample_bytes);
+    p.sample_bytes += bytes;
     return at;
   };
   for (Reg& r : p.regs) {
-    r.d_at = sample(r.d, r.words);
-    r.en_at = sample(r.en, 1);
+    r.d_at = sample(r.d, r.words, r.dc);
+    r.en_at = sample(r.en, 1, r.ec);
   }
   for (Mem& pm : p.mems)
     for (WritePort& w : pm.writes) {
-      w.addr_at = sample(w.addr, w.addr_words);
-      w.data_at = sample(w.data, pm.words);
-      w.en_at = sample(w.en, 1);
+      w.addr_at = sample(w.addr, w.addr_words, w.ac);
+      w.data_at = sample(w.data, pm.words, w.dc);
+      w.en_at = sample(w.en, 1, w.ec);
     }
 
   // Aliases read their representative's slot; folded nodes read their
@@ -532,15 +575,19 @@ Program Program::compile(const Module& m, unsigned lanes) {
   for (NodeId id = 0; id < n; ++id) {
     if (alias[id] != kInvalidNode) {
       p.node_slot[id] = p.node_slot[rep(id)];
+      p.node_cls[id] = p.node_cls[rep(id)];
     } else if (!fv[id].empty() && p.node_slot[id] == kNoSlot) {
       const auto it = pool.find(fv[id]);
-      if (it != pool.end()) p.node_slot[id] = it->second;
+      if (it != pool.end()) {
+        p.node_slot[id] = it->second;
+        p.node_cls[id] = class_of(fv[id].width());
+      }
     }
   }
 
-  p.arena_size = arena;
+  p.arena_bytes = arena;
   p.stats.tape_len = static_cast<std::uint32_t>(p.instrs.size());
-  p.stats.arena_words = static_cast<std::uint32_t>(arena);
+  p.stats.arena_words = static_cast<std::uint32_t>((arena + 7) / 8);
   p.stats.levels = num_levels;
   return p;
 }

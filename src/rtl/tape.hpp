@@ -1,14 +1,16 @@
 // tape.hpp — RTL-IR compiled to a flat word-level instruction tape.
 //
 // Program::compile lowers an rtl::Module into a linear instruction stream
-// over one preallocated contiguous uint64_t word arena — the Hardcaml-style
+// over one preallocated contiguous byte arena — the Hardcaml-style
 // "compiled cycle function" that makes a word-level reference simulator
 // competitive with compiled-code simulation:
 //
-//   * every live node owns a fixed arena slot: 1 word for width <= 64,
-//     ceil(width/64) words above;
-//   * operands are pre-resolved arena offsets — no NodeId indirection, no
-//     Bits construction, zero per-cycle allocation;
+//   * every live node owns a fixed arena slot in a width class (Verilator's
+//     CData/SData/IData/QData split, per lane): each lane of a value up to
+//     64 bits takes the narrowest of u8 (1-8 bits), u16 (9-16), u32 (17-32)
+//     and u64 (33-64) that holds it, a wider value ceil(width/64) u64 words;
+//   * operands are pre-resolved byte offsets with their classes — no NodeId
+//     indirection, no Bits construction, zero per-cycle allocation;
 //   * single-word fast-path opcodes (the overwhelmingly common case) sit
 //     beside generic multi-word forms.
 //
@@ -18,8 +20,9 @@
 // composition, and dead-node pruning before emission.  Instructions are
 // grouped by combinational level, and per-producer fanout-level lists let
 // an executor skip a level none of whose inputs changed since the last
-// sweep.  L-lane programs stripe the arena per lane (lane l of a node lives
-// at offset + l*words), so one sweep drives L stimulus lanes.
+// sweep.  L-lane programs keep the lanes of a slot contiguous (lane l of a
+// node lives at byte offset + l * lane_bytes), so one sweep drives L
+// stimulus lanes.
 //
 // This header is the compiler only.  One engine executes a Program
 // (tape::NativeEngine, rtl/codegen.hpp) with two evaluators: generated code
@@ -38,6 +41,11 @@ namespace osss::rtl::tape {
 
 /// "No arena slot": pruned/folded-away nodes and absent register enables.
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+/// Tail padding past the last slot (and past the last sample of the step
+/// scratch): a lane read as an unaligned 8-byte load masked to its class
+/// never leaves the buffer.
+constexpr std::size_t kArenaPad = 8;
 
 /// Widest lane count Program::compile accepts.  SimMode::kTape stays
 /// capped at 64 lanes; SimMode::kNative runs up to this many, with the
@@ -65,17 +73,28 @@ enum class TOp : std::uint8_t {
 };
 
 /// True for the 24 `*1` opcodes, whose result and data operands fit one
-/// word per lane.  Their operands stride one word per lane, except a
-/// variable shift's amount (aw words).
+/// word per lane.  Their operands stride one class element per lane,
+/// except a variable shift's amount when it spans aw > 1 words.
 constexpr bool single_word(TOp op) { return op < TOp::kCopyN; }
 
+/// Width class of a slot holding `width`-bit values: log2 of its bytes per
+/// lane word, 0 (u8) for 1-8 bits, 1 (u16) for 9-16, 2 (u32) for 17-32 and
+/// 3 (u64) above, where a value wider than 64 bits takes ceil(width/64)
+/// u64 words.  A slot of class c and w words strides w << c bytes a lane.
+constexpr std::uint8_t class_of(unsigned width) {
+  return width <= 8 ? 0 : width <= 16 ? 1 : width <= 32 ? 2 : 3;
+}
+
 /// One tape instruction.  Field meaning varies slightly by opcode:
-///   dst       destination arena offset (lane stride = dw words)
-///   a, b, c   operand arena offsets
-///   dw        destination word count (also the data-operand lane stride)
-///   aw        operand-a word count / lane stride; for kShlV*/kLshrV* it is
-///             the word count of the *amount* operand (b); for kMux* the
-///             1-bit select (a) always strides 1
+///   dst       destination arena byte offset (lane stride dw << dc bytes)
+///   a, b, c   operand arena byte offsets
+///   dw        destination word count (also the data-operand word count)
+///   aw        operand-a word count; for kShlV*/kLshrV* it is the word
+///             count of the *amount* operand (b); for kMux* the 1-bit
+///             select (a) always has one
+///   dc .. cc  width classes of the dst, a, b and c slots (see class_of;
+///             an operand's class is its slot's, which an alias group or
+///             the constant pool can make differ from the instruction's)
 ///   width     destination bit width
 ///   a_width   operand bit width where semantics need it (compares, sext,
 ///             slice source, reductions)
@@ -85,6 +104,10 @@ struct Instr {
   TOp op = TOp::kAdd1;
   std::uint8_t dw = 1;
   std::uint8_t aw = 1;
+  std::uint8_t dc = 0;
+  std::uint8_t ac = 0;
+  std::uint8_t bc = 0;
+  std::uint8_t cc = 0;
   std::uint16_t width = 0;
   std::uint16_t a_width = 0;
   std::uint32_t dst = 0;
@@ -97,15 +120,17 @@ struct Instr {
 
 /// One concatenation operand (LSB-first in the parts pool).
 struct ConcatPart {
-  std::uint32_t off = 0;     ///< arena offset (lane stride = words)
+  std::uint32_t off = 0;     ///< arena byte offset
   std::uint16_t width = 0;
   std::uint16_t words = 1;
+  std::uint8_t cls = 0;      ///< width class of the slot
 };
 
 /// Compile-time statistics, exported through Simulator::Stats.
 struct CompileStats {
   std::uint32_t tape_len = 0;     ///< instructions emitted
-  std::uint32_t arena_words = 0;  ///< total arena size (all lanes)
+  /// Arena size (all lanes) in 8-byte words: the byte arena, rounded up.
+  std::uint32_t arena_words = 0;
   std::uint32_t levels = 0;       ///< combinational levels
   std::uint32_t const_folded = 0; ///< non-kConst nodes folded to constants
   std::uint32_t pruned = 0;       ///< dead combinational nodes dropped
@@ -172,6 +197,7 @@ struct Program {
     std::uint32_t off = kNoSlot;
     std::uint16_t width = 0;
     std::uint16_t words = 1;
+    std::uint8_t cls = 0;  ///< width class of the slot
   };
   std::vector<Port> inputs;   ///< module input-port order
   std::vector<Port> outputs;  ///< module output-port order
@@ -179,10 +205,12 @@ struct Program {
   // The sampling rule.  A clock edge rewrites only register q slots (memory
   // writes never touch the arena), so a commit input (a register's next
   // value and enable, a write port's address, data and enable) needs a
-  // pre-edge copy only when its arena range overlaps some register's q
-  // range.  compile() gives each such input a range of the step scratch
-  // (its `*_at` offset, same lane striding as in the arena); every other
-  // input has kNoSlot there and is read in place by the commit.
+  // pre-edge copy only when its arena byte range overlaps some register's
+  // q range.  compile() gives each such input a byte range of the step
+  // scratch (its `*_at` offset, same class and lane striding as in the
+  // arena); every other input has kNoSlot there and is read in place by
+  // the commit.  Through an alias group a commit input can sit in a wider
+  // class than the register's q, so the commits convert.
   struct Reg {
     std::uint32_t q = kNoSlot;   ///< arena slot of the kReg node
     std::uint32_t d = kNoSlot;   ///< arena slot of the next-value input
@@ -191,6 +219,7 @@ struct Program {
     std::uint32_t en_at = kNoSlot;  ///< pre-edge copy of en in the scratch
     std::uint16_t width = 0;
     std::uint16_t words = 1;
+    std::uint8_t qc = 0, dc = 0, ec = 0;  ///< classes of q, d and en
     Bits init;
   };
   std::vector<Reg> regs;
@@ -202,8 +231,10 @@ struct Program {
     std::uint32_t addr_at = kNoSlot;  ///< pre-edge copies in the scratch
     std::uint32_t data_at = kNoSlot;
     std::uint32_t en_at = kNoSlot;
-    std::uint16_t addr_words = 1;  ///< lane stride of the address operand
+    std::uint16_t addr_words = 1;  ///< word count of the address operand
+    std::uint8_t ac = 0, dc = 0, ec = 0;  ///< classes of addr, data and en
   };
+  /// Memories keep one u64 per lane per entry word, whatever their width.
   struct Mem {
     unsigned depth = 0;
     unsigned width = 0;
@@ -212,17 +243,22 @@ struct Program {
   };
   std::vector<Mem> mems;
 
-  /// Constant-pool image: (arena offset, value) pairs the engine broadcasts
-  /// into every lane once at construction.
+  /// Constant-pool image: (arena byte offset, value) pairs the engine
+  /// broadcasts into every lane once at construction; each slot takes its
+  /// value's class.
   std::vector<std::pair<std::uint32_t, Bits>> const_init;
 
-  std::size_t arena_size = 0;  ///< words, including lane striding
-  /// Step scratch words: the pre-edge copies of the sampling rule.
-  std::size_t sample_words = 0;
+  /// Arena bytes, including lane striding.  The engine allocates at least
+  /// kArenaPad bytes more, so that an unaligned 8-byte load at any lane of
+  /// any slot stays inside the arena.
+  std::size_t arena_bytes = 0;
+  /// Step scratch bytes: the pre-edge copies of the sampling rule.
+  std::size_t sample_bytes = 0;
 
-  /// Per-node arena slot (kNoSlot when pruned) and bit width, for
-  /// Simulator::get() and debugging.
+  /// Per-node arena slot (kNoSlot when pruned), its width class and the
+  /// node's bit width, for Simulator::get() and debugging.
   std::vector<std::uint32_t> node_slot;
+  std::vector<std::uint8_t> node_cls;
   std::vector<std::uint16_t> node_width;
 
   CompileStats stats;

@@ -1,13 +1,16 @@
 // tape_detail.hpp — word-span primitives shared by the tape compiler
 // (tape.cpp), the code emitter (codegen_emit.cpp) and the tape engine's
-// interpreted evaluators (codegen.cpp).  All functions mirror Bits semantics
-// exactly; the engine is differentially tested against the interpreter, so
-// any drift here is caught by tests/rtl/{tape,native}_test.cpp.
+// interpreted evaluators (codegen.cpp), and the class-aware lane access of
+// the byte arena.  All functions mirror Bits semantics exactly; the engine
+// is differentially tested against the interpreter, so any drift here is
+// caught by tests/rtl/{tape,native,native_class}_test.cpp.
 
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "sysc/bits.hpp"
 
@@ -35,10 +38,62 @@ inline std::uint64_t shift_amount(const std::uint64_t* amt, unsigned words) {
   return amt[0];
 }
 
-inline bool store1(std::uint64_t* d, std::uint64_t nv) {
-  const bool changed = *d != nv;
-  *d = nv;
-  return changed;
+// ---- width-class lane access (the byte arena, tape.hpp) --------------------
+// A lane word of class c holds 8 << c bits in 1 << c bytes; lane l of a slot
+// with `words` words a lane starts (l * words) << c bytes past its offset.
+
+static_assert(std::endian::native == std::endian::little,
+              "the masked lane loads read the low bytes of a word");
+
+/// The bits a lane word of class c holds.
+inline std::uint64_t class_mask(unsigned c) {
+  return ~0ull >> (64 - (8u << c));
+}
+
+/// Lane l's word w of the class-c slot at byte offset `off` of `base`: one
+/// unaligned 8-byte load masked to the class, so one branch-free body
+/// serves every class (buffers keep kArenaPad bytes past their last slot).
+inline std::uint64_t load_word(const unsigned char* base, std::uint32_t off,
+                               unsigned c, unsigned words, unsigned l,
+                               unsigned w = 0) {
+  std::uint64_t v;
+  std::memcpy(&v, base + off + ((std::size_t{l} * words) << c) + w * 8u, 8);
+  return v & class_mask(c);
+}
+
+template <class T>
+inline bool put_lane(unsigned char* p, std::uint64_t v) {
+  T old;
+  std::memcpy(&old, p, sizeof old);
+  const T nv = static_cast<T>(v);
+  std::memcpy(p, &nv, sizeof nv);
+  return old != nv;
+}
+
+/// Stores `v` as lane l's word w of the class-c slot at `off`; true when it
+/// changed.
+inline bool store_word(unsigned char* base, std::uint32_t off, unsigned c,
+                       unsigned words, unsigned l, std::uint64_t v,
+                       unsigned w = 0) {
+  unsigned char* const p =
+      base + off + ((std::size_t{l} * words) << c) + w * 8u;
+  switch (c) {
+    case 0: return put_lane<std::uint8_t>(p, v);
+    case 1: return put_lane<std::uint16_t>(p, v);
+    case 2: return put_lane<std::uint32_t>(p, v);
+    default: return put_lane<std::uint64_t>(p, v);
+  }
+}
+
+/// `f.template operator()<T>()` with T the lane word type of class c.
+template <class F>
+decltype(auto) with_class(unsigned c, F&& f) {
+  switch (c) {
+    case 0: return f.template operator()<std::uint8_t>();
+    case 1: return f.template operator()<std::uint16_t>();
+    case 2: return f.template operator()<std::uint32_t>();
+    default: return f.template operator()<std::uint64_t>();
+  }
 }
 
 inline bool storeN(std::uint64_t* d, const std::uint64_t* s, unsigned words) {

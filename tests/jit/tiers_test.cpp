@@ -1,9 +1,10 @@
 // tiers_test.cpp — the generated code at every lane-vector width.
 //
-// The JIT prelude picks its lane-vector width once per generated file
-// from __AVX512F__ / __AVX2__, and the cpu-probed default flags enable
-// the widest tier the host has, so on an AVX-512 host the other native
-// suites never compile the AVX2 or the one-word tier.  NativeTiers turns
+// The JIT prelude picks its lane-vector widths once per generated file
+// from __AVX512BW__ / __AVX512F__ / __AVX2__, and the cpu-probed default
+// flags enable the widest tier the host has, so on an AVX-512 host the
+// other native suites never compile the AVX-512F-without-BW, the AVX2 or
+// the one-word tier.  NativeTiers turns
 // the tiers off one at a time through CodegenOptions::extra_flags and
 // co-simulates every lane of the ExpoCU histogram and threshold (RTL and
 // gate level) and a random module against the oracles: the RTL
@@ -38,8 +39,9 @@
 namespace osss {
 namespace {
 
-/// The vector tiers: the host's widest, AVX2 at most, and one word.
-const char* const kTierFlags[] = {"", "-mno-avx512f",
+/// The vector tiers: the host's widest, AVX-512F without BW (the tape's
+/// byte and halfword vectors at 32 bytes), AVX2 at most, and one word.
+const char* const kTierFlags[] = {"", "-mno-avx512bw", "-mno-avx512f",
                                   "-mno-avx2 -mno-avx512f"};
 constexpr unsigned kCycles = 40;
 

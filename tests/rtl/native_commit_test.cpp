@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
@@ -153,51 +154,57 @@ const Design kDesigns[] = {
     {"registered_write_ports", registered_write_ports},
 };
 
-/// Program's rule restated over arena words: the words some register's q
+/// The arena bytes of a slot: `words` lane words of class `cls` per lane.
+std::size_t slot_bytes(const tp::Program& p, std::size_t words,
+                       std::uint8_t cls) {
+  return (words << cls) * p.lanes;
+}
+
+/// Program's rule restated over arena bytes: the bytes some register's q
 /// range covers.
-std::vector<char> q_words(const tp::Program& p) {
-  std::vector<char> q(p.arena_size, 0);
+std::vector<char> q_bytes(const tp::Program& p) {
+  std::vector<char> q(p.arena_bytes, 0);
   for (const tp::Program::Reg& r : p.regs)
-    for (std::size_t w = 0; w < std::size_t{r.words} * p.lanes; ++w)
-      q[r.q + w] = 1;
+    for (std::size_t b = 0; b < slot_bytes(p, r.words, r.qc); ++b)
+      q[r.q + b] = 1;
   return q;
 }
 
-/// Checks one commit input: sampled exactly when a q word lies in its
+/// Checks one commit input: sampled exactly when a q byte lies in its
 /// range, and then at a scratch range no other sample uses.
 void expect_sampled_iff_overwritten(const tp::Program& p,
                                     const std::vector<char>& q,
                                     std::vector<char>& used, std::uint32_t off,
                                     std::uint32_t at, std::size_t words,
-                                    const std::string& what) {
+                                    std::uint8_t cls, const std::string& what) {
   SCOPED_TRACE(what);
   if (off == tp::kNoSlot) {
     EXPECT_EQ(at, tp::kNoSlot);
     return;
   }
-  const std::size_t n = words * p.lanes;
+  const std::size_t n = slot_bytes(p, words, cls);
   bool overwritten = false;
-  for (std::size_t w = 0; w < n; ++w) overwritten |= q[off + w] != 0;
+  for (std::size_t b = 0; b < n; ++b) overwritten |= q[off + b] != 0;
   EXPECT_EQ(at != tp::kNoSlot, overwritten);
   if (at == tp::kNoSlot) return;
-  ASSERT_LE(at + n, p.sample_words);
-  for (std::size_t w = 0; w < n; ++w) {
-    EXPECT_EQ(used[at + w], 0) << "scratch word " << at + w << " reused";
-    used[at + w] = 1;
+  ASSERT_LE(at + n, p.sample_bytes);
+  for (std::size_t b = 0; b < n; ++b) {
+    EXPECT_EQ(used[at + b], 0) << "scratch byte " << at + b << " reused";
+    used[at + b] = 1;
   }
 }
 
-/// Every sampled input of `p`, checked against the word-level rule; the
+/// Every sampled input of `p`, checked against the byte-level rule; the
 /// scratch holds nothing else.
 void expect_rule_holds(const tp::Program& p) {
-  const std::vector<char> q = q_words(p);
-  std::vector<char> used(p.sample_words, 0);
+  const std::vector<char> q = q_bytes(p);
+  std::vector<char> used(p.sample_bytes, 0);
   for (std::size_t r = 0; r < p.regs.size(); ++r) {
     const tp::Program::Reg& reg = p.regs[r];
     const std::string at = "reg " + std::to_string(r);
     expect_sampled_iff_overwritten(p, q, used, reg.d, reg.d_at, reg.words,
-                                   at + " d");
-    expect_sampled_iff_overwritten(p, q, used, reg.en, reg.en_at, 1,
+                                   reg.dc, at + " d");
+    expect_sampled_iff_overwritten(p, q, used, reg.en, reg.en_at, 1, reg.ec,
                                    at + " en");
   }
   for (std::size_t mi = 0; mi < p.mems.size(); ++mi)
@@ -206,14 +213,14 @@ void expect_rule_holds(const tp::Program& p) {
       const std::string at =
           "mem " + std::to_string(mi) + " port " + std::to_string(k);
       expect_sampled_iff_overwritten(p, q, used, w.addr, w.addr_at,
-                                     w.addr_words, at + " addr");
+                                     w.addr_words, w.ac, at + " addr");
       expect_sampled_iff_overwritten(p, q, used, w.data, w.data_at,
-                                     p.mems[mi].words, at + " data");
-      expect_sampled_iff_overwritten(p, q, used, w.en, w.en_at, 1,
+                                     p.mems[mi].words, w.dc, at + " data");
+      expect_sampled_iff_overwritten(p, q, used, w.en, w.en_at, 1, w.ec,
                                      at + " en");
     }
-  for (std::size_t w = 0; w < used.size(); ++w)
-    EXPECT_EQ(used[w], 1) << "scratch word " << w << " holds no sample";
+  for (std::size_t b = 0; b < used.size(); ++b)
+    EXPECT_EQ(used[b], 1) << "scratch byte " << b << " holds no sample";
 }
 
 bool sampled(std::uint32_t at) { return at != tp::kNoSlot; }
@@ -236,7 +243,8 @@ TEST(NativeCommit, ProgramSamplesExactlyTheOverwrittenInputs) {
     EXPECT_TRUE(sampled(chain.regs[2].d_at));   // r3 <- r2
     EXPECT_FALSE(sampled(chain.regs[3].d_at));  // w1 <- wide
     EXPECT_TRUE(sampled(chain.regs[4].d_at));   // w2 <- w1
-    EXPECT_EQ(chain.sample_words, std::size_t{lanes} * (1 + 1 + 2));
+    // Two u8 lanes (r1, r2) and one two-word u64 lane (w1).
+    EXPECT_EQ(chain.sample_bytes, std::size_t{lanes} * (1 + 1 + 16));
 
     const tp::Program swap = tp::Program::compile(swap_pair(), lanes);
     for (const tp::Program::Reg& r : swap.regs) {
@@ -318,66 +326,302 @@ INSTANTIATE_TEST_SUITE_P(Lanes, NativeCommit, ::testing::Values(1u, 64u, 256u),
                            return "x" + std::to_string(i.param);
                          });
 
+// --- the memory helpers, each compiled alone --------------------------------
+// A module's addresses are never 64 bits wide, so the helpers are compiled
+// on their own at every vector tier and driven with addresses at and past
+// the depth, near 2^63 and at 2^64-1.  Each memory buffer holds DEPTH rows
+// followed by an all-ones guard row: a read past the depth must return 0
+// and a write must leave the guard row intact (the generated objects are
+// not sanitizer-instrumented, so an access one row past the end would
+// otherwise go unseen).
+
+/// The vector tiers: the host's widest, AVX-512F without BW (32-byte byte
+/// and halfword vectors), AVX2 at most, and the base tier.
+const char* const kTiers[] = {"", "-mno-avx512bw", "-mno-avx512f",
+                              "-mno-avx2 -mno-avx512f"};
+
+/// Compiles `body` (after the given preludes) at tier `flags` and returns
+/// symbol `sym`, keeping the object alive in `obj`.
+void* compile_alone(const std::string& src, const char* flags,
+                    const char* sym, std::shared_ptr<jit::Object>& obj) {
+  jit::CompileOptions opt;
+  opt.extra_flags = flags;
+  std::string log;
+  obj = jit::compile({src}, opt, "osss-memhelper", log);
+  EXPECT_NE(obj, nullptr) << log;
+  EXPECT_EQ(log, "");
+  return obj == nullptr ? nullptr : obj->sym(sym);
+}
+
+/// The source that defines `extern "C" <sig>` around `call` after the tape
+/// base prelude, `fragment` and the lane count.
+std::string tape_helper_source(unsigned lanes, const std::string& fragment,
+                               const std::string& sig,
+                               const std::string& call) {
+  return std::string(jit::prelude_header()) + "constexpr int L = " +
+         std::to_string(lanes) + ";\n" + jit::tape_base_prelude() + fragment +
+         "}  // namespace\nextern \"C\" " + sig + " {\n  return " + call +
+         ";\n}\n";
+}
+
+/// A random address of `bits` bits (a class's width): in depth, an edge
+/// around it, or anything the class holds.
+std::uint64_t pick_address(std::mt19937_64& rng, unsigned bits,
+                           std::uint64_t depth) {
+  const std::uint64_t top = bits == 64 ? ~0ull : (1ull << bits) - 1;
+  const std::uint64_t edges[] = {depth - 1, depth,       depth + 1,
+                                 top,       1ull << 63,  ~0ull};
+  switch (rng() % 3) {
+    case 0: return edges[rng() % std::size(edges)] & top;
+    case 1: return rng() % (depth + 2);
+    default: return rng() & top;
+  }
+}
+
+/// Lane l's value of a one-word class slot of `bytes` bytes a lane.
+void put_lane(std::vector<std::uint8_t>& buf, unsigned bytes, unsigned l,
+              std::uint64_t v) {
+  std::memcpy(buf.data() + std::size_t{l} * bytes, &v, bytes);
+}
+std::uint64_t get_lane(const std::vector<std::uint8_t>& buf, unsigned bytes,
+                       unsigned l) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, buf.data() + std::size_t{l} * bytes, bytes);
+  return v;
+}
+
+struct AddrClass {
+  const char* name;  ///< the class in the generated source
+  unsigned bytes;
+};
+const AddrClass kAddrClasses[] = {{"u8", 1}, {"u16", 2}, {"u64", 8}};
+
 /// The one-word memory read driver at every vector tier (the AVX-512 one
 /// gathers eight lanes per instruction) against a lane loop, over 256
-/// lanes of a 5-row memory.  Addresses come in depth, just past it and
-/// near 2^63 and 2^64, where a signed in-depth compare would let the
-/// gather read far outside the memory.  A module's addresses are never
-/// that wide, so the driver is compiled on its own.
+/// lanes of a 5-row memory, with byte, halfword and u64 addresses and u16
+/// and u64 results.  Addresses at and past the depth read 0, never the
+/// guard row; addresses near 2^63 and 2^64, where a signed in-depth
+/// compare would let the gather read far outside the memory, read 0 too.
 TEST(NativeMemRead, GatherMatchesTheLaneLoopAtEveryTier) {
   if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT";
   constexpr unsigned kLanes = 256, kDepth = 5;
-  const std::string src =
-      std::string(jit::prelude_header()) + "constexpr int L = " +
-      std::to_string(kLanes) + ";\n" + jit::vector_prelude() +
-      jit::step_prelude() +
-      "}  // namespace\n"
-      "extern \"C\" u64 osss_mread(u64* d, const u64* m, const u64* a) {\n"
-      "  return v_mread<" +
-      std::to_string(kLanes) + ", " + std::to_string(kDepth) +
-      ", 1>(d, m, a);\n}\n";
   std::mt19937_64 rng(verify::StimGen::derive(verify::env_seed(7301),
                                               "native/mread"));
-  const std::uint64_t edges[] = {0,          4,         5,
-                                 6,          ~0ull,     ~0ull - 3,
-                                 1ull << 63, (1ull << 63) - 1};
-  for (const char* flags : {"", "-mno-avx512f", "-mno-avx2 -mno-avx512f"}) {
-    SCOPED_TRACE(std::string("flags '") + flags + "'");
-    jit::CompileOptions opt;
-    opt.extra_flags = flags;
-    std::string log;
-    const std::shared_ptr<jit::Object> obj =
-        jit::compile({src}, opt, "osss-mread", log);
-    ASSERT_NE(obj, nullptr) << log;
-    const auto mread =
-        reinterpret_cast<std::uint64_t (*)(std::uint64_t*,
-                                           const std::uint64_t*,
-                                           const std::uint64_t*)>(
-            obj->sym("osss_mread"));
-    ASSERT_NE(mread, nullptr);
-    std::vector<std::uint64_t> mem(kDepth * kLanes), addr(kLanes),
-        out(kLanes, 0), want(kLanes, 0);
-    for (std::uint64_t& w : mem) w = rng();
-    for (int trial = 0; trial < 1000; ++trial) {
-      for (std::uint64_t& a : addr) {
-        const std::uint64_t pick = rng() % 3;
-        a = pick == 0 ? edges[rng() % std::size(edges)]
-            : pick == 1 ? rng() % 8
-                        : rng();
+  for (const char* flags : kTiers)
+    for (const AddrClass& ac : kAddrClasses)
+      for (const AddrClass dc : {AddrClass{"u16", 2}, AddrClass{"u64", 8}}) {
+        SCOPED_TRACE(std::string("flags '") + flags + "', address " +
+                     ac.name + ", result " + dc.name);
+        const std::string src = tape_helper_source(
+            kLanes,
+            jit::tape_driver_prelude(jit::TapeDriver::kMread),
+            "bool osss_mread(u8* d, const u64* m, const u8* a)",
+            "v_mread<" + std::to_string(kLanes) + ", " +
+                std::to_string(kDepth) + ", " + dc.name + ", " + ac.name +
+                ", 1>(d, m, a)");
+        std::shared_ptr<jit::Object> obj;
+        const auto mread = reinterpret_cast<bool (*)(
+            std::uint8_t*, const std::uint64_t*, const std::uint8_t*)>(
+            compile_alone(src, flags, "osss_mread", obj));
+        ASSERT_NE(mread, nullptr);
+        const std::uint64_t dmask = dc.bytes == 8 ? ~0ull : 0xffffull;
+        std::vector<std::uint64_t> mem((kDepth + 1) * kLanes);
+        for (std::uint64_t& w : mem) w = rng() & dmask;
+        for (unsigned l = 0; l < kLanes; ++l) mem[kDepth * kLanes + l] = ~0ull;
+        std::vector<std::uint8_t> addr(kLanes * ac.bytes),
+            out(kLanes * dc.bytes + 8, 0);
+        std::vector<std::uint64_t> want(kLanes, 0);
+        for (int trial = 0; trial < 300; ++trial) {
+          for (unsigned l = 0; l < kLanes; ++l)
+            put_lane(addr, ac.bytes, l,
+                     pick_address(rng, 8 * ac.bytes, kDepth));
+          bool changed = false;
+          for (unsigned l = 0; l < kLanes; ++l) {
+            const std::uint64_t a = get_lane(addr, ac.bytes, l);
+            const std::uint64_t v = a < kDepth ? mem[a * kLanes + l] : 0;
+            changed |= v != want[l];
+            want[l] = v;
+          }
+          ASSERT_EQ(mread(out.data(), mem.data(), addr.data()), changed)
+              << "trial " << trial;
+          for (unsigned l = 0; l < kLanes; ++l)
+            ASSERT_EQ(get_lane(out, dc.bytes, l), want[l])
+                << "trial " << trial << " lane " << l << " address "
+                << get_lane(addr, ac.bytes, l);
+        }
       }
-      std::uint64_t changed = 0;
-      for (unsigned l = 0; l < kLanes; ++l) {
-        const std::uint64_t v =
-            addr[l] < kDepth ? mem[addr[l] * kLanes + l] : 0;
-        changed |= v ^ want[l];
-        want[l] = v;
+}
+
+/// The write port at every tier against a lane loop: 256 lanes of a 5-row
+/// memory of one u64 word, byte, halfword and u64 addresses, u16 data
+/// widened to the row and random enables.  No write reaches the guard row.
+TEST(NativeMemRead, WritePortStopsAtTheDepthAtEveryTier) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT";
+  constexpr unsigned kLanes = 256, kDepth = 5;
+  std::mt19937_64 rng(verify::StimGen::derive(verify::env_seed(7301),
+                                              "native/mwrite"));
+  for (const char* flags : kTiers)
+    for (const AddrClass& ac : kAddrClasses) {
+      SCOPED_TRACE(std::string("flags '") + flags + "', address " + ac.name);
+      const std::string src = tape_helper_source(
+          kLanes, jit::tape_step_prelude(),
+          "u64 osss_mwrite(u64* m, const u8* en, const u8* a, const u8* v)",
+          "v_mwrite<" + std::to_string(kLanes) + ", " +
+              std::to_string(kDepth) + ", 1, 1, u8, " + ac.name +
+              ", u16>(m, en, a, v)");
+      std::shared_ptr<jit::Object> obj;
+      const auto mwrite = reinterpret_cast<std::uint64_t (*)(
+          std::uint64_t*, const std::uint8_t*, const std::uint8_t*,
+          const std::uint8_t*)>(compile_alone(src, flags, "osss_mwrite", obj));
+      ASSERT_NE(mwrite, nullptr);
+      std::vector<std::uint64_t> mem((kDepth + 1) * kLanes, 0);
+      for (unsigned l = 0; l < kLanes; ++l) mem[kDepth * kLanes + l] = ~0ull;
+      std::vector<std::uint64_t> want = mem;
+      std::vector<std::uint8_t> en(kLanes), addr(kLanes * ac.bytes),
+          data(kLanes * 2);
+      for (int trial = 0; trial < 300; ++trial) {
+        for (unsigned l = 0; l < kLanes; ++l) {
+          en[l] = static_cast<std::uint8_t>(rng() % 2);
+          put_lane(addr, ac.bytes, l, pick_address(rng, 8 * ac.bytes, kDepth));
+          put_lane(data, 2, l, rng() & 0xffff);
+        }
+        bool changed = false;
+        for (unsigned l = 0; l < kLanes; ++l) {
+          const std::uint64_t a = get_lane(addr, ac.bytes, l);
+          if (en[l] == 0 || a >= kDepth) continue;
+          const std::uint64_t v = get_lane(data, 2, l);
+          changed |= want[a * kLanes + l] != v;
+          want[a * kLanes + l] = v;
+        }
+        ASSERT_EQ(mwrite(mem.data(), en.data(), addr.data(), data.data()) != 0,
+                  changed)
+            << "trial " << trial;
+        ASSERT_EQ(mem, want) << "trial " << trial;
       }
-      ASSERT_EQ(mread(out.data(), mem.data(), addr.data()) != 0,
-                changed != 0)
-          << "trial " << trial;
-      ASSERT_EQ(out, want) << "trial " << trial;
     }
-  }
+}
+
+/// The gate memory helpers at every tier: g_mread and g_mwrite through
+/// their per-lane decode (one lane; more rows than four per lane) and
+/// their row sweep (one and two lane words), 64 address bits, so that
+/// lanes address DEPTH-1, DEPTH, DEPTH+1, 2^63 and 2^64-1.
+TEST(NativeMemRead, GateHelpersStopAtTheDepthAtEveryTier) {
+  if (jit_disabled()) GTEST_SKIP() << "OSSS_NO_JIT";
+  constexpr unsigned kA = 64, kWidth = 3;
+  struct Shape {
+    unsigned lanes, depth;
+    const char* path;
+  };
+  const Shape shapes[] = {{1, 5, "per-lane decode, one lane"},
+                          {64, 300, "per-lane decode, deep"},
+                          {64, 5, "row sweep"},
+                          {128, 7, "row sweep, two lane words"}};
+  std::mt19937_64 rng(verify::StimGen::derive(verify::env_seed(7301),
+                                              "gate/memdepth"));
+  for (const char* flags : kTiers)
+    for (const Shape& sh : shapes) {
+      SCOPED_TRACE(std::string("flags '") + flags + "', " + sh.path);
+      const unsigned lw = (sh.lanes + 63) / 64;
+      const std::string shape = std::to_string(sh.lanes) + ", " +
+                                std::to_string(lw) + ", " +
+                                std::to_string(sh.depth) + ", " +
+                                std::to_string(kA) + ", " +
+                                std::to_string(kWidth);
+      const std::string src =
+          std::string(jit::prelude_header()) + "constexpr int L = " +
+          std::to_string(lw) + ";\n" + jit::step_prelude() +
+          jit::gate_memory_prelude() +
+          "}  // namespace\n"
+          "extern \"C\" void osss_gread(u64* V, const u64* m, const u64* ad,"
+          " const u64* q, const unsigned* bit) {\n  g_mread<" +
+          shape + ", " + std::to_string(kWidth) +
+          ">(V, m, ad, q, bit);\n}\n"
+          "extern \"C\" bool osss_gwrite(u64* m, const u64* s) {\n"
+          "  return g_mwrite<" +
+          shape + ">(m, s);\n}\n";
+      jit::CompileOptions opt;
+      opt.extra_flags = flags;
+      std::string log;
+      const std::shared_ptr<jit::Object> obj =
+          jit::compile({src}, opt, "osss-gatemem", log);
+      ASSERT_NE(obj, nullptr) << log;
+      EXPECT_EQ(log, "");
+      const auto gread = reinterpret_cast<void (*)(
+          std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
+          const std::uint64_t*, const unsigned*)>(obj->sym("osss_gread"));
+      const auto gwrite = reinterpret_cast<bool (*)(
+          std::uint64_t*, const std::uint64_t*)>(obj->sym("osss_gwrite"));
+      ASSERT_NE(gread, nullptr);
+      ASSERT_NE(gwrite, nullptr);
+
+      // Memory: data bit b of row r in lane word w at
+      // m[(r * kWidth + b) * lw + w]; row `depth` is the all-ones guard.
+      const std::size_t span = std::size_t{kWidth} * lw;
+      std::vector<std::uint64_t> mem((sh.depth + 1) * span);
+      for (std::uint64_t& w : mem) w = rng();
+      const std::uint64_t live =
+          sh.lanes % 64 == 0 ? ~0ull : (1ull << (sh.lanes % 64)) - 1;
+      for (std::size_t k = 0; k < span; ++k) {
+        mem[sh.depth * span + k] = ~0ull;
+        if (k % lw == lw - 1)
+          for (std::uint64_t* row = mem.data() + k;
+               row < mem.data() + sh.depth * span; row += span)
+            *row &= live;
+      }
+      // The read group's nets: address bit i at V[i * lw], tap t (data
+      // bit t) at V[(kA + t) * lw].
+      std::vector<std::uint64_t> V((kA + kWidth) * lw, 0);
+      std::vector<std::uint64_t> ad(kA), q(kWidth);
+      std::vector<unsigned> bit(kWidth);
+      for (unsigned i = 0; i < kA; ++i) ad[i] = std::uint64_t{i} * lw;
+      for (unsigned t = 0; t < kWidth; ++t) {
+        q[t] = std::uint64_t{kA + t} * lw;
+        bit[t] = t;
+      }
+      // The write port's samples: enable, address bits, data bits.
+      std::vector<std::uint64_t> s((1 + kA + kWidth) * lw, 0);
+      const auto lane_bit = [&](const std::uint64_t* words, unsigned l) {
+        return (words[l / 64] >> (l % 64)) & 1;
+      };
+      const auto set_bit = [&](std::uint64_t* words, unsigned l,
+                               std::uint64_t b) {
+        words[l / 64] = (words[l / 64] & ~(1ull << (l % 64))) | (b << (l % 64));
+      };
+      for (int trial = 0; trial < 100; ++trial) {
+        std::vector<std::uint64_t> addr(sh.lanes);
+        for (unsigned l = 0; l < sh.lanes; ++l) {
+          addr[l] = pick_address(rng, 64, sh.depth);
+          for (unsigned i = 0; i < kA; ++i) {
+            set_bit(V.data() + i * lw, l, (addr[l] >> i) & 1);
+            set_bit(s.data() + (1 + i) * lw, l, (addr[l] >> i) & 1);
+          }
+          set_bit(s.data(), l, rng() % 2);
+          for (unsigned b = 0; b < kWidth; ++b)
+            set_bit(s.data() + (1 + kA + b) * lw, l, rng() % 2);
+        }
+        gread(V.data(), mem.data(), ad.data(), q.data(), bit.data());
+        for (unsigned l = 0; l < sh.lanes; ++l)
+          for (unsigned t = 0; t < kWidth; ++t) {
+            const std::uint64_t want =
+                addr[l] < sh.depth
+                    ? lane_bit(mem.data() + (addr[l] * kWidth + t) * lw, l)
+                    : 0;
+            ASSERT_EQ(lane_bit(V.data() + (kA + t) * lw, l), want)
+                << "trial " << trial << " lane " << l << " address "
+                << addr[l] << " bit " << t;
+          }
+        std::vector<std::uint64_t> want = mem;
+        for (unsigned l = 0; l < sh.lanes; ++l) {
+          if (lane_bit(s.data(), l) == 0 || addr[l] >= sh.depth) continue;
+          for (unsigned b = 0; b < kWidth; ++b)
+            set_bit(want.data() + (addr[l] * kWidth + b) * lw, l,
+                    lane_bit(s.data() + (1 + kA + b) * lw, l));
+        }
+        const bool changed = want != mem;
+        ASSERT_EQ(gwrite(mem.data(), s.data()), changed) << "trial " << trial;
+        ASSERT_EQ(mem, want) << "trial " << trial;
+      }
+    }
 }
 
 /// set_input(Bits) and set_input(u64) drive every lane of a one-word and

@@ -247,7 +247,8 @@ TEST(NativeEmit, GeneratedSourceExportsTheTapeAbi) {
 }
 
 /// Each instruction wider than one word is one call back into the engine
-/// (the threaded handler runs it); the single-word ones stay compiled.
+/// (the threaded handler runs it); the single-word ones stay compiled, in
+/// their destination's width class (the 8-bit add: u8).
 TEST(NativeEmit, WideInstructionsCallTheEngine) {
   Builder b("wide");
   Wire a = b.input("a", 80);
@@ -267,7 +268,7 @@ TEST(NativeEmit, WideInstructionsCallTheEngine) {
     for (std::size_t at = src.find("X(C, "); at != std::string::npos;
          at = src.find("X(C, ", at + 1))
       ++calls;
-    adds += src.find("v_bin<4, OpAdd>") != std::string::npos;
+    adds += src.find("v_bin<4, OpAdd, u8>") != std::string::npos;
   }
   EXPECT_EQ(calls, 4u);
   EXPECT_EQ(adds, 1u);

@@ -72,8 +72,9 @@ struct OpGen {
   bool wide() const { return band.lo > 64; }
   unsigned width() {
     if (!wide() && rng() % 2 == 0) {
-      static constexpr unsigned kEdges[] = {1, 2, 63, 64};
-      return kEdges[rng() % 4];
+      // The edges of the word and both sides of each width-class boundary.
+      static constexpr unsigned kEdges[] = {1, 2, 8, 9, 16, 17, 32, 33, 63, 64};
+      return kEdges[rng() % std::size(kEdges)];
     }
     return band.lo + static_cast<unsigned>(rng() % (band.hi - band.lo + 1));
   }
